@@ -85,31 +85,32 @@ pub fn packed_b_len(k: usize, n: usize) -> usize {
 /// Every element of `out[..packed_a_len(m, k)]` is overwritten, so reused
 /// (stale) buffers are fine.
 pub fn pack_a(a: &[f32], m: usize, k: usize, trans: bool, out: &mut [f32]) {
+    pack_a_at(a, m, k, trans, out, (k, 0));
+}
+
+/// [`pack_a`] for one k-segment of a longer product: `a` holds columns
+/// `[k0, k0 + k)` of a logical `m × ktot` A (`at = (ktot, k0)`) and is
+/// written into the panels of `out[..packed_a_len(m, ktot)]` at that k
+/// offset. Packing every segment of a partition of `[0, ktot)` fills the
+/// panels exactly as one [`pack_a`] of the concatenated operand would —
+/// how a reduction over a batch (`k = images × pixels`) is packed image by
+/// image without materializing the concatenation.
+pub fn pack_a_at(a: &[f32], m: usize, k: usize, trans: bool, out: &mut [f32], at: (usize, usize)) {
+    let (ktot, k0) = at;
     debug_assert_eq!(a.len(), m * k);
-    debug_assert!(out.len() >= packed_a_len(m, k));
+    debug_assert!(k0 + k <= ktot);
+    debug_assert!(out.len() >= packed_a_len(m, ktot));
     if k == 0 {
         return;
     }
     for p in 0..m.div_ceil(MR) {
         let i0 = p * MR;
         let rows = MR.min(m - i0);
-        let dst = &mut out[p * MR * k..(p + 1) * MR * k];
+        let dst = &mut out[(p * ktot + k0) * MR..][..k * MR];
         if trans {
-            for kk in 0..k {
-                let src = &a[kk * m + i0..kk * m + i0 + rows];
-                dst[kk * MR..kk * MR + rows].copy_from_slice(src);
-            }
+            pack_rows::<MR>(&a[i0..], m, rows, dst);
         } else {
-            for (i, row) in a[i0 * k..].chunks(k).take(rows).enumerate() {
-                for (kk, &v) in row.iter().enumerate() {
-                    dst[kk * MR + i] = v;
-                }
-            }
-        }
-        if rows < MR {
-            for kk in 0..k {
-                dst[kk * MR + rows..kk * MR + MR].fill(0.0);
-            }
+            pack_cols::<MR>(&a[i0 * k..], k, rows, dst);
         }
     }
 }
@@ -123,32 +124,60 @@ pub fn pack_a(a: &[f32], m: usize, k: usize, trans: bool, out: &mut [f32]) {
 ///
 /// Every element of `out[..packed_b_len(k, n)]` is overwritten.
 pub fn pack_b(b: &[f32], k: usize, n: usize, trans: bool, out: &mut [f32]) {
+    pack_b_at(b, k, n, trans, out, (k, 0));
+}
+
+/// [`pack_b`] for one k-segment of a longer product: `b` holds rows
+/// `[k0, k0 + k)` of a logical `ktot × n` B (`at = (ktot, k0)`), written
+/// into the panels of `out[..packed_b_len(ktot, n)]` at that k offset. See
+/// [`pack_a_at`].
+pub fn pack_b_at(b: &[f32], k: usize, n: usize, trans: bool, out: &mut [f32], at: (usize, usize)) {
+    let (ktot, k0) = at;
     debug_assert_eq!(b.len(), k * n);
-    debug_assert!(out.len() >= packed_b_len(k, n));
+    debug_assert!(k0 + k <= ktot);
+    debug_assert!(out.len() >= packed_b_len(ktot, n));
     if k == 0 {
         return;
     }
     for p in 0..n.div_ceil(NR) {
         let j0 = p * NR;
         let cols = NR.min(n - j0);
-        let dst = &mut out[p * NR * k..(p + 1) * NR * k];
+        let dst = &mut out[(p * ktot + k0) * NR..][..k * NR];
         if trans {
-            for (j, row) in b[j0 * k..].chunks(k).take(cols).enumerate() {
-                for (kk, &v) in row.iter().enumerate() {
-                    dst[kk * NR + j] = v;
-                }
-            }
-            if cols < NR {
-                for kk in 0..k {
-                    dst[kk * NR + cols..kk * NR + NR].fill(0.0);
-                }
-            }
+            pack_cols::<NR>(&b[j0 * k..], k, cols, dst);
         } else {
-            for kk in 0..k {
-                let d = &mut dst[kk * NR..kk * NR + NR];
-                d[..cols].copy_from_slice(&b[kk * n + j0..kk * n + j0 + cols]);
-                d[cols..].fill(0.0);
-            }
+            pack_rows::<NR>(&b[j0..], n, cols, dst);
+        }
+    }
+}
+
+/// Fill one `W`-wide panel from a source whose panel lanes are contiguous:
+/// `dst[kk·W + l] = src[kk·ld + l]` for `l < lanes`, zero for the rest. A
+/// full panel (`lanes == W`) moves fixed-size rows, which compile to plain
+/// vector loads and stores; only the edge panel pays for a variable length.
+fn pack_rows<const W: usize>(src: &[f32], ld: usize, lanes: usize, dst: &mut [f32]) {
+    if lanes == W {
+        for (kk, d) in dst.chunks_exact_mut(W).enumerate() {
+            d.copy_from_slice(&src[kk * ld..kk * ld + W]);
+        }
+    } else {
+        for (kk, d) in dst.chunks_exact_mut(W).enumerate() {
+            d[..lanes].copy_from_slice(&src[kk * ld..kk * ld + lanes]);
+            d[lanes..].fill(0.0);
+        }
+    }
+}
+
+/// Fill one `W`-wide panel from a source whose k axis is contiguous (the
+/// transposing direction): `dst[kk·W + l] = src[l·k + kk]` for `l < lanes`,
+/// zero for the rest.
+fn pack_cols<const W: usize>(src: &[f32], k: usize, lanes: usize, dst: &mut [f32]) {
+    if lanes < W {
+        dst.fill(0.0);
+    }
+    for (l, row) in src.chunks_exact(k).take(lanes).enumerate() {
+        for (d, &v) in dst[l..].iter_mut().step_by(W).zip(row) {
+            *d = v;
         }
     }
 }
@@ -288,6 +317,15 @@ struct TilePtr(*mut f32);
 unsafe impl Send for TilePtr {}
 unsafe impl Sync for TilePtr {}
 
+impl TilePtr {
+    /// The base pointer. A method, not a field read, so that a closure
+    /// using it captures the `Send + Sync` wrapper: edition-2021 closures
+    /// capture disjoint fields, and `cp.0` would capture the bare `*mut f32`.
+    fn base(self) -> *mut f32 {
+        self.0
+    }
+}
+
 /// `C += PA · PB` where `PA`/`PB` were produced by [`pack_a`]/[`pack_b`]
 /// for a logical `m × k` · `k × n` product. C is row-major `m × n` and is
 /// accumulated into (zero it first for a plain product).
@@ -330,7 +368,7 @@ pub fn gemm_packed_arm(
                 arm,
                 pa,
                 pb,
-                cp.0,
+                cp.base(),
                 k,
                 n,
                 i0,
@@ -569,6 +607,70 @@ mod tests {
         pack_b(&mat, rows, cols, false, &mut pb1);
         pack_b(&t, rows, cols, true, &mut pb2);
         assert_eq!(pb1, pb2);
+    }
+
+    /// Packing a product's k axis segment by segment must fill the panels
+    /// exactly as one pack of the concatenated operand does, for both
+    /// operands, both storage orders and ragged edge panels.
+    #[test]
+    fn segment_packing_equals_one_pack_of_the_whole() {
+        let (m, n) = (MR + 3, NR + 5);
+        let segs = [4usize, 1, 7];
+        let ktot: usize = segs.iter().sum();
+        let mut seed = 0x5E6;
+        for trans in [false, true] {
+            // `free` is the operand's non-k extent; a segment is stored
+            // `free × k` when k is contiguous, `k × free` otherwise.
+            for (free, is_a) in [(m, true), (n, false)] {
+                let k_contiguous = if is_a { !trans } else { trans };
+                let parts: Vec<Vec<f32>> = segs
+                    .iter()
+                    .map(|&k| {
+                        let mut v = vec![0.0f32; free * k];
+                        fill(&mut v, &mut seed);
+                        v
+                    })
+                    .collect();
+                let mut whole = vec![0.0f32; free * ktot];
+                let mut k0 = 0;
+                for (part, &k) in parts.iter().zip(&segs) {
+                    for f in 0..free {
+                        for kk in 0..k {
+                            let (src, dst) = if k_contiguous {
+                                (f * k + kk, f * ktot + k0 + kk)
+                            } else {
+                                (kk * free + f, (k0 + kk) * free + f)
+                            };
+                            whole[dst] = part[src];
+                        }
+                    }
+                    k0 += k;
+                }
+                let len = if is_a {
+                    packed_a_len(m, ktot)
+                } else {
+                    packed_b_len(ktot, n)
+                };
+                let mut once = vec![f32::NAN; len];
+                let mut pieces = vec![f32::NAN; len];
+                let mut k0 = 0;
+                if is_a {
+                    pack_a(&whole, m, ktot, trans, &mut once);
+                } else {
+                    pack_b(&whole, ktot, n, trans, &mut once);
+                }
+                for (part, &k) in parts.iter().zip(&segs) {
+                    if is_a {
+                        pack_a_at(part, m, k, trans, &mut pieces, (ktot, k0));
+                    } else {
+                        pack_b_at(part, k, n, trans, &mut pieces, (ktot, k0));
+                    }
+                    k0 += k;
+                }
+                let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&once), bits(&pieces), "trans {trans}, A {is_a}");
+            }
+        }
     }
 
     /// The determinism contract: identical bits for 1, 2, and 8 threads,

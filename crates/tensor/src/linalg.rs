@@ -359,8 +359,8 @@ pub fn gemm_nt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n:
 ///
 /// Eight parallel chains keep two FMA/add pipes busy on wide SIMD targets
 /// while still reducing deterministically (fixed tree, independent of
-/// length rounding). Backs Conv2d's weight-gradient path and the loss
-/// kernels, which reduce over contiguous rows.
+/// length rounding). Backs [`gemm_nt_naive`], which reduces over contiguous
+/// rows.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
