@@ -25,9 +25,16 @@
 //! The encoding is strict in the same way the wire layer is: checked
 //! length arithmetic before any allocation, every structural error mapped
 //! into [`WireError`], and trailing bytes rejected. Client snapshot blobs
-//! are opaque here and validated at hydration, exactly as pager blobs are.
+//! are opaque to the codec; [`Checkpoint::restore`] has the fleet restore
+//! each onto a scratch twin before it accepts any, so a damaged file is
+//! refused there and never reaches a hydration.
+//!
+//! A blob is copied twice on its way through a file and no more: into the
+//! encoded buffer, and out of the decoded one. Capture shares the fleet's
+//! blobs and restore hands them to the fleet by reference count.
 
 use crate::algo::Algorithm;
+use crate::client::SnapshotBlob;
 use crate::config::FedConfig;
 use crate::fleet::Fleet;
 use crate::sim::{RoundMetrics, RunState};
@@ -54,7 +61,7 @@ pub struct ClientCheckpoint {
     /// The client's aggregation weight at checkpoint time.
     pub weight: f32,
     /// Snapshot blob, or `None` for a client that has never trained.
-    pub blob: Option<Vec<u8>>,
+    pub blob: Option<SnapshotBlob>,
 }
 
 /// Full federation state at a round boundary. See module docs.
@@ -140,7 +147,7 @@ impl Checkpoint {
                 "checkpoint client list does not match its declared count",
             ));
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         buf.put_slice(&MAGIC);
         buf.put_u16_le(VERSION);
         buf.put_u64_le(self.seed);
@@ -154,15 +161,30 @@ impl Checkpoint {
         put_opt_bytes(&mut buf, self.algo_blob.as_deref())?;
         for c in &self.clients {
             buf.put_u32_le(c.weight.to_bits());
-            put_opt_bytes(&mut buf, c.blob.as_deref())?;
+            put_opt_bytes(&mut buf, c.blob.as_ref().map(|b| &b[..]))?;
         }
-        Ok(buf.freeze().to_vec())
+        Ok(buf)
+    }
+
+    /// Exactly the bytes [`Checkpoint::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        let opt_len = |b: Option<usize>| 1 + b.map_or(0, |len| 4 + len);
+        let buffered: usize = self.state.buffer.iter().map(|e| e.3.len()).sum();
+        let blobs = self
+            .clients
+            .iter()
+            .map(|c| c.blob.as_ref().map(|b| b.len()));
+        (4 + 2 + 8 + 4 + 4 + self.algo_name.len())
+            + (8 * 12 + 4 + CURVE_POINT_LEN * self.state.curve.len())
+            + (4 + BUFFER_ENTRY_MIN_LEN * self.state.buffer.len() + buffered)
+            + opt_len(self.algo_blob.as_ref().map(Vec::len))
+            + blobs.map(|b| 4 + opt_len(b)).sum::<usize>()
     }
 
     /// Strictly decode an encoded checkpoint: checked lengths before any
     /// allocation, version/magic verification, trailing-byte rejection.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         let mut magic = [0u8; 4];
         need(&buf, 4)?;
         buf.copy_to_slice(&mut magic);
@@ -182,9 +204,7 @@ impl Checkpoint {
         if name_len > MAX_NAME_LEN {
             return Err(WireError::Malformed("algorithm name too long"));
         }
-        need(&buf, name_len)?;
-        let name_bytes = buf.copy_to_bytes(name_len);
-        let algo_name = std::str::from_utf8(&name_bytes)
+        let algo_name = std::str::from_utf8(take_bytes(&mut buf, name_len)?)
             .map_err(|_| WireError::Malformed("algorithm name is not utf-8"))?
             .to_string();
         let state = decode_run_state(&mut buf)?;
@@ -202,7 +222,7 @@ impl Checkpoint {
         for _ in 0..num_clients {
             need(&buf, 4)?;
             let weight = f32::from_bits(buf.get_u32_le());
-            let blob = take_opt_bytes(&mut buf)?;
+            let blob = take_opt_bytes(&mut buf)?.map(SnapshotBlob::new);
             clients.push(ClientCheckpoint { weight, blob });
         }
         if buf.has_remaining() {
@@ -252,7 +272,7 @@ impl Checkpoint {
     }
 }
 
-fn encode_run_state(buf: &mut BytesMut, s: &RunState) -> Result<(), WireError> {
+fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
     buf.put_u64_le(s.next_round as u64);
     buf.put_u64_le(s.epochs as u64);
     buf.put_u64_le(s.point_dropped);
@@ -287,7 +307,7 @@ fn encode_run_state(buf: &mut BytesMut, s: &RunState) -> Result<(), WireError> {
     Ok(())
 }
 
-fn decode_run_state(buf: &mut Bytes) -> Result<RunState, WireError> {
+fn decode_run_state(buf: &mut &[u8]) -> Result<RunState, WireError> {
     need(buf, 8 * 12 + 4)?;
     let next_round = buf.get_u64_le() as usize;
     let epochs = buf.get_u64_le() as usize;
@@ -340,8 +360,7 @@ fn decode_run_state(buf: &mut Bytes) -> Result<RunState, WireError> {
         let origin = buf.get_u64_le();
         let client = buf.get_u64_le();
         let len = buf.get_u32_le() as usize;
-        need(buf, len)?;
-        buffer.push((ready, origin, client, buf.copy_to_bytes(len).to_vec()));
+        buffer.push((ready, origin, client, take_bytes(buf, len)?.to_vec()));
     }
     Ok(RunState {
         next_round,
@@ -362,11 +381,19 @@ fn decode_run_state(buf: &mut Bytes) -> Result<RunState, WireError> {
 }
 
 /// `Err(Truncated)` unless `buf` holds at least `n` more bytes.
-fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
+fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     if buf.remaining() < n {
         return Err(WireError::Truncated);
     }
     Ok(())
+}
+
+/// Split the next `n` bytes off the front of `buf`, borrowed.
+fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    need(buf, n)?;
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
 fn checked_u32(n: usize, what: &'static str) -> Result<u32, WireError> {
@@ -374,7 +401,7 @@ fn checked_u32(n: usize, what: &'static str) -> Result<u32, WireError> {
 }
 
 /// `u8` presence flag, then `u32 len | bytes` when present.
-fn put_opt_bytes(buf: &mut BytesMut, b: Option<&[u8]>) -> Result<(), WireError> {
+fn put_opt_bytes(buf: &mut Vec<u8>, b: Option<&[u8]>) -> Result<(), WireError> {
     match b {
         None => buf.put_u8(0),
         Some(b) => {
@@ -386,15 +413,14 @@ fn put_opt_bytes(buf: &mut BytesMut, b: Option<&[u8]>) -> Result<(), WireError> 
     Ok(())
 }
 
-fn take_opt_bytes(buf: &mut Bytes) -> Result<Option<Vec<u8>>, WireError> {
+fn take_opt_bytes(buf: &mut &[u8]) -> Result<Option<Vec<u8>>, WireError> {
     need(buf, 1)?;
     match buf.get_u8() {
         0 => Ok(None),
         1 => {
             need(buf, 4)?;
             let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            Ok(Some(buf.copy_to_bytes(len).to_vec()))
+            Ok(Some(take_bytes(buf, len)?.to_vec()))
         }
         _ => Err(WireError::Malformed("bad option flag")),
     }
@@ -526,7 +552,7 @@ mod tests {
             clients: vec![
                 ClientCheckpoint {
                     weight: 0.5,
-                    blob: Some(vec![9, 8, 7]),
+                    blob: Some(SnapshotBlob::new(vec![9, 8, 7])),
                 },
                 ClientCheckpoint {
                     weight: 0.25,
@@ -534,7 +560,7 @@ mod tests {
                 },
                 ClientCheckpoint {
                     weight: 0.25,
-                    blob: Some(Vec::new()),
+                    blob: Some(SnapshotBlob::default()),
                 },
             ],
         }
@@ -544,6 +570,12 @@ mod tests {
     fn encode_decode_round_trips() {
         let ckpt = sample();
         let bytes = ckpt.encode().expect("encode");
+        assert_eq!(bytes.len(), ckpt.encoded_len());
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "encode was not sized exactly"
+        );
         let back = Checkpoint::decode(&bytes).expect("decode");
         assert_eq!(back, ckpt);
     }

@@ -2,7 +2,7 @@
 //! the local-update primitives the algorithms compose.
 
 use crate::config::{HyperParams, OptKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use fca_data::augment::AugmentConfig;
 use fca_data::Dataset;
 use fca_models::classifier::ClassifierWeights;
@@ -11,8 +11,11 @@ use fca_nn::loss::{accuracy, cross_entropy, prototype_loss, supervised_contrasti
 use fca_nn::optim::{Adam, OptState, Optimizer, Sgd};
 use fca_nn::Module as _;
 use fca_tensor::rng::{derive_seed, SnapRng};
-use fca_tensor::serialize::{decode_tensor, encode_tensor};
+use fca_tensor::serialize::{
+    decode_tensor, decode_tensor_into, encode_tensor, encoded_len, WireError,
+};
 use fca_tensor::{Tensor, Workspace, WorkspaceStats};
+use std::sync::Arc;
 
 /// Diagnostics from one local update.
 #[derive(Clone, Copy, Debug, Default)]
@@ -39,6 +42,19 @@ pub struct LocalObjective {
 
 /// Layout version of [`Client::snapshot_blob`]; bump on any change.
 const SNAPSHOT_VERSION: u8 = 1;
+
+/// A snapshot blob as the fleet and a checkpoint hold it: shared by
+/// reference count, so a cold slot, a captured checkpoint and the fleet it
+/// is restored onto all point at the one buffer [`Client::snapshot_blob`]
+/// (or the checkpoint decoder) wrote.
+pub type SnapshotBlob = Arc<Vec<u8>>;
+
+/// Bytes of one RNG position in a blob (four `u64` words).
+const RNG_LEN: usize = 32;
+
+/// A blob whose RNG-position or state-tensor count is not this model's.
+const OTHER_ARCH: WireError =
+    WireError::Malformed("snapshot was taken from a different architecture");
 
 /// One federated client.
 pub struct Client {
@@ -119,95 +135,127 @@ impl Client {
     /// fleet's partition, and workspace contents never influence numerics
     /// (every slot is fully overwritten before use).
     pub fn snapshot_blob(&mut self) -> Vec<u8> {
-        // Snapshot counts (optimizer slots, RNG positions, model tensors)
-        // are architecture-sized; one that does not fit the blob's u32
-        // count fields is a program bug, so the encoder refuses loudly
-        // instead of truncating.
-        fn put_count(buf: &mut BytesMut, n: usize) {
-            // fca-lint: allow(P1, reason = "snapshots never cross a trust boundary; a count above u32::MAX is a program bug, and truncating it silently would corrupt the blob")
-            buf.put_u32_le(u32::try_from(n).expect("snapshot count exceeds u32"));
+        // Counts and tensor headers are architecture-sized; one that does
+        // not fit the blob's u32 / u8 fields is a program bug, so the
+        // encoder refuses loudly instead of truncating.
+        let blob = self.write_snapshot();
+        // fca-lint: allow(P1, reason = "encode side of a local artifact: a count above u32::MAX or a tensor rank above 255 is a program bug, and truncating it silently would corrupt the blob")
+        blob.expect("client state exceeds the snapshot format's fields")
+    }
+
+    /// [`Client::snapshot_blob`]'s body: sizes the blob exactly, then
+    /// encodes every tensor straight from where it lives.
+    fn write_snapshot(&mut self) -> Result<Vec<u8>, WireError> {
+        fn put_count(buf: &mut Vec<u8>, n: usize) -> Result<(), WireError> {
+            let n = u32::try_from(n).map_err(|_| WireError::Unencodable("snapshot count"))?;
+            buf.put_u32_le(n);
+            Ok(())
         }
-        let mut buf = BytesMut::new();
-        buf.put_u8(SNAPSHOT_VERSION);
-        let opt = self.optimizer.state();
-        buf.put_f32_le(opt.lr);
-        buf.put_u64_le(opt.step);
-        put_count(&mut buf, opt.slots.len());
-        for t in &opt.slots {
-            encode_tensor(t, &mut buf);
-        }
-        for word in self.rng.state() {
-            buf.put_u64_le(word);
-        }
-        let model_rngs: Vec<[u64; 4]> = self
-            .model
-            .rng_slots()
-            .into_iter()
-            .map(|r| r.state())
-            .collect();
-        put_count(&mut buf, model_rngs.len());
-        for s in model_rngs {
-            for word in s {
+        fn put_rng(buf: &mut Vec<u8>, rng: &SnapRng) {
+            for word in rng.state() {
                 buf.put_u64_le(word);
             }
         }
-        let state = self.model.full_state();
-        put_count(&mut buf, state.len());
-        for t in &state {
-            encode_tensor(t, &mut buf);
+        let slots = self.optimizer.slots();
+        let n_rngs = self.model.rng_slots().len();
+        let (mut n_state, mut state_len) = (0, 0);
+        self.model.try_for_each_state(|t| {
+            n_state += 1;
+            state_len += encoded_len(t);
+            Ok::<(), WireError>(())
+        })?;
+        let slots_len: usize = slots.iter().map(|t| encoded_len(t)).sum();
+        let len = 1 + 4 + 8 + 4 + slots_len + RNG_LEN + 4 + n_rngs * RNG_LEN + 4 + state_len;
+
+        let mut buf = Vec::with_capacity(len);
+        buf.put_u8(SNAPSHOT_VERSION);
+        buf.put_f32_le(self.optimizer.learning_rate());
+        buf.put_u64_le(self.optimizer.step_count());
+        put_count(&mut buf, slots.len())?;
+        for t in slots {
+            encode_tensor(t, &mut buf)?;
         }
-        buf.to_vec()
+        put_rng(&mut buf, &self.rng);
+        put_count(&mut buf, n_rngs)?;
+        for rng in self.model.rng_slots() {
+            put_rng(&mut buf, rng);
+        }
+        put_count(&mut buf, n_state)?;
+        self.model
+            .try_for_each_state(|t| encode_tensor(t, &mut buf))?;
+        debug_assert_eq!(buf.len(), len, "snapshot length was mis-sized");
+        Ok(buf)
     }
 
-    /// Restore a [`Client::snapshot_blob`] onto a pristine twin built from
-    /// the same seeds and architecture. Panics on a corrupt or
-    /// structurally mismatched blob — snapshots never cross a trust
-    /// boundary, so corruption here is a program bug, not a peer fault.
-    pub fn restore_snapshot(&mut self, blob: &[u8]) {
-        let mut buf = Bytes::copy_from_slice(blob);
-        assert!(buf.remaining() > 13, "snapshot blob truncated");
-        let version = buf.get_u8();
-        assert_eq!(version, SNAPSHOT_VERSION, "unknown snapshot version");
+    /// Restore a [`Client::snapshot_blob`] onto a twin built from the same
+    /// seeds and architecture: model tensors are read straight into the
+    /// existing ones, optimizer slots are decoded once and moved in.
+    ///
+    /// Blobs are written to and read from checkpoint files, so every read
+    /// is length-checked and every count and tensor shape is held against
+    /// this client's own: a truncated, bit-flipped or foreign blob is an
+    /// `Err`, never a panic. After an `Err` the client may be partly
+    /// overwritten — discard it. [`crate::fleet::Fleet::restore_snapshots`]
+    /// runs this on a scratch twin first, so a blob that reaches a
+    /// hydration has already restored cleanly once.
+    pub fn restore_snapshot(&mut self, blob: &[u8]) -> Result<(), WireError> {
+        fn take_count(buf: &mut &[u8]) -> Result<usize, WireError> {
+            if buf.remaining() < 4 {
+                return Err(WireError::Truncated);
+            }
+            Ok(buf.get_u32_le() as usize)
+        }
+        fn take_rng(buf: &mut &[u8]) -> Result<SnapRng, WireError> {
+            if buf.remaining() < RNG_LEN {
+                return Err(WireError::Truncated);
+            }
+            Ok(SnapRng::from_state(std::array::from_fn(|_| {
+                buf.get_u64_le()
+            })))
+        }
+        let mut buf = blob;
+        if buf.remaining() < 1 + 4 + 8 {
+            return Err(WireError::Truncated);
+        }
+        if buf.get_u8() != SNAPSHOT_VERSION {
+            return Err(WireError::Malformed("unknown snapshot version"));
+        }
         let lr = buf.get_f32_le();
         let step = buf.get_u64_le();
-        let n_slots = buf.get_u32_le() as usize;
+        let n_slots = take_count(&mut buf)?;
+        // A tensor is at least its rank byte: bound the count before
+        // reserving for it.
+        if n_slots > buf.remaining() {
+            return Err(WireError::Truncated);
+        }
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
-            // fca-lint: allow(P1, reason = "snapshots are trusted local artifacts (see the fn docs); corruption here is a program bug, not a peer fault")
-            slots.push(decode_tensor(&mut buf).expect("corrupt optimizer slot in snapshot"));
+            slots.push(decode_tensor(&mut buf)?);
         }
-        self.optimizer.load_state(OptState { lr, step, slots });
-        let mut words = [0u64; 4];
-        for w in &mut words {
-            *w = buf.get_u64_le();
+        self.optimizer
+            .load_state(OptState { lr, step, slots }, &self.model.params_mut())?;
+        self.rng = take_rng(&mut buf)?;
+        let rng_slots = self.model.rng_slots();
+        if take_count(&mut buf)? != rng_slots.len() {
+            return Err(OTHER_ARCH);
         }
-        self.rng = SnapRng::from_state(words);
-        let n_rngs = buf.get_u32_le() as usize;
-        let mut positions = Vec::with_capacity(n_rngs);
-        for _ in 0..n_rngs {
-            let mut s = [0u64; 4];
-            for w in &mut s {
-                *w = buf.get_u64_le();
-            }
-            positions.push(s);
+        for slot in rng_slots {
+            *slot = take_rng(&mut buf)?;
         }
-        let mut rng_slots = self.model.rng_slots();
-        assert_eq!(
-            rng_slots.len(),
-            n_rngs,
-            "snapshot was taken from a different architecture (rng slot count)"
-        );
-        for (slot, s) in rng_slots.iter_mut().zip(positions) {
-            **slot = SnapRng::from_state(s);
+        let mut unread = take_count(&mut buf)?;
+        self.model.try_for_each_state(|t| {
+            unread = unread.checked_sub(1).ok_or(OTHER_ARCH)?;
+            decode_tensor_into(&mut buf, t)
+        })?;
+        if unread != 0 {
+            return Err(OTHER_ARCH);
         }
-        let n_state = buf.get_u32_le() as usize;
-        let mut state = Vec::with_capacity(n_state);
-        for _ in 0..n_state {
-            // fca-lint: allow(P1, reason = "snapshots are trusted local artifacts (see the fn docs); corruption here is a program bug, not a peer fault")
-            state.push(decode_tensor(&mut buf).expect("corrupt model tensor in snapshot"));
+        if buf.has_remaining() {
+            return Err(WireError::TrailingBytes {
+                extra: buf.remaining(),
+            });
         }
-        self.model.load_full_state(&state);
-        assert!(!buf.has_remaining(), "trailing bytes in snapshot blob");
+        Ok(())
     }
 
     /// Swap this client's scratch workspace (pool checkout on hydrate).
@@ -798,7 +846,12 @@ mod tests {
         }
         let blob = a.snapshot_blob();
         let mut b = dropout_client(612, hp);
-        b.restore_snapshot(&blob);
+        b.restore_snapshot(&blob).expect("restore");
+        assert_eq!(
+            b.snapshot_blob(),
+            blob,
+            "restored client re-encodes differently"
+        );
         let obj = LocalObjective {
             contrastive: true,
             rho: 0.0,
@@ -854,29 +907,94 @@ mod tests {
         a.set_learning_rate(7e-4);
         let blob = a.snapshot_blob();
         let mut b = dropout_client(613, &hp);
-        b.restore_snapshot(&blob);
+        b.restore_snapshot(&blob).expect("restore");
         assert_eq!(b.learning_rate(), 7e-4);
     }
 
     #[test]
-    #[should_panic(expected = "unknown snapshot version")]
     fn snapshot_rejects_version_mismatch() {
         let hp = HyperParams::micro_default();
         let mut a = dropout_client(615, &hp);
         let mut blob = a.snapshot_blob();
         blob[0] = SNAPSHOT_VERSION + 1;
         let mut b = dropout_client(615, &hp);
-        b.restore_snapshot(&blob);
+        assert_eq!(
+            b.restore_snapshot(&blob),
+            Err(WireError::Malformed("unknown snapshot version"))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "different architecture")]
     fn snapshot_rejects_architecture_mismatch() {
         let hp = HyperParams::micro_default();
         let mut a = dropout_client(614, &hp);
+        a.local_update_supervised(1, &hp);
         let blob = a.snapshot_blob();
-        let mut b = tiny_client(614); // CnnFedAvg: no dropout rng slots
-        b.restore_snapshot(&blob);
+        let mut b = tiny_client(614); // CnnFedAvg: other params, no dropout rng slots
+        assert!(b.restore_snapshot(&blob).is_err());
+        // The refusal is an error value: the client is still usable.
+        b.local_update_supervised(1, &hp);
+    }
+
+    /// The parent commit's encoder, kept as the reference the blob layout is
+    /// held against: clone every piece of state, append field by field.
+    fn reference_snapshot(c: &mut Client) -> Vec<u8> {
+        use bytes::BytesMut;
+        let mut buf = BytesMut::new();
+        buf.put_u8(SNAPSHOT_VERSION);
+        buf.put_f32_le(c.optimizer.learning_rate());
+        buf.put_u64_le(c.optimizer.step_count());
+        let slots: Vec<Tensor> = c.optimizer.slots().into_iter().cloned().collect();
+        buf.put_u32_le(slots.len() as u32);
+        for t in &slots {
+            buf.put_u8(t.shape().rank() as u8);
+            for &d in t.dims() {
+                buf.put_u32_le(d as u32);
+            }
+            for &v in t.data() {
+                buf.put_f32_le(v);
+            }
+        }
+        for word in c.rng.state() {
+            buf.put_u64_le(word);
+        }
+        let model_rngs: Vec<[u64; 4]> = c.model.rng_slots().iter().map(|r| r.state()).collect();
+        buf.put_u32_le(model_rngs.len() as u32);
+        for word in model_rngs.into_iter().flatten() {
+            buf.put_u64_le(word);
+        }
+        let state = c.model.full_state();
+        buf.put_u32_le(state.len() as u32);
+        for t in &state {
+            buf.put_u8(t.shape().rank() as u8);
+            for &d in t.dims() {
+                buf.put_u32_le(d as u32);
+            }
+            for &v in t.data() {
+                buf.put_f32_le(v);
+            }
+        }
+        buf.to_vec()
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_reference_encoder() {
+        let adam = HyperParams::micro_default();
+        let mut sgd = HyperParams::micro_default().with_lr(5e-3);
+        sgd.optimizer = OptKind::Sgd {
+            momentum: 0.9,
+            weight_decay: 1e-4,
+        };
+        for hp in [adam, sgd] {
+            let mut c = dropout_client(616, &hp);
+            // Pristine (no optimizer slots yet), then mid-training.
+            for _ in 0..2 {
+                let blob = c.snapshot_blob();
+                assert_eq!(blob, reference_snapshot(&mut c));
+                assert_eq!(blob.capacity(), blob.len(), "blob was not sized exactly");
+                c.local_update_supervised(1, &hp);
+            }
+        }
     }
 
     #[test]

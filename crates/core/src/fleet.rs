@@ -29,7 +29,7 @@
 //! scheduling and is only bounded — never asserted exact — while paging
 //! *counts* (page-ins, page-outs, bytes) are deterministic per run shape.
 
-use crate::client::Client;
+use crate::client::{Client, SnapshotBlob};
 use crate::config::HyperParams;
 use fca_data::augment::AugmentConfig;
 use fca_data::partition::ClientSplit;
@@ -37,9 +37,12 @@ use fca_data::Dataset;
 use fca_models::{build_model, ModelArch};
 use fca_tensor::quant::Precision;
 use fca_tensor::rng::derive_seed;
+use fca_tensor::serialize::WireError;
 use fca_tensor::{PoolStats, Workspace, WorkspacePool, WorkspaceStats};
 use rayon::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The always-resident descriptor of one client: everything the server
 /// needs between rounds without materializing the model.
@@ -81,7 +84,9 @@ enum Slot {
     Live(Box<Client>),
     /// Paged out. `None` means pristine — the client has never trained,
     /// so hydration rebuilds it from seeds alone with nothing to restore.
-    Cold(Option<Vec<u8>>),
+    /// A blob here was written by [`dehydrate`] or has passed
+    /// [`Fleet::restore_snapshots`]' check, so it restores without error.
+    Cold(Option<SnapshotBlob>),
 }
 
 /// Everything needed to rebuild a pristine client from its meta record:
@@ -322,7 +327,7 @@ impl Fleet {
                     .hydrator
                     .as_ref()
                     .expect("cold slot in a fleet without a hydrator");
-                let mut c = hydrate(h, &self.metas[k], blob.as_deref(), &self.pool);
+                let mut c = hydrate(h, &self.metas[k], blob.as_ref(), &self.pool);
                 self.page_ins.fetch_add(1, Ordering::Relaxed);
                 let out = f(&mut c);
                 *blob = Some(dehydrate(&mut c, &self.pool, &self.page_bytes));
@@ -369,7 +374,7 @@ impl Fleet {
                     Slot::Cold(blob) => {
                         // fca-lint: allow(P1, reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one")
                         let h = hydrator.expect("cold slot in a fleet without a hydrator");
-                        let mut c = hydrate(h, &metas[k], blob.as_deref(), pool);
+                        let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
                         f(&mut c);
                         *blob = Some(dehydrate(&mut c, pool, page_bytes));
@@ -406,7 +411,7 @@ impl Fleet {
                     Slot::Cold(blob) => {
                         // fca-lint: allow(P1, reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one")
                         let h = hydrator.expect("cold slot in a fleet without a hydrator");
-                        let mut c = hydrate(h, &metas[k], blob.as_deref(), pool);
+                        let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
                         let acc = c.evaluate();
                         pool.checkin(c.swap_workspace(Workspace::new()));
@@ -423,14 +428,14 @@ impl Fleet {
     /// client, `None` for clients that have never trained (pristine —
     /// hydration rebuilds them from seeds alone). Live clients serialize
     /// through the same [`Client::snapshot_blob`] the pager uses, cold
-    /// clients hand over a copy of their existing blob, so a checkpoint of
-    /// a paged fleet and of a resident fleet at the same point are
-    /// byte-identical per client.
-    pub fn export_snapshots(&mut self) -> Vec<Option<Vec<u8>>> {
+    /// clients share their existing blob by reference count, so a
+    /// checkpoint of a paged fleet and of a resident fleet at the same
+    /// point are byte-identical per client.
+    pub fn export_snapshots(&mut self) -> Vec<Option<SnapshotBlob>> {
         self.slots
             .iter_mut()
             .map(|s| match s {
-                Slot::Live(c) => Some(c.snapshot_blob()),
+                Slot::Live(c) => Some(Arc::new(c.snapshot_blob())),
                 Slot::Cold(blob) => blob.clone(),
             })
             .collect()
@@ -440,22 +445,32 @@ impl Fleet {
     /// [`Fleet::export_snapshots`]). The fleet must have been built over
     /// the same dataset/partition/seed so the pristine twins match.
     ///
-    /// Fleets with a hydrator simply swap every slot to `Cold(blob)` — the
-    /// next hydration replays the blob, and the residency cap may differ
-    /// from the checkpointing run's (elastic resize). Hydrator-less fleets
+    /// Fleets with a hydrator swap every slot to `Cold(blob)` — the next
+    /// hydration replays the blob, and the residency cap may differ from
+    /// the checkpointing run's (elastic resize). That hydration runs
+    /// mid-round inside the rayon region, where a bad blob could only
+    /// abort the federation, so every blob is restored here first onto a
+    /// scratch twin of its architecture: a damaged or foreign checkpoint
+    /// is refused whole, before any slot changes. Hydrator-less fleets
     /// ([`Fleet::from_clients`]) restore in place onto the live clients
-    /// and reject `None` entries, since a pristine twin cannot be rebuilt.
-    pub fn restore_snapshots(
-        &mut self,
-        blobs: Vec<Option<Vec<u8>>>,
-    ) -> Result<(), fca_tensor::serialize::WireError> {
-        use fca_tensor::serialize::WireError;
+    /// and reject `None` entries, since a pristine twin cannot be rebuilt;
+    /// after an `Err` such a fleet is partly overwritten — discard it.
+    pub fn restore_snapshots(&mut self, blobs: Vec<Option<SnapshotBlob>>) -> Result<(), WireError> {
         if blobs.len() != self.slots.len() {
             return Err(WireError::Malformed(
                 "checkpoint client count does not match the fleet",
             ));
         }
-        if self.hydrator.is_some() {
+        if let Some(h) = &self.hydrator {
+            let mut twins: HashMap<ModelArch, Client> = HashMap::new();
+            for (meta, blob) in self.metas.iter().zip(&blobs) {
+                if let Some(blob) = blob {
+                    twins
+                        .entry(meta.arch)
+                        .or_insert_with(|| h.build_pristine(meta))
+                        .restore_snapshot(blob)?;
+                }
+            }
             for (slot, blob) in self.slots.iter_mut().zip(blobs) {
                 *slot = Slot::Cold(blob);
             }
@@ -463,7 +478,7 @@ impl Fleet {
         }
         for (slot, blob) in self.slots.iter_mut().zip(blobs) {
             match (slot, blob) {
-                (Slot::Live(c), Some(b)) => c.restore_snapshot(&b),
+                (Slot::Live(c), Some(b)) => c.restore_snapshot(&b)?,
                 (Slot::Live(_), None) => {
                     return Err(WireError::Malformed(
                         "pristine checkpoint entry for a fleet without a hydrator",
@@ -552,6 +567,12 @@ impl Fleet {
         self.pool.stats()
     }
 
+    /// Bytes of scratch the workspace pool holds between tenants — flat
+    /// from round to round once every architecture has been through it.
+    pub fn pool_retained_bytes(&self) -> u64 {
+        self.pool.retained_bytes()
+    }
+
     /// Paging counters accumulated so far.
     pub fn paging_stats(&self) -> PagingStats {
         PagingStats {
@@ -602,12 +623,14 @@ fn carve<'a>(slots: &'a mut [Slot], ids: &[usize]) -> Vec<&'a mut Slot> {
 fn hydrate(
     h: &Hydrator,
     meta: &ClientMeta,
-    blob: Option<&[u8]>,
+    blob: Option<&SnapshotBlob>,
     pool: &WorkspacePool,
 ) -> Box<Client> {
     let mut c = Box::new(h.build_pristine(meta));
     if let Some(blob) = blob {
-        c.restore_snapshot(blob);
+        c.restore_snapshot(blob)
+            // fca-lint: allow(P1, reason = "slot invariant: a Cold blob was written by dehydrate or restored cleanly onto a twin of this architecture in restore_snapshots; bytes from a file never reach this call unchecked")
+            .expect("a parked snapshot restores onto its own architecture");
     }
     c.set_eval_precision(h.eval_precision);
     drop(c.swap_workspace(pool.checkout()));
@@ -616,11 +639,11 @@ fn hydrate(
 
 /// Page one client out: serialize its mutable state and return its
 /// workspace to the pool. The client is dropped by the caller.
-fn dehydrate(c: &mut Client, pool: &WorkspacePool, page_bytes: &AtomicU64) -> Vec<u8> {
+fn dehydrate(c: &mut Client, pool: &WorkspacePool, page_bytes: &AtomicU64) -> SnapshotBlob {
     let blob = c.snapshot_blob();
     page_bytes.fetch_add(blob.len() as u64, Ordering::Relaxed);
     pool.checkin(c.swap_workspace(Workspace::new()));
-    blob
+    Arc::new(blob)
 }
 
 #[cfg(test)]
@@ -631,9 +654,15 @@ mod tests {
     use fca_data::synth::tiny_dataset;
 
     fn small_fleet(max_resident: Option<usize>, seed: u64) -> Fleet {
-        let data = tiny_dataset(3, 96, 48, seed);
+        fleet_of(4, max_resident, seed)
+    }
+
+    /// `clients` clients on the four-way architecture rotation.
+    fn fleet_of(clients: usize, max_resident: Option<usize>, seed: u64) -> Fleet {
+        let data = tiny_dataset(3, 24 * clients, 12 * clients, seed);
         let cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, seed);
-        let splits = Partitioner::Dirichlet { alpha: 0.5 }.split(&data.train, &data.test, 4, seed);
+        let splits =
+            Partitioner::Dirichlet { alpha: 0.5 }.split(&data.train, &data.test, clients, seed);
         Fleet::from_splits(
             &data.train,
             &data.test,
@@ -696,6 +725,108 @@ mod tests {
         assert_eq!(paging.page_ins, 8, "4 training + 4 evaluation hydrations");
         assert_eq!(paging.page_outs, 4, "only training pages out");
         assert!(paging.page_bytes > 0);
+    }
+
+    /// Run `op` on a rayon pool of exactly `threads` threads.
+    fn on_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(op)
+    }
+
+    #[test]
+    fn paged_rotation_holds_scratch_memory_flat() {
+        // One thread, so one pooled workspace sees all four architectures in
+        // turn, round after round: each tenant's layers must settle into the
+        // buffers the previous tenants retired instead of adding their own.
+        let hp = HyperParams::micro_default();
+        let mut fleet = small_fleet(Some(2), 961);
+        let sampled = [0usize, 1, 2, 3];
+        let mut settled = None;
+        on_threads(1, || {
+            for round in 1..=50 {
+                fleet.for_sampled_parallel(&sampled, |c| {
+                    c.local_update_supervised(1, &hp);
+                });
+                let _ = fleet.evaluate_ids(&sampled);
+                let point = (fleet.pool.peak_bytes(), fleet.pool_retained_bytes());
+                assert!(point.1 > 0, "the pool holds no scratch");
+                if round == 3 {
+                    settled = Some(point);
+                } else if round > 3 {
+                    assert_eq!(
+                        Some(point),
+                        settled,
+                        "scratch memory moved in round {round}"
+                    );
+                }
+            }
+        });
+        assert_eq!(fleet.pool_stats().created, 1);
+    }
+
+    #[test]
+    fn parallel_waves_overlap_hydrations_and_stay_bit_identical() {
+        let hp = HyperParams::micro_default();
+        let sampled: Vec<usize> = (0..8).collect();
+        let run = |threads: usize, rendezvous: Option<&std::sync::Barrier>| {
+            let mut fleet = fleet_of(8, Some(4), 960);
+            on_threads(threads, || {
+                fleet.for_sampled_parallel(&sampled, |c| {
+                    if let Some(pair) = rendezvous {
+                        pair.wait();
+                    }
+                    c.local_update_supervised(1, &hp);
+                });
+            });
+            (fleet.export_snapshots(), fleet.pool_stats().high_water)
+        };
+        // One thread hydrates, trains and evicts one client at a time: the
+        // high-water mark is 1 by construction, whatever the residency cap.
+        let (serial, high_water) = run(1, None);
+        assert_eq!(high_water, 1);
+        // Four threads, and every client waits — model and workspace in hand
+        // — for another to arrive, so two hydrations must be live at once;
+        // the wave size still caps them at `max_resident`.
+        let pair = std::sync::Barrier::new(2);
+        let (parallel, high_water) = run(4, Some(&pair));
+        assert!(
+            1 < high_water && high_water <= 4,
+            "high-water mark {high_water} under a 4-thread pool and a cap of 4"
+        );
+        assert_eq!(serial, parallel, "thread count changed a client's state");
+    }
+
+    #[test]
+    fn restore_snapshots_refuses_a_damaged_blob_before_touching_a_slot() {
+        let hp = HyperParams::micro_default();
+        let mut a = small_fleet(Some(2), 962);
+        let sampled = [0usize, 1, 2, 3];
+        a.for_sampled_parallel(&sampled, |c| {
+            c.local_update_supervised(1, &hp);
+        });
+        let good = a.export_snapshots();
+        let mut b = small_fleet(Some(2), 962);
+        let before = b.evaluate_ids(&sampled);
+        // Truncated, and another architecture's (client 1's blob at client 2).
+        let mut cut = good.clone();
+        cut[3] = cut[3]
+            .as_ref()
+            .map(|blob| Arc::new(blob[..blob.len() - 1].to_vec()));
+        let mut swapped = good.clone();
+        swapped.swap(1, 2);
+        for bad in [cut, swapped] {
+            assert!(b.restore_snapshots(bad).is_err());
+            assert_eq!(
+                b.evaluate_ids(&sampled),
+                before,
+                "a refused restore changed the fleet"
+            );
+        }
+        b.restore_snapshots(good).expect("restore");
+        assert_eq!(a.evaluate_ids(&sampled), b.evaluate_ids(&sampled));
     }
 
     #[test]

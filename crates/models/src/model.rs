@@ -180,6 +180,26 @@ impl ClientModel {
         s
     }
 
+    /// Visit every state tensor where it lives, in [`ClientModel::full_state`]
+    /// order (extractor parameters, extractor buffers, classifier weight and
+    /// bias), stopping at the first error. A client snapshot is written from
+    /// and read back into the tensors through this, with no clone between.
+    pub fn try_for_each_state<E>(
+        &mut self,
+        mut f: impl FnMut(&mut Tensor) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for p in self.feature_extractor.params_mut() {
+            f(&mut p.value)?;
+        }
+        for b in self.feature_extractor.buffers_mut() {
+            f(b)?;
+        }
+        for p in self.classifier.params_mut() {
+            f(&mut p.value)?;
+        }
+        Ok(())
+    }
+
     /// Load a snapshot from [`ClientModel::full_state`].
     pub fn load_full_state(&mut self, state: &[Tensor]) {
         assert!(state.len() >= 2, "state too short");
@@ -243,6 +263,31 @@ mod tests {
         let ya = a.predict(&x, &mut ws);
         let yb = b.predict(&x, &mut ws);
         assert_eq!(ya, yb);
+    }
+
+    #[test]
+    fn state_visitor_walks_full_state_order_in_place() {
+        let mut m = tiny_model(419);
+        let expect = m.full_state();
+        let mut seen = Vec::new();
+        m.try_for_each_state(|t| {
+            seen.push(t.clone());
+            t.fill(0.5);
+            Ok::<(), ()>(())
+        })
+        .expect("infallible visitor");
+        assert_eq!(seen, expect);
+        assert!(m
+            .full_state()
+            .iter()
+            .all(|t| t.data().iter().all(|&v| v == 0.5)));
+        // The first error stops the walk.
+        let mut visited = 0;
+        let stopped = m.try_for_each_state(|_| {
+            visited += 1;
+            Err("stop")
+        });
+        assert_eq!((stopped, visited), (Err("stop"), 1));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! ordering guaranteed by [`crate::Module::params_mut`].
 
 use crate::module::Param;
+use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
 
 /// A complete, position-independent snapshot of an optimizer's mutable
-/// state, captured with [`Optimizer::state`] and re-applied with
+/// state — what [`Optimizer::learning_rate`], [`Optimizer::step_count`]
+/// and [`Optimizer::slots`] read out — re-applied with
 /// [`Optimizer::load_state`].
 ///
 /// Hyperparameters (momentum, betas, eps) are *not* part of the snapshot —
@@ -41,12 +43,41 @@ pub trait Optimizer: Send {
     /// Change the learning rate (schedules).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// Snapshot the mutable state (see [`OptState`]).
-    fn state(&self) -> OptState;
+    /// Update steps taken so far ([`OptState::step`]).
+    fn step_count(&self) -> u64;
+
+    /// The per-parameter state tensors where they live, in the
+    /// [`OptState::slots`] layout — a snapshot writer encodes straight from
+    /// these, no clone in between.
+    fn slots(&self) -> Vec<&Tensor>;
 
     /// Restore a snapshot taken from an identically configured optimizer
-    /// over the same parameter list.
-    fn load_state(&mut self, state: OptState);
+    /// over `params`. Snapshots come off disk, so the slots are checked
+    /// first — none (never stepped), or this optimizer's count per
+    /// parameter, each shaped like its parameter — and a snapshot that
+    /// fails leaves the optimizer as it was; one that passes can never trip
+    /// [`Optimizer::step`]'s shape assertion later.
+    fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError>;
+}
+
+/// `Ok` when `slots` is empty or holds `per_param` runs of tensors shaped
+/// like `params`, run after run.
+fn check_slots(slots: &[Tensor], per_param: usize, params: &[&mut Param]) -> Result<(), WireError> {
+    if slots.is_empty() {
+        return Ok(());
+    }
+    if slots.len() != per_param * params.len() {
+        return Err(WireError::Malformed(
+            "optimizer slot count does not fit the model",
+        ));
+    }
+    let shapes = params.iter().map(|p| p.value.dims()).cycle();
+    if slots.iter().zip(shapes).any(|(s, dims)| s.dims() != dims) {
+        return Err(WireError::Malformed(
+            "optimizer slot shape does not match its parameter",
+        ));
+    }
+    Ok(())
 }
 
 /// Stochastic gradient descent with optional momentum and weight decay.
@@ -120,19 +151,22 @@ impl Optimizer for Sgd {
         self.lr = lr;
     }
 
-    fn state(&self) -> OptState {
-        OptState {
-            lr: self.lr,
-            step: 0,
-            slots: self.velocity.clone(),
-        }
+    fn step_count(&self) -> u64 {
+        0
     }
 
-    fn load_state(&mut self, state: OptState) {
-        self.lr = state.lr;
+    fn slots(&self) -> Vec<&Tensor> {
+        self.velocity.iter().collect()
+    }
+
+    fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError> {
         // Empty slots are legitimate: momentum-free SGD never allocates
         // velocity, and momentum SGD lazily allocates it on the first step.
+        let per_param = usize::from(self.momentum > 0.0);
+        check_slots(&state.slots, per_param, params)?;
+        self.lr = state.lr;
         self.velocity = state.slots;
+        Ok(())
     }
 }
 
@@ -206,29 +240,24 @@ impl Optimizer for Adam {
         self.lr = lr;
     }
 
-    fn state(&self) -> OptState {
-        let mut slots = Vec::with_capacity(self.m.len() + self.v.len());
-        slots.extend(self.m.iter().cloned());
-        slots.extend(self.v.iter().cloned());
-        OptState {
-            lr: self.lr,
-            step: self.t,
-            slots,
-        }
+    fn step_count(&self) -> u64 {
+        self.t
     }
 
-    fn load_state(&mut self, state: OptState) {
-        assert!(
-            state.slots.len() % 2 == 0,
-            "Adam snapshot holds m followed by v; got an odd slot count {}",
-            state.slots.len()
-        );
+    fn slots(&self) -> Vec<&Tensor> {
+        self.m.iter().chain(&self.v).collect()
+    }
+
+    fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError> {
+        // First moments for every parameter, then second moments.
+        check_slots(&state.slots, 2, params)?;
         self.lr = state.lr;
         self.t = state.step;
         let half = state.slots.len() / 2;
         let mut slots = state.slots;
         self.v = slots.split_off(half);
         self.m = slots;
+        Ok(())
     }
 }
 
@@ -395,13 +424,22 @@ mod tests {
         }
     }
 
+    /// What a snapshot writer reads out of `opt`, as an owned state.
+    fn state_of(opt: &dyn Optimizer) -> OptState {
+        OptState {
+            lr: opt.learning_rate(),
+            step: opt.step_count(),
+            slots: opt.slots().into_iter().cloned().collect(),
+        }
+    }
+
     /// Snapshot `opt` mid-trajectory, load it into `twin`, and assert the
     /// two continue bit-identically.
     fn assert_snapshot_resumes(opt: &mut dyn Optimizer, twin: &mut dyn Optimizer) {
         let mut p = quadratic_param(5.0);
         descend(opt, &mut p, 17);
         let mut q = Param::new("x", p.value.clone());
-        twin.load_state(opt.state());
+        twin.load_state(state_of(opt), &[&mut q]).expect("load");
         descend(opt, &mut p, 23);
         descend(twin, &mut q, 23);
         assert_eq!(
@@ -429,10 +467,10 @@ mod tests {
     fn snapshot_carries_scheduled_learning_rate() {
         let mut opt = Adam::new(0.3);
         opt.set_learning_rate(0.07);
-        let st = opt.state();
+        let st = state_of(&opt);
         assert_eq!(st.lr, 0.07);
         let mut twin = Adam::new(0.3);
-        twin.load_state(st);
+        twin.load_state(st, &[]).expect("load");
         assert_eq!(twin.learning_rate(), 0.07);
     }
 
@@ -441,23 +479,45 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         let mut p = quadratic_param(1.0);
         descend(&mut opt, &mut p, 3);
-        let st = opt.state();
+        let st = state_of(&opt);
         assert!(st.slots.is_empty(), "plain SGD holds no state tensors");
         assert_eq!(st.step, 0);
         let mut twin = Sgd::new(0.1);
-        twin.load_state(st);
+        twin.load_state(st, &[&mut p]).expect("load");
         assert_eq!(twin.learning_rate(), 0.1);
     }
 
     #[test]
-    #[should_panic(expected = "odd slot count")]
-    fn adam_rejects_odd_slot_count() {
-        let mut opt = Adam::new(0.1);
-        opt.load_state(OptState {
-            lr: 0.1,
-            step: 1,
-            slots: vec![Tensor::zeros([1])],
-        });
+    fn load_state_refuses_slots_that_do_not_fit_the_params() {
+        let mut p = quadratic_param(1.0);
+        let state = |slots: Vec<Tensor>| OptState {
+            lr: 0.5,
+            step: 9,
+            slots,
+        };
+        let mut adam = Adam::new(0.1);
+        let mut sgd = Sgd::with_momentum(0.1, 0.9, 0.0);
+        let mut plain = Sgd::new(0.1);
+        let one = || Tensor::zeros([1]);
+        let wide = || Tensor::zeros([2]);
+        // Adam holds m then v: one slot, or three, fits no parameter list.
+        assert!(adam.load_state(state(vec![one()]), &[&mut p]).is_err());
+        assert!(adam.load_state(state(vec![one(); 3]), &[&mut p]).is_err());
+        assert!(adam
+            .load_state(state(vec![one(), wide()]), &[&mut p])
+            .is_err());
+        assert!(sgd.load_state(state(vec![one(); 2]), &[&mut p]).is_err());
+        assert!(sgd.load_state(state(vec![wide()]), &[&mut p]).is_err());
+        assert!(plain.load_state(state(vec![one()]), &[&mut p]).is_err());
+        // A refused snapshot changed nothing, and the optimizers still step.
+        assert_eq!(adam.learning_rate(), 0.1);
+        assert_eq!(adam.step_count(), 0);
+        assert!(adam.slots().is_empty());
+        descend(&mut adam, &mut p, 1);
+        descend(&mut sgd, &mut p, 1);
+        assert!(adam.load_state(state(vec![one(); 2]), &[&mut p]).is_ok());
+        assert!(sgd.load_state(state(vec![one()]), &[&mut p]).is_ok());
+        assert_eq!(adam.step_count(), 9);
     }
 
     #[test]

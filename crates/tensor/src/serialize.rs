@@ -115,7 +115,7 @@ fn check_encodable(t: &Tensor) -> Result<(), WireError> {
 /// conversions mirror [`check_encodable`], which the encoders run before
 /// writing anything, so a failed encode never leaves `buf` holding a
 /// partial header.
-fn put_header(t: &Tensor, buf: &mut BytesMut) -> Result<(), WireError> {
+fn put_header<B: BufMut>(t: &Tensor, buf: &mut B) -> Result<(), WireError> {
     let rank = u8::try_from(t.shape().rank())
         .map_err(|_| WireError::Unencodable("tensor rank exceeds 255"))?;
     buf.put_u8(rank);
@@ -127,13 +127,43 @@ fn put_header(t: &Tensor, buf: &mut BytesMut) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Append the tensor's wire encoding to `buf`.
-pub fn encode_tensor(t: &Tensor, buf: &mut BytesMut) -> Result<(), WireError> {
+/// Read the shared header: the declared shape and its element count,
+/// bounded by [`MAX_WIRE_NUMEL`].
+fn take_header<B: Buf>(buf: &mut B) -> Result<(Shape, usize), WireError> {
+    if buf.remaining() < 1 {
+        return Err(WireError::Truncated);
+    }
+    let rank = buf.get_u8() as usize;
+    if buf.remaining() < 4 * rank {
+        return Err(WireError::Truncated);
+    }
+    let dims: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
+    let shape = Shape::new(&dims);
+    // Checked product: dims come off the wire, so the product can wrap
+    // `usize` and slide a huge payload under MAX_WIRE_NUMEL. Overflow is
+    // by definition too large, so it maps to the same error.
+    match shape.checked_numel() {
+        Some(n) if n <= MAX_WIRE_NUMEL => Ok((shape, n)),
+        _ => Err(WireError::ShapeTooLarge),
+    }
+}
+
+/// Values the f32 payload loops convert per block: a payload moves as
+/// 1 KiB slices, not as one `put`/`get` call per value.
+const BLOCK: usize = 256;
+
+/// Append the tensor's wire encoding to `buf`. The sink grows as it needs
+/// to; a caller that knows the total ([`encoded_len`]) sizes it up front.
+pub fn encode_tensor<B: BufMut>(t: &Tensor, buf: &mut B) -> Result<(), WireError> {
     check_encodable(t)?;
-    buf.reserve(encoded_len(t));
     put_header(t, buf)?;
-    for &v in t.data() {
-        buf.put_f32_le(v);
+    let mut block = [0u8; 4 * BLOCK];
+    for values in t.data().chunks(BLOCK) {
+        let bytes = &mut block[..4 * values.len()];
+        for (b, v) in bytes.chunks_exact_mut(4).zip(values) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
     }
     Ok(())
 }
@@ -145,35 +175,46 @@ pub fn to_bytes(t: &Tensor) -> Result<Bytes, WireError> {
     Ok(buf.freeze())
 }
 
+/// Fill `dst` from the front of `buf`, which the caller has checked holds
+/// `4 · dst.len()` bytes.
+fn take_f32s<B: Buf>(buf: &mut B, dst: &mut [f32]) {
+    let mut block = [0u8; 4 * BLOCK];
+    for values in dst.chunks_mut(BLOCK) {
+        let bytes = &mut block[..4 * values.len()];
+        buf.copy_to_slice(bytes);
+        for (v, b) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+    }
+}
+
 /// Decode one tensor from the front of `buf`, advancing it.
-pub fn decode_tensor(buf: &mut Bytes) -> Result<Tensor, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    let rank = buf.get_u8() as usize;
-    if buf.remaining() < 4 * rank {
-        return Err(WireError::Truncated);
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(buf.get_u32_le() as usize);
-    }
-    let shape = Shape::new(&dims);
-    // Checked product: dims come off the wire, so the product can wrap
-    // `usize` and slide a huge payload under MAX_WIRE_NUMEL. Overflow is
-    // by definition too large, so it maps to the same error.
-    let numel = match shape.checked_numel() {
-        Some(n) if n <= MAX_WIRE_NUMEL => n,
-        _ => return Err(WireError::ShapeTooLarge),
-    };
+pub fn decode_tensor<B: Buf>(buf: &mut B) -> Result<Tensor, WireError> {
+    let (shape, numel) = take_header(buf)?;
     if buf.remaining() < 4 * numel {
         return Err(WireError::Truncated);
     }
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        data.push(buf.get_f32_le());
-    }
+    let mut data = vec![0.0; numel];
+    take_f32s(buf, &mut data);
     Ok(Tensor::from_vec(shape, data))
+}
+
+/// Decode one tensor from the front of `buf` into `dst`, which must
+/// already have the encoded shape: the reader restores state onto a twin
+/// of known architecture, so a header that disagrees is corruption, not a
+/// resize. On `Err`, `dst` is untouched.
+pub fn decode_tensor_into<B: Buf>(buf: &mut B, dst: &mut Tensor) -> Result<(), WireError> {
+    let (shape, numel) = take_header(buf)?;
+    if shape.dims() != dst.dims() {
+        return Err(WireError::Malformed(
+            "tensor shape does not match its destination",
+        ));
+    }
+    if buf.remaining() < 4 * numel {
+        return Err(WireError::Truncated);
+    }
+    take_f32s(buf, dst.data_mut());
+    Ok(())
 }
 
 // --------------------------------------------------------------------
@@ -278,22 +319,7 @@ pub fn encode_tensor_f16(t: &Tensor, buf: &mut BytesMut) -> Result<(), WireError
 
 /// Decode one half-precision tensor from the front of `buf`.
 pub fn decode_tensor_f16(buf: &mut Bytes) -> Result<Tensor, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    let rank = buf.get_u8() as usize;
-    if buf.remaining() < 4 * rank {
-        return Err(WireError::Truncated);
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(buf.get_u32_le() as usize);
-    }
-    let shape = Shape::new(&dims);
-    let numel = match shape.checked_numel() {
-        Some(n) if n <= MAX_WIRE_NUMEL => n,
-        _ => return Err(WireError::ShapeTooLarge),
-    };
+    let (shape, numel) = take_header(buf)?;
     if buf.remaining() < 2 * numel {
         return Err(WireError::Truncated);
     }
@@ -319,6 +345,48 @@ mod tests {
             assert_eq!(t, back);
             assert_eq!(wire.remaining(), 0);
         }
+    }
+
+    #[test]
+    fn payload_blocks_round_trip_at_every_boundary() {
+        // Lengths around the block size, through the sinks and sources the
+        // snapshot and checkpoint codecs use (`Vec<u8>` and `&[u8]`).
+        let mut rng = seeded_rng(32);
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            let t = Tensor::randn([n], 1.0, &mut rng);
+            let mut wire = Vec::new();
+            encode_tensor(&t, &mut wire).unwrap();
+            assert_eq!(wire.len(), encoded_len(&t));
+            assert_eq!(&wire[..], &to_bytes(&t).unwrap()[..]);
+            let mut cursor = &wire[..];
+            assert_eq!(decode_tensor(&mut cursor).unwrap(), t);
+            assert!(cursor.is_empty());
+            let mut twin = Tensor::zeros([n]);
+            decode_tensor_into(&mut &wire[..], &mut twin).unwrap();
+            assert_eq!(twin, t);
+        }
+    }
+
+    #[test]
+    fn decode_into_refuses_another_shape_and_leaves_dst_alone() {
+        let wire = to_bytes(&Tensor::ones([2, 3])).unwrap();
+        for dims in [vec![3, 2], vec![6], vec![2, 3, 1]] {
+            let mut dst = Tensor::zeros(Shape::new(&dims));
+            assert_eq!(
+                decode_tensor_into(&mut wire.clone(), &mut dst),
+                Err(WireError::Malformed(
+                    "tensor shape does not match its destination"
+                ))
+            );
+            assert!(dst.data().iter().all(|&v| v == 0.0));
+        }
+        let mut dst = Tensor::zeros([2, 3]);
+        let mut cut = wire.slice(..wire.len() - 1);
+        assert_eq!(
+            decode_tensor_into(&mut cut, &mut dst),
+            Err(WireError::Truncated)
+        );
+        assert!(dst.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

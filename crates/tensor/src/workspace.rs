@@ -11,13 +11,22 @@
 //!   take it back without recomputing or cloning.
 //! * **Recycle pool** — anonymous buffers for layer outputs and transient
 //!   scratch. `alloc`/`tensor`/`tensor_zeroed` hand out the best-fitting
-//!   retired buffer (grow-only: capacity is kept), and `recycle` returns a
+//!   recycled buffer (grow-only: capacity is kept), and `recycle` returns a
 //!   no-longer-needed tensor's storage to the pool.
+//! * **Retired slots** — a shared workspace outlives the layer stack that
+//!   keyed its slots (a paged client is rebuilt with fresh [`SlotId`]s), so
+//!   [`Workspace::retire_slots`] parks a departing tenant's keyed buffers
+//!   and the next tenant's first `take_slot` under each new id adopts one.
+//!   The parked list is kept apart from the recycle pool: `alloc` never
+//!   draws from it, so a workspace that never retires allocates exactly as
+//!   if the list did not exist.
 //!
 //! Buffers handed out by either path contain **stale garbage** unless
 //! zeroed; callers must either fully overwrite them or request
 //! [`Workspace::tensor_zeroed`]. This is load-bearing for determinism: the
-//! GEMM kernels in [`crate::linalg`] accumulate into their output.
+//! GEMM kernels in [`crate::linalg`] accumulate into their output. Debug
+//! builds make the garbage loud: every anonymous hand-out and every first
+//! take of a slot is filled with NaN.
 //!
 //! [`Workspace::stats`] counts hand-outs that were served from existing
 //! capacity (`reuses`) versus ones that had to touch the allocator
@@ -100,6 +109,8 @@ pub struct WorkspaceStats {
 pub struct Workspace {
     slots: HashMap<SlotId, Vec<f32>>,
     pool: Vec<Vec<f32>>,
+    /// Keyed buffers of departed tenants, for first takes to adopt.
+    retired: Vec<Vec<f32>>,
     stats: WorkspaceStats,
     /// Total f32 capacity currently owned or checked out, in elements.
     live_elems: u64,
@@ -137,10 +148,21 @@ impl Workspace {
     /// Take the persistent buffer for `id`, resized to `len` (grow-only
     /// capacity). Contents beyond what the caller last wrote are
     /// unspecified. Pair with [`Self::put_slot`] to return it.
+    ///
+    /// The first take under an id this workspace holds no buffer for adopts
+    /// the best-fitting buffer a previous tenant retired
+    /// ([`Self::retire_slots`]) before it touches the allocator; what the
+    /// adopted buffer holds is the previous tenant's garbage.
     pub fn take_slot(&mut self, id: SlotId, len: usize) -> Vec<f32> {
-        let mut buf = self.slots.remove(&id).unwrap_or_default();
+        let (mut buf, first_take) = match self.slots.remove(&id) {
+            Some(buf) => (buf, false),
+            None => (best_fit(&mut self.retired, len).unwrap_or_default(), true),
+        };
         let old_cap = buf.capacity();
         buf.resize(len, 0.0);
+        if first_take && cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
+        }
         self.note_capacity(old_cap, buf.capacity());
         buf
     }
@@ -152,27 +174,16 @@ impl Workspace {
     }
 
     /// Hand out an anonymous buffer of exactly `len` elements with
-    /// **unspecified contents**, preferring the best-fitting retired buffer.
+    /// **unspecified contents**, preferring the best-fitting recycled
+    /// buffer. Only what grows past the buffer's previous length is written
+    /// (zeros); the rest is whatever its last user left.
     pub fn alloc(&mut self, len: usize) -> Vec<f32> {
-        // Best fit: smallest capacity >= len; else the largest (to grow).
-        let mut best: Option<(usize, usize)> = None; // (index, capacity)
-        for (i, b) in self.pool.iter().enumerate() {
-            let cap = b.capacity();
-            let fits = cap >= len;
-            best = match best {
-                None => Some((i, cap)),
-                Some((_, bc)) if fits && (bc < len || cap < bc) => Some((i, cap)),
-                Some((_, bc)) if !fits && bc < len && cap > bc => Some((i, cap)),
-                keep => keep,
-            };
-        }
-        let mut buf = match best {
-            Some((i, _)) => self.pool.swap_remove(i),
-            None => Vec::new(),
-        };
+        let mut buf = best_fit(&mut self.pool, len).unwrap_or_default();
         let old_cap = buf.capacity();
-        buf.clear();
         buf.resize(len, 0.0);
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
+        }
         self.note_capacity(old_cap, buf.capacity());
         buf
     }
@@ -224,29 +235,42 @@ impl Workspace {
         self.pool.push(v);
     }
 
-    /// Demote every keyed slot into the anonymous recycle pool.
+    /// Park every keyed slot for the next tenant to adopt.
     ///
     /// A shared workspace outlives the layer stack that keyed its slots:
     /// when a paged client is rebuilt, its layers mint fresh [`SlotId`]s,
     /// so the previous hydration's keyed buffers would sit dead in the map
-    /// forever. Retiring them keeps the capacity available to `alloc`.
-    /// Retired buffers are sorted by capacity so the pool's subsequent
-    /// best-fit behaviour does not depend on hash-map iteration order.
+    /// forever. Retired buffers serve the first [`Self::take_slot`] of each
+    /// new id instead, so a stream of same-shaped tenants settles on one
+    /// set of buffers. Adoption is by capacity alone, so the hash map's
+    /// iteration order never shows in which capacity a take is served.
     pub fn retire_slots(&mut self) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let mut freed: Vec<Vec<f32>> = self.slots.drain().map(|(_, v)| v).collect();
-        freed.sort_by_key(|v| v.capacity());
-        self.pool.append(&mut freed);
+        self.retired.extend(self.slots.drain().map(|(_, v)| v));
     }
 
-    /// Total f32 capacity parked in this workspace (free list plus keyed
-    /// slots) — how "warm" the arena is for its next tenant.
+    /// Total f32 capacity parked in this workspace (free list, retired and
+    /// keyed slots) — how "warm" the arena is for its next tenant.
     pub fn retained_capacity(&self) -> usize {
-        self.pool.iter().map(|v| v.capacity()).sum::<usize>()
-            + self.slots.values().map(|v| v.capacity()).sum::<usize>()
+        let parked = self.pool.iter().chain(&self.retired);
+        parked.chain(self.slots.values()).map(Vec::capacity).sum()
     }
+}
+
+/// Remove and return the best fit for `len` from `free`: the smallest
+/// capacity that holds `len`, else the largest (for the caller to grow).
+fn best_fit(free: &mut Vec<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
+    let mut best: Option<(usize, usize)> = None; // (index, capacity)
+    for (i, b) in free.iter().enumerate() {
+        let cap = b.capacity();
+        let fits = cap >= len;
+        best = match best {
+            None => Some((i, cap)),
+            Some((_, bc)) if fits && (bc < len || cap < bc) => Some((i, cap)),
+            Some((_, bc)) if !fits && bc < len && cap > bc => Some((i, cap)),
+            keep => keep,
+        };
+    }
+    best.map(|(i, _)| free.swap_remove(i))
 }
 
 /// Counters describing a [`WorkspacePool`]'s lifetime behaviour.
@@ -270,11 +294,13 @@ pub struct PoolStats {
 /// (bounded by the paging scheduler's wave size), and each page-in checks
 /// one out for the duration of the client's local work.
 ///
-/// Checked-in workspaces keep their grown capacity, so after the first
-/// wave the pool serves warm arenas and steady-state paging stops touching
-/// the allocator. Contents are stale garbage by the same contract as
-/// [`Workspace`] itself — numerics never read uninitialized scratch, which
-/// is what makes pool assignment order irrelevant to results.
+/// Checked-in workspaces keep their grown capacity — free list and retired
+/// slots both — so after the first wave the pool serves warm arenas, each
+/// tenant's layers adopt the previous tenant's buffers, and steady-state
+/// paging stops touching the allocator. Contents are stale garbage by the
+/// same contract as [`Workspace`] itself — numerics never read
+/// uninitialized scratch, which is what makes pool assignment order
+/// irrelevant to results.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: std::sync::Mutex<Vec<Workspace>>,
@@ -315,12 +341,24 @@ impl WorkspacePool {
 
     /// Return a workspace to the free list, retiring its keyed slots so
     /// the next tenant (a freshly built layer stack with new [`SlotId`]s)
-    /// can reuse the capacity anonymously.
+    /// adopts them on its first takes.
     pub fn checkin(&self, mut ws: Workspace) {
         ws.retire_slots();
         self.resident.fetch_sub(1, Ordering::Relaxed);
         let mut free = self.free.lock().unwrap_or_else(|p| p.into_inner());
         free.push(ws);
+    }
+
+    /// Bytes of f32 capacity the parked workspaces hold between tenants.
+    pub fn retained_bytes(&self) -> u64 {
+        let free = self.free.lock().unwrap_or_else(|p| p.into_inner());
+        free.iter().map(|w| 4 * w.retained_capacity() as u64).sum()
+    }
+
+    /// Largest [`WorkspaceStats::peak_bytes`] among the parked workspaces.
+    pub fn peak_bytes(&self) -> u64 {
+        let free = self.free.lock().unwrap_or_else(|p| p.into_inner());
+        free.iter().map(|w| w.stats().peak_bytes).max().unwrap_or(0)
     }
 
     /// Snapshot of the pool's counters.
@@ -440,28 +478,123 @@ mod tests {
     }
 
     #[test]
-    fn retire_slots_moves_capacity_to_the_pool() {
+    fn retired_slot_serves_the_next_tenants_first_take() {
         let mut ws = Workspace::new();
         let id = SlotId::fresh();
         let buf = ws.take_slot(id, 128);
         ws.put_slot(id, buf);
+        let anon = ws.alloc(100);
+        ws.recycle_vec(anon);
         ws.retire_slots();
         ws.reset_stats();
-        // A fresh SlotId (a rebuilt layer) reuses the retired capacity.
-        let buf = ws.take_slot(SlotId::fresh(), 64);
+        // A fresh SlotId (a rebuilt layer) adopts the retired buffer.
+        let id = SlotId::fresh();
+        let buf = ws.take_slot(id, 64);
+        assert_eq!(buf.len(), 64);
+        assert!(buf.capacity() >= 128, "did not adopt the retired buffer");
         assert_eq!(
             ws.stats().allocations,
-            1,
-            "take_slot always leaves the pool"
+            0,
+            "first take went to the allocator"
         );
+        ws.put_slot(id, buf);
+        // The anonymous list is left alone: it still serves its own buffer,
+        // and once empty it goes to the allocator, never to a retired slot.
         let anon = ws.alloc(100);
+        assert_eq!(ws.stats().allocations, 0);
+        ws.retire_slots();
+        let second = ws.alloc(100);
         assert_eq!(
             ws.stats().allocations,
             1,
-            "anonymous alloc must reuse retired slot capacity"
+            "alloc must not draw from the retired list"
         );
         ws.recycle_vec(anon);
-        ws.put_slot(SlotId::fresh(), buf);
+        ws.recycle_vec(second);
+    }
+
+    #[test]
+    fn first_take_grows_the_largest_retired_buffer_when_none_fits() {
+        let mut ws = Workspace::new();
+        for len in [16, 48] {
+            let id = SlotId::fresh();
+            let buf = ws.take_slot(id, len);
+            ws.put_slot(id, buf);
+        }
+        ws.retire_slots();
+        let before = ws.retained_capacity();
+        let id = SlotId::fresh();
+        let buf = ws.take_slot(id, 100);
+        ws.put_slot(id, buf);
+        assert_eq!(
+            ws.retained_capacity(),
+            before - 48 + 100,
+            "the 48-element buffer should have been the one grown"
+        );
+    }
+
+    /// One paged client's life in a pooled workspace: fresh slot ids (its
+    /// layers were just built), a training-sized take and a larger
+    /// evaluation-sized retake per slot, some anonymous traffic.
+    fn tenant(pool: &WorkspacePool, slot_lens: &[usize]) -> Workspace {
+        let mut ws = pool.checkout();
+        let ids: Vec<SlotId> = slot_lens.iter().map(|_| SlotId::fresh()).collect();
+        for grow in [1, 2] {
+            for (&id, &len) in ids.iter().zip(slot_lens) {
+                let buf = ws.take_slot(id, len * grow);
+                ws.put_slot(id, buf);
+                let out = ws.tensor([len]);
+                ws.recycle(out);
+            }
+        }
+        ws
+    }
+
+    /// `(retained capacity, parked buffers, allocations so far)` of the
+    /// pool's one workspace.
+    fn parked(pool: &WorkspacePool) -> (usize, usize, u64) {
+        let ws = pool.checkout();
+        let buffers = ws.pool.len() + ws.retired.len();
+        let point = (ws.retained_capacity(), buffers, ws.stats().allocations);
+        pool.checkin(ws);
+        point
+    }
+
+    #[test]
+    fn same_shaped_tenants_hold_memory_flat() {
+        let pool = WorkspacePool::new();
+        let lens = [64, 1000, 17, 512, 64];
+        pool.checkin(tenant(&pool, &lens));
+        pool.checkin(tenant(&pool, &lens));
+        let settled = parked(&pool);
+        for round in 2..50 {
+            pool.checkin(tenant(&pool, &lens));
+            assert_eq!(parked(&pool), settled, "memory moved at tenant {round}");
+        }
+        assert_eq!(pool.stats().created, 1);
+    }
+
+    #[test]
+    fn alternating_tenants_are_bounded_by_the_larger() {
+        let pool = WorkspacePool::new();
+        let small = [64, 1000, 17];
+        let large = [2000, 8, 8, 300, 40];
+        for lens in [&small[..], &large[..], &small[..], &large[..]] {
+            pool.checkin(tenant(&pool, lens));
+        }
+        let settled = parked(&pool);
+        // Anonymous buffers: one per distinct live output; keyed: the larger
+        // tenant's slot count. Neither tenant adds to the other's.
+        assert!(settled.1 <= large.len() + 1, "parked {} buffers", settled.1);
+        for round in 4..50 {
+            let lens = if round % 2 == 0 {
+                &small[..]
+            } else {
+                &large[..]
+            };
+            pool.checkin(tenant(&pool, lens));
+            assert_eq!(parked(&pool), settled, "memory moved at tenant {round}");
+        }
     }
 
     #[test]
@@ -511,13 +644,41 @@ mod tests {
         pool.checkin(ws);
         let mut ws = pool.checkout();
         ws.reset_stats();
-        let anon = ws.alloc(200);
+        let id = SlotId::fresh();
+        let buf = ws.take_slot(id, 200);
         assert_eq!(
             ws.stats().allocations,
             0,
-            "previous tenant's keyed slot capacity must be reusable"
+            "previous tenant's keyed slot must serve the next tenant's first take"
+        );
+        ws.put_slot(id, buf);
+        let anon = ws.alloc(200);
+        assert_eq!(
+            ws.stats().allocations,
+            1,
+            "the anonymous list must not be fed by retired slots"
         );
         ws.recycle_vec(anon);
         pool.checkin(ws);
+    }
+
+    #[test]
+    fn reused_hand_outs_are_not_refilled() {
+        let mut ws = Workspace::new();
+        let mut a = ws.alloc(8);
+        a.fill(7.0);
+        ws.recycle_vec(a);
+        let b = ws.alloc(6);
+        // Debug builds poison what release builds leave as the last user
+        // wrote it; neither spends a pass on zeros.
+        let expect = if cfg!(debug_assertions) {
+            f32::NAN
+        } else {
+            7.0
+        };
+        assert!(b.iter().all(|v| v.to_bits() == expect.to_bits()));
+        ws.recycle_vec(b);
+        let t = ws.tensor_zeroed([8]);
+        assert!(t.data().iter().all(|&v| v == 0.0));
     }
 }

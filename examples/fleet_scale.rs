@@ -18,7 +18,7 @@ use fedclassavg_suite::data::synth::tiny_dataset;
 use fedclassavg_suite::fed::algo::FedClassAvg;
 use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
-use fedclassavg_suite::fed::sim::{build_fleet_paged, run_federation};
+use fedclassavg_suite::fed::sim::{build_fleet_paged, run_federation_from, RunState};
 use fedclassavg_suite::models::ModelArch;
 use fedclassavg_suite::trace;
 
@@ -31,6 +31,16 @@ fn main() {
             a == "--quick" || a == "--trace",
             "unknown flag {a} (usage: fleet_scale [--quick] [--trace])"
         );
+    }
+
+    // The smoke run checks that the pool's scratch stops growing after the
+    // first round. Which pooled arena a hydration lands in is a scheduling
+    // accident on more than one thread, so only a one-thread run repeats.
+    if quick {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build_global()
+            .expect("the global rayon pool is not built yet");
     }
 
     let journal = std::path::PathBuf::from("results/trace/fleet_scale.jsonl");
@@ -57,7 +67,7 @@ fn main() {
         sample_rate,
         rounds: 2,
         feature_dim: 8,
-        eval_every: 2,
+        eval_every: 1,
         seed: 1000,
         hp: HyperParams::micro_default(),
         faults: FaultPlan::none(),
@@ -87,8 +97,24 @@ fn main() {
         "a paged fleet starts with zero materialized clients"
     );
 
+    // One round per segment, so the scratch the workspace pool holds can be
+    // read between rounds: it must stop growing once every architecture has
+    // been through the pool, however many clients page through after that.
     let mut algo = FedClassAvg::new(cfg.feature_dim, data.train.num_classes, cfg.seed);
-    let result = run_federation(&mut fleet, &mut algo, &cfg);
+    let mut state = RunState::fresh();
+    let mut retained = Vec::new();
+    let mut result = None;
+    for round in 1..=cfg.rounds {
+        let segment = FedConfig {
+            rounds: round,
+            ..cfg.clone()
+        };
+        let (so_far, next) = run_federation_from(&mut fleet, &mut algo, &segment, state);
+        state = next;
+        result = Some(so_far);
+        retained.push(fleet.pool_retained_bytes());
+    }
+    let result = result.expect("at least one round");
 
     println!("\nround  mean_acc  std     (over {eval_sample} sampled clients)");
     for p in &result.curve {
@@ -104,6 +130,11 @@ fn main() {
     println!(
         "pool: {} workspaces created, high-water {} (cap {max_resident}), {} checkouts",
         pool.created, pool.high_water, pool.checkouts
+    );
+    let (first, last) = (retained[0], retained[retained.len() - 1]);
+    println!(
+        "pool scratch retained: {first} B after round 1, {last} B after round {}",
+        cfg.rounds
     );
     println!(
         "resident after run: {} of {} clients materialized",
@@ -129,6 +160,12 @@ fn main() {
         fleet.clients().count(),
         0,
         "no client may stay materialized"
+    );
+    // Round 1 took every architecture through the pool; later rounds page
+    // other clients through the same buffers.
+    assert!(
+        !quick || first == last,
+        "pool scratch grew from {first} B to {last} B after the first round"
     );
     assert_eq!(result.per_client_acc.len(), eval_sample);
     assert!(result.curve.iter().all(|p| p.mean_acc.is_finite()));

@@ -54,6 +54,12 @@ cargo test -q --release --test checkpoint_resume
 echo "=== bench harness smoke run ==="
 cargo bench -p fca-bench -- --test
 
+echo "=== benchmark smoke: what benchmark/ compiles against still builds, and every workload checks out ==="
+# The benchmark is a workspace of its own, so nothing above compiles it: a
+# signature it uses could drift here unnoticed (run.sh builds it against the
+# registry when that resolves, as here, else against its stand-ins).
+benchmark/smoke.sh
+
 echo "=== observability smoke: traced quick run + journal schema check ==="
 cargo run --release --example quickstart -- --quick --trace
 cargo run --release -p fca-bench --bin trace_report -- --check results/trace/quickstart.jsonl

@@ -1,20 +1,25 @@
 #!/usr/bin/env bash
 # What can be verified with no crate registry: the unit tests of the crates
-# that have no dev-dependencies, built against the path stand-ins under
-# benchmark/standins/, then the benchmark's smoke run (every workload, plain
-# and traced, with all of its correctness checks). scripts/ci.sh falls back to
-# this when the registry does not resolve. Run from anywhere in the repo.
+# that have no dev-dependencies (cargo refuses `-p` on a non-member that has
+# any), built against the path stand-ins under benchmark/standins/, then the
+# benchmark's smoke run (every workload, plain and traced, with all of its
+# correctness checks). scripts/ci.sh falls back to this when the registry
+# does not resolve. Run from anywhere in the repo.
 #
-# Not covered offline: the umbrella crate's integration tests, tests/properties.rs
-# (proptest), the criterion benches, and the unit tests of fedclassavg and
-# fca-metrics, whose dev-dependencies cargo will not resolve from benchmark/.
+# Not covered offline: the umbrella crate's integration tests (among them
+# tests/config_serde.rs, which needs the published serde, and
+# tests/properties.rs, which needs proptest), the criterion benches, and the
+# unit tests of fca-metrics, which has dev-dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/../benchmark"
 
 echo "=== unit tests against the stand-ins (release: the arithmetic that ships) ==="
 # From benchmark/: its .cargo/config.toml patches the stand-ins in, and the
 # repository's own .cargo/config.toml (target-cpu=native) still applies.
-cargo test --offline --release -p fca-trace -p fca-tensor -p fca-nn -p fca-data -p fca-models
+cargo test --offline --release -p fca-trace -p fca-tensor -p fca-nn -p fca-data -p fca-models -p fedclassavg
+
+echo "=== the workspace users again with debug assertions on: every reused scratch buffer is handed out as NaN ==="
+cargo test --offline -p fca-nn -p fca-models -p fedclassavg
 
 echo "=== benchmark smoke: four workloads, trace off and on ==="
 ./smoke.sh

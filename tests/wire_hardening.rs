@@ -1,11 +1,22 @@
-//! Adversarial decode sweeps: whatever bytes arrive on the wire,
-//! `WireMessage::decode` and the tensor codec must return a `WireError` —
-//! never panic, never allocate absurd buffers, never accept a frame that
-//! disagrees with its own length.
+//! Adversarial decode sweeps: whatever bytes arrive on the wire — or come
+//! back off a disk in a client snapshot or a checkpoint —
+//! `WireMessage::decode`, the tensor codec, `Client::restore_snapshot` and
+//! `Checkpoint::{decode, restore}` must return a `WireError`: never panic,
+//! never allocate absurd buffers, never accept a frame that disagrees with
+//! its own length.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use fedclassavg_suite::data::augment::AugmentConfig;
+use fedclassavg_suite::data::partition::Partitioner;
+use fedclassavg_suite::data::synth::tiny_dataset;
+use fedclassavg_suite::fed::algo::FedClassAvg;
+use fedclassavg_suite::fed::checkpoint::Checkpoint;
+use fedclassavg_suite::fed::client::Client;
 use fedclassavg_suite::fed::comm::WireMessage;
+use fedclassavg_suite::fed::config::{FedConfig, HyperParams, OptKind};
+use fedclassavg_suite::fed::sim::{build_fleet_paged, run_federation_from, RunState};
 use fedclassavg_suite::models::classifier::ClassifierWeights;
+use fedclassavg_suite::models::{build_model, ModelArch};
 use fedclassavg_suite::tensor::serialize::{decode_tensor, WireError, MAX_WIRE_NUMEL};
 use fedclassavg_suite::tensor::Tensor;
 
@@ -215,4 +226,226 @@ fn corrupt_frame_fuzz_sweep_never_panics() {
         decoded < rejected,
         "decoded {decoded} vs rejected {rejected}"
     );
+}
+
+// --------------------------------------------------------------------
+// Client snapshots and checkpoints: the same bytes, read back off a disk.
+// --------------------------------------------------------------------
+
+const ZOO: [ModelArch; 6] = [
+    ModelArch::MicroResNet,
+    ModelArch::MicroShuffleNet,
+    ModelArch::MicroGoogLeNet,
+    ModelArch::MicroAlexNet,
+    ModelArch::CnnFedAvg,
+    ModelArch::ProtoCnn { width_variant: 1 },
+];
+
+fn zoo_client(arch: ModelArch, hp: &HyperParams) -> Client {
+    let d = tiny_dataset(3, 8, 4, 71);
+    let model = build_model(arch, (1, 12, 12), 8, 3, 72);
+    let augment = AugmentConfig::mnist_like();
+    Client::new(0, model, d.train, d.test, augment, 1.0, hp, 73)
+}
+
+/// Adam (two optimizer slots per parameter) and SGD with momentum (one).
+fn optimizers() -> [HyperParams; 2] {
+    let mut sgd = HyperParams::micro_default();
+    sgd.optimizer = OptKind::Sgd {
+        momentum: 0.9,
+        weight_decay: 1e-4,
+    };
+    [HyperParams::micro_default(), sgd]
+}
+
+/// The byte ranges of `blob` that hold tensor payloads, found by walking
+/// the snapshot layout (`u8 version | f32 lr | u64 step | u32 n | n tensors
+/// | rng | u32 n | n rngs | u32 n | n tensors`, a tensor being `u8 rank |
+/// rank × u32 dims | f32 data`). Everything outside them is structure.
+fn snapshot_payloads(blob: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+    let mut payloads = Vec::new();
+    let mut at = 1 + 4 + 8;
+    for list in 0..2 {
+        let tensors = u32_at(at);
+        at += 4;
+        for _ in 0..tensors {
+            let rank = blob[at] as usize;
+            let numel: usize = (0..rank).map(|d| u32_at(at + 1 + 4 * d)).product();
+            at += 1 + 4 * rank;
+            payloads.push(at..at + 4 * numel);
+            at += 4 * numel;
+        }
+        if list == 0 {
+            at += 32;
+            at += 4 + 32 * u32_at(at);
+        }
+    }
+    assert_eq!(at, blob.len(), "the walk disagrees with the blob's length");
+    payloads
+}
+
+/// Every structural byte of a blob, and within each payload its first and
+/// last bytes and every 251st between: a sweep over these costs
+/// `O(tensors)` decodes of an `O(bytes)` blob, not `O(bytes²)`.
+fn sweep_offsets(len: usize, payloads: &[std::ops::Range<usize>]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    for p in payloads {
+        offsets.extend(at..p.start);
+        offsets.extend(p.clone().step_by(251));
+        offsets.extend(p.end.checked_sub(1).filter(|last| p.contains(last)));
+        at = p.end;
+    }
+    offsets.extend(at..len);
+    offsets
+}
+
+#[test]
+fn snapshot_blobs_round_trip_and_every_mutant_is_an_error_or_a_valid_client() {
+    for arch in ZOO {
+        for hp in optimizers() {
+            let mut trained = zoo_client(arch, &hp);
+            trained.local_update_supervised(1, &hp);
+            let blob = trained.snapshot_blob();
+            let payloads = snapshot_payloads(&blob);
+            assert!(
+                payloads.len() > 4,
+                "{arch:?}: a step leaves optimizer slots"
+            );
+
+            // Unmutated: the twin takes the exact bits and re-encodes them.
+            let mut twin = zoo_client(arch, &hp);
+            twin.restore_snapshot(&blob).expect("restore");
+            assert_eq!(twin.snapshot_blob(), blob, "{arch:?}: re-encode differs");
+            let bits = |c: &mut Client| -> Vec<u32> {
+                let state = c.model.full_state();
+                let values = state.iter().flat_map(|t| t.data());
+                values.map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&mut twin), bits(&mut trained));
+
+            // One twin takes every mutant in turn: a refused restore may
+            // leave it partly overwritten but never misshapen, so the next
+            // mutant, the re-encode and the training step at the end all
+            // still find a structurally valid client.
+            let offsets = sweep_offsets(blob.len(), &payloads);
+            for &cut in &offsets {
+                let got = twin.restore_snapshot(&blob[..cut]);
+                assert!(got.is_err(), "{arch:?}: accepted {cut} of {}", blob.len());
+            }
+            let mut mutant = blob.clone();
+            let mut refused = 0usize;
+            for &at in &offsets {
+                for bit in 0..8 {
+                    mutant[at] ^= 1 << bit;
+                    refused += usize::from(twin.restore_snapshot(&mutant).is_err());
+                    mutant[at] ^= 1 << bit;
+                }
+            }
+            // Flips in a count, a rank or a dim are refused; flips in a
+            // value (lr, step, an rng word, a weight) restore.
+            assert!(refused > offsets.len(), "{arch:?}: sweep refused {refused}");
+            assert_eq!(twin.snapshot_blob().len(), blob.len(), "{arch:?}");
+            twin.local_update_supervised(1, &hp);
+        }
+    }
+}
+
+/// A 4-client paged FedClassAvg federation, one round in, as an encoded
+/// checkpoint, with what is needed to rebuild the fleet it restores onto.
+fn paged_checkpoint() -> (
+    Vec<u8>,
+    FedConfig,
+    fedclassavg_suite::data::synth::SynthDataset,
+) {
+    let data = tiny_dataset(3, 96, 48, 74);
+    let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 74);
+    cfg.num_clients = 4;
+    cfg.sample_rate = 1.0;
+    cfg.feature_dim = 8;
+    let mut fleet = fresh_fleet(&data, &cfg);
+    let mut algo = FedClassAvg::new(cfg.feature_dim, 3, cfg.seed);
+    let (_, state) = run_federation_from(&mut fleet, &mut algo, &cfg, RunState::fresh());
+    let ckpt = Checkpoint::capture(&mut fleet, &algo, &cfg, &state).expect("capture");
+    (ckpt.encode().expect("encode"), cfg, data)
+}
+
+fn fresh_fleet(
+    data: &fedclassavg_suite::data::synth::SynthDataset,
+    cfg: &FedConfig,
+) -> fedclassavg_suite::fed::Fleet {
+    build_fleet_paged(
+        data,
+        Partitioner::Dirichlet { alpha: 0.5 },
+        cfg,
+        2,
+        &ModelArch::heterogeneous_rotation,
+    )
+}
+
+#[test]
+fn checkpoint_mutants_are_refused_up_front_or_resume() {
+    let (bytes, cfg, data) = paged_checkpoint();
+    let clean = Checkpoint::decode(&bytes).expect("decode");
+    assert_eq!(clean.encode().expect("encode"), bytes, "re-encode differs");
+
+    // The client entries are the file's tail: `f32 weight | u8 flag | u32
+    // len | blob` each. Payload ranges inside each blob, as file offsets.
+    let blobs: Vec<&[u8]> = clean
+        .clients
+        .iter()
+        .map(|c| &c.blob.as_ref().unwrap()[..])
+        .collect();
+    let tail: usize = blobs.iter().map(|b| 4 + 1 + 4 + b.len()).sum();
+    let first_blob = bytes.len() - tail + 4 + 1 + 4;
+    let mut at = first_blob;
+    let mut payloads = Vec::new();
+    for blob in &blobs {
+        assert_eq!(&bytes[at..at + blob.len()], *blob);
+        let inside = snapshot_payloads(blob);
+        payloads.extend(inside.into_iter().map(|p| at + p.start..at + p.end));
+        at += blob.len() + 4 + 1 + 4;
+    }
+
+    // Decode, restore onto a freshly built fleet, then touch every client
+    // the way a round would: hydrate it and run it.
+    let resume = |mutant: &[u8]| -> Result<(), WireError> {
+        let ckpt = Checkpoint::decode(mutant)?;
+        let mut fleet = fresh_fleet(&data, &cfg);
+        let mut algo = FedClassAvg::new(cfg.feature_dim, 3, cfg.seed);
+        ckpt.restore(&mut fleet, &mut algo, &cfg)?;
+        let accs = fleet.evaluate_ids(&[0, 1, 2, 3]);
+        assert_eq!(accs.len(), 4);
+        Ok(())
+    };
+    resume(&bytes).expect("the unmutated checkpoint resumes");
+
+    let offsets = sweep_offsets(bytes.len(), &payloads);
+    for &cut in &offsets {
+        assert!(
+            resume(&bytes[..cut]).is_err(),
+            "accepted {cut} of {}",
+            bytes.len()
+        );
+    }
+    // Every bit of the checkpoint's own fields; inside the blobs, whose
+    // layout the snapshot sweep above covers bit by bit, one bit of every
+    // seventh swept byte — enough that a damaged blob anywhere in the file
+    // has to be caught by `restore`, since nothing later may panic.
+    let mut mutant = bytes.clone();
+    let mut refused = 0usize;
+    for (i, &at) in offsets.iter().enumerate() {
+        let bits = match at < first_blob {
+            true => 0..8,
+            false if i % 7 == 0 => at % 8..at % 8 + 1,
+            false => continue,
+        };
+        for bit in bits {
+            mutant[at] ^= 1 << bit;
+            refused += usize::from(resume(&mutant).is_err());
+            mutant[at] ^= 1 << bit;
+        }
+    }
+    assert!(refused > 100, "sweep refused {refused}");
 }
