@@ -1,17 +1,26 @@
-//! 2-D convolution, lowered to im2col + GEMM, with stride, zero padding,
-//! and grouped convolution (needed by the ShuffleNet blocks).
+//! 2-D convolution with stride, zero padding and grouped convolution
+//! (needed by the ShuffleNet blocks).
 //!
-//! Every product — forward, input gradient and weight gradient — runs on
-//! the packed engine in [`fca_tensor::gemm`], and every byte the lowering
-//! moves is moved by a row copy: the valid output range of a kernel tap is
-//! worked out once per `(kh, kw)`, never per pixel. DESIGN.md §7.2 (*Conv
-//! lowering*) has the operand table.
+//! The geometry alone picks one of three lowerings ([`Path`]):
+//!
+//! * **view** (stride 1) — each image is copied once into zero-bordered
+//!   planes, in which every kernel tap is a contiguous shifted view, so the
+//!   forward and weight-gradient operands are packed straight from that copy
+//!   and the im2col matrix is never written;
+//! * **stencil** (depthwise) — shifted multiply-adds over the same padded
+//!   planes, no GEMM at all;
+//! * **im2col** (stride > 1, and the quantized inference forward) — the
+//!   lowered matrix, every byte of it moved by a row copy.
+//!
+//! Every product of the first and last runs on the packed engine in
+//! [`fca_tensor::gemm`], in one `k` order; the stencil rounds exactly as that
+//! engine would. DESIGN.md §7.2 (*Conv lowering*) has the operand table.
 
 use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
 use fca_tensor::gemm::{
-    gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len, packed_b_len,
-    KC,
+    fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len,
+    packed_b_len, KC, NR,
 };
 use fca_tensor::quant::{gemm_quant, Precision};
 use fca_tensor::simd::{self, Kernel};
@@ -37,6 +46,14 @@ pub struct ConvGeometry {
     pub groups: usize,
 }
 
+/// How a geometry is lowered (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Path {
+    Stencil,
+    View,
+    Im2col,
+}
+
 impl ConvGeometry {
     /// Output spatial size for an input of `(h, w)`; an axis the kernel does
     /// not fit into even once (`kernel > extent + 2·padding`) reports 0.
@@ -49,10 +66,24 @@ impl ConvGeometry {
         (out(h), out(w))
     }
 
-    /// True for a 1×1, stride-1, unpadded convolution: its im2col matrix is
-    /// the input itself, so nothing needs lowering.
+    /// True for a 1×1, stride-1, unpadded convolution: its padded planes are
+    /// the input itself, so the forward copies nothing to pack from.
     fn is_pointwise(&self) -> bool {
         self.kernel == 1 && self.stride == 1 && self.padding == 0
+    }
+
+    fn path(&self) -> Path {
+        let depthwise = self.groups == self.in_channels && self.groups == self.out_channels;
+        // One output pixel of a depthwise convolution is a `k²`-term
+        // product; within one KC block the engine rounds it as a single
+        // chain, which is what the stencil reproduces.
+        if depthwise && self.kernel * self.kernel <= KC {
+            Path::Stencil
+        } else if self.stride == 1 {
+            Path::View
+        } else {
+            Path::Im2col
+        }
     }
 
     /// Output positions `[lo, hi)` along one axis whose tap `k` reads inside
@@ -73,24 +104,26 @@ impl ConvGeometry {
 /// The weight is stored pre-flattened as `(out_channels, in_channels/groups ·
 /// k·k)` so the forward pass is a single GEMM per image per group.
 ///
-/// A training forward leaves the whole batch's im2col matrix in a workspace
-/// slot; the backward pass reads it back, so it never re-runs im2col and
-/// never clones the input.
+/// A training forward leaves what backward's weight gradient reads in a
+/// workspace slot — the batch's zero-bordered input planes, or its im2col
+/// matrix where the geometry is lowered that way — so backward never
+/// lowers again and never clones the input.
 pub struct Conv2d {
     geom: ConvGeometry,
     /// Flattened kernel weights.
     pub weight: Param,
     /// Per-output-channel bias.
     pub bias: Param,
-    /// Batch im2col matrix, cached by a training forward for backward.
+    /// What a training forward caches for backward: the batch's padded
+    /// planes (`Plan::cache_img` per image), or its im2col matrix.
     col_slot: SlotId,
     /// Packed per-group weight panels: `W` in forward, `Wᵀ` in backward
     /// (repacked by every call).
     wpack_slot: SlotId,
     /// One chunk per rayon thread: the packed B panels of the image in
-    /// flight and, where a pass lowers into a transient, that image's
-    /// im2col-space matrix. Backward's weight gradient packs its operands
-    /// here once the per-image work is done.
+    /// flight and that image's transients (`Plan::tail_len`). Backward's
+    /// weight gradient packs its operands here once the per-image work is
+    /// done.
     scratch_slot: SlotId,
     /// `[n, c, h, w]` of the last training forward (`n == 0` when there is
     /// none to backpropagate through).
@@ -104,16 +137,32 @@ pub struct Conv2d {
 /// shape. Both passes take their slots at these lengths, so a slot's
 /// contents survive from one to the other.
 struct Plan {
+    path: Path,
     oh: usize,
     ow: usize,
+    icg: usize,
     ocg: usize,
     /// Rows of one group's im2col matrix: `icg · k · k`.
     kdim: usize,
-    /// Columns of an image's im2col matrix: `oh · ow`.
+    /// Output pixels of an image: `oh · ow`.
     row_len: usize,
+    /// Height and width of a zero-bordered plane: `h + 2p`, `w + 2p`.
+    hp: usize,
+    wp: usize,
+    /// Distance between the planes of a padded image: `hp · wp` and, for the
+    /// view path, the slack that lets the last panel be packed by full-width
+    /// copies.
+    plane: usize,
+    /// Length of the *padded-flat* domain, output pixel `(oy, ox)` at
+    /// `oy·s·wp + ox·s`: there tap `(kh, kw)` of a plane is the contiguous
+    /// view starting `kh·wp + kw` in. The positions in between (for stride
+    /// 1, the `k − 1` seam columns after each row) are computed and dropped.
+    flat: usize,
+    /// One image of the training cache in `col_slot`.
+    cache_img: usize,
     /// One image's im2col matrix, all groups.
     col_img: usize,
-    /// One group's packed im2col panels (forward B operand).
+    /// One group's packed forward B operand.
     col_panels: usize,
     /// One group's packed output-gradient panels (input-gradient B operand).
     gy_panels: usize,
@@ -125,14 +174,30 @@ struct Plan {
     run: usize,
     /// The panels at the head of a scratch chunk, all groups of one image.
     panels_len: usize,
-    /// One scratch chunk: the panels, then one image's im2col-space matrix.
-    scratch_run: usize,
+    /// The view path's product of one image with its seams still in:
+    /// `out_channels · flat`, at the head of the tail (0 where there are
+    /// no seams to drop).
+    seamed_len: usize,
+    /// The rest of a scratch chunk: one image's transients, whichever pass
+    /// needs the most (see the `split_at_mut`s in forward and backward).
+    tail_len: usize,
     /// Images per weight-gradient product: about one `KC` block of pixels
     /// (or the whole batch, if that is less), so the operands of a product
     /// stay cache-sized too.
     dw_imgs: usize,
     /// The whole scratch slot.
     scratch_len: usize,
+}
+
+impl Plan {
+    fn scratch_run(&self) -> usize {
+        self.panels_len + self.tail_len
+    }
+
+    /// Where tap `t` (of a `k × k` kernel) starts its view of a padded plane.
+    fn tap_at(&self, k: usize, t: usize) -> usize {
+        t / k * self.wp + t % k
+    }
 }
 
 impl Conv2d {
@@ -204,35 +269,98 @@ impl Conv2d {
             oh > 0 && ow > 0,
             "conv output collapsed to zero for input {h}x{w}"
         );
-        let icg = g.in_channels / g.groups;
-        let ocg = g.out_channels / g.groups;
+        let path = g.path();
+        let (c, oc) = (g.in_channels, g.out_channels);
+        let icg = c / g.groups;
+        let ocg = oc / g.groups;
         let kdim = icg * g.kernel * g.kernel;
         let row_len = oh * ow;
-        let col_panels = packed_b_len(kdim, row_len);
-        let gy_panels = packed_b_len(ocg, row_len);
-        let panels_len = g.groups * col_panels.max(gy_panels);
         let col_img = g.groups * kdim * row_len;
-        let scratch_run = panels_len + if g.is_pointwise() { 0 } else { col_img };
+        let (hp, wp) = (h + 2 * g.padding, w + 2 * g.padding);
+        let flat = match path {
+            Path::Im2col => row_len,
+            _ => ((oh - 1) * wp + ow - 1) * g.stride + 1,
+        };
+        let col_panels = packed_b_len(kdim, flat);
+        let gy_panels = packed_b_len(ocg, row_len);
+        let plane = match path {
+            // The last panel's copies run up to NR − 1 floats past `flat`.
+            Path::View if !g.is_pointwise() => hp * wp + col_panels / kdim - flat,
+            _ => hp * wp,
+        };
         let threads = rayon::current_num_threads().max(1);
         let run = n.div_ceil(threads).max(1);
         let dw_imgs = (KC / row_len).clamp(1, n.max(1));
         let dw_k = dw_imgs * row_len;
         let dw_operands = packed_a_len(ocg, dw_k) + packed_b_len(dw_k, kdim);
+        // An inference forward's im2col matrix, where it is quantized.
+        let quant_col = match self.eval_precision {
+            Precision::F32 => 0,
+            _ if g.is_pointwise() => 0,
+            _ => col_img,
+        };
+        let seamed_len = match path {
+            Path::View if flat != row_len => oc * flat,
+            _ => 0,
+        };
+        let (cache_img, w_panels, panels_len, tail_len, dw_scratch) = match path {
+            // Forward: an inference image's padded planes, the accumulator.
+            // Backward: the spread-out output gradient, a padded `dX` plane.
+            Path::Stencil => {
+                let tail = (c * plane + flat).max(flat + hp * wp);
+                (c * plane, 0, 0, tail.max(quant_col), 0)
+            }
+            // Forward: the product with its seams still in, an inference
+            // image's padded planes. Backward: `dcol`. The weight gradient
+            // adds the pixel-major planes and the tap-major `dW`.
+            Path::View => {
+                // A pointwise layer pads nothing, folds nothing and packs its
+                // weight gradient from the cache as it is.
+                let (padded, dcol, taps_major) = if g.is_pointwise() {
+                    (0, 0, 0)
+                } else {
+                    (c * plane, col_img, dw_imgs * hp * wp * c + oc * kdim)
+                };
+                (
+                    c * plane,
+                    packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+                    g.groups * col_panels.max(gy_panels),
+                    (seamed_len + padded).max(dcol),
+                    dw_operands + taps_major,
+                )
+            }
+            // An inference forward's `col`, backward's `dcol`.
+            Path::Im2col => (
+                col_img,
+                packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+                g.groups * col_panels.max(gy_panels),
+                col_img,
+                dw_operands,
+            ),
+        };
         Plan {
+            path,
             oh,
             ow,
+            icg,
             ocg,
             kdim,
             row_len,
+            hp,
+            wp,
+            plane,
+            flat,
+            cache_img,
             col_img,
             col_panels,
             gy_panels,
-            w_panels: packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+            w_panels,
             run,
             panels_len,
-            scratch_run,
+            seamed_len,
+            tail_len,
             dw_imgs,
-            scratch_len: (n.div_ceil(run) * scratch_run).max(dw_operands),
+            scratch_len: (n.div_ceil(run) * (panels_len + tail_len)).max(dw_scratch),
         }
     }
 
@@ -278,19 +406,6 @@ fn im2col(
             // Input index of output pixel (oy_lo, ox_lo); non-negative by
             // the definition of the valid range.
             let src0 = (oy_lo * s + kh - p) * w + ox_lo * s + kw - p;
-            if s == 1 && ow == w {
-                // A "same" convolution: output pixel j reads input j + δ for
-                // one δ per tap, so the valid span is a single shifted copy.
-                // The few pixels per row that wrapped round a row edge (the
-                // right padding of one row runs into the left padding of
-                // the next) are zeroed afterwards.
-                let (lo, hi) = (oy_lo * ow + ox_lo, (oy_hi - 1) * ow + ox_hi);
-                dst[..lo].fill(0.0);
-                dst[lo..hi].copy_from_slice(&plane[src0..src0 + hi - lo]);
-                dst[hi..].fill(0.0);
-                zero_seams(&mut dst[oy_lo * ow..oy_hi * ow], ow, ox_lo, ox_hi);
-                continue;
-            }
             if (oy_hi - oy_lo) * (ox_hi - ox_lo) < row_len {
                 dst.fill(0.0);
             }
@@ -406,49 +521,372 @@ fn for_each_run<F>(
     }
 }
 
-/// `dW_g += dY_g · col_gᵀ` for every group, reduced over pixels and images.
+/// Copy the planes of `img` (`h × w` each) into the zero-bordered planes of
+/// `dst`. Every float of `dst` is written — borders and slack too — so what
+/// the buffer held before (another layer's data, NaN) never shows.
+fn pad_planes(img: &[f32], (h, w): (usize, usize), p: usize, plan: &Plan, dst: &mut [f32]) {
+    let planes = img.chunks_exact(h * w);
+    for (src, dst) in planes.zip(dst.chunks_exact_mut(plan.plane)) {
+        dst.fill(0.0);
+        for (iy, row) in src.chunks_exact(w).enumerate() {
+            let at = (iy + p) * plan.wp + p;
+            dst[at..at + w].copy_from_slice(row);
+        }
+    }
+}
+
+/// Pack one group's `kdim × flat` forward operand into B panels straight
+/// from its padded planes: row `(ci, kh, kw)` — the engine's `k` order, as
+/// im2col lays it out — is the view `kh·wp + kw` into plane `ci`, so a panel
+/// row is one full-width copy.
+fn pack_view(planes: &[f32], k: usize, plan: &Plan, pb: &mut [f32]) {
+    for (pn, panel) in pb.chunks_exact_mut(plan.kdim * NR).enumerate() {
+        let channels = panel.chunks_exact_mut(k * k * NR);
+        for (rows, plane) in channels.zip(planes.chunks_exact(plan.plane)) {
+            for (kh, rows) in rows.chunks_exact_mut(k * NR).enumerate() {
+                let at = kh * plan.wp + pn * NR;
+                let taps = &plane[at..at + k - 1 + NR];
+                for (kw, row) in rows.chunks_exact_mut(NR).enumerate() {
+                    row.copy_from_slice(&taps[kw..kw + NR]);
+                }
+            }
+        }
+    }
+}
+
+/// Compact product rows from the padded-flat domain (`flat` per channel,
+/// `wp` per image row) into the `oh × ow` planes of `out`.
+fn drop_seams(c: &[f32], plan: &Plan, out: &mut [f32]) {
+    let channels = c.chunks_exact(plan.flat);
+    for (src, dst) in channels.zip(out.chunks_exact_mut(plan.row_len)) {
+        for (drow, srow) in dst.chunks_exact_mut(plan.ow).zip(src.chunks(plan.wp)) {
+            drow.copy_from_slice(&srow[..plan.ow]);
+        }
+    }
+}
+
+/// Transpose a padded image (`c` planes) to pixel-major (`hp·wp` pixels of
+/// `c` channels), where the channels a tap reads at a pixel are contiguous.
+fn pixel_major(padded: &[f32], c: usize, plan: &Plan, pm: &mut [f32]) {
+    let planes = padded.chunks_exact(plan.plane).take(c);
+    for (ci, plane) in planes.enumerate() {
+        for (d, &v) in pm[ci..].iter_mut().step_by(c).zip(plane) {
+            *d = v;
+        }
+    }
+}
+
+/// Pack one image's `col_gᵀ` — a row per output pixel, in im2col's pixel
+/// order, seams skipped — into its k-segment `(ktot, k0)` of the B panels,
+/// from the image's pixel-major planes. Columns are in **tap-major** order
+/// `(kh, kw, ci)`, not the weight's `(ci, kh, kw)`: a pixel's row is then a
+/// few contiguous runs of `pm` (with one group, the `k` taps of a kernel row
+/// are `k` consecutive pixels — one run), and a permutation of a product's
+/// columns changes no element's reduction.
+///
+/// A run is cut where its columns cross a panel edge; each piece has one
+/// panel, first lane and length for every pixel, so it is moved for all of
+/// them at once: a full-width piece (all of them when `icg` is a multiple
+/// of `NR`) as fixed-size copies, a shorter one a lane at a time.
+fn pack_taps(
+    pm: &[f32],
+    grp: usize,
+    geom: &ConvGeometry,
+    plan: &Plan,
+    pb: &mut [f32],
+    (ktot, k0): (usize, usize),
+) {
+    let (c, k, icg) = (geom.in_channels, geom.kernel, plan.icg);
+    let (ow, wp) = (plan.ow, plan.wp);
+    let taps_per_run = if geom.groups == 1 { k } else { 1 };
+    // Columns `[q, q + len)` of the panel they fall in, from `pm` at
+    // `src` past each pixel (`None`: zeros).
+    let mut piece = |q: usize, len: usize, src: Option<usize>| {
+        let lane = q % NR;
+        let panel = &mut pb[(q / NR * ktot + k0) * NR..][..plan.row_len * NR];
+        for (oy, rows) in panel.chunks_exact_mut(ow * NR).enumerate() {
+            let Some(src) = src else {
+                for row in rows.chunks_exact_mut(NR) {
+                    row[lane..lane + len].fill(0.0);
+                }
+                continue;
+            };
+            let from = &pm[oy * wp * c + src..];
+            if len == NR {
+                for (ox, row) in rows.chunks_exact_mut(NR).enumerate() {
+                    row.copy_from_slice(&from[ox * c..ox * c + NR]);
+                }
+                continue;
+            }
+            for l in 0..len {
+                let lanes = rows[lane + l..].iter_mut().step_by(NR);
+                for (d, &v) in lanes.zip(from[l..].iter().step_by(c)) {
+                    *d = v;
+                }
+            }
+        }
+    };
+    for kh in 0..k {
+        for kw in (0..k).step_by(taps_per_run) {
+            let mut src = (kh * wp + kw) * c + grp * icg;
+            let mut q = (kh * k + kw) * icg;
+            let end = q + taps_per_run * icg;
+            while q < end {
+                let len = (NR - q % NR).min(end - q);
+                piece(q, len, Some(src));
+                src += len;
+                q += len;
+            }
+        }
+    }
+    let edge_lanes = plan.kdim % NR;
+    if edge_lanes > 0 {
+        piece(plan.kdim, NR - edge_lanes, None);
+    }
+}
+
+/// Transpose every `rows × cols` block of `src` into `dst`: how `dW` moves
+/// between the weight's `(ci, kh, kw)` column order and [`pack_taps`]'s
+/// `(kh, kw, ci)`.
+fn transpose_blocks(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    let blocks = src
+        .chunks_exact(rows * cols)
+        .zip(dst.chunks_exact_mut(rows * cols));
+    for (s, d) in blocks {
+        for (r, row) in s.chunks_exact(cols).enumerate() {
+            for (d, &v) in d[r..].iter_mut().step_by(rows).zip(row) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// Depthwise forward of one image from its padded planes: per channel, one
+/// multiply-add per tap over the padded-flat domain, in the engine's tap
+/// order and rounding — a chain of [`fmadd`]s from 0.0, added to the bias —
+/// then the output pixels are picked out of `acc` (`flat` long).
+fn stencil_forward(
+    padded: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    geom: &ConvGeometry,
+    plan: &Plan,
+    acc: &mut [f32],
+    out_img: &mut [f32],
+) {
+    let (k, s) = (geom.kernel, geom.stride);
+    let channels = padded
+        .chunks_exact(plan.plane)
+        .zip(weight.chunks_exact(k * k));
+    let outs = out_img.chunks_exact_mut(plan.row_len).zip(bias);
+    for ((xp, taps), (out_c, &b)) in channels.zip(outs) {
+        acc.fill(0.0);
+        for (t, &wt) in taps.iter().enumerate() {
+            let at = plan.tap_at(k, t);
+            for (a, &x) in acc.iter_mut().zip(&xp[at..at + plan.flat]) {
+                *a = fmadd(wt, x, *a);
+            }
+        }
+        for (orow, arow) in out_c.chunks_exact_mut(plan.ow).zip(acc.chunks(s * plan.wp)) {
+            for (o, &a) in orow.iter_mut().zip(arow.iter().step_by(s)) {
+                *o = b + a;
+            }
+        }
+    }
+}
+
+/// Depthwise input gradient of one image, the mirror of [`stencil_forward`]:
+/// the output gradient is spread over the padded-flat domain (`dyf`, zero
+/// between output pixels), each tap adds `w · dyf` into a padded `dX` plane
+/// (`dxp`) at its shift — in col2im's tap order, product rounded before the
+/// add as the engine's `dcol` is — and the interior is copied out. The zeros
+/// in `dyf` add ±0.0 to sums that started at +0.0 and so change no bit.
+fn stencil_input_grad(
+    gy_img: &[f32],
+    weight: &[f32],
+    geom: &ConvGeometry,
+    plan: &Plan,
+    (dyf, dxp): (&mut [f32], &mut [f32]),
+    dx_img: &mut [f32],
+    (h, w): (usize, usize),
+) {
+    let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
+    let channels = gy_img
+        .chunks_exact(plan.row_len)
+        .zip(weight.chunks_exact(k * k));
+    for ((gy_c, taps), dx_c) in channels.zip(dx_img.chunks_exact_mut(h * w)) {
+        dyf.fill(0.0);
+        for (grow, frow) in gy_c.chunks_exact(plan.ow).zip(dyf.chunks_mut(s * plan.wp)) {
+            for (d, &g) in frow.iter_mut().step_by(s).zip(grow) {
+                *d = g;
+            }
+        }
+        dxp.fill(0.0);
+        for (t, &wt) in taps.iter().enumerate() {
+            let at = plan.tap_at(k, t);
+            for (d, &g) in dxp[at..at + plan.flat].iter_mut().zip(&*dyf) {
+                *d += wt * g;
+            }
+        }
+        for (iy, drow) in dx_c.chunks_exact_mut(w).enumerate() {
+            let at = (iy + p) * plan.wp + p;
+            drow.copy_from_slice(&dxp[at..at + w]);
+        }
+    }
+}
+
+/// Depthwise weight gradient: per channel and tap, the running dot product
+/// of the output gradient with the tap's view of the cached padded plane —
+/// pixels in im2col order, `dw_imgs` images per product, one chain of
+/// [`fmadd`]s from 0.0 per KC block of pixels added into `dw`: exactly the
+/// engine's sequence for `dW_g += dY_g · col_gᵀ`.
+fn stencil_weight_grad(
+    dw: &mut [f32],
+    gout: &[f32],
+    cache: &[f32],
+    geom: &ConvGeometry,
+    plan: &Plan,
+) {
+    let k = geom.kernel;
+    let mut offsets = [0usize; KC];
+    for (t, at) in offsets.iter_mut().enumerate().take(k * k) {
+        *at = plan.tap_at(k, t);
+    }
+    // A tap count known at compile time keeps the chains in registers.
+    match k * k {
+        9 => stencil_chains(&mut [0.0; 9], &offsets[..9], dw, gout, cache, geom, plan),
+        taps => {
+            let acc = &mut [0.0; KC][..taps];
+            stencil_chains(acc, &offsets[..taps], dw, gout, cache, geom, plan)
+        }
+    }
+}
+
+/// [`stencil_weight_grad`]'s loops, one chain in `acc` per tap offset.
+#[inline(always)]
+fn stencil_chains(
+    acc: &mut [f32],
+    offsets: &[usize],
+    dw: &mut [f32],
+    gout: &[f32],
+    cache: &[f32],
+    geom: &ConvGeometry,
+    plan: &Plan,
+) {
+    let out_img_sz = geom.out_channels * plan.row_len;
+    let n = gout.len() / out_img_sz;
+    for first in (0..n).step_by(plan.dw_imgs) {
+        let imgs = first..n.min(first + plan.dw_imgs);
+        for (ch, dw_c) in dw.chunks_exact_mut(offsets.len()).enumerate() {
+            let mut end_block = |acc: &mut [f32]| {
+                for (d, a) in dw_c.iter_mut().zip(acc) {
+                    *d += *a;
+                    *a = 0.0;
+                }
+            };
+            acc.fill(0.0);
+            let mut in_block = 0;
+            for ni in imgs.clone() {
+                let xp = &cache[ni * plan.cache_img + ch * plan.plane..][..plan.plane];
+                let gy = &gout[ni * out_img_sz + ch * plan.row_len..][..plan.row_len];
+                for (oy, grow) in gy.chunks_exact(plan.ow).enumerate() {
+                    for (ox, &g) in grow.iter().enumerate() {
+                        let x = &xp[(oy * plan.wp + ox) * geom.stride..];
+                        for (a, &at) in acc.iter_mut().zip(offsets) {
+                            *a = fmadd(g, x[at], *a);
+                        }
+                        in_block += 1;
+                        if in_block == KC {
+                            end_block(acc);
+                            in_block = 0;
+                        }
+                    }
+                }
+            }
+            if in_block > 0 {
+                end_block(acc);
+            }
+        }
+    }
+}
+
+/// `dW_g += dY_g · col_gᵀ` for every group, reduced over pixels and images,
+/// on the engine (every path but the stencil).
 ///
 /// The batch is taken `dw_imgs` images at a time; each product packs both
 /// operands image by image into their k-segment of `scratch` and the engine
-/// reduces it in its fixed KC-block order. The sequence of products depends
-/// on the shapes alone, so `dw` comes out bit-identical whatever the thread
-/// count or kernel `arm`.
+/// reduces it in its fixed KC-block order. `cache` is what the training
+/// forward left: the im2col matrix, transposed as it is packed, or — view
+/// path — the padded planes, which go through [`pixel_major`] and
+/// [`pack_taps`], the products accumulating into a tap-major copy of `dw`
+/// that is permuted back at the end. Either way a `dw` element sees the
+/// same sequence of partial sums, fixed by the shapes alone, so `dw` comes
+/// out bit-identical whatever the path, thread count or kernel `arm`.
 fn accumulate_weight_grad(
     arm: Kernel,
     dw: &mut [f32],
     gout: &[f32],
-    col_all: &[f32],
+    cache: &[f32],
+    geom: &ConvGeometry,
     plan: &Plan,
     scratch: &mut [f32],
 ) {
     let &Plan {
         ocg,
+        icg,
         kdim,
         row_len,
-        col_img,
         dw_imgs,
         ..
     } = plan;
+    // A pointwise convolution's cache is its im2col matrix, and with one
+    // tap there is nothing for the pixel-major pack to save.
+    let view = plan.path == Path::View && !geom.is_pointwise();
+    let (c, taps) = (geom.in_channels, geom.kernel * geom.kernel);
     let out_img_sz = dw.len() / kdim * row_len;
     let n = gout.len() / out_img_sz;
-    let (pa, pb) = scratch.split_at_mut(packed_a_len(ocg, dw_imgs * row_len));
+    let (pa, rest) = scratch.split_at_mut(packed_a_len(ocg, dw_imgs * row_len));
+    let (pb, rest) = rest.split_at_mut(packed_b_len(dw_imgs * row_len, kdim));
+    let pm_img = if view { plan.hp * plan.wp * c } else { 0 };
+    let (pm, rest) = rest.split_at_mut(dw_imgs * pm_img);
+    let dw_taps = &mut rest[..if view { dw.len() } else { 0 }];
+    if view {
+        transpose_blocks(dw, dw_taps, icg, taps);
+    }
     for first in (0..n).step_by(dw_imgs) {
         let imgs = dw_imgs.min(n - first);
         let k = imgs * row_len;
-        for (grp, dw_g) in dw.chunks_exact_mut(ocg * kdim).enumerate() {
+        if view {
+            let span = fca_trace::clock();
+            for (i, pm) in pm.chunks_exact_mut(pm_img).take(imgs).enumerate() {
+                pixel_major(&cache[(first + i) * plan.cache_img..], c, plan, pm);
+            }
+            fca_trace::op(OpId::Im2col, span);
+        }
+        let target = if view { &mut *dw_taps } else { &mut *dw };
+        for (grp, dw_g) in target.chunks_exact_mut(ocg * kdim).enumerate() {
             let span = fca_trace::clock();
             for i in 0..imgs {
                 let ni = first + i;
                 let gy_g = &gout[ni * out_img_sz + grp * ocg * row_len..][..ocg * row_len];
-                let col_g = &col_all[ni * col_img + grp * kdim * row_len..][..kdim * row_len];
                 pack_a_at(gy_g, ocg, row_len, false, pa, (k, i * row_len));
-                pack_b_at(col_g, row_len, kdim, true, pb, (k, i * row_len));
+                if view {
+                    let pm = &pm[i * pm_img..(i + 1) * pm_img];
+                    pack_taps(pm, grp, geom, plan, pb, (k, i * row_len));
+                } else {
+                    let col_g = &cache[ni * plan.cache_img + grp * kdim * row_len..];
+                    let col_g = &col_g[..kdim * row_len];
+                    pack_b_at(col_g, row_len, kdim, true, pb, (k, i * row_len));
+                }
             }
             fca_trace::op(OpId::GemmPack, span);
             let span = fca_trace::clock();
             gemm_packed_arm(arm, pa, pb, dw_g, ocg, k, kdim);
             fca_trace::op_flops(OpId::GemmKernel, span, 2 * (ocg * k * kdim) as u64);
         }
+    }
+    if view {
+        transpose_blocks(dw_taps, dw, taps, icg);
     }
 }
 
@@ -466,106 +904,166 @@ impl Module for Conv2d {
         let Plan {
             oh,
             ow,
+            icg,
             ocg,
             kdim,
             row_len,
+            flat,
             col_img,
+            cache_img,
             ..
         } = plan;
         let img_sz = c * h * w;
         let out_img_sz = g.out_channels * row_len;
+        // An inference image's padded planes, in scratch.
+        let pad_tmp_len = if g.is_pointwise() { 0 } else { c * plan.plane };
         // Inference-only quantized path: `gemm_quant` owns its own
-        // quantize-on-pack (thread-local scratch, sequential driver), so it
-        // needs no shared f32 panels.
+        // quantize-on-pack (thread-local scratch, sequential driver) and
+        // reads the im2col matrix, whatever the geometry.
         let quantized = !train && self.eval_precision != Precision::F32;
+        let packs_weights = !quantized && plan.path != Path::Stencil;
 
-        // Every element of `out` is overwritten (bias fill, then GEMM
-        // accumulation on top), so unspecified pool contents are fine.
+        // Every element of `out` is overwritten, so unspecified pool
+        // contents are fine.
         let mut out = ws.tensor([n, g.out_channels, oh, ow]);
-        // Only a training forward keeps the batch's im2col matrix; an
-        // inference forward lowers each image into its run's scratch and
-        // leaves the slot alone (resizing it would cost the next training
-        // forward a batch-sized zero fill).
-        let mut col_all = train.then(|| ws.take_slot(self.col_slot, n * col_img));
+        // Only a training forward keeps what it lowered; an inference
+        // forward lowers each image into its run's scratch and leaves the
+        // slot alone.
+        let mut cache = train.then(|| ws.take_slot(self.col_slot, n * cache_img));
         let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
         // Each group's weight is packed into MR-panels once per call and
         // shared read-only by every image in the rayon region.
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        if !quantized {
+        if packs_weights {
             self.pack_weights(&mut wpack, plan.w_panels, (ocg, kdim), false);
         }
         let weight = self.weight.value.data();
         let bias = self.bias.value.data();
         let x_data = x.data();
+        let fill_bias = |rows: &mut [f32], len: usize| {
+            for (row, &b) in rows.chunks_exact_mut(len).zip(bias) {
+                row.fill(b);
+            }
+        };
+        // `C_g += W_g · B_g` for every group of one image, `n` columns.
+        let products = |c_img: &mut [f32], panels: &[f32], n: usize| {
+            let span = fca_trace::clock();
+            for ((y_g, pb), pa) in c_img
+                .chunks_exact_mut(ocg * n)
+                .zip(panels.chunks_exact(plan.col_panels))
+                .zip(wpack.chunks_exact(plan.w_panels))
+            {
+                gemm_packed(pa, pb, y_g, ocg, kdim, n);
+            }
+            let flops = 2 * (g.out_channels * kdim * row_len) as u64;
+            fca_trace::op_flops(OpId::GemmKernel, span, flops);
+        };
 
         for_each_run(
             (out.data_mut(), plan.run * out_img_sz),
             (
-                col_all.as_deref_mut().unwrap_or_default(),
-                plan.run * col_img,
+                cache.as_deref_mut().unwrap_or_default(),
+                plan.run * cache_img,
             ),
-            (&mut scratch, plan.scratch_run),
-            |r, out_run, col_run, scratch| {
-                let (panels, col_tmp) = scratch.split_at_mut(plan.panels_len);
+            (&mut scratch, plan.scratch_run()),
+            |r, out_run, cache_run, scratch| {
+                let (panels, tail) = scratch.split_at_mut(plan.panels_len);
                 for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
                     let ni = r * plan.run + i;
                     let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
-                    // A pointwise convolution's im2col matrix is its input:
-                    // nothing is lowered, and only a training forward copies
-                    // it, for backward's weight gradient.
-                    let lowered: &[f32] = if train || !g.is_pointwise() {
-                        let col = if train {
-                            &mut col_run[i * col_img..(i + 1) * col_img]
-                        } else {
-                            &mut *col_tmp
-                        };
-                        let span = fca_trace::clock();
-                        if g.is_pointwise() {
-                            col.copy_from_slice(img);
-                        } else {
-                            im2col(img, h, w, &g, oh, ow, col);
-                        }
-                        fca_trace::op(OpId::Im2col, span);
-                        col
+                    let cached = if train {
+                        &mut cache_run[i * cache_img..(i + 1) * cache_img]
                     } else {
-                        img
+                        &mut []
                     };
-                    for (plane, &b) in out_img.chunks_exact_mut(row_len).zip(bias) {
-                        plane.fill(b);
-                    }
-                    let cols = lowered.chunks_exact(kdim * row_len);
-                    if quantized {
-                        let dims = (ocg, kdim, row_len);
-                        for ((y_g, col_g), w_g) in out_img
-                            .chunks_exact_mut(ocg * row_len)
-                            .zip(cols)
-                            .zip(weight.chunks_exact(ocg * kdim))
-                        {
-                            gemm_quant(w_g, col_g, y_g, dims, (false, false), self.eval_precision);
+                    if quantized || plan.path == Path::Im2col {
+                        // A pointwise convolution's im2col matrix is its input.
+                        let lowered: &[f32] = if g.is_pointwise() {
+                            img
+                        } else {
+                            let col = if train { cached } else { &mut tail[..col_img] };
+                            let span = fca_trace::clock();
+                            im2col(img, h, w, &g, oh, ow, col);
+                            fca_trace::op(OpId::Im2col, span);
+                            col
+                        };
+                        fill_bias(out_img, row_len);
+                        let cols = lowered.chunks_exact(kdim * row_len);
+                        if quantized {
+                            let dims = (ocg, kdim, row_len);
+                            for ((y_g, col_g), w_g) in out_img
+                                .chunks_exact_mut(ocg * row_len)
+                                .zip(cols)
+                                .zip(weight.chunks_exact(ocg * kdim))
+                            {
+                                gemm_quant(
+                                    w_g,
+                                    col_g,
+                                    y_g,
+                                    dims,
+                                    (false, false),
+                                    self.eval_precision,
+                                );
+                            }
+                            continue;
                         }
+                        let span = fca_trace::clock();
+                        for (col_g, pb) in cols.zip(panels.chunks_exact_mut(plan.col_panels)) {
+                            pack_b(col_g, kdim, row_len, false, pb);
+                        }
+                        fca_trace::op(OpId::GemmPack, span);
+                        products(out_img, panels, row_len);
+                        continue;
+                    }
+
+                    // The padded planes: written into the cache by a
+                    // training forward, into scratch otherwise. A pointwise
+                    // convolution's are its input, which only a training
+                    // forward copies, for backward's weight gradient.
+                    let (seamed, tmp) = tail.split_at_mut(plan.seamed_len);
+                    let (pad_tmp, acc) = tmp.split_at_mut(pad_tmp_len);
+                    let span = fca_trace::clock();
+                    let padded: &[f32] = if g.is_pointwise() {
+                        if train {
+                            cached.copy_from_slice(img);
+                        }
+                        img
+                    } else {
+                        let dst = if train { cached } else { pad_tmp };
+                        pad_planes(img, (h, w), g.padding, &plan, dst);
+                        dst
+                    };
+                    fca_trace::op(OpId::Im2col, span);
+
+                    if plan.path == Path::Stencil {
+                        stencil_forward(padded, weight, bias, &g, &plan, &mut acc[..flat], out_img);
                         continue;
                     }
                     let span = fca_trace::clock();
-                    for (col_g, pb) in cols.zip(panels.chunks_exact_mut(plan.col_panels)) {
-                        pack_b(col_g, kdim, row_len, false, pb);
+                    let groups = padded.chunks_exact(icg * plan.plane);
+                    for (planes, pb) in groups.zip(panels.chunks_exact_mut(plan.col_panels)) {
+                        if g.is_pointwise() {
+                            pack_b(planes, kdim, row_len, false, pb);
+                        } else {
+                            pack_view(planes, g.kernel, &plan, pb);
+                        }
                     }
                     fca_trace::op(OpId::GemmPack, span);
-                    let span = fca_trace::clock();
-                    for ((y_g, pb), pa) in out_img
-                        .chunks_exact_mut(ocg * row_len)
-                        .zip(panels.chunks_exact(plan.col_panels))
-                        .zip(wpack.chunks_exact(plan.w_panels))
-                    {
-                        gemm_packed(pa, pb, y_g, ocg, kdim, row_len);
+                    if flat == row_len {
+                        // A 1×1 kernel leaves no seams.
+                        fill_bias(out_img, row_len);
+                        products(out_img, panels, row_len);
+                    } else {
+                        fill_bias(seamed, flat);
+                        products(seamed, panels, flat);
+                        drop_seams(seamed, &plan, out_img);
                     }
-                    let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
                 }
             },
         );
 
-        if let Some(col_all) = col_all {
-            ws.put_slot(self.col_slot, col_all);
+        if let Some(cache) = cache {
+            ws.put_slot(self.col_slot, cache);
         }
         ws.put_slot(self.scratch_slot, scratch);
         ws.put_slot(self.wpack_slot, wpack);
@@ -599,28 +1097,38 @@ impl Module for Conv2d {
         let out_img_sz = g.out_channels * row_len;
         let gout = grad_out.data();
 
-        // Same length as forward requested, so the cached im2col contents
-        // survive the take/put round trip — no recompute, no input clone.
-        let col_all = ws.take_slot(self.col_slot, n * col_img);
+        // Same length as forward requested, so what it cached survives the
+        // take/put round trip — no recompute, no input clone.
+        let cache = ws.take_slot(self.col_slot, n * plan.cache_img);
         let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
         // Pack Wᵀ per group once (`dCol = Wᵀ·dY` reads the weight with the
         // roles of its axes swapped — a pack-time layout choice).
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        self.pack_weights(&mut wpack, plan.w_panels, (kdim, ocg), true);
-        // Every image of `dx` is zeroed just before it is accumulated into
-        // (by col2im, or below for a pointwise convolution).
+        if plan.path != Path::Stencil {
+            self.pack_weights(&mut wpack, plan.w_panels, (kdim, ocg), true);
+        }
+        let weight = self.weight.value.data();
+        // Every image of `dx` is zeroed or overwritten before it is
+        // accumulated into (by col2im, the stencil, or below for a
+        // pointwise convolution).
         let mut dx = ws.tensor([n, c, h, w]);
 
         // dX: parallel over runs of images.
         for_each_run(
             (dx.data_mut(), plan.run * img_sz),
             (&mut [], 0),
-            (&mut scratch, plan.scratch_run),
+            (&mut scratch, plan.scratch_run()),
             |r, dx_run, _, scratch| {
-                let (panels, dcol) = scratch.split_at_mut(plan.panels_len);
+                let (panels, tail) = scratch.split_at_mut(plan.panels_len);
                 for (i, dx_img) in dx_run.chunks_exact_mut(img_sz).enumerate() {
                     let ni = r * plan.run + i;
                     let gy = &gout[ni * out_img_sz..(ni + 1) * out_img_sz];
+                    if plan.path == Path::Stencil {
+                        let (dyf, dxp) = tail.split_at_mut(plan.flat);
+                        let dxp = &mut dxp[..plan.hp * plan.wp];
+                        stencil_input_grad(gy, weight, &g, &plan, (dyf, dxp), dx_img, (h, w));
+                        continue;
+                    }
                     let span = fca_trace::clock();
                     for (gy_g, pb) in gy
                         .chunks_exact(ocg * row_len)
@@ -634,7 +1142,7 @@ impl Module for Conv2d {
                     let dcol_img: &mut [f32] = if g.is_pointwise() {
                         &mut *dx_img
                     } else {
-                        &mut *dcol
+                        &mut tail[..col_img]
                     };
                     dcol_img.fill(0.0);
                     let span = fca_trace::clock();
@@ -649,7 +1157,7 @@ impl Module for Conv2d {
                     fca_trace::op_flops(OpId::GemmKernel, span, flops);
                     if !g.is_pointwise() {
                         let span = fca_trace::clock();
-                        col2im(dcol, h, w, &g, oh, ow, dx_img);
+                        col2im(&mut tail[..col_img], h, w, &g, oh, ow, dx_img);
                         fca_trace::op(OpId::Col2im, span);
                     }
                 }
@@ -657,7 +1165,13 @@ impl Module for Conv2d {
         );
 
         let dw = self.weight.grad.data_mut();
-        accumulate_weight_grad(simd::active(), dw, gout, &col_all, &plan, &mut scratch);
+        match plan.path {
+            Path::Stencil => stencil_weight_grad(dw, gout, &cache, &g, &plan),
+            _ => {
+                let arm = simd::active();
+                accumulate_weight_grad(arm, dw, gout, &cache, &g, &plan, &mut scratch);
+            }
+        }
 
         // db: every plane of dY is summed pixel by pixel from −0.0, exactly
         // as `Iterator::sum` would, then added to its channel. Eight planes
@@ -683,7 +1197,7 @@ impl Module for Conv2d {
             }
         }
 
-        ws.put_slot(self.col_slot, col_all);
+        ws.put_slot(self.col_slot, cache);
         ws.put_slot(self.scratch_slot, scratch);
         ws.put_slot(self.wpack_slot, wpack);
         fca_trace::op(OpId::ConvBackward, bwd_span);
@@ -1022,42 +1536,46 @@ mod tests {
     }
 
     #[test]
-    fn backward_reuses_forward_im2col_cache() {
+    fn backward_reuses_the_forward_cache_and_a_steady_state_allocates_nothing() {
         // Two identical forward/backward pairs must produce identical
         // gradients — proving the slot round trip preserves the cache —
-        // and the second pair must be served entirely from the workspace.
+        // and the second pair must be served entirely from the workspace,
+        // on every lowering.
         let mut rng = seeded_rng(67);
-        let mut ws = Workspace::new();
-        let geom = ConvGeometry {
-            in_channels: 3,
+        let geom = |stride, groups| ConvGeometry {
+            in_channels: 4,
             out_channels: 4,
             kernel: 3,
-            stride: 1,
+            stride,
             padding: 1,
-            groups: 1,
+            groups,
         };
-        let mut conv = Conv2d::new(geom, &mut rng);
-        let x = Tensor::randn([2, 3, 6, 6], 1.0, &mut rng);
-        let gy = Tensor::randn([2, 4, 6, 6], 1.0, &mut rng);
+        for geom in [geom(1, 1), geom(2, 1), geom(1, 4), geom(2, 4)] {
+            let mut ws = Workspace::new();
+            let mut conv = Conv2d::new(geom, &mut rng);
+            let (oh, ow) = geom.out_hw(6, 7);
+            let x = Tensor::randn([2, 4, 6, 7], 1.0, &mut rng);
+            let gy = Tensor::randn([2, 4, oh, ow], 1.0, &mut rng);
 
-        let y1 = conv.forward(&x, true, &mut ws);
-        let dx1 = conv.backward(&gy, &mut ws);
-        let g1 = conv.weight.grad.clone();
-        let dx1_bits = dx1.data().to_vec();
-        ws.recycle(y1);
-        ws.recycle(dx1);
-        conv.zero_grad();
-        ws.reset_stats();
-        let _ = conv.forward(&x, true, &mut ws);
-        let dx2 = conv.backward(&gy, &mut ws);
-        assert_eq!(dx1_bits, dx2.data());
-        assert_eq!(g1.data(), conv.weight.grad.data());
-        let stats = ws.stats();
-        assert_eq!(
-            stats.allocations, 0,
-            "steady-state pair allocated: {stats:?}"
-        );
-        assert!(stats.reuses > 0, "workspace was never exercised: {stats:?}");
+            let y1 = conv.forward(&x, true, &mut ws);
+            let dx1 = conv.backward(&gy, &mut ws);
+            let g1 = conv.weight.grad.clone();
+            let dx1_bits = dx1.data().to_vec();
+            ws.recycle(y1);
+            ws.recycle(dx1);
+            conv.zero_grad();
+            ws.reset_stats();
+            let _ = conv.forward(&x, true, &mut ws);
+            let dx2 = conv.backward(&gy, &mut ws);
+            assert_eq!(dx1_bits, dx2.data());
+            assert_eq!(g1.data(), conv.weight.grad.data());
+            let stats = ws.stats();
+            assert_eq!(
+                stats.allocations, 0,
+                "steady-state pair allocated on {geom:?}: {stats:?}"
+            );
+            assert!(stats.reuses > 0, "workspace was never exercised: {stats:?}");
+        }
     }
 
     #[test]
@@ -1193,41 +1711,185 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forward_and_all_gradients_match_the_naive_references() {
-        let mut rng = seeded_rng(72);
-        let mut ws = Workspace::new();
-        let (mut odd_panels, mut odd_rows) = (false, false);
-        sweep((7, 10), |geom, n, h, w| {
-            let (oh, ow) = geom.out_hw(h, w);
-            odd_panels |= (oh * ow) % fca_tensor::gemm::NR != 0;
-            odd_rows |= (geom.out_channels / geom.groups) % fca_tensor::gemm::MR != 0;
-            let mut conv = Conv2d::new(geom, &mut rng);
-            conv.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
-            let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
-            let gy = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
-            let y = conv.forward(&x, true, &mut ws);
-            let dx = conv.backward(&gy, &mut ws);
-            let y_ref = conv2d_reference(&x, &conv.weight.value, &conv.bias.value, &geom);
-            let (dx_ref, dw_ref, db_ref) =
-                conv2d_backward_reference(&x, &conv.weight.value, &gy, &geom);
-            assert_close(&y, &y_ref, 1e-4);
-            assert_close(&dx, &dx_ref, 1e-4);
-            assert_close(&conv.weight.grad, &dw_ref, 1e-4);
-            assert_close(&conv.bias.grad, &db_ref, 1e-4);
-            // An inference forward lowers into scratch (or not at all) and
-            // must agree with the training one to the bit.
-            let y_eval = conv.forward(&x, false, &mut ws);
-            assert_eq!(bits(y_eval.data()), bits(y.data()), "eval forward {geom:?}");
-            for t in [y, dx, y_eval] {
-                ws.recycle(t);
+    /// Every product of the layer through the im2col lowering on the
+    /// engine, as all geometries ran before the padded-plane views and the
+    /// stencil: the oracle those must match to the bit. Fresh buffers, one
+    /// explicit kernel arm. Returns `(y, dX, dW)`, the weight gradient
+    /// accumulated onto `dw`.
+    fn gemm_lowering(
+        arm: Kernel,
+        conv: &Conv2d,
+        x: &Tensor,
+        gy: &Tensor,
+        mut dw: Vec<f32>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let g = conv.geom;
+        let (n, c, h, w) = x.shape().as_nchw();
+        let (oh, ow) = g.out_hw(h, w);
+        let (icg, ocg) = (c / g.groups, g.out_channels / g.groups);
+        let (kdim, row_len) = (icg * g.kernel * g.kernel, oh * ow);
+        let col_img = g.groups * kdim * row_len;
+        let weight = conv.weight.value.data();
+        let mut cols = vec![f32::NAN; n * col_img];
+        let mut y = vec![f32::NAN; n * g.out_channels * row_len];
+        let mut dx = vec![f32::NAN; x.numel()];
+        let mut dcol = vec![f32::NAN; col_img];
+        let mut pa = vec![f32::NAN; packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg))];
+        let mut pb = vec![f32::NAN; packed_b_len(kdim, row_len).max(packed_b_len(ocg, row_len))];
+        for ni in 0..n {
+            let col = &mut cols[ni * col_img..(ni + 1) * col_img];
+            im2col(
+                &x.data()[ni * c * h * w..][..c * h * w],
+                h,
+                w,
+                &g,
+                oh,
+                ow,
+                col,
+            );
+            for grp in 0..g.groups {
+                let w_g = &weight[grp * ocg * kdim..][..ocg * kdim];
+                let at = (ni * g.groups + grp) * ocg * row_len;
+                let y_g = &mut y[at..at + ocg * row_len];
+                for (plane, &b) in y_g
+                    .chunks_exact_mut(row_len)
+                    .zip(&conv.bias.value.data()[grp * ocg..])
+                {
+                    plane.fill(b);
+                }
+                pack_a(w_g, ocg, kdim, false, &mut pa);
+                pack_b(
+                    &col[grp * kdim * row_len..][..kdim * row_len],
+                    kdim,
+                    row_len,
+                    false,
+                    &mut pb,
+                );
+                gemm_packed_arm(arm, &pa, &pb, y_g, ocg, kdim, row_len);
+
+                let dcol_g = &mut dcol[grp * kdim * row_len..][..kdim * row_len];
+                dcol_g.fill(0.0);
+                pack_a(w_g, kdim, ocg, true, &mut pa);
+                pack_b(
+                    &gy.data()[at..at + ocg * row_len],
+                    ocg,
+                    row_len,
+                    false,
+                    &mut pb,
+                );
+                gemm_packed_arm(arm, &pa, &pb, dcol_g, kdim, ocg, row_len);
             }
-        });
-        assert!(odd_panels && odd_rows, "sweep lost its ragged panels");
+            col2im(
+                &mut dcol,
+                h,
+                w,
+                &g,
+                oh,
+                ow,
+                &mut dx[ni * c * h * w..][..c * h * w],
+            );
+        }
+
+        assert_eq!(dw.len(), weight.len());
+        let dw_imgs = (KC / row_len).clamp(1, n);
+        let mut pa = vec![f32::NAN; packed_a_len(ocg, dw_imgs * row_len)];
+        let mut pb = vec![f32::NAN; packed_b_len(dw_imgs * row_len, kdim)];
+        for first in (0..n).step_by(dw_imgs) {
+            let imgs = dw_imgs.min(n - first);
+            let k = imgs * row_len;
+            for (grp, dw_g) in dw.chunks_exact_mut(ocg * kdim).enumerate() {
+                for i in 0..imgs {
+                    let at = ((first + i) * g.groups + grp) * ocg * row_len;
+                    let gy_g = &gy.data()[at..at + ocg * row_len];
+                    let col_g = &cols[(first + i) * col_img + grp * kdim * row_len..];
+                    pack_a_at(gy_g, ocg, row_len, false, &mut pa, (k, i * row_len));
+                    let col_g = &col_g[..kdim * row_len];
+                    pack_b_at(col_g, row_len, kdim, true, &mut pb, (k, i * row_len));
+                }
+                gemm_packed_arm(arm, &pa, &pb, dw_g, ocg, k, kdim);
+            }
+        }
+        (y, dx, dw)
     }
 
     #[test]
-    fn gradients_are_bit_identical_across_thread_counts_and_arms() {
+    fn every_product_matches_the_im2col_lowering_to_the_bit_and_the_naive_references() {
+        let mut rng = seeded_rng(72);
+        let mut ws = Workspace::new();
+        let (mut odd_panels, mut odd_rows) = (false, false);
+        let mut paths = Vec::new();
+        // Non-square, and a plane smaller than the largest kernel.
+        for hw in [(7, 10), (3, 4)] {
+            sweep(hw, |geom, n, h, w| {
+                let (oh, ow) = geom.out_hw(h, w);
+                odd_panels |= (oh * ow) % NR != 0;
+                odd_rows |= (geom.out_channels / geom.groups) % fca_tensor::gemm::MR != 0;
+                paths.push(geom.path());
+                let mut conv = Conv2d::new(geom, &mut rng);
+                conv.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
+                let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
+                let gy = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
+                let y = conv.forward(&x, true, &mut ws);
+                let dx = conv.backward(&gy, &mut ws);
+
+                // Whatever arm the engine ran the oracle on.
+                for arm in simd::available() {
+                    let zeros = vec![0.0; conv.weight.grad.numel()];
+                    let (y_gemm, dx_gemm, dw_gemm) = gemm_lowering(arm, &conv, &x, &gy, zeros);
+                    let on = format!("{geom:?} x{n} on {hw:?}, arm {}", arm.as_str());
+                    assert_eq!(bits(y.data()), bits(&y_gemm), "forward {on}");
+                    assert_eq!(bits(dx.data()), bits(&dx_gemm), "dX {on}");
+                    assert_eq!(bits(conv.weight.grad.data()), bits(&dw_gemm), "dW {on}");
+                }
+
+                let y_ref = conv2d_reference(&x, &conv.weight.value, &conv.bias.value, &geom);
+                let (dx_ref, dw_ref, db_ref) =
+                    conv2d_backward_reference(&x, &conv.weight.value, &gy, &geom);
+                assert_close(&y, &y_ref, 1e-4);
+                assert_close(&dx, &dx_ref, 1e-4);
+                assert_close(&conv.weight.grad, &dw_ref, 1e-4);
+                assert_close(&conv.bias.grad, &db_ref, 1e-4);
+                // An inference forward lowers into scratch (or not at all)
+                // and must agree with the training one to the bit.
+                let y_eval = conv.forward(&x, false, &mut ws);
+                assert_eq!(bits(y_eval.data()), bits(y.data()), "eval forward {geom:?}");
+                for t in [y, dx, y_eval] {
+                    ws.recycle(t);
+                }
+            });
+        }
+        assert!(odd_panels && odd_rows, "sweep lost its ragged panels");
+        for path in [Path::Stencil, Path::View, Path::Im2col] {
+            assert!(paths.contains(&path), "sweep never took {path:?}");
+        }
+    }
+
+    #[test]
+    fn a_second_gradient_accumulates_onto_the_first_to_the_bit() {
+        // The view path reduces into a tap-major copy of `dW`, the stencil
+        // into registers: both must continue from what `weight.grad` holds.
+        let mut rng = seeded_rng(74);
+        let mut ws = Workspace::new();
+        sweep((5, 6), |geom, n, h, w| {
+            if n > 1 {
+                return;
+            }
+            let (oh, ow) = geom.out_hw(h, w);
+            let mut conv = Conv2d::new(geom, &mut rng);
+            let x = Tensor::randn([2, geom.in_channels, h, w], 1.0, &mut rng);
+            let gy = Tensor::randn([2, geom.out_channels, oh, ow], 1.0, &mut rng);
+            let _ = conv.forward(&x, true, &mut ws);
+            let _ = conv.backward(&gy, &mut ws);
+            let _ = conv.backward(&gy, &mut ws);
+            let zeros = vec![0.0; conv.weight.grad.numel()];
+            let (_, _, once) = gemm_lowering(simd::active(), &conv, &x, &gy, zeros);
+            let (_, _, twice) = gemm_lowering(simd::active(), &conv, &x, &gy, once);
+            assert_eq!(bits(conv.weight.grad.data()), bits(&twice), "{geom:?}");
+        });
+    }
+
+    #[test]
+    fn products_are_bit_identical_across_thread_counts() {
         let mut rng = seeded_rng(73);
         let geom = |c: [usize; 2], kernel, stride, padding, groups| ConvGeometry {
             in_channels: c[0],
@@ -1240,8 +1902,13 @@ mod tests {
         for (geom, n, h, w) in [
             // Dense 3×3 with ragged panels; more images than one dW product.
             (geom([5, 11], 3, 1, 1, 1), 9, 7, 10),
-            // Depthwise, strided.
+            // The same, strided: the im2col lowering.
+            (geom([5, 11], 3, 2, 1, 1), 9, 7, 10),
+            // Grouped 5×5 on views.
+            (geom([6, 4], 5, 1, 2, 2), 5, 6, 9),
+            // Depthwise, strided and not.
             (geom([6, 6], 3, 2, 1, 6), 5, 9, 8),
+            (geom([6, 6], 3, 1, 1, 6), 5, 9, 8),
             // Pointwise, grouped.
             (geom([8, 12], 1, 1, 0, 2), 7, 6, 5),
         ] {
@@ -1264,31 +1931,57 @@ mod tests {
                         bits(y.data()),
                         bits(dx.data()),
                         bits(conv.weight.grad.data()),
+                        bits(conv.bias.grad.data()),
                     )
                 })
             };
-            let one = run(1);
-            assert_eq!(one, run(4), "thread count changed bits for {geom:?}");
-
-            // Every arm, on the same operands the layer used.
-            let mut ws = Workspace::new();
-            let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
-            conv.weight.value = proto.weight.value.clone();
-            let _ = conv.forward(&x, true, &mut ws);
-            let plan = conv.plan(n, h, w);
-            let col_all = ws.take_slot(conv.col_slot, n * plan.col_img);
-            let mut scratch = vec![f32::NAN; plan.scratch_len];
-            for arm in simd::available() {
-                let mut dw = vec![0.0f32; conv.weight.grad.numel()];
-                accumulate_weight_grad(arm, &mut dw, gy.data(), &col_all, &plan, &mut scratch);
-                assert_eq!(
-                    bits(&dw),
-                    one.2,
-                    "arm {} changed dW for {geom:?}",
-                    arm.as_str()
-                );
-            }
+            assert_eq!(run(1), run(4), "thread count changed bits for {geom:?}");
         }
+    }
+
+    #[test]
+    fn a_forward_on_adopted_nan_filled_slots_reads_none_of_it() {
+        // A paged client's layers adopt the slots a previous tenant
+        // retired: borders and slack of the padded planes are written by
+        // every forward, never assumed to be zero.
+        let mut rng = seeded_rng(75);
+        sweep((6, 7), |geom, n, h, w| {
+            if n > 1 {
+                return;
+            }
+            let (oh, ow) = geom.out_hw(h, w);
+            let x = Tensor::randn([3, geom.in_channels, h, w], 1.0, &mut rng);
+            let gy = Tensor::randn([3, geom.out_channels, oh, ow], 1.0, &mut rng);
+            let step = |conv: &mut Conv2d, ws: &mut Workspace| {
+                let y_eval = conv.forward(&x, false, ws);
+                let y = conv.forward(&x, true, ws);
+                let dx = conv.backward(&gy, ws);
+                [y_eval, y, dx].map(|t| bits(t.data()))
+            };
+            let mut tenant = Conv2d::new(geom, &mut rng);
+            let clean = step(&mut tenant, &mut Workspace::new());
+            let clean_dw = bits(tenant.weight.grad.data());
+
+            let mut ws = Workspace::new();
+            let plan = tenant.plan(3, h, w);
+            for (slot, len) in [
+                (tenant.col_slot, 3 * plan.cache_img),
+                (tenant.scratch_slot, plan.scratch_len),
+                (tenant.wpack_slot, geom.groups * plan.w_panels),
+            ] {
+                let mut buf = ws.take_slot(slot, len);
+                buf.fill(f32::NAN);
+                ws.put_slot(slot, buf);
+            }
+            ws.retire_slots();
+            ws.reset_stats();
+            let mut next = Conv2d::new(geom, &mut seeded_rng(0));
+            next.weight.value = tenant.weight.value.clone();
+            assert_eq!(step(&mut next, &mut ws), clean, "{geom:?}");
+            assert_eq!(bits(next.weight.grad.data()), clean_dw, "{geom:?}");
+            // The three tensors `step` returns; every slot was adopted.
+            assert_eq!(ws.stats().allocations, 3, "slots not adopted: {geom:?}");
+        });
     }
 
     #[test]

@@ -1,7 +1,78 @@
-//! Batch normalization over NCHW tensors.
+//! Batch and group normalization over NCHW tensors.
+//!
+//! A statistic here is a long chain of dependent adds — a plane's `f64` sum
+//! for the mean and variance, a channel's `f32` sum for `dβ`/`dγ` — and one
+//! chain at a time runs at the adder's latency. The passes below advance
+//! eight planes' (or channels') chains together: each chain adds the same
+//! terms in the same order as on its own, so every statistic is unchanged to
+//! the bit, and the eight overlap.
 
 use crate::module::{Module, Param};
 use fca_tensor::{SlotId, Tensor, Workspace};
+
+/// Chains advanced together by [`plane_sums`] and [`affine_grad_sums`].
+const LANES: usize = 8;
+
+/// `Iterator::sum` of `term(lane, v)` over each of the (up to [`LANES`])
+/// consecutive planes in `planes`: every sum starts from −0.0 and adds its
+/// plane's terms in order. A short last group fills its spare lanes with
+/// the first plane again; their sums are computed and dropped.
+fn plane_sums(planes: &[f32], plane: usize, term: impl Fn(usize, f32) -> f64) -> [f64; LANES] {
+    let rows: [&[f32]; LANES] = std::array::from_fn(|lane| {
+        let row = planes.get(lane * plane..(lane + 1) * plane);
+        row.unwrap_or(&planes[..plane])
+    });
+    let mut sums = [-0.0f64; LANES];
+    for i in 0..plane {
+        for (lane, (s, row)) in sums.iter_mut().zip(&rows).enumerate() {
+            *s += term(lane, row[i]);
+        }
+    }
+    sums
+}
+
+/// Sum of `term` over a group's consecutive planes: their [`plane_sums`]
+/// added in channel order.
+fn group_sum(group: &[f32], plane: usize, term: impl Fn(f32) -> f64) -> f64 {
+    let mut sum = 0.0f64;
+    for planes in group.chunks(LANES * plane) {
+        let sums = plane_sums(planes, plane, |_, v| term(v));
+        for s in &sums[..planes.len() / plane] {
+            sum += s;
+        }
+    }
+    sum
+}
+
+/// `(Σ g, Σ g·x̂)` over all samples and pixels of channels `c0..c0 + LANES`
+/// (those that exist): per channel two `f32` chains from 0.0, over samples
+/// in order and pixels in order.
+fn affine_grad_sums(
+    grad_out: &[f32],
+    xhat: &[f32],
+    (c, plane): (usize, usize),
+    c0: usize,
+) -> ([f32; LANES], [f32; LANES]) {
+    let (mut dbeta, mut dgamma) = ([0.0f32; LANES], [0.0f32; LANES]);
+    let samples = grad_out
+        .chunks_exact(c * plane)
+        .zip(xhat.chunks_exact(c * plane));
+    for (g_img, xh_img) in samples {
+        // Spare lanes of a short last group walk its first channel again.
+        let rows: [(&[f32], &[f32]); LANES] = std::array::from_fn(|lane| {
+            let ci = if c0 + lane < c { c0 + lane } else { c0 };
+            let at = ci * plane..(ci + 1) * plane;
+            (&g_img[at.clone()], &xh_img[at])
+        });
+        for i in 0..plane {
+            for ((db, dg), (g, xh)) in dbeta.iter_mut().zip(&mut dgamma).zip(&rows) {
+                *db += g[i];
+                *dg += g[i] * xh[i];
+            }
+        }
+    }
+    (dbeta, dgamma)
+}
 
 /// `BatchNorm2d`: per-channel normalization with learned affine parameters
 /// and running statistics for inference (PyTorch semantics: `running ←
@@ -66,49 +137,54 @@ impl Module for BatchNorm2d {
 
         if train {
             let mut xhat = ws.take_slot(self.xhat_slot, x.numel());
-            for ci in 0..c {
-                // Batch statistics over (N, H, W) for channel ci.
-                let mut mean = 0.0f64;
+            let (xd, od) = (x.data(), out.data_mut());
+            for c0 in (0..c).step_by(LANES) {
+                let lanes = LANES.min(c - c0);
+                // Batch statistics over (N, H, W), `lanes` channels at a
+                // time: per channel, the samples' plane sums added in order.
+                let block = |ni: usize| &xd[(ni * c + c0) * plane..][..lanes * plane];
+                let mut mean = [0.0f64; LANES];
                 for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    mean += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>();
+                    let sums = plane_sums(block(ni), plane, |_, v| v as f64);
+                    for (m, s) in mean.iter_mut().zip(sums) {
+                        *m += s;
+                    }
                 }
-                let mean = (mean / m as f64) as f32;
-                let mut var = 0.0f64;
+                let mean = mean.map(|sum| (sum / m as f64) as f32);
+                let mut var = [0.0f64; LANES];
                 for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    var += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| {
-                            let d = (v - mean) as f64;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
-                let var = (var / m as f64) as f32;
-                let inv_std = 1.0 / (var + self.eps).sqrt();
-                self.inv_std[ci] = inv_std;
-
-                let g = self.gamma.value.at(ci);
-                let b = self.beta.value.at(ci);
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let xh = (x.data()[base + i] - mean) * inv_std;
-                        xhat[base + i] = xh;
-                        out.data_mut()[base + i] = g * xh + b;
+                    let sums = plane_sums(block(ni), plane, |lane, v| {
+                        let d = (v - mean[lane]) as f64;
+                        d * d
+                    });
+                    for (v, s) in var.iter_mut().zip(sums) {
+                        *v += s;
                     }
                 }
 
-                // Running stats (unbiased variance, PyTorch convention).
-                let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                let rm = self.running_mean.data_mut();
-                rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean;
-                let rv = self.running_var.data_mut();
-                rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * unbiased;
+                for (ci, (mean, var)) in (c0..c0 + lanes).zip(mean.into_iter().zip(var)) {
+                    let var = (var / m as f64) as f32;
+                    let inv_std = 1.0 / (var + self.eps).sqrt();
+                    self.inv_std[ci] = inv_std;
+
+                    let g = self.gamma.value.at(ci);
+                    let b = self.beta.value.at(ci);
+                    for ni in 0..n {
+                        let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
+                        let rows = od[at.clone()].iter_mut().zip(&mut xhat[at.clone()]);
+                        for ((o, xh), &v) in rows.zip(&xd[at]) {
+                            *xh = (v - mean) * inv_std;
+                            *o = g * *xh + b;
+                        }
+                    }
+
+                    // Running stats (unbiased variance, PyTorch convention).
+                    let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+                    let rm = self.running_mean.data_mut();
+                    rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean;
+                    let rv = self.running_var.data_mut();
+                    rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * unbiased;
+                }
             }
             ws.put_slot(self.xhat_slot, xhat);
             self.cached_numel = x.numel();
@@ -121,9 +197,9 @@ impl Module for BatchNorm2d {
                 let g = self.gamma.value.at(ci);
                 let b = self.beta.value.at(ci);
                 for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        out.data_mut()[base + i] = g * (x.data()[base + i] - mean) * inv_std + b;
+                    let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
+                    for (o, &v) in out.data_mut()[at.clone()].iter_mut().zip(&x.data()[at]) {
+                        *o = g * (v - mean) * inv_std + b;
                     }
                 }
             }
@@ -151,29 +227,22 @@ impl Module for BatchNorm2d {
                 "backward before forward on BatchNorm2d"
             );
             let xhat = ws.take_slot(self.xhat_slot, self.cached_numel);
-            for ci in 0..c {
-                let mut dbeta = 0.0f32;
-                let mut dgamma = 0.0f32;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let g = grad_out.data()[base + i];
-                        dbeta += g;
-                        dgamma += g * xhat[base + i];
-                    }
-                }
-                self.beta.grad.data_mut()[ci] += dbeta;
-                self.gamma.grad.data_mut()[ci] += dgamma;
+            let (gd, dd) = (grad_out.data(), dx.data_mut());
+            for c0 in (0..c).step_by(LANES) {
+                let (dbeta, dgamma) = affine_grad_sums(gd, &xhat, (c, plane), c0);
+                for (ci, (dbeta, dgamma)) in (c0..c).zip(dbeta.into_iter().zip(dgamma)) {
+                    self.beta.grad.data_mut()[ci] += dbeta;
+                    self.gamma.grad.data_mut()[ci] += dgamma;
 
-                let scale = self.gamma.value.at(ci) * self.inv_std[ci];
-                let mean_dy = dbeta / m;
-                let mean_dyxhat = dgamma / m;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let g = grad_out.data()[base + i];
-                        let xh = xhat[base + i];
-                        dx.data_mut()[base + i] = scale * (g - mean_dy - xh * mean_dyxhat);
+                    let scale = self.gamma.value.at(ci) * self.inv_std[ci];
+                    let mean_dy = dbeta / m;
+                    let mean_dyxhat = dgamma / m;
+                    for ni in 0..n {
+                        let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
+                        let rows = dd[at.clone()].iter_mut().zip(&gd[at.clone()]);
+                        for ((d, &g), &xh) in rows.zip(&xhat[at]) {
+                            *d = scale * (g - mean_dy - xh * mean_dyxhat);
+                        }
                     }
                 }
             }
@@ -183,9 +252,12 @@ impl Module for BatchNorm2d {
             for ci in 0..c {
                 let scale = self.gamma.value.at(ci) * self.inv_std[ci];
                 for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        dx.data_mut()[base + i] = scale * grad_out.data()[base + i];
+                    let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
+                    for (d, &g) in dx.data_mut()[at.clone()]
+                        .iter_mut()
+                        .zip(&grad_out.data()[at])
+                    {
+                        *d = scale * g;
                     }
                 }
             }
@@ -260,41 +332,28 @@ impl Module for GroupNorm {
         self.inv_std.clear();
         self.inv_std.resize(n * self.groups, 0.0);
 
+        let (xd, od) = (x.data(), out.data_mut());
         for ni in 0..n {
             for g in 0..self.groups {
                 let c_lo = g * cg;
                 // Statistics over (C/G, H, W) of this sample.
-                let mut mean = 0.0f64;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    mean += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>();
-                }
-                let mean = (mean / m as f64) as f32;
-                let mut var = 0.0f64;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    var += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| {
-                            let d = (v - mean) as f64;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
+                let group = &xd[(ni * c + c_lo) * plane..][..cg * plane];
+                let mean = (group_sum(group, plane, |v| v as f64) / m as f64) as f32;
+                let var = group_sum(group, plane, |v| {
+                    let d = (v - mean) as f64;
+                    d * d
+                });
                 let var = (var / m as f64) as f32;
                 let inv_std = 1.0 / (var + self.eps).sqrt();
                 self.inv_std[ni * self.groups + g] = inv_std;
                 for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
+                    let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
                     let gam = self.gamma.value.at(ci);
                     let bet = self.beta.value.at(ci);
-                    for i in 0..plane {
-                        let xh = (x.data()[base + i] - mean) * inv_std;
-                        xhat[base + i] = xh;
-                        out.data_mut()[base + i] = gam * xh + bet;
+                    let rows = od[at.clone()].iter_mut().zip(&mut xhat[at.clone()]);
+                    for ((o, xh), &v) in rows.zip(&xd[at]) {
+                        *xh = (v - mean) * inv_std;
+                        *o = gam * *xh + bet;
                     }
                 }
             }
@@ -323,47 +382,41 @@ impl Module for GroupNorm {
         let mut dx = ws.tensor([n, c, h, w]);
 
         // Parameter gradients (per channel, over all samples).
-        for ci in 0..c {
-            let mut dgamma = 0.0f32;
-            let mut dbeta = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for i in 0..plane {
-                    let g = grad_out.data()[base + i];
-                    dbeta += g;
-                    dgamma += g * xhat[base + i];
-                }
+        let (gd, dd) = (grad_out.data(), dx.data_mut());
+        for c0 in (0..c).step_by(LANES) {
+            let (dbeta, dgamma) = affine_grad_sums(gd, &xhat, (c, plane), c0);
+            for (ci, (dbeta, dgamma)) in (c0..c).zip(dbeta.into_iter().zip(dgamma)) {
+                self.gamma.grad.data_mut()[ci] += dgamma;
+                self.beta.grad.data_mut()[ci] += dbeta;
             }
-            self.gamma.grad.data_mut()[ci] += dgamma;
-            self.beta.grad.data_mut()[ci] += dbeta;
         }
 
         // Input gradient, per (sample, group): with ĝ = γ⊙dy,
         // dx = inv_std · (ĝ − mean(ĝ) − x̂·mean(ĝ⊙x̂)).
         for ni in 0..n {
             for g in 0..self.groups {
-                let c_lo = g * cg;
                 let inv_std = self.inv_std[ni * self.groups + g];
+                let channels = || {
+                    (g * cg..(g + 1) * cg).map(|ci| {
+                        let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
+                        (self.gamma.value.at(ci), at)
+                    })
+                };
                 let mut mean_gh = 0.0f32;
                 let mut mean_ghx = 0.0f32;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    let gam = self.gamma.value.at(ci);
-                    for i in 0..plane {
-                        let gh = gam * grad_out.data()[base + i];
+                for (gam, at) in channels() {
+                    for (&g, &xh) in gd[at.clone()].iter().zip(&xhat[at]) {
+                        let gh = gam * g;
                         mean_gh += gh;
-                        mean_ghx += gh * xhat[base + i];
+                        mean_ghx += gh * xh;
                     }
                 }
                 mean_gh /= m;
                 mean_ghx /= m;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    let gam = self.gamma.value.at(ci);
-                    for i in 0..plane {
-                        let gh = gam * grad_out.data()[base + i];
-                        let xh = xhat[base + i];
-                        dx.data_mut()[base + i] = inv_std * (gh - mean_gh - xh * mean_ghx);
+                for (gam, at) in channels() {
+                    let rows = dd[at.clone()].iter_mut().zip(&gd[at.clone()]);
+                    for ((d, &g), &xh) in rows.zip(&xhat[at]) {
+                        *d = inv_std * (gam * g - mean_gh - xh * mean_ghx);
                     }
                 }
             }
@@ -599,6 +652,256 @@ mod tests {
                 (fd - an).abs() < 5e-2 * (1.0 + fd.abs()),
                 "elem {i}: fd {fd} vs {an}"
             );
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|e| e.to_bits()).collect()
+    }
+
+    /// The one-chain-at-a-time passes these layers ran before the chains
+    /// were overlapped, kept verbatim as the oracle. `groups == None` is
+    /// batch norm (training mode); returns `(out, x̂, running mean, running
+    /// var)` — the running statistics empty for group norm.
+    #[allow(clippy::type_complexity)]
+    fn forward_oracle(
+        x: &Tensor,
+        gamma: &[f32],
+        beta: &[f32],
+        groups: Option<usize>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, c, h, w) = x.shape().as_nchw();
+        let plane = h * w;
+        let (eps, momentum) = (1e-5f32, 0.1f32);
+        let mut out = vec![f32::NAN; x.numel()];
+        let mut xhat = vec![f32::NAN; x.numel()];
+        let Some(groups) = groups else {
+            let m = (n * plane) as f32;
+            let (mut rm, mut rv) = (vec![0.0f32; c], vec![1.0f32; c]);
+            for ci in 0..c {
+                let mut mean = 0.0f64;
+                for ni in 0..n {
+                    let base = (ni * c + ci) * plane;
+                    mean += x.data()[base..base + plane]
+                        .iter()
+                        .map(|&v| v as f64)
+                        .sum::<f64>();
+                }
+                let mean = (mean / m as f64) as f32;
+                let mut var = 0.0f64;
+                for ni in 0..n {
+                    let base = (ni * c + ci) * plane;
+                    var += x.data()[base..base + plane]
+                        .iter()
+                        .map(|&v| {
+                            let d = (v - mean) as f64;
+                            d * d
+                        })
+                        .sum::<f64>();
+                }
+                let var = (var / m as f64) as f32;
+                let inv_std = 1.0 / (var + eps).sqrt();
+                for ni in 0..n {
+                    let base = (ni * c + ci) * plane;
+                    for i in 0..plane {
+                        let xh = (x.data()[base + i] - mean) * inv_std;
+                        xhat[base + i] = xh;
+                        out[base + i] = gamma[ci] * xh + beta[ci];
+                    }
+                }
+                let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+                rm[ci] = (1.0 - momentum) * rm[ci] + momentum * mean;
+                rv[ci] = (1.0 - momentum) * rv[ci] + momentum * unbiased;
+            }
+            return (out, xhat, rm, rv);
+        };
+        let cg = c / groups;
+        let m = (cg * plane) as f32;
+        for ni in 0..n {
+            for g in 0..groups {
+                let c_lo = g * cg;
+                let mut mean = 0.0f64;
+                for ci in c_lo..c_lo + cg {
+                    let base = (ni * c + ci) * plane;
+                    mean += x.data()[base..base + plane]
+                        .iter()
+                        .map(|&v| v as f64)
+                        .sum::<f64>();
+                }
+                let mean = (mean / m as f64) as f32;
+                let mut var = 0.0f64;
+                for ci in c_lo..c_lo + cg {
+                    let base = (ni * c + ci) * plane;
+                    var += x.data()[base..base + plane]
+                        .iter()
+                        .map(|&v| {
+                            let d = (v - mean) as f64;
+                            d * d
+                        })
+                        .sum::<f64>();
+                }
+                let var = (var / m as f64) as f32;
+                let inv_std = 1.0 / (var + eps).sqrt();
+                for ci in c_lo..c_lo + cg {
+                    let base = (ni * c + ci) * plane;
+                    for i in 0..plane {
+                        let xh = (x.data()[base + i] - mean) * inv_std;
+                        xhat[base + i] = xh;
+                        out[base + i] = gamma[ci] * xh + beta[ci];
+                    }
+                }
+            }
+        }
+        (out, xhat, Vec::new(), Vec::new())
+    }
+
+    /// The oracle's `(dβ, dγ)` — and, for batch norm (`inv_std` one per
+    /// channel), `dx` from them.
+    fn backward_oracle(
+        gy: &Tensor,
+        xhat: &[f32],
+        gamma: &[f32],
+        inv_std: Option<&[f32]>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, c, h, w) = gy.shape().as_nchw();
+        let plane = h * w;
+        let m = (n * plane) as f32;
+        let (mut dbetas, mut dgammas) = (vec![0.0f32; c], vec![0.0f32; c]);
+        let mut dx = vec![f32::NAN; gy.numel()];
+        for ci in 0..c {
+            let mut dbeta = 0.0f32;
+            let mut dgamma = 0.0f32;
+            for ni in 0..n {
+                let base = (ni * c + ci) * plane;
+                for i in 0..plane {
+                    let g = gy.data()[base + i];
+                    dbeta += g;
+                    dgamma += g * xhat[base + i];
+                }
+            }
+            dbetas[ci] += dbeta;
+            dgammas[ci] += dgamma;
+            let Some(inv_std) = inv_std else { continue };
+            let scale = gamma[ci] * inv_std[ci];
+            let mean_dy = dbeta / m;
+            let mean_dyxhat = dgamma / m;
+            for ni in 0..n {
+                let base = (ni * c + ci) * plane;
+                for i in 0..plane {
+                    let g = gy.data()[base + i];
+                    let xh = xhat[base + i];
+                    dx[base + i] = scale * (g - mean_dy - xh * mean_dyxhat);
+                }
+            }
+        }
+        (dbetas, dgammas, dx)
+    }
+
+    /// Group norm's input gradient, as the same one-chain loops.
+    #[allow(clippy::needless_range_loop)] // kept as they were written
+    fn groupnorm_dx_oracle(
+        gy: &Tensor,
+        xhat: &[f32],
+        gamma: &[f32],
+        inv_stds: &[f32],
+        groups: usize,
+    ) -> Vec<f32> {
+        let (n, c, h, w) = gy.shape().as_nchw();
+        let (cg, plane) = (c / groups, h * w);
+        let m = (cg * plane) as f32;
+        let mut dx = vec![f32::NAN; gy.numel()];
+        for ni in 0..n {
+            for g in 0..groups {
+                let c_lo = g * cg;
+                let inv_std = inv_stds[ni * groups + g];
+                let mut mean_gh = 0.0f32;
+                let mut mean_ghx = 0.0f32;
+                for ci in c_lo..c_lo + cg {
+                    let base = (ni * c + ci) * plane;
+                    for i in 0..plane {
+                        let gh = gamma[ci] * gy.data()[base + i];
+                        mean_gh += gh;
+                        mean_ghx += gh * xhat[base + i];
+                    }
+                }
+                mean_gh /= m;
+                mean_ghx /= m;
+                for ci in c_lo..c_lo + cg {
+                    let base = (ni * c + ci) * plane;
+                    for i in 0..plane {
+                        let gh = gamma[ci] * gy.data()[base + i];
+                        let xh = xhat[base + i];
+                        dx[base + i] = inv_std * (gh - mean_gh - xh * mean_ghx);
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    #[test]
+    fn overlapped_chains_change_no_bit_of_batchnorm() {
+        let mut rng = seeded_rng(98);
+        let mut ws = Workspace::new();
+        // Channel counts below, at and past a whole group of lanes.
+        for (n, c, h, w) in [(4, 3, 5, 6), (2, 8, 3, 3), (3, 13, 4, 5), (1, 1, 1, 1)] {
+            let x = Tensor::randn([n, c, h, w], 2.0, &mut rng).map(|v| v + 1.5);
+            let gy = Tensor::randn([n, c, h, w], 1.0, &mut rng);
+            let mut bn = BatchNorm2d::new(c);
+            bn.gamma.value = Tensor::randn([c], 1.0, &mut rng);
+            bn.beta.value = Tensor::randn([c], 1.0, &mut rng);
+            let (gamma, beta) = (
+                bn.gamma.value.data().to_vec(),
+                bn.beta.value.data().to_vec(),
+            );
+
+            let y = bn.forward(&x, true, &mut ws);
+            let dx = bn.backward(&gy, &mut ws);
+            let xhat = ws.take_slot(bn.xhat_slot, x.numel());
+            let (y_ref, xhat_ref, rm, rv) = forward_oracle(&x, &gamma, &beta, None);
+            let (dbeta, dgamma, dx_ref) =
+                backward_oracle(&gy, &xhat_ref, &gamma, Some(&bn.inv_std));
+            let on = format!("[{n}, {c}, {h}, {w}]");
+            assert_eq!(bits(y.data()), bits(&y_ref), "out {on}");
+            assert_eq!(bits(&xhat), bits(&xhat_ref), "xhat {on}");
+            assert_eq!(bits(bn.running_mean.data()), bits(&rm), "running mean {on}");
+            assert_eq!(bits(bn.running_var.data()), bits(&rv), "running var {on}");
+            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx {on}");
+            assert_eq!(bits(bn.beta.grad.data()), bits(&dbeta), "dbeta {on}");
+            assert_eq!(bits(bn.gamma.grad.data()), bits(&dgamma), "dgamma {on}");
+            ws.put_slot(bn.xhat_slot, xhat);
+        }
+    }
+
+    #[test]
+    fn overlapped_chains_change_no_bit_of_groupnorm() {
+        let mut rng = seeded_rng(99);
+        let mut ws = Workspace::new();
+        // Groups narrower and wider than a group of lanes.
+        for (n, c, groups, h, w) in [(3, 4, 2, 5, 5), (2, 20, 2, 3, 4), (2, 9, 9, 2, 3)] {
+            let x = Tensor::randn([n, c, h, w], 2.0, &mut rng).map(|v| v - 0.5);
+            let gy = Tensor::randn([n, c, h, w], 1.0, &mut rng);
+            let mut gn = GroupNorm::new(groups, c);
+            gn.gamma.value = Tensor::randn([c], 1.0, &mut rng);
+            gn.beta.value = Tensor::randn([c], 1.0, &mut rng);
+            let (gamma, beta) = (
+                gn.gamma.value.data().to_vec(),
+                gn.beta.value.data().to_vec(),
+            );
+
+            let y = gn.forward(&x, true, &mut ws);
+            let dx = gn.backward(&gy, &mut ws);
+            let xhat = ws.take_slot(gn.xhat_slot, x.numel());
+            let (y_ref, xhat_ref, ..) = forward_oracle(&x, &gamma, &beta, Some(groups));
+            let (dbeta, dgamma, _) = backward_oracle(&gy, &xhat_ref, &gamma, None);
+            let on = format!("[{n}, {c}/{groups}, {h}, {w}]");
+            assert_eq!(bits(y.data()), bits(&y_ref), "out {on}");
+            assert_eq!(bits(&xhat), bits(&xhat_ref), "xhat {on}");
+            let dx_ref = groupnorm_dx_oracle(&gy, &xhat_ref, &gamma, &gn.inv_std, groups);
+            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx {on}");
+            assert_eq!(bits(gn.beta.grad.data()), bits(&dbeta), "dbeta {on}");
+            assert_eq!(bits(gn.gamma.grad.data()), bits(&dgamma), "dgamma {on}");
+            ws.put_slot(gn.xhat_slot, xhat);
         }
     }
 

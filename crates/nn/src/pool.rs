@@ -54,7 +54,9 @@ impl Module for MaxPool2d {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        // A window with nothing above −∞ in it (all −∞ or
+                        // NaN) still routes its gradient to itself.
+                        let mut best_idx = base + oy * self.stride * w + ox * self.stride;
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
                                 let iy = oy * self.stride + ky;
@@ -275,6 +277,42 @@ mod tests {
         assert!(y.data().iter().all(|&v| v == 9.0));
         let dx = p.backward(&Tensor::ones([1, 1, 2, 2]), &mut ws);
         assert_eq!(dx.data()[4], 4.0);
+    }
+
+    #[test]
+    fn maxpool_dead_window_keeps_its_gradient_in_its_own_plane() {
+        let mut ws = Workspace::new();
+        let mut rng = seeded_rng(82);
+        let finite = Tensor::randn([2, 2, 4, 4], 1.0, &mut rng);
+        let mut x = finite.clone();
+        // One window of image 1, channel 1 all −∞, one of image 1,
+        // channel 0 all NaN: nothing in either compares above −∞.
+        let at = |c: usize, y: usize, xx: usize| ((2 + c) * 4 + y) * 4 + xx;
+        for (c, fill) in [(1, f32::NEG_INFINITY), (0, f32::NAN)] {
+            for (y, xx) in [(2, 0), (2, 1), (3, 0), (3, 1)] {
+                x.data_mut()[at(c, y, xx)] = fill;
+            }
+        }
+        let mut p = MaxPool2d::new(2, 2);
+        let _ = p.forward(&x, true, &mut ws);
+        let dx = p.backward(&Tensor::ones([2, 2, 2, 2]), &mut ws);
+        // Every window's gradient lands in its own window: each sums to 1.
+        for plane in dx.data().chunks_exact(16) {
+            for (wy, wx) in [(0, 0), (0, 2), (2, 0), (2, 2)] {
+                let window = [0, 1, 4, 5].map(|o| plane[wy * 4 + wx + o]);
+                assert_eq!(window.iter().sum::<f32>(), 1.0, "{window:?}");
+            }
+        }
+        assert_eq!(dx.data()[at(1, 2, 0)], 1.0, "dead window's first index");
+
+        // Finite inputs: the winners are the strict maxima, as before.
+        let y = p.forward(&finite, true, &mut ws);
+        let dx = p.backward(&Tensor::ones([2, 2, 2, 2]), &mut ws);
+        for (i, &g) in dx.data().iter().enumerate() {
+            let (plane, y0, x0) = (i / 16, i / 4 % 4 / 2, i % 4 / 2);
+            let is_max = finite.data()[i] == y.data()[plane * 4 + y0 * 2 + x0];
+            assert_eq!(g, if is_max { 1.0 } else { 0.0 }, "elem {i}");
+        }
     }
 
     #[test]

@@ -52,9 +52,11 @@ const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Fused multiply-add when the target has hardware FMA (single rounding),
 /// plain mul+add otherwise — `mul_add` without hardware support would fall
-/// back to a libm call per element.
+/// back to a libm call per element. Every kernel arm multiplies and adds
+/// through this choice; code that must round as the engine does without
+/// calling it (the depthwise stencil in `fca-nn`) uses it too.
 #[inline(always)]
-pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
+pub fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, c)
     } else {

@@ -5,7 +5,7 @@
 //!
 //! 1. **Correctness** — every numeric kernel has a naive reference
 //!    implementation it is property-tested against.
-//! 2. **Throughput on CPU** — convolutions lower to im2col + the packed,
+//! 2. **Throughput on CPU** — convolutions run on the packed,
 //!    register-blocked GEMM engine in [`gemm`] (MR×NR microkernel, KC/MC/NC
 //!    cache blocking, 2D macro-tile rayon parallelism); elementwise kernels
 //!    operate on contiguous slices so LLVM can autovectorize them.

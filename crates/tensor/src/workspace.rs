@@ -5,7 +5,7 @@
 //! allocations dominate the allocator. A [`Workspace`] amortizes them:
 //!
 //! * **Keyed slots** — persistent per-layer scratch (e.g. a convolution's
-//!   im2col matrix) addressed by a [`SlotId`] minted once per layer
+//!   padded input planes) addressed by a [`SlotId`] minted once per layer
 //!   instance. A slot survives between `take_slot`/`put_slot` pairs, so a
 //!   forward pass can cache data in it and the matching backward pass can
 //!   take it back without recomputing or cloning.

@@ -23,7 +23,8 @@ pub enum OpId {
     /// The pre-packing seed kernels (`gemm_*_naive`), timed when benchmarks
     /// or tests run them.
     GemmNaive,
-    /// Convolution input lowering.
+    /// Convolution input lowering: the im2col matrix, or the zero-bordered
+    /// copy of an image and its pixel-major transpose.
     Im2col,
     /// Convolution gradient scatter-add.
     Col2im,
