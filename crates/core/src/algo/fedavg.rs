@@ -31,6 +31,17 @@ impl FedAvg {
         &self.global_state
     }
 
+    /// Send the global state to every sampled client. The message is built
+    /// once for the round; each send encodes it for its own client.
+    fn broadcast(&self, sampled: &[usize], net: &Network) {
+        let msg = WireMessage::FullModel(self.global_state.clone());
+        for &k in sampled {
+            // A closed endpoint is an offline client; the count-driven
+            // collect already tolerates the missing reply.
+            let _ = net.send_to_client(k, &msg);
+        }
+    }
+
     /// Weighted-average the `FullModel` replies into the global state.
     /// Wrong-variant replies count as corrupt and are skipped; weights
     /// renormalize over the survivors, with buffered late arrivals decayed
@@ -75,11 +86,7 @@ impl Algorithm for FedAvg {
         hp: &HyperParams,
     ) {
         let span = fca_trace::clock();
-        for &k in sampled {
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &WireMessage::FullModel(self.global_state.clone()));
-        }
+        self.broadcast(sampled, net);
         fca_trace::phase(PhaseId::Broadcast, span);
         let span = fca_trace::clock();
         fleet.for_sampled_parallel(sampled, |c| {
@@ -164,10 +171,7 @@ impl Algorithm for FedProx {
         hp: &HyperParams,
     ) {
         let span = fca_trace::clock();
-        for &k in sampled {
-            // As in FedAvg: a closed endpoint is an offline client.
-            let _ = net.send_to_client(k, &WireMessage::FullModel(self.inner.global_state.clone()));
-        }
+        self.inner.broadcast(sampled, net);
         fca_trace::phase(PhaseId::Broadcast, span);
         let mu = self.mu;
         let span = fca_trace::clock();

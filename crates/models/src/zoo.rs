@@ -396,6 +396,33 @@ mod tests {
     }
 
     #[test]
+    fn one_image_fedavg_step_parks_no_packed_copy_of_the_head() {
+        // One CnnFedAvg training step on a single 1×28×28 image — a
+        // `wire_full_model` client — on a fresh workspace, recycling
+        // nothing. The constant is what the same step peaked at while the
+        // 1-row forward through `Linear(1568 → 128)` packed all 200 704
+        // weights into a second buffer (commit 9c7ec42, this test run
+        // there); a forward that still packed the weight would ask the
+        // workspace for those 802 816 B again.
+        const PACKED_HEAD_PEAK: u64 = 2_737_872;
+        let mut rng = seeded_rng(426);
+        let mut ws = Workspace::new();
+        let x = Tensor::randn([1, 1, 28, 28], 1.0, &mut rng);
+        let mut m = build_model(ModelArch::CnnFedAvg, (1, 28, 28), 128, 10, 5);
+        let (f, l) = m.forward(&x, true, &mut ws);
+        m.backward(
+            Some(&Tensor::ones(f.dims())),
+            &Tensor::ones(l.dims()),
+            &mut ws,
+        );
+        let peak = ws.stats().peak_bytes;
+        assert!(
+            peak + 700_000 <= PACKED_HEAD_PEAK,
+            "workspace peak {peak} B against {PACKED_HEAD_PEAK} B"
+        );
+    }
+
+    #[test]
     fn architectures_have_different_param_counts() {
         let counts: Vec<usize> = ARCHS
             .iter()

@@ -60,10 +60,20 @@ impl Linear {
     /// configured eval precision.
     pub fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let span = fca_trace::clock();
+        let y = self.affine(x, self.eval_precision, ws);
+        fca_trace::op(OpId::LinearForward, span);
+        y
+    }
+
+    /// `x·Wᵀ + b` at `precision`, the body of every forward.
+    fn affine(&self, x: &Tensor, precision: Precision, ws: &mut Workspace) -> Tensor {
         let n = x.dims()[0];
         let (in_f, out_f) = (self.in_features(), self.out_features());
+        // The GEMMs accumulate, so the output must start zeroed. The _ws
+        // variant draws packing scratch from the workspace pool, keeping
+        // the steady state allocation-free.
         let mut y = ws.tensor_zeroed([n, out_f]);
-        if self.eval_precision == Precision::F32 {
+        if precision == Precision::F32 {
             gemm_nt_ws(
                 x.data(),
                 self.weight.value.data(),
@@ -80,11 +90,10 @@ impl Linear {
                 y.data_mut(),
                 (n, in_f, out_f),
                 (false, true),
-                self.eval_precision,
+                precision,
             );
         }
         add_bias_rows(&mut y, &self.bias.value);
-        fca_trace::op(OpId::LinearForward, span);
         y
     }
 }
@@ -99,35 +108,15 @@ impl Module for Linear {
             self.in_features(),
             x.dims()[1]
         );
-        let n = x.dims()[0];
-        let (in_f, out_f) = (self.in_features(), self.out_features());
-        // gemm_nt accumulates, so the output must start zeroed. The _ws
-        // variants draw packing scratch from the workspace pool, keeping
-        // the steady state allocation-free.
-        let mut y = ws.tensor_zeroed([n, out_f]);
-        if train || self.eval_precision == Precision::F32 {
-            gemm_nt_ws(
-                x.data(),
-                self.weight.value.data(),
-                y.data_mut(),
-                n,
-                in_f,
-                out_f,
-                ws,
-            );
+        // Quantized compute is inference-only; training forwards stay f32.
+        let precision = if train {
+            Precision::F32
         } else {
-            // Inference-only quantized path; training forwards stay f32.
-            gemm_quant(
-                x.data(),
-                self.weight.value.data(),
-                y.data_mut(),
-                (n, in_f, out_f),
-                (false, true),
-                self.eval_precision,
-            );
-        }
-        add_bias_rows(&mut y, &self.bias.value);
-        let mut cache = ws.take_slot(self.in_slot, n * in_f);
+            self.eval_precision
+        };
+        let y = self.affine(x, precision, ws);
+        let n = x.dims()[0];
+        let mut cache = ws.take_slot(self.in_slot, n * self.in_features());
         cache.copy_from_slice(x.data());
         ws.put_slot(self.in_slot, cache);
         self.cached_rows = n;
@@ -214,6 +203,47 @@ mod tests {
         let a = l.forward(&x, true, &mut ws);
         let b = l.forward_inference(&x, &mut ws);
         assert_eq!(a, b);
+    }
+
+    /// A row's output must not depend on how many rows ride along: 17 rows
+    /// take the packed engine, one row streams the weight in place.
+    #[test]
+    fn forward_is_bit_identical_across_batch_sizes() {
+        let mut rng = seeded_rng(56);
+        let mut ws = Workspace::new();
+        let mut l = Linear::new(300, 13, &mut rng);
+        l.bias.value = Tensor::randn([13], 1.0, &mut rng);
+        let x = Tensor::randn([17, 300], 1.0, &mut rng);
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for train in [true, false] {
+            let batch = l.forward(&x, train, &mut ws);
+            for (i, row) in x.data().chunks(300).enumerate() {
+                let want = bits(&batch.data()[i * 13..(i + 1) * 13]);
+                let xi = Tensor::from_vec([1, 300], row.to_vec());
+                let one = l.forward(&xi, train, &mut ws);
+                assert_eq!(bits(one.data()), want, "row {i}, train {train}");
+                let one = l.forward_inference(&xi, &mut ws);
+                assert_eq!(bits(one.data()), want, "row {i}, inference");
+            }
+        }
+    }
+
+    #[test]
+    fn steady_state_small_batch_forward_allocates_nothing() {
+        let mut rng = seeded_rng(57);
+        let mut ws = Workspace::new();
+        let mut l = Linear::new(1568, 128, &mut rng);
+        let x = Tensor::randn([1, 1568], 1.0, &mut rng);
+        let y = l.forward(&x, true, &mut ws);
+        ws.recycle(y);
+        ws.reset_stats();
+        for train in [true, false] {
+            let y = l.forward(&x, train, &mut ws);
+            ws.recycle(y);
+            let y = l.forward_inference(&x, &mut ws);
+            ws.recycle(y);
+        }
+        assert_eq!(ws.stats().allocations, 0);
     }
 
     #[test]

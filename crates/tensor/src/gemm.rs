@@ -388,26 +388,43 @@ pub fn gemm_packed_arm(
 }
 
 // ---------------------------------------------------------------------------
-// Skinny-shape path.
+// Skinny-shape paths.
 //
-// The `tn` weight-gradient (`dW = Xᵀ·dY`: m = classes ≈ 10) and other
-// short-m products waste 80%+ of the 8×16 register tile and pay a full
-// pack_b for B rows that are touched once. The skinny path packs only A
-// (row-major, trivially small) and streams B directly from row-major
-// storage in 16-column strips. Per-element arithmetic — KC slab order,
-// sequential k, one add into C per slab — is identical to the packed
-// engine, so the result is bit-for-bit the same (property-tested below).
+// Short-m products waste most of the 8×16 register tile and pay a full
+// pack_b for a B that is touched once. The skinny paths pack only A
+// (trivially small) and read B where it lies, one kernel per storage order:
+//
+// * B row-major `k × n` (`nn`/`tn`: the `dW = Xᵀ·dY` weight gradient,
+//   m = classes ≈ 10): A is laid out row-major and B is streamed in
+//   16-column strips — lanes are C's columns.
+// * B stored `n × k` (`nt`: a small-batch `Linear` forward `x·Wᵀ`): Aᵀ is
+//   packed as one zero-padded 16-lane panel and eight rows of B each
+//   broadcast one scalar per k — lanes are C's *rows*, the tile is `Cᵀ`.
+//   (The AVX-512 arm in `crate::simd` turns sixteen rows of B into lanes
+//   instead, for `m ≤ 8`; it reads the same panel.)
+//
+// Per-element arithmetic — KC slabs ascending, one sequential `fmadd`
+// chain from 0.0 per slab, one add into C per slab — is the packed
+// engine's in all of them, and a lane is only a parallel copy of that
+// chain, so the results are bit-for-bit the same (property-tested below).
 // ---------------------------------------------------------------------------
 
-/// Largest m the skinny path accepts.
-pub(crate) const SKINNY_MAX_M: usize = 16;
-/// Smallest n for which strip-streaming B beats the packed engine.
+/// Largest m the skinny paths accept (the lane count of the `nt` kernel's
+/// Aᵀ panel, so it may not exceed [`NR`]).
+pub(crate) const SKINNY_MAX_M: usize = NR;
+/// Smallest n for which strip-streaming a row-major B beats the packed
+/// engine.
 pub(crate) const SKINNY_MIN_N: usize = 4 * NR;
 
-/// True when `C += A·B` should take the skinny-m path. B must be stored
-/// row-major `k × n` (`trans_b = false`) since the kernel streams it.
+/// True when `C += A·op(B)` should take a skinny-m path: [`skinny_arm`]
+/// for B stored row-major `k × n` (`trans_b = false`), [`skinny_nt_arm`] for
+/// B stored `n × k`.
+///
+/// [`skinny_arm`]: crate::simd::skinny_arm
+/// [`skinny_nt_arm`]: crate::simd::skinny_nt_arm
 pub(crate) fn skinny_applies(m: usize, k: usize, n: usize, trans_b: bool) -> bool {
-    !trans_b && m >= 1 && m <= SKINNY_MAX_M && n >= SKINNY_MIN_N && k > 0
+    let min_n = if trans_b { 1 } else { SKINNY_MIN_N };
+    (1..=SKINNY_MAX_M).contains(&m) && n >= min_n && k > 0
 }
 
 /// Materialize the logical `m × k` A row-major (resolving `trans`), the
@@ -491,6 +508,66 @@ pub(crate) fn skinny_tail(
                 kc_lo += KC;
             }
         }
+    }
+}
+
+/// Portable skinny kernel for the other storage order: `C += A·Bᵀ` with B
+/// stored `n × k` and read in place. `at` is Aᵀ as one NR-lane panel
+/// (`at[kk·NR + i] = A[i][kk]`, lanes `m..NR` zero — what
+/// `pack_b(a, k, m, true, ..)` writes for `m ≤ NR`).
+///
+/// The register tile is `Cᵀ`: [`MR`] rows of B broadcast a scalar each per
+/// `k` into accumulators whose lanes are the `m` rows of A — the packed
+/// microkernel with the operands' roles swapped, B's rows standing where the
+/// packed A panel would. Each row of B is walked once, front to back.
+pub(crate) fn skinny_nt_scalar(at: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert!(m <= NR);
+    debug_assert_eq!(at.len(), k * NR);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(c.len(), m * n);
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let mut j0 = 0;
+    while j0 < n {
+        let rows = MR.min(n - j0);
+        let mut kc_lo = 0;
+        while kc_lo < k {
+            let klen = KC.min(k - kc_lo);
+            // A ragged last tile points its missing rows at row `j0`:
+            // computed like any other, never stored.
+            let w: [&[f32]; MR] = std::array::from_fn(|r| {
+                let j = if r < rows { j0 + r } else { j0 };
+                &b[j * k + kc_lo..][..klen]
+            });
+            let mut r0 = [0.0f32; NR];
+            let mut r1 = [0.0f32; NR];
+            let mut r2 = [0.0f32; NR];
+            let mut r3 = [0.0f32; NR];
+            let mut r4 = [0.0f32; NR];
+            let mut r5 = [0.0f32; NR];
+            let mut r6 = [0.0f32; NR];
+            let mut r7 = [0.0f32; NR];
+            for (kk, p) in at[kc_lo * NR..][..klen * NR].chunks_exact(NR).enumerate() {
+                let p: &[f32; NR] = p.try_into().expect("NR-sized chunk");
+                axpy_row(&mut r0, w[0][kk], p);
+                axpy_row(&mut r1, w[1][kk], p);
+                axpy_row(&mut r2, w[2][kk], p);
+                axpy_row(&mut r3, w[3][kk], p);
+                axpy_row(&mut r4, w[4][kk], p);
+                axpy_row(&mut r5, w[5][kk], p);
+                axpy_row(&mut r6, w[6][kk], p);
+                axpy_row(&mut r7, w[7][kk], p);
+            }
+            let acc = [r0, r1, r2, r3, r4, r5, r6, r7];
+            for (r, lanes) in acc.iter().enumerate().take(rows) {
+                for (i, &v) in lanes.iter().enumerate().take(m) {
+                    c[i * n + j0 + r] += v;
+                }
+            }
+            kc_lo += KC;
+        }
+        j0 += MR;
     }
 }
 
@@ -863,16 +940,99 @@ mod tests {
         }
     }
 
-    /// Shapes the skinny heuristic must refuse: transposed B, wide m,
-    /// narrow n, empty k.
+    /// The `nt` skinny path, reached the way callers reach it (`gemm_arm`
+    /// with a transposed B), must add exactly what the packed engine adds
+    /// to a C that already holds values — for every arm, every m it
+    /// accepts, ragged and full 8-row tiles of B, every KC slab boundary
+    /// and the FedAvg head's k, on one thread and on four.
+    #[test]
+    fn skinny_nt_path_is_bit_identical_to_packed_engine() {
+        let mut seed = 0x57A7;
+        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for m in 1..=SKINNY_MAX_M {
+            for n in [1, 5, 16, 17, 128, 130] {
+                for k in [1, 7, KC - 1, KC, KC + 1, 1568] {
+                    assert!(skinny_applies(m, k, n, true));
+                    let mut a = vec![0.0f32; m * k];
+                    let mut b = vec![0.0f32; n * k];
+                    let mut c0 = vec![0.0f32; m * n];
+                    fill(&mut a, &mut seed);
+                    fill(&mut b, &mut seed);
+                    fill(&mut c0, &mut seed);
+                    let mut pa = vec![f32::NAN; packed_a_len(m, k)];
+                    let mut pb = vec![f32::NAN; packed_b_len(k, n)];
+                    pack_a(&a, m, k, false, &mut pa);
+                    pack_b(&b, k, n, true, &mut pb);
+                    for arm in crate::simd::available() {
+                        let mut oracle = c0.clone();
+                        gemm_packed_arm(arm, &pa, &pb, &mut oracle, m, k, n);
+                        for threads in [1, 4] {
+                            let mut c = c0.clone();
+                            rayon::ThreadPoolBuilder::new()
+                                .num_threads(threads)
+                                .build()
+                                .expect("pool")
+                                .install(|| {
+                                    let trans = (false, true);
+                                    crate::linalg::gemm_arm(arm, &a, &b, &mut c, (m, k, n), trans);
+                                });
+                            assert_eq!(
+                                bits(&c),
+                                bits(&oracle),
+                                "skinny nt {} at {m}x{k}x{n}, {threads} threads",
+                                arm.as_str()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A transposed A reaches the `nt` kernel through the same panel.
+    #[test]
+    fn skinny_nt_accepts_a_transposed_a() {
+        let (m, k, n) = (3, 300, 13);
+        let mut seed = 0x7A;
+        let mut a = vec![0.0f32; m * k];
+        let mut b = vec![0.0f32; n * k];
+        fill(&mut a, &mut seed);
+        fill(&mut b, &mut seed);
+        let mut at = vec![0.0f32; m * k]; // k×m storage
+        for i in 0..m {
+            for kk in 0..k {
+                at[kk * m + i] = a[i * k + kk];
+            }
+        }
+        let mut plain = vec![0.0f32; m * n];
+        let mut transposed = vec![0.0f32; m * n];
+        crate::linalg::gemm_arm(Kernel::Scalar, &a, &b, &mut plain, (m, k, n), (false, true));
+        crate::linalg::gemm_arm(
+            Kernel::Scalar,
+            &at,
+            &b,
+            &mut transposed,
+            (m, k, n),
+            (true, true),
+        );
+        assert_eq!(plain, transposed);
+    }
+
+    /// Shapes the skinny heuristic must refuse — wide m, empty m or k in
+    /// either storage order of B, a narrow row-major B — and the one the
+    /// `nt` order adds: any n at all, since its tiles are rows of B.
     #[test]
     fn skinny_heuristic_bounds() {
-        assert!(skinny_applies(10, 64, 512, false));
-        assert!(!skinny_applies(10, 64, 512, true));
-        assert!(!skinny_applies(SKINNY_MAX_M + 1, 64, 512, false));
+        for trans_b in [false, true] {
+            assert!(skinny_applies(10, 64, 512, trans_b));
+            assert!(skinny_applies(SKINNY_MAX_M, 64, 512, trans_b));
+            assert!(!skinny_applies(SKINNY_MAX_M + 1, 64, 512, trans_b));
+            assert!(!skinny_applies(10, 0, 512, trans_b));
+            assert!(!skinny_applies(0, 64, 512, trans_b));
+            assert!(!skinny_applies(10, 64, 0, trans_b));
+        }
         assert!(!skinny_applies(10, 64, SKINNY_MIN_N - 1, false));
-        assert!(!skinny_applies(10, 0, 512, false));
-        assert!(!skinny_applies(0, 64, 512, false));
+        assert!(skinny_applies(10, 64, 1, true));
     }
 
     /// `pack_a_rowmajor` with `trans` must equal packing the explicit

@@ -35,6 +35,7 @@
 
 use crate::gemm::{
     gemm_packed_arm, pack_a, pack_a_rowmajor, pack_b, packed_a_len, packed_b_len, skinny_applies,
+    NR,
 };
 use crate::simd::Kernel;
 use crate::tensor::Tensor;
@@ -69,9 +70,40 @@ fn gemm_into(
     gemm_buffers_arm(crate::simd::active(), buffers, (a, b), c, (m, k, n), trans);
 }
 
-/// [`gemm_into`] with an explicit kernel arm: packs, picks the skinny
-/// path when it applies (bit-identical, see [`crate::gemm`]), and runs
-/// the blocked engine otherwise.
+/// The engine a product runs on, chosen from its dimensions and B's storage
+/// order alone; every path adds the same bits to C (see [`crate::gemm`]).
+#[derive(Clone, Copy)]
+enum Path {
+    /// Both operands packed into panels, the blocked engine.
+    Packed,
+    /// Short m, B row-major `k × n`: A laid out row-major, B streamed.
+    SkinnyNn,
+    /// Short m, B stored `n × k`: Aᵀ packed as one NR-lane panel, B streamed.
+    SkinnyNt,
+}
+
+impl Path {
+    fn of(m: usize, k: usize, n: usize, trans_b: bool) -> Path {
+        match (skinny_applies(m, k, n, trans_b), trans_b) {
+            (false, _) => Path::Packed,
+            (true, false) => Path::SkinnyNn,
+            (true, true) => Path::SkinnyNt,
+        }
+    }
+
+    /// Pack-scratch lengths `(A, B)`: a skinny product packs its small A
+    /// alone.
+    fn pack_lens(self, m: usize, k: usize, n: usize) -> (usize, usize) {
+        match self {
+            Path::Packed => (packed_a_len(m, k), packed_b_len(k, n)),
+            Path::SkinnyNn => (m * k, 0),
+            Path::SkinnyNt => (k * NR, 0),
+        }
+    }
+}
+
+/// [`gemm_into`] with an explicit kernel arm: packs what the product's
+/// [`Path`] needs packed and runs its kernel.
 fn gemm_buffers_arm(
     arm: Kernel,
     buffers: (&mut Vec<f32>, &mut Vec<f32>),
@@ -83,33 +115,33 @@ fn gemm_buffers_arm(
     let (a, b) = ab;
     let (m, k, n) = dims;
     let (pa, pb) = buffers;
-    if skinny_applies(m, k, n, trans.1) {
-        // Short-m product with row-major B: pack only A and stream B.
-        let alen = m * k;
-        if pa.len() < alen {
-            pa.resize(alen, 0.0);
-        }
-        let span = fca_trace::clock();
-        pack_a_rowmajor(a, m, k, trans.0, &mut pa[..alen]);
-        fca_trace::op(OpId::GemmPack, span);
-        let span = fca_trace::clock();
-        crate::simd::skinny_arm(arm, &pa[..alen], b, c, m, k, n);
-        fca_trace::op_flops(OpId::GemmKernel, span, 2 * (m * k * n) as u64);
-        return;
-    }
-    let (alen, blen) = (packed_a_len(m, k), packed_b_len(k, n));
+    let path = Path::of(m, k, n, trans.1);
+    let (alen, blen) = path.pack_lens(m, k, n);
     if pa.len() < alen {
         pa.resize(alen, 0.0);
     }
     if pb.len() < blen {
         pb.resize(blen, 0.0);
     }
+    let (pa, pb) = (&mut pa[..alen], &mut pb[..blen]);
     let span = fca_trace::clock();
-    pack_a(a, m, k, trans.0, &mut pa[..alen]);
-    pack_b(b, k, n, trans.1, &mut pb[..blen]);
+    match path {
+        Path::Packed => {
+            pack_a(a, m, k, trans.0, pa);
+            pack_b(b, k, n, trans.1, pb);
+        }
+        Path::SkinnyNn => pack_a_rowmajor(a, m, k, trans.0, pa),
+        // Aᵀ (`k × m`) is one B-shaped panel: `a` is its `n × k` storage
+        // unless A itself arrives transposed.
+        Path::SkinnyNt => pack_b(a, k, m, !trans.0, pa),
+    }
     fca_trace::op(OpId::GemmPack, span);
     let span = fca_trace::clock();
-    gemm_packed_arm(arm, &pa[..alen], &pb[..blen], c, m, k, n);
+    match path {
+        Path::Packed => gemm_packed_arm(arm, pa, pb, c, m, k, n),
+        Path::SkinnyNn => crate::simd::skinny_arm(arm, pa, b, c, m, k, n),
+        Path::SkinnyNt => crate::simd::skinny_nt_arm(arm, pa, b, c, m, k, n),
+    }
     fca_trace::op_flops(OpId::GemmKernel, span, 2 * (m * k * n) as u64);
 }
 
@@ -160,10 +192,15 @@ fn gemm_workspace(
     trans: (bool, bool),
     ws: &mut Workspace,
 ) {
-    let (mut pa, mut pb) = ws.alloc2(packed_a_len(m, k), packed_b_len(k, n));
+    // A skinny product never touches packed-B scratch: ask the pool for none.
+    let (alen, blen) = Path::of(m, k, n, trans.1).pack_lens(m, k, n);
+    let mut pa = ws.alloc(alen);
+    let mut pb = if blen > 0 { ws.alloc(blen) } else { Vec::new() };
     gemm_into((&mut pa, &mut pb), a, b, c, m, k, n, trans);
     ws.recycle_vec(pa);
-    ws.recycle_vec(pb);
+    if blen > 0 {
+        ws.recycle_vec(pb);
+    }
 }
 
 /// `C = A·B` for `A: (m,k)` and `B: (k,n)`.

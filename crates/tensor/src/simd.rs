@@ -16,7 +16,9 @@
 //!   narrow subkernel for `nr ≤ 8` column strips (the small-n classifier
 //!   shapes) and a skinny-m kernel that reads row-major B directly.
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
-//!   `NR = 16` tile width, so all 8 rows accumulate in a single pass.
+//!   `NR = 16` tile width, so all 8 rows accumulate in a single pass. Also
+//!   the one arm with a skinny kernel for a B stored `n × k`: sixteen rows
+//!   of B transposed in registers (every other arm runs the portable one).
 //!
 //! # Determinism contract
 //!
@@ -34,7 +36,7 @@
 //! quantize-on-pack logic is scalar code in [`crate::quant`], so all arms
 //! consume identical quantized panels.
 
-use crate::gemm::{fmadd, microkernel, skinny_scalar, KC, MR, NR};
+use crate::gemm::{fmadd, microkernel, skinny_nt_scalar, skinny_scalar, KC, MR, NR};
 use crate::quant::{microkernel_f16_scalar, microkernel_i8_scalar};
 use std::sync::OnceLock;
 
@@ -231,6 +233,31 @@ pub(crate) fn skinny_arm(
         Kernel::Avx512 => unsafe { x86::skinny_avx512(arow, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => skinny_scalar(arow, b, c, m, k, n),
+    }
+}
+
+/// Skinny-m kernel for B stored `n × k` (`C += A·Bᵀ`, B read in place, `at`
+/// the one-panel pack of Aᵀ — see [`skinny_nt_scalar`]) on the given arm.
+/// Safe: operates on checked slices. Only AVX-512 has a kernel of its own,
+/// and only where it is faster (`m ≤ 8`); every other arm and shape runs the
+/// portable code.
+pub(crate) fn skinny_nt_arm(
+    arm: Kernel,
+    at: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: runtime detection established AVX-512F before handing
+        // out this `Kernel` value.
+        Kernel::Avx512 if m <= x86::SKINNY_NT_MAX_M => unsafe {
+            x86::skinny_nt_avx512(at, b, c, m, k, n)
+        },
+        _ => skinny_nt_scalar(at, b, c, m, k, n),
     }
 }
 
@@ -680,6 +707,151 @@ mod x86 {
                 _mm256_storeu_ps(ch, _mm256_add_ps(_mm256_loadu_ps(ch), accr[1]));
             }
             kc_lo += KC;
+        }
+    }
+
+    /// Largest m [`skinny_nt_avx512`] accepts: its accumulators are one
+    /// register per row of A beside the sixteen of a transposed block.
+    pub(super) const SKINNY_NT_MAX_M: usize = 8;
+
+    /// Skinny `nt` kernel whose lanes are sixteen *rows of B*: each
+    /// 16 × 16 block of B is loaded as sixteen row vectors and transposed in
+    /// registers, so one FMA serves sixteen elements of a row of C where the
+    /// portable kernel's broadcast serves `m` of its sixteen lanes — 3.3× at
+    /// `1 × 1568 × 128`, level with it by `m = 16`. Every element still sums
+    /// its own chain (KC slabs ascending, sequential k from 0.0, one add
+    /// into C per slab), so the bits are the portable kernel's.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available and `m ≤ SKINNY_NT_MAX_M`. `at` is the
+    /// `k × NR` panel of Aᵀ (lanes `m..NR` zero), `b` is `n × k`, `c` is
+    /// `m × n`; the group calls stay inside those bounds.
+    // SAFETY: the lengths are asserted here; the group reads `at` and `b`
+    // below `k·NR` and `n·k` and writes `c` below `m·n`.
+    pub(super) unsafe fn skinny_nt_avx512(
+        at: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert!(m <= SKINNY_NT_MAX_M);
+        assert_eq!(at.len(), k * NR);
+        assert_eq!(b.len(), n * k);
+        assert_eq!(c.len(), m * n);
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        // Rows past m are the panel's zero lanes: multiplied, never stored.
+        match m {
+            1 => skinny_nt_avx512_rows::<1>(at, b, c, m, k, n),
+            2 => skinny_nt_avx512_rows::<2>(at, b, c, m, k, n),
+            3 | 4 => skinny_nt_avx512_rows::<4>(at, b, c, m, k, n),
+            _ => skinny_nt_avx512_rows::<8>(at, b, c, m, k, n),
+        }
+    }
+
+    /// [`skinny_nt_avx512`] with `R ≥ m` accumulators held in registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`skinny_nt_avx512`], with `m ≤ R ≤ NR`.
+    // SAFETY: B is read at rows `< n`, columns `< k` (the slab tail is a
+    // masked load, which touches no masked-off lane); `at` at `kk·NR + i`,
+    // `kk < k`, `i < R ≤ NR`; C at rows `< m`, columns `< n`.
+    #[target_feature(enable = "avx512f", enable = "fma")]
+    unsafe fn skinny_nt_avx512_rows<const R: usize>(
+        at: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let (ap, bp, cp) = (at.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let mut j0 = 0;
+        while j0 < n {
+            let rows = NR.min(n - j0);
+            let mut kc_lo = 0;
+            while kc_lo < k {
+                let kc_hi = (kc_lo + KC).min(k);
+                let mut acc = [_mm512_setzero_ps(); R];
+                let mut kk = kc_lo;
+                while kk < kc_hi {
+                    let valid = NR.min(kc_hi - kk);
+                    let mask = (1u32 << valid).wrapping_sub(1) as __mmask16;
+                    let mut t = [_mm512_setzero_ps(); NR];
+                    for (r, tr) in t.iter_mut().enumerate() {
+                        let j = if r < rows { j0 + r } else { j0 };
+                        *tr = _mm512_maskz_loadu_ps(mask, bp.add(j * k + kk));
+                    }
+                    transpose16(&mut t);
+                    // Only the slab's own k steps: a padding step would add
+                    // `+0.0` to a chain, which is not the identity on `-0.0`.
+                    for (q, &tq) in t.iter().enumerate().take(valid) {
+                        for (i, acci) in acc.iter_mut().enumerate() {
+                            let av = _mm512_set1_ps(*ap.add((kk + q) * NR + i));
+                            *acci = fm512(tq, av, *acci);
+                        }
+                    }
+                    kk += NR;
+                }
+                for (i, acci) in acc.iter().enumerate().take(m) {
+                    let crow = cp.add(i * n + j0);
+                    if rows == NR {
+                        _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), *acci));
+                    } else {
+                        let mut spill = [0.0f32; NR];
+                        _mm512_storeu_ps(spill.as_mut_ptr(), *acci);
+                        for (r, &v) in spill.iter().enumerate().take(rows) {
+                            *crow.add(r) += v;
+                        }
+                    }
+                }
+                kc_lo += KC;
+            }
+            j0 += NR;
+        }
+    }
+
+    /// In-register transpose of a 16 × 16 f32 block: `t[q]` lane `l`
+    /// becomes the old `t[l]` lane `q`. Interleave 32-bit pairs, then 64-bit
+    /// pairs, then two rounds of 128-bit lane shuffles (64 shuffles in all).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    // SAFETY: intrinsic-only body, no memory access; reached only from
+    // the AVX-512 kernel, which dispatch gates on avx512f support.
+    unsafe fn transpose16(t: &mut [__m512; NR]) {
+        let mut u = [_mm512_setzero_ps(); NR];
+        for i in 0..8 {
+            u[2 * i] = _mm512_unpacklo_ps(t[2 * i], t[2 * i + 1]);
+            u[2 * i + 1] = _mm512_unpackhi_ps(t[2 * i], t[2 * i + 1]);
+        }
+        // v[4g + c], 128-bit lane L: column 4L + c of rows 4g..4g + 4.
+        let mut v = [_mm512_setzero_ps(); NR];
+        for g in 0..4 {
+            let (a, b) = (_mm512_castps_pd(u[4 * g]), _mm512_castps_pd(u[4 * g + 2]));
+            v[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+            v[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+            let (a, b) = (
+                _mm512_castps_pd(u[4 * g + 1]),
+                _mm512_castps_pd(u[4 * g + 3]),
+            );
+            v[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+            v[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+        }
+        for c in 0..4 {
+            // 0x88 keeps lanes 0 and 2 of each operand, 0xDD lanes 1 and 3.
+            let ab_even = _mm512_shuffle_f32x4::<0x88>(v[c], v[4 + c]);
+            let ab_odd = _mm512_shuffle_f32x4::<0xDD>(v[c], v[4 + c]);
+            let cd_even = _mm512_shuffle_f32x4::<0x88>(v[8 + c], v[12 + c]);
+            let cd_odd = _mm512_shuffle_f32x4::<0xDD>(v[8 + c], v[12 + c]);
+            t[c] = _mm512_shuffle_f32x4::<0x88>(ab_even, cd_even);
+            t[4 + c] = _mm512_shuffle_f32x4::<0x88>(ab_odd, cd_odd);
+            t[8 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_even, cd_even);
+            t[12 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_odd, cd_odd);
         }
     }
 

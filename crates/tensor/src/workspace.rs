@@ -188,16 +188,6 @@ impl Workspace {
         buf
     }
 
-    /// Hand out a pair of anonymous buffers (e.g. GEMM packing scratch for
-    /// the A and B operands) with **unspecified contents**. Equivalent to
-    /// two [`Self::alloc`] calls; return both with [`Self::recycle_vec`] so
-    /// the next GEMM in the step reuses them.
-    pub fn alloc2(&mut self, len_a: usize, len_b: usize) -> (Vec<f32>, Vec<f32>) {
-        let a = self.alloc(len_a);
-        let b = self.alloc(len_b);
-        (a, b)
-    }
-
     /// An output tensor of `shape` with **unspecified contents** — the
     /// caller must fully overwrite every element.
     pub fn tensor(&mut self, shape: impl Into<Shape>) -> Tensor {

@@ -37,11 +37,16 @@ echo "=== sanitizers: miri (when installed) + checked release ==="
 # Graceful inside: skips Miri when the nightly component is absent.
 scripts/sanitizers.sh --quick
 
-echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar ==="
+echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
 # Exercises the FCA_GEMM_KERNEL escape hatch and proves the portable
 # fallback passes the same suite the explicit-SIMD arms do (the conv oracle
-# sweep included: every conv product runs on the dispatched engine).
+# sweep included: every conv product runs on the dispatched engine). The
+# same two passes as scripts/offline_verify.sh, so the paths that bypass the
+# packed engine are held to its bits under every arm whichever branch runs.
 FCA_GEMM_KERNEL=scalar cargo test -q --release -p fca-tensor -p fca-nn
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    FCA_GEMM_KERNEL=avx2_fma cargo test -q --release -p fca-tensor -p fca-nn
+fi
 
 echo "=== fault tolerance: wire fuzz + fault injection in release ==="
 cargo test -q --release --test fault_tolerance

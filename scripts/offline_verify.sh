@@ -20,9 +20,11 @@ echo "=== unit tests against the stand-ins (release: the arithmetic that ships) 
 cargo test --offline --release -p fca-trace -p fca-tensor -p fca-nn -p fca-data -p fca-models -p fedclassavg
 
 echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
-# The conv paths that bypass the engine (padded-plane packs, the depthwise
-# stencil) are held to the engine's bits by fca-nn's oracle sweep; these
-# passes run that sweep, and everything else, with each arm as the engine.
+# The paths that bypass the packed engine (the skinny products, conv's
+# padded-plane packs, the depthwise stencil) are held to the engine's bits by
+# fca-tensor's and fca-nn's oracle sweeps; these passes run those sweeps, and
+# everything else, with each arm as the engine. scripts/ci.sh's registry
+# branch runs the same two.
 FCA_GEMM_KERNEL=scalar cargo test --offline --release -p fca-tensor -p fca-nn
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
     FCA_GEMM_KERNEL=avx2_fma cargo test --offline --release -p fca-tensor -p fca-nn
