@@ -262,16 +262,28 @@ fn render(events: &[Event]) {
     // Per-round wall time, traffic, and fault/staleness counters.
     println!("\n== rounds ==");
     println!(
-        "{:>6} {:>12} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
-        "round", "dur ms", "down bytes", "up bytes", "dropped", "corrupt", "stale", "expired"
+        "{:>6} {:>12} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
+        "round",
+        "dur ms",
+        "down bytes",
+        "up bytes",
+        "down physical",
+        "up physical",
+        "dropped",
+        "corrupt",
+        "stale",
+        "expired"
     );
     let (mut down, mut up) = (0u64, 0u64);
+    let (mut down_physical, mut up_physical) = (0u64, 0u64);
     for ev in events {
         if let Event::Round {
             round,
             dur_us,
             downlink_bytes,
             uplink_bytes,
+            downlink_physical_bytes,
+            uplink_physical_bytes,
             dropped,
             corrupt,
             stale,
@@ -280,12 +292,16 @@ fn render(events: &[Event]) {
         {
             down += downlink_bytes;
             up += uplink_bytes;
+            down_physical += downlink_physical_bytes;
+            up_physical += uplink_physical_bytes;
             println!(
-                "{:>6} {:>12} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
+                "{:>6} {:>12} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
                 round,
                 fmt_ms(*dur_us),
                 downlink_bytes,
                 uplink_bytes,
+                downlink_physical_bytes,
+                uplink_physical_bytes,
                 dropped,
                 corrupt,
                 stale,
@@ -295,7 +311,8 @@ fn render(events: &[Event]) {
     }
     if let Some(Event::RunEnd { rounds, wall_us }) = events.last() {
         println!(
-            "\ntotal: {rounds} rounds, {} ms wall, {down} B down / {up} B up",
+            "\ntotal: {rounds} rounds, {} ms wall, {down} B down / {up} B up paid for, \
+             {down_physical} B down / {up_physical} B up written",
             fmt_ms(*wall_us)
         );
     }

@@ -1,8 +1,9 @@
 //! FedAvg (McMahan et al. 2017) and FedProx (Li et al. 2020) — the
 //! homogeneous full-weight-sharing baselines of Table 3.
 
-use super::{contribution_weights, Algorithm};
+use super::{average_full_models, Algorithm};
 use crate::checkpoint::{expect_empty, put_tensor_list, take_tensor_list};
+use crate::client::{Client, LocalStats};
 use crate::comm::{Collected, Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
@@ -31,44 +32,36 @@ impl FedAvg {
         &self.global_state
     }
 
-    /// Send the global state to every sampled client. The message is built
-    /// once for the round; each send encodes it for its own client.
+    /// Send the global state to every sampled client: one message, encoded
+    /// once.
     fn broadcast(&self, sampled: &[usize], net: &Network) {
-        let msg = WireMessage::FullModel(self.global_state.clone());
-        for &k in sampled {
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &msg);
-        }
+        // A closed endpoint is an offline client; the count-driven
+        // collect already tolerates the missing reply.
+        let _ = net.broadcast(sampled, &WireMessage::FullModel(self.global_state.clone()));
     }
 
-    /// Weighted-average the `FullModel` replies into the global state.
-    /// Wrong-variant replies count as corrupt and are skipped; weights
-    /// renormalize over the survivors, with buffered late arrivals decayed
-    /// by their staleness. Zero usable replies leave the previous global
-    /// standing.
-    fn aggregate(&mut self, fleet: &Fleet, collected: &Collected) {
-        let states: Vec<(usize, usize, &Vec<Tensor>)> = collected
-            .replies
-            .iter()
-            .zip(&collected.staleness)
-            .filter_map(|((k, msg), &s)| match msg {
-                WireMessage::FullModel(state) => Some((*k, s, state)),
-                _ => None,
-            })
-            .collect();
-        let Some(((_, _, first), rest)) = states.split_first() else {
-            return;
-        };
-        let contributors: Vec<(usize, usize)> = states.iter().map(|&(k, s, _)| (k, s)).collect();
-        let weights = contribution_weights(fleet, &contributors);
-        let mut acc: Vec<Tensor> = first.iter().map(|t| t.scaled(weights[0])).collect();
-        for ((_, _, state), &w) in rest.iter().zip(&weights[1..]) {
-            for (ai, ti) in acc.iter_mut().zip(state.iter()) {
-                ai.axpy(w, ti);
-            }
+    /// A sampled client's turn: read the global state into the model,
+    /// `train`, upload the model's state. A client that was sent nothing,
+    /// or a frame its model refuses, sits the round out unchanged.
+    pub(crate) fn client_turn(
+        c: &mut Client,
+        net: &Network,
+        train: impl FnOnce(&mut Client) -> LocalStats,
+    ) {
+        if !net.client_recv_full_model_into(c.id, &mut c.model) {
+            return; // offline this round
         }
-        self.global_state = acc;
+        train(c);
+        let _ = net.send_full_model(c.id, &mut c.model);
+    }
+
+    /// Weighted-average the `FullModel` replies into the global state
+    /// ([`average_full_models`]). Zero usable replies leave the previous
+    /// global standing.
+    fn aggregate(&mut self, fleet: &Fleet, collected: Collected) {
+        if let Some(state) = average_full_models(fleet, collected) {
+            self.global_state = state;
+        }
     }
 }
 
@@ -90,12 +83,7 @@ impl Algorithm for FedAvg {
         fca_trace::phase(PhaseId::Broadcast, span);
         let span = fca_trace::clock();
         fleet.for_sampled_parallel(sampled, |c| {
-            let Some(WireMessage::FullModel(state)) = net.client_recv(c.id) else {
-                return; // offline this round
-            };
-            c.model.load_full_state(&state);
-            c.local_update_supervised(hp.local_epochs, hp);
-            let _ = net.send_to_server(c.id, &WireMessage::FullModel(c.model.full_state()));
+            Self::client_turn(c, net, |c| c.local_update_supervised(hp.local_epochs, hp));
         });
         fca_trace::phase(PhaseId::LocalTrain, span);
         let span = fca_trace::clock();
@@ -105,7 +93,7 @@ impl Algorithm for FedAvg {
             return; // zero survivors: the previous global stands
         }
         let span = fca_trace::clock();
-        self.aggregate(fleet, &collected);
+        self.aggregate(fleet, collected);
         fca_trace::phase(PhaseId::Aggregate, span);
     }
 
@@ -176,20 +164,17 @@ impl Algorithm for FedProx {
         let mu = self.mu;
         let span = fca_trace::clock();
         fleet.for_sampled_parallel(sampled, |c| {
-            let Some(WireMessage::FullModel(state)) = net.client_recv(c.id) else {
-                return; // offline this round
-            };
-            c.model.load_full_state(&state);
-            // Snapshot the just-loaded global parameters in params_mut
-            // order so the proximal pull aligns exactly.
-            let snapshot: Vec<Tensor> = c
-                .model
-                .params_mut()
-                .iter()
-                .map(|p| p.value.clone())
-                .collect();
-            c.local_update_fedprox(&snapshot, mu, hp);
-            let _ = net.send_to_server(c.id, &WireMessage::FullModel(c.model.full_state()));
+            FedAvg::client_turn(c, net, |c| {
+                // Snapshot the just-loaded global parameters in params_mut
+                // order so the proximal pull aligns exactly.
+                let snapshot: Vec<Tensor> = c
+                    .model
+                    .params_mut()
+                    .iter()
+                    .map(|p| p.value.clone())
+                    .collect();
+                c.local_update_fedprox(&snapshot, mu, hp)
+            });
         });
         fca_trace::phase(PhaseId::LocalTrain, span);
         let span = fca_trace::clock();
@@ -199,7 +184,7 @@ impl Algorithm for FedProx {
             return; // zero survivors: the previous global stands
         }
         let span = fca_trace::clock();
-        self.inner.aggregate(fleet, &collected);
+        self.inner.aggregate(fleet, collected);
         fca_trace::phase(PhaseId::Aggregate, span);
     }
 
@@ -290,6 +275,33 @@ mod tests {
             assert_eq!(a, b, "global moved despite zero survivors");
         }
         assert_eq!(net.take_round_faults(), (2, 0));
+    }
+
+    #[test]
+    fn a_global_of_another_shape_is_a_lost_downlink_not_a_panic() {
+        use crate::comm::Network;
+        use std::time::Duration;
+        let hp = HyperParams::micro_default();
+        let (mut fleet, _) = tiny_fleet_homogeneous_hp(2, 726, hp);
+        let before: Vec<Vec<Tensor>> = (0..2)
+            .map(|k| fleet.client_mut(k).model.full_state())
+            .collect();
+        // Well-formed on the wire, wrong for every client: a tensor short,
+        // and the first weight flattened.
+        let mut foreign = before[0].clone();
+        foreign.pop();
+        foreign[0] = Tensor::zeros([foreign[0].numel()]);
+        let mut algo = FedAvg::new(foreign.clone());
+        // The clients refuse the frame and upload nothing; the collect's
+        // safety net is all that ends the round.
+        let net = Network::new(2).with_collect_budget(Duration::from_millis(50));
+        algo.round(1, &mut fleet, &[0, 1], &net, &hp);
+        assert_eq!(net.stats().uplink_bytes(), 0);
+        assert_eq!(net.take_round_faults(), (2, 0));
+        assert_eq!(algo.global_state(), &foreign[..]);
+        for (k, state) in before.iter().enumerate() {
+            assert_eq!(&fleet.client_mut(k).model.full_state(), state);
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * `share_full_weights` reproduces the homogeneous "+weight" rows of
 //!   Table 3 (all weights averaged, proximal still classifier-only).
 
-use super::{contribution_weights, Algorithm};
+use super::{average_full_models, contribution_weights, Algorithm, FedAvg};
 use crate::checkpoint::{
     expect_empty, put_tensor, put_tensor_list, take_tensor, take_tensor_list, take_u8,
 };
-use crate::client::LocalObjective;
+use crate::client::{Client, LocalObjective};
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
@@ -117,7 +117,50 @@ impl FedClassAvg {
         &self.global
     }
 
-    fn objective_for(&self, hp: &HyperParams) -> LocalObjective {
+    /// A sampled client's turn: take the round's broadcast, train on it,
+    /// upload. A client that was sent nothing, or something it cannot use,
+    /// sits the round out unchanged.
+    pub(crate) fn client_turn(
+        c: &mut Client,
+        net: &Network,
+        hp: &HyperParams,
+        obj: LocalObjective,
+        share_full: bool,
+    ) {
+        if share_full {
+            // The full state goes from the frame into the model and back;
+            // the classifier it just loaded is the round's global one.
+            FedAvg::client_turn(c, net, |c| {
+                let global_cls = c.model.classifier.weights();
+                c.local_update_fedclassavg(Some(&global_cls), hp, obj)
+            });
+            return;
+        }
+        let Some(msg) = net.client_recv(c.id) else {
+            return;
+        };
+        match msg {
+            WireMessage::Classifier(global) => {
+                c.model.classifier.set_weights(&global);
+                c.local_update_fedclassavg(Some(&global), hp, obj);
+                let _ = net
+                    .send_to_server(c.id, &WireMessage::Classifier(c.model.classifier.weights()));
+            }
+            WireMessage::ClassifierF16(global) => {
+                c.model.classifier.set_weights(&global);
+                c.local_update_fedclassavg(Some(&global), hp, obj);
+                let _ = net.send_to_server(
+                    c.id,
+                    &WireMessage::ClassifierF16(c.model.classifier.weights()),
+                );
+            }
+            // A broadcast that decoded to an unexpected variant is
+            // treated like a lost broadcast: sit the round out.
+            _ => {}
+        }
+    }
+
+    pub(crate) fn objective_for(&self, hp: &HyperParams) -> LocalObjective {
         LocalObjective {
             contrastive: self.objective.contrastive,
             rho: if self.objective.rho.is_nan() {
@@ -151,74 +194,31 @@ impl Algorithm for FedClassAvg {
     ) {
         let obj = self.objective_for(hp);
 
-        // Broadcast.
+        // Broadcast: one message for the round, encoded once.
         let span = fca_trace::clock();
-        for &k in sampled {
-            let msg = if self.share_full_weights {
-                WireMessage::FullModel(
-                    self.global_state
-                        .as_ref()
-                        // fca-lint: allow(P1, reason = "invariant set by the only constructor that enables share_full_weights; never reachable from wire input")
-                        .expect("+weight state initialized")
-                        .clone(),
-                )
-            } else if self.half_precision {
-                WireMessage::ClassifierF16(self.global.clone())
-            } else {
-                WireMessage::Classifier(self.global.clone())
-            };
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &msg);
-        }
+        let msg = if self.share_full_weights {
+            WireMessage::FullModel(
+                self.global_state
+                    .as_ref()
+                    // fca-lint: allow(P1, reason = "invariant set by the only constructor that enables share_full_weights; never reachable from wire input")
+                    .expect("+weight state initialized")
+                    .clone(),
+            )
+        } else if self.half_precision {
+            WireMessage::ClassifierF16(self.global.clone())
+        } else {
+            WireMessage::Classifier(self.global.clone())
+        };
+        // A closed endpoint is an offline client; the count-driven
+        // collect already tolerates the missing reply.
+        let _ = net.broadcast(sampled, &msg);
         fca_trace::phase(PhaseId::Broadcast, span);
 
         // Local updates (parallel). Offline clients received nothing and
         // sit the round out.
         let share_full = self.share_full_weights;
         let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
-            let Some(msg) = net.client_recv(c.id) else {
-                return;
-            };
-            match msg {
-                WireMessage::Classifier(global) => {
-                    c.model.classifier.set_weights(&global);
-                    c.local_update_fedclassavg(Some(&global), hp, obj);
-                    let _ = net.send_to_server(
-                        c.id,
-                        &WireMessage::Classifier(c.model.classifier.weights()),
-                    );
-                }
-                WireMessage::ClassifierF16(global) => {
-                    c.model.classifier.set_weights(&global);
-                    c.local_update_fedclassavg(Some(&global), hp, obj);
-                    let _ = net.send_to_server(
-                        c.id,
-                        &WireMessage::ClassifierF16(c.model.classifier.weights()),
-                    );
-                }
-                WireMessage::FullModel(state) => {
-                    debug_assert!(share_full);
-                    // A wire-borne state too short to contain the
-                    // classifier is a corrupt broadcast: sit the round
-                    // out like a lost one instead of panicking.
-                    let [.., weight, bias] = &state[..] else {
-                        return;
-                    };
-                    let global_cls = ClassifierWeights {
-                        weight: weight.clone(),
-                        bias: bias.clone(),
-                    };
-                    c.model.load_full_state(&state);
-                    c.local_update_fedclassavg(Some(&global_cls), hp, obj);
-                    let _ = net.send_to_server(c.id, &WireMessage::FullModel(c.model.full_state()));
-                }
-                // A broadcast that decoded to an unexpected variant is
-                // treated like a lost broadcast: sit the round out.
-                _ => {}
-            }
-        });
+        fleet.for_sampled_parallel(sampled, |c| Self::client_turn(c, net, hp, obj, share_full));
         fca_trace::phase(PhaseId::LocalTrain, span);
 
         // Aggregate (Eq. 3) over whatever survived the round — fresh
@@ -239,37 +239,15 @@ impl Algorithm for FedClassAvg {
         // weights renormalize over the survivors. Zero usable replies
         // leave the previous global standing.
         if self.share_full_weights {
-            let states: Vec<(usize, usize, &Vec<Tensor>)> = collected
-                .replies
-                .iter()
-                .zip(&collected.staleness)
-                .filter_map(|((k, msg), &s)| match msg {
-                    WireMessage::FullModel(state) => Some((*k, s, state)),
-                    _ => None,
-                })
-                .collect();
-            if let Some(((_, _, first), rest)) = states.split_first() {
-                let contributors: Vec<(usize, usize)> =
-                    states.iter().map(|&(k, s, _)| (k, s)).collect();
-                let weights = contribution_weights(fleet, &contributors);
-                let mut acc: Vec<Tensor> = first.iter().map(|t| t.scaled(weights[0])).collect();
-                for ((_, _, state), &w) in rest.iter().zip(&weights[1..]) {
-                    for (ai, ti) in acc.iter_mut().zip(state.iter()) {
-                        ai.axpy(w, ti);
-                    }
-                }
-                // A corrupt short reply can seed the accumulator with
-                // fewer tensors than the classifier needs; keep the
-                // previous global standing, like a zero-survivor round.
-                let cls = match &acc[..] {
-                    [.., weight, bias] => Some(ClassifierWeights {
+            // A corrupt short reply can seed the average with fewer
+            // tensors than the classifier needs; keep the previous global
+            // standing, like a zero-survivor round.
+            if let Some(acc) = average_full_models(fleet, collected) {
+                if let [.., weight, bias] = &acc[..] {
+                    self.global = ClassifierWeights {
                         weight: weight.clone(),
                         bias: bias.clone(),
-                    }),
-                    _ => None,
-                };
-                if let Some(cls) = cls {
-                    self.global = cls;
+                    };
                     self.global_state = Some(acc);
                 }
             }

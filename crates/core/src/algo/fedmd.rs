@@ -70,11 +70,9 @@ impl Algorithm for FedMd {
     ) {
         // Phase A: broadcast public data, local training, soft predictions.
         let span = fca_trace::clock();
-        for &k in sampled {
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &WireMessage::PublicData(self.public.clone()));
-        }
+        // A closed endpoint is an offline client; the count-driven
+        // collect already tolerates the missing reply.
+        let _ = net.broadcast(sampled, &WireMessage::PublicData(self.public.clone()));
         fca_trace::phase(PhaseId::Broadcast, span);
         let temp = self.temperature;
         let local_epochs = self.local_epochs;
@@ -120,9 +118,7 @@ impl Algorithm for FedMd {
         // Phase B: every reachable client distills toward the consensus
         // (stragglers and corrupt uplinks still trained and may distill;
         // offline clients get nothing).
-        for &k in sampled {
-            let _ = net.send_to_client(k, &WireMessage::SoftTargets(consensus.clone()));
-        }
+        let _ = net.broadcast(sampled, &WireMessage::SoftTargets(consensus));
         fca_trace::phase(PhaseId::Aggregate, span);
         let (steps, batch) = (self.distill_steps, self.distill_batch);
         let public = self.public.clone();

@@ -52,11 +52,12 @@ impl Algorithm for FedProto {
         hp: &HyperParams,
     ) {
         let span = fca_trace::clock();
-        for &k in sampled {
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &WireMessage::Prototypes(self.global_protos.clone()));
-        }
+        // A closed endpoint is an offline client; the count-driven
+        // collect already tolerates the missing reply.
+        let _ = net.broadcast(
+            sampled,
+            &WireMessage::Prototypes(self.global_protos.clone()),
+        );
         fca_trace::phase(PhaseId::Broadcast, span);
         let lambda = self.lambda;
         let span = fca_trace::clock();

@@ -173,11 +173,9 @@ impl Algorithm for KtPfl {
         // Phase A: broadcast public data (the payload Table 5 prices),
         // train locally, upload temperature-softened predictions.
         let span = fca_trace::clock();
-        for &k in sampled {
-            // A closed endpoint is an offline client; the count-driven
-            // collect already tolerates the missing reply.
-            let _ = net.send_to_client(k, &WireMessage::PublicData(self.public.clone()));
-        }
+        // A closed endpoint is an offline client; the count-driven
+        // collect already tolerates the missing reply.
+        let _ = net.broadcast(sampled, &WireMessage::PublicData(self.public.clone()));
         fca_trace::phase(PhaseId::Broadcast, span);
         let temp = self.temperature;
         let local_epochs = self.local_epochs;
@@ -384,13 +382,12 @@ impl Algorithm for KtPflWeight {
             if !net.client_online(c.id) {
                 return; // offline this round
             }
-            // Round 0 legitimately broadcasts nothing; clients then start
-            // from their own weights.
-            if let Some(WireMessage::FullModel(state)) = net.client_recv(c.id) {
-                c.model.load_full_state(&state);
-            }
+            // Round 0 legitimately broadcasts nothing, and a mixture the
+            // model refuses changes nothing: either way the client starts
+            // from its own weights.
+            let _ = net.client_recv_full_model_into(c.id, &mut c.model);
             c.local_update_supervised(local_epochs, hp);
-            let _ = net.send_to_server(c.id, &WireMessage::FullModel(c.model.full_state()));
+            let _ = net.send_full_model(c.id, &mut c.model);
         });
         fca_trace::phase(PhaseId::LocalTrain, span);
         let span = fca_trace::clock();

@@ -18,10 +18,11 @@ pub use fedproto::FedProto;
 pub use ktpfl::{KtPfl, KtPflWeight};
 pub use local::LocalOnly;
 
-use crate::comm::Network;
+use crate::comm::{Collected, Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
 use fca_tensor::serialize::WireError;
+use fca_tensor::Tensor;
 
 /// A federated-learning algorithm: server state + one synchronous round.
 pub trait Algorithm: Send {
@@ -111,4 +112,35 @@ pub(crate) fn contribution_weights(fleet: &Fleet, contributors: &[(usize, usize)
     let total: f32 = raw.iter().sum();
     assert!(total > 0.0, "contributing clients have zero total weight");
     raw.into_iter().map(|w| w / total).collect()
+}
+
+/// The [`contribution_weights`]-weighted average of a collection's
+/// `FullModel` replies, folded into the first reply's own tensors: it is
+/// scaled where it lies and the others are added onto it. Wrong-variant
+/// replies count as corrupt and are skipped, the weights renormalizing
+/// over the rest; `None` when no reply is usable.
+pub(crate) fn average_full_models(fleet: &Fleet, collected: Collected) -> Option<Vec<Tensor>> {
+    let states: Vec<(usize, usize, Vec<Tensor>)> = collected
+        .replies
+        .into_iter()
+        .zip(collected.staleness)
+        .filter_map(|((k, msg), s)| match msg {
+            WireMessage::FullModel(state) => Some((k, s, state)),
+            _ => None,
+        })
+        .collect();
+    if states.is_empty() {
+        return None;
+    }
+    let contributors: Vec<(usize, usize)> = states.iter().map(|&(k, s, _)| (k, s)).collect();
+    let weights = contribution_weights(fleet, &contributors);
+    let mut weighted = states.into_iter().map(|(_, _, state)| state).zip(weights);
+    let (mut acc, w) = weighted.next()?;
+    acc.iter_mut().for_each(|t| t.scale(w));
+    for (state, w) in weighted {
+        for (ai, ti) in acc.iter_mut().zip(&state) {
+            ai.axpy(w, ti);
+        }
+    }
+    Some(acc)
 }

@@ -46,12 +46,15 @@ use fca_tensor::Tensor;
 const MAGIC: [u8; 4] = *b"FCKP";
 /// Format version; bump on any layout change. v2 added the staleness
 /// counters (per-point and cumulative) and the buffered-aggregation
-/// straggler buffer to the encoded [`RunState`].
-const VERSION: u16 = 2;
+/// straggler buffer to the encoded [`RunState`]; v3 added the logical and
+/// physical byte tallies, per point and pending.
+const VERSION: u16 = 3;
 /// Cap on the algorithm-name field (corruption guard).
 const MAX_NAME_LEN: usize = 256;
-/// Bytes per encoded curve point (2×u64 + 2×f32 + 4×u64).
-const CURVE_POINT_LEN: usize = 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8;
+/// Bytes per encoded curve point (2×u64 + 2×f32 + 6×u64).
+const CURVE_POINT_LEN: usize = 8 + 8 + 4 + 4 + 8 * 6;
+/// Bytes of a [`RunState`]'s fixed fields: 14×u64 and the curve length.
+const RUN_STATE_FIXED_LEN: usize = 8 * 14 + 4;
 /// Minimum bytes per encoded straggler-buffer entry (3×u64 key + u32 len).
 const BUFFER_ENTRY_MIN_LEN: usize = 8 + 8 + 8 + 4;
 
@@ -175,7 +178,7 @@ impl Checkpoint {
             .iter()
             .map(|c| c.blob.as_ref().map(|b| b.len()));
         (4 + 2 + 8 + 4 + 4 + self.algo_name.len())
-            + (8 * 12 + 4 + CURVE_POINT_LEN * self.state.curve.len())
+            + (RUN_STATE_FIXED_LEN + CURVE_POINT_LEN * self.state.curve.len())
             + (4 + BUFFER_ENTRY_MIN_LEN * self.state.buffer.len() + buffered)
             + opt_len(self.algo_blob.as_ref().map(Vec::len))
             + blobs.map(|b| 4 + opt_len(b)).sum::<usize>()
@@ -279,6 +282,8 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
     buf.put_u64_le(s.point_corrupt);
     buf.put_u64_le(s.point_stale);
     buf.put_u64_le(s.point_expired);
+    buf.put_u64_le(s.point_logical_bytes);
+    buf.put_u64_le(s.point_physical_bytes);
     buf.put_u64_le(s.total_dropped);
     buf.put_u64_le(s.total_corrupt);
     buf.put_u64_le(s.total_stale);
@@ -295,6 +300,8 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
         buf.put_u64_le(p.corrupt);
         buf.put_u64_le(p.stale);
         buf.put_u64_le(p.expired);
+        buf.put_u64_le(p.logical_bytes);
+        buf.put_u64_le(p.physical_bytes);
     }
     buf.put_u32_le(checked_u32(s.buffer.len(), "buffer count exceeds u32")?);
     for (ready, origin, client, bytes) in &s.buffer {
@@ -308,13 +315,15 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
 }
 
 fn decode_run_state(buf: &mut &[u8]) -> Result<RunState, WireError> {
-    need(buf, 8 * 12 + 4)?;
+    need(buf, RUN_STATE_FIXED_LEN)?;
     let next_round = buf.get_u64_le() as usize;
     let epochs = buf.get_u64_le() as usize;
     let point_dropped = buf.get_u64_le();
     let point_corrupt = buf.get_u64_le();
     let point_stale = buf.get_u64_le();
     let point_expired = buf.get_u64_le();
+    let point_logical_bytes = buf.get_u64_le();
+    let point_physical_bytes = buf.get_u64_le();
     let total_dropped = buf.get_u64_le();
     let total_corrupt = buf.get_u64_le();
     let total_stale = buf.get_u64_le();
@@ -341,6 +350,8 @@ fn decode_run_state(buf: &mut &[u8]) -> Result<RunState, WireError> {
             corrupt: buf.get_u64_le(),
             stale: buf.get_u64_le(),
             expired: buf.get_u64_le(),
+            logical_bytes: buf.get_u64_le(),
+            physical_bytes: buf.get_u64_le(),
         });
     }
     need(buf, 4)?;
@@ -370,6 +381,8 @@ fn decode_run_state(buf: &mut &[u8]) -> Result<RunState, WireError> {
         point_corrupt,
         point_stale,
         point_expired,
+        point_logical_bytes,
+        point_physical_bytes,
         total_dropped,
         total_corrupt,
         total_stale,
@@ -520,10 +533,7 @@ mod tests {
                         epochs: 0,
                         mean_acc: 0.25,
                         std_acc: 0.01,
-                        dropped: 0,
-                        corrupt: 0,
-                        stale: 0,
-                        expired: 0,
+                        ..RoundMetrics::default()
                     },
                     RoundMetrics {
                         round: 4,
@@ -534,12 +544,16 @@ mod tests {
                         corrupt: 1,
                         stale: 3,
                         expired: 1,
+                        logical_bytes: 44_800,
+                        physical_bytes: 23_744,
                     },
                 ],
                 point_dropped: 0,
                 point_corrupt: 0,
                 point_stale: 1,
                 point_expired: 0,
+                point_logical_bytes: 11_200,
+                point_physical_bytes: 5_936,
                 total_dropped: 2,
                 total_corrupt: 1,
                 total_stale: 3,

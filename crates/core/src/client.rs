@@ -158,12 +158,7 @@ impl Client {
         }
         let slots = self.optimizer.slots();
         let n_rngs = self.model.rng_slots().len();
-        let (mut n_state, mut state_len) = (0, 0);
-        self.model.try_for_each_state(|t| {
-            n_state += 1;
-            state_len += encoded_len(t);
-            Ok::<(), WireError>(())
-        })?;
+        let (n_state, state_len) = self.model.state_extent();
         let slots_len: usize = slots.iter().map(|t| encoded_len(t)).sum();
         let len = 1 + 4 + 8 + 4 + slots_len + RNG_LEN + 4 + n_rngs * RNG_LEN + 4 + state_len;
 

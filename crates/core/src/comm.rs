@@ -15,15 +15,33 @@
 //! actually arrived instead of blocking on the missing replies. Faults
 //! are injected *above* the transport — a dropped frame is never handed
 //! to it — so the same seed produces the same round on every backend.
+//!
+//! A frame is built once, where it is written from. A downlink with many
+//! recipients is one [`Network::broadcast`]: encoded once, tallied and
+//! fated per client, and handed to the transport as one shared buffer. An
+//! uplink is encoded by the transport's own writer
+//! ([`Transport::send_to_server_with`]) — on a socket, into the
+//! connection's write buffer. And a full model never exists as a
+//! `Vec<Tensor>` on the client side of the wire:
+//! [`Network::client_recv_full_model_into`] checks a frame whole against
+//! the model's own shapes and then reads it into the tensors where they
+//! live, [`Network::send_full_model`] encodes from them.
+//!
+//! [`CommStats`] keeps two tallies. The *logical* one is Table 5's: every
+//! message a sender paid for, at its encoded size, per client — whatever
+//! became of it. The *physical* one is what the transport's writes were
+//! handed, framing included: a broadcast over one socket counts once, a
+//! dropped or straggling message not at all.
 
 use crate::config::Aggregation;
 use crate::transport::{ChannelTransport, Transport};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fca_models::classifier::ClassifierWeights;
+use fca_models::ClientModel;
 use fca_tensor::rng::derived_rng;
 use fca_tensor::serialize::{
-    decode_tensor, decode_tensor_f16, encode_tensor, encode_tensor_f16, encoded_len,
-    encoded_len_f16, WireError,
+    decode_tensor, decode_tensor_f16, decode_tensor_into, encode_tensor, encode_tensor_f16,
+    encoded_len, encoded_len_f16, skip_tensor_like, WireError,
 };
 use fca_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -66,6 +84,9 @@ const TAG_SOFT_TARGET: u8 = 5;
 const TAG_PUBLIC_DATA: u8 = 6;
 const TAG_CLASSIFIER_F16: u8 = 7;
 
+/// `u8 tag | u32 tensor count`, in front of every message's tensors.
+const MESSAGE_HEADER_LEN: usize = 1 + 4;
+
 impl WireMessage {
     /// Encode to the wire format: `tag | u32 count | tensors…`.
     ///
@@ -77,18 +98,24 @@ impl WireMessage {
     /// message carries more than `u32::MAX` tensors.
     pub fn encode(&self) -> Result<Bytes, WireError> {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf)?;
+        Ok(buf.freeze())
+    }
+
+    /// [`WireMessage::encode`], appended to a buffer the caller owns.
+    pub fn encode_into<B: BufMut>(&self, buf: &mut B) -> Result<(), WireError> {
         match self {
             WireMessage::Classifier(w) => {
                 buf.put_u8(TAG_CLASSIFIER);
                 buf.put_u32_le(2);
-                encode_tensor(&w.weight, &mut buf)?;
-                encode_tensor(&w.bias, &mut buf)?;
+                encode_tensor(&w.weight, buf)?;
+                encode_tensor(&w.bias, buf)?;
             }
             WireMessage::FullModel(state) => {
                 buf.put_u8(TAG_FULL_MODEL);
                 buf.put_u32_le(checked_count(state.len())?);
                 for t in state {
-                    encode_tensor(t, &mut buf)?;
+                    encode_tensor(t, buf)?;
                 }
             }
             WireMessage::Prototypes(protos) => {
@@ -96,32 +123,32 @@ impl WireMessage {
                 buf.put_u32_le(checked_count(protos.len())?);
                 let empty = Tensor::zeros([0]);
                 for p in protos {
-                    encode_tensor(p.as_ref().unwrap_or(&empty), &mut buf)?;
+                    encode_tensor(p.as_ref().unwrap_or(&empty), buf)?;
                 }
             }
             WireMessage::SoftPredictions(t) => {
                 buf.put_u8(TAG_SOFT_PRED);
                 buf.put_u32_le(1);
-                encode_tensor(t, &mut buf)?;
+                encode_tensor(t, buf)?;
             }
             WireMessage::SoftTargets(t) => {
                 buf.put_u8(TAG_SOFT_TARGET);
                 buf.put_u32_le(1);
-                encode_tensor(t, &mut buf)?;
+                encode_tensor(t, buf)?;
             }
             WireMessage::PublicData(t) => {
                 buf.put_u8(TAG_PUBLIC_DATA);
                 buf.put_u32_le(1);
-                encode_tensor(t, &mut buf)?;
+                encode_tensor(t, buf)?;
             }
             WireMessage::ClassifierF16(w) => {
                 buf.put_u8(TAG_CLASSIFIER_F16);
                 buf.put_u32_le(2);
-                encode_tensor_f16(&w.weight, &mut buf)?;
-                encode_tensor_f16(&w.bias, &mut buf)?;
+                encode_tensor_f16(&w.weight, buf)?;
+                encode_tensor_f16(&w.bias, buf)?;
             }
         }
-        Ok(buf.freeze())
+        Ok(())
     }
 
     /// Exact encoded size in bytes.
@@ -141,7 +168,7 @@ impl WireMessage {
             | WireMessage::PublicData(t) => encoded_len(t),
             WireMessage::ClassifierF16(w) => encoded_len_f16(&w.weight) + encoded_len_f16(&w.bias),
         };
-        1 + 4 + body
+        MESSAGE_HEADER_LEN + body
     }
 
     /// Decode from the wire. `buf` must hold exactly one message.
@@ -154,7 +181,7 @@ impl WireMessage {
     /// disagreement between frame and message boundaries means the stream
     /// is desynchronized or the peer is smuggling data.
     pub fn decode(mut buf: Bytes) -> Result<WireMessage, WireError> {
-        if buf.remaining() < 5 {
+        if buf.remaining() < MESSAGE_HEADER_LEN {
             return Err(WireError::Truncated);
         }
         let tag = buf.get_u8();
@@ -224,6 +251,58 @@ impl WireMessage {
 /// framed.
 fn checked_count(n: usize) -> Result<u32, WireError> {
     u32::try_from(n).map_err(|_| WireError::Unencodable("tensor count exceeds u32"))
+}
+
+/// The `FullModel` message of a model's state, between the wire and the
+/// tensors themselves: the same bytes as
+/// `WireMessage::FullModel(model.full_state())`, with no `Vec<Tensor>`
+/// in between.
+impl WireMessage {
+    /// Append `model`'s state as a `FullModel` message, each tensor
+    /// encoded from where it lives.
+    pub fn encode_full_model<B: BufMut>(
+        model: &mut ClientModel,
+        buf: &mut B,
+    ) -> Result<(), WireError> {
+        buf.put_u8(TAG_FULL_MODEL);
+        buf.put_u32_le(checked_count(model.state_extent().0)?);
+        model.try_for_each_state(|t| encode_tensor(t, buf))
+    }
+
+    /// Read a `FullModel` message into `model`'s own tensors. The frame is
+    /// walked whole first — tag, tensor count, every tensor header against
+    /// the shape of the tensor it would fill, the total length, trailing
+    /// bytes — so a frame for another architecture, a short one or a long
+    /// one is an `Err` that leaves every bit of `model` as it was.
+    pub fn decode_full_model_into(frame: &[u8], model: &mut ClientModel) -> Result<(), WireError> {
+        let mut head = frame;
+        if head.remaining() < MESSAGE_HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        if head.get_u8() != TAG_FULL_MODEL {
+            return Err(WireError::Malformed("expected a full-model message"));
+        }
+        let count = head.get_u32_le() as usize;
+        let mut walk = head;
+        let mut expected = 0usize;
+        model.try_for_each_state(|t| {
+            expected += 1;
+            skip_tensor_like(&mut walk, t)
+        })?;
+        if count != expected {
+            return Err(WireError::CountMismatch {
+                expected,
+                got: count,
+            });
+        }
+        if walk.has_remaining() {
+            return Err(WireError::TrailingBytes {
+                extra: walk.remaining(),
+            });
+        }
+        let mut body = head;
+        model.try_for_each_state(|t| decode_tensor_into(&mut body, t))
+    }
 }
 
 // --------------------------------------------------------------------
@@ -397,23 +476,40 @@ impl Collected {
     }
 }
 
-/// Cumulative traffic statistics (bytes observed on the simulated wire).
+/// Cumulative traffic statistics: the logical tally of what senders paid
+/// for (Table 5's unit) and the physical tally of what the transport's
+/// writes were handed — see the module docs.
 #[derive(Debug, Default)]
 pub struct CommStats {
     downlink: AtomicU64,
     uplink: AtomicU64,
     messages: AtomicU64,
+    downlink_physical: AtomicU64,
+    uplink_physical: AtomicU64,
 }
 
 impl CommStats {
-    /// Total server→client bytes.
+    /// Total server→client bytes, per recipient (logical).
     pub fn downlink_bytes(&self) -> u64 {
         self.downlink.load(Ordering::Relaxed)
     }
 
-    /// Total client→server bytes.
+    /// Total client→server bytes (logical).
     pub fn uplink_bytes(&self) -> u64 {
         self.uplink.load(Ordering::Relaxed)
+    }
+
+    /// Server→client bytes handed to transport writes, framing included:
+    /// one copy of a broadcast per socket connection, none for an offline
+    /// recipient.
+    pub fn downlink_physical_bytes(&self) -> u64 {
+        self.downlink_physical.load(Ordering::Relaxed)
+    }
+
+    /// Client→server bytes handed to transport writes, framing included:
+    /// nothing for an uplink that was dropped, or late and buffered.
+    pub fn uplink_physical_bytes(&self) -> u64 {
+        self.uplink_physical.load(Ordering::Relaxed)
     }
 
     /// Total messages in both directions.
@@ -575,45 +671,78 @@ impl Network {
         self.fates[client] != Fate::Dropped
     }
 
-    /// Server → client broadcast of one message. The transmission is
-    /// always paid for (bytes counted); delivery to an offline client is
-    /// swallowed by the simulated network.
+    /// Server → clients broadcast of one message: encoded once, paid for
+    /// once per recipient (the logical tally does not know recipients
+    /// share a payload), swallowed by the simulated network for each
+    /// offline recipient, and handed to the transport as one buffer for
+    /// everyone else.
     ///
     /// # Errors
     ///
-    /// [`WireError::ChannelClosed`] when the client endpoint is gone
-    /// (its receiver was dropped). Callers may treat this like an offline
-    /// client: the round proceeds without it.
-    pub fn send_to_client(&self, client: usize, msg: &WireMessage) -> Result<(), WireError> {
+    /// [`WireError::ChannelClosed`] when a client endpoint is gone (its
+    /// receiver was dropped); every reachable recipient has been served by
+    /// then. Callers may treat this like an offline client: the round
+    /// proceeds without it.
+    pub fn broadcast(&self, clients: &[usize], msg: &WireMessage) -> Result<(), WireError> {
         let bytes = msg.encode()?;
+        let recipients = clients.len() as u64;
         self.stats
             .downlink
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        if self.fates[client] == Fate::Dropped {
+            .fetch_add(recipients * bytes.len() as u64, Ordering::Relaxed);
+        self.stats.messages.fetch_add(recipients, Ordering::Relaxed);
+        let online: Vec<usize> = clients
+            .iter()
+            .copied()
+            .filter(|&k| self.fates[k] != Fate::Dropped)
+            .collect();
+        if online.is_empty() {
             return Ok(());
         }
-        self.transport.send_to_client(client, bytes)
+        let wrote = self.transport.broadcast_to_clients(&online, &bytes)?;
+        self.stats
+            .downlink_physical
+            .fetch_add(wrote, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Client-side receive. Returns `None` when no broadcast was delivered
-    /// (offline client, or an algorithm that legitimately skipped the
-    /// send) or the payload fails to decode. Algorithms queue broadcasts
-    /// before the client region runs, so a missing message means "not
-    /// coming", never "not yet" — the collect budget only bounds the wait
-    /// on socket backends, where delivery is asynchronous.
-    pub fn client_recv(&self, client: usize) -> Option<WireMessage> {
+    /// [`Network::broadcast`] to one client.
+    pub fn send_to_client(&self, client: usize, msg: &WireMessage) -> Result<(), WireError> {
+        self.broadcast(&[client], msg)
+    }
+
+    /// The next downlink frame for `client`, or `None` when none was
+    /// delivered. Algorithms queue broadcasts before the client region
+    /// runs, so a missing frame means "not coming", never "not yet" — the
+    /// collect budget only bounds the wait on socket backends, where
+    /// delivery is asynchronous.
+    fn recv_frame(&self, client: usize) -> Option<Bytes> {
         // The fate gate, not the transport, decides that an offline client
         // sees nothing: its broadcast was never handed to the transport,
         // so waiting for it would burn the whole budget.
         if self.fates.get(client).copied() == Some(Fate::Dropped) {
             return None;
         }
-        let bytes = self
-            .transport
+        self.transport
             .recv_at_client(client, self.collect_budget)
-            .ok()??;
-        WireMessage::decode(bytes).ok()
+            .ok()?
+    }
+
+    /// Client-side receive. Returns `None` when no broadcast was delivered
+    /// (offline client, or an algorithm that legitimately skipped the
+    /// send) or the payload fails to decode.
+    pub fn client_recv(&self, client: usize) -> Option<WireMessage> {
+        WireMessage::decode(self.recv_frame(client)?).ok()
+    }
+
+    /// Client-side receive of a `FullModel` broadcast, read straight into
+    /// `model`'s tensors ([`WireMessage::decode_full_model_into`]). `false`
+    /// when no broadcast was delivered or the frame was refused — another
+    /// message, another architecture's shapes, a short or a long frame —
+    /// and then `model` is untouched: a refused downlink is a lost
+    /// downlink.
+    pub fn client_recv_full_model_into(&self, client: usize, model: &mut ClientModel) -> bool {
+        self.recv_frame(client)
+            .is_some_and(|frame| WireMessage::decode_full_model_into(&frame, model).is_ok())
     }
 
     /// Client → server upload. The client always pays for the
@@ -627,26 +756,60 @@ impl Network {
     /// reply being dropped in flight, and the count-driven collect on the
     /// server side already tolerates missing replies.
     pub fn send_to_server(&self, client: usize, msg: &WireMessage) -> Result<(), WireError> {
-        let bytes = msg.encode()?;
-        self.stats
-            .uplink
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.uplink(client, msg.encoded_len(), &mut |buf| msg.encode_into(buf))
+    }
+
+    /// [`Network::send_to_server`] of `model`'s state as a `FullModel`
+    /// message, encoded from the tensors where they live.
+    pub fn send_full_model(&self, client: usize, model: &mut ClientModel) -> Result<(), WireError> {
+        let len = MESSAGE_HEADER_LEN + model.state_extent().1;
+        self.uplink(client, len, &mut |buf| {
+            WireMessage::encode_full_model(model, buf)
+        })
+    }
+
+    /// One uplink of `len` encoded bytes, which `encode` appends to the
+    /// buffer it is given. A healthy or corrupt uplink is encoded by the
+    /// transport's writer, into the buffer it sends from; an offline
+    /// client's is never encoded at all.
+    fn uplink(
+        &self,
+        client: usize,
+        len: usize,
+        encode: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.stats.uplink.fetch_add(len as u64, Ordering::Relaxed);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        let bytes = match self.fates[client] {
-            Fate::Healthy => bytes,
+        let fate = self.fates[client];
+        match fate {
             Fate::Dropped => return Ok(()),
             // Stragglers transmit, but the reply outlives the round's
             // deadline. Synchronous rounds lose it; buffered aggregation
             // parks it in the staleness buffer for a later round.
             Fate::Straggler => {
                 if let Aggregation::Buffered { max_staleness, .. } = self.agg {
-                    self.admit_to_buffer(client, &bytes, max_staleness);
+                    let mut bytes = Vec::with_capacity(len);
+                    encode(&mut bytes)?;
+                    self.admit_to_buffer(client, bytes, max_staleness);
                 }
                 return Ok(());
             }
-            Fate::Corrupt => corrupt_payload(bytes),
-        };
-        self.transport.send_to_server(client, bytes)
+            Fate::Healthy | Fate::Corrupt => {}
+        }
+        let wrote = self
+            .transport
+            .send_to_server_with(client, len, &mut |buf| {
+                let start = buf.len();
+                encode(buf)?;
+                if fate == Fate::Corrupt {
+                    corrupt_payload(buf, start);
+                }
+                Ok(())
+            })?;
+        self.stats
+            .uplink_physical
+            .fetch_add(wrote, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Park a straggler's already-paid-for uplink in the staleness buffer.
@@ -656,7 +819,7 @@ impl Network {
     /// replay admits the same bytes at the same future round regardless of
     /// thread timing. Delays span `1..=2·max_staleness`: the longer half
     /// exceeds the fold window and exercises the expiry path.
-    fn admit_to_buffer(&self, client: usize, bytes: &Bytes, max_staleness: usize) {
+    fn admit_to_buffer(&self, client: usize, bytes: Vec<u8>, max_staleness: usize) {
         let round = self.current_round;
         let tag = 0xB0FF_0000_0000_0000_u64
             ^ round.wrapping_mul(0x0000_0001_0000_0001)
@@ -664,7 +827,7 @@ impl Network {
         let mut rng = derived_rng(self.agg_seed, tag);
         let delay = rng.gen_range(1..=2 * max_staleness.max(1) as u64);
         let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
-        buf.insert((round + delay, round, client as u64), bytes.to_vec());
+        buf.insert((round + delay, round, client as u64), bytes);
         self.round_buffered.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -907,18 +1070,17 @@ impl Network {
     }
 }
 
-/// Deterministically mangle a payload so that decoding reliably fails:
-/// flip a byte inside the header region and cut the final byte, which
-/// leaves the last tensor short ([`WireError::Truncated`]) no matter what
-/// the flipped byte did to the framing.
-fn corrupt_payload(bytes: Bytes) -> Bytes {
-    let mut v = bytes.to_vec();
-    if !v.is_empty() {
-        let mid = (v.len() - 1).min(2);
-        v[mid] ^= 0xA5;
-        v.pop();
+/// Deterministically mangle the payload at `buf[start..]`, where it lies,
+/// so that decoding reliably fails: flip a byte inside the header region
+/// and cut the final byte, which leaves the last tensor short
+/// ([`WireError::Truncated`]) no matter what the flipped byte did to the
+/// framing.
+fn corrupt_payload(buf: &mut Vec<u8>, start: usize) {
+    if buf.len() > start {
+        let mid = start + (buf.len() - start - 1).min(2);
+        buf[mid] ^= 0xA5;
+        buf.pop();
     }
-    Bytes::from(v)
 }
 
 #[cfg(test)]
@@ -1228,11 +1390,19 @@ mod tests {
             WireMessage::SoftPredictions(Tensor::randn([2, 3], 1.0, &mut rng)),
         ];
         for msg in messages {
-            let mangled = super::corrupt_payload(msg.encode().expect("encode"));
-            assert!(
-                WireMessage::decode(mangled).is_err(),
-                "corruption survived decode"
-            );
+            // Behind a frame header's worth of bytes, as in a socket's
+            // write buffer: those are not the payload's to mangle.
+            for start in [0usize, 8] {
+                let mut buf = vec![0x11u8; start];
+                msg.encode_into(&mut buf).expect("encode");
+                super::corrupt_payload(&mut buf, start);
+                assert!(buf[..start].iter().all(|&b| b == 0x11));
+                assert_eq!(buf.len(), start + msg.encoded_len() - 1);
+                assert!(
+                    WireMessage::decode(Bytes::from(buf[start..].to_vec())).is_err(),
+                    "corruption survived decode"
+                );
+            }
         }
     }
 
@@ -1418,6 +1588,162 @@ mod tests {
         assert_eq!(got.stale, 0);
         assert_eq!(got.expired, 0);
         assert_eq!(net.buffered_len(), 0);
+    }
+
+    #[test]
+    fn broadcast_pays_per_client_and_writes_per_connection() {
+        use crate::transport::LoopbackSocketTransport;
+        let msg = WireMessage::Classifier(ClassifierWeights::zeros(8, 4));
+        let len = msg.encoded_len() as u64;
+        // (transport, physical bytes of one broadcast to two live clients,
+        // physical bytes of one uplink)
+        let backends: Vec<(Box<dyn Transport>, u64, u64)> = vec![
+            (Box::new(ChannelTransport::new(3)), 2 * len, len),
+            // One multicast frame: header, count, two ids, one message.
+            #[cfg(unix)]
+            (
+                Box::new(LoopbackSocketTransport::unix(3).expect("unix loopback")),
+                8 + 4 + 2 * 4 + len,
+                8 + len,
+            ),
+            (
+                Box::new(LoopbackSocketTransport::tcp(3).expect("tcp loopback")),
+                8 + 4 + 2 * 4 + len,
+                8 + len,
+            ),
+        ];
+        for (transport, downlink_physical, uplink_physical) in backends {
+            let mut net = Network::over(transport);
+            net.begin_round(1, &[0, 1, 2]);
+            // Client 1 offline, client 2 corrupt (set below): two arrivals.
+            net.fates[1] = Fate::Dropped;
+            net.expected_deliveries = 2;
+            net.broadcast(&[0, 1, 2], &msg).expect("broadcast");
+            // The logical tally is per recipient, offline ones included.
+            assert_eq!(net.stats().downlink_bytes(), 3 * len);
+            assert_eq!(net.stats().messages(), 3);
+            assert_eq!(net.stats().downlink_physical_bytes(), downlink_physical);
+            assert_eq!(net.client_recv(0), Some(msg.clone()));
+            assert_eq!(net.client_recv(1), None);
+            assert_eq!(net.client_recv(2), Some(msg.clone()));
+            // Uplinks: healthy and corrupt ones are written (the corrupt
+            // one a byte short), an offline client's is not.
+            net.fates[2] = Fate::Corrupt;
+            for k in 0..3 {
+                net.send_to_server(k, &msg).expect("uplink");
+            }
+            assert_eq!(net.stats().uplink_bytes(), 3 * len);
+            assert_eq!(net.stats().uplink_physical_bytes(), 2 * uplink_physical - 1);
+            let got = net.server_collect_deadline(3, Duration::from_secs(5));
+            assert_eq!((got.ids(), got.dropped, got.corrupt), (vec![0], 1, 1));
+        }
+    }
+
+    /// A small two-conv model and a second one of the same architecture
+    /// with other weights.
+    fn twin_models() -> (ClientModel, ClientModel) {
+        use fca_models::{build_model, ModelArch};
+        let build = |seed| build_model(ModelArch::CnnFedAvg, (1, 12, 12), 8, 3, seed);
+        (build(1), build(2))
+    }
+
+    #[test]
+    fn full_model_moves_between_the_wire_and_the_tensors_themselves() {
+        let (mut a, mut b) = twin_models();
+        let state = a.full_state();
+        let msg = WireMessage::FullModel(state.clone());
+        // Encoded from the model: the bytes of the message built from a copy.
+        let mut from_model = Vec::new();
+        WireMessage::encode_full_model(&mut a, &mut from_model).expect("encode");
+        assert_eq!(&from_model[..], &msg.encode().expect("encode")[..]);
+        assert_eq!(
+            a.state_extent(),
+            (state.len(), msg.encoded_len() - MESSAGE_HEADER_LEN)
+        );
+        // Through a network, both ways.
+        let net = Network::new(1);
+        net.send_to_client(0, &msg).expect("downlink");
+        assert_ne!(b.full_state(), state);
+        assert!(net.client_recv_full_model_into(0, &mut b));
+        assert_eq!(b.full_state(), state);
+        net.send_full_model(0, &mut b).expect("uplink");
+        assert_eq!(net.stats().uplink_bytes(), msg.encoded_len() as u64);
+        assert_eq!(net.server_collect(1), vec![(0, msg)]);
+        // Nothing queued: nothing read.
+        assert!(!net.client_recv_full_model_into(0, &mut b));
+    }
+
+    #[test]
+    fn a_wrong_shaped_full_model_is_refused_whole() {
+        let (mut a, mut b) = twin_models();
+        let good = a.full_state();
+        let before = b.full_state();
+        let transposed = |t: &Tensor| {
+            let dims: Vec<usize> = t.dims().iter().rev().copied().collect();
+            Tensor::from_vec(fca_tensor::Shape::new(&dims), t.data().to_vec())
+        };
+        let flat = |t: &Tensor| Tensor::from_vec([t.numel()], t.data().to_vec());
+        // The last tensor with more than one axis and unequal extents:
+        // everything in front of it would be written by a reader that
+        // checked as it went.
+        let at = (0..good.len())
+            .rev()
+            .find(|&i| {
+                let d = good[i].dims();
+                d.len() >= 2 && d.first() != d.last()
+            })
+            .expect("a non-square weight");
+        let with = |i: usize, t: Tensor| {
+            let mut state = good.clone();
+            state[i] = t;
+            WireMessage::FullModel(state).encode().expect("encode")
+        };
+        let whole = WireMessage::FullModel(good.clone())
+            .encode()
+            .expect("encode");
+        let mut long = whole.to_vec();
+        long.push(0);
+        let frames: Vec<(&str, Bytes)> = vec![
+            (
+                "a tensor missing",
+                WireMessage::FullModel(good[..good.len() - 1].to_vec())
+                    .encode()
+                    .expect("encode"),
+            ),
+            (
+                "a tensor too many",
+                WireMessage::FullModel([&good[..], &good[..1]].concat())
+                    .encode()
+                    .expect("encode"),
+            ),
+            ("a transposed shape", with(at, transposed(&good[at]))),
+            ("another rank", with(at, flat(&good[at]))),
+            ("one byte short", whole.slice(..whole.len() - 1)),
+            ("one trailing byte", Bytes::from(long)),
+            (
+                "another message",
+                WireMessage::Classifier(ClassifierWeights::zeros(8, 3))
+                    .encode()
+                    .expect("encode"),
+            ),
+            ("an empty frame", Bytes::new()),
+        ];
+        let net = Network::new(1);
+        for (what, frame) in frames {
+            assert!(
+                WireMessage::decode_full_model_into(&frame, &mut b).is_err(),
+                "{what}: accepted"
+            );
+            net.transport.send_to_client(0, frame).expect("queue");
+            assert!(
+                !net.client_recv_full_model_into(0, &mut b),
+                "{what}: accepted off the network"
+            );
+            assert_eq!(b.full_state(), before, "{what}: the model was written to");
+        }
+        net.transport.send_to_client(0, whole).expect("queue");
+        assert!(net.client_recv_full_model_into(0, &mut b));
+        assert_eq!(b.full_state(), good);
     }
 
     #[test]

@@ -36,6 +36,13 @@ pub struct RoundMetrics {
     /// Buffered updates discarded for exceeding `max_staleness` since the
     /// previous curve point.
     pub expired: u64,
+    /// Bytes senders paid for since the previous curve point, both
+    /// directions, per recipient (the logical tally: Table 5's unit).
+    pub logical_bytes: u64,
+    /// Bytes handed to transport writes since the previous curve point,
+    /// both directions, framing included: a broadcast counts once per
+    /// socket connection, a lost message not at all.
+    pub physical_bytes: u64,
 }
 
 /// Outcome of a full federated run.
@@ -101,6 +108,10 @@ pub struct RunState {
     pub point_stale: u64,
     /// Buffered expiries since the last curve point.
     pub point_expired: u64,
+    /// Logical bytes (both directions) since the last curve point.
+    pub point_logical_bytes: u64,
+    /// Physical bytes (both directions) since the last curve point.
+    pub point_physical_bytes: u64,
     /// Total uplinks dropped so far.
     pub total_dropped: u64,
     /// Total uplinks corrupted so far.
@@ -329,6 +340,8 @@ pub fn run_federation_from(
         mut point_corrupt,
         mut point_stale,
         mut point_expired,
+        mut point_logical_bytes,
+        mut point_physical_bytes,
         mut total_dropped,
         mut total_corrupt,
         mut total_stale,
@@ -354,10 +367,7 @@ pub fn run_federation_from(
             epochs: 0,
             mean_acc: m0,
             std_acc: s0,
-            dropped: 0,
-            corrupt: 0,
-            stale: 0,
-            expired: 0,
+            ..RoundMetrics::default()
         });
         emit_workspace_point(0, fleet);
         fca_trace::flush_ops(0);
@@ -384,7 +394,16 @@ pub fn run_federation_from(
         // Tracing observes the round, never steers it: the timer and byte
         // snapshots feed the journal and touch nothing the algorithms see.
         let round_span = fca_trace::clock();
-        let (down0, up0) = (net.stats().downlink_bytes(), net.stats().uplink_bytes());
+        let traffic = |net: &Network| {
+            let s = net.stats();
+            [
+                s.downlink_bytes(),
+                s.uplink_bytes(),
+                s.downlink_physical_bytes(),
+                s.uplink_physical_bytes(),
+            ]
+        };
+        let before = traffic(&net);
 
         let sampled = sample_clients(fleet.len(), cfg.clients_per_round(), cfg.seed, round);
         net.begin_round(round, &sampled);
@@ -393,6 +412,10 @@ pub fn run_federation_from(
 
         let (d, c) = net.take_round_faults();
         let (st, ex) = net.take_round_async();
+        let after = traffic(&net);
+        let [down, up, down_physical, up_physical] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+        point_logical_bytes += down + up;
+        point_physical_bytes += down_physical + up_physical;
         point_dropped += d;
         point_corrupt += c;
         point_stale += st;
@@ -416,7 +439,11 @@ pub fn run_federation_from(
                 corrupt: point_corrupt,
                 stale: point_stale,
                 expired: point_expired,
+                logical_bytes: point_logical_bytes,
+                physical_bytes: point_physical_bytes,
             });
+            point_logical_bytes = 0;
+            point_physical_bytes = 0;
             point_dropped = 0;
             point_corrupt = 0;
             point_stale = 0;
@@ -429,8 +456,10 @@ pub fn run_federation_from(
             fca_trace::emit_round(&RoundRecord {
                 round: round as u64,
                 dur_us: started.elapsed().as_micros() as u64,
-                downlink_bytes: net.stats().downlink_bytes() - down0,
-                uplink_bytes: net.stats().uplink_bytes() - up0,
+                downlink_bytes: down,
+                uplink_bytes: up,
+                downlink_physical_bytes: down_physical,
+                uplink_physical_bytes: up_physical,
                 dropped: d,
                 corrupt: c,
                 stale: st,
@@ -474,6 +503,8 @@ pub fn run_federation_from(
         point_corrupt,
         point_stale,
         point_expired,
+        point_logical_bytes,
+        point_physical_bytes,
         total_dropped,
         total_corrupt,
         total_stale,
@@ -826,5 +857,216 @@ mod tests {
         );
         let total: f32 = fleet.metas().iter().map(|m| m.weight).sum();
         assert!((total - 1.0).abs() < 1e-5);
+    }
+
+    const SHARDED_CLIENTS: usize = 4;
+    const SHARDED_ROUNDS: usize = 2;
+    /// Which clients each of the two shards hosts.
+    const SHARDS: [[usize; 2]; 2] = [[0, 1], [2, 3]];
+
+    /// What a run leaves behind that every backend must agree on, bit for
+    /// bit: the server's global tensors, each round's `(dropped, corrupt)`,
+    /// and the logical tallies `(downlink, uplink, messages)`.
+    #[derive(Debug, PartialEq)]
+    struct Agreed {
+        global_bits: Vec<Vec<u32>>,
+        faults: Vec<(u64, u64)>,
+        tallies: (u64, u64, u64),
+    }
+
+    /// Run `SHARDED_ROUNDS` rounds of an algorithm over the channel backend
+    /// and again as one server and two shards — three threads, each with a
+    /// fleet of its own built from the same seed, talking through real
+    /// sockets — under a plan that takes one client offline and corrupts
+    /// another's uplink, and hold the two to the same [`Agreed`]; then
+    /// check the server wrote one frame per shard per broadcast.
+    ///
+    /// `turn` is the algorithm's client region for one client. The shards
+    /// take their clients' turns one after another, not through rayon:
+    /// a turn blocks until the server's broadcast arrives, and blocked
+    /// pool workers would starve the other shard's training.
+    fn sharded_run_agrees_with_the_channel_backend<A: Algorithm>(
+        fleet: impl Fn() -> Fleet + Sync,
+        algo: impl Fn(&mut Fleet) -> A + Sync,
+        turn: impl Fn(&A, &mut crate::client::Client, &Network) + Sync,
+        global: impl Fn(&A) -> Vec<fca_tensor::Tensor>,
+    ) {
+        use crate::comm::{Fate, FaultPlan};
+        use crate::transport::{SocketListener, SocketShardTransport};
+        use std::time::Duration;
+
+        let hp = HyperParams::micro_default();
+        let all: Vec<usize> = (0..SHARDED_CLIENTS).collect();
+        let budget = Duration::from_secs(60);
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(seed, 0.25, 0.0, 0.25))
+            .find(|plan| {
+                let count = |fate| all.iter().filter(|&&k| plan.fate(1, k) == fate).count();
+                count(Fate::Dropped) == 1 && count(Fate::Corrupt) == 1
+            })
+            .expect("some seed gives round 1 one offline and one corrupt client");
+        let drive = |a: &mut A, fleet: &mut Fleet, net: &mut Network| -> Vec<(u64, u64)> {
+            (1..=SHARDED_ROUNDS)
+                .map(|round| {
+                    net.begin_round(round, &all);
+                    a.round(round, fleet, &all, net, &hp);
+                    net.take_round_faults()
+                })
+                .collect()
+        };
+        let bits = |a: &A| -> Vec<Vec<u32>> {
+            global(a)
+                .iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+
+        let reference = {
+            let mut f = fleet();
+            let mut a = algo(&mut f);
+            let mut net = Network::new(SHARDED_CLIENTS).with_fault_plan(plan);
+            let faults = drive(&mut a, &mut f, &mut net);
+            let s = net.stats();
+            Agreed {
+                global_bits: bits(&a),
+                faults,
+                tallies: (s.downlink_bytes(), s.uplink_bytes(), s.messages()),
+            }
+        };
+        assert!(
+            reference.faults[0] == (1, 1),
+            "round 1 lost {:?}",
+            reference.faults[0]
+        );
+        // Every round broadcasts one message to every client.
+        let message_len = reference.tallies.0 / (SHARDED_CLIENTS * SHARDED_ROUNDS) as u64;
+
+        let kinds: &[&str] = if cfg!(unix) {
+            &["tcp", "unix"]
+        } else {
+            &["tcp"]
+        };
+        for &kind in kinds {
+            let listener = match kind {
+                "tcp" => SocketListener::tcp("127.0.0.1:0"),
+                #[cfg(unix)]
+                _ => SocketListener::unix_auto(),
+                #[cfg(not(unix))]
+                _ => unreachable!(),
+            }
+            .expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let (sharded, downlink_physical) = std::thread::scope(|s| {
+                let shards: Vec<_> = SHARDS
+                    .iter()
+                    .map(|owned| {
+                        let (addr, all, fleet, algo, turn) = (&addr, &all, &fleet, &algo, &turn);
+                        s.spawn(move || {
+                            let transport = match kind {
+                                "tcp" => {
+                                    SocketShardTransport::connect_tcp(addr, SHARDED_CLIENTS, owned)
+                                }
+                                #[cfg(unix)]
+                                _ => {
+                                    SocketShardTransport::connect_unix(addr, SHARDED_CLIENTS, owned)
+                                }
+                                #[cfg(not(unix))]
+                                _ => unreachable!(),
+                            }
+                            .expect("connect");
+                            let mut net = Network::over(Box::new(transport))
+                                .with_fault_plan(plan)
+                                .with_collect_budget(budget);
+                            let mut f = fleet();
+                            let a = algo(&mut f);
+                            for round in 1..=SHARDED_ROUNDS {
+                                net.begin_round(round, all);
+                                for &k in owned {
+                                    turn(&a, f.client_mut(k), &net);
+                                }
+                            }
+                            (net.stats().uplink_bytes(), net.stats().messages())
+                        })
+                    })
+                    .collect();
+                // The server: its own clients all look offline to it (a
+                // server process hosts none), the uplinks come off the wire.
+                let transport = listener
+                    .accept_federation(SHARDED_CLIENTS, SHARDS.len())
+                    .expect("rendezvous");
+                let mut net = Network::over(Box::new(transport))
+                    .with_fault_plan(plan)
+                    .with_collect_budget(budget);
+                let mut f = fleet();
+                let mut a = algo(&mut f);
+                let faults = drive(&mut a, &mut f, &mut net);
+                let (mut uplink, mut messages) = (0, net.stats().messages());
+                for shard in shards {
+                    let (bytes, sent) = shard.join().expect("shard thread");
+                    uplink += bytes;
+                    messages += sent;
+                }
+                assert_eq!(
+                    net.stats().uplink_bytes(),
+                    0,
+                    "{kind}: the server sent an uplink"
+                );
+                let agreed = Agreed {
+                    global_bits: bits(&a),
+                    faults,
+                    tallies: (net.stats().downlink_bytes(), uplink, messages),
+                };
+                (agreed, net.stats().downlink_physical_bytes())
+            });
+            assert_eq!(
+                sharded, reference,
+                "{kind}: diverged from the channel backend"
+            );
+            // One multicast frame per shard with someone online, per round:
+            // header, count, the online ids, one copy of the message.
+            let frames: u64 = (1..=SHARDED_ROUNDS)
+                .flat_map(|round| SHARDS.iter().map(move |owned| (round, owned)))
+                .map(|(round, owned)| {
+                    let online = owned
+                        .iter()
+                        .filter(|&&k| plan.fate(round, k) != Fate::Dropped)
+                        .count() as u64;
+                    if online == 0 {
+                        0
+                    } else {
+                        8 + 4 + 4 * online + message_len
+                    }
+                })
+                .sum();
+            assert_eq!(downlink_physical, frames, "{kind}: frames on the downlink");
+        }
+    }
+
+    #[test]
+    fn two_shard_fedavg_matches_the_channel_backend() {
+        use crate::algo::FedAvg;
+        let hp = HyperParams::micro_default();
+        sharded_run_agrees_with_the_channel_backend(
+            || test_support::tiny_fleet_homogeneous(SHARDED_CLIENTS, 811).0,
+            |fleet| FedAvg::new(fleet.client_mut(0).model.full_state()),
+            |_, c, net| {
+                FedAvg::client_turn(c, net, |c| c.local_update_supervised(hp.local_epochs, &hp))
+            },
+            |a| a.global_state().to_vec(),
+        );
+    }
+
+    #[test]
+    fn two_shard_fedclassavg_matches_the_channel_backend() {
+        let hp = HyperParams::micro_default();
+        sharded_run_agrees_with_the_channel_backend(
+            || test_support::tiny_fleet(SHARDED_CLIENTS, 812).0,
+            |_| FedClassAvg::new(8, 3, 812),
+            |a, c, net| FedClassAvg::client_turn(c, net, &hp, a.objective_for(&hp), false),
+            |a| {
+                let global = a.global_classifier();
+                vec![global.weight.clone(), global.bias.clone()]
+            },
+        );
     }
 }

@@ -21,16 +21,40 @@
 //! Every frame on a socket is addressed and length-prefixed:
 //!
 //! ```text
-//! u32_le client | u32_le len | len bytes of WireMessage encoding
+//! u32_le address | u32_le len | len bytes of payload
 //! ```
 //!
 //! `len` is capped at [`MAX_FRAME_LEN`]; a header above the cap is
-//! rejected before any allocation ([`WireError::FrameTooLarge`]). A shard
-//! introduces itself with a hello frame (client id [`HELLO_SENTINEL`])
-//! whose payload lists the fleet size and the client ids it hosts; the
-//! server refuses overlapping or out-of-range claims. The payload of a
-//! data frame is decoded by `WireMessage::decode`, which rejects trailing
-//! bytes — frame boundaries and message boundaries must agree exactly.
+//! rejected before any allocation ([`WireError::FrameTooLarge`]), and a
+//! header under it buys `READ_AHEAD` bytes of buffer and no more until
+//! the payload it promises arrives. What the payload is depends on
+//! the direction:
+//!
+//! * **Uplink** (shard → server): `address` is the sending client and the
+//!   payload is one `WireMessage` encoding. The shard builds the frame —
+//!   header and message — in one buffer kept beside its connection and
+//!   writes it with one call ([`Transport::send_to_server_with`]); the
+//!   buffer grows to the largest frame sent and lives as long as the
+//!   connection. Lock order: buffer, then connection.
+//! * **Downlink** (server → shard): `address` is always
+//!   [`MULTICAST_SENTINEL`] and the payload is
+//!   `u32_le count | count × u32_le client, strictly ascending | message`.
+//!   A broadcast crosses each shard connection once, whatever the number
+//!   of recipients behind it ([`Transport::broadcast_to_clients`]); the
+//!   shard's reader hands every addressed inbox a reference-counted view
+//!   of the one message. An empty or unsorted id list, an id the shard
+//!   does not host, or a count that outruns the frame is a protocol
+//!   violation: the reader stops trusting the stream, and nothing of the
+//!   offending frame is delivered to anyone.
+//! * **Hello** (first frame of a shard): `address` is [`HELLO_SENTINEL`]
+//!   and the payload lists the protocol version, the fleet size and the
+//!   client ids the shard hosts; the server refuses another version and
+//!   overlapping or out-of-range claims.
+//!
+//! The message in a data frame is decoded by `WireMessage::decode` (or
+//! read straight into a model by `Network::client_recv_full_model_into`),
+//! which rejects trailing bytes — frame boundaries and message boundaries
+//! must agree exactly.
 //!
 //! # Fault injection
 //!
@@ -45,8 +69,9 @@
 //! # Determinism
 //!
 //! No backend consults a clock or ambient RNG. The socket backends park
-//! dedicated reader threads on blocking reads and fan frames into
-//! crossbeam channels, so a bounded receive is a plain `recv_timeout`
+//! one reader thread per connection on blocking reads; it routes each
+//! frame straight into the crossbeam channel of the mailbox it is
+//! addressed to, so a bounded receive is a plain `recv_timeout`
 //! whose wait is the caller's safety net, never a scheduling decision:
 //! which frames arrive is decided by the fault plan and the peers, not by
 //! timing.
@@ -61,6 +86,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Hard cap on one frame's payload length: the largest legal
@@ -73,9 +99,21 @@ pub const MAX_FRAME_LEN: usize = (1 << 30) + (1 << 16);
 /// fleets are bounded far below `u32::MAX`).
 pub const HELLO_SENTINEL: u32 = u32::MAX;
 
-/// Hello payload magic + protocol version.
+/// Address marking a downlink multicast frame (see the module docs).
+pub const MULTICAST_SENTINEL: u32 = u32::MAX - 1;
+
+/// Hello payload magic + protocol version. Version 2 made every downlink
+/// frame a multicast frame; a version-1 peer would misread them as frames
+/// for one client, so it is refused at the rendezvous.
 const HELLO_MAGIC: [u8; 4] = *b"FCH1";
-const HELLO_VERSION: u16 = 1;
+const HELLO_VERSION: u16 = 2;
+
+/// `u32 address | u32 len`.
+const FRAME_HEADER_LEN: usize = 8;
+
+/// How far ahead of the bytes that have arrived a reader reserves for the
+/// rest of a frame.
+const READ_AHEAD: usize = 1 << 20;
 
 /// Connection attempts a shard makes before giving up on the server.
 const CONNECT_RETRIES: usize = 200;
@@ -109,6 +147,49 @@ pub trait Transport: Send + Sync {
     /// Take the next uplink frame from any client, waiting at most
     /// `wait`.
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError>;
+
+    /// Queue the same downlink frame for every one of `clients` (distinct
+    /// ids). Returns the bytes handed to the backend's writes, framing
+    /// included. Every reachable recipient is served before the first
+    /// error is reported.
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        sum_writes(clients.iter().map(|&k| {
+            self.send_to_client(k, frame.clone())
+                .map(|()| frame.len() as u64)
+        }))
+    }
+
+    /// Queue one uplink frame from `client` that `fill` appends to the
+    /// buffer it is handed (which may already hold the backend's framing:
+    /// append, never truncate); `len` is the size `fill` will add, as a
+    /// reservation hint. Returns the bytes handed to the backend's writes,
+    /// framing included.
+    fn send_to_server_with(
+        &self,
+        client: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<u64, WireError> {
+        let mut frame = Vec::with_capacity(len);
+        fill(&mut frame)?;
+        let wrote = frame.len() as u64;
+        self.send_to_server(client, Bytes::from(frame))?;
+        Ok(wrote)
+    }
+}
+
+/// Make every write of a broadcast, then report: the bytes written in
+/// all, or the first error once every recipient has had its turn.
+fn sum_writes(writes: impl Iterator<Item = Result<u64, WireError>>) -> Result<u64, WireError> {
+    let mut wrote = 0u64;
+    let mut first_err = None;
+    for write in writes {
+        match write {
+            Ok(n) => wrote += n,
+            Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    first_err.map_or(Ok(wrote), Err)
 }
 
 // --------------------------------------------------------------------
@@ -223,14 +304,15 @@ impl Conn {
             }
         }
     }
-}
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// [`read_frame`] on the stream itself, not through an adapter: the
+    /// standard streams can fill unwritten buffer space, which a `Read`
+    /// implementation written outside the standard library cannot.
+    fn read_frame(&mut self) -> Result<Option<(u32, Bytes)>, WireError> {
         match self {
-            Conn::Tcp(s) => s.read(buf),
+            Conn::Tcp(s) => read_frame(s),
             #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
+            Conn::Unix(s) => read_frame(s),
         }
     }
 }
@@ -275,32 +357,117 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireErro
     Ok(true)
 }
 
-/// Write one addressed frame: `u32 client | u32 len | payload`.
-fn write_frame(w: &mut impl Write, client: u32, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len())
+/// The header of a frame addressed to `address` carrying `payload_len`
+/// bytes, or [`WireError::FrameTooLarge`].
+fn frame_header(address: u32, payload_len: usize) -> Result<[u8; FRAME_HEADER_LEN], WireError> {
+    let len = u32::try_from(payload_len)
         .ok()
         .filter(|&n| n as usize <= MAX_FRAME_LEN)
         .ok_or(WireError::FrameTooLarge {
-            len: payload.len() as u64,
+            len: payload_len as u64,
             cap: MAX_FRAME_LEN as u64,
         })?;
-    let mut head = [0u8; 8];
-    head[..4].copy_from_slice(&client.to_le_bytes());
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    head[..4].copy_from_slice(&address.to_le_bytes());
     head[4..].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&head).map_err(|_| WireError::ChannelClosed)?;
-    w.write_all(payload).map_err(|_| WireError::ChannelClosed)?;
-    w.flush().map_err(|_| WireError::ChannelClosed)
+    Ok(head)
+}
+
+/// Write `head` then `body` and flush; returns the bytes written.
+fn write_parts(w: &mut impl Write, head: &[u8], body: &[u8]) -> Result<u64, WireError> {
+    w.write_all(head).map_err(|_| WireError::ChannelClosed)?;
+    w.write_all(body).map_err(|_| WireError::ChannelClosed)?;
+    w.flush().map_err(|_| WireError::ChannelClosed)?;
+    Ok((head.len() + body.len()) as u64)
+}
+
+/// Write one addressed frame: `u32 address | u32 len | payload`.
+fn write_frame(w: &mut impl Write, address: u32, payload: &[u8]) -> Result<u64, WireError> {
+    write_parts(w, &frame_header(address, payload.len())?, payload)
+}
+
+/// What a multicast frame's id list must be, written or read: somebody,
+/// nobody twice, in ascending order.
+fn check_recipients<T: PartialOrd>(ids: &[T]) -> Result<(), WireError> {
+    if ids.is_empty() || ids.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(WireError::Malformed(
+            "multicast recipients must be distinct and ascending",
+        ));
+    }
+    Ok(())
+}
+
+/// Write one multicast frame carrying `message` to `ids`
+/// ([`check_recipients`]): the ids travel in front of the one copy of the
+/// message.
+fn write_multicast(w: &mut impl Write, ids: &[u32], message: &[u8]) -> Result<u64, WireError> {
+    check_recipients(ids)?;
+    let count = u32::try_from(ids.len()).map_err(|_| WireError::ShapeTooLarge)?;
+    let payload_len = (4 + 4 * ids.len())
+        .checked_add(message.len())
+        .ok_or(WireError::ShapeTooLarge)?;
+    let mut head = Vec::with_capacity(FRAME_HEADER_LEN + 4 + 4 * ids.len());
+    head.extend_from_slice(&frame_header(MULTICAST_SENTINEL, payload_len)?);
+    head.extend_from_slice(&count.to_le_bytes());
+    for id in ids {
+        head.extend_from_slice(&id.to_le_bytes());
+    }
+    write_parts(w, &head, message)
+}
+
+/// Split a multicast payload into its recipients and a view of its
+/// message. Strict: the id list must lie inside the payload and pass
+/// [`check_recipients`].
+fn decode_multicast(payload: &Bytes) -> Result<(Vec<usize>, Bytes), WireError> {
+    if payload.len() < 4 {
+        return Err(WireError::Truncated);
+    }
+    let count = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
+    let ids_end = count
+        .checked_mul(4)
+        .and_then(|n| n.checked_add(4))
+        .ok_or(WireError::ShapeTooLarge)?;
+    if payload.len() < ids_end {
+        return Err(WireError::Truncated);
+    }
+    let ids: Vec<usize> = payload[4..ids_end]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        .collect();
+    check_recipients(&ids)?;
+    Ok((ids, payload.slice(ids_end..)))
+}
+
+/// Append exactly `len` bytes of the stream to `payload`. The space is
+/// reserved as the bytes arrive — [`READ_AHEAD`] beyond them, or as much
+/// again as has arrived once that is more — so a length prefix alone
+/// commits no memory; and it is filled as it is reserved, never zeroed
+/// first.
+fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> Result<(), WireError> {
+    let end = payload.len() + len;
+    while payload.len() < end {
+        if payload.len() == payload.capacity() {
+            payload.reserve((end - payload.len()).min(READ_AHEAD));
+        }
+        let step = (end - payload.len()).min(payload.capacity() - payload.len());
+        match r.by_ref().take(step as u64).read_to_end(payload) {
+            Ok(0) => return Err(WireError::Truncated),
+            Ok(_) => {}
+            Err(_) => return Err(WireError::ChannelClosed),
+        }
+    }
+    Ok(())
 }
 
 /// Read one addressed frame. `Ok(None)` is a clean EOF at a frame
 /// boundary; the length prefix is validated against [`MAX_FRAME_LEN`]
-/// before the payload is allocated.
+/// before anything is reserved for the payload.
 fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Bytes)>, WireError> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; FRAME_HEADER_LEN];
     if !read_exact_or_eof(r, &mut head)? {
         return Ok(None);
     }
-    let client = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+    let address = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
     let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
@@ -308,11 +475,9 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Bytes)>, WireError> {
             cap: MAX_FRAME_LEN as u64,
         });
     }
-    let mut payload = vec![0u8; len];
-    if !read_exact_or_eof(r, &mut payload)? {
-        return Err(WireError::Truncated);
-    }
-    Ok(Some((client, Bytes::from(payload))))
+    let mut payload = Vec::new();
+    read_payload(r, len, &mut payload)?;
+    Ok(Some((address, Bytes::from(payload))))
 }
 
 /// Hello payload: `magic | u16 version | u32 fleet size | u32 count | ids`.
@@ -369,35 +534,31 @@ fn decode_hello(payload: &[u8]) -> Result<(usize, Vec<usize>), WireError> {
     Ok((total, ids))
 }
 
-/// Spawn a named reader thread that pumps whole frames off `conn` into
-/// `sink` until EOF, a protocol violation, or a closed sink. `owned`
-/// (sorted) is the set of client ids legal on this connection.
+/// Spawn a named reader thread that hands every whole frame off `conn` to
+/// `route` — `(address, payload)`, straight into the mailbox it is for —
+/// until EOF, a torn frame, or `route` answering `false`: a protocol
+/// violation (stop trusting the stream) or a closed mailbox.
 fn spawn_reader(
     name: &str,
     mut conn: Conn,
-    owned: Vec<usize>,
-    sink: Sender<(usize, Bytes)>,
-) -> Result<(), WireError> {
+    mut route: impl FnMut(u32, Bytes) -> bool + Send + 'static,
+) -> Result<JoinHandle<()>, WireError> {
     std::thread::Builder::new()
         .name(format!("fca-transport-{name}"))
-        .spawn(move || loop {
-            match read_frame(&mut conn) {
-                Ok(Some((client, frame))) => {
-                    let client = client as usize;
-                    // A frame for a client the peer does not own is a
-                    // protocol violation: stop trusting the stream.
-                    if owned.binary_search(&client).is_err() {
-                        break;
-                    }
-                    if sink.send((client, frame)).is_err() {
-                        break;
-                    }
+        .spawn(move || {
+            while let Ok(Some((address, payload))) = conn.read_frame() {
+                if !route(address, payload) {
+                    break;
                 }
-                Ok(None) | Err(_) => break,
             }
         })
-        .map(|_| ())
         .map_err(|_| WireError::ChannelClosed)
+}
+
+/// End a connection's reader: `conn` is already shut down, so the reader
+/// is at EOF; a reader that panicked has nothing left to report here.
+fn join_reader(reader: JoinHandle<()>) {
+    let _ = reader.join();
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -479,6 +640,7 @@ impl SocketListener {
     ) -> Result<SocketServerTransport, WireError> {
         let mut shard_of = vec![usize::MAX; num_clients];
         let mut writers = Vec::with_capacity(shards);
+        let mut readers = Vec::with_capacity(shards);
         let (uplink_tx, uplink_rx) = unbounded();
         for shard_idx in 0..shards {
             let conn = match &self.kind {
@@ -494,7 +656,7 @@ impl SocketListener {
                 }
             };
             let mut read_half = conn.try_clone()?;
-            let hello = match read_frame(&mut read_half)? {
+            let hello = match read_half.read_frame()? {
                 Some((HELLO_SENTINEL, payload)) => payload,
                 Some(_) => return Err(WireError::Malformed("expected hello frame first")),
                 None => return Err(WireError::ChannelClosed),
@@ -515,12 +677,17 @@ impl SocketListener {
                 owned.push(id);
             }
             owned.sort_unstable();
-            spawn_reader(
+            let sink = uplink_tx.clone();
+            // An uplink frame is addressed by the client that sent it; one
+            // from a client this shard does not host ends the stream.
+            readers.push(spawn_reader(
                 &format!("uplink-{shard_idx}"),
                 read_half,
-                owned,
-                uplink_tx.clone(),
-            )?;
+                move |address, frame| {
+                    let client = address as usize;
+                    owned.binary_search(&client).is_ok() && sink.send((client, frame)).is_ok()
+                },
+            )?);
             writers.push(Mutex::new(conn));
         }
         if shard_of.iter().any(|&s| s == usize::MAX) {
@@ -536,6 +703,7 @@ impl SocketListener {
         Ok(SocketServerTransport {
             shard_of,
             shards: writers,
+            readers,
             uplink_rx,
             backend: self.backend,
         })
@@ -546,15 +714,17 @@ impl SocketListener {
 // Server-process side.
 // --------------------------------------------------------------------
 
-/// The server process's half of a socket federation: routes downlink
-/// frames to the shard hosting each client and muxes uplink frames from
-/// all shards. Hosts no clients itself — the client-side trait methods
-/// report [`WireError::Malformed`].
+/// The server process's half of a socket federation: writes each downlink
+/// once to every shard hosting one of its recipients and muxes uplink
+/// frames from all shards. Hosts no clients itself — the client-side trait
+/// methods report [`WireError::Malformed`].
 pub struct SocketServerTransport {
     /// Client id → index into `shards`.
     shard_of: Vec<usize>,
     /// Write halves, one per shard connection.
     shards: Vec<Mutex<Conn>>,
+    /// The uplink reader of each shard connection.
+    readers: Vec<JoinHandle<()>>,
     uplink_rx: Receiver<(usize, Bytes)>,
     backend: &'static str,
 }
@@ -569,10 +739,25 @@ impl Transport for SocketServerTransport {
     }
 
     fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        let shard = *self.shard_of.get(client).ok_or(WireError::ChannelClosed)?;
-        let conn = self.shards.get(shard).ok_or(WireError::ChannelClosed)?;
-        let wire_id = u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?;
-        write_frame(&mut *lock(conn), wire_id, &frame)
+        self.broadcast_to_clients(&[client], &frame).map(drop)
+    }
+
+    /// One multicast frame per shard connection that hosts a recipient.
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        let mut ids_of: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        for &client in clients {
+            let shard = *self.shard_of.get(client).ok_or(WireError::ChannelClosed)?;
+            ids_of[shard].push(u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?);
+        }
+        let hosting = self.shards.iter().zip(ids_of);
+        sum_writes(
+            hosting
+                .filter(|(_, ids)| !ids.is_empty())
+                .map(|(conn, mut ids)| {
+                    ids.sort_unstable();
+                    write_multicast(&mut *lock(conn), &ids, frame)
+                }),
+        )
     }
 
     fn recv_at_client(&self, _client: usize, _wait: Duration) -> Result<Option<Bytes>, WireError> {
@@ -596,6 +781,7 @@ impl Drop for SocketServerTransport {
         for conn in &self.shards {
             lock(conn).shutdown();
         }
+        self.readers.drain(..).for_each(join_reader);
     }
 }
 
@@ -604,14 +790,19 @@ impl Drop for SocketServerTransport {
 // --------------------------------------------------------------------
 
 /// One shard process's half: hosts a subset of the clients, receives
-/// their downlink frames (demuxed into per-client inboxes by a reader
+/// their downlink frames (fanned into per-client inboxes by the reader
 /// thread) and uplinks through the single shared connection. The
 /// server-side trait methods report [`WireError::Malformed`].
 pub struct SocketShardTransport {
     num_clients: usize,
+    /// Where every uplink frame is built, header first, and written from.
+    /// Taken before `conn`, and held across the write.
+    write_buf: Mutex<Vec<u8>>,
     conn: Mutex<Conn>,
     /// Indexed by client id; `None` for clients hosted elsewhere.
     inbox: Vec<Option<Receiver<Bytes>>>,
+    /// The downlink reader; joined on drop.
+    reader: Option<JoinHandle<()>>,
     backend: &'static str,
 }
 
@@ -671,37 +862,36 @@ impl SocketShardTransport {
         )?;
         let mut inbox: Vec<Option<Receiver<Bytes>>> = Vec::with_capacity(num_clients);
         inbox.resize_with(num_clients, || None);
-        let (demux_tx, demux_rx) = unbounded::<(usize, Bytes)>();
-        let mut owned = ids.to_vec();
-        owned.sort_unstable();
-        owned.dedup();
-        // One reader thread pumps the shared stream; a per-client fan-out
-        // stage keeps `recv_at_client` a plain channel receive.
-        spawn_reader("downlink", conn.try_clone()?, owned.clone(), demux_tx)?;
         let mut fanout: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(num_clients);
         fanout.resize_with(num_clients, || None);
-        for &id in &owned {
+        for &id in ids {
             let (tx, rx) = unbounded();
             fanout[id] = Some(tx);
             inbox[id] = Some(rx);
         }
-        std::thread::Builder::new()
-            .name("fca-transport-demux".to_string())
-            .spawn(move || {
-                while let Ok((client, frame)) = demux_rx.recv() {
-                    let Some(Some(tx)) = fanout.get(client) else {
-                        break;
-                    };
-                    if tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-            })
-            .map_err(|_| WireError::ChannelClosed)?;
+        // One reader thread pumps the shared stream and fans each
+        // multicast frame out itself, so `recv_at_client` stays a plain
+        // channel receive. Every recipient is checked before the first
+        // delivery: a frame is delivered whole or not at all.
+        let reader = spawn_reader("downlink", conn.try_clone()?, move |address, payload| {
+            if address != MULTICAST_SENTINEL {
+                return false;
+            }
+            let Ok((ids, message)) = decode_multicast(&payload) else {
+                return false;
+            };
+            let hosted: Option<Vec<&Sender<Bytes>>> = ids
+                .iter()
+                .map(|&id| fanout.get(id).and_then(Option::as_ref))
+                .collect();
+            hosted.is_some_and(|txs| txs.iter().all(|tx| tx.send(message.clone()).is_ok()))
+        })?;
         Ok(SocketShardTransport {
             num_clients,
+            write_buf: Mutex::new(Vec::new()),
             conn: Mutex::new(conn),
             inbox,
+            reader: Some(reader),
             backend,
         })
     }
@@ -733,11 +923,39 @@ impl Transport for SocketShardTransport {
     }
 
     fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
+        self.send_to_server_with(client, frame.len(), &mut |buf| {
+            buf.extend_from_slice(&frame);
+            Ok(())
+        })
+        .map(drop)
+    }
+
+    /// The frame is built in the connection's write buffer — the header's
+    /// place kept at its front, the message appended by `fill`, the header
+    /// filled in once the length is known — and leaves in one write.
+    fn send_to_server_with(
+        &self,
+        client: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<u64, WireError> {
         if client >= self.num_clients {
             return Err(WireError::Malformed("client not hosted on this shard"));
         }
         let wire_id = u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?;
-        write_frame(&mut *lock(&self.conn), wire_id, &frame)
+        let mut buf = lock(&self.write_buf);
+        buf.clear();
+        buf.reserve(FRAME_HEADER_LEN + len);
+        buf.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+        fill(&mut buf)?;
+        let payload_len = buf
+            .len()
+            .checked_sub(FRAME_HEADER_LEN)
+            .ok_or(WireError::Malformed(
+                "uplink encoder cut into the frame header",
+            ))?;
+        buf[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(wire_id, payload_len)?);
+        write_parts(&mut *lock(&self.conn), &buf, &[])
     }
 
     fn recv_at_server(&self, _wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
@@ -748,6 +966,7 @@ impl Transport for SocketShardTransport {
 impl Drop for SocketShardTransport {
     fn drop(&mut self) {
         lock(&self.conn).shutdown();
+        self.reader.take().into_iter().for_each(join_reader);
     }
 }
 
@@ -819,6 +1038,19 @@ impl Transport for LoopbackSocketTransport {
 
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
         self.server.recv_at_server(wait)
+    }
+
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        self.server.broadcast_to_clients(clients, frame)
+    }
+
+    fn send_to_server_with(
+        &self,
+        client: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<u64, WireError> {
+        self.shard.send_to_server_with(client, len, fill)
     }
 }
 
@@ -903,6 +1135,135 @@ mod tests {
         ));
     }
 
+    /// A stream that yields at most `step` bytes per read.
+    struct Dribble<'a>(&'a [u8], usize);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(self.1).min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_commits_no_memory() {
+        // A header that claims the largest legal frame, then EOF — at once,
+        // and after some of the payload: the buffer never runs further
+        // ahead of the bytes that came than the read-ahead, or than their
+        // own number.
+        for sent in [0usize, 1, 4096, 3 * READ_AHEAD + 5] {
+            let body = vec![0x5Au8; sent];
+            let mut payload = Vec::new();
+            assert_eq!(
+                read_payload(&mut &body[..], MAX_FRAME_LEN, &mut payload),
+                Err(WireError::Truncated)
+            );
+            assert_eq!(payload.len(), sent);
+            assert!(
+                payload.capacity() <= sent + sent.max(READ_AHEAD),
+                "{} bytes reserved for {sent} received",
+                payload.capacity()
+            );
+        }
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&3u32.to_le_bytes());
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        assert_eq!(read_frame(&mut &wire[..]), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn a_frame_split_across_short_reads_still_assembles() {
+        // (payload length, bytes per read): a short frame a byte at a time,
+        // and one longer than a read-ahead step, so the buffer grows
+        // mid-frame, in odd-sized, page-sized and unbounded reads.
+        let cases = [
+            (31usize, 1usize),
+            (READ_AHEAD + 12_345, 7),
+            (READ_AHEAD + 12_345, 4096),
+            (READ_AHEAD + 12_345, usize::MAX),
+        ];
+        for (len, step) in cases {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, 11, &body).expect("write");
+            write_frame(&mut wire, 12, &[7]).expect("write");
+            let mut r = Dribble(&wire, step);
+            let (id, got) = read_frame(&mut r).expect("read").expect("frame");
+            assert_eq!(id, 11);
+            assert!(
+                got[..] == body[..],
+                "{len} B in reads of {step}: payload differs"
+            );
+            let (id, got) = read_frame(&mut r).expect("read").expect("frame");
+            assert_eq!((id, &got[..]), (12, &[7u8][..]));
+            assert_eq!(read_frame(&mut r).expect("read"), None);
+        }
+    }
+
+    #[test]
+    fn multicast_codec_round_trips_and_is_strict() {
+        let mut wire = Vec::new();
+        let wrote = write_multicast(&mut wire, &[1, 4, 9], b"payload").expect("write");
+        assert_eq!(wrote as usize, wire.len());
+        assert_eq!(wire.len(), FRAME_HEADER_LEN + 4 + 3 * 4 + 7);
+        let (address, payload) = read_frame(&mut &wire[..]).expect("read").expect("frame");
+        assert_eq!(address, MULTICAST_SENTINEL);
+        let (ids, message) = decode_multicast(&payload).expect("decode");
+        assert_eq!((ids, &message[..]), (vec![1, 4, 9], &b"payload"[..]));
+
+        // The writer refuses what the reader would.
+        for ids in [&[][..], &[3, 3][..], &[4, 1][..]] {
+            assert!(matches!(
+                write_multicast(&mut Vec::new(), ids, b"x"),
+                Err(WireError::Malformed(_))
+            ));
+        }
+        let raw = |count: u32, ids: &[u32], message: &[u8]| {
+            let mut p = count.to_le_bytes().to_vec();
+            for id in ids {
+                p.extend_from_slice(&id.to_le_bytes());
+            }
+            p.extend_from_slice(message);
+            Bytes::from(p)
+        };
+        // Empty, duplicate and descending id lists.
+        assert!(matches!(
+            decode_multicast(&raw(0, &[], b"msg")),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            decode_multicast(&raw(2, &[5, 5], b"msg")),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            decode_multicast(&raw(2, &[6, 5], b"msg")),
+            Err(WireError::Malformed(_))
+        ));
+        // A count that outruns the frame, by a little and by the most a
+        // u32 can claim (4 × count must not wrap on any target).
+        assert_eq!(
+            decode_multicast(&raw(3, &[1, 2], b"")),
+            Err(WireError::Truncated)
+        );
+        assert!(decode_multicast(&raw(u32::MAX, &[1, 2], b"msg")).is_err());
+        // An id list cut anywhere, the count included.
+        let whole = raw(2, &[1, 2], b"");
+        for cut in 0..whole.len() {
+            assert_eq!(
+                decode_multicast(&whole.slice(..cut)),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // No message is a message: the empty one.
+        assert_eq!(
+            decode_multicast(&whole).expect("decode"),
+            (vec![1, 2], Bytes::new())
+        );
+    }
+
     #[test]
     fn frame_codec_reports_truncation_at_every_offset() {
         let mut wire = Vec::new();
@@ -950,6 +1311,141 @@ mod tests {
             decode_hello(&bad_version),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A hand-driven server end: accepts one shard that hosts `ids` of a
+    /// 4-client fleet and returns the raw stream, hello consumed.
+    fn raw_server_for(ids: &[usize]) -> (TcpStream, SocketShardTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let shard = SocketShardTransport::connect_tcp(&addr, 4, ids).expect("shard");
+        let (mut stream, _) = listener.accept().expect("accept");
+        let (address, hello) = read_frame(&mut stream).expect("read").expect("hello");
+        assert_eq!(address, HELLO_SENTINEL);
+        assert_eq!(decode_hello(&hello).expect("hello"), (4, ids.to_vec()));
+        (stream, shard)
+    }
+
+    #[test]
+    fn hostile_downlink_frames_end_the_stream_with_nothing_delivered() {
+        let multicast = |count: u32, ids: &[u32]| {
+            let mut p = count.to_le_bytes().to_vec();
+            for id in ids {
+                p.extend_from_slice(&id.to_le_bytes());
+            }
+            p.extend_from_slice(b"model");
+            (MULTICAST_SENTINEL, p)
+        };
+        let hostile: Vec<(&str, (u32, Vec<u8>))> = vec![
+            (
+                "truncated id list",
+                (MULTICAST_SENTINEL, vec![2, 0, 0, 0, 0, 0]),
+            ),
+            ("count overflow", multicast(u32::MAX, &[0, 1])),
+            ("count larger than the frame", multicast(9, &[0, 1])),
+            ("an id the shard does not host", multicast(2, &[0, 2])),
+            ("an id outside the fleet", multicast(2, &[0, 77])),
+            ("duplicate ids", multicast(2, &[1, 1])),
+            ("descending ids", multicast(2, &[1, 0])),
+            ("empty id list", multicast(0, &[])),
+            ("a version-1 frame for one client", (0, b"model".to_vec())),
+            ("a hello on the downlink", (HELLO_SENTINEL, Vec::new())),
+        ];
+        for (what, (address, payload)) in hostile {
+            let (mut stream, shard) = raw_server_for(&[0, 1]);
+            write_frame(&mut stream, address, &payload).expect("write");
+            // A frame that would have been fine: the reader is gone.
+            write_multicast(&mut stream, &[0, 1], b"late").expect("write");
+            for k in [0usize, 1] {
+                assert_eq!(
+                    shard.recv_at_client(k, WAIT).expect("recv"),
+                    None,
+                    "{what}: client {k} was handed a frame"
+                );
+            }
+        }
+        // The same stream, well-formed: both clients see the one message.
+        let (mut stream, shard) = raw_server_for(&[0, 1]);
+        write_multicast(&mut stream, &[0, 1], b"model").expect("write");
+        write_multicast(&mut stream, &[1], b"again").expect("write");
+        assert_eq!(
+            &shard.recv_at_client(0, WAIT).expect("recv").expect("frame")[..],
+            b"model"
+        );
+        assert_eq!(
+            &shard.recv_at_client(1, WAIT).expect("recv").expect("frame")[..],
+            b"model"
+        );
+        assert_eq!(
+            &shard.recv_at_client(1, WAIT).expect("recv").expect("frame")[..],
+            b"again"
+        );
+    }
+
+    #[test]
+    fn server_refuses_a_version_1_hello() {
+        let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut v1 = encode_hello(2, &[0, 1]).expect("encode");
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        write_frame(&mut stream, HELLO_SENTINEL, &v1).expect("write");
+        assert_eq!(
+            listener.accept_federation(2, 1).err(),
+            Some(WireError::Malformed("unsupported hello version"))
+        );
+    }
+
+    #[test]
+    fn a_broadcast_crosses_each_shard_connection_once() {
+        let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let a = SocketShardTransport::connect_tcp(&addr, 5, &[0, 2, 4]).expect("shard a");
+        let b = SocketShardTransport::connect_tcp(&addr, 5, &[1, 3]).expect("shard b");
+        let server = listener.accept_federation(5, 2).expect("accept");
+        let message = Bytes::from(vec![0xC3u8; 1000]);
+        // Unsorted on purpose: the frame's id list is the server's job.
+        let wrote = server
+            .broadcast_to_clients(&[4, 3, 0, 2], &message)
+            .expect("broadcast");
+        // Two frames: header + count + ids + one copy of the message each.
+        let frame = |ids: u64| FRAME_HEADER_LEN as u64 + 4 + 4 * ids + 1000;
+        assert_eq!(wrote, frame(3) + frame(1));
+        for (shard, k) in [(&a, 0usize), (&a, 2), (&a, 4), (&b, 3)] {
+            let got = shard.recv_at_client(k, WAIT).expect("recv").expect("frame");
+            assert_eq!(got, message);
+        }
+        // Client 1 was not addressed.
+        assert_eq!(
+            b.recv_at_client(1, Duration::from_millis(1)).expect("recv"),
+            None
+        );
+        assert!(matches!(
+            server.broadcast_to_clients(&[2, 2], &message),
+            Err(WireError::Malformed(_))
+        ));
+        // An uplink built in the connection's write buffer carries its framing.
+        let wrote = a
+            .send_to_server_with(4, 3, &mut |buf| {
+                buf.extend_from_slice(b"abc");
+                Ok(())
+            })
+            .expect("uplink");
+        assert_eq!(wrote, FRAME_HEADER_LEN as u64 + 3);
+        let (k, frame) = server.recv_at_server(WAIT).expect("recv").expect("frame");
+        assert_eq!((k, &frame[..]), (4, &b"abc"[..]));
+        // An encoder that fails sends nothing, and the next frame is whole.
+        assert_eq!(
+            a.send_to_server_with(4, 3, &mut |buf| {
+                buf.extend_from_slice(b"torn");
+                Err(WireError::ShapeTooLarge)
+            }),
+            Err(WireError::ShapeTooLarge)
+        );
+        a.send_to_server(0, Bytes::from_static(b"whole"))
+            .expect("uplink");
+        let (k, frame) = server.recv_at_server(WAIT).expect("recv").expect("frame");
+        assert_eq!((k, &frame[..]), (0, &b"whole"[..]));
     }
 
     #[test]

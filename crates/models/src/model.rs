@@ -1,11 +1,12 @@
 //! [`ClientModel`]: the `f_k = C_k ∘ F_k` decomposition every algorithm in
 //! the reproduction operates on.
 
-use crate::classifier::{Classifier, ClassifierWeights};
-use fca_nn::module::{load_state_dict, state_dict, Module};
+use crate::classifier::Classifier;
+use fca_nn::module::Module;
 use fca_nn::structure::Sequential;
 use fca_tensor::quant::Precision;
 use fca_tensor::rng::SnapRng;
+use fca_tensor::serialize::encoded_len;
 use fca_tensor::{Tensor, Workspace};
 
 /// The architecture families of the zoo (paper §4.1).
@@ -172,18 +173,40 @@ impl ClientModel {
         self.feature_extractor.rng_slots()
     }
 
-    /// Full state snapshot (params + buffers), for `+weight` averaging.
+    /// Full state snapshot (params + buffers): a copy of every tensor
+    /// [`ClientModel::try_for_each_state`] visits, in its order. What a
+    /// server is seeded from; the wire and the pager go through the visitor
+    /// and copy nothing.
     pub fn full_state(&mut self) -> Vec<Tensor> {
-        let mut s = state_dict(&mut self.feature_extractor);
-        s.push(self.classifier.weights().weight);
-        s.push(self.classifier.weights().bias);
-        s
+        let mut state = Vec::new();
+        let _ = self.try_for_each_state(|t| {
+            state.push(t.clone());
+            Ok::<(), std::convert::Infallible>(())
+        });
+        state
     }
 
-    /// Visit every state tensor where it lives, in [`ClientModel::full_state`]
-    /// order (extractor parameters, extractor buffers, classifier weight and
-    /// bias), stopping at the first error. A client snapshot is written from
-    /// and read back into the tensors through this, with no clone between.
+    /// `(tensor count, summed wire-encoded size)` of the state
+    /// [`ClientModel::try_for_each_state`] visits: what a writer needs to
+    /// size its buffer and its count field before it encodes from the
+    /// tensors.
+    pub fn state_extent(&mut self) -> (usize, usize) {
+        let (mut count, mut len) = (0, 0);
+        let _ = self.try_for_each_state(|t| {
+            count += 1;
+            len += encoded_len(t);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        (count, len)
+    }
+
+    /// Visit every state tensor where it lives (extractor parameters,
+    /// extractor buffers, classifier weight and bias), stopping at the
+    /// first error. A client snapshot and a full-model wire frame are
+    /// written from and read back into the tensors through this, with no
+    /// clone between — and with every shape that came from outside held
+    /// against the tensor's own, so a foreign state is an `Err`, not an
+    /// assertion.
     pub fn try_for_each_state<E>(
         &mut self,
         mut f: impl FnMut(&mut Tensor) -> Result<(), E>,
@@ -198,17 +221,6 @@ impl ClientModel {
             f(&mut p.value)?;
         }
         Ok(())
-    }
-
-    /// Load a snapshot from [`ClientModel::full_state`].
-    pub fn load_full_state(&mut self, state: &[Tensor]) {
-        assert!(state.len() >= 2, "state too short");
-        let (fe_state, cls) = state.split_at(state.len() - 2);
-        load_state_dict(&mut self.feature_extractor, fe_state);
-        self.classifier.set_weights(&ClassifierWeights {
-            weight: cls[0].clone(),
-            bias: cls[1].clone(),
-        });
     }
 }
 
@@ -258,8 +270,12 @@ mod tests {
         let mut rng = seeded_rng(415);
         let mut ws = Workspace::new();
         let x = Tensor::randn([2, 1, 4, 4], 1.0, &mut rng);
-        let state = a.full_state();
-        b.load_full_state(&state);
+        let mut state = a.full_state().into_iter();
+        b.try_for_each_state(|t| {
+            *t = state.next().ok_or("state too short")?;
+            Ok::<(), &str>(())
+        })
+        .expect("twin architectures");
         let ya = a.predict(&x, &mut ws);
         let yb = b.predict(&x, &mut ws);
         assert_eq!(ya, yb);

@@ -199,13 +199,11 @@ pub fn decode_tensor<B: Buf>(buf: &mut B) -> Result<Tensor, WireError> {
     Ok(Tensor::from_vec(shape, data))
 }
 
-/// Decode one tensor from the front of `buf` into `dst`, which must
-/// already have the encoded shape: the reader restores state onto a twin
-/// of known architecture, so a header that disagrees is corruption, not a
-/// resize. On `Err`, `dst` is untouched.
-pub fn decode_tensor_into<B: Buf>(buf: &mut B, dst: &mut Tensor) -> Result<(), WireError> {
+/// Take the header at the front of `buf`, hold it against `like`'s shape
+/// and check that the whole payload follows; returns the element count.
+fn take_header_like<B: Buf>(buf: &mut B, like: &Tensor) -> Result<usize, WireError> {
     let (shape, numel) = take_header(buf)?;
-    if shape.dims() != dst.dims() {
+    if shape.dims() != like.dims() {
         return Err(WireError::Malformed(
             "tensor shape does not match its destination",
         ));
@@ -213,7 +211,25 @@ pub fn decode_tensor_into<B: Buf>(buf: &mut B, dst: &mut Tensor) -> Result<(), W
     if buf.remaining() < 4 * numel {
         return Err(WireError::Truncated);
     }
+    Ok(numel)
+}
+
+/// Decode one tensor from the front of `buf` into `dst`, which must
+/// already have the encoded shape: the reader restores state onto a twin
+/// of known architecture, so a header that disagrees is corruption, not a
+/// resize. On `Err`, `dst` is untouched.
+pub fn decode_tensor_into<B: Buf>(buf: &mut B, dst: &mut Tensor) -> Result<(), WireError> {
+    take_header_like(buf, dst)?;
     take_f32s(buf, dst.data_mut());
+    Ok(())
+}
+
+/// Step over one encoded tensor of `like`'s shape without reading its
+/// values: every check [`decode_tensor_into`] makes, none of its writes.
+/// A reader that must refuse a message whole walks it with this first.
+pub fn skip_tensor_like<B: Buf>(buf: &mut B, like: &Tensor) -> Result<(), WireError> {
+    let numel = take_header_like(buf, like)?;
+    buf.advance(4 * numel);
     Ok(())
 }
 
@@ -307,9 +323,8 @@ pub fn encoded_len_f16(t: &Tensor) -> usize {
 
 /// Append the tensor's half-precision wire encoding to `buf` (same
 /// header as the f32 format; the caller's framing distinguishes them).
-pub fn encode_tensor_f16(t: &Tensor, buf: &mut BytesMut) -> Result<(), WireError> {
+pub fn encode_tensor_f16<B: BufMut>(t: &Tensor, buf: &mut B) -> Result<(), WireError> {
     check_encodable(t)?;
-    buf.reserve(encoded_len_f16(t));
     put_header(t, buf)?;
     for &v in t.data() {
         buf.put_u16_le(f32_to_f16_bits(v));
@@ -387,6 +402,30 @@ mod tests {
             Err(WireError::Truncated)
         );
         assert!(dst.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn skip_makes_every_check_of_decode_into_and_lands_where_it_does() {
+        let mut wire = Vec::new();
+        encode_tensor(&Tensor::ones([2, 3]), &mut wire).unwrap();
+        wire.push(0xEE);
+        let like = Tensor::zeros([2, 3]);
+        let mut cursor = &wire[..];
+        skip_tensor_like(&mut cursor, &like).unwrap();
+        assert_eq!(cursor, &[0xEE][..]);
+        assert_eq!(
+            skip_tensor_like(&mut &wire[..], &Tensor::zeros([3, 2])),
+            Err(WireError::Malformed(
+                "tensor shape does not match its destination"
+            ))
+        );
+        for cut in 0..wire.len() - 1 {
+            assert_eq!(
+                skip_tensor_like(&mut &wire[..cut], &like),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

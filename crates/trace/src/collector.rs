@@ -179,6 +179,8 @@ pub fn emit_round(rec: &RoundRecord) {
         dur_us: rec.dur_us,
         downlink_bytes: rec.downlink_bytes,
         uplink_bytes: rec.uplink_bytes,
+        downlink_physical_bytes: rec.downlink_physical_bytes,
+        uplink_physical_bytes: rec.uplink_physical_bytes,
         dropped: rec.dropped,
         corrupt: rec.corrupt,
         stale: rec.stale,

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// fields, or a change in a field's unit or meaning. Readers (the
 /// `trace_report` bin, the CI smoke check) refuse other versions rather
 /// than guessing.
-pub const SCHEMA_VERSION: u64 = 5;
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// One journal line. See DESIGN.md §7.4 for units and emission points.
 ///
@@ -113,10 +113,16 @@ pub enum Event {
         /// Wall-clock duration of the round, µs (evaluation included on
         /// eval rounds).
         dur_us: u64,
-        /// Server→client bytes sent during this round.
+        /// Server→client bytes sent during this round, per recipient (the
+        /// logical tally: Table 5's unit).
         downlink_bytes: u64,
-        /// Client→server bytes sent during this round.
+        /// Client→server bytes sent during this round (logical).
         uplink_bytes: u64,
+        /// Server→client bytes handed to transport writes this round,
+        /// framing included: a broadcast counts once per connection.
+        downlink_physical_bytes: u64,
+        /// Client→server bytes handed to transport writes this round.
+        uplink_physical_bytes: u64,
         /// Uplinks lost to dropout/stragglers this round.
         dropped: u64,
         /// Uplinks discarded as corrupt this round.
@@ -254,6 +260,8 @@ impl Event {
                 dur_us,
                 downlink_bytes,
                 uplink_bytes,
+                downlink_physical_bytes,
+                uplink_physical_bytes,
                 dropped,
                 corrupt,
                 stale,
@@ -263,6 +271,8 @@ impl Event {
                     s,
                     "{{\"ev\":\"round\",\"round\":{round},\"dur_us\":{dur_us},\
                      \"downlink_bytes\":{downlink_bytes},\"uplink_bytes\":{uplink_bytes},\
+                     \"downlink_physical_bytes\":{downlink_physical_bytes},\
+                     \"uplink_physical_bytes\":{uplink_physical_bytes},\
                      \"dropped\":{dropped},\"corrupt\":{corrupt},\
                      \"stale\":{stale},\"expired\":{expired}}}"
                 );
@@ -356,6 +366,8 @@ impl Event {
                 dur_us: take_num(&mut fields, "dur_us")?,
                 downlink_bytes: take_num(&mut fields, "downlink_bytes")?,
                 uplink_bytes: take_num(&mut fields, "uplink_bytes")?,
+                downlink_physical_bytes: take_num(&mut fields, "downlink_physical_bytes")?,
+                uplink_physical_bytes: take_num(&mut fields, "uplink_physical_bytes")?,
                 dropped: take_num(&mut fields, "dropped")?,
                 corrupt: take_num(&mut fields, "corrupt")?,
                 stale: take_num(&mut fields, "stale")?,
@@ -626,6 +638,8 @@ mod tests {
                 dur_us: 1_500_000,
                 downlink_bytes: 1120,
                 uplink_bytes: 1120,
+                downlink_physical_bytes: 160,
+                uplink_physical_bytes: 1176,
                 dropped: 1,
                 corrupt: 0,
                 stale: 2,

@@ -55,10 +55,14 @@ pub struct RoundRecord {
     pub round: u64,
     /// Wall-clock duration of the round, microseconds.
     pub dur_us: u64,
-    /// Server→client bytes sent during the round.
+    /// Server→client bytes sent during the round, per recipient (logical).
     pub downlink_bytes: u64,
-    /// Client→server bytes sent during the round.
+    /// Client→server bytes sent during the round (logical).
     pub uplink_bytes: u64,
+    /// Server→client bytes handed to transport writes during the round.
+    pub downlink_physical_bytes: u64,
+    /// Client→server bytes handed to transport writes during the round.
+    pub uplink_physical_bytes: u64,
     /// Uplinks lost to dropout/stragglers during the round.
     pub dropped: u64,
     /// Uplinks discarded as corrupt during the round.
@@ -161,6 +165,8 @@ mod tests {
             dur_us: 10,
             downlink_bytes: 100,
             uplink_bytes: 50,
+            downlink_physical_bytes: 20,
+            uplink_physical_bytes: 58,
             dropped: 1,
             corrupt: 0,
             stale: 2,

@@ -248,6 +248,89 @@ fn zoo_client(arch: ModelArch, hp: &HyperParams) -> Client {
     Client::new(0, model, d.train, d.test, augment, 1.0, hp, 73)
 }
 
+/// A well-formed `FullModel` frame that does not fit the model it is
+/// meant for — a tensor missing or too many, any one tensor transposed or
+/// flattened, the frame cut anywhere or a byte too long — is refused whole:
+/// an `Err`, and not one bit of the model written. (The two ways to get
+/// this wrong: assert on a peer's shapes, or check while filling and so
+/// overwrite every tensor in front of the bad one.)
+#[test]
+fn full_model_frames_for_another_shape_are_refused_with_the_model_untouched() {
+    for arch in ZOO {
+        let mut sender = build_model(arch, (1, 12, 12), 8, 3, 72);
+        let mut receiver = build_model(arch, (1, 12, 12), 8, 3, 74);
+        let good = sender.full_state();
+        let before = receiver.full_state();
+        let whole = WireMessage::FullModel(good.clone())
+            .encode()
+            .expect("encode");
+        let mut from_model = Vec::new();
+        WireMessage::encode_full_model(&mut sender, &mut from_model).expect("encode");
+        assert_eq!(
+            &from_model[..],
+            &whole[..],
+            "{arch:?}: two encoders disagree"
+        );
+
+        let mut mutants: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut add = |what: String, state: Vec<Tensor>| {
+            let frame = WireMessage::FullModel(state).encode().expect("encode");
+            mutants.push((what, frame.to_vec()));
+        };
+        add(
+            "last tensor missing".into(),
+            good[..good.len() - 1].to_vec(),
+        );
+        add("first tensor missing".into(), good[1..].to_vec());
+        add(
+            "one tensor too many".into(),
+            [&good[..], &good[..1]].concat(),
+        );
+        add("no tensors".into(), Vec::new());
+        for (i, t) in good.iter().enumerate() {
+            let d = t.dims();
+            if d.len() >= 2 && d.first() != d.last() {
+                let dims: Vec<usize> = d.iter().rev().copied().collect();
+                let mut state = good.clone();
+                state[i] = Tensor::from_vec(
+                    fedclassavg_suite::tensor::Shape::new(&dims),
+                    t.data().to_vec(),
+                );
+                add(format!("tensor {i} transposed"), state);
+            }
+            if d.len() != 1 {
+                let mut state = good.clone();
+                state[i] = Tensor::from_vec([t.numel()], t.data().to_vec());
+                add(format!("tensor {i} flattened"), state);
+            }
+        }
+        // Cut at every offset of the headers in front and of the tail, and
+        // sparsely in between; and one byte too long.
+        for cut in (0..whole.len()).filter(|&c| c < 64 || c + 64 > whole.len() || c % 997 == 0) {
+            mutants.push((format!("cut at {cut}"), whole[..cut].to_vec()));
+        }
+        let mut long = whole.to_vec();
+        long.push(0);
+        mutants.push(("one trailing byte".into(), long));
+        let mut retagged = whole.to_vec();
+        retagged[0] = 1; // a classifier's tag
+        mutants.push(("another message's tag".into(), retagged));
+
+        for (what, frame) in mutants {
+            assert!(
+                WireMessage::decode_full_model_into(&frame, &mut receiver).is_err(),
+                "{arch:?}: {what}: accepted"
+            );
+            assert!(
+                receiver.full_state() == before,
+                "{arch:?}: {what}: the model was written to"
+            );
+        }
+        WireMessage::decode_full_model_into(&whole, &mut receiver).expect("the frame itself");
+        assert!(receiver.full_state() == good, "{arch:?}: state differs");
+    }
+}
+
 /// Adam (two optimizer slots per parameter) and SGD with momentum (one).
 fn optimizers() -> [HyperParams; 2] {
     let mut sgd = HyperParams::micro_default();
