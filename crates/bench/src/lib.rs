@@ -16,10 +16,9 @@
 //! | `fig9_conductance`      | Figure 9 (classifier unit-attribution ranks) |
 //! | `table5_comm_cost`      | Table 5 (per-round communication cost) |
 //!
-//! Criterion benches under `benches/` measure the computational substrate
-//! (GEMM, conv, losses, wire serialization, one communication round per
-//! algorithm) so `cargo bench` exercises every subsystem quickly; the
-//! binaries above run the full experiments and write JSON into `results/`.
+//! The binaries above run the full experiments and write JSON into
+//! `results/`. Speed is measured by the workspace under `benchmark/`
+//! (end-to-end federation rounds plus a traced per-layer run), not here.
 
 pub mod experiments;
 pub mod report;

@@ -1,16 +1,15 @@
 //! FedAvg (McMahan et al. 2017) and FedProx (Li et al. 2020) — the
 //! homogeneous full-weight-sharing baselines of Table 3.
 
-use super::{average_full_models, Algorithm};
+use super::{exchange, same_shapes, Algorithm, Downlink, Leg, Reply};
 use crate::checkpoint::{expect_empty, put_tensor_list, take_tensor_list};
 use crate::client::{Client, LocalStats};
-use crate::comm::{Collected, Network, WireMessage};
+use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
 use bytes::{Bytes, BytesMut};
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
-use fca_trace::PhaseId;
 
 /// FedAvg server: weighted full-model averaging.
 pub struct FedAvg {
@@ -32,12 +31,26 @@ impl FedAvg {
         &self.global_state
     }
 
-    /// Send the global state to every sampled client: one message, encoded
-    /// once.
-    fn broadcast(&self, sampled: &[usize], net: &Network) {
-        // A closed endpoint is an offline client; the count-driven
-        // collect already tolerates the missing reply.
-        let _ = net.broadcast(sampled, &WireMessage::FullModel(self.global_state.clone()));
+    /// One full-model exchange, whatever `train` is — FedAvg's, FedProx's
+    /// and FedClassAvg `+weight`'s round: the global state goes down as
+    /// one message, each client trains on it, and the replies of the
+    /// global's own shapes are averaged into the new global. True when a
+    /// new global was formed.
+    pub(crate) fn exchange(
+        &mut self,
+        leg: &mut Leg<'_>,
+        train: impl Fn(&mut Client) -> LocalStats + Sync,
+    ) -> bool {
+        let net = leg.net;
+        let down = Downlink::All(WireMessage::FullModel(self.global_state.clone()));
+        let turn = |c: &mut Client| Self::client_turn(c, net, &train);
+        exchange(
+            leg,
+            down,
+            turn,
+            Some((self, &mut Self::accept, &mut Self::fold)),
+        )
+        .is_some()
     }
 
     /// A sampled client's turn: read the global state into the model,
@@ -55,13 +68,41 @@ impl FedAvg {
         let _ = net.send_full_model(c.id, &mut c.model);
     }
 
-    /// Weighted-average the `FullModel` replies into the global state
-    /// ([`average_full_models`]). Zero usable replies leave the previous
-    /// global standing.
-    fn aggregate(&mut self, fleet: &Fleet, collected: Collected) {
-        if let Some(state) = average_full_models(fleet, collected) {
-            self.global_state = state;
+    /// A reply is usable when it is a full model of the global's shapes.
+    fn accept(&self, _client: usize, msg: WireMessage) -> Option<Vec<Tensor>> {
+        match msg {
+            WireMessage::FullModel(state) if same_shapes(&state, &self.global_state) => Some(state),
+            _ => None,
         }
+    }
+
+    /// The weighted average of the replies becomes the global state,
+    /// folded into the first reply's own tensors: it is scaled where it
+    /// lies and the others are added onto it.
+    fn fold(&mut self, replies: Vec<Reply<Vec<Tensor>>>) {
+        let mut replies = replies.into_iter();
+        let Some(first) = replies.next() else {
+            return;
+        };
+        let mut acc = first.payload;
+        acc.iter_mut().for_each(|t| t.scale(first.weight));
+        for r in replies {
+            for (ai, ti) in acc.iter_mut().zip(&r.payload) {
+                ai.axpy(r.weight, ti);
+            }
+        }
+        self.global_state = acc;
+    }
+
+    /// Replace the global state with one of the same shapes (a checkpoint's).
+    pub(crate) fn restore_state(&mut self, state: Vec<Tensor>) -> Result<(), WireError> {
+        if !same_shapes(&state, &self.global_state) {
+            return Err(WireError::Malformed(
+                "checkpoint model shape does not match the configuration",
+            ));
+        }
+        self.global_state = state;
+        Ok(())
     }
 }
 
@@ -78,23 +119,8 @@ impl Algorithm for FedAvg {
         net: &Network,
         hp: &HyperParams,
     ) {
-        let span = fca_trace::clock();
-        self.broadcast(sampled, net);
-        fca_trace::phase(PhaseId::Broadcast, span);
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
-            Self::client_turn(c, net, |c| c.local_update_supervised(hp.local_epochs, hp));
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
-        let span = fca_trace::clock();
-        let collected = net.collect_round(round, sampled.len());
-        fca_trace::phase(PhaseId::Collect, span);
-        if collected.replies.is_empty() {
-            return; // zero survivors: the previous global stands
-        }
-        let span = fca_trace::clock();
-        self.aggregate(fleet, collected);
-        fca_trace::phase(PhaseId::Aggregate, span);
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        self.exchange(&mut leg, |c| c.local_update_supervised(hp.local_epochs, hp));
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
@@ -107,18 +133,7 @@ impl Algorithm for FedAvg {
         let mut buf = Bytes::copy_from_slice(blob);
         let state = take_tensor_list(&mut buf)?;
         expect_empty(&buf)?;
-        if state.len() != self.global_state.len()
-            || state
-                .iter()
-                .zip(&self.global_state)
-                .any(|(a, b)| a.dims() != b.dims())
-        {
-            return Err(WireError::Malformed(
-                "checkpoint model shape does not match the configuration",
-            ));
-        }
-        self.global_state = state;
-        Ok(())
+        self.restore_state(state)
     }
 }
 
@@ -158,34 +173,19 @@ impl Algorithm for FedProx {
         net: &Network,
         hp: &HyperParams,
     ) {
-        let span = fca_trace::clock();
-        self.inner.broadcast(sampled, net);
-        fca_trace::phase(PhaseId::Broadcast, span);
         let mu = self.mu;
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
-            FedAvg::client_turn(c, net, |c| {
-                // Snapshot the just-loaded global parameters in params_mut
-                // order so the proximal pull aligns exactly.
-                let snapshot: Vec<Tensor> = c
-                    .model
-                    .params_mut()
-                    .iter()
-                    .map(|p| p.value.clone())
-                    .collect();
-                c.local_update_fedprox(&snapshot, mu, hp)
-            });
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        self.inner.exchange(&mut leg, |c| {
+            // Snapshot the just-loaded global parameters in params_mut
+            // order so the proximal pull aligns exactly.
+            let snapshot: Vec<Tensor> = c
+                .model
+                .params_mut()
+                .iter()
+                .map(|p| p.value.clone())
+                .collect();
+            c.local_update_fedprox(&snapshot, mu, hp)
         });
-        fca_trace::phase(PhaseId::LocalTrain, span);
-        let span = fca_trace::clock();
-        let collected = net.collect_round(round, sampled.len());
-        fca_trace::phase(PhaseId::Collect, span);
-        if collected.replies.is_empty() {
-            return; // zero survivors: the previous global stands
-        }
-        let span = fca_trace::clock();
-        self.inner.aggregate(fleet, collected);
-        fca_trace::phase(PhaseId::Aggregate, span);
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
@@ -301,6 +301,58 @@ mod tests {
         assert_eq!(algo.global_state(), &foreign[..]);
         for (k, state) in before.iter().enumerate() {
             assert_eq!(&fleet.client_mut(k).model.full_state(), state);
+        }
+    }
+
+    #[test]
+    fn a_wrong_shaped_full_model_reply_is_a_corrupt_reply() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let fleet = || tiny_fleet_homogeneous(3, 727).0;
+        let good = fleet().client_mut(0).model.full_state();
+        // A weight with two unequal axes, to transpose.
+        let at = (0..good.len())
+            .find(|&i| matches!(*good[i].dims(), [a, b] if a != b))
+            .expect("a non-square matrix");
+        let with = |i: usize, t: Tensor| {
+            let mut state = good.clone();
+            state[i] = t;
+            state
+        };
+        let dims = good[at].dims();
+        let forgeries = [
+            ("one tensor short", good[..good.len() - 1].to_vec()),
+            ("one tensor too many", [&good[..], &good[..1]].concat()),
+            (
+                "a transposed weight",
+                with(at, Tensor::full([dims[1], dims[0]], 1.0)),
+            ),
+            (
+                "a weight of another rank",
+                with(at, Tensor::full([good[at].numel()], 1.0)),
+            ),
+            ("no tensor at all", Vec::new()),
+        ];
+        for (what, forged) in forgeries {
+            // First reply of three, last of three, and the only one: alone
+            // it must not become the global, first it must not seed the sum.
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                let what = format!("{what}, from client {k}, {} lost", lost.len());
+                let forged = WireMessage::FullModel(forged.clone());
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("FedAvg: {what}"),
+                    || (fleet(), FedAvg::new(good.clone())),
+                    k,
+                    forged.clone(),
+                    lost,
+                );
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("FedProx: {what}"),
+                    || (fleet(), FedProx::new(good.clone(), 0.1)),
+                    k,
+                    forged,
+                    lost,
+                );
+            }
         }
     }
 

@@ -9,10 +9,10 @@
 //!
 //! * the [`LocalObjective`] flags reproduce the Table 4 ablation
 //!   (CA alone, +PR, +CL, +PR,CL);
-//! * `share_full_weights` reproduces the homogeneous "+weight" rows of
-//!   Table 3 (all weights averaged, proximal still classifier-only).
+//! * the `+weight` constructor reproduces the homogeneous rows of Table 3
+//!   (all weights averaged, proximal still classifier-only).
 
-use super::{average_full_models, contribution_weights, Algorithm, FedAvg};
+use super::{classifier_fits, exchange, Algorithm, Downlink, FedAvg, Leg, Reply};
 use crate::checkpoint::{
     expect_empty, put_tensor, put_tensor_list, take_tensor, take_tensor_list, take_u8,
 };
@@ -25,15 +25,23 @@ use fca_models::classifier::ClassifierWeights;
 use fca_tensor::rng::derived_rng;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
-use fca_trace::PhaseId;
 
 /// FedClassAvg server.
 pub struct FedClassAvg {
     global: ClassifierWeights,
-    global_state: Option<Vec<Tensor>>,
+    payload: Payload,
     objective: LocalObjective,
-    share_full_weights: bool,
-    half_precision: bool,
+}
+
+/// What crosses the wire each round.
+enum Payload {
+    /// The classifier, in f32.
+    Classifier,
+    /// The classifier, in IEEE binary16.
+    ClassifierF16,
+    /// The whole model (`+weight`): a FedAvg exchange, whose global
+    /// state's last two tensors are the classifier.
+    FullModel(FedAvg),
 }
 
 impl FedClassAvg {
@@ -47,13 +55,11 @@ impl FedClassAvg {
         let init = fca_models::classifier::Classifier::new(feature_dim, num_classes, &mut rng);
         FedClassAvg {
             global: init.weights(),
-            global_state: None,
+            payload: Payload::Classifier,
             objective: LocalObjective {
                 contrastive: true,
                 rho: f32::NAN,
             },
-            share_full_weights: false,
-            half_precision: false,
         }
     }
 
@@ -62,10 +68,10 @@ impl FedClassAvg {
     /// weight; `ext_quantized_comm` measures the accuracy impact.
     pub fn with_half_precision(mut self) -> Self {
         assert!(
-            !self.share_full_weights,
+            !matches!(self.payload, Payload::FullModel(_)),
             "half precision applies to classifier exchange"
         );
-        self.half_precision = true;
+        self.payload = Payload::ClassifierF16;
         self
     }
 
@@ -95,20 +101,12 @@ impl FedClassAvg {
         initial_state: Vec<Tensor>,
     ) -> Self {
         let mut a = Self::new(feature_dim, num_classes, seed);
-        a.share_full_weights = true;
-        // Keep the classifier embedded in the state consistent with the
-        // standalone global classifier.
         assert!(
             initial_state.len() >= 2,
             "full state must contain at least the classifier"
         );
-        if let [.., weight, bias] = &initial_state[..] {
-            a.global = ClassifierWeights {
-                weight: weight.clone(),
-                bias: bias.clone(),
-            };
-        }
-        a.global_state = Some(initial_state);
+        a.payload = Payload::FullModel(FedAvg::new(initial_state));
+        a.sync_classifier();
         a
     }
 
@@ -117,47 +115,42 @@ impl FedClassAvg {
         &self.global
     }
 
-    /// A sampled client's turn: take the round's broadcast, train on it,
-    /// upload. A client that was sent nothing, or something it cannot use,
-    /// sits the round out unchanged.
+    /// Keep the standalone global classifier consistent with the one
+    /// embedded at the end of the `+weight` global state.
+    fn sync_classifier(&mut self) {
+        if let Payload::FullModel(full) = &self.payload {
+            if let [.., weight, bias] = full.global_state() {
+                self.global = ClassifierWeights {
+                    weight: weight.clone(),
+                    bias: bias.clone(),
+                };
+            }
+        }
+    }
+
+    /// A sampled client's turn in a classifier exchange: take the round's
+    /// broadcast, train on it, upload in the precision it came in. A client
+    /// that was sent nothing, another variant, or a classifier that is not
+    /// its model's, sits the round out unchanged.
     pub(crate) fn client_turn(
         c: &mut Client,
         net: &Network,
         hp: &HyperParams,
         obj: LocalObjective,
-        share_full: bool,
     ) {
-        if share_full {
-            // The full state goes from the frame into the model and back;
-            // the classifier it just loaded is the round's global one.
-            FedAvg::client_turn(c, net, |c| {
-                let global_cls = c.model.classifier.weights();
-                c.local_update_fedclassavg(Some(&global_cls), hp, obj)
-            });
-            return;
-        }
-        let Some(msg) = net.client_recv(c.id) else {
-            return;
+        type Wrap = fn(ClassifierWeights) -> WireMessage;
+        let (global, reply) = match net.client_recv(c.id) {
+            Some(WireMessage::Classifier(g)) => (g, WireMessage::Classifier as Wrap),
+            Some(WireMessage::ClassifierF16(g)) => (g, WireMessage::ClassifierF16 as Wrap),
+            _ => return,
         };
-        match msg {
-            WireMessage::Classifier(global) => {
-                c.model.classifier.set_weights(&global);
-                c.local_update_fedclassavg(Some(&global), hp, obj);
-                let _ = net
-                    .send_to_server(c.id, &WireMessage::Classifier(c.model.classifier.weights()));
-            }
-            WireMessage::ClassifierF16(global) => {
-                c.model.classifier.set_weights(&global);
-                c.local_update_fedclassavg(Some(&global), hp, obj);
-                let _ = net.send_to_server(
-                    c.id,
-                    &WireMessage::ClassifierF16(c.model.classifier.weights()),
-                );
-            }
-            // A broadcast that decoded to an unexpected variant is
-            // treated like a lost broadcast: sit the round out.
-            _ => {}
+        let own = &mut c.model.classifier;
+        if !classifier_fits(&global, own.feature_dim(), own.num_classes()) {
+            return;
         }
+        own.set_weights(&global);
+        c.local_update_fedclassavg(Some(&global), hp, obj);
+        let _ = net.send_to_server(c.id, &reply(c.model.classifier.weights()));
     }
 
     pub(crate) fn objective_for(&self, hp: &HyperParams) -> LocalObjective {
@@ -170,18 +163,39 @@ impl FedClassAvg {
             },
         }
     }
+
+    /// A reply is usable when it is a classifier of the global's shape, in
+    /// either precision.
+    fn accept(&self, _client: usize, msg: WireMessage) -> Option<ClassifierWeights> {
+        let dims = self.global.weight.dims();
+        match msg {
+            WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {
+                classifier_fits(&cw, dims[1], dims[0]).then_some(cw)
+            }
+            _ => None,
+        }
+    }
+
+    /// Eq. 3: the new global classifier is the weighted average of the
+    /// replies, accumulated from zero in reply order.
+    fn fold(&mut self, replies: Vec<Reply<ClassifierWeights>>) {
+        let dims = self.global.weight.dims();
+        let mut acc = ClassifierWeights::zeros(dims[1], dims[0]);
+        for r in &replies {
+            acc.axpy(r.weight, &r.payload);
+        }
+        self.global = acc;
+    }
 }
 
 impl Algorithm for FedClassAvg {
     fn name(&self) -> String {
-        let mut n = "FedClassAvg".to_string();
-        if self.share_full_weights {
-            n.push_str(" (+weight)");
+        match self.payload {
+            Payload::Classifier => "FedClassAvg",
+            Payload::ClassifierF16 => "FedClassAvg (f16)",
+            Payload::FullModel(_) => "FedClassAvg (+weight)",
         }
-        if self.half_precision {
-            n.push_str(" (f16)");
-        }
-        n
+        .into()
     }
 
     fn round(
@@ -193,103 +207,39 @@ impl Algorithm for FedClassAvg {
         hp: &HyperParams,
     ) {
         let obj = self.objective_for(hp);
-
-        // Broadcast: one message for the round, encoded once.
-        let span = fca_trace::clock();
-        let msg = if self.share_full_weights {
-            WireMessage::FullModel(
-                self.global_state
-                    .as_ref()
-                    // fca-lint: allow(P1, reason = "invariant set by the only constructor that enables share_full_weights; never reachable from wire input")
-                    .expect("+weight state initialized")
-                    .clone(),
-            )
-        } else if self.half_precision {
-            WireMessage::ClassifierF16(self.global.clone())
-        } else {
-            WireMessage::Classifier(self.global.clone())
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        let down = match &mut self.payload {
+            Payload::FullModel(full) => {
+                // The full state goes from the frame into the model and
+                // back; the classifier it just loaded is the round's
+                // global one.
+                let folded = full.exchange(&mut leg, |c| {
+                    let global_cls = c.model.classifier.weights();
+                    c.local_update_fedclassavg(Some(&global_cls), hp, obj)
+                });
+                if folded {
+                    self.sync_classifier();
+                }
+                return;
+            }
+            Payload::Classifier => WireMessage::Classifier(self.global.clone()),
+            Payload::ClassifierF16 => WireMessage::ClassifierF16(self.global.clone()),
         };
-        // A closed endpoint is an offline client; the count-driven
-        // collect already tolerates the missing reply.
-        let _ = net.broadcast(sampled, &msg);
-        fca_trace::phase(PhaseId::Broadcast, span);
-
-        // Local updates (parallel). Offline clients received nothing and
-        // sit the round out.
-        let share_full = self.share_full_weights;
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| Self::client_turn(c, net, hp, obj, share_full));
-        fca_trace::phase(PhaseId::LocalTrain, span);
-
-        // Aggregate (Eq. 3) over whatever survived the round — fresh
-        // survivors plus, under buffered aggregation, staleness-decayed
-        // late arrivals — deterministically ordered by client id;
-        // contributor weights are renormalized to sum to 1 so the average
-        // stays unbiased. Zero survivors skip the round: the previous
-        // global stands.
-        let span = fca_trace::clock();
-        let collected = net.collect_round(round, sampled.len());
-        fca_trace::phase(PhaseId::Collect, span);
-        if collected.replies.is_empty() {
-            return;
-        }
-        let span = fca_trace::clock();
-
-        // Wrong-variant replies count as corrupt and are skipped below;
-        // weights renormalize over the survivors. Zero usable replies
-        // leave the previous global standing.
-        if self.share_full_weights {
-            // A corrupt short reply can seed the average with fewer
-            // tensors than the classifier needs; keep the previous global
-            // standing, like a zero-survivor round.
-            if let Some(acc) = average_full_models(fleet, collected) {
-                if let [.., weight, bias] = &acc[..] {
-                    self.global = ClassifierWeights {
-                        weight: weight.clone(),
-                        bias: bias.clone(),
-                    };
-                    self.global_state = Some(acc);
-                }
-            }
-        } else {
-            let classifiers: Vec<(usize, usize, &ClassifierWeights)> = collected
-                .replies
-                .iter()
-                .zip(&collected.staleness)
-                .filter_map(|((k, msg), &s)| match msg {
-                    WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {
-                        Some((*k, s, cw))
-                    }
-                    _ => None,
-                })
-                .collect();
-            if !classifiers.is_empty() {
-                let contributors: Vec<(usize, usize)> =
-                    classifiers.iter().map(|&(k, s, _)| (k, s)).collect();
-                let weights = contribution_weights(fleet, &contributors);
-                let mut acc = ClassifierWeights::zeros(
-                    self.global.weight.dims()[1],
-                    self.global.weight.dims()[0],
-                );
-                for ((_, _, cw), &w) in classifiers.iter().zip(&weights) {
-                    acc.axpy(w, cw);
-                }
-                self.global = acc;
-            }
-        }
-        fca_trace::phase(PhaseId::Aggregate, span);
+        let turn = |c: &mut Client| Self::client_turn(c, net, hp, obj);
+        let uplink = (self, &mut Self::accept as _, &mut Self::fold as _);
+        exchange(&mut leg, Downlink::All(down), turn, Some(uplink));
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
         let mut buf = BytesMut::new();
         put_tensor(&mut buf, &self.global.weight)?;
         put_tensor(&mut buf, &self.global.bias)?;
-        match &self.global_state {
-            None => buf.put_u8(0),
-            Some(state) => {
+        match &self.payload {
+            Payload::FullModel(full) => {
                 buf.put_u8(1);
-                put_tensor_list(&mut buf, state)?;
+                put_tensor_list(&mut buf, full.global_state())?;
             }
+            _ => buf.put_u8(0),
         }
         Ok(Some(buf.freeze().to_vec()))
     }
@@ -309,13 +259,16 @@ impl Algorithm for FedClassAvg {
                 "checkpoint classifier shape does not match the configuration",
             ));
         }
-        if state.is_some() != self.global_state.is_some() {
-            return Err(WireError::Malformed(
-                "checkpoint weight-sharing mode does not match the configuration",
-            ));
+        match (&mut self.payload, state) {
+            (Payload::FullModel(full), Some(state)) => full.restore_state(state)?,
+            (Payload::Classifier | Payload::ClassifierF16, None) => {}
+            _ => {
+                return Err(WireError::Malformed(
+                    "checkpoint weight-sharing mode does not match the configuration",
+                ))
+            }
         }
         self.global = ClassifierWeights { weight, bias };
-        self.global_state = state;
         Ok(())
     }
 }
@@ -402,7 +355,7 @@ mod tests {
         );
         // And both clients hold identical weights at round start of next
         // round (broadcast dominates); check global state exists.
-        assert!(algo.global_state.is_some());
+        assert!(matches!(algo.payload, Payload::FullModel(_)));
     }
 
     #[test]
@@ -523,6 +476,291 @@ mod tests {
             "round with zero survivors must leave the global untouched"
         );
         assert_eq!(net.take_round_faults(), (2, 0));
+    }
+
+    /// The classifier exchange as `FedClassAvg::round` and `client_turn`
+    /// wrote it out before there was a driver — broadcast, client region,
+    /// collect, variant filter, weights, fold, each by hand — kept as the
+    /// oracle the driver is held to. (`Collected` has since merged its two
+    /// parallel vectors; nothing else is changed.)
+    struct HandWritten {
+        global: ClassifierWeights,
+        half_precision: bool,
+    }
+
+    impl HandWritten {
+        fn contribution_weights(fleet: &Fleet, contributors: &[(usize, usize)]) -> Vec<f32> {
+            let raw: Vec<f32> = contributors
+                .iter()
+                .map(|&(k, s)| fleet.weight(k) * (1.0 + s as f32).powf(-0.5))
+                .collect();
+            let total: f32 = raw.iter().sum();
+            assert!(total > 0.0, "contributing clients have zero total weight");
+            raw.into_iter().map(|w| w / total).collect()
+        }
+
+        fn client_turn(c: &mut Client, net: &Network, hp: &HyperParams, obj: LocalObjective) {
+            let Some(msg) = net.client_recv(c.id) else {
+                return;
+            };
+            match msg {
+                WireMessage::Classifier(global) => {
+                    c.model.classifier.set_weights(&global);
+                    c.local_update_fedclassavg(Some(&global), hp, obj);
+                    let _ = net.send_to_server(
+                        c.id,
+                        &WireMessage::Classifier(c.model.classifier.weights()),
+                    );
+                }
+                WireMessage::ClassifierF16(global) => {
+                    c.model.classifier.set_weights(&global);
+                    c.local_update_fedclassavg(Some(&global), hp, obj);
+                    let _ = net.send_to_server(
+                        c.id,
+                        &WireMessage::ClassifierF16(c.model.classifier.weights()),
+                    );
+                }
+                _ => {}
+            }
+        }
+
+        fn round(
+            &mut self,
+            round: usize,
+            fleet: &mut Fleet,
+            sampled: &[usize],
+            net: &Network,
+            hp: &HyperParams,
+        ) {
+            let obj = LocalObjective {
+                contrastive: true,
+                rho: hp.rho,
+            };
+            let msg = if self.half_precision {
+                WireMessage::ClassifierF16(self.global.clone())
+            } else {
+                WireMessage::Classifier(self.global.clone())
+            };
+            let _ = net.broadcast(sampled, &msg);
+            fleet.for_sampled_parallel(sampled, |c| Self::client_turn(c, net, hp, obj));
+            let collected = net.collect_round(round, sampled.len());
+            if collected.replies.is_empty() {
+                return;
+            }
+            let classifiers: Vec<(usize, usize, &ClassifierWeights)> = collected
+                .replies
+                .iter()
+                .filter_map(|(k, s, msg)| match msg {
+                    WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {
+                        Some((*k, *s, cw))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if !classifiers.is_empty() {
+                let contributors: Vec<(usize, usize)> =
+                    classifiers.iter().map(|&(k, s, _)| (k, s)).collect();
+                let weights = Self::contribution_weights(fleet, &contributors);
+                let mut acc = ClassifierWeights::zeros(
+                    self.global.weight.dims()[1],
+                    self.global.weight.dims()[0],
+                );
+                for ((_, _, cw), &w) in classifiers.iter().zip(&weights) {
+                    acc.axpy(w, cw);
+                }
+                self.global = acc;
+            }
+        }
+    }
+
+    #[test]
+    fn the_driver_reproduces_the_hand_written_round_bit_for_bit() {
+        use crate::comm::FaultPlan;
+        use crate::config::Aggregation;
+        let hp = HyperParams::micro_default();
+        let all = [0, 1, 2, 3];
+        let buffered = Aggregation::Buffered {
+            goal_k: 2,
+            max_staleness: 3,
+        };
+        let runs = [
+            (
+                Aggregation::Sync,
+                FaultPlan::new(41, 0.1, 0.1, 0.1),
+                6,
+                false,
+            ),
+            (buffered, FaultPlan::new(43, 0.15, 0.3, 0.1), 8, false),
+            (buffered, FaultPlan::new(47, 0.15, 0.3, 0.1), 8, true),
+        ];
+        for (agg, plan, rounds, half) in runs {
+            let net = || {
+                Network::new(4)
+                    .with_fault_plan(plan)
+                    .with_aggregation(agg, 720)
+            };
+            let (mut fleet, mut oracle_fleet) = (tiny_fleet(4, 720).0, tiny_fleet(4, 720).0);
+            let (mut net, mut oracle_net) = (net(), net());
+            let mut algo = FedClassAvg::new(8, 3, 7);
+            if half {
+                algo = algo.with_half_precision();
+            }
+            let mut oracle = HandWritten {
+                global: algo.global_classifier().clone(),
+                half_precision: half,
+            };
+            let mut lost = [0u64; 4];
+            for round in 1..=rounds {
+                net.begin_round(round, &all);
+                algo.round(round, &mut fleet, &all, &net, &hp);
+                oracle_net.begin_round(round, &all);
+                oracle.round(round, &mut oracle_fleet, &all, &oracle_net, &hp);
+                let bits = |g: &ClassifierWeights| -> Vec<u32> {
+                    let values = g.weight.data().iter().chain(g.bias.data());
+                    values.map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(algo.global_classifier()),
+                    bits(&oracle.global),
+                    "{agg:?} round {round}: global classifier"
+                );
+                let outcome = |net: &Network| {
+                    let ((dropped, corrupt), (stale, expired)) =
+                        (net.take_round_faults(), net.take_round_async());
+                    [dropped, corrupt, stale, expired]
+                };
+                let counts = outcome(&net);
+                assert_eq!(
+                    counts,
+                    outcome(&oracle_net),
+                    "{agg:?} round {round}: counts"
+                );
+                (0..4).for_each(|i| lost[i] += counts[i]);
+            }
+            // The plan did lose, mangle and — buffered — delay uplinks.
+            assert!(lost[0] > 0 && lost[1] > 0, "{agg:?}: {lost:?}");
+            assert_eq!(lost[2] > 0, agg != Aggregation::Sync, "{agg:?}: {lost:?}");
+        }
+    }
+
+    /// A fleet of three and a classifier-exchange server for it.
+    fn classifier_setup(half: bool) -> (Fleet, FedClassAvg) {
+        let algo = FedClassAvg::new(8, 3, 11);
+        let algo = if half {
+            algo.with_half_precision()
+        } else {
+            algo
+        };
+        (tiny_fleet(3, 721).0, algo)
+    }
+
+    #[test]
+    fn a_wrong_shaped_classifier_reply_is_a_corrupt_reply() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let cw = |weight: Tensor, bias: Tensor| ClassifierWeights { weight, bias };
+        let forgeries = [
+            (
+                "transposed",
+                cw(Tensor::full([8, 3], 1.0), Tensor::full([3], 1.0)),
+            ),
+            (
+                "flattened",
+                cw(Tensor::full([24], 1.0), Tensor::full([3], 1.0)),
+            ),
+            (
+                "a class too many",
+                cw(Tensor::full([4, 8], 1.0), Tensor::full([4], 1.0)),
+            ),
+            (
+                "a bias of another rank",
+                cw(Tensor::full([3, 8], 1.0), Tensor::full([3, 1], 1.0)),
+            ),
+        ];
+        for (what, forged) in forgeries {
+            for half in [false, true] {
+                let wrap = if half {
+                    WireMessage::ClassifierF16
+                } else {
+                    WireMessage::Classifier
+                };
+                // First reply of three, last of three, and the only one.
+                for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                    assert_forged_reply_is_a_lost_reply(
+                        &format!("{what}, f16 {half}, from client {k}, {} lost", lost.len()),
+                        || classifier_setup(half),
+                        k,
+                        wrap(forged.clone()),
+                        lost,
+                    );
+                }
+            }
+        }
+        // Another message altogether is no more usable.
+        assert_forged_reply_is_a_lost_reply(
+            "prototypes",
+            || classifier_setup(false),
+            1,
+            WireMessage::Prototypes(vec![None; 3]),
+            &[],
+        );
+    }
+
+    #[test]
+    fn a_wrong_shaped_full_model_reply_is_a_corrupt_reply() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let setup = || {
+            let (mut fleet, _) = tiny_fleet_homogeneous(3, 722);
+            let init = fleet.client_mut(0).model.full_state();
+            (fleet, FedClassAvg::with_full_weight_sharing(8, 3, 12, init))
+        };
+        let good = setup().0.client_mut(0).model.full_state();
+        let mut flat = good.clone();
+        flat[0] = Tensor::zeros([good[0].numel()]);
+        let forgeries = [
+            ("one tensor short", good[..good.len() - 1].to_vec()),
+            ("one tensor too many", [&good[..], &good[..1]].concat()),
+            ("a flattened weight", flat),
+            ("classifier only", good[good.len() - 2..].to_vec()),
+        ];
+        for (what, forged) in forgeries {
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("{what}, from client {k}, {} lost", lost.len()),
+                    setup,
+                    k,
+                    WireMessage::FullModel(forged.clone()),
+                    lost,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_classifier_of_another_shape_is_a_lost_downlink_not_a_panic() {
+        use crate::algo::testing::snapshots;
+        use std::time::Duration;
+        let hp = HyperParams::micro_default();
+        for half in [false, true] {
+            // (feature_dim, num_classes) the fleet's models do not have.
+            for (feature_dim, num_classes) in [(9, 3), (8, 4), (3, 8)] {
+                let (mut fleet, _) = tiny_fleet(2, 723);
+                let before = snapshots(&mut fleet);
+                let mut algo = FedClassAvg::new(feature_dim, num_classes, 13);
+                if half {
+                    algo = algo.with_half_precision();
+                }
+                let global = algo.global_classifier().clone();
+                // The clients refuse the broadcast and upload nothing; the
+                // collect's safety net is all that ends the round.
+                let net = Network::new(2).with_collect_budget(Duration::from_millis(50));
+                algo.round(1, &mut fleet, &[0, 1], &net, &hp);
+                assert_eq!(net.stats().uplink_bytes(), 0);
+                assert_eq!(net.take_round_faults(), (2, 0));
+                assert_eq!(algo.global_classifier(), &global);
+                let after = snapshots(&mut fleet);
+                assert_eq!(after, before, "a client was written to");
+            }
+        }
     }
 
     #[test]

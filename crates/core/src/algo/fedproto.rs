@@ -2,15 +2,15 @@
 //! prototypes instead of weights; local training adds a regularizer
 //! pulling features toward the global prototypes.
 
-use super::{staleness_decay, Algorithm};
+use super::{exchange, Algorithm, Downlink, Leg, Reply};
 use crate::checkpoint::{expect_empty, put_opt_tensor, take_opt_tensor};
+use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
-use fca_trace::PhaseId;
 
 /// FedProto server: per-class weighted prototype averaging.
 pub struct FedProto {
@@ -18,6 +18,13 @@ pub struct FedProto {
     feature_dim: usize,
     lambda: f32,
     global_protos: Vec<Option<Tensor>>,
+}
+
+/// Is `protos` one prototype slot per class, each filled one
+/// `feature_dim` long? Asked by the server of every reply and by a client
+/// of every downlink.
+fn prototypes_fit(protos: &[Option<Tensor>], num_classes: usize, feature_dim: usize) -> bool {
+    protos.len() == num_classes && protos.iter().flatten().all(|p| p.dims() == [feature_dim])
 }
 
 impl FedProto {
@@ -36,6 +43,30 @@ impl FedProto {
     pub fn prototypes(&self) -> &[Option<Tensor>] {
         &self.global_protos
     }
+
+    /// Average per class over the replies, each weighted by its client's
+    /// data share decayed by staleness (clients lacking a class contribute
+    /// nothing to it). The per-class mass renormalizes over whoever
+    /// reported the class, so lost uplinks shrink no prototype.
+    fn fold(&mut self, replies: Vec<Reply<Vec<Option<Tensor>>>>) {
+        let mut sums: Vec<Tensor> = vec![Tensor::zeros([self.feature_dim]); self.num_classes];
+        let mut mass = vec![0.0f32; self.num_classes];
+        for r in &replies {
+            for (c, p) in r.payload.iter().enumerate() {
+                if let Some(p) = p {
+                    sums[c].axpy(r.raw, p);
+                    mass[c] += r.raw;
+                }
+            }
+        }
+        for (c, (mut s, m)) in sums.into_iter().zip(mass).enumerate() {
+            if m > 0.0 {
+                s.scale(1.0 / m);
+                self.global_protos[c] = Some(s);
+            }
+            // Classes nobody saw this round keep their previous prototype.
+        }
+    }
 }
 
 impl Algorithm for FedProto {
@@ -51,70 +82,27 @@ impl Algorithm for FedProto {
         net: &Network,
         hp: &HyperParams,
     ) {
-        let span = fca_trace::clock();
-        // A closed endpoint is an offline client; the count-driven
-        // collect already tolerates the missing reply.
-        let _ = net.broadcast(
-            sampled,
-            &WireMessage::Prototypes(self.global_protos.clone()),
-        );
-        fca_trace::phase(PhaseId::Broadcast, span);
         let lambda = self.lambda;
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
+        let down = Downlink::All(WireMessage::Prototypes(self.global_protos.clone()));
+        let turn = |c: &mut Client| {
             let Some(WireMessage::Prototypes(protos)) = net.client_recv(c.id) else {
                 return; // offline this round
             };
+            if !prototypes_fit(&protos, c.model.num_classes(), c.model.feature_dim()) {
+                return; // not this model's prototypes: a lost downlink
+            }
             c.local_update_fedproto(&protos, lambda, hp);
             let local = c.compute_prototypes();
             let _ = net.send_to_server(c.id, &WireMessage::Prototypes(local));
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
-
-        // Aggregate per class over the survivors, weighting each
-        // contribution by the client's data share decayed by staleness for
-        // buffered late arrivals (clients lacking a class contribute
-        // nothing to it). The per-class mass already renormalizes over
-        // whoever reported, so lost uplinks shrink no prototype; zero
-        // survivors keep every previous prototype.
-        let span = fca_trace::clock();
-        let collected = net.collect_round(round, sampled.len());
-        fca_trace::phase(PhaseId::Collect, span);
-        if collected.replies.is_empty() {
-            return;
-        }
-        let span = fca_trace::clock();
-        let mut sums: Vec<Tensor> = vec![Tensor::zeros([self.feature_dim]); self.num_classes];
-        let mut mass = vec![0.0f32; self.num_classes];
-        // A reply with the wrong variant, the wrong class count, or a
-        // mis-sized prototype is treated like a corrupt payload: its
-        // contribution is skipped rather than crashing the server.
-        for ((k, msg), &s) in collected.replies.iter().zip(&collected.staleness) {
-            let WireMessage::Prototypes(protos) = msg else {
-                continue;
-            };
-            if protos.len() != self.num_classes {
-                continue;
+        };
+        let accept = &mut |server: &Self, _, msg| match msg {
+            WireMessage::Prototypes(protos) => {
+                prototypes_fit(&protos, server.num_classes, server.feature_dim).then_some(protos)
             }
-            let w = fleet.weight(*k) * staleness_decay(s);
-            for (c, p) in protos.iter().enumerate() {
-                if let Some(p) = p {
-                    if p.numel() != self.feature_dim {
-                        continue;
-                    }
-                    sums[c].axpy(w, p);
-                    mass[c] += w;
-                }
-            }
-        }
-        for (c, (mut s, m)) in sums.into_iter().zip(mass).enumerate() {
-            if m > 0.0 {
-                s.scale(1.0 / m);
-                self.global_protos[c] = Some(s);
-            }
-            // Classes nobody saw this round keep their previous prototype.
-        }
-        fca_trace::phase(PhaseId::Aggregate, span);
+            _ => None,
+        };
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        exchange(&mut leg, down, turn, Some((self, accept, &mut Self::fold)));
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
@@ -205,5 +193,58 @@ mod tests {
         }
         algo.round(0, &mut fleet, &[0, 1], &net, &hp);
         assert_eq!(algo.prototypes()[2], Some(sentinel));
+    }
+
+    #[test]
+    fn wrong_shaped_prototype_replies_are_corrupt_replies() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let proto = |dims: &[usize]| Some(Tensor::full(fca_tensor::Shape::new(dims), 1.0));
+        let forgeries = [
+            ("a class short", vec![proto(&[8]), None]),
+            (
+                "a class too many",
+                vec![proto(&[8]), None, None, proto(&[8])],
+            ),
+            ("a narrower prototype", vec![proto(&[8]), proto(&[7]), None]),
+            (
+                "a prototype of another rank",
+                vec![None, None, proto(&[1, 8])],
+            ),
+        ];
+        for (what, forged) in forgeries {
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("{what}, from client {k}, {} lost", lost.len()),
+                    || (tiny_fleet(3, 734).0, FedProto::new(8, 3, 1.0)),
+                    k,
+                    WireMessage::Prototypes(forged.clone()),
+                    lost,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prototypes_of_another_shape_are_a_lost_downlink_not_a_panic() {
+        use crate::algo::testing::snapshots;
+        use std::time::Duration;
+        let hp = HyperParams::micro_default();
+        // A class count and a feature width the fleet's models do not have.
+        for (feature_dim, num_classes) in [(8, 4), (9, 3)] {
+            let (mut fleet, _) = tiny_fleet(2, 735);
+            let before = snapshots(&mut fleet);
+            let mut algo = FedProto::new(feature_dim, num_classes, 1.0);
+            algo.global_protos[0] = Some(Tensor::full([feature_dim], 1.0));
+            let protos = algo.global_protos.clone();
+            // The clients refuse the broadcast and upload nothing; the
+            // collect's safety net is all that ends the round.
+            let net = Network::new(2).with_collect_budget(Duration::from_millis(50));
+            algo.round(1, &mut fleet, &[0, 1], &net, &hp);
+            assert_eq!(net.stats().uplink_bytes(), 0);
+            assert_eq!(net.take_round_faults(), (2, 0));
+            assert_eq!(algo.prototypes(), &protos[..]);
+            let after = snapshots(&mut fleet);
+            assert_eq!(after, before, "a client was written to");
+        }
     }
 }

@@ -9,10 +9,12 @@
 //! maintains a personalized global *model* per client, linearly combined
 //! through `c`, and ships weights instead of soft predictions.
 
-use super::Algorithm;
+use super::fedmd::Transfer;
+use super::{exchange, Algorithm, Downlink, Leg, Reply};
 use crate::checkpoint::{
     expect_empty, put_tensor, put_tensor_list, take_tensor, take_tensor_list, take_u8,
 };
+use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
@@ -20,19 +22,85 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fca_tensor::ops::softmax_rows;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
-use fca_trace::PhaseId;
 
 /// Soft-prediction KT-pFL server.
 pub struct KtPfl {
-    public: Tensor,
-    /// Row-softmax logits of the knowledge-coefficient matrix.
+    transfer: Transfer,
+    coeff: Coefficients,
+}
+
+/// The knowledge-coefficient matrix and how it is learned.
+struct Coefficients {
+    /// Row-softmax logits of the matrix.
     theta: Tensor,
-    temperature: f32,
-    coeff_lr: f32,
-    coeff_steps: usize,
-    local_epochs: usize,
-    distill_steps: usize,
-    distill_batch: usize,
+    lr: f32,
+    steps: usize,
+}
+
+/// Client `k`'s personalized target over the round's soft predictions,
+/// `t_k = Σ_l c_kl · s_l` normalized by the row mass `Σ_l c_kl`, and that
+/// mass.
+fn mixture(coeff: &Tensor, k: usize, soft: &[(usize, Tensor)]) -> (Tensor, f32) {
+    let mut t = Tensor::zeros(soft[0].1.shape().clone());
+    let mut mass = 0.0f32;
+    for (l, s_l) in soft {
+        let c_kl = coeff.get2(k, *l);
+        t.axpy(c_kl, s_l);
+        mass += c_kl;
+    }
+    if mass > 0.0 {
+        t.scale(1.0 / mass);
+    }
+    (t, mass)
+}
+
+impl Coefficients {
+    /// Gradient passes on the coefficient logits of the round's survivors
+    /// — `soft` is their `(id, predictions)`, ids ascending: minimize
+    /// `Σ_k KL(t_k ‖ s_k)` with `t_k = Σ_l c_kl · s_l`. Rows and columns of
+    /// lost clients are untouched.
+    fn update(&mut self, soft: &[(usize, Tensor)]) {
+        let n_items = soft[0].1.numel();
+        for _ in 0..self.steps {
+            let coeff = softmax_rows(&self.theta);
+            for (k, s_k) in soft {
+                let (t, row_mass) = mixture(&coeff, *k, soft);
+                if row_mass <= 0.0 {
+                    continue;
+                }
+                // g_l = Σ_j s_l[j] · (log(t_j / s_k[j]) + 1) / n.
+                let g_of = |s_l: &Tensor| {
+                    let mut acc = 0.0f32;
+                    for j in 0..n_items {
+                        let tj = t.at(j).max(1e-12);
+                        let sj = s_k.at(j).max(1e-12);
+                        acc += s_l.at(j) * ((tj / sj).ln() + 1.0);
+                    }
+                    acc / n_items as f32
+                };
+                let g: Vec<f32> = soft.iter().map(|(_, s_l)| g_of(s_l)).collect();
+                // Softmax-Jacobian chain onto θ row k (survivor columns).
+                let c_k = |l: usize| coeff.get2(*k, l);
+                let cdotg: f32 = soft.iter().zip(&g).map(|((l, _), g)| c_k(*l) * g).sum();
+                for ((l, _), g) in soft.iter().zip(&g) {
+                    let grad = c_k(*l) * (g - cdotg);
+                    let cur = self.theta.get2(*k, *l);
+                    self.theta.set2(*k, *l, cur - self.lr * grad);
+                }
+            }
+        }
+    }
+
+    /// A round's fold: learn from the survivors' predictions, then mix
+    /// each survivor its personalized soft targets.
+    fn targets(&mut self, replies: Vec<Reply<Tensor>>) -> Vec<(usize, WireMessage)> {
+        let soft: Vec<(usize, Tensor)> =
+            replies.into_iter().map(|r| (r.client, r.payload)).collect();
+        self.update(&soft);
+        let coeff = softmax_rows(&self.theta);
+        let target = |k: usize| WireMessage::SoftTargets(mixture(&coeff, k, &soft).0);
+        soft.iter().map(|(k, _)| (*k, target(*k))).collect()
+    }
 }
 
 impl KtPfl {
@@ -41,107 +109,26 @@ impl KtPfl {
     /// Defaults follow the paper's protocol: 20 local epochs per round,
     /// temperature-2 distillation.
     pub fn new(public: Tensor, num_clients: usize) -> Self {
+        let theta = Tensor::zeros([num_clients, num_clients]);
         KtPfl {
-            public,
-            theta: Tensor::zeros([num_clients, num_clients]),
-            temperature: 2.0,
-            coeff_lr: 0.5,
-            coeff_steps: 5,
-            local_epochs: 20,
-            distill_steps: 4,
-            distill_batch: 32,
+            transfer: Transfer::new(public, 20),
+            coeff: Coefficients {
+                theta,
+                lr: 0.5,
+                steps: 5,
+            },
         }
     }
 
     /// Override the local-epoch budget (for quick tests).
     pub fn with_local_epochs(mut self, e: usize) -> Self {
-        self.local_epochs = e;
+        self.transfer.local_epochs = e;
         self
     }
 
     /// Current knowledge-coefficient matrix (rows softmax-normalized).
     pub fn coefficients(&self) -> Tensor {
-        softmax_rows(&self.theta)
-    }
-
-    /// One gradient pass on the coefficient logits for the sampled rows:
-    /// minimize `Σ_k KL(t_k ‖ s_k)` with `t_k = Σ_l c_kl · s_l`.
-    fn update_coefficients(&mut self, sampled: &[usize], soft: &[(usize, Tensor)]) {
-        let n_items = soft[0].1.numel();
-        // BTreeMap, not HashMap: the map only gathers replies by id here,
-        // but keeping aggregation paths free of randomized iteration order
-        // is a blanket rule (D1) — cheaper than auditing each use.
-        let by_id: std::collections::BTreeMap<usize, &Tensor> =
-            soft.iter().map(|(k, t)| (*k, t)).collect();
-        for _ in 0..self.coeff_steps {
-            let coeff = softmax_rows(&self.theta);
-            for &k in sampled {
-                let s_k = by_id[&k];
-                // Personalized target t_k over the sampled set.
-                let mut t = Tensor::zeros(s_k.shape().clone());
-                let mut row_mass = 0.0f32;
-                for &l in sampled {
-                    let c_kl = coeff.get2(k, l);
-                    t.axpy(c_kl, by_id[&l]);
-                    row_mass += c_kl;
-                }
-                if row_mass <= 0.0 {
-                    continue;
-                }
-                t.scale(1.0 / row_mass);
-                // g_l = Σ_j s_l[j] · (log(t_j / s_k[j]) + 1) / n.
-                let mut g = vec![0.0f32; sampled.len()];
-                for (li, &l) in sampled.iter().enumerate() {
-                    let s_l = by_id[&l];
-                    let mut acc = 0.0f32;
-                    for j in 0..n_items {
-                        let tj = t.at(j).max(1e-12);
-                        let sj = s_k.at(j).max(1e-12);
-                        acc += s_l.at(j) * ((tj / sj).ln() + 1.0);
-                    }
-                    g[li] = acc / n_items as f32;
-                }
-                // Softmax-Jacobian chain onto θ row k (sampled columns).
-                let cdotg: f32 = sampled
-                    .iter()
-                    .enumerate()
-                    .map(|(li, &l)| coeff.get2(k, l) * g[li])
-                    .sum();
-                for (li, &l) in sampled.iter().enumerate() {
-                    let c_kl = coeff.get2(k, l);
-                    let grad = c_kl * (g[li] - cdotg);
-                    let cur = self.theta.get2(k, l);
-                    self.theta.set2(k, l, cur - self.coeff_lr * grad);
-                }
-            }
-        }
-    }
-
-    /// Personalized soft targets for each sampled client.
-    fn personalized_targets(
-        &self,
-        sampled: &[usize],
-        soft: &[(usize, Tensor)],
-    ) -> Vec<(usize, Tensor)> {
-        let coeff = softmax_rows(&self.theta);
-        let by_id: std::collections::BTreeMap<usize, &Tensor> =
-            soft.iter().map(|(k, t)| (*k, t)).collect();
-        sampled
-            .iter()
-            .map(|&k| {
-                let mut t = Tensor::zeros(by_id[&k].shape().clone());
-                let mut mass = 0.0f32;
-                for &l in sampled {
-                    let c_kl = coeff.get2(k, l);
-                    t.axpy(c_kl, by_id[&l]);
-                    mass += c_kl;
-                }
-                if mass > 0.0 {
-                    t.scale(1.0 / mass);
-                }
-                (k, t)
-            })
-            .collect()
+        softmax_rows(&self.coeff.theta)
     }
 }
 
@@ -159,81 +146,34 @@ impl Algorithm for KtPfl {
     }
 
     fn epochs_per_round(&self, _hp: &HyperParams) -> usize {
-        self.local_epochs
+        self.transfer.local_epochs
     }
 
     fn round(
         &mut self,
-        _round: usize,
+        round: usize,
         fleet: &mut Fleet,
         sampled: &[usize],
         net: &Network,
         hp: &HyperParams,
     ) {
-        // Phase A: broadcast public data (the payload Table 5 prices),
-        // train locally, upload temperature-softened predictions.
-        let span = fca_trace::clock();
-        // A closed endpoint is an offline client; the count-driven
-        // collect already tolerates the missing reply.
-        let _ = net.broadcast(sampled, &WireMessage::PublicData(self.public.clone()));
-        fca_trace::phase(PhaseId::Broadcast, span);
-        let temp = self.temperature;
-        let local_epochs = self.local_epochs;
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
-            let Some(WireMessage::PublicData(public)) = net.client_recv(c.id) else {
-                return; // offline this round
-            };
-            c.local_update_supervised(local_epochs, hp);
-            let logits = c.logits_on(&public);
-            let soft = softmax_rows(&logits.scaled(1.0 / temp));
-            let _ = net.send_to_server(c.id, &WireMessage::SoftPredictions(soft));
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
-        let span = fca_trace::clock();
-        let soft: Vec<(usize, Tensor)> = net
-            .server_collect_deadline(sampled.len(), net.collect_budget())
-            .replies
-            .into_iter()
-            // A wrong-variant reply counts as corrupt and is skipped.
-            .filter_map(|(k, m)| match m {
-                WireMessage::SoftPredictions(t) => Some((k, t)),
-                _ => None,
-            })
-            .collect();
-        fca_trace::phase(PhaseId::Collect, span);
-        if soft.is_empty() {
-            return; // zero survivors: coefficients and targets stand
-        }
-
-        // Server: learn coefficients and build personalized targets over
-        // the survivors only — the coefficient rows/columns of lost
-        // clients are untouched this round.
-        let span = fca_trace::clock();
-        let survivors: Vec<usize> = soft.iter().map(|(k, _)| *k).collect();
-        self.update_coefficients(&survivors, &soft);
-        for (k, t) in self.personalized_targets(&survivors, &soft) {
-            let _ = net.send_to_client(k, &WireMessage::SoftTargets(t));
-        }
-        fca_trace::phase(PhaseId::Aggregate, span);
-
-        // Phase B: surviving clients distill toward their targets (lost
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        // First leg: the public data goes down (the payload Table 5
+        // prices), clients train and upload softened predictions; the
+        // server learns coefficients and builds personalized targets over
+        // the survivors only. With none, coefficients and targets stand.
+        let (transfer, coeff) = (&self.transfer, &mut self.coeff);
+        let targets = transfer.publish(&mut leg, hp, coeff, &mut Coefficients::targets);
+        // Second leg: surviving clients distill toward their targets (lost
         // clients got no target and skip).
-        let (steps, batch) = (self.distill_steps, self.distill_batch);
-        let public = self.public.clone();
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
-            let Some(WireMessage::SoftTargets(t)) = net.client_recv(c.id) else {
-                return;
-            };
-            c.distill(&public, &t, temp, steps, batch);
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
+        if let Some(targets) = targets {
+            transfer.distill(&mut leg, Downlink::Each(targets));
+        }
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
         let mut buf = BytesMut::new();
-        put_tensor(&mut buf, &self.theta)?;
+        put_tensor(&mut buf, &self.coeff.theta)?;
         Ok(Some(buf.freeze().to_vec()))
     }
 
@@ -241,12 +181,12 @@ impl Algorithm for KtPfl {
         let mut buf = Bytes::copy_from_slice(blob);
         let theta = take_tensor(&mut buf)?;
         expect_empty(&buf)?;
-        if theta.dims() != self.theta.dims() {
+        if theta.dims() != self.coeff.theta.dims() {
             return Err(WireError::Malformed(
                 "checkpoint coefficient shape does not match the fleet",
             ));
         }
-        self.theta = theta;
+        self.coeff.theta = theta;
         Ok(())
     }
 }
@@ -359,26 +299,20 @@ impl Algorithm for KtPflWeight {
 
     fn round(
         &mut self,
-        _round: usize,
+        round: usize,
         fleet: &mut Fleet,
         sampled: &[usize],
         net: &Network,
         hp: &HyperParams,
     ) {
-        // Broadcast personalized mixtures where available (round 0 has
+        // Personalized mixtures go down where available (round 0 has
         // nothing to send — clients start from their own weights).
-        let span = fca_trace::clock();
-        for &k in sampled {
-            if let Some(state) = self.personalized_state(k) {
-                // A closed endpoint is an offline client; skipped uplinks
-                // are already tolerated by the count-driven collect.
-                let _ = net.send_to_client(k, &WireMessage::FullModel(state));
-            }
-        }
-        fca_trace::phase(PhaseId::Broadcast, span);
+        let mixtures = sampled
+            .iter()
+            .filter_map(|&k| Some((k, WireMessage::FullModel(self.personalized_state(k)?))))
+            .collect();
         let local_epochs = self.local_epochs;
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
+        let turn = |c: &mut Client| {
             if !net.client_online(c.id) {
                 return; // offline this round
             }
@@ -388,22 +322,31 @@ impl Algorithm for KtPflWeight {
             let _ = net.client_recv_full_model_into(c.id, &mut c.model);
             c.local_update_supervised(local_epochs, hp);
             let _ = net.send_full_model(c.id, &mut c.model);
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
-        let span = fca_trace::clock();
-        let collected = net.server_collect_deadline(sampled.len(), net.collect_budget());
-        fca_trace::phase(PhaseId::Collect, span);
-        let span = fca_trace::clock();
-        for (k, msg) in collected.replies {
-            // A wrong-variant reply counts as corrupt: the client's last
-            // known state stands.
-            let WireMessage::FullModel(state) = msg else {
-                continue;
-            };
-            self.states[k] = Some(state);
-        }
-        self.refresh_coefficients();
-        fca_trace::phase(PhaseId::Aggregate, span);
+        };
+        // The fleet is homogeneous: a usable reply has the shapes of the
+        // states the server already holds, or — before it holds any — of
+        // the round's first reply. Anything else leaves the client's last
+        // known state standing.
+        let shapes = |state: &[Tensor]| -> Vec<Vec<usize>> {
+            state.iter().map(|t| t.dims().to_vec()).collect()
+        };
+        let mut known = self.states.iter().flatten().next().map(|s| shapes(s));
+        let accept = &mut |_: &Self, _, msg| match msg {
+            WireMessage::FullModel(state) => {
+                let fits = *known.get_or_insert_with(|| shapes(&state)) == shapes(&state);
+                fits.then_some(state)
+            }
+            _ => None,
+        };
+        let fold = &mut |server: &mut Self, replies: Vec<Reply<Vec<Tensor>>>| {
+            for r in replies {
+                server.states[r.client] = Some(r.payload);
+            }
+            server.refresh_coefficients();
+        };
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        let down = Downlink::Each(mixtures);
+        exchange(&mut leg, down, turn, Some((self, accept, fold)));
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
@@ -491,9 +434,9 @@ mod tests {
         let public = tiny_public_data(12, 745);
         let hp = HyperParams::micro_default();
         let mut algo = KtPfl::new(public, 3).with_local_epochs(1);
-        let theta0 = algo.theta.clone();
+        let theta0 = algo.coeff.theta.clone();
         algo.round(0, &mut fleet, &[0, 1, 2], &net, &hp);
-        assert_ne!(algo.theta, theta0, "coefficient matrix never updated");
+        assert_ne!(algo.coeff.theta, theta0, "coefficient matrix never updated");
     }
 
     #[test]
@@ -512,18 +455,21 @@ mod tests {
             .unwrap();
         let mut net = Network::new(3).with_fault_plan(plan);
         net.begin_round(round, &[0, 1, 2]);
-        let theta0 = algo.theta.clone();
+        let theta0 = algo.coeff.theta.clone();
         algo.round(round, &mut fleet, &[0, 1, 2], &net, &hp);
         // The dropped client's coefficient row is untouched; survivors'
         // rows moved.
         for col in 0..3 {
             assert_eq!(
-                algo.theta.get2(dropped, col),
+                algo.coeff.theta.get2(dropped, col),
                 theta0.get2(dropped, col),
                 "dropped client's coefficients updated without its data"
             );
         }
-        assert_ne!(algo.theta, theta0, "survivor coefficients never updated");
+        assert_ne!(
+            algo.coeff.theta, theta0,
+            "survivor coefficients never updated"
+        );
         assert_eq!(net.take_round_faults(), (1, 0));
     }
 
@@ -555,6 +501,67 @@ mod tests {
         for r in 0..3 {
             let s: f32 = c.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn wrong_shaped_soft_predictions_are_corrupt_replies() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let setup = || {
+            let algo = KtPfl::new(tiny_public_data(12, 761), 3).with_local_epochs(1);
+            (tiny_fleet(3, 762).0, algo)
+        };
+        let forgeries = [
+            ("a row short", Tensor::full([11, 3], 0.3)),
+            ("transposed", Tensor::full([3, 12], 0.3)),
+        ];
+        for (what, forged) in forgeries {
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("{what}, from client {k}, {} lost", lost.len()),
+                    setup,
+                    k,
+                    WireMessage::SoftPredictions(forged.clone()),
+                    lost,
+                );
+            }
+        }
+        assert_forged_reply_is_a_lost_reply(
+            "a class too many, from the last client",
+            setup,
+            2,
+            WireMessage::SoftPredictions(Tensor::full([12, 4], 0.25)),
+            &[],
+        );
+    }
+
+    #[test]
+    fn weight_variant_refuses_a_state_of_another_shape() {
+        use crate::algo::testing::assert_forged_reply_is_a_lost_reply;
+        let hp = HyperParams::micro_default();
+        let fresh = || (tiny_fleet_homogeneous(3, 763).0, KtPflWeight::new(3));
+        // One honest round first: the server then knows every client's state.
+        let warmed = || {
+            let (mut fleet, mut algo) = fresh();
+            algo.round(0, &mut fleet, &[0, 1, 2], &Network::new(3), &hp);
+            (fleet, algo)
+        };
+        let good = fresh().0.client_mut(0).model.full_state();
+        let mut flat = good.clone();
+        flat[0] = Tensor::zeros([good[0].numel()]);
+        let forgeries = [
+            ("one tensor short", good[..good.len() - 1].to_vec()),
+            ("one tensor too many", [&good[..], &good[..1]].concat()),
+            ("a flattened weight", flat),
+        ];
+        for (what, forged) in forgeries {
+            let forged = WireMessage::FullModel(forged);
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                let what = format!("{what}, from client {k}, {} lost", lost.len());
+                assert_forged_reply_is_a_lost_reply(&what, warmed, k, forged.clone(), lost);
+            }
+            // Before any state is known the first reply sets the shapes.
+            assert_forged_reply_is_a_lost_reply(what, fresh, 2, forged, &[]);
         }
     }
 }

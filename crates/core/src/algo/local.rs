@@ -1,10 +1,10 @@
 //! The paper's baseline: purely local training, no communication.
 
-use super::Algorithm;
+use super::{exchange, Algorithm, Downlink, Leg, NO_UPLINK};
+use crate::client::Client;
 use crate::comm::Network;
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
-use fca_trace::PhaseId;
 
 /// Local-only training — the "Baseline (local training)" rows of Tables
 /// 2–3. Each round every sampled client trains `local_epochs` on its own
@@ -26,17 +26,17 @@ impl Algorithm for LocalOnly {
 
     fn round(
         &mut self,
-        _round: usize,
+        round: usize,
         fleet: &mut Fleet,
         sampled: &[usize],
-        _net: &Network,
+        net: &Network,
         hp: &HyperParams,
     ) {
-        let span = fca_trace::clock();
-        fleet.for_sampled_parallel(sampled, |c| {
+        let turn = |c: &mut Client| {
             c.local_update_supervised(hp.local_epochs, hp);
-        });
-        fca_trace::phase(PhaseId::LocalTrain, span);
+        };
+        let mut leg = Leg::new(round, fleet, sampled, net);
+        exchange(&mut leg, Downlink::Each(Vec::new()), turn, NO_UPLINK);
     }
 }
 

@@ -319,6 +319,57 @@ impl Client {
         correct / total as f32
     }
 
+    /// The one local-training loop: `epochs` passes over the shard in
+    /// shuffled batches; per batch the gradients are zeroed, `step`
+    /// accumulates them (and its losses into the stats), and the
+    /// optimizer steps.
+    fn train_epochs(
+        &mut self,
+        epochs: usize,
+        hp: &HyperParams,
+        mut step: impl FnMut(&mut Self, &Tensor, &[usize], &mut LocalStats),
+    ) -> LocalStats {
+        let mut stats = LocalStats::default();
+        for _ in 0..epochs {
+            for batch in self.train_data.batch_indices(hp.batch_size, &mut self.rng) {
+                let (x, y) = self.train_data.gather_batch(&batch);
+                self.model.zero_grad();
+                step(self, &x, &y, &mut stats);
+                self.optimizer.step(&mut self.model.params_mut());
+                stats.batches += 1;
+            }
+        }
+        if stats.batches > 0 {
+            let inv = 1.0 / stats.batches as f32;
+            stats.ce_loss *= inv;
+            stats.cl_loss *= inv;
+            stats.prox_dist *= inv;
+        }
+        stats
+    }
+
+    /// The cross-entropy step every supervised objective shares: forward,
+    /// loss, backward. `extra` runs between the loss and the backward pass,
+    /// on the model and the batch's features: it may add to the gradients
+    /// already (a proximal pull) or return a feature-space gradient for
+    /// the backward pass to carry.
+    fn ce_step(
+        &mut self,
+        x: &Tensor,
+        y: &[usize],
+        stats: &mut LocalStats,
+        extra: impl FnOnce(&mut ClientModel, &Tensor, &mut LocalStats) -> Option<Tensor>,
+    ) {
+        let (features, logits) = self.model.forward(x, true, &mut self.workspace);
+        let (ce, d_logits) = cross_entropy(&logits, y);
+        let d_feat = extra(&mut self.model, &features, stats);
+        self.workspace.recycle(features);
+        self.workspace.recycle(logits);
+        self.model
+            .backward(d_feat.as_ref(), &d_logits, &mut self.workspace);
+        stats.ce_loss += ce;
+    }
+
     /// FedClassAvg local update (paper Eq. 4): `E` epochs of
     /// `L^CL + L^CE + ρ·L^R` against the broadcast global classifier.
     ///
@@ -330,105 +381,69 @@ impl Client {
         hp: &HyperParams,
         obj: LocalObjective,
     ) -> LocalStats {
-        let mut stats = LocalStats::default();
-        for _ in 0..hp.local_epochs {
-            for batch in self.train_data.batch_indices(hp.batch_size, &mut self.rng) {
-                let (x, y) = self.train_data.gather_batch(&batch);
-                let b = y.len();
-                self.model.zero_grad();
-
-                if obj.contrastive {
-                    // Two views, one forward on the 2B concatenation.
-                    let (v1, v2) = self.augment.two_views(&x, &mut self.rng);
-                    let both = Tensor::concat_rows(&[
-                        &v1.reshaped([b, v1.numel() / b]),
-                        &v2.reshaped([b, v2.numel() / b]),
-                    ]);
-                    let (_, c, h, w) = x.shape().as_nchw();
-                    let both = both.reshape([2 * b, c, h, w]);
-                    let features = self
-                        .model
-                        .forward_features(&both, true, &mut self.workspace);
-
-                    // CE on view-1 logits (paper: ŷ predicted from x').
-                    let feats1 = features.rows(0, b);
-                    let logits = self
-                        .model
-                        .classifier
-                        .forward(&feats1, true, &mut self.workspace);
-                    let (ce, d_logits) = cross_entropy(&logits, &y);
-                    self.workspace.recycle(logits);
-
-                    // SupCon over both views.
-                    let labels2: Vec<usize> = y.iter().chain(y.iter()).copied().collect();
-                    let (cl, d_feat_cl) =
-                        supervised_contrastive(&features, &labels2, hp.temperature);
-                    self.workspace.recycle(features);
-
-                    // Backward: classifier path first, then the extractor
-                    // sees CE-gradient (view 1 rows) + contrastive gradient.
-                    let d_feat_ce = self
-                        .model
-                        .classifier
-                        .backward(&d_logits, &mut self.workspace);
-                    let mut d_feat = d_feat_cl;
-                    for r in 0..b {
-                        let dst = d_feat.row_mut(r);
-                        for (di, &si) in dst.iter_mut().zip(d_feat_ce.row(r)) {
-                            *di += si;
-                        }
-                    }
-                    self.workspace.recycle(d_feat_ce);
-                    if let (Some(g), true) = (global, obj.rho > 0.0) {
-                        stats.prox_dist += self.model.classifier.accumulate_proximal(g, obj.rho);
-                    }
-                    self.model
-                        .backward_features_only(&d_feat, &mut self.workspace);
-
-                    stats.ce_loss += ce;
-                    stats.cl_loss += cl;
-                } else {
-                    // CE (and optionally proximal) only — the CA / CA+PR
-                    // ablation rows.
-                    let (features, logits) = self.model.forward(&x, true, &mut self.workspace);
-                    let (ce, d_logits) = cross_entropy(&logits, &y);
-                    self.workspace.recycle(features);
-                    self.workspace.recycle(logits);
-                    if let (Some(g), true) = (global, obj.rho > 0.0) {
-                        stats.prox_dist += self.model.classifier.accumulate_proximal(g, obj.rho);
-                    }
-                    self.model.backward(None, &d_logits, &mut self.workspace);
-                    stats.ce_loss += ce;
-                }
-
-                self.optimizer.step(&mut self.model.params_mut());
-                stats.batches += 1;
+        let proximal = |model: &mut ClientModel, stats: &mut LocalStats| {
+            if let (Some(g), true) = (global, obj.rho > 0.0) {
+                stats.prox_dist += model.classifier.accumulate_proximal(g, obj.rho);
             }
+        };
+        if !obj.contrastive {
+            // CE (and optionally proximal) only — the CA / CA+PR ablation
+            // rows.
+            return self.train_epochs(hp.local_epochs, hp, |c, x, y, stats| {
+                c.ce_step(x, y, stats, |model, _, stats| {
+                    proximal(model, stats);
+                    None
+                })
+            });
         }
-        normalize_stats(&mut stats);
-        stats
+        self.train_epochs(hp.local_epochs, hp, |c, x, y, stats| {
+            let b = y.len();
+            // Two views, one forward on the 2B concatenation.
+            let (v1, v2) = c.augment.two_views(x, &mut c.rng);
+            let both = Tensor::concat_rows(&[
+                &v1.reshaped([b, v1.numel() / b]),
+                &v2.reshaped([b, v2.numel() / b]),
+            ]);
+            let (_, ch, h, w) = x.shape().as_nchw();
+            let both = both.reshape([2 * b, ch, h, w]);
+            let features = c.model.forward_features(&both, true, &mut c.workspace);
+
+            // CE on view-1 logits (paper: ŷ predicted from x').
+            let feats1 = features.rows(0, b);
+            let logits = c.model.classifier.forward(&feats1, true, &mut c.workspace);
+            let (ce, d_logits) = cross_entropy(&logits, y);
+            c.workspace.recycle(logits);
+
+            // SupCon over both views.
+            let labels2: Vec<usize> = y.iter().chain(y.iter()).copied().collect();
+            let (cl, d_feat_cl) = supervised_contrastive(&features, &labels2, hp.temperature);
+            c.workspace.recycle(features);
+
+            // Backward: classifier path first, then the extractor sees
+            // CE-gradient (view 1 rows) + contrastive gradient.
+            let d_feat_ce = c.model.classifier.backward(&d_logits, &mut c.workspace);
+            let mut d_feat = d_feat_cl;
+            for r in 0..b {
+                let dst = d_feat.row_mut(r);
+                for (di, &si) in dst.iter_mut().zip(d_feat_ce.row(r)) {
+                    *di += si;
+                }
+            }
+            c.workspace.recycle(d_feat_ce);
+            proximal(&mut c.model, stats);
+            c.model.backward_features_only(&d_feat, &mut c.workspace);
+
+            stats.ce_loss += ce;
+            stats.cl_loss += cl;
+        })
     }
 
     /// Plain supervised local update (baseline / FedAvg / KT-pFL local
     /// phase): `E` epochs of cross-entropy only.
     pub fn local_update_supervised(&mut self, epochs: usize, hp: &HyperParams) -> LocalStats {
-        let mut stats = LocalStats::default();
-        for _ in 0..epochs {
-            for batch in self.train_data.batch_indices(hp.batch_size, &mut self.rng) {
-                let (x, y) = self.train_data.gather_batch(&batch);
-                self.model.zero_grad();
-                let (features, logits) = self.model.forward(&x, true, &mut self.workspace);
-                let (ce, d_logits) = cross_entropy(&logits, &y);
-                self.workspace.recycle(features);
-                self.workspace.recycle(logits);
-                self.model.backward(None, &d_logits, &mut self.workspace);
-                self.optimizer.step(&mut self.model.params_mut());
-                stats.ce_loss += ce;
-                stats.batches += 1;
-            }
-        }
-        normalize_stats(&mut stats);
-        stats
+        self.train_epochs(epochs, hp, |c, x, y, stats| {
+            c.ce_step(x, y, stats, |_, _, _| None)
+        })
     }
 
     /// FedProx local update: cross-entropy plus `(μ/2)‖w − w_global‖²`
@@ -439,35 +454,19 @@ impl Client {
         mu: f32,
         hp: &HyperParams,
     ) -> LocalStats {
-        let mut stats = LocalStats::default();
-        for _ in 0..hp.local_epochs {
-            for batch in self.train_data.batch_indices(hp.batch_size, &mut self.rng) {
-                let (x, y) = self.train_data.gather_batch(&batch);
-                self.model.zero_grad();
-                let (features, logits) = self.model.forward(&x, true, &mut self.workspace);
-                let (ce, d_logits) = cross_entropy(&logits, &y);
-                self.workspace.recycle(features);
-                self.workspace.recycle(logits);
-                self.model.backward(None, &d_logits, &mut self.workspace);
-                // Proximal pull on every trainable parameter.
-                {
-                    let mut params = self.model.params_mut();
-                    assert!(
-                        params.len() <= global_state.len(),
-                        "global state too short for FedProx"
-                    );
-                    for (p, g) in params.iter_mut().zip(global_state) {
-                        let diff = p.value.sub(g);
-                        p.grad.axpy(mu, &diff);
-                    }
-                }
-                self.optimizer.step(&mut self.model.params_mut());
-                stats.ce_loss += ce;
-                stats.batches += 1;
+        self.train_epochs(hp.local_epochs, hp, |c, x, y, stats| {
+            c.ce_step(x, y, stats, |_, _, _| None);
+            // Proximal pull on every trainable parameter.
+            let mut params = c.model.params_mut();
+            assert!(
+                params.len() <= global_state.len(),
+                "global state too short for FedProx"
+            );
+            for (p, g) in params.iter_mut().zip(global_state) {
+                let diff = p.value.sub(g);
+                p.grad.axpy(mu, &diff);
             }
-        }
-        normalize_stats(&mut stats);
-        stats
+        })
     }
 
     /// FedProto local update: cross-entropy plus `λ‖F(x) − proto_y‖²`.
@@ -477,27 +476,14 @@ impl Client {
         lambda: f32,
         hp: &HyperParams,
     ) -> LocalStats {
-        let mut stats = LocalStats::default();
-        for _ in 0..hp.local_epochs {
-            for batch in self.train_data.batch_indices(hp.batch_size, &mut self.rng) {
-                let (x, y) = self.train_data.gather_batch(&batch);
-                self.model.zero_grad();
-                let (features, logits) = self.model.forward(&x, true, &mut self.workspace);
-                let (ce, d_logits) = cross_entropy(&logits, &y);
-                let (pl, mut d_feat) = prototype_loss(&features, &y, prototypes);
-                self.workspace.recycle(features);
-                self.workspace.recycle(logits);
+        self.train_epochs(hp.local_epochs, hp, |c, x, y, stats| {
+            c.ce_step(x, y, stats, |_, features, stats| {
+                let (pl, mut d_feat) = prototype_loss(features, y, prototypes);
                 d_feat.scale(lambda);
-                self.model
-                    .backward(Some(&d_feat), &d_logits, &mut self.workspace);
-                self.optimizer.step(&mut self.model.params_mut());
-                stats.ce_loss += ce;
                 stats.cl_loss += pl * lambda;
-                stats.batches += 1;
-            }
-        }
-        normalize_stats(&mut stats);
-        stats
+                Some(d_feat)
+            })
+        })
     }
 
     /// Compute local per-class mean features over the training shard
@@ -579,15 +565,6 @@ impl Client {
             total += kl;
         }
         total / steps.max(1) as f32
-    }
-}
-
-fn normalize_stats(stats: &mut LocalStats) {
-    if stats.batches > 0 {
-        let inv = 1.0 / stats.batches as f32;
-        stats.ce_loss *= inv;
-        stats.cl_loss *= inv;
-        stats.prox_dist *= inv;
     }
 }
 

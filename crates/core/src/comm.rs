@@ -11,8 +11,8 @@
 //! Unlike the paper's MPI setup, the simulated network does not assume
 //! every sampled client answers: a seeded [`FaultPlan`] can drop clients,
 //! delay their uplinks past the round deadline, or corrupt payloads in
-//! flight, and [`Network::server_collect_deadline`] returns whatever
-//! actually arrived instead of blocking on the missing replies. Faults
+//! flight, and [`Network::collect_round`] returns whatever actually
+//! arrived instead of blocking on the missing replies. Faults
 //! are injected *above* the transport — a dropped frame is never handed
 //! to it — so the same seed produces the same round on every backend.
 //!
@@ -439,15 +439,14 @@ impl FaultPlan {
     }
 }
 
-/// What a deadline-bounded collection actually gathered.
+/// What one round's collection actually gathered.
 #[derive(Debug)]
 pub struct Collected {
-    /// Decoded survivor replies, ordered by client id.
-    pub replies: Vec<(usize, WireMessage)>,
-    /// Per-reply staleness in rounds, parallel to `replies`. Every entry
-    /// is 0 under synchronous aggregation; buffered aggregation folds in
-    /// late updates with the number of rounds they aged in the buffer.
-    pub staleness: Vec<usize>,
+    /// Decoded replies as `(client, staleness, message)`, ordered by
+    /// `(client, staleness)`. Staleness is the number of rounds a late
+    /// update aged in the buffer: 0 for every fresh reply, and so for
+    /// every reply under synchronous aggregation.
+    pub replies: Vec<(usize, usize, WireMessage)>,
     /// Expected uplinks that never arrived (offline clients + stragglers).
     pub dropped: usize,
     /// Uplinks that arrived but failed to decode.
@@ -456,24 +455,6 @@ pub struct Collected {
     pub stale: usize,
     /// Buffered updates discarded because they aged past `max_staleness`.
     pub expired: usize,
-}
-
-impl Collected {
-    /// Ids of the clients whose replies survived, in ascending order.
-    pub fn ids(&self) -> Vec<usize> {
-        self.replies.iter().map(|(k, _)| *k).collect()
-    }
-
-    /// `(client, staleness)` pairs for every surviving reply, in reply
-    /// order — the shape [`crate::algo`]'s staleness-decayed weight helper
-    /// consumes.
-    pub fn contributors(&self) -> Vec<(usize, usize)> {
-        self.replies
-            .iter()
-            .zip(&self.staleness)
-            .map(|((k, _), &s)| (*k, s))
-            .collect()
-    }
 }
 
 /// Cumulative traffic statistics: the logical tally of what senders paid
@@ -536,8 +517,8 @@ pub struct Network {
     fates: Vec<Fate>,
     /// Uplinks the current round will actually deliver (healthy + corrupt
     /// senders). `usize::MAX` until `begin_round` is first called, which
-    /// makes [`Network::server_collect_deadline`] trust its `expected`
-    /// argument on fault-free networks driven without the round engine.
+    /// makes [`Network::collect_round`] trust its `expected` argument on
+    /// fault-free networks driven without the round engine.
     expected_deliveries: usize,
     /// Faults observed by the most recent collection (for the engine to
     /// harvest into [`crate::sim::RoundMetrics`]).
@@ -625,16 +606,6 @@ impl Network {
         self.agg = agg;
         self.agg_seed = seed;
         self
-    }
-
-    /// The configured round-closure policy.
-    pub fn aggregation(&self) -> Aggregation {
-        self.agg
-    }
-
-    /// The configured collection budget.
-    pub fn collect_budget(&self) -> Duration {
-        self.collect_budget
     }
 
     /// Open a round: fix every sampled client's fate for `round` and
@@ -831,70 +802,17 @@ impl Network {
         self.round_buffered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Collect up to `expected` uplinks within `budget`, returning
-    /// whatever arrived and decoded, ordered by client id.
+    /// Close `round`'s collection under the configured [`Aggregation`] —
+    /// the one collect there is. `Sync` is the buffered policy with no
+    /// cutoff and nothing ever admitted to the buffer, so both run this
+    /// body:
     ///
-    /// The network knows (from [`Network::begin_round`]) how many uplinks
-    /// the round will deliver, so the call returns as soon as they are in —
-    /// missing clients cost no wall-clock time and cannot deadlock the
-    /// round. `budget` is a real-time safety net on top of that count.
-    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock: safety-net deadline below
-    pub fn server_collect_deadline(&self, expected: usize, budget: Duration) -> Collected {
-        let (replies, corrupt) = self.drain_transport(expected, budget);
-        let dropped = expected - replies.len() - corrupt;
-        self.round_dropped
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        self.round_corrupt
-            .fetch_add(corrupt as u64, Ordering::Relaxed);
-        let staleness = vec![0; replies.len()];
-        Collected {
-            replies,
-            staleness,
-            dropped,
-            corrupt,
-            stale: 0,
-            expired: 0,
-        }
-    }
-
-    /// Pull every deliverable uplink off the transport within `budget`,
-    /// returning `(decoded replies sorted by client id, corrupt count)`.
-    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock: safety-net deadline below
-    fn drain_transport(
-        &self,
-        expected: usize,
-        budget: Duration,
-    ) -> (Vec<(usize, WireMessage)>, usize) {
-        // fca-lint: allow(D1, reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last")
-        let deadline = Instant::now() + budget;
-        let will_arrive = expected.min(self.expected_deliveries);
-        let mut replies = Vec::with_capacity(will_arrive);
-        let mut corrupt = 0usize;
-        while replies.len() + corrupt < will_arrive {
-            // fca-lint: allow(D1, reason = "remaining budget for the transport recv safety net; see deadline above")
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.transport.recv_at_server(remaining) {
-                Ok(Some((k, bytes))) => match WireMessage::decode(bytes) {
-                    Ok(msg) => replies.push((k, msg)),
-                    Err(_) => corrupt += 1,
-                },
-                // Budget exhausted or transport gone: whatever is still
-                // missing is dropped.
-                Ok(None) | Err(_) => break,
-            }
-        }
-        replies.sort_by_key(|(k, _)| *k);
-        (replies, corrupt)
-    }
-
-    /// Close `round`'s collection under the configured [`Aggregation`].
-    ///
-    /// Under `Sync` this is exactly [`Network::server_collect_deadline`].
-    /// Under `Buffered { goal_k, max_staleness }` the round closes after
-    /// the first `goal_k` deliverable uplinks:
-    ///
-    /// 1. **Drain** every deliverable fresh uplink (deterministic: the
-    ///    count-driven drain sees the same set on every backend).
+    /// 1. **Drain** every deliverable fresh uplink. The network knows (from
+    ///    [`Network::begin_round`]) how many uplinks the round will
+    ///    deliver, so the drain returns as soon as they are in — missing
+    ///    clients cost no wall-clock time and cannot deadlock the round,
+    ///    and the same set is seen on every backend. The collect budget is
+    ///    a real-time safety net on top of that count.
     /// 2. **Spill** — if more than `goal_k` fresh replies arrived, a
     ///    seeded per-round permutation picks which `goal_k` made the
     ///    cutoff; the rest are re-encoded into the buffer with
@@ -904,46 +822,59 @@ impl Network {
     ///    reply set with their staleness recorded, older ones are counted
     ///    expired and discarded.
     ///
-    /// Replies are returned sorted by `(client, staleness)` with a
-    /// parallel staleness vector; weight decay and renormalization over
-    /// the merged contributor set happen in `crate::algo`.
+    /// Replies are returned sorted by `(client, staleness)`; which of them
+    /// are usable, their weight decay and the renormalization over the
+    /// usable set happen in `crate::algo`'s exchange driver.
+    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock: safety-net deadline below
     pub fn collect_round(&self, round: usize, expected: usize) -> Collected {
-        let Aggregation::Buffered {
-            goal_k,
-            max_staleness,
-        } = self.agg
-        else {
-            return self.server_collect_deadline(expected, self.collect_budget);
+        let (goal_k, max_staleness) = match self.agg {
+            Aggregation::Sync => (usize::MAX, 0),
+            Aggregation::Buffered {
+                goal_k,
+                max_staleness,
+            } => (goal_k, max_staleness),
         };
-        let (fresh, mut corrupt) = self.drain_transport(expected, self.collect_budget);
+        // fca-lint: allow(D1, reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last")
+        let deadline = Instant::now() + self.collect_budget;
+        let will_arrive = expected.min(self.expected_deliveries);
+        let mut merged: Vec<(usize, usize, WireMessage)> = Vec::with_capacity(will_arrive);
+        let mut corrupt = 0usize;
+        while merged.len() + corrupt < will_arrive {
+            // fca-lint: allow(D1, reason = "remaining budget for the transport recv safety net; see deadline above")
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.transport.recv_at_server(remaining) {
+                Ok(Some((k, bytes))) => match WireMessage::decode(bytes) {
+                    Ok(msg) => merged.push((k, 0, msg)),
+                    Err(_) => corrupt += 1,
+                },
+                // Budget exhausted or transport gone: whatever is still
+                // missing is dropped.
+                Ok(None) | Err(_) => break,
+            }
+        }
+        merged.sort_by_key(|&(k, _, _)| k);
+        // Stragglers parked in the buffer are deferred, not dropped.
         let buffered = self.round_buffered.swap(0, Ordering::Relaxed) as usize;
-        let dropped = expected.saturating_sub(fresh.len() + corrupt + buffered);
+        let dropped = expected.saturating_sub(merged.len() + corrupt + buffered);
 
+        let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
         // Capacity cutoff: a seeded permutation decides which goal_k fresh
         // uplinks beat the buzzer — a stand-in for arrival order that is a
         // pure function of (seed, round), not of thread timing.
-        let mut merged: Vec<(usize, usize, WireMessage)> = Vec::with_capacity(fresh.len());
-        if fresh.len() > goal_k {
-            let mut order: Vec<usize> = (0..fresh.len()).collect();
+        if merged.len() > goal_k {
+            let mut order: Vec<usize> = (0..merged.len()).collect();
             let tag = 0xB0FF_4B00_0000_0000_u64
                 ^ (round as u64).wrapping_mul(0x0000_0001_0000_0001);
-            let mut rng = derived_rng(self.agg_seed, tag);
-            order.shuffle(&mut rng);
-            order.truncate(goal_k);
-            order.sort_unstable();
-            let mut keep = order.into_iter().peekable();
-            let mut spill = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
-            for (i, (k, msg)) in fresh.into_iter().enumerate() {
-                if keep.peek() == Some(&i) {
-                    keep.next();
-                    merged.push((k, 0, msg));
-                } else {
+            order.shuffle(&mut derived_rng(self.agg_seed, tag));
+            let mut in_time = vec![false; merged.len()];
+            order[..goal_k].iter().for_each(|&i| in_time[i] = true);
+            let mut in_time = in_time.into_iter();
+            merged.retain(|(k, _, msg)| {
+                let kept = in_time.next() == Some(true);
+                if !kept {
                     match msg.encode() {
                         Ok(bytes) => {
-                            spill.insert(
-                                (round as u64 + 1, round as u64, k as u64),
-                                bytes.to_vec(),
-                            );
+                            buf.insert((round as u64 + 1, round as u64, *k as u64), bytes.to_vec());
                         }
                         // A decoded message always re-encodes; if it ever
                         // cannot, losing it is a corrupt uplink, not a
@@ -951,47 +882,36 @@ impl Network {
                         Err(_) => corrupt += 1,
                     }
                 }
-            }
-        } else {
-            merged.extend(fresh.into_iter().map(|(k, msg)| (k, 0, msg)));
+                kept
+            });
         }
 
         // Fold matured buffer entries, oldest keys first (BTreeMap order).
-        let mut stale = 0usize;
-        let mut expired = 0usize;
-        {
-            let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
-            let matured: Vec<(u64, u64, u64)> = buf
-                .range(..=(round as u64, u64::MAX, u64::MAX))
-                .map(|(key, _)| *key)
-                .collect();
-            for key in matured {
-                let Some(bytes) = buf.remove(&key) else {
-                    continue;
-                };
-                let (_ready, origin, client) = key;
-                let age = (round as u64).saturating_sub(origin) as usize;
-                if age > max_staleness {
-                    expired += 1;
-                    continue;
+        let (mut stale, mut expired) = (0usize, 0usize);
+        let matured: Vec<(u64, u64, u64)> = buf
+            .range(..=(round as u64, u64::MAX, u64::MAX))
+            .map(|(key, _)| *key)
+            .collect();
+        for key in matured {
+            let Some(bytes) = buf.remove(&key) else {
+                continue;
+            };
+            let (_ready, origin, client) = key;
+            let age = (round as u64).saturating_sub(origin) as usize;
+            if age > max_staleness {
+                expired += 1;
+                continue;
+            }
+            match WireMessage::decode(Bytes::from(bytes)) {
+                Ok(msg) => {
+                    stale += 1;
+                    merged.push((client as usize, age, msg));
                 }
-                match WireMessage::decode(Bytes::from(bytes)) {
-                    Ok(msg) => {
-                        stale += 1;
-                        merged.push((client as usize, age, msg));
-                    }
-                    Err(_) => corrupt += 1,
-                }
+                Err(_) => corrupt += 1,
             }
         }
-
-        merged.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        let mut replies = Vec::with_capacity(merged.len());
-        let mut staleness = Vec::with_capacity(merged.len());
-        for (k, s, msg) in merged {
-            replies.push((k, msg));
-            staleness.push(s);
-        }
+        drop(buf);
+        merged.sort_by_key(|&(k, s, _)| (k, s));
 
         self.round_dropped
             .fetch_add(dropped as u64, Ordering::Relaxed);
@@ -1001,8 +921,7 @@ impl Network {
         self.round_expired
             .fetch_add(expired as u64, Ordering::Relaxed);
         Collected {
-            replies,
-            staleness,
+            replies: merged,
             dropped,
             corrupt,
             stale,
@@ -1010,12 +929,10 @@ impl Network {
         }
     }
 
-    /// Fault-free collection of exactly `expected` uplinks (legacy shape;
-    /// now deadline-bounded underneath, so a missing reply degrades into a
-    /// short reply list instead of a deadlock).
-    pub fn server_collect(&self, expected: usize) -> Vec<(usize, WireMessage)> {
-        self.server_collect_deadline(expected, self.collect_budget)
-            .replies
+    /// Count `n` replies the round's algorithm refused — decoded, but not
+    /// the message or the shapes it can fold — as corrupt uplinks.
+    pub(crate) fn count_rejected(&self, n: usize) {
+        self.round_corrupt.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Faults observed since [`Network::begin_round`], reset to zero.
@@ -1058,12 +975,6 @@ impl Network {
         }
     }
 
-    /// Number of updates currently pending in the staleness buffer.
-    pub fn buffered_len(&self) -> usize {
-        let buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
-        buf.len()
-    }
-
     /// Traffic statistics.
     pub fn stats(&self) -> &CommStats {
         &self.stats
@@ -1087,6 +998,16 @@ fn corrupt_payload(buf: &mut Vec<u8>, start: usize) {
 mod tests {
     use super::*;
     use fca_tensor::rng::seeded_rng;
+
+    /// Client ids of a collection's replies, in reply order.
+    fn ids(got: &Collected) -> Vec<usize> {
+        got.replies.iter().map(|&(k, _, _)| k).collect()
+    }
+
+    /// `(client, staleness)` of a collection's replies, in reply order.
+    fn contributors(got: &Collected) -> Vec<(usize, usize)> {
+        got.replies.iter().map(|&(k, s, _)| (k, s)).collect()
+    }
 
     #[test]
     fn classifier_roundtrip() {
@@ -1162,21 +1083,22 @@ mod tests {
         assert_eq!(got, msg);
         net.send_to_server(1, &msg).expect("send");
         assert_eq!(net.stats().uplink_bytes(), len);
-        let collected = net.server_collect(1);
-        assert_eq!(collected[0].0, 1);
+        assert_eq!(ids(&net.collect_round(0, 1)), vec![1]);
         assert_eq!(net.stats().messages(), 3);
     }
 
     #[test]
-    fn server_collect_orders_by_client_id() {
+    fn sync_collect_orders_by_client_id_and_nothing_is_stale() {
         let net = Network::new(3);
         let msg = WireMessage::SoftPredictions(Tensor::zeros([2, 2]));
         net.send_to_server(2, &msg).expect("send");
         net.send_to_server(0, &msg).expect("send");
         net.send_to_server(1, &msg).expect("send");
-        let got = net.server_collect(3);
-        let ids: Vec<usize> = got.iter().map(|(k, _)| *k).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        let got = net.collect_round(1, 3);
+        assert_eq!(contributors(&got), vec![(0, 0), (1, 0), (2, 0)]);
+        assert_eq!((got.dropped, got.corrupt), (0, 0));
+        assert_eq!((got.stale, got.expired), (0, 0));
+        assert_eq!(net.export_buffer().len(), 0);
     }
 
     #[test]
@@ -1332,13 +1254,15 @@ mod tests {
     #[test]
     #[allow(clippy::disallowed_methods)] // asserts on real elapsed time by design
     fn straggler_uplink_counts_as_drop_without_blocking() {
-        let mut net = Network::new(2).with_fault_plan(all_fate_plan(Fate::Straggler));
+        let mut net = Network::new(2)
+            .with_fault_plan(all_fate_plan(Fate::Straggler))
+            .with_collect_budget(Duration::from_secs(30));
         net.begin_round(1, &[0, 1]);
         let msg = WireMessage::Classifier(ClassifierWeights::zeros(4, 2));
         net.send_to_server(0, &msg).expect("send");
         net.send_to_server(1, &msg).expect("send");
         let start = Instant::now();
-        let got = net.server_collect_deadline(2, Duration::from_secs(30));
+        let got = net.collect_round(1, 2);
         // Count-driven return: no real-time wait despite the huge budget.
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -1362,17 +1286,17 @@ mod tests {
         net.send_to_server(0, &msg).expect("send");
         net.send_to_server(1, &msg).expect("send");
         net.send_to_server(2, &msg).expect("send");
-        let got = net.server_collect_deadline(3, Duration::from_secs(5));
-        assert_eq!(got.ids(), vec![0, 2]);
+        let got = net.collect_round(1, 3);
+        assert_eq!(ids(&got), vec![0, 2]);
         assert_eq!(got.corrupt, 1);
         assert_eq!(got.dropped, 0);
     }
 
     #[test]
-    fn collect_deadline_survives_zero_replies() {
+    fn collect_survives_zero_replies() {
         let mut net = Network::new(2).with_fault_plan(all_fate_plan(Fate::Dropped));
         net.begin_round(3, &[0, 1]);
-        let got = net.server_collect_deadline(2, Duration::from_secs(5));
+        let got = net.collect_round(3, 2);
         assert!(got.replies.is_empty());
         assert_eq!(got.dropped, 2);
     }
@@ -1443,8 +1367,7 @@ mod tests {
             net.send_to_client(0, &msg).expect("send");
             assert_eq!(net.client_recv(0).expect("broadcast delivered"), msg);
             net.send_to_server(1, &msg).expect("send");
-            let collected = net.server_collect(1);
-            assert_eq!(collected[0].0, 1);
+            assert_eq!(ids(&net.collect_round(0, 1)), vec![1]);
             assert_eq!(net.stats().downlink_bytes(), len);
             assert_eq!(net.stats().uplink_bytes(), len);
         }
@@ -1457,11 +1380,11 @@ mod tests {
         let mut folds = Vec::new();
         let mut expired = 0usize;
         let mut round = from_round;
-        while net.buffered_len() > 0 {
+        while !net.export_buffer().is_empty() {
             round += 1;
             net.begin_round(round, &[]);
             let got = net.collect_round(round, 0);
-            folds.extend(got.contributors());
+            folds.extend(contributors(&got));
             expired += got.expired;
             assert!(round < from_round + 64, "buffer never drained");
         }
@@ -1489,7 +1412,7 @@ mod tests {
         assert!(got.replies.is_empty());
         assert_eq!(got.dropped, 0);
         assert_eq!(net.take_round_faults(), (0, 0));
-        assert_eq!(net.buffered_len(), 2);
+        assert_eq!(net.export_buffer().len(), 2);
 
         let (folds, expired) = drain_buffer(&mut net, 1);
         assert_eq!(folds.len() + expired, 2, "every admission is resolved");
@@ -1534,19 +1457,19 @@ mod tests {
         }
         let got = net.collect_round(1, 3);
         assert_eq!(got.replies.len(), 1, "round closes at goal_k");
-        assert_eq!(got.staleness, vec![0]);
+        assert_eq!(got.replies[0].1, 0);
         assert_eq!(got.dropped, 0, "overflow is deferred, not dropped");
-        assert_eq!(net.buffered_len(), 2);
+        assert_eq!(net.export_buffer().len(), 2);
 
         net.begin_round(2, &[]);
         let next = net.collect_round(2, 0);
         // The cutoff gates *fresh* uplinks only: both spilled replies
         // mature at round 2 and fold in together, one round stale.
         assert_eq!(next.replies.len(), 2);
-        assert_eq!(next.staleness, vec![1, 1]);
+        assert!(next.replies.iter().all(|&(_, s, _)| s == 1));
         assert_eq!(next.stale, 2);
         assert_eq!(next.expired, 0);
-        assert_eq!(net.buffered_len(), 0);
+        assert_eq!(net.export_buffer().len(), 0);
     }
 
     #[test]
@@ -1573,21 +1496,6 @@ mod tests {
         let (folds_b, expired_b) = drain_buffer(&mut resumed, 3);
         assert_eq!(folds_a, folds_b, "resumed buffer folds differently");
         assert_eq!(expired_a, expired_b);
-    }
-
-    #[test]
-    fn sync_collect_round_matches_server_collect_deadline() {
-        let mut net = Network::new(2);
-        net.begin_round(1, &[0, 1]);
-        let msg = WireMessage::Classifier(ClassifierWeights::zeros(4, 2));
-        net.send_to_server(0, &msg).expect("send");
-        net.send_to_server(1, &msg).expect("send");
-        let got = net.collect_round(1, 2);
-        assert_eq!(got.ids(), vec![0, 1]);
-        assert_eq!(got.staleness, vec![0, 0]);
-        assert_eq!(got.stale, 0);
-        assert_eq!(got.expired, 0);
-        assert_eq!(net.buffered_len(), 0);
     }
 
     #[test]
@@ -1634,8 +1542,8 @@ mod tests {
             }
             assert_eq!(net.stats().uplink_bytes(), 3 * len);
             assert_eq!(net.stats().uplink_physical_bytes(), 2 * uplink_physical - 1);
-            let got = net.server_collect_deadline(3, Duration::from_secs(5));
-            assert_eq!((got.ids(), got.dropped, got.corrupt), (vec![0], 1, 1));
+            let got = net.collect_round(1, 3);
+            assert_eq!((ids(&got), got.dropped, got.corrupt), (vec![0], 1, 1));
         }
     }
 
@@ -1668,7 +1576,7 @@ mod tests {
         assert_eq!(b.full_state(), state);
         net.send_full_model(0, &mut b).expect("uplink");
         assert_eq!(net.stats().uplink_bytes(), msg.encoded_len() as u64);
-        assert_eq!(net.server_collect(1), vec![(0, msg)]);
+        assert_eq!(net.collect_round(0, 1).replies, vec![(0, 0, msg)]);
         // Nothing queued: nothing read.
         assert!(!net.client_recv_full_model_into(0, &mut b));
     }
@@ -1756,7 +1664,7 @@ mod tests {
         net.send_to_client(0, &msg).expect("send");
         // The fate gate answers without waiting on the socket.
         assert!(net.client_recv(0).is_none());
-        let got = net.server_collect_deadline(2, Duration::from_secs(5));
+        let got = net.collect_round(1, 2);
         assert_eq!(got.dropped, 2);
     }
 }

@@ -1062,7 +1062,7 @@ mod tests {
         sharded_run_agrees_with_the_channel_backend(
             || test_support::tiny_fleet(SHARDED_CLIENTS, 812).0,
             |_| FedClassAvg::new(8, 3, 812),
-            |a, c, net| FedClassAvg::client_turn(c, net, &hp, a.objective_for(&hp), false),
+            |a, c, net| FedClassAvg::client_turn(c, net, &hp, a.objective_for(&hp)),
             |a| {
                 let global = a.global_classifier();
                 vec![global.weight.clone(), global.bias.clone()]

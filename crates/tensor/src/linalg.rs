@@ -164,9 +164,10 @@ pub(crate) fn gemm_thread_local(
 /// `C += op_a(A) · op_b(B)` with an explicit kernel arm instead of the
 /// process-wide dispatch, using the per-thread pack scratch. `dims` is
 /// `(m, k, n)`, `trans` the per-operand transpose flags. This is the
-/// bench/test hook for comparing arms (including the skinny path) inside
-/// one process; results are bit-identical across arms.
-pub fn gemm_arm(
+/// test hook for comparing arms (including the skinny path) inside one
+/// process; results are bit-identical across arms.
+#[cfg(test)]
+pub(crate) fn gemm_arm(
     arm: Kernel,
     a: &[f32],
     b: &[f32],
@@ -321,7 +322,7 @@ pub fn gemm_nt_ws(
 }
 
 /// Seed `ikj` kernel for `C += A·B` (row-parallel, no packing). Kept as
-/// the perf baseline for `gemm_snapshot` and as a test oracle.
+/// a test oracle.
 pub fn gemm_nn_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);

@@ -56,9 +56,6 @@ echo "=== wire hardening: adversarial decode sweep + checkpoint/resume ==="
 cargo test -q --release --test wire_hardening
 cargo test -q --release --test checkpoint_resume
 
-echo "=== bench harness smoke run ==="
-cargo bench -p fca-bench -- --test
-
 echo "=== benchmark smoke: what benchmark/ compiles against still builds, and every workload checks out ==="
 # The benchmark is a workspace of its own, so nothing above compiles it: a
 # signature it uses could drift here unnoticed (run.sh builds it against the

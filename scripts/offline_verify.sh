@@ -9,8 +9,8 @@
 #
 # Not covered offline: the umbrella crate's integration tests (among them
 # tests/config_serde.rs, which needs the published serde, and
-# tests/properties.rs, which needs proptest), the criterion benches, and the
-# unit tests of fca-metrics, which has dev-dependencies.
+# tests/properties.rs, which needs proptest), and the unit tests of
+# fca-metrics, which has dev-dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/../benchmark"
 
