@@ -5,25 +5,17 @@
 //! relative error per weight is ≤ 2⁻¹¹, far below SGD noise) and the exact
 //! byte savings.
 //!
-//! Also runs **FedMD** (Li & Wang 2019, the paper's ref [17]) next to
+//! Also runs **FedMD** (Li & Wang 2019, the paper's ref \[17\]) next to
 //! KT-pFL, isolating the value of learned transfer coefficients over
 //! uniform consensus distillation.
 
 use fca_bench::experiments::{public_data, DatasetKind, ExperimentContext};
-use fca_bench::report::write_json;
+use fca_bench::report::{field, num, object, write_json};
 use fca_data::partition::Partitioner;
 use fca_models::ModelArch;
 use fedclassavg::algo::{Algorithm, FedClassAvg, FedMd, KtPfl};
 use fedclassavg::sim::{build_fleet, run_federation};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ExtRecord {
-    method: String,
-    final_mean: f32,
-    final_std: f32,
-    bytes_per_client_round: f64,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -45,12 +37,12 @@ fn main() {
             "{name:<24} acc {:.4} ± {:.4}   {:>8.0} B/client-round",
             r.final_mean, r.final_std, per
         );
-        records.push(ExtRecord {
-            method: name.into(),
-            final_mean: r.final_mean,
-            final_std: r.final_std,
-            bytes_per_client_round: per,
-        });
+        records.push(object([
+            ("method", name.into()),
+            ("final_mean", num(r.final_mean)),
+            ("final_std", num(r.final_std)),
+            ("bytes_per_client_round", per.into()),
+        ]));
     };
 
     run(
@@ -72,26 +64,32 @@ fn main() {
     );
 
     // The extension's claims, checked.
-    let get = |n: &str| records.iter().find(|r| r.method == n).expect("ran");
-    let f32_run = get("FedClassAvg (f32)");
-    let f16_run = get("FedClassAvg (f16)");
+    let get = |n: &str| {
+        let r = records
+            .iter()
+            .find(|r| r["method"].as_str() == Some(n))
+            .expect("ran");
+        (field(r, "final_mean"), field(r, "bytes_per_client_round"))
+    };
+    let (f32_mean, f32_bytes) = get("FedClassAvg (f32)");
+    let (f16_mean, f16_bytes) = get("FedClassAvg (f16)");
     println!(
         "\nf16 byte savings: {:.1}% ({:.0} → {:.0} B/client-round)",
-        100.0 * (1.0 - f16_run.bytes_per_client_round / f32_run.bytes_per_client_round),
-        f32_run.bytes_per_client_round,
-        f16_run.bytes_per_client_round
+        100.0 * (1.0 - f16_bytes / f32_bytes),
+        f32_bytes,
+        f16_bytes
     );
     println!(
         "f16 accuracy impact: {:+.4} (quantization is {})",
-        f16_run.final_mean - f32_run.final_mean,
-        if (f16_run.final_mean - f32_run.final_mean).abs() < 0.03 {
+        f16_mean - f32_mean,
+        if (f16_mean - f32_mean).abs() < 0.03 {
             "free"
         } else {
             "NOT free"
         }
     );
 
-    match write_json("ext_quantized_comm", &records) {
+    match write_json("ext_quantized_comm", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

@@ -7,17 +7,9 @@
 //! counts to `results/`.
 
 use fca_bench::experiments::{DatasetKind, ExperimentContext};
-use fca_bench::report::write_json;
+use fca_bench::report::{object, write_json};
 use fca_data::partition::{histogram_table, Partitioner};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct PartitionRecord {
-    dataset: String,
-    distribution: String,
-    /// `histogram[client][class]` counts.
-    histogram: Vec<Vec<usize>>,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -26,7 +18,12 @@ fn main() {
         let data = d.generate(&ctx);
         for (dist_name, dist) in [
             ("Dir(0.5)", Partitioner::Dirichlet { alpha: 0.5 }),
-            ("Skewed (2 classes)", Partitioner::Skewed { classes_per_client: 2 }),
+            (
+                "Skewed (2 classes)",
+                Partitioner::Skewed {
+                    classes_per_client: 2,
+                },
+            ),
         ] {
             let splits = dist.split(&data.train, &data.test, ctx.num_clients(), ctx.seed);
             println!("== Figure {fig}: {} — {dist_name} ==", d.name());
@@ -50,14 +47,15 @@ fn main() {
                 *sizes.iter().max().expect("clients"),
             );
             assert!(max - min <= 1, "client shards not equal-sized: {sizes:?}");
-            records.push(PartitionRecord {
-                dataset: d.name().into(),
-                distribution: dist_name.into(),
-                histogram,
-            });
+            records.push(object([
+                ("dataset", d.name().into()),
+                ("distribution", dist_name.into()),
+                // `histogram[client][class]` counts.
+                ("histogram", histogram.into()),
+            ]));
         }
     }
-    match write_json("fig2_3_partitions", &records) {
+    match write_json("fig2_3_partitions", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

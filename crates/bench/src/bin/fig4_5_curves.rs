@@ -7,20 +7,10 @@
 //! Default runs both.
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::write_json;
+use fca_bench::report::{curve_points, object, write_json};
 use fca_data::partition::Partitioner;
 use fca_metrics::eval::{curve_sparkline, curve_table};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct CurveRecord {
-    figure: u8,
-    dataset: String,
-    distribution: String,
-    method: String,
-    /// `(epochs, mean_acc, std_acc)` points.
-    points: Vec<(usize, f32, f32)>,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -32,7 +22,13 @@ fn main() {
         .map(|s| s.to_lowercase());
     let dists: Vec<(u8, &str, Partitioner)> = [
         (4u8, "Dir(0.5)", Partitioner::Dirichlet { alpha: 0.5 }),
-        (5u8, "Skewed", Partitioner::Skewed { classes_per_client: 2 }),
+        (
+            5u8,
+            "Skewed",
+            Partitioner::Skewed {
+                classes_per_client: 2,
+            },
+        ),
     ]
     .into_iter()
     .filter(|(_, name, _)| match &which {
@@ -51,21 +47,17 @@ fn main() {
                 println!("-- {} --", m.name());
                 println!("{}", curve_table(&result.curve));
                 println!("   {}", curve_sparkline(&result.curve));
-                records.push(CurveRecord {
-                    figure: fig,
-                    dataset: d.name().into(),
-                    distribution: dist_name.into(),
-                    method: m.name(),
-                    points: result
-                        .curve
-                        .iter()
-                        .map(|p| (p.epochs, p.mean_acc, p.std_acc))
-                        .collect(),
-                });
+                records.push(object([
+                    ("figure", fig.into()),
+                    ("dataset", d.name().into()),
+                    ("distribution", dist_name.into()),
+                    ("method", m.name().into()),
+                    ("points", curve_points(&result.curve)),
+                ]));
             }
         }
     }
-    match write_json("fig4_5_curves", &records) {
+    match write_json("fig4_5_curves", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

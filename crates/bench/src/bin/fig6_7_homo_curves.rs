@@ -5,18 +5,9 @@
 //! `--fig 6|7` restricts to one figure.
 
 use fca_bench::experiments::{run_homogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::write_json;
+use fca_bench::report::{curve_points, object, write_json};
 use fca_metrics::eval::{curve_sparkline, curve_table};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct CurveRecord {
-    figure: u8,
-    dataset: String,
-    clients: usize,
-    method: String,
-    points: Vec<(usize, f32, f32)>,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -31,8 +22,12 @@ fn main() {
         .into_iter()
         .filter(|(f, _, _)| only_fig.map(|x| x == *f).unwrap_or(true))
         .collect();
-    let methods =
-        [Method::FedAvg, Method::KtPflWeight, Method::FedClassAvg, Method::FedClassAvgWeight];
+    let methods = [
+        Method::FedAvg,
+        Method::KtPflWeight,
+        Method::FedClassAvg,
+        Method::FedClassAvgWeight,
+    ];
 
     let mut records = Vec::new();
     for (fig, n, q) in settings {
@@ -43,21 +38,17 @@ fn main() {
                 println!("-- {} --", m.name());
                 println!("{}", curve_table(&result.curve));
                 println!("   {}", curve_sparkline(&result.curve));
-                records.push(CurveRecord {
-                    figure: fig,
-                    dataset: d.name().into(),
-                    clients: n,
-                    method: m.name(),
-                    points: result
-                        .curve
-                        .iter()
-                        .map(|p| (p.epochs, p.mean_acc, p.std_acc))
-                        .collect(),
-                });
+                records.push(object([
+                    ("figure", fig.into()),
+                    ("dataset", d.name().into()),
+                    ("clients", n.into()),
+                    ("method", m.name().into()),
+                    ("points", curve_points(&result.curve)),
+                ]));
             }
         }
     }
-    match write_json("fig6_7_homo_curves", &records) {
+    match write_json("fig6_7_homo_curves", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

@@ -11,20 +11,11 @@
 use fca_bench::experiments::{
     run_heterogeneous_keep_fleet, DatasetKind, ExperimentContext, Method,
 };
-use fca_bench::report::write_json;
+use fca_bench::report::{field, num, object, write_json};
 use fca_data::partition::Partitioner;
 use fca_metrics::eval::extract_fleet_features;
 use fca_metrics::tsne::{nearest_neighbor_label_agreement, tsne, TsneConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct TsneRecord {
-    method: String,
-    label_agreement: f32,
-    client_agreement: f32,
-    /// `(x, y, label, client)` per embedded point.
-    points: Vec<(f32, f32, usize, usize)>,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -55,42 +46,54 @@ fn main() {
             label_agreement,
             client_agreement
         );
-        records.push(TsneRecord {
-            method: m.name(),
-            label_agreement,
-            client_agreement,
-            points: (0..ff.labels.len())
-                .map(|i| (y.row(i)[0], y.row(i)[1], ff.labels[i], ff.client_ids[i]))
-                .collect(),
-        });
+        let points = (0..ff.labels.len())
+            .map(|i| {
+                // `[x, y, label, client]` per embedded point.
+                let (x, y) = (y.row(i)[0], y.row(i)[1]);
+                Value::Array(vec![
+                    num(x),
+                    num(y),
+                    ff.labels[i].into(),
+                    ff.client_ids[i].into(),
+                ])
+            })
+            .collect();
+        records.push(object([
+            ("method", m.name().into()),
+            ("label_agreement", num(label_agreement)),
+            ("client_agreement", num(client_agreement)),
+            ("points", Value::Array(points)),
+        ]));
     }
 
     // The figure's claim, as measurable statements.
-    if records.len() == 2 {
-        let base = &records[0];
-        let ours = &records[1];
-        println!(
-            "label clustering improves with FedClassAvg: {} ({:.3} → {:.3})",
-            if ours.label_agreement >= base.label_agreement {
-                "HOLDS"
-            } else {
-                "VIOLATED"
-            },
-            base.label_agreement,
-            ours.label_agreement
+    if let [base, ours] = records.as_slice() {
+        let (base_label, ours_label) = (
+            field(base, "label_agreement"),
+            field(ours, "label_agreement"),
         );
         println!(
-            "client clusters break up with FedClassAvg:  {} ({:.3} → {:.3})",
-            if ours.client_agreement <= base.client_agreement {
+            "label clustering improves with FedClassAvg: {} ({base_label:.3} → {ours_label:.3})",
+            if ours_label >= base_label {
                 "HOLDS"
             } else {
                 "VIOLATED"
             },
-            base.client_agreement,
-            ours.client_agreement
+        );
+        let (base_client, ours_client) = (
+            field(base, "client_agreement"),
+            field(ours, "client_agreement"),
+        );
+        println!(
+            "client clusters break up with FedClassAvg:  {} ({base_client:.3} → {ours_client:.3})",
+            if ours_client <= base_client {
+                "HOLDS"
+            } else {
+                "VIOLATED"
+            },
         );
     }
-    match write_json("fig8_tsne", &records) {
+    match write_json("fig8_tsne", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

@@ -10,21 +10,12 @@
 use fca_bench::experiments::{
     run_heterogeneous_keep_fleet, DatasetKind, ExperimentContext, Method,
 };
-use fca_bench::report::write_json;
+use fca_bench::report::{field, num, object, write_json};
 use fca_data::partition::Partitioner;
 use fca_metrics::conductance::{
     layer_conductance, mean_pairwise_rank_agreement, rank_heatmap, rank_scores,
 };
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ConductanceRecord {
-    dataset: String,
-    method: String,
-    label: usize,
-    clients_correct: usize,
-    mean_rank_agreement: f32,
-}
+use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -93,13 +84,13 @@ fn main() {
             if !ranks.is_empty() {
                 println!("{}", rank_heatmap(&ranks, 16));
             }
-            records.push(ConductanceRecord {
-                dataset: d.name().into(),
-                method: m.name(),
-                label,
-                clients_correct: ranks.len(),
-                mean_rank_agreement: agreement,
-            });
+            records.push(object([
+                ("dataset", d.name().into()),
+                ("method", m.name().into()),
+                ("label", label.into()),
+                ("clients_correct", ranks.len().into()),
+                ("mean_rank_agreement", num(agreement)),
+            ]));
         }
     }
 
@@ -109,8 +100,10 @@ fn main() {
         let get = |m: &str| {
             records
                 .iter()
-                .find(|r| r.dataset == d.name() && r.method == m)
-                .map(|r| r.mean_rank_agreement)
+                .find(|r| {
+                    r["dataset"].as_str() == Some(d.name()) && r["method"].as_str() == Some(m)
+                })
+                .map(|r| field(r, "mean_rank_agreement"))
         };
         if let (Some(b), Some(o)) = (get("Baseline (local training)"), get("Proposed")) {
             println!(
@@ -122,7 +115,7 @@ fn main() {
             );
         }
     }
-    match write_json("fig9_conductance", &records) {
+    match write_json("fig9_conductance", &Value::Array(records)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

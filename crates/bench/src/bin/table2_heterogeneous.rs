@@ -10,7 +10,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::{comparison_table, ordering_holds, write_json, Comparison};
+use fca_bench::report::{comparison_table, comparisons_value, ordering_holds, write_json, Comparison};
 use fca_data::partition::Partitioner;
 
 /// Paper Table 2 means, indexed `[method][dataset × dist]` in the order
@@ -93,7 +93,7 @@ fn main() {
         }
     }
 
-    match write_json("table2_heterogeneous", &rows) {
+    match write_json("table2_heterogeneous", &comparisons_value(&rows)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

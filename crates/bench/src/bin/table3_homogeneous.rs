@@ -10,7 +10,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use fca_bench::experiments::{run_homogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::{comparison_table, ordering_holds, write_json, Comparison};
+use fca_bench::report::{comparison_table, comparisons_value, ordering_holds, write_json, Comparison};
 
 /// Paper Table 3 means, columns = (20 clients, 100 clients) per dataset in
 /// order CIFAR / Fashion / EMNIST.
@@ -105,7 +105,7 @@ fn main() {
             }
         }
     }
-    match write_json("table3_homogeneous", &rows) {
+    match write_json("table3_homogeneous", &comparisons_value(&rows)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

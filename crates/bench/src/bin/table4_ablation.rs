@@ -7,7 +7,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::{comparison_table, write_json, Comparison};
+use fca_bench::report::{comparison_table, comparisons_value, write_json, Comparison};
 use fca_data::partition::Partitioner;
 
 /// Paper Table 4 values per dataset: (CA, +PR, +CL, +PR,CL).
@@ -84,7 +84,7 @@ fn main() {
             }
         }
     }
-    match write_json("table4_ablation", &rows) {
+    match write_json("table4_ablation", &comparisons_value(&rows)) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

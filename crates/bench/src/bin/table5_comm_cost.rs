@@ -5,26 +5,12 @@
 //! wire traffic of our micro-scale simulation for the same three regimes.
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::write_json;
+use fca_bench::report::{object, write_json};
 use fca_data::partition::Partitioner;
 use fca_models::descriptors::{
     classifier_bytes, fedproto_bytes, ktpfl_public_bytes, resnet18_descriptor,
 };
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct CommRow {
-    method: String,
-    paper_mb: f64,
-    analytic_bytes: u64,
-    analytic_human: String,
-}
-
-#[derive(Serialize)]
-struct MeasuredRow {
-    method: String,
-    measured_bytes_per_client_round: f64,
-}
+use serde_json::Value;
 
 fn human(bytes: u64) -> String {
     if bytes >= 1_048_576 {
@@ -45,44 +31,25 @@ fn main() {
     let ours = classifier_bytes(512, 10) as u64;
     let proto = fedproto_bytes(512, 10) as u64;
 
-    let rows = vec![
-        CommRow {
-            method: "Model sharing (ResNet-18)".into(),
-            paper_mb: 43.73,
-            analytic_bytes: resnet,
-            analytic_human: human(resnet),
-        },
-        CommRow {
-            method: "KT-pFL (3000 public imgs)".into(),
-            paper_mb: 8.9,
-            analytic_bytes: ktpfl,
-            analytic_human: human(ktpfl),
-        },
-        CommRow {
-            method: "Proposed (512×10 classifier)".into(),
-            paper_mb: 22.0 / 1024.0,
-            analytic_bytes: ours,
-            analytic_human: human(ours),
-        },
-        CommRow {
-            method: "FedProto (§5.4, 512×10 prototypes)".into(),
-            paper_mb: f64::NAN,
-            analytic_bytes: proto,
-            analytic_human: human(proto),
-        },
+    // (method, the paper's MB, our analytic bytes)
+    let rows = [
+        ("Model sharing (ResNet-18)", 43.73, resnet),
+        ("KT-pFL (3000 public imgs)", 8.9, ktpfl),
+        ("Proposed (512×10 classifier)", 22.0 / 1024.0, ours),
+        ("FedProto (§5.4, 512×10 prototypes)", f64::NAN, proto),
     ];
 
     println!("== Table 5 — communication cost per client per round (paper scale) ==");
     println!("{:<38} {:>12} {:>14}", "method", "paper", "ours (analytic)");
-    for r in &rows {
-        let paper = if r.paper_mb.is_nan() {
+    for &(method, paper_mb, bytes) in &rows {
+        let paper = if paper_mb.is_nan() {
             "-".to_string()
-        } else if r.paper_mb < 1.0 {
-            format!("{:.0} KB", r.paper_mb * 1024.0)
+        } else if paper_mb < 1.0 {
+            format!("{:.0} KB", paper_mb * 1024.0)
         } else {
-            format!("{:.2} MB", r.paper_mb)
+            format!("{paper_mb:.2} MB")
         };
-        println!("{:<38} {:>12} {:>14}", r.method, paper, r.analytic_human);
+        println!("{:<38} {:>12} {:>14}", method, paper, human(bytes));
     }
     assert!(ours < ktpfl && ktpfl < resnet, "Table 5 ordering violated");
     println!(
@@ -100,22 +67,46 @@ fn main() {
         let result = run_heterogeneous(&ctx, d, dist, m);
         let per = result.bytes_per_client_round(ctx.num_clients());
         println!("{:<28} {:>12.0} B  ({})", m.name(), per, human(per as u64));
-        measured.push(MeasuredRow { method: m.name(), measured_bytes_per_client_round: per });
+        measured.push((m.name(), per));
     }
     // Shape check at micro scale too: classifier exchange ≪ KT-pFL.
     let get = |n: &str| {
         measured
             .iter()
-            .find(|r| r.method == n)
-            .map(|r| r.measured_bytes_per_client_round)
-            .unwrap_or(f64::NAN)
+            .find(|(m, _)| m == n)
+            .map_or(f64::NAN, |&(_, per)| per)
     };
     println!(
         "measured ordering Proposed < KT-pFL: {}",
-        if get("Proposed") < get("KT-pFL") { "HOLDS" } else { "VIOLATED" }
+        if get("Proposed") < get("KT-pFL") {
+            "HOLDS"
+        } else {
+            "VIOLATED"
+        }
     );
 
-    match write_json("table5_comm_cost", &(rows, measured)) {
+    let rows = rows
+        .iter()
+        .map(|&(method, paper_mb, bytes)| {
+            object([
+                ("method", method.into()),
+                ("paper_mb", paper_mb.into()),
+                ("analytic_bytes", bytes.into()),
+                ("analytic_human", human(bytes).into()),
+            ])
+        })
+        .collect();
+    let measured = measured
+        .into_iter()
+        .map(|(method, per)| {
+            object([
+                ("method", method.into()),
+                ("measured_bytes_per_client_round", per.into()),
+            ])
+        })
+        .collect();
+    let json = Value::Array(vec![Value::Array(rows), Value::Array(measured)]);
+    match write_json("table5_comm_cost", &json) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }

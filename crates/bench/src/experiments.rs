@@ -249,6 +249,9 @@ impl ExperimentContext {
     }
 }
 
+/// Which architecture client `k` runs.
+type ArchMap = Box<dyn Fn(usize) -> ModelArch>;
+
 /// Build the method's server-side algorithm (and pick the fleet's
 /// architecture map) for a heterogeneous experiment.
 fn hetero_algorithm(
@@ -256,7 +259,7 @@ fn hetero_algorithm(
     ctx: &ExperimentContext,
     d: DatasetKind,
     data: &SynthDataset,
-) -> (Box<dyn Algorithm>, Box<dyn Fn(usize) -> ModelArch>) {
+) -> (Box<dyn Algorithm>, ArchMap) {
     let feat = ctx.feature_dim();
     let classes = d.num_classes();
     match method {

@@ -1,4 +1,4 @@
-//! FedMD (Li & Wang 2019, the paper's reference [17]): the simplest
+//! FedMD (Li & Wang 2019, the paper's reference \[17\]): the simplest
 //! knowledge-transfer baseline for heterogeneous models — clients train
 //! locally, publish soft predictions on shared public data, and distill
 //! toward the **uniform consensus** of everyone's predictions (KT-pFL's

@@ -43,7 +43,7 @@ pub trait Algorithm: Send {
     ///
     /// Implementations say what goes down, what a client does with it,
     /// which replies they can use and how those fold into server state;
-    /// [`exchange`] runs the round from that, and with it the rules every
+    /// `exchange` runs the round from that, and with it the rules every
     /// algorithm shares. Client failure is an outcome, not an error:
     /// offline clients are skipped, the aggregate is over whatever
     /// [`Network::collect_round`] returns and the algorithm accepts

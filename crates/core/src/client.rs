@@ -83,6 +83,7 @@ pub struct Client {
 
 impl Client {
     /// Assemble a client. `seed` feeds the client's private RNG stream.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
         model: ClientModel,

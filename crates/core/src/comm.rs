@@ -46,7 +46,6 @@ use fca_tensor::serialize::{
 use fca_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -338,7 +337,7 @@ pub enum Fate {
 /// the client is [`Fate::Dropped`], else with `straggler` it is
 /// [`Fate::Straggler`], else with `corruption` its uplink is
 /// [`Fate::Corrupt`]. The three rates must sum to at most 1.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (independent of the training seed).
     pub seed: u64,

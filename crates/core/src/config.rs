@@ -2,10 +2,9 @@
 
 use crate::comm::FaultPlan;
 use fca_tensor::quant::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Which optimizer local updates use.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptKind {
     /// SGD with momentum and weight decay.
     Sgd {
@@ -20,7 +19,7 @@ pub enum OptKind {
 }
 
 /// Local-update hyperparameters (paper Table 1).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HyperParams {
     /// Learning rate.
     pub lr: f32,
@@ -112,7 +111,7 @@ impl HyperParams {
 /// the transport); the socket kinds exist to run the real frame protocol —
 /// in one process for the byte-identity check, or across processes via
 /// `examples/socket_federation`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Crossbeam channels in one process — the fast default.
     #[default]
@@ -145,10 +144,9 @@ impl TransportKind {
 /// in a seeded staleness buffer and folded into a later round's aggregate
 /// with polynomially decayed weights. See DESIGN.md §7.8 for the state
 /// machine and the determinism contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Aggregation {
-    /// Wait for every deliverable uplink before aggregating (the default,
-    /// and the meaning of the field's absence in older configs).
+    /// Wait for every deliverable uplink before aggregating (the default).
     #[default]
     Sync,
     /// Close the round after the first `goal_k` deliverable uplinks;
@@ -178,34 +176,28 @@ impl Aggregation {
 /// sees its initial distribution, after `end_round` the drifted one, and
 /// in between the mix moves by `λ(t) = (t − start) / (end − start)`.
 /// The schedule is off (λ ≡ 0 forever) when `end_round == 0` — the
-/// default, and the meaning of the field's absence in older configs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DriftSchedule {
     /// First round of the interpolation window (λ = 0 at and before it).
-    #[serde(default)]
     pub start_round: usize,
     /// Last round of the interpolation window (λ = 1 at and after it).
     /// `0` disables the schedule entirely.
-    #[serde(default)]
     pub end_round: usize,
     /// Dirichlet concentration of the drift *target* mix, in integer
     /// permille (500 = the paper's α = 0.5). Integer so the schedule
     /// stays `Eq` and crosses the trace journal exactly.
-    #[serde(default = "default_alpha_permille")]
     pub alpha_permille: u64,
 }
 
-/// Serde default for [`DriftSchedule::alpha_permille`] — the paper's
-/// α = 0.5 for configs written before the field existed.
-fn default_alpha_permille() -> u64 {
-    500
-}
+/// The paper's α = 0.5 for the drift target mix, in permille.
+const DEFAULT_ALPHA_PERMILLE: u64 = 500;
 
 impl DriftSchedule {
     /// The disabled schedule (the `Default`).
     pub fn off() -> Self {
         DriftSchedule {
-            alpha_permille: default_alpha_permille(),
+            alpha_permille: DEFAULT_ALPHA_PERMILLE,
             ..DriftSchedule::default()
         }
     }
@@ -216,7 +208,7 @@ impl DriftSchedule {
         let s = DriftSchedule {
             start_round,
             end_round,
-            alpha_permille: default_alpha_permille(),
+            alpha_permille: DEFAULT_ALPHA_PERMILLE,
         };
         s.validate();
         s
@@ -264,7 +256,7 @@ impl DriftSchedule {
 }
 
 /// Federation-level configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FedConfig {
     /// Number of clients `K`.
     pub num_clients: usize,
@@ -281,40 +273,29 @@ pub struct FedConfig {
     /// Local-update hyperparameters.
     pub hp: HyperParams,
     /// Fault-injection schedule for the simulated network (no faults by
-    /// default; absent from serialized configs written before faults
-    /// existed).
-    #[serde(default)]
+    /// default).
     pub faults: FaultPlan,
     /// Number of clients evaluated per accuracy point, drawn as a seeded
-    /// deterministic subsample of the fleet; `0` (the default, and the
-    /// meaning of the field's absence in older configs) evaluates every
-    /// client. At cross-device scale a full sweep would hydrate the whole
-    /// fleet, so scale runs set this to a few hundred.
-    #[serde(default)]
+    /// deterministic subsample of the fleet; `0` (the default) evaluates
+    /// every client. At cross-device scale a full sweep would hydrate the
+    /// whole fleet, so scale runs set this to a few hundred.
     pub eval_sample: usize,
     /// Compute precision for inference-mode forwards during fleet
-    /// evaluation (`F32` — the default, and the meaning of the field's
-    /// absence in older configs — keeps evaluation exact; `F16`/`Int8`
+    /// evaluation (`F32`, the default, keeps evaluation exact; `F16`/`Int8`
     /// select the quantize-on-pack GEMM path). Training numerics are
     /// always f32 regardless of this setting.
-    #[serde(default)]
     pub eval_precision: Precision,
-    /// Transport backend for the run (`InProcess` — the default, and the
-    /// meaning of the field's absence in older configs — keeps frames in
-    /// crossbeam channels; the socket kinds route every frame through a
-    /// real kernel socket). Results are bit-identical across backends at
-    /// the same seed.
-    #[serde(default)]
+    /// Transport backend for the run (`InProcess`, the default, keeps
+    /// frames in crossbeam channels; the socket kinds route every frame
+    /// through a real kernel socket). Results are bit-identical across
+    /// backends at the same seed.
     pub transport: TransportKind,
-    /// Round-closure policy (`Sync` — the default, and the meaning of the
-    /// field's absence in older configs — waits for every deliverable
-    /// uplink; `Buffered` closes after `goal_k` uplinks and folds
-    /// stragglers in later with staleness-decayed weights).
-    #[serde(default)]
+    /// Round-closure policy (`Sync`, the default, waits for every
+    /// deliverable uplink; `Buffered` closes after `goal_k` uplinks and
+    /// folds stragglers in later with staleness-decayed weights).
     pub aggregation: Aggregation,
-    /// Label-distribution drift schedule (off by default, and the meaning
-    /// of the field's absence in older configs — data is stationary).
-    #[serde(default)]
+    /// Label-distribution drift schedule (off by default: data is
+    /// stationary).
     pub drift: DriftSchedule,
 }
 

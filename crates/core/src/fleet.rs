@@ -180,6 +180,7 @@ impl Fleet {
     /// `max_resident = None` materializes every client eagerly (the
     /// classic cross-silo shape); `Some(r)` starts every client cold and
     /// caps the scheduler at `r` materialized clients per wave.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_splits(
         train: &Dataset,
         test: &Dataset,
@@ -502,7 +503,7 @@ impl Fleet {
     /// under the clients, it does not reset them.
     ///
     /// Requires a fleet built over parent datasets
-    /// ([`Fleet::from_splits`]); a [`Fleet::from_clients`] fleet owns no
+    /// (`Fleet::from_splits`); a [`Fleet::from_clients`] fleet owns no
     /// parent data to re-shard from and panics.
     pub fn apply_splits(&mut self, splits: &[ClientSplit]) {
         assert_eq!(

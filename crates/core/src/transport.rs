@@ -614,7 +614,8 @@ impl SocketListener {
         })
     }
 
-    /// The address to hand to [`SocketShardTransport::connect`]:
+    /// The address to hand to [`SocketShardTransport::connect_tcp`] or
+    /// [`SocketShardTransport::connect_unix`]:
     /// `host:port` for TCP, the socket path for Unix.
     pub fn local_addr(&self) -> Result<String, WireError> {
         match &self.kind {
@@ -690,7 +691,7 @@ impl SocketListener {
             )?);
             writers.push(Mutex::new(conn));
         }
-        if shard_of.iter().any(|&s| s == usize::MAX) {
+        if shard_of.contains(&usize::MAX) {
             return Err(WireError::Malformed(
                 "not every client is hosted by a shard",
             ));
@@ -1077,7 +1078,7 @@ mod tests {
             t.send_to_server(k, Bytes::from(vec![0xF0 | k as u8; 9]))
                 .expect("uplink");
         }
-        let mut seen = vec![false; 3];
+        let mut seen = [false; 3];
         for _ in 0..3 {
             let (k, frame) = t.recv_at_server(WAIT).expect("recv").expect("frame");
             assert_eq!(frame.len(), 9);

@@ -12,8 +12,9 @@
 //! earlier rounds, so a resumed run re-derives the exact shards an
 //! uninterrupted run saw, and replaying any single round needs nothing
 //! but the config. At `λ = 0` it reproduces
-//! [`Partitioner::Dirichlet`]'s split bit-for-bit, so the moment drift
-//! activates is not itself a discontinuity.
+//! [`Partitioner::Dirichlet`](crate::partition::Partitioner::Dirichlet)'s
+//! split bit-for-bit, so the moment drift activates is not itself a
+//! discontinuity.
 
 use crate::dataset::Dataset;
 use crate::dirichlet::sample_dirichlet;
@@ -32,10 +33,11 @@ const DRIFT_TARGET_TAG: u64 = 0xD21F_0000_0000_0000;
 /// `Dir(alpha)` start distribution to its independently drawn `Dir(alpha)`
 /// drift target.
 ///
-/// The mechanics mirror [`Partitioner::Dirichlet`] exactly — same pool
-/// shuffle, same largest-remainder apportionment, same deficit spill,
-/// same distribution-matched test resampling — with only the desired
-/// per-class proportions interpolated. `lambda_permille` saturates at
+/// The mechanics mirror
+/// [`Partitioner::Dirichlet`](crate::partition::Partitioner::Dirichlet)
+/// exactly — same pool shuffle, same largest-remainder apportionment, same
+/// deficit spill, same distribution-matched test resampling — with only the
+/// desired per-class proportions interpolated. `lambda_permille` saturates at
 /// 1000 (= fully drifted).
 pub fn drifted_splits(
     train: &Dataset,

@@ -10,8 +10,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", "results", "node_modules"];
+/// Directory names never descended into. `benchmark` is a workspace of its
+/// own: a harness whose job is to read the clock, and the dependency stand-ins.
+const SKIP_DIRS: &[&str] = &["target", "results", "node_modules", "benchmark"];
 
 /// Path suffix (relative, forward slashes) of the lint crate's own test
 /// fixtures: those files violate the rules **on purpose** and must never

@@ -298,6 +298,21 @@ fn committed_workspace_baseline_is_empty() {
 }
 
 #[test]
+fn the_benchmark_workspace_is_not_walked() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    assert!(root.join("benchmark/src/main.rs").is_file());
+    let files = collect_rs_files(&root).expect("walk workspace");
+    assert!(files
+        .iter()
+        .any(|f| f.ends_with("crates/lint/src/driver.rs")));
+    let walked: Vec<&PathBuf> = files
+        .iter()
+        .filter(|f| f.components().any(|c| c.as_os_str() == "benchmark"))
+        .collect();
+    assert!(walked.is_empty(), "{walked:?}");
+}
+
+#[test]
 fn list_rules_names_every_rule() {
     let out = bin().arg("--list-rules").output().expect("run fca-lint");
     assert!(out.status.success());

@@ -37,7 +37,7 @@ pub fn extract_fleet_features(fleet: &mut Fleet, per_client: usize) -> FleetFeat
             let f = c.model.feature_extractor.forward(&x, false, &mut ws);
             parts.push(f);
             labels.extend(y);
-            client_ids.extend(std::iter::repeat(c.id).take(n));
+            client_ids.extend(std::iter::repeat_n(c.id, n));
         });
     }
     assert!(!parts.is_empty(), "no client produced features");

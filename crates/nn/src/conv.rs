@@ -1,7 +1,7 @@
 //! 2-D convolution with stride, zero padding and grouped convolution
 //! (needed by the ShuffleNet blocks).
 //!
-//! The geometry alone picks one of three lowerings ([`Path`]):
+//! The geometry alone picks one of three lowerings (`Path`):
 //!
 //! * **view** (stride 1) — each image is copied once into zero-bordered
 //!   planes, in which every kernel tap is a contiguous shifted view, so the
@@ -1273,6 +1273,7 @@ pub fn conv2d_backward_reference(
     let mut dw = vec![0.0f64; weight.numel()];
     let mut db = vec![0.0f64; geom.out_channels];
     for ni in 0..n {
+        #[allow(clippy::needless_range_loop)] // the reference reads as the seven-deep sum it is
         for ocix in 0..geom.out_channels {
             let grp = ocix / ocg;
             for oy in 0..oh {

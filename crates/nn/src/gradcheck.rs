@@ -18,16 +18,20 @@ pub struct GradCheckReport {
     pub skipped_nonsmooth: usize,
 }
 
-/// Two-step finite difference: returns `Some(fd)` when the `h` and `h/2`
-/// estimates agree (locally smooth objective), `None` at kinks.
+/// Finite difference at `orig`: `Some(fd)` where the objective is locally
+/// smooth, `None` at kinks. Two tests, one tolerance: the central
+/// differences at `h` and `h/2` must agree (a kink *near* the point), and so
+/// must the two one-sided slopes at `h/2` (a kink *at* the point, which
+/// every central difference reads as the mean of the two slopes and so
+/// cannot see).
 fn stable_fd(f: &mut dyn FnMut(f32) -> f32, orig: f32, h: f32) -> Option<f32> {
+    let half = h / 2.0;
     let fd1 = (f(orig + h) - f(orig - h)) / (2.0 * h);
-    let fd2 = (f(orig + h / 2.0) - f(orig - h / 2.0)) / h;
-    if (fd1 - fd2).abs() <= 0.05 * (1.0 + fd2.abs()) {
-        Some(fd2)
-    } else {
-        None
-    }
+    let (above, at, below) = (f(orig + half), f(orig), f(orig - half));
+    let fd2 = (above - below) / h;
+    let (right, left) = ((above - at) / half, (at - below) / half);
+    let tol = 0.05 * (1.0 + fd2.abs());
+    ((fd1 - fd2).abs() <= tol && (right - left).abs() <= tol).then_some(fd2)
 }
 
 /// Check `∂L/∂θ` of `module` against central finite differences, where
@@ -67,6 +71,7 @@ pub fn check_param_gradients(
     let mut checked = 0usize;
     let mut skipped_nonsmooth = 0usize;
     let n_params = module.params_mut().len();
+    #[allow(clippy::needless_range_loop)] // `pi` also addresses the module's parameters
     for pi in 0..n_params {
         let numel = module.params_mut()[pi].value.numel();
         for ci in (0..numel).step_by(stride.max(1)) {
@@ -174,20 +179,62 @@ mod tests {
         assert!(rep.max_rel_err < 3e-2, "input grad err {}", rep.max_rel_err);
     }
 
-    #[test]
-    fn small_cnn_gradients_check_out() {
-        let mut rng = seeded_rng(122);
-        let mut cnn = Sequential::new()
-            .push(Conv2d::basic(1, 4, 3, 1, 1, &mut rng))
+    fn small_cnn(rng: &mut impl rand::Rng) -> Sequential {
+        Sequential::new()
+            .push(Conv2d::basic(1, 4, 3, 1, 1, rng))
             .push(BatchNorm2d::new(4))
             .push(Relu::new())
             .push(MaxPool2d::new(2, 2))
             .push(Flatten::new())
-            .push(Linear::new(4 * 3 * 3, 2, &mut rng));
+            .push(Linear::new(4 * 3 * 3, 2, rng))
+    }
+
+    #[test]
+    fn small_cnn_gradients_check_out() {
+        let mut rng = seeded_rng(122);
+        let mut cnn = small_cnn(&mut rng);
         let x = Tensor::randn([2, 1, 6, 6], 1.0, &mut rng);
         let probe = Tensor::randn([2, 2], 1.0, &mut rng);
         let rep = check_param_gradients(&mut cnn, &x, &probe, 1e-2, 3);
         assert!(rep.max_rel_err < 5e-2, "param grad err {}", rep.max_rel_err);
+        assert!(rep.checked > 20);
+    }
+
+    /// A module whose backward reports its first parameter's gradient 1.2×
+    /// too large: the defect the check exists to catch.
+    struct OverstatedGrad(Sequential);
+
+    impl Module for OverstatedGrad {
+        fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+            self.0.forward(x, train, ws)
+        }
+
+        fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+            let dx = self.0.backward(grad_out, ws);
+            for g in self.0.params_mut()[0].grad.data_mut() {
+                *g *= 1.2;
+            }
+            dx
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut crate::module::Param> {
+            self.0.params_mut()
+        }
+    }
+
+    #[test]
+    fn a_wrong_gradient_fails_the_check() {
+        // The network, input and bound of the test above; only the backward
+        // differs. Skipping kinks must not have blinded the check.
+        let mut rng = seeded_rng(122);
+        let mut wrong = OverstatedGrad(small_cnn(&mut rng));
+        let x = Tensor::randn([2, 1, 6, 6], 1.0, &mut rng);
+        let probe = Tensor::randn([2, 2], 1.0, &mut rng);
+        let rep = check_param_gradients(&mut wrong, &x, &probe, 1e-2, 3);
+        assert!(
+            rep.max_rel_err > 5e-2,
+            "a 1.2× conv-weight gradient passed: {rep:?}"
+        );
         assert!(rep.checked > 20);
     }
 

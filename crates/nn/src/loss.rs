@@ -349,7 +349,7 @@ mod tests {
         let mut rng = seeded_rng(115);
         let a = Tensor::randn([3, 4], 1.0, &mut rng);
         let b = Tensor::randn([3, 4], 1.0, &mut rng);
-        let labels = vec![0usize, 1, 0];
+        let labels = [0usize, 1, 0];
         let v1 = Tensor::concat_rows(&[&a, &b]);
         let v2 = Tensor::concat_rows(&[&b, &a]);
         let both: Vec<usize> = labels.iter().chain(labels.iter()).cloned().collect();

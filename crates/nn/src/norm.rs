@@ -294,7 +294,7 @@ impl GroupNorm {
     /// New group norm over `channels` split into `groups`.
     pub fn new(groups: usize, channels: usize) -> Self {
         assert!(
-            groups >= 1 && channels % groups == 0,
+            groups >= 1 && channels.is_multiple_of(groups),
             "channels {channels} must divide into {groups} groups"
         );
         GroupNorm {

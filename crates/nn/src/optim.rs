@@ -294,7 +294,7 @@ impl Schedule {
         match *self {
             Schedule::Constant => base,
             Schedule::Step { every, gamma } => {
-                let decays = if every == 0 { 0 } else { round / every };
+                let decays = round.checked_div(every).unwrap_or(0);
                 base * gamma.powi(decays as i32)
             }
             Schedule::Cosine { horizon, min_lr } => {

@@ -48,6 +48,7 @@ pub fn log_softmax_rows(x: &Tensor) -> Tensor {
     let lse = logsumexp_rows(x);
     let (rows, cols) = x.shape().as_matrix();
     let mut out = Tensor::zeros([rows, cols]);
+    #[allow(clippy::needless_range_loop)] // `r` names one row of `x`, `out` and `lse` alike
     for r in 0..rows {
         let row = x.row(r);
         let o = out.row_mut(r);
@@ -95,6 +96,7 @@ pub fn normalize_rows_backward(
     assert_eq!(grad.dims(), normalized.dims());
     assert_eq!(norms.len(), rows);
     let mut out = Tensor::zeros([rows, cols]);
+    #[allow(clippy::needless_range_loop)] // `r` names one row of four operands alike
     for r in 0..rows {
         let n = norms[r];
         if n <= eps {
@@ -195,10 +197,10 @@ mod tests {
         let mut rng = seeded_rng(23);
         let x = Tensor::randn([5, 8], 2.0, &mut rng);
         let (n, norms) = normalize_rows(&x, 1e-8);
-        for r in 0..5 {
+        for (r, &norm) in norms.iter().enumerate() {
             let rn: f32 = n.row(r).iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((rn - 1.0).abs() < 1e-5);
-            assert!(norms[r] > 0.0);
+            assert!(norm > 0.0);
         }
     }
 

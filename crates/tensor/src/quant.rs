@@ -44,10 +44,9 @@ use std::sync::OnceLock;
 /// Numeric precision for the eval-only GEMM compute path.
 ///
 /// `F32` is the training path (bit-exact packed engine); `F16`/`Int8`
-/// quantize on pack and accumulate in f32. Serialized in configs by
-/// variant name; [`Precision::as_str`] gives the lowercase form recorded
-/// in traces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// quantize on pack and accumulate in f32. [`Precision::as_str`] gives
+/// the lowercase form recorded in traces.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Precision {
     /// Full f32 compute (default; identical to the training path).
     #[default]
@@ -149,6 +148,7 @@ pub(crate) fn pack_a_i8(
 ) {
     out.fill(0);
     scales.fill(0.0);
+    #[allow(clippy::needless_range_loop)] // `i` also addresses `a` and the packed panel
     for i in 0..m {
         let mut maxabs = 0.0f32;
         for kk in 0..k {
@@ -174,6 +174,7 @@ pub(crate) fn pack_b_i8(
 ) {
     out.fill(0);
     scales.fill(0.0);
+    #[allow(clippy::needless_range_loop)] // `j` also addresses `b` and the packed panel
     for j in 0..n {
         let mut maxabs = 0.0f32;
         for kk in 0..k {
@@ -614,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn precision_round_trips_through_serde_and_as_str() {
+    fn precision_default_and_as_str() {
         assert_eq!(Precision::default(), Precision::F32);
         assert_eq!(Precision::F16.as_str(), "f16");
         assert_eq!(Precision::Int8.as_str(), "int8");

@@ -25,7 +25,7 @@
 //! Every arm performs the *identical* per-element arithmetic: KC slabs in
 //! ascending order, sequential-k accumulation from 0.0 within a slab, one
 //! f32 add into C per slab, and the same fused-vs-unfused multiply-add
-//! choice (the crate-wide [`BASE_FMA`] constant, captured *outside* any
+//! choice (the crate-wide `BASE_FMA` constant, captured *outside* any
 //! `#[target_feature]` context so it reflects the build flags rather than
 //! the kernel's enabled features). Vector lanes are just parallel copies
 //! of the scalar chain, so **kernel choice never affects result bits** —

@@ -1,15 +1,10 @@
 #!/usr/bin/env bash
-# The full pre-merge gate: formatting, lints as errors, then the tier-1
-# build-and-test pass from ROADMAP.md. Run from anywhere in the repo.
+# The pre-merge gate, and the only one: formatting, lints as errors, then the
+# tier-1 build-and-test pass from ROADMAP.md and the end-to-end drives. Needs
+# no network: the five external crates are the path stand-ins the root
+# Cargo.toml patches in, pinned by Cargo.lock. Run from anywhere in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# No registry (the build container has none): the gate below cannot resolve a
-# single dependency, so run what the committed stand-ins can verify instead.
-if ! timeout 120 cargo metadata --format-version 1 >/dev/null 2>&1; then
-    echo "=== crate registry does not resolve: scripts/offline_verify.sh ==="
-    exec scripts/offline_verify.sh
-fi
 
 echo "=== cargo fmt --check ==="
 cargo fmt --all -- --check
@@ -22,7 +17,7 @@ cargo run --release -p fca-lint -- --deny
 
 echo "=== tier-1: build + test ==="
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 echo "=== trace compiled out: fca-trace with the 'enabled' feature off ==="
 cargo test -q -p fca-trace --no-default-features
@@ -40,9 +35,8 @@ scripts/sanitizers.sh --quick
 echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
 # Exercises the FCA_GEMM_KERNEL escape hatch and proves the portable
 # fallback passes the same suite the explicit-SIMD arms do (the conv oracle
-# sweep included: every conv product runs on the dispatched engine). The
-# same two passes as scripts/offline_verify.sh, so the paths that bypass the
-# packed engine are held to its bits under every arm whichever branch runs.
+# sweep included: every conv product runs on the dispatched engine), so the
+# paths that bypass the packed engine are held to its bits under every arm.
 FCA_GEMM_KERNEL=scalar cargo test -q --release -p fca-tensor -p fca-nn
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
     FCA_GEMM_KERNEL=avx2_fma cargo test -q --release -p fca-tensor -p fca-nn
@@ -58,9 +52,12 @@ cargo test -q --release --test checkpoint_resume
 
 echo "=== benchmark smoke: what benchmark/ compiles against still builds, and every workload checks out ==="
 # The benchmark is a workspace of its own, so nothing above compiles it: a
-# signature it uses could drift here unnoticed (run.sh builds it against the
-# registry when that resolves, as here, else against its stand-ins).
+# signature it uses could drift here unnoticed.
 benchmark/smoke.sh
+
+echo "=== paper binaries: fca-bench builds, and the cheapest figure runs ==="
+cargo build --release -p fca-bench --bins
+cargo run --release -p fca-bench --bin fig2_3_partitions >/dev/null
 
 echo "=== observability smoke: traced quick run + journal schema check ==="
 cargo run --release --example quickstart -- --quick --trace

@@ -117,7 +117,7 @@ fn paged_fedproto_is_bit_identical_to_resident() {
     let arch = |k: usize| ModelArch::ProtoCnn {
         width_variant: k % 4,
     };
-    let mut run_with = |max_resident: Option<usize>| {
+    let run_with = |max_resident: Option<usize>| {
         let mut fleet = match max_resident {
             None => build_fleet(&data, dist, &c, &arch),
             Some(r) => build_fleet_paged(&data, dist, &c, r, &arch),

@@ -176,7 +176,7 @@ fn per_class_accuracy_on_trained_model() {
     // The skewed client only has test data for its own classes; others
     // must be None, and present classes in [0, 1].
     let present = pca.iter().filter(|p| p.is_some()).count();
-    assert!(present >= 1 && present <= 4);
+    assert!((1..=4).contains(&present));
     for acc in pca.into_iter().flatten() {
         assert!((0.0..=1.0).contains(&acc));
     }

@@ -11,7 +11,6 @@ use fedclassavg_suite::models::classifier::ClassifierWeights;
 use fedclassavg_suite::models::{build_model, ModelArch};
 use fedclassavg_suite::nn::loss::{accuracy, cross_entropy};
 use fedclassavg_suite::nn::optim::{Adam, Optimizer};
-use fedclassavg_suite::tensor::rng::seeded_rng;
 use fedclassavg_suite::tensor::Workspace;
 
 fn tiny_data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
@@ -38,7 +37,6 @@ fn every_arch_fits_small_data() {
         let data = tiny_data(31);
         let mut model = build_model(arch, (1, 12, 12), 12, 3, 5);
         let mut opt = Adam::new(3e-3);
-        let mut rng = seeded_rng(6);
         let mut ws = Workspace::new();
         let idx: Vec<usize> = (0..48).collect();
         let (x, y) = data.train.gather_batch(&idx);
@@ -52,7 +50,6 @@ fn every_arch_fits_small_data() {
             last_acc = accuracy(&logits, &y);
             ws.recycle(features);
             ws.recycle(logits);
-            let _ = rng;
         }
         assert!(
             last_acc > 0.8,

@@ -6,7 +6,6 @@
 
 use fedclassavg_suite::models::{build_model, ModelArch};
 use fedclassavg_suite::nn::gradcheck::{check_input_gradient, check_param_gradients};
-use fedclassavg_suite::nn::Module as _;
 use fedclassavg_suite::tensor::rng::seeded_rng;
 use fedclassavg_suite::tensor::{Tensor, Workspace};
 
@@ -20,40 +19,47 @@ const DETERMINISTIC_ARCHS: [ModelArch; 5] = [
     ModelArch::ProtoCnn { width_variant: 2 },
 ];
 
-fn gradcheck_arch(arch: ModelArch, seed: u64) {
-    let mut model = build_model(arch, (1, 12, 12), 6, 3, seed);
-    let mut rng = seeded_rng(seed ^ 0xABCD);
-    let x = Tensor::randn([2, 1, 12, 12], 1.0, &mut rng);
-    let probe = Tensor::randn([2, 6], 1.0, &mut rng);
+/// Worst relative error allowed on any checked coordinate. Read from the 40
+/// runs below (5 architectures × 8 seeds): the worst parameter error is
+/// 0.046 (MicroResNet, seed 3), the worst input error 0.024, with at most 16
+/// of 80 coordinates skipped as non-smooth.
+const MAX_REL_ERR: f32 = 0.06;
 
-    // Check the feature extractor end to end (the part with the
-    // architecture-specific structure; the classifier is a plain Linear
-    // covered elsewhere).
-    // The worst-coordinate bound is a smoke threshold: per-layer unit
-    // tests already pin the exact gradients tightly; end-to-end, f32
-    // cancellation through max-pool near-ties leaves ~0.1 relative noise
-    // in the finite differences of deep compositions.
-    let fe = &mut model.feature_extractor;
-    let params = check_param_gradients(fe, &x, &probe, 1e-2, 97);
-    assert!(
-        params.max_rel_err < 0.15,
-        "{arch:?}: parameter gradient error {} over {} coords ({} non-smooth skipped)",
-        params.max_rel_err,
-        params.checked,
-        params.skipped_nonsmooth
-    );
-    assert!(
-        params.checked > 10,
-        "{arch:?}: too few smooth coordinates checked"
-    );
+/// Check `arch` on its own seed and on seeds 1…7.
+fn gradcheck_arch(arch: ModelArch, own_seed: u64) {
+    for seed in [own_seed, 1, 2, 3, 4, 5, 6, 7] {
+        let mut model = build_model(arch, (1, 12, 12), 6, 3, seed);
+        let mut rng = seeded_rng(seed ^ 0xABCD);
+        let x = Tensor::randn([2, 1, 12, 12], 1.0, &mut rng);
+        let probe = Tensor::randn([2, 6], 1.0, &mut rng);
 
-    let input = check_input_gradient(fe, &x, &probe, 1e-2, 41);
-    assert!(
-        input.max_rel_err < 0.15,
-        "{arch:?}: input gradient error {} over {} coords",
-        input.max_rel_err,
-        input.checked
-    );
+        // Check the feature extractor end to end (the part with the
+        // architecture-specific structure; the classifier is a plain Linear
+        // covered elsewhere). Coordinates where a ReLU or max-pool kink sits
+        // at or near the point are skipped by the checker, so what is left
+        // is differentiable and the bound can be tight.
+        let fe = &mut model.feature_extractor;
+        let params = check_param_gradients(fe, &x, &probe, 1e-2, 97);
+        assert!(
+            params.max_rel_err < MAX_REL_ERR,
+            "{arch:?} seed {seed}: parameter gradient error {} over {} coords ({} non-smooth skipped)",
+            params.max_rel_err,
+            params.checked,
+            params.skipped_nonsmooth
+        );
+        assert!(
+            params.checked > 10,
+            "{arch:?} seed {seed}: too few smooth coordinates checked"
+        );
+
+        let input = check_input_gradient(fe, &x, &probe, 1e-2, 41);
+        assert!(
+            input.max_rel_err < MAX_REL_ERR,
+            "{arch:?} seed {seed}: input gradient error {} over {} coords",
+            input.max_rel_err,
+            input.checked
+        );
+    }
 }
 
 #[test]
