@@ -16,7 +16,10 @@ fn main() {
     let ctx = ExperimentContext::from_env();
     let args: Vec<String> = std::env::args().collect();
     let get = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+            .cloned()
     };
     let dataset = match get("--dataset").as_deref() {
         Some("cifar") => DatasetKind::Cifar,
@@ -24,7 +27,9 @@ fn main() {
         _ => DatasetKind::Fashion,
     };
     let dist = match get("--dist").as_deref() {
-        Some("skew") => Partitioner::Skewed { classes_per_client: 2 },
+        Some("skew") => Partitioner::Skewed {
+            classes_per_client: 2,
+        },
         _ => Partitioner::Dirichlet { alpha: 0.5 },
     };
     let rho = dataset.hyperparams().rho;
@@ -37,9 +42,18 @@ fn main() {
                 "proposed" => Method::FedClassAvg,
                 "ktpfl" => Method::KtPfl,
                 "fedproto" => Method::FedProto,
-                "ca" => Method::Ablation { contrastive: false, rho: 0.0 },
-                "ca_pr" => Method::Ablation { contrastive: false, rho },
-                "ca_cl" => Method::Ablation { contrastive: true, rho: 0.0 },
+                "ca" => Method::Ablation {
+                    contrastive: false,
+                    rho: 0.0,
+                },
+                "ca_pr" => Method::Ablation {
+                    contrastive: false,
+                    rho,
+                },
+                "ca_cl" => Method::Ablation {
+                    contrastive: true,
+                    rho: 0.0,
+                },
                 _ => return None,
             };
             Some((m.to_string(), method))

@@ -10,13 +10,18 @@
 #![allow(clippy::disallowed_methods)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::{comparison_table, comparisons_value, ordering_holds, write_json, Comparison};
+use fca_bench::report::{
+    comparison_table, comparisons_value, ordering_holds, write_json, Comparison,
+};
 use fca_data::partition::Partitioner;
 
 /// Paper Table 2 means, indexed `[method][dataset × dist]` in the order
 /// (CIFAR Dir, CIFAR Skew, Fashion Dir, Fashion Skew, EMNIST Dir, EMNIST Skew).
 const PAPER: [(&str, [f64; 6]); 4] = [
-    ("Baseline (local training)", [0.6894, 0.8871, 0.8840, 0.9430, 0.9149, 0.9671]),
+    (
+        "Baseline (local training)",
+        [0.6894, 0.8871, 0.8840, 0.9430, 0.9149, 0.9671],
+    ),
     ("FedProto", [0.4742, 0.8359, 0.6042, 0.6364, 0.2249, 0.2183]),
     ("KT-pFL", [0.6228, 0.8721, 0.9039, 0.9737, 0.9055, 0.9921]),
     ("Proposed", [0.7670, 0.9202, 0.9303, 0.9800, 0.9305, 0.9957]),
@@ -37,10 +42,20 @@ fn main() {
             Some(s) => d.name().to_lowercase().starts_with(s),
         })
         .collect();
-    let methods = [Method::Baseline, Method::FedProto, Method::KtPfl, Method::FedClassAvg];
+    let methods = [
+        Method::Baseline,
+        Method::FedProto,
+        Method::KtPfl,
+        Method::FedClassAvg,
+    ];
     let dists: [(&str, Partitioner); 2] = [
         ("Dir(0.5)", Partitioner::Dirichlet { alpha: 0.5 }),
-        ("Skewed", Partitioner::Skewed { classes_per_client: 2 }),
+        (
+            "Skewed",
+            Partitioner::Skewed {
+                classes_per_client: 2,
+            },
+        ),
     ];
 
     let mut rows: Vec<Comparison> = Vec::new();
@@ -75,7 +90,10 @@ fn main() {
         }
     }
 
-    println!("{}", comparison_table("Table 2 — heterogeneous personalized FL", &rows));
+    println!(
+        "{}",
+        comparison_table("Table 2 — heterogeneous personalized FL", &rows)
+    );
 
     // The reproduction criterion: FedClassAvg beats KT-pFL and FedProto in
     // every setting it did in the paper.

@@ -10,7 +10,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use fca_bench::experiments::{run_homogeneous, DatasetKind, ExperimentContext, Method};
-use fca_bench::report::{comparison_table, comparisons_value, ordering_holds, write_json, Comparison};
+use fca_bench::report::{
+    comparison_table, comparisons_value, ordering_holds, write_json, Comparison,
+};
 
 /// Paper Table 3 means, columns = (20 clients, 100 clients) per dataset in
 /// order CIFAR / Fashion / EMNIST.
@@ -18,9 +20,15 @@ const PAPER: [(&str, [f64; 6]); 6] = [
     ("FedAvg", [0.7729, 0.6336, 0.8988, 0.7471, 0.9343, 0.8662]),
     ("FedProx", [0.8123, 0.6505, 0.9025, 0.7477, 0.9462, 0.8677]),
     ("KT-pFL", [0.5433, 0.4777, 0.8954, 0.6114, 0.8505, 0.6589]),
-    ("KT-pFL +weight", [0.6809, 0.5624, 0.9113, 0.8647, 0.6774, 0.8441]),
+    (
+        "KT-pFL +weight",
+        [0.6809, 0.5624, 0.9113, 0.8647, 0.6774, 0.8441],
+    ),
     ("Proposed", [0.7653, 0.5096, 0.9294, 0.6712, 0.9361, 0.7097]),
-    ("Proposed +weight", [0.8546, 0.7817, 0.9361, 0.9057, 0.9464, 0.9166]),
+    (
+        "Proposed +weight",
+        [0.8546, 0.7817, 0.9361, 0.9057, 0.9464, 0.9166],
+    ),
 ];
 
 fn main() {
@@ -91,13 +99,14 @@ fn main() {
         }
     }
 
-    println!("{}", comparison_table("Table 3 — homogeneous federated learning", &rows));
+    println!(
+        "{}",
+        comparison_table("Table 3 — homogeneous federated learning", &rows)
+    );
     for d in DatasetKind::ALL {
         for &(n, _) in &fleets {
             let setting = format!("{} {n} clients", d.name());
-            if let Some(holds) =
-                ordering_holds(&rows, "Proposed +weight", "FedAvg", &setting)
-            {
+            if let Some(holds) = ordering_holds(&rows, "Proposed +weight", "FedAvg", &setting) {
                 println!(
                     "ordering Proposed+weight > FedAvg [{setting}]: {}",
                     if holds { "HOLDS" } else { "VIOLATED" }

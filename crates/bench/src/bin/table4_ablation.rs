@@ -36,10 +36,34 @@ fn main() {
         }
         let rho = d.hyperparams().rho;
         let variants: [(Method, f64); 4] = [
-            (Method::Ablation { contrastive: false, rho: 0.0 }, paper_vals[0]),
-            (Method::Ablation { contrastive: false, rho }, paper_vals[1]),
-            (Method::Ablation { contrastive: true, rho: 0.0 }, paper_vals[2]),
-            (Method::Ablation { contrastive: true, rho }, paper_vals[3]),
+            (
+                Method::Ablation {
+                    contrastive: false,
+                    rho: 0.0,
+                },
+                paper_vals[0],
+            ),
+            (
+                Method::Ablation {
+                    contrastive: false,
+                    rho,
+                },
+                paper_vals[1],
+            ),
+            (
+                Method::Ablation {
+                    contrastive: true,
+                    rho: 0.0,
+                },
+                paper_vals[2],
+            ),
+            (
+                Method::Ablation {
+                    contrastive: true,
+                    rho,
+                },
+                paper_vals[3],
+            ),
         ];
         for (m, paper) in variants {
             let t0 = std::time::Instant::now();
@@ -62,7 +86,10 @@ fn main() {
         }
     }
 
-    println!("{}", comparison_table("Table 4 — ablation (CA / PR / CL)", &rows));
+    println!(
+        "{}",
+        comparison_table("Table 4 — ablation (CA / PR / CL)", &rows)
+    );
     // Paper's claim: the full objective (CA+PR+CL) is best in all cases.
     for (d, _) in PAPER {
         let setting = d.name();
@@ -79,7 +106,11 @@ fn main() {
             if best_other.is_finite() {
                 println!(
                     "full objective best on {setting}: {}",
-                    if full >= best_other { "HOLDS" } else { "VIOLATED" }
+                    if full >= best_other {
+                        "HOLDS"
+                    } else {
+                        "VIOLATED"
+                    }
                 );
             }
         }

@@ -791,9 +791,8 @@ impl Network {
     /// exceeds the fold window and exercises the expiry path.
     fn admit_to_buffer(&self, client: usize, bytes: Vec<u8>, max_staleness: usize) {
         let round = self.current_round;
-        let tag = 0xB0FF_0000_0000_0000_u64
-            ^ round.wrapping_mul(0x0000_0001_0000_0001)
-            ^ (client as u64);
+        let tag =
+            0xB0FF_0000_0000_0000_u64 ^ round.wrapping_mul(0x0000_0001_0000_0001) ^ (client as u64);
         let mut rng = derived_rng(self.agg_seed, tag);
         let delay = rng.gen_range(1..=2 * max_staleness.max(1) as u64);
         let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
@@ -862,8 +861,8 @@ impl Network {
         // pure function of (seed, round), not of thread timing.
         if merged.len() > goal_k {
             let mut order: Vec<usize> = (0..merged.len()).collect();
-            let tag = 0xB0FF_4B00_0000_0000_u64
-                ^ (round as u64).wrapping_mul(0x0000_0001_0000_0001);
+            let tag =
+                0xB0FF_4B00_0000_0000_u64 ^ (round as u64).wrapping_mul(0x0000_0001_0000_0001);
             order.shuffle(&mut derived_rng(self.agg_seed, tag));
             let mut in_time = vec![false; merged.len()];
             order[..goal_k].iter().for_each(|&i| in_time[i] = true);

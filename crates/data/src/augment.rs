@@ -26,13 +26,25 @@ pub struct AugmentConfig {
 impl AugmentConfig {
     /// Standard recipe for 32×32 RGB-like images.
     pub fn cifar_like() -> Self {
-        AugmentConfig { max_shift: 3, hflip: true, brightness: 0.15, noise_std: 0.05, cutout: 6 }
+        AugmentConfig {
+            max_shift: 3,
+            hflip: true,
+            brightness: 0.15,
+            noise_std: 0.05,
+            cutout: 6,
+        }
     }
 
     /// Standard recipe for 28×28 grayscale images (no flips — characters
     /// and garments are orientation-sensitive).
     pub fn mnist_like() -> Self {
-        AugmentConfig { max_shift: 2, hflip: false, brightness: 0.1, noise_std: 0.05, cutout: 5 }
+        AugmentConfig {
+            max_shift: 2,
+            hflip: false,
+            brightness: 0.1,
+            noise_std: 0.05,
+            cutout: 5,
+        }
     }
 
     /// Size-aware recipe: scales the geometric perturbations to the image
@@ -52,7 +64,13 @@ impl AugmentConfig {
 
     /// Identity pipeline (for ablation).
     pub fn identity() -> Self {
-        AugmentConfig { max_shift: 0, hflip: false, brightness: 0.0, noise_std: 0.0, cutout: 0 }
+        AugmentConfig {
+            max_shift: 0,
+            hflip: false,
+            brightness: 0.0,
+            noise_std: 0.0,
+            cutout: 0,
+        }
     }
 
     /// Augment a whole NCHW batch, returning a new tensor.
@@ -67,7 +85,10 @@ impl AugmentConfig {
 
     /// Generate the two contrastive views of a batch.
     pub fn two_views(&self, batch: &Tensor, rng: &mut impl Rng) -> (Tensor, Tensor) {
-        (self.augment_batch(batch, rng), self.augment_batch(batch, rng))
+        (
+            self.augment_batch(batch, rng),
+            self.augment_batch(batch, rng),
+        )
     }
 
     fn augment_image(&self, img: &mut [f32], c: usize, h: usize, w: usize, rng: &mut impl Rng) {
@@ -85,15 +106,12 @@ impl AugmentConfig {
                         let sy = y as isize + dy;
                         for x in 0..w {
                             let sx = x as isize + dx;
-                            img[ci * plane + y * w + x] = if sy >= 0
-                                && sy < h as isize
-                                && sx >= 0
-                                && sx < w as isize
-                            {
-                                src[ci * plane + sy as usize * w + sx as usize]
-                            } else {
-                                0.0
-                            };
+                            img[ci * plane + y * w + x] =
+                                if sy >= 0 && sy < h as isize && sx >= 0 && sx < w as isize {
+                                    src[ci * plane + sy as usize * w + sx as usize]
+                                } else {
+                                    0.0
+                                };
                         }
                     }
                 }
@@ -179,7 +197,13 @@ mod tests {
     #[test]
     fn cutout_zeroes_a_region() {
         let mut rng = seeded_rng(304);
-        let cfg = AugmentConfig { max_shift: 0, hflip: false, brightness: 0.0, noise_std: 0.0, cutout: 4 };
+        let cfg = AugmentConfig {
+            max_shift: 0,
+            hflip: false,
+            brightness: 0.0,
+            noise_std: 0.0,
+            cutout: 4,
+        };
         let batch = Tensor::ones([1, 1, 10, 10]);
         let out = cfg.augment_batch(&batch, &mut rng);
         let zeros = out.data().iter().filter(|&&v| v == 0.0).count();
@@ -223,7 +247,13 @@ mod tests {
     #[test]
     fn brightness_only_scales() {
         let mut rng = seeded_rng(307);
-        let cfg = AugmentConfig { max_shift: 0, hflip: false, brightness: 0.2, noise_std: 0.0, cutout: 0 };
+        let cfg = AugmentConfig {
+            max_shift: 0,
+            hflip: false,
+            brightness: 0.2,
+            noise_std: 0.0,
+            cutout: 0,
+        };
         let batch = Tensor::ones([1, 1, 4, 4]);
         let out = cfg.augment_batch(&batch, &mut rng);
         let first = out.at(0);

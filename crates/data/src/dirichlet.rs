@@ -100,7 +100,10 @@ mod tests {
             max_share += p.iter().cloned().fold(0.0, f64::max);
         }
         max_share /= 50.0;
-        assert!(max_share > 0.5, "mean max share {max_share} too uniform for α=0.1");
+        assert!(
+            max_share > 0.5,
+            "mean max share {max_share} too uniform for α=0.1"
+        );
     }
 
     #[test]
@@ -112,6 +115,9 @@ mod tests {
             max_share += p.iter().cloned().fold(0.0, f64::max);
         }
         max_share /= 50.0;
-        assert!(max_share < 0.15, "mean max share {max_share} not uniform for α=100");
+        assert!(
+            max_share < 0.15,
+            "mean max share {max_share} not uniform for α=100"
+        );
     }
 }

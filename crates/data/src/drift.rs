@@ -200,7 +200,9 @@ mod tests {
         }
         let c = drifted_splits(&train, &test, 6, 7, 0.5, 600);
         assert!(
-            a.iter().zip(&c).any(|(x, y)| x.train_indices != y.train_indices),
+            a.iter()
+                .zip(&c)
+                .any(|(x, y)| x.train_indices != y.train_indices),
             "λ = 0.4 and λ = 0.6 produced identical shards"
         );
     }

@@ -138,7 +138,10 @@ impl Partitioner {
             let mut test_indices = Vec::with_capacity(test_share);
             if total_realized > 0 {
                 let test_counts = largest_remainder_counts(
-                    &realized.iter().map(|&r| r as f64 / total_realized as f64).collect::<Vec<_>>(),
+                    &realized
+                        .iter()
+                        .map(|&r| r as f64 / total_realized as f64)
+                        .collect::<Vec<_>>(),
                     test_share,
                 );
                 for (c, &want) in test_counts.iter().enumerate() {
@@ -152,7 +155,11 @@ impl Partitioner {
                 }
             }
 
-            splits.push(ClientSplit { client_id: k, train_indices, test_indices });
+            splits.push(ClientSplit {
+                client_id: k,
+                train_indices,
+                test_indices,
+            });
         }
         splits
     }
@@ -172,8 +179,11 @@ pub(crate) fn largest_remainder_counts(p: &[f64], total: usize) -> Vec<usize> {
     let quotas: Vec<f64> = p.iter().map(|&x| x / sum * total as f64).collect();
     let mut counts: Vec<usize> = quotas.iter().map(|&q| q.floor() as usize).collect();
     let mut assigned: usize = counts.iter().sum();
-    let mut rema: Vec<(usize, f64)> =
-        quotas.iter().enumerate().map(|(i, &q)| (i, q - q.floor())).collect();
+    let mut rema: Vec<(usize, f64)> = quotas
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| (i, q - q.floor()))
+        .collect();
     rema.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     let mut ri = 0;
     while assigned < total && !rema.is_empty() {
@@ -222,7 +232,10 @@ mod tests {
     fn dirichlet_conserves_and_never_duplicates() {
         let (train, test) = toy(5, 200);
         let splits = Partitioner::Dirichlet { alpha: 0.5 }.split(&train, &test, 8, 1);
-        let mut all: Vec<usize> = splits.iter().flat_map(|s| s.train_indices.clone()).collect();
+        let mut all: Vec<usize> = splits
+            .iter()
+            .flat_map(|s| s.train_indices.clone())
+            .collect();
         let n = all.len();
         all.sort_unstable();
         all.dedup();
@@ -235,21 +248,32 @@ mod tests {
         let (train, test) = toy(5, 200);
         let splits = Partitioner::Dirichlet { alpha: 0.5 }.split(&train, &test, 10, 2);
         for s in &splits {
-            assert_eq!(s.train_indices.len(), 20, "client {} shard size", s.client_id);
+            assert_eq!(
+                s.train_indices.len(),
+                20,
+                "client {} shard size",
+                s.client_id
+            );
         }
     }
 
     #[test]
     fn skewed_limits_classes_per_client() {
         let (train, test) = toy(6, 240);
-        let splits =
-            Partitioner::Skewed { classes_per_client: 2 }.split(&train, &test, 6, 3);
+        let splits = Partitioner::Skewed {
+            classes_per_client: 2,
+        }
+        .split(&train, &test, 6, 3);
         for s in &splits {
             let mut classes: Vec<usize> =
                 s.train_indices.iter().map(|&i| train.labels[i]).collect();
             classes.sort_unstable();
             classes.dedup();
-            assert!(classes.len() <= 3, "client {} saw classes {classes:?}", s.client_id);
+            assert!(
+                classes.len() <= 3,
+                "client {} saw classes {classes:?}",
+                s.client_id
+            );
             // Dominant two classes hold almost all the mass (pool spill may
             // add strays once pools drain).
             let mut h = vec![0usize; train.num_classes];
@@ -260,7 +284,11 @@ mod tests {
             sorted.sort_unstable_by(|a, b| b.cmp(a));
             let top2: usize = sorted[..2].iter().sum();
             let total: usize = sorted.iter().sum();
-            assert!(top2 as f64 >= 0.9 * total as f64, "client {}: {h:?}", s.client_id);
+            assert!(
+                top2 as f64 >= 0.9 * total as f64,
+                "client {}: {h:?}",
+                s.client_id
+            );
         }
     }
 
@@ -287,8 +315,10 @@ mod tests {
     #[test]
     fn test_indices_follow_train_distribution() {
         let (train, test) = toy(4, 200);
-        let splits =
-            Partitioner::Skewed { classes_per_client: 2 }.split(&train, &test, 4, 9);
+        let splits = Partitioner::Skewed {
+            classes_per_client: 2,
+        }
+        .split(&train, &test, 4, 9);
         for s in &splits {
             let mut train_classes: Vec<usize> =
                 s.train_indices.iter().map(|&i| train.labels[i]).collect();

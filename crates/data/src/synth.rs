@@ -185,12 +185,7 @@ impl SynthConfig {
         tex
     }
 
-    fn render_split(
-        &self,
-        prototypes: &[Vec<f32>],
-        count: usize,
-        mut rng: impl Rng,
-    ) -> Dataset {
+    fn render_split(&self, prototypes: &[Vec<f32>], count: usize, mut rng: impl Rng) -> Dataset {
         let (h, w, c) = (self.height, self.width, self.channels);
         let img_sz = c * h * w;
         let mut data = Vec::with_capacity(count * img_sz);
@@ -212,7 +207,11 @@ impl SynthConfig {
             sh_data.extend_from_slice(&data[i * img_sz..(i + 1) * img_sz]);
             sh_labels.push(labels[i]);
         }
-        Dataset::new(Tensor::from_vec([count, c, h, w], sh_data), sh_labels, self.num_classes)
+        Dataset::new(
+            Tensor::from_vec([count, c, h, w], sh_data),
+            sh_labels,
+            self.num_classes,
+        )
     }
 
     /// Render one instance of `proto` into `out` (appended).
@@ -327,23 +326,32 @@ mod tests {
 
     #[test]
     fn splits_are_roughly_balanced() {
-        let d = SynthConfig::synth_fashion(5).with_sizes(200, 100).generate();
+        let d = SynthConfig::synth_fashion(5)
+            .with_sizes(200, 100)
+            .generate();
         let h = d.train.class_histogram();
         assert!(h.iter().all(|&c| c == 20), "histogram {h:?}");
     }
 
     #[test]
     fn classes_are_learnable_but_not_trivial() {
-        let d = SynthConfig::synth_fashion(11).with_sizes(200, 400).generate();
+        let d = SynthConfig::synth_fashion(11)
+            .with_sizes(200, 400)
+            .generate();
         let acc = d.prototype_classifier_accuracy();
-        assert!(acc > 0.5, "prototype accuracy {acc} — classes not separable");
+        assert!(
+            acc > 0.5,
+            "prototype accuracy {acc} — classes not separable"
+        );
         // Noise and jitter should keep the task non-trivial.
         assert!(acc < 0.999, "prototype accuracy {acc} — task degenerate");
     }
 
     #[test]
     fn cifar_preset_is_harder_than_fashion() {
-        let f = SynthConfig::synth_fashion(13).with_sizes(100, 300).generate();
+        let f = SynthConfig::synth_fashion(13)
+            .with_sizes(100, 300)
+            .generate();
         let c = SynthConfig::synth_cifar(13).with_sizes(100, 300).generate();
         assert!(
             c.prototype_classifier_accuracy() < f.prototype_classifier_accuracy() + 0.05,

@@ -169,7 +169,10 @@ mod tests {
         let cond = layer_conductance(&cls, z.row(0), &baseline, 2, 8);
         let total: f32 = cond.iter().sum();
         let delta = logit_delta(&cls, z.row(0), &baseline, 2);
-        assert!((total - delta).abs() < 1e-4, "completeness: {total} vs {delta}");
+        assert!(
+            (total - delta).abs() < 1e-4,
+            "completeness: {total} vs {delta}"
+        );
     }
 
     #[test]
@@ -220,7 +223,10 @@ mod tests {
             })
             .collect();
         let agreement = mean_pairwise_rank_agreement(&ranks);
-        assert!(agreement < 0.9, "independent features should not agree: {agreement}");
+        assert!(
+            agreement < 0.9,
+            "independent features should not agree: {agreement}"
+        );
     }
 
     #[test]

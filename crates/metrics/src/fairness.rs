@@ -46,7 +46,11 @@ pub fn fairness_summary(accs: &[f32]) -> FairnessSummary {
     let worst_decile_mean = sorted[..decile].iter().sum::<f32>() / decile as f32;
     let sum: f32 = accs.iter().sum();
     let sum_sq: f32 = accs.iter().map(|a| a * a).sum();
-    let jain_index = if sum_sq > 0.0 { (sum * sum) / (n * sum_sq) } else { 0.0 };
+    let jain_index = if sum_sq > 0.0 {
+        (sum * sum) / (n * sum_sq)
+    } else {
+        0.0
+    };
     FairnessSummary {
         mean,
         std: var.sqrt(),
@@ -59,7 +63,11 @@ pub fn fairness_summary(accs: &[f32]) -> FairnessSummary {
 
 /// Per-class accuracy from logits: `result[c] = Some(acc)` for classes
 /// present in `targets`, `None` otherwise.
-pub fn per_class_accuracy(logits: &Tensor, targets: &[usize], num_classes: usize) -> Vec<Option<f32>> {
+pub fn per_class_accuracy(
+    logits: &Tensor,
+    targets: &[usize],
+    num_classes: usize,
+) -> Vec<Option<f32>> {
     let preds = logits.argmax_rows();
     assert_eq!(preds.len(), targets.len(), "batch size mismatch");
     let mut correct = vec![0usize; num_classes];
@@ -74,7 +82,13 @@ pub fn per_class_accuracy(logits: &Tensor, targets: &[usize], num_classes: usize
     correct
         .into_iter()
         .zip(total)
-        .map(|(c, t)| if t == 0 { None } else { Some(c as f32 / t as f32) })
+        .map(|(c, t)| {
+            if t == 0 {
+                None
+            } else {
+                Some(c as f32 / t as f32)
+            }
+        })
         .collect()
 }
 

@@ -73,8 +73,16 @@ pub fn tsne(x: &Tensor, cfg: &TsneConfig) -> Tensor {
     let mut grad = vec![0.0f32; n * 2];
     let mut q = vec![0.0f32; n * n];
     for iter in 0..cfg.iterations {
-        let exaggeration = if iter < cfg.exaggeration_iters { 12.0 } else { 1.0 };
-        let momentum = if iter < cfg.exaggeration_iters { 0.5 } else { 0.8 };
+        let exaggeration = if iter < cfg.exaggeration_iters {
+            12.0
+        } else {
+            1.0
+        };
+        let momentum = if iter < cfg.exaggeration_iters {
+            0.5
+        } else {
+            0.8
+        };
 
         // Student-t affinities in embedding space.
         let mut z = 0.0f32;
@@ -165,7 +173,11 @@ fn calibrate_row(d2: &[f32], i: usize, n: usize, target_entropy: f32) -> Vec<f32
         // Row conditional distribution at the current beta.
         let mut sum = 0.0f32;
         for j in 0..n {
-            probs[j] = if j == i { 0.0 } else { (-beta * d2[i * n + j]).exp() };
+            probs[j] = if j == i {
+                0.0
+            } else {
+                (-beta * d2[i * n + j]).exp()
+            };
             sum += probs[j];
         }
         if sum <= 0.0 {
@@ -185,7 +197,11 @@ fn calibrate_row(d2: &[f32], i: usize, n: usize, target_entropy: f32) -> Vec<f32
         }
         if diff > 0.0 {
             lo = beta;
-            beta = if hi.is_finite() { (beta + hi) / 2.0 } else { beta * 2.0 };
+            beta = if hi.is_finite() {
+                (beta + hi) / 2.0
+            } else {
+                beta * 2.0
+            };
         } else {
             hi = beta;
             beta = (beta + lo) / 2.0;
@@ -249,18 +265,29 @@ mod tests {
     #[test]
     fn separated_clusters_stay_separated() {
         let (x, labels) = two_blobs(20, 901);
-        let cfg = TsneConfig { iterations: 250, seed: 1, ..Default::default() };
+        let cfg = TsneConfig {
+            iterations: 250,
+            seed: 1,
+            ..Default::default()
+        };
         let y = tsne(&x, &cfg);
         assert_eq!(y.dims(), &[40, 2]);
         assert!(!y.has_non_finite(), "embedding diverged");
         let agreement = nearest_neighbor_label_agreement(&y, &labels);
-        assert!(agreement > 0.9, "cluster structure lost: agreement {agreement}");
+        assert!(
+            agreement > 0.9,
+            "cluster structure lost: agreement {agreement}"
+        );
     }
 
     #[test]
     fn embedding_is_deterministic() {
         let (x, _) = two_blobs(10, 902);
-        let cfg = TsneConfig { iterations: 50, seed: 7, ..Default::default() };
+        let cfg = TsneConfig {
+            iterations: 50,
+            seed: 7,
+            ..Default::default()
+        };
         let a = tsne(&x, &cfg);
         let b = tsne(&x, &cfg);
         assert_eq!(a, b);
@@ -269,7 +296,11 @@ mod tests {
     #[test]
     fn embedding_is_centered() {
         let (x, _) = two_blobs(10, 903);
-        let cfg = TsneConfig { iterations: 60, seed: 2, ..Default::default() };
+        let cfg = TsneConfig {
+            iterations: 60,
+            seed: 2,
+            ..Default::default()
+        };
         let y = tsne(&x, &cfg);
         let mean0: f32 = (0..20).map(|i| y.row(i)[0]).sum::<f32>() / 20.0;
         assert!(mean0.abs() < 1e-3, "embedding not centered: {mean0}");

@@ -75,10 +75,7 @@ impl ArchDescriptor {
 /// Full ResNet-18 adapted as in the paper: backbone + FC to
 /// `feature_dim` features + `feature_dim → num_classes` classifier.
 pub fn resnet18_descriptor(feature_dim: usize, num_classes: usize) -> ArchDescriptor {
-    let mut layers = vec![
-        LayerSpec::Conv(3, 64, 7),
-        LayerSpec::BatchNorm(64),
-    ];
+    let mut layers = vec![LayerSpec::Conv(3, 64, 7), LayerSpec::BatchNorm(64)];
     // Four stages of two BasicBlocks each: 64, 128, 256, 512 channels.
     let stages = [(64usize, 64usize), (64, 128), (128, 256), (256, 512)];
     for (i, &(cin, cout)) in stages.iter().enumerate() {
@@ -100,7 +97,10 @@ pub fn resnet18_descriptor(feature_dim: usize, num_classes: usize) -> ArchDescri
     // Paper modification: backbone → FC(512, feature_dim) → classifier.
     layers.push(LayerSpec::Fc(512, feature_dim));
     layers.push(LayerSpec::Fc(feature_dim, num_classes));
-    ArchDescriptor { name: "ResNet-18 (paper-modified)", layers }
+    ArchDescriptor {
+        name: "ResNet-18 (paper-modified)",
+        layers,
+    }
 }
 
 /// KT-pFL per-round public-data payload: `instances` images of
@@ -178,6 +178,9 @@ mod tests {
         // FedClassAvg sends 512×10 weights.
         let proto = fedproto_bytes(512, 10); // 4 KB × classes scale
         let ours = classifier_bytes(512, 10);
-        assert!(proto < 2 * ours && proto > ours / 2, "same order of magnitude");
+        assert!(
+            proto < 2 * ours && proto > ours / 2,
+            "same order of magnitude"
+        );
     }
 }

@@ -34,7 +34,10 @@ mod tests {
         let t = kaiming_normal([64, 128], 128, &mut rng);
         let var = t.sq_norm() / t.numel() as f32;
         let expect = 2.0 / 128.0;
-        assert!((var - expect).abs() < expect * 0.2, "var {var} vs expected {expect}");
+        assert!(
+            (var - expect).abs() < expect * 0.2,
+            "var {var} vs expected {expect}"
+        );
     }
 
     #[test]

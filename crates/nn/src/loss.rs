@@ -24,7 +24,10 @@ use fca_tensor::Tensor;
 pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let (rows, cols) = logits.shape().as_matrix();
     assert_eq!(rows, targets.len(), "batch size mismatch in cross_entropy");
-    assert!(targets.iter().all(|&t| t < cols), "target label out of range");
+    assert!(
+        targets.iter().all(|&t| t < cols),
+        "target label out of range"
+    );
     let logp = log_softmax_rows(logits);
     let mut loss = 0.0;
     for (r, &t) in targets.iter().enumerate() {
@@ -71,9 +74,17 @@ pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
 ///
 /// Anchors without positives are skipped; the loss averages over valid
 /// anchors. Returns `(0, zeros)` when no anchor has a positive.
-pub fn supervised_contrastive(features: &Tensor, labels: &[usize], temperature: f32) -> (f32, Tensor) {
+pub fn supervised_contrastive(
+    features: &Tensor,
+    labels: &[usize],
+    temperature: f32,
+) -> (f32, Tensor) {
     let (n, _d) = features.shape().as_matrix();
-    assert_eq!(n, labels.len(), "label count mismatch in supervised_contrastive");
+    assert_eq!(
+        n,
+        labels.len(),
+        "label count mismatch in supervised_contrastive"
+    );
     assert!(temperature > 0.0, "temperature must be positive");
     let eps = 1e-8;
     let (z, norms) = normalize_rows(features, eps);
@@ -174,9 +185,17 @@ pub fn proximal_sq(w: &Tensor, w_ref: &Tensor, mu: f32) -> (f32, Tensor) {
 ///
 /// The standard `T²` factor keeps gradient magnitudes comparable across
 /// temperatures.
-pub fn kl_distillation(student_logits: &Tensor, teacher_probs: &Tensor, temperature: f32) -> (f32, Tensor) {
+pub fn kl_distillation(
+    student_logits: &Tensor,
+    teacher_probs: &Tensor,
+    temperature: f32,
+) -> (f32, Tensor) {
     let (rows, cols) = student_logits.shape().as_matrix();
-    assert_eq!(teacher_probs.dims(), student_logits.dims(), "shape mismatch in kl_distillation");
+    assert_eq!(
+        teacher_probs.dims(),
+        student_logits.dims(),
+        "shape mismatch in kl_distillation"
+    );
     assert!(temperature > 0.0);
     let scaled = student_logits.scaled(1.0 / temperature);
     let logq = log_softmax_rows(&scaled);
@@ -213,14 +232,20 @@ pub fn kl_distillation(student_logits: &Tensor, teacher_probs: &Tensor, temperat
 /// FedProto prototype regularizer: mean squared distance between each
 /// feature row and its class prototype. Rows whose class has no prototype
 /// are skipped. Returns the loss and `∂L/∂features`.
-pub fn prototype_loss(features: &Tensor, labels: &[usize], prototypes: &[Option<Tensor>]) -> (f32, Tensor) {
+pub fn prototype_loss(
+    features: &Tensor,
+    labels: &[usize],
+    prototypes: &[Option<Tensor>],
+) -> (f32, Tensor) {
     let (rows, cols) = features.shape().as_matrix();
     assert_eq!(rows, labels.len(), "label count mismatch in prototype_loss");
     let mut grad = Tensor::zeros([rows, cols]);
     let mut loss = 0.0f32;
     let mut counted = 0usize;
     for (r, &y) in labels.iter().enumerate() {
-        let Some(Some(proto)) = prototypes.get(y) else { continue };
+        let Some(Some(proto)) = prototypes.get(y) else {
+            continue;
+        };
         assert_eq!(proto.numel(), cols, "prototype dimension mismatch");
         counted += 1;
         let f = features.row(r);
@@ -286,7 +311,13 @@ mod tests {
         let logits = Tensor::randn([3, 5], 1.0, &mut rng);
         let targets = vec![1usize, 4, 0];
         let (_, grad) = cross_entropy(&logits, &targets);
-        finite_diff_check(&|x| cross_entropy(x, &targets).0, &logits, &grad, 1e-2, 2e-2);
+        finite_diff_check(
+            &|x| cross_entropy(x, &targets).0,
+            &logits,
+            &grad,
+            1e-2,
+            2e-2,
+        );
     }
 
     #[test]
@@ -333,10 +364,7 @@ mod tests {
     #[test]
     fn supcon_prefers_clustered_same_class_features() {
         // Same-class features close together → lower loss than scattered.
-        let tight = Tensor::from_vec(
-            [4, 2],
-            vec![1.0, 0.01, 1.0, -0.01, -1.0, 0.01, -1.0, -0.01],
-        );
+        let tight = Tensor::from_vec([4, 2], vec![1.0, 0.01, 1.0, -0.01, -1.0, 0.01, -1.0, -0.01]);
         let mixed = Tensor::from_vec([4, 2], vec![1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0]);
         let labels = vec![0usize, 0, 1, 1];
         let (l_tight, _) = supervised_contrastive(&tight, &labels, 0.5);

@@ -238,9 +238,14 @@ mod tests {
                 ..
             }
         )));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::Round { dropped: 1, stale: 2, .. })));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::Round {
+                dropped: 1,
+                stale: 2,
+                ..
+            }
+        )));
         assert!(events.iter().any(|e| matches!(
             e,
             Event::Drift {
