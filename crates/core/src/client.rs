@@ -270,12 +270,6 @@ impl Client {
         self.optimizer.learning_rate()
     }
 
-    /// Select the compute precision the model uses for inference-mode
-    /// forwards ([`Client::evaluate`], prediction). Training stays f32.
-    pub fn set_eval_precision(&mut self, precision: fca_tensor::quant::Precision) {
-        self.model.set_eval_precision(precision);
-    }
-
     /// Allocation counters of the client's scratch workspace.
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.workspace.stats()

@@ -280,10 +280,9 @@ pub struct FedConfig {
     /// every client. At cross-device scale a full sweep would hydrate the
     /// whole fleet, so scale runs set this to a few hundred.
     pub eval_sample: usize,
-    /// Compute precision for inference-mode forwards during fleet
-    /// evaluation (`F32`, the default, keeps evaluation exact; `F16`/`Int8`
-    /// select the quantize-on-pack GEMM path). Training numerics are
-    /// always f32 regardless of this setting.
+    /// Compute precision of every forward: f32, the one value there is.
+    /// Nothing reads it; the field stays because `benchmark/` writes it in a
+    /// config literal, and leaves with that literal (ROADMAP item 4).
     pub eval_precision: Precision,
     /// Transport backend for the run (`InProcess`, the default, keeps
     /// frames in crossbeam channels; the socket kinds route every frame
@@ -345,12 +344,6 @@ impl FedConfig {
     /// Builder-style eval-subsample override (`0` = evaluate every client).
     pub fn with_eval_sample(mut self, eval_sample: usize) -> Self {
         self.eval_sample = eval_sample;
-        self
-    }
-
-    /// Builder-style eval-precision override.
-    pub fn with_eval_precision(mut self, precision: Precision) -> Self {
-        self.eval_precision = precision;
         self
     }
 

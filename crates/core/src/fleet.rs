@@ -35,7 +35,6 @@ use fca_data::augment::AugmentConfig;
 use fca_data::partition::ClientSplit;
 use fca_data::Dataset;
 use fca_models::{build_model, ModelArch};
-use fca_tensor::quant::Precision;
 use fca_tensor::rng::derive_seed;
 use fca_tensor::serialize::WireError;
 use fca_tensor::{PoolStats, Workspace, WorkspacePool, WorkspaceStats};
@@ -99,9 +98,6 @@ pub(crate) struct Hydrator {
     feature_dim: usize,
     hp: HyperParams,
     seed: u64,
-    /// Eval precision stamped onto every hydrated client, so paged-in
-    /// clients evaluate exactly like always-resident ones.
-    eval_precision: Precision,
 }
 
 impl Hydrator {
@@ -210,7 +206,6 @@ impl Fleet {
             feature_dim,
             hp,
             seed,
-            eval_precision: Precision::F32,
         };
         let slots = match max_resident {
             None => metas
@@ -262,19 +257,6 @@ impl Fleet {
         match &self.slots[k] {
             Slot::Live(c) => c.weight,
             Slot::Cold(_) => self.metas[k].weight,
-        }
-    }
-
-    /// Set the compute precision every client uses for inference-mode
-    /// forwards: live clients are updated in place, and the hydrator
-    /// stamps the same precision onto every future page-in, so paged and
-    /// resident fleets evaluate identically. Training stays f32.
-    pub fn set_eval_precision(&mut self, precision: Precision) {
-        if let Some(h) = &mut self.hydrator {
-            h.eval_precision = precision;
-        }
-        for c in self.clients_mut() {
-            c.set_eval_precision(precision);
         }
     }
 
@@ -633,7 +615,6 @@ fn hydrate(
             // fca-lint: allow(P1, reason = "slot invariant: a Cold blob was written by dehydrate or restored cleanly onto a twin of this architecture in restore_snapshots; bytes from a file never reach this call unchecked")
             .expect("a parked snapshot restores onto its own architecture");
     }
-    c.set_eval_precision(h.eval_precision);
     drop(c.swap_workspace(pool.checkout()));
     c
 }

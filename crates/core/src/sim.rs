@@ -325,9 +325,6 @@ pub fn run_federation_from(
         "{} is a multi-phase protocol and requires Aggregation::Sync",
         algo.name()
     );
-    // Applies to live clients now and to every future page-in, so paged
-    // and resident fleets evaluate under the same precision.
-    fleet.set_eval_precision(cfg.eval_precision);
     let mut net = Network::over(build_transport(cfg.transport, fleet.len()))
         .with_fault_plan(cfg.faults)
         .with_aggregation(cfg.aggregation, cfg.seed);

@@ -3,7 +3,6 @@
 
 use fca_nn::linear::Linear;
 use fca_nn::module::Module;
-use fca_tensor::quant::Precision;
 use fca_tensor::{Tensor, Workspace};
 use rand::Rng;
 
@@ -119,11 +118,6 @@ impl Classifier {
             self.linear.bias.grad.axpy(rho / norm, &db);
         }
         norm
-    }
-
-    /// Select the compute precision for inference-mode forwards.
-    pub fn set_eval_precision(&mut self, precision: Precision) {
-        self.linear.set_eval_precision(precision);
     }
 
     /// Trainable parameters (stable order: weight, bias).

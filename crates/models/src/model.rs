@@ -4,7 +4,6 @@
 use crate::classifier::Classifier;
 use fca_nn::module::Module;
 use fca_nn::structure::Sequential;
-use fca_tensor::quant::Precision;
 use fca_tensor::rng::SnapRng;
 use fca_tensor::serialize::encoded_len;
 use fca_tensor::{Tensor, Workspace};
@@ -147,13 +146,6 @@ impl ClientModel {
         let mut p = self.feature_extractor.params_mut();
         p.extend(self.classifier.params_mut());
         p
-    }
-
-    /// Select the compute precision for inference-mode forwards (applies
-    /// to both extractor and classifier). Training numerics stay f32.
-    pub fn set_eval_precision(&mut self, precision: Precision) {
-        self.feature_extractor.set_eval_precision(precision);
-        self.classifier.set_eval_precision(precision);
     }
 
     /// Zero all gradients.

@@ -9,8 +9,8 @@
 //!   and the im2col matrix is never written;
 //! * **stencil** (depthwise) — shifted multiply-adds over the same padded
 //!   planes, no GEMM at all;
-//! * **im2col** (stride > 1, and the quantized inference forward) — the
-//!   lowered matrix, every byte of it moved by a row copy.
+//! * **im2col** (stride > 1) — the lowered matrix, every byte of it moved by
+//!   a row copy.
 //!
 //! Every product of the first and last runs on the packed engine in
 //! [`fca_tensor::gemm`], in one `k` order; the stencil rounds exactly as that
@@ -22,7 +22,6 @@ use fca_tensor::gemm::{
     fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len,
     packed_b_len, KC, NR,
 };
-use fca_tensor::quant::{gemm_quant, Precision};
 use fca_tensor::simd::{self, Kernel};
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
@@ -128,9 +127,6 @@ pub struct Conv2d {
     /// `[n, c, h, w]` of the last training forward (`n == 0` when there is
     /// none to backpropagate through).
     in_dims: [usize; 4],
-    /// Compute precision for inference-mode forwards (f32 by default).
-    /// Training forwards and the backward pass are always f32.
-    eval_precision: Precision,
 }
 
 /// The sizes forward and backward derive from the geometry and one input
@@ -231,7 +227,6 @@ impl Conv2d {
             wpack_slot: SlotId::fresh(),
             scratch_slot: SlotId::fresh(),
             in_dims: [0; 4],
-            eval_precision: Precision::F32,
         }
     }
 
@@ -293,12 +288,6 @@ impl Conv2d {
         let dw_imgs = (KC / row_len).clamp(1, n.max(1));
         let dw_k = dw_imgs * row_len;
         let dw_operands = packed_a_len(ocg, dw_k) + packed_b_len(dw_k, kdim);
-        // An inference forward's im2col matrix, where it is quantized.
-        let quant_col = match self.eval_precision {
-            Precision::F32 => 0,
-            _ if g.is_pointwise() => 0,
-            _ => col_img,
-        };
         let seamed_len = match path {
             Path::View if flat != row_len => oc * flat,
             _ => 0,
@@ -308,7 +297,7 @@ impl Conv2d {
             // Backward: the spread-out output gradient, a padded `dX` plane.
             Path::Stencil => {
                 let tail = (c * plane + flat).max(flat + hp * wp);
-                (c * plane, 0, 0, tail.max(quant_col), 0)
+                (c * plane, 0, 0, tail, 0)
             }
             // Forward: the product with its seams still in, an inference
             // image's padded planes. Backward: `dcol`. The weight gradient
@@ -917,11 +906,6 @@ impl Module for Conv2d {
         let out_img_sz = g.out_channels * row_len;
         // An inference image's padded planes, in scratch.
         let pad_tmp_len = if g.is_pointwise() { 0 } else { c * plan.plane };
-        // Inference-only quantized path: `gemm_quant` owns its own
-        // quantize-on-pack (thread-local scratch, sequential driver) and
-        // reads the im2col matrix, whatever the geometry.
-        let quantized = !train && self.eval_precision != Precision::F32;
-        let packs_weights = !quantized && plan.path != Path::Stencil;
 
         // Every element of `out` is overwritten, so unspecified pool
         // contents are fine.
@@ -934,7 +918,7 @@ impl Module for Conv2d {
         // Each group's weight is packed into MR-panels once per call and
         // shared read-only by every image in the rayon region.
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        if packs_weights {
+        if plan.path != Path::Stencil {
             self.pack_weights(&mut wpack, plan.w_panels, (ocg, kdim), false);
         }
         let weight = self.weight.value.data();
@@ -976,7 +960,7 @@ impl Module for Conv2d {
                     } else {
                         &mut []
                     };
-                    if quantized || plan.path == Path::Im2col {
+                    if plan.path == Path::Im2col {
                         // A pointwise convolution's im2col matrix is its input.
                         let lowered: &[f32] = if g.is_pointwise() {
                             img
@@ -989,24 +973,6 @@ impl Module for Conv2d {
                         };
                         fill_bias(out_img, row_len);
                         let cols = lowered.chunks_exact(kdim * row_len);
-                        if quantized {
-                            let dims = (ocg, kdim, row_len);
-                            for ((y_g, col_g), w_g) in out_img
-                                .chunks_exact_mut(ocg * row_len)
-                                .zip(cols)
-                                .zip(weight.chunks_exact(ocg * kdim))
-                            {
-                                gemm_quant(
-                                    w_g,
-                                    col_g,
-                                    y_g,
-                                    dims,
-                                    (false, false),
-                                    self.eval_precision,
-                                );
-                            }
-                            continue;
-                        }
                         let span = fca_trace::clock();
                         for (col_g, pb) in cols.zip(panels.chunks_exact_mut(plan.col_panels)) {
                             pack_b(col_g, kdim, row_len, false, pb);
@@ -1207,10 +1173,6 @@ impl Module for Conv2d {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
-
-    fn set_eval_precision(&mut self, precision: Precision) {
-        self.eval_precision = precision;
-    }
 }
 
 /// Naive direct convolution, used as a test oracle.
@@ -1361,31 +1323,6 @@ mod tests {
         let y = conv.forward(&x, true, &mut ws);
         let yref = conv2d_reference(&x, &conv.weight.value, &conv.bias.value, &geom);
         assert_close(&y, &yref, 1e-4);
-    }
-
-    #[test]
-    fn quantized_eval_forward_tracks_f32_and_leaves_training_alone() {
-        let mut rng = seeded_rng(68);
-        let mut ws = Workspace::new();
-        let geom = ConvGeometry {
-            in_channels: 3,
-            out_channels: 5,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-            groups: 1,
-        };
-        let mut conv = Conv2d::new(geom, &mut rng);
-        let x = Tensor::randn([2, 3, 8, 8], 1.0, &mut rng);
-        let exact = conv.forward(&x, false, &mut ws);
-        for prec in [Precision::F16, Precision::Int8] {
-            conv.set_eval_precision(prec);
-            let q = conv.forward(&x, false, &mut ws);
-            assert_close(&q, &exact, 0.25);
-            // Training forwards must stay bit-identical f32.
-            let t = conv.forward(&x, true, &mut ws);
-            assert_eq!(t.data(), exact.data(), "{prec:?} leaked into training");
-        }
     }
 
     #[test]

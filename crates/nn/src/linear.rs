@@ -2,9 +2,8 @@
 
 use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
-use fca_tensor::linalg::{gemm_nn_ws, gemm_nt_ws, gemm_tn_ws};
+use fca_tensor::linalg::{gemm, Layout};
 use fca_tensor::ops::add_bias_rows;
-use fca_tensor::quant::{gemm_quant, Precision};
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
 use rand::Rng;
@@ -26,9 +25,6 @@ pub struct Linear {
     in_slot: SlotId,
     /// Row count of the last cached input (0 before any forward).
     cached_rows: usize,
-    /// Compute precision for inference-mode forwards (f32 by default).
-    /// Training forwards and the backward pass are always f32.
-    eval_precision: Precision,
 }
 
 impl Linear {
@@ -42,7 +38,6 @@ impl Linear {
             bias: Param::new("linear.bias", Tensor::zeros([out_features])),
             in_slot: SlotId::fresh(),
             cached_rows: 0,
-            eval_precision: Precision::F32,
         }
     }
 
@@ -56,50 +51,31 @@ impl Linear {
         self.weight.value.dims()[0]
     }
 
-    /// Forward without caching (inference-only helper). Honors the
-    /// configured eval precision.
+    /// Forward without caching (inference-only helper).
     pub fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let span = fca_trace::clock();
-        let y = self.affine(x, self.eval_precision, ws);
+        let y = self.affine(x, ws);
         fca_trace::op(OpId::LinearForward, span);
         y
     }
 
-    /// `x·Wᵀ + b` at `precision`, the body of every forward.
-    fn affine(&self, x: &Tensor, precision: Precision, ws: &mut Workspace) -> Tensor {
+    /// `x·Wᵀ + b`, the body of every forward.
+    fn affine(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let n = x.dims()[0];
         let (in_f, out_f) = (self.in_features(), self.out_features());
-        // The GEMMs accumulate, so the output must start zeroed. The _ws
-        // variant draws packing scratch from the workspace pool, keeping
-        // the steady state allocation-free.
+        // The product accumulates, so the output must start zeroed; packing
+        // scratch comes from the workspace pool, keeping the steady state
+        // allocation-free.
         let mut y = ws.tensor_zeroed([n, out_f]);
-        if precision == Precision::F32 {
-            gemm_nt_ws(
-                x.data(),
-                self.weight.value.data(),
-                y.data_mut(),
-                n,
-                in_f,
-                out_f,
-                ws,
-            );
-        } else {
-            gemm_quant(
-                x.data(),
-                self.weight.value.data(),
-                y.data_mut(),
-                (n, in_f, out_f),
-                (false, true),
-                precision,
-            );
-        }
+        let w = self.weight.value.data();
+        gemm(Layout::Nt, x.data(), w, y.data_mut(), (n, in_f, out_f), ws);
         add_bias_rows(&mut y, &self.bias.value);
         y
     }
 }
 
 impl Module for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         let span = fca_trace::clock();
         assert_eq!(
             x.dims()[1],
@@ -108,13 +84,7 @@ impl Module for Linear {
             self.in_features(),
             x.dims()[1]
         );
-        // Quantized compute is inference-only; training forwards stay f32.
-        let precision = if train {
-            Precision::F32
-        } else {
-            self.eval_precision
-        };
-        let y = self.affine(x, precision, ws);
+        let y = self.affine(x, ws);
         let n = x.dims()[0];
         let mut cache = ws.take_slot(self.in_slot, n * self.in_features());
         cache.copy_from_slice(x.data());
@@ -137,13 +107,13 @@ impl Module for Linear {
         let cache = ws.take_slot(self.in_slot, n * in_f);
         // dW += dYᵀ·X, db += colsum(dY), dX = dY·W — the parameter GEMMs
         // accumulate straight into the grad tensors, no temporaries.
-        gemm_tn_ws(
+        let dw = self.weight.grad.data_mut();
+        gemm(
+            Layout::Tn,
             grad_out.data(),
             &cache,
-            self.weight.grad.data_mut(),
-            out_f,
-            n,
-            in_f,
+            dw,
+            (out_f, n, in_f),
             ws,
         );
         let db = self.bias.grad.data_mut();
@@ -153,13 +123,13 @@ impl Module for Linear {
             }
         }
         let mut dx = ws.tensor_zeroed([n, in_f]);
-        gemm_nn_ws(
+        let w = self.weight.value.data();
+        gemm(
+            Layout::Nn,
             grad_out.data(),
-            self.weight.value.data(),
+            w,
             dx.data_mut(),
-            n,
-            out_f,
-            in_f,
+            (n, out_f, in_f),
             ws,
         );
         ws.put_slot(self.in_slot, cache);
@@ -169,10 +139,6 @@ impl Module for Linear {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn set_eval_precision(&mut self, precision: Precision) {
-        self.eval_precision = precision;
     }
 }
 
@@ -244,31 +210,6 @@ mod tests {
             ws.recycle(y);
         }
         assert_eq!(ws.stats().allocations, 0);
-    }
-
-    #[test]
-    fn quantized_eval_forward_tracks_f32_and_leaves_training_alone() {
-        let mut rng = seeded_rng(55);
-        let mut ws = Workspace::new();
-        let mut l = Linear::new(32, 10, &mut rng);
-        let x = Tensor::randn([4, 32], 1.0, &mut rng);
-        let exact = l.forward(&x, false, &mut ws);
-        for prec in [Precision::F16, Precision::Int8] {
-            l.set_eval_precision(prec);
-            let q = l.forward(&x, false, &mut ws);
-            let qi = l.forward_inference(&x, &mut ws);
-            assert_eq!(q, qi, "{prec:?}: cached vs inference forward diverge");
-            for (a, b) in exact.data().iter().zip(q.data()) {
-                assert!(
-                    (a - b).abs() < 0.35 * (1.0 + a.abs()),
-                    "{prec:?} eval drifted: {a} vs {b}"
-                );
-            }
-            // Training forwards must be bit-identical regardless of the
-            // configured eval precision.
-            let t = l.forward(&x, true, &mut ws);
-            assert_eq!(t, exact, "{prec:?} leaked into the training path");
-        }
     }
 
     #[test]

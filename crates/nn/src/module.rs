@@ -1,7 +1,6 @@
 //! The [`Module`] trait and [`Param`] type: the backprop contract every
 //! layer implements.
 
-use fca_tensor::quant::Precision;
 use fca_tensor::rng::SnapRng;
 use fca_tensor::{Tensor, Workspace};
 
@@ -80,13 +79,6 @@ pub trait Module: Send {
     fn rng_slots(&mut self) -> Vec<&mut SnapRng> {
         Vec::new()
     }
-
-    /// Select the compute precision for **inference-mode** forwards
-    /// (`train == false`). Training numerics are never affected: the
-    /// backward pass and every `train == true` forward stay f32. Layers
-    /// without a GEMM (activations, pooling, norm) ignore this; composites
-    /// must propagate it to their children.
-    fn set_eval_precision(&mut self, _precision: Precision) {}
 
     /// Zero all parameter gradients.
     fn zero_grad(&mut self) {

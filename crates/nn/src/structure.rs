@@ -3,7 +3,6 @@
 //! paper's four CNN families.
 
 use crate::module::{Module, Param};
-use fca_tensor::quant::Precision;
 use fca_tensor::rng::SnapRng;
 use fca_tensor::{Tensor, Workspace};
 
@@ -110,12 +109,6 @@ impl Module for Sequential {
     fn rng_slots(&mut self) -> Vec<&mut SnapRng> {
         self.layers.iter_mut().flat_map(|l| l.rng_slots()).collect()
     }
-
-    fn set_eval_precision(&mut self, precision: Precision) {
-        for l in &mut self.layers {
-            l.set_eval_precision(precision);
-        }
-    }
 }
 
 /// Residual block: `y = body(x) + shortcut(x)`.
@@ -210,13 +203,6 @@ impl Module for Residual {
             r.extend(s.rng_slots());
         }
         r
-    }
-
-    fn set_eval_precision(&mut self, precision: Precision) {
-        self.body.set_eval_precision(precision);
-        if let Some(s) = &mut self.shortcut {
-            s.set_eval_precision(precision);
-        }
     }
 }
 
@@ -324,12 +310,6 @@ impl Module for InceptionBlock {
             .iter_mut()
             .flat_map(|b| b.rng_slots())
             .collect()
-    }
-
-    fn set_eval_precision(&mut self, precision: Precision) {
-        for b in &mut self.branches {
-            b.set_eval_precision(precision);
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Packed, register-blocked GEMM engine.
 //!
-//! This is the single kernel behind all three GEMM variants in
-//! [`crate::linalg`] (`C += A·B`, `C += Aᵀ·B`, `C += A·Bᵀ`). It follows the
+//! This is the single kernel behind all three layouts of
+//! [`crate::linalg::gemm`] (`C += A·B`, `C += Aᵀ·B`, `C += A·Bᵀ`). It follows the
 //! classic BLIS/OpenBLAS decomposition:
 //!
 //! 1. **Pack** A into row-panels of [`MR`] rows (k-major within a panel)
@@ -62,6 +62,13 @@ pub fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     } else {
         c + a * b
     }
+}
+
+/// `len == rows · cols`, false when the product overflows: the length check
+/// the checked entries make before a kernel stores through a raw pointer.
+#[inline]
+pub(crate) fn is_len(len: usize, rows: usize, cols: usize) -> bool {
+    rows.checked_mul(cols) == Some(len)
 }
 
 /// Length of the packed-A buffer for an `m × k` operand.
@@ -190,7 +197,7 @@ fn pack_cols<const W: usize>(src: &[f32], k: usize, lanes: usize, dst: &mut [f32
 /// convinces LLVM to hold each accumulator row in vector registers instead
 /// of round-tripping a 2D array through the stack (a ~14× difference).
 #[inline(always)]
-pub(crate) fn axpy_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
+fn axpy_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
     for (av, &bv) in acc.iter_mut().zip(b) {
         *av = fmadd(a, bv, *av);
     }
@@ -342,6 +349,12 @@ pub fn gemm_packed(pa: &[f32], pb: &[f32], c: &mut [f32], m: usize, k: usize, n:
 /// [`gemm_packed`] with an explicit kernel arm instead of the
 /// process-wide dispatch — the hook test and bench harnesses use to
 /// compare arms bit-for-bit within one process.
+///
+/// # Panics
+///
+/// When `pa` or `pb` is shorter than [`packed_a_len`]/[`packed_b_len`] or
+/// `c` is not `m · n` long — in every build: the tiles below store through
+/// raw pointers, so these are the checks their safety rests on.
 pub fn gemm_packed_arm(
     arm: Kernel,
     pa: &[f32],
@@ -351,9 +364,9 @@ pub fn gemm_packed_arm(
     k: usize,
     n: usize,
 ) {
-    debug_assert!(pa.len() >= packed_a_len(m, k));
-    debug_assert!(pb.len() >= packed_b_len(k, n));
-    debug_assert_eq!(c.len(), m * n);
+    assert!(pa.len() >= packed_a_len(m, k), "gemm: packed A is short");
+    assert!(pb.len() >= packed_b_len(k, n), "gemm: packed B is short");
+    assert!(is_len(c.len(), m, n), "gemm: C is not m × n");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -912,7 +925,7 @@ mod tests {
     }
 
     /// The skinny path (every arm) must be bit-identical to the packed
-    /// engine — it is substituted silently inside `gemm_into`, so this is
+    /// engine — it is substituted silently inside `linalg::gemm`, so this is
     /// what keeps training gradients reproducible across the dispatch
     /// boundary. Sweep covers strip remainders, row-group remainders, and
     /// KC slab boundaries.
@@ -973,8 +986,8 @@ mod tests {
                                 .build()
                                 .expect("pool")
                                 .install(|| {
-                                    let trans = (false, true);
-                                    crate::linalg::gemm_arm(arm, &a, &b, &mut c, (m, k, n), trans);
+                                    let nt = crate::linalg::Layout::Nt;
+                                    crate::linalg::gemm_arm(arm, nt, &a, &b, &mut c, (m, k, n));
                                 });
                             assert_eq!(
                                 bits(&c),
@@ -989,33 +1002,45 @@ mod tests {
         }
     }
 
-    /// A transposed A reaches the `nt` kernel through the same panel.
+    /// `gemm_packed_arm` with a `C` one row short or a packed `A` one element
+    /// short must panic before a tile stores through its raw pointer, on
+    /// every arm. Release is the configuration that matters: there the
+    /// `debug_assert!`s this replaced were compiled out and the call
+    /// returned with 8.0 written past the end of `c`.
     #[test]
-    fn skinny_nt_accepts_a_transposed_a() {
-        let (m, k, n) = (3, 300, 13);
-        let mut seed = 0x7A;
-        let mut a = vec![0.0f32; m * k];
-        let mut b = vec![0.0f32; n * k];
-        fill(&mut a, &mut seed);
-        fill(&mut b, &mut seed);
-        let mut at = vec![0.0f32; m * k]; // k×m storage
-        for i in 0..m {
-            for kk in 0..k {
-                at[kk * m + i] = a[i * k + kk];
-            }
+    fn packed_engine_refuses_short_slices_on_every_arm() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (m, k, n) = (32, 8, 32);
+        let pa = vec![1.0f32; packed_a_len(m, k)];
+        let pb = vec![1.0f32; packed_b_len(k, n)];
+        for arm in crate::simd::available() {
+            let mut c = vec![0.0f32; m * n];
+            let short = (m - 1) * n;
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                gemm_packed_arm(arm, &pa, &pb, &mut c[..short], m, k, n);
+            }));
+            assert!(refused.is_err(), "short C accepted on {}", arm.as_str());
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                gemm_packed_arm(arm, &pa[1..], &pb, &mut c, m, k, n);
+            }));
+            assert!(refused.is_err(), "short A accepted on {}", arm.as_str());
+            assert!(
+                c.iter().all(|&v| v == 0.0),
+                "C written to on {}",
+                arm.as_str()
+            );
         }
-        let mut plain = vec![0.0f32; m * n];
-        let mut transposed = vec![0.0f32; m * n];
-        crate::linalg::gemm_arm(Kernel::Scalar, &a, &b, &mut plain, (m, k, n), (false, true));
-        crate::linalg::gemm_arm(
-            Kernel::Scalar,
-            &at,
-            &b,
-            &mut transposed,
-            (m, k, n),
-            (true, true),
-        );
-        assert_eq!(plain, transposed);
+    }
+
+    /// The dispatching entry, same defect: the panic is the entry's own.
+    #[test]
+    #[should_panic(expected = "gemm: C is not m × n")]
+    fn gemm_packed_short_c_panics() {
+        let (m, k, n) = (32, 8, 32);
+        let pa = vec![1.0f32; packed_a_len(m, k)];
+        let pb = vec![1.0f32; packed_b_len(k, n)];
+        let mut c = vec![0.0f32; (m - 1) * n];
+        gemm_packed(&pa, &pb, &mut c, m, k, n);
     }
 
     /// Shapes the skinny heuristic must refuse — wide m, empty m or k in

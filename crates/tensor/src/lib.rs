@@ -16,15 +16,15 @@
 //! kernels in [`linalg`] and [`ops`]. Higher layers (`fca-nn`) build layer
 //! semantics on top.
 //!
-//! The GEMM entry points carry `fca-trace` probes (pack vs. kernel time,
+//! Slice-level products have one checked entry, [`linalg::gemm`], and one
+//! precision, f32. It carries `fca-trace` probes (pack vs. kernel time,
 //! flop counts); tracing observes and never branches, so traced results
 //! stay bit-identical to untraced ones — see `linalg`'s module docs and
 //! DESIGN.md §7.4.
 //!
 //! GEMM kernels are selected once per process by [`simd::active`]
 //! (runtime CPUID dispatch: scalar / AVX2+FMA / AVX-512, overridable via
-//! `FCA_GEMM_KERNEL`); all arms are bit-identical. Eval-only forwards can
-//! additionally opt into the quantized f16/int8 compute path in [`quant`].
+//! `FCA_GEMM_KERNEL`); all arms are bit-identical.
 
 #![warn(missing_docs)]
 
@@ -39,7 +39,6 @@ pub mod simd;
 pub mod tensor;
 pub mod workspace;
 
-pub use quant::Precision;
 pub use shape::Shape;
 pub use simd::Kernel;
 pub use tensor::Tensor;
@@ -47,8 +46,7 @@ pub use workspace::{PoolStats, SlotId, Workspace, WorkspacePool, WorkspaceStats}
 
 /// Convenience prelude importing the types and traits most users need.
 pub mod prelude {
-    pub use crate::linalg::{matmul, matmul_nt, matmul_tn};
-    pub use crate::quant::Precision;
+    pub use crate::linalg::matmul;
     pub use crate::rng::{derive_seed, seeded_rng};
     pub use crate::shape::Shape;
     pub use crate::tensor::Tensor;

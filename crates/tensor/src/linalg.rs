@@ -1,77 +1,83 @@
-//! Matrix multiplication kernels.
+//! Matrix products on flat slices and tensors.
 //!
-//! All three GEMM variants needed by backprop are provided:
+//! There is one slice-level entry, [`gemm`]: `C += op(A)·op(B)` in the three
+//! storage orders backprop needs, picked by a [`Layout`]:
 //!
-//! * [`matmul`]    — `C = A·B`       (forward passes)
-//! * [`matmul_tn`] — `C = Aᵀ·B`      (weight gradients: `dW = Xᵀ·dY`)
-//! * [`matmul_nt`] — `C = A·Bᵀ`      (input gradients: `dX = dY·Wᵀ`)
+//! * [`Layout::Nn`] — `C += A·B`   (input gradients: `dX = dY·W`)
+//! * [`Layout::Tn`] — `C += Aᵀ·B`  (weight gradients: `dW = dYᵀ·X`)
+//! * [`Layout::Nt`] — `C += A·Bᵀ`  (forward passes: `y = x·Wᵀ`)
 //!
-//! All variants route through the packed, register-blocked engine in
-//! [`crate::gemm`]: the operands are packed into MR/NR panels (the
-//! transpose variants are pack-time layout choices) and multiplied by one
-//! microkernel with 2D macro-tile parallelism. Results are bit-identical
-//! across thread counts.
+//! It asserts every slice's length against `(m, k, n)` in every build — the
+//! kernels below it store through raw pointers and check nothing — then
+//! routes through the packed, register-blocked engine in [`crate::gemm`]:
+//! the operands are packed into MR/NR panels (a transpose is a pack-time
+//! layout choice) and multiplied by one microkernel with 2D macro-tile
+//! parallelism, or, for a short `m`, through a skinny kernel that streams B
+//! where it lies. Results are bit-identical across paths, kernel arms and
+//! thread counts.
 //!
-//! Packing scratch comes from one of two places:
+//! Packing scratch comes from the caller's [`Workspace`] recycle pool, so a
+//! training loop that threads its workspace through stays allocation-free
+//! and observable via [`crate::WorkspaceStats`]. [`matmul`], the
+//! tensor-level `C = A·B` for callers that have no workspace (the SupCon
+//! loss), keeps a pair of grow-only per-thread buffers instead; nothing else
+//! does.
 //!
-//! * the `gemm_nn`/`gemm_tn`/`gemm_nt` entry points keep a pair of
-//!   per-thread recycled buffers (they are callable from inside rayon
-//!   regions, e.g. the per-image conv loop, where no [`Workspace`] can
-//!   follow);
-//! * the `*_ws` twins draw from a [`Workspace`] recycle pool instead, so a
-//!   training loop that threads its workspace through stays allocation-free
-//!   and observable via [`crate::WorkspaceStats`].
+//! [`matmul_reference`] is the independent triple-loop oracle the property
+//! tests compare against; the pre-packing seed kernels live on beside this
+//! module's unit tests as a second one.
 //!
-//! The pre-packing seed kernels survive as `gemm_*_naive` — the perf
-//! baseline for `fca-bench`'s snapshot tooling and a second reference for
-//! property tests.
-//!
-//! Every entry point carries `fca-trace` probes: pack time and kernel time
-//! are split ([`fca_trace::OpId::GemmPack`] vs. `GemmKernel`, the latter
-//! with the canonical `2·m·k·n` flop count), and each public variant adds
-//! its own call/latency row. Probes observe and never branch, so traced
-//! results are bit-identical to untraced ones; with tracing inactive each
-//! probe is one relaxed atomic load.
+//! Every product carries `fca-trace` probes: pack time and kernel time are
+//! split ([`fca_trace::OpId::GemmPack`] vs. `GemmKernel`, the latter with
+//! the canonical `2·m·k·n` flop count), and each layout adds its own
+//! call/latency row. Probes observe and never branch, so traced results are
+//! bit-identical to untraced ones; with tracing inactive each probe is one
+//! relaxed atomic load.
 
 use crate::gemm::{
-    gemm_packed_arm, pack_a, pack_a_rowmajor, pack_b, packed_a_len, packed_b_len, skinny_applies,
-    NR,
+    gemm_packed_arm, is_len, pack_a, pack_a_rowmajor, pack_b, packed_a_len, packed_b_len,
+    skinny_applies, NR,
 };
 use crate::simd::Kernel;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 use fca_trace::OpId;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// Below this many multiply-adds the naive kernels stay single-threaded.
-const PAR_THRESHOLD: usize = 64 * 1024;
-
 thread_local! {
-    /// Per-thread packing scratch for the workspace-less entry points.
+    /// Per-thread packing scratch for [`matmul`], which has no workspace.
     /// Grow-only, so steady-state calls never touch the allocator.
     static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Pack both operands (reading A/B transposed per the flags) and run the
-/// blocked engine, with packing scratch borrowed from `buffers`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_into(
-    buffers: (&mut Vec<f32>, &mut Vec<f32>),
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    trans: (bool, bool),
-) {
-    gemm_buffers_arm(crate::simd::active(), buffers, (a, b), c, (m, k, n), trans);
+/// Which operand of [`gemm`] is stored transposed. `dims` is `(m, k, n)` of
+/// the logical product throughout: `C` is always row-major `m × n`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// `C += A·B`: `A` stored `m × k`, `B` stored `k × n`.
+    Nn,
+    /// `C += Aᵀ·B`: `A` stored `k × m`, `B` stored `k × n`.
+    Tn,
+    /// `C += A·Bᵀ`: `A` stored `m × k`, `B` stored `n × k`.
+    Nt,
+}
+
+impl Layout {
+    /// The journal row this layout's calls land on.
+    fn op(self) -> OpId {
+        match self {
+            Layout::Nn => OpId::GemmNn,
+            Layout::Tn => OpId::GemmTn,
+            Layout::Nt => OpId::GemmNt,
+        }
+    }
 }
 
 /// The engine a product runs on, chosen from its dimensions and B's storage
 /// order alone; every path adds the same bits to C (see [`crate::gemm`]).
+/// Only [`Path::of`] makes one, after checking the slices, so holding a
+/// `Path` means the lengths the kernels rely on have been asserted.
 #[derive(Clone, Copy)]
 enum Path {
     /// Both operands packed into panels, the blocked engine.
@@ -83,7 +89,19 @@ enum Path {
 }
 
 impl Path {
-    fn of(m: usize, k: usize, n: usize, trans_b: bool) -> Path {
+    /// Check the three slices against `dims`, then pick the path.
+    ///
+    /// # Panics
+    ///
+    /// In every build, when a slice is not exactly as long as `dims` says:
+    /// the skinny SIMD kernels and the packed engine's tiles read B and
+    /// store C through raw pointers, and this is their only bounds check.
+    fn of(layout: Layout, ab: (&[f32], &[f32]), c: &[f32], dims: (usize, usize, usize)) -> Path {
+        let (m, k, n) = dims;
+        assert!(is_len(ab.0.len(), m, k), "gemm: A is not m × k");
+        assert!(is_len(ab.1.len(), k, n), "gemm: B is not k × n");
+        assert!(is_len(c.len(), m, n), "gemm: C is not m × n");
+        let trans_b = layout == Layout::Nt;
         match (skinny_applies(m, k, n, trans_b), trans_b) {
             (false, _) => Path::Packed,
             (true, false) => Path::SkinnyNn,
@@ -93,115 +111,110 @@ impl Path {
 
     /// Pack-scratch lengths `(A, B)`: a skinny product packs its small A
     /// alone.
-    fn pack_lens(self, m: usize, k: usize, n: usize) -> (usize, usize) {
+    fn pack_lens(self, (m, k, n): (usize, usize, usize)) -> (usize, usize) {
         match self {
             Path::Packed => (packed_a_len(m, k), packed_b_len(k, n)),
             Path::SkinnyNn => (m * k, 0),
             Path::SkinnyNt => (k * NR, 0),
         }
     }
-}
 
-/// [`gemm_into`] with an explicit kernel arm: packs what the product's
-/// [`Path`] needs packed and runs its kernel.
-fn gemm_buffers_arm(
-    arm: Kernel,
-    buffers: (&mut Vec<f32>, &mut Vec<f32>),
-    ab: (&[f32], &[f32]),
-    c: &mut [f32],
-    dims: (usize, usize, usize),
-    trans: (bool, bool),
-) {
-    let (a, b) = ab;
-    let (m, k, n) = dims;
-    let (pa, pb) = buffers;
-    let path = Path::of(m, k, n, trans.1);
-    let (alen, blen) = path.pack_lens(m, k, n);
-    if pa.len() < alen {
-        pa.resize(alen, 0.0);
-    }
-    if pb.len() < blen {
-        pb.resize(blen, 0.0);
-    }
-    let (pa, pb) = (&mut pa[..alen], &mut pb[..blen]);
-    let span = fca_trace::clock();
-    match path {
-        Path::Packed => {
-            pack_a(a, m, k, trans.0, pa);
-            pack_b(b, k, n, trans.1, pb);
+    /// Pack what this path needs packed into `buffers` (grown to fit) and
+    /// run its kernel on `arm`.
+    fn run(
+        self,
+        arm: Kernel,
+        layout: Layout,
+        buffers: (&mut Vec<f32>, &mut Vec<f32>),
+        ab: (&[f32], &[f32]),
+        c: &mut [f32],
+        dims: (usize, usize, usize),
+    ) {
+        let (a, b) = ab;
+        let (m, k, n) = dims;
+        let (pa, pb) = buffers;
+        let (alen, blen) = self.pack_lens(dims);
+        if pa.len() < alen {
+            pa.resize(alen, 0.0);
         }
-        Path::SkinnyNn => pack_a_rowmajor(a, m, k, trans.0, pa),
-        // Aᵀ (`k × m`) is one B-shaped panel: `a` is its `n × k` storage
-        // unless A itself arrives transposed.
-        Path::SkinnyNt => pack_b(a, k, m, !trans.0, pa),
+        if pb.len() < blen {
+            pb.resize(blen, 0.0);
+        }
+        let (pa, pb) = (&mut pa[..alen], &mut pb[..blen]);
+        let trans_a = layout == Layout::Tn;
+        let span = fca_trace::clock();
+        match self {
+            Path::Packed => {
+                pack_a(a, m, k, trans_a, pa);
+                pack_b(b, k, n, layout == Layout::Nt, pb);
+            }
+            Path::SkinnyNn => pack_a_rowmajor(a, m, k, trans_a, pa),
+            // Aᵀ (`k × m`) is one B-shaped panel, and `a` its `n × k` storage.
+            Path::SkinnyNt => pack_b(a, k, m, true, pa),
+        }
+        fca_trace::op(OpId::GemmPack, span);
+        let span = fca_trace::clock();
+        match self {
+            Path::Packed => gemm_packed_arm(arm, pa, pb, c, m, k, n),
+            Path::SkinnyNn => crate::simd::skinny_arm(arm, pa, b, c, m, k, n),
+            Path::SkinnyNt => crate::simd::skinny_nt_arm(arm, pa, b, c, m, k, n),
+        }
+        fca_trace::op_flops(OpId::GemmKernel, span, 2 * (m * k * n) as u64);
     }
-    fca_trace::op(OpId::GemmPack, span);
-    let span = fca_trace::clock();
-    match path {
-        Path::Packed => gemm_packed_arm(arm, pa, pb, c, m, k, n),
-        Path::SkinnyNn => crate::simd::skinny_arm(arm, pa, b, c, m, k, n),
-        Path::SkinnyNt => crate::simd::skinny_nt_arm(arm, pa, b, c, m, k, n),
-    }
-    fca_trace::op_flops(OpId::GemmKernel, span, 2 * (m * k * n) as u64);
 }
 
-pub(crate) fn gemm_thread_local(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    trans: (bool, bool),
-) {
-    PACK_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let (pa, pb) = &mut *scratch;
-        gemm_into((pa, pb), a, b, c, m, k, n, trans);
-    });
-}
-
-/// `C += op_a(A) · op_b(B)` with an explicit kernel arm instead of the
-/// process-wide dispatch, using the per-thread pack scratch. `dims` is
-/// `(m, k, n)`, `trans` the per-operand transpose flags. This is the
-/// test hook for comparing arms (including the skinny path) inside one
-/// process; results are bit-identical across arms.
-#[cfg(test)]
-pub(crate) fn gemm_arm(
-    arm: Kernel,
+/// `C += op(A)·op(B)` on flat slices, the one slice-level product: `layout`
+/// says which operand is stored transposed, `dims` is `(m, k, n)`, and `C`
+/// is row-major `m × n` and accumulated into (zero it first for a plain
+/// product). Packing scratch is drawn from `ws`'s recycle pool and returned
+/// to it, so steady-state calls allocate nothing.
+///
+/// # Panics
+///
+/// In every build, when `a`, `b` or `c` is not exactly as long as `layout`
+/// and `dims` say.
+pub fn gemm(
+    layout: Layout,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     dims: (usize, usize, usize),
-    trans: (bool, bool),
-) {
-    PACK_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let (pa, pb) = &mut *scratch;
-        gemm_buffers_arm(arm, (pa, pb), (a, b), c, dims, trans);
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_workspace(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    trans: (bool, bool),
     ws: &mut Workspace,
 ) {
+    let span = fca_trace::clock();
+    let path = Path::of(layout, (a, b), c, dims);
     // A skinny product never touches packed-B scratch: ask the pool for none.
-    let (alen, blen) = Path::of(m, k, n, trans.1).pack_lens(m, k, n);
+    let (alen, blen) = path.pack_lens(dims);
     let mut pa = ws.alloc(alen);
     let mut pb = if blen > 0 { ws.alloc(blen) } else { Vec::new() };
-    gemm_into((&mut pa, &mut pb), a, b, c, m, k, n, trans);
+    let arm = crate::simd::active();
+    path.run(arm, layout, (&mut pa, &mut pb), (a, b), c, dims);
     ws.recycle_vec(pa);
     if blen > 0 {
         ws.recycle_vec(pb);
     }
+    fca_trace::op(layout.op(), span);
+}
+
+/// [`gemm`] on an explicit kernel arm, packing into the per-thread scratch:
+/// [`matmul`]'s body, and the hook the tests use to compare arms (including
+/// the skinny paths) inside one process. Bit-identical to [`gemm`].
+pub(crate) fn gemm_arm(
+    arm: Kernel,
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    dims: (usize, usize, usize),
+) {
+    let span = fca_trace::clock();
+    let path = Path::of(layout, (a, b), c, dims);
+    PACK_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let (pa, pb) = &mut *scratch;
+        path.run(arm, layout, (pa, pb), (a, b), c, dims);
+    });
+    fca_trace::op(layout.op(), span);
 }
 
 /// `C = A·B` for `A: (m,k)` and `B: (k,n)`.
@@ -210,210 +223,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (kb, n) = b.shape().as_matrix();
     assert_eq!(k, kb, "matmul inner-dimension mismatch: {k} vs {kb}");
     let mut c = Tensor::zeros([m, n]);
-    gemm_nn(a.data(), b.data(), c.data_mut(), m, k, n);
+    let arm = crate::simd::active();
+    gemm_arm(arm, Layout::Nn, a.data(), b.data(), c.data_mut(), (m, k, n));
     c
-}
-
-/// `C = Aᵀ·B` for `A: (k,m)` and `B: (k,n)`.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = a.shape().as_matrix();
-    let (kb, n) = b.shape().as_matrix();
-    assert_eq!(k, kb, "matmul_tn inner-dimension mismatch: {k} vs {kb}");
-    let mut c = Tensor::zeros([m, n]);
-    gemm_tn(a.data(), b.data(), c.data_mut(), m, k, n);
-    c
-}
-
-/// `C = A·Bᵀ` for `A: (m,k)` and `B: (n,k)`.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape().as_matrix();
-    let (n, kb) = b.shape().as_matrix();
-    assert_eq!(k, kb, "matmul_nt inner-dimension mismatch: {k} vs {kb}");
-    let mut c = Tensor::zeros([m, n]);
-    gemm_nt(a.data(), b.data(), c.data_mut(), m, k, n);
-    c
-}
-
-/// Raw `C += A·B` on flat slices, `A: m×k`, `B: k×n`, `C: m×n`.
-pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_thread_local(a, b, c, m, k, n, (false, false));
-    fca_trace::op(OpId::GemmNn, span);
-}
-
-/// Raw `C += Aᵀ·B` on flat slices, `A: k×m`, `B: k×n`, `C: m×n`.
-pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_thread_local(a, b, c, m, k, n, (true, false));
-    fca_trace::op(OpId::GemmTn, span);
-}
-
-/// Raw `C += A·Bᵀ` on flat slices, `A: m×k`, `B: n×k`, `C: m×n`.
-pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_thread_local(a, b, c, m, k, n, (false, true));
-    fca_trace::op(OpId::GemmNt, span);
-}
-
-/// [`gemm_nn`] with packing scratch drawn from `ws`'s recycle pool.
-///
-/// Bit-identical to [`gemm_nn`]; use it wherever a workspace is already
-/// threaded through so packing stays visible to [`crate::WorkspaceStats`].
-pub fn gemm_nn_ws(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_workspace(a, b, c, m, k, n, (false, false), ws);
-    fca_trace::op(OpId::GemmNn, span);
-}
-
-/// [`gemm_tn`] with packing scratch drawn from `ws`'s recycle pool.
-pub fn gemm_tn_ws(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_workspace(a, b, c, m, k, n, (true, false), ws);
-    fca_trace::op(OpId::GemmTn, span);
-}
-
-/// [`gemm_nt`] with packing scratch drawn from `ws`'s recycle pool.
-pub fn gemm_nt_ws(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let span = fca_trace::clock();
-    gemm_workspace(a, b, c, m, k, n, (false, true), ws);
-    fca_trace::op(OpId::GemmNt, span);
-}
-
-/// Seed `ikj` kernel for `C += A·B` (row-parallel, no packing). Kept as
-/// a test oracle.
-pub fn gemm_nn_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik != 0.0 {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += aik * bj;
-                }
-            }
-        }
-    };
-    let span = fca_trace::clock();
-    if m * k * n >= PAR_THRESHOLD && n > 0 {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else if n > 0 {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
-    fca_trace::op_flops(OpId::GemmNaive, span, 2 * (m * k * n) as u64);
-}
-
-/// Seed kernel for `C += Aᵀ·B` (row-parallel, strided A reads).
-pub fn gemm_tn_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        for kk in 0..k {
-            let aik = a[kk * m + i];
-            if aik != 0.0 {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += aik * bj;
-                }
-            }
-        }
-    };
-    let span = fca_trace::clock();
-    if m * k * n >= PAR_THRESHOLD && n > 0 {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else if n > 0 {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
-    fca_trace::op_flops(OpId::GemmNaive, span, 2 * (m * k * n) as u64);
-}
-
-/// Seed kernel for `C += A·Bᵀ` (row-dot products).
-pub fn gemm_nt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, cj) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            *cj += dot(a_row, b_row);
-        }
-    };
-    let span = fca_trace::clock();
-    if m * k * n >= PAR_THRESHOLD && n > 0 {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else if n > 0 {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
-    fca_trace::op_flops(OpId::GemmNaive, span, 2 * (m * k * n) as u64);
-}
-
-/// Dot product with 8 independent accumulators.
-///
-/// Eight parallel chains keep two FMA/add pipes busy on wide SIMD targets
-/// while still reducing deterministically (fixed tree, independent of
-/// length rounding). Backs [`gemm_nt_naive`], which reduces over contiguous
-/// rows.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for (av, bv) in a.chunks_exact(8).zip(b.chunks_exact(8)).take(chunks) {
-        for ((s, &x), &y) in acc.iter_mut().zip(av).zip(bv) {
-            *s += x * y;
-        }
-    }
-    let mut s = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
-    for (&x, &y) in a[chunks * 8..].iter().zip(&b[chunks * 8..]) {
-        s += x * y;
-    }
-    s
 }
 
 /// Naive triple-loop reference GEMM, used by tests and property checks.
@@ -438,6 +250,61 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const LAYOUTS: [Layout; 3] = [Layout::Nn, Layout::Tn, Layout::Nt];
+
+    /// Seed `ikj` kernel for `C += A·B` (no packing): an oracle.
+    fn gemm_nn_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for kk in 0..k {
+                let aik = a[i * k + kk];
+                for j in 0..n {
+                    c[i * n + j] += aik * b[kk * n + j];
+                }
+            }
+        }
+    }
+
+    /// Seed kernel for `C += Aᵀ·B` (strided A reads): an oracle.
+    fn gemm_tn_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for kk in 0..k {
+                let aik = a[kk * m + i];
+                for j in 0..n {
+                    c[i * n + j] += aik * b[kk * n + j];
+                }
+            }
+        }
+    }
+
+    /// Seed kernel for `C += A·Bᵀ` (row-dot products): an oracle.
+    fn gemm_nt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for j in 0..n {
+                c[i * n + j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// Dot product with 8 independent accumulators, reduced in a fixed tree
+    /// (independent of length rounding). Backs [`gemm_nt_naive`].
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let mut acc = [0.0f32; 8];
+        let chunks = a.len() / 8;
+        for (av, bv) in a.chunks_exact(8).zip(b.chunks_exact(8)).take(chunks) {
+            for ((s, &x), &y) in acc.iter_mut().zip(av).zip(bv) {
+                *s += x * y;
+            }
+        }
+        let mut s =
+            ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+        for (&x, &y) in a[chunks * 8..].iter().zip(&b[chunks * 8..]) {
+            s += x * y;
+        }
+        s
+    }
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
         assert_eq!(a.dims(), b.dims());
@@ -447,6 +314,14 @@ mod tests {
                 "{x} vs {y}"
             );
         }
+    }
+
+    /// `op(A)·op(B)` through [`gemm`] into a zeroed `m × n` tensor.
+    fn product(layout: Layout, a: &Tensor, b: &Tensor, dims: (usize, usize, usize)) -> Tensor {
+        let mut c = Tensor::zeros([dims.0, dims.2]);
+        let mut ws = Workspace::new();
+        gemm(layout, a.data(), b.data(), c.data_mut(), dims, &mut ws);
+        c
     }
 
     #[test]
@@ -460,19 +335,21 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tn_matches_transpose() {
+    fn gemm_tn_matches_transpose() {
         let mut rng = seeded_rng(12);
         let a = Tensor::randn([7, 5], 1.0, &mut rng);
         let b = Tensor::randn([7, 9], 1.0, &mut rng);
-        assert_close(&matmul_tn(&a, &b), &matmul(&a.transpose(), &b), 1e-4);
+        let tn = product(Layout::Tn, &a, &b, (5, 7, 9));
+        assert_close(&tn, &matmul(&a.transpose(), &b), 1e-4);
     }
 
     #[test]
-    fn matmul_nt_matches_transpose() {
+    fn gemm_nt_matches_transpose() {
         let mut rng = seeded_rng(13);
         let a = Tensor::randn([6, 5], 1.0, &mut rng);
         let b = Tensor::randn([8, 5], 1.0, &mut rng);
-        assert_close(&matmul_nt(&a, &b), &matmul(&a, &b.transpose()), 1e-4);
+        let nt = product(Layout::Nt, &a, &b, (6, 5, 8));
+        assert_close(&nt, &matmul(&a, &b.transpose()), 1e-4);
     }
 
     #[test]
@@ -508,23 +385,24 @@ mod tests {
     #[test]
     fn packed_variants_match_naive_kernels() {
         let mut rng = seeded_rng(16);
+        let mut ws = Workspace::new();
         for &(m, k, n) in &[(3, 5, 4), (20, 33, 41), (70, 40, 150)] {
             let a = Tensor::randn([m * k], 1.0, &mut rng);
             let b = Tensor::randn([k * n], 1.0, &mut rng);
             type K = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-            for (fast, naive) in [
-                (gemm_nn as K, gemm_nn_naive as K),
-                (gemm_tn as K, gemm_tn_naive as K),
-                (gemm_nt as K, gemm_nt_naive as K),
+            for (layout, naive) in [
+                (Layout::Nn, gemm_nn_naive as K),
+                (Layout::Tn, gemm_tn_naive as K),
+                (Layout::Nt, gemm_nt_naive as K),
             ] {
                 let mut c1 = vec![0.0f32; m * n];
                 let mut c2 = vec![0.0f32; m * n];
-                fast(a.data(), b.data(), &mut c1, m, k, n);
+                gemm(layout, a.data(), b.data(), &mut c1, (m, k, n), &mut ws);
                 naive(a.data(), b.data(), &mut c2, m, k, n);
                 for (x, y) in c1.iter().zip(&c2) {
                     assert!(
                         (x - y).abs() <= 1e-4 * (1.0 + y.abs().max(x.abs())),
-                        "{m}x{k}x{n}: {x} vs {y}"
+                        "{layout:?} {m}x{k}x{n}: {x} vs {y}"
                     );
                 }
             }
@@ -532,7 +410,8 @@ mod tests {
     }
 
     /// Workspace-pooled packing must be bit-identical to the thread-local
-    /// path, and the second call must be served entirely from the pool.
+    /// scratch [`matmul`] packs into, and the second call must be served
+    /// entirely from the pool.
     #[test]
     fn ws_variants_are_bit_identical_and_reuse_pool() {
         let mut rng = seeded_rng(17);
@@ -540,51 +419,54 @@ mod tests {
         let (m, k, n) = (33, 47, 29);
         let a = Tensor::randn([m * k], 1.0, &mut rng);
         let b = Tensor::randn([k * n], 1.0, &mut rng);
-        type K = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-        type KW = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, &mut Workspace);
-        for (plain, pooled) in [
-            (gemm_nn as K, gemm_nn_ws as KW),
-            (gemm_tn as K, gemm_tn_ws as KW),
-            (gemm_nt as K, gemm_nt_ws as KW),
-        ] {
+        let arm = crate::simd::active();
+        for layout in LAYOUTS {
             let mut c1 = vec![0.0f32; m * n];
             let mut c2 = vec![0.0f32; m * n];
-            plain(a.data(), b.data(), &mut c1, m, k, n);
-            pooled(a.data(), b.data(), &mut c2, m, k, n, &mut ws);
-            assert_eq!(c1, c2);
+            gemm_arm(arm, layout, a.data(), b.data(), &mut c1, (m, k, n));
+            gemm(layout, a.data(), b.data(), &mut c2, (m, k, n), &mut ws);
+            assert_eq!(c1, c2, "{layout:?}");
         }
+        let (at, bt) = (a.reshaped([m, k]), b.reshaped([k, n]));
+        assert_eq!(
+            matmul(&at, &bt).data(),
+            product(Layout::Nn, &at, &bt, (m, k, n)).data()
+        );
         ws.reset_stats();
         let mut c = vec![0.0f32; m * n];
-        gemm_nn_ws(a.data(), b.data(), &mut c, m, k, n, &mut ws);
+        gemm(Layout::Nn, a.data(), b.data(), &mut c, (m, k, n), &mut ws);
         assert_eq!(ws.stats().allocations, 0, "packing buffers not recycled");
     }
 
-    /// Each public variant, bit-identical across 1/2/8-thread pools.
+    /// Each layout of [`gemm`], and [`matmul`], bit-identical across
+    /// 1/2/8-thread pools.
     #[test]
     fn variants_bit_exact_across_thread_counts() {
         let mut rng = seeded_rng(18);
         let (m, k, n) = (130, 65, 260);
-        let a = Tensor::randn([m * k], 1.0, &mut rng);
-        let b = Tensor::randn([k * n], 1.0, &mut rng);
-        type K = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-        for kernel in [gemm_nn as K, gemm_tn as K, gemm_nt as K] {
-            let run = || {
-                let mut c = vec![0.0f32; m * n];
-                kernel(a.data(), b.data(), &mut c, m, k, n);
-                c
-            };
-            let baseline = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("pool")
-                .install(run);
-            for threads in [2, 8] {
-                let got = rayon::ThreadPoolBuilder::new()
+        let a = Tensor::randn([m, k], 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 1.0, &mut rng);
+        let dims = (m, k, n);
+        let nn = || product(Layout::Nn, &a, &b, dims);
+        let tn = || product(Layout::Tn, &a, &b, dims);
+        let nt = || product(Layout::Nt, &a, &b, dims);
+        let mm = || matmul(&a, &b);
+        let variants: [&(dyn Fn() -> Tensor + Sync); 4] = [&nn, &tn, &nt, &mm];
+        for (i, run) in variants.into_iter().enumerate() {
+            let on = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
                     .build()
                     .expect("pool")
-                    .install(run);
-                assert_eq!(baseline, got, "{threads} threads changed bits");
+                    .install(run)
+            };
+            let baseline = on(1);
+            for threads in [2, 8] {
+                assert_eq!(
+                    baseline,
+                    on(threads),
+                    "variant {i}: {threads} threads changed bits"
+                );
             }
         }
     }
@@ -599,5 +481,69 @@ mod tests {
             assert_eq!(dot(&a, &b), expect, "len {len}");
         }
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    /// A `C` one strip short and an `A` one element short must be refused
+    /// before any kernel runs, on every arm, skinny (`4×8×64`) and packed
+    /// (`32×8×32`) alike. Release is the configuration that matters: there
+    /// the inner `debug_assert!`s are compiled out and, before the entry
+    /// asserted, the call returned with 8.0 written past the end of the
+    /// slice; a debug run passed even then.
+    #[test]
+    fn gemm_refuses_short_slices_on_every_arm() {
+        for arm in crate::simd::available() {
+            for (m, k, n) in [(4, 8, 64), (32, 8, 32)] {
+                for layout in LAYOUTS {
+                    let a = vec![1.0f32; m * k];
+                    let b = vec![1.0f32; k * n];
+                    let mut c = vec![0.0f32; m * n];
+                    let short = m * n - 16;
+                    let refused = catch_unwind(AssertUnwindSafe(|| {
+                        gemm_arm(arm, layout, &a, &b, &mut c[..short], (m, k, n));
+                    }));
+                    let at = format!("{} {layout:?} {m}x{k}x{n}", arm.as_str());
+                    assert!(refused.is_err(), "short C accepted: {at}");
+                    assert!(c.iter().all(|&v| v == 0.0), "C written to: {at}");
+                    let refused = catch_unwind(AssertUnwindSafe(|| {
+                        gemm_arm(arm, layout, &a[1..], &b, &mut c, (m, k, n));
+                    }));
+                    assert!(refused.is_err(), "short A accepted: {at}");
+                    let refused = catch_unwind(AssertUnwindSafe(|| {
+                        gemm_arm(arm, layout, &a, &b[1..], &mut c, (m, k, n));
+                    }));
+                    assert!(refused.is_err(), "short B accepted: {at}");
+                    assert!(c.iter().all(|&v| v == 0.0), "C written to: {at}");
+                }
+            }
+        }
+    }
+
+    /// The public entry itself, skinny shape: the panic is the entry's own.
+    #[test]
+    #[should_panic(expected = "gemm: C is not m × n")]
+    fn gemm_short_c_panics() {
+        let (m, k, n) = (4, 8, 64);
+        let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+        let mut c = vec![0.0f32; m * n - 16];
+        gemm(Layout::Nn, &a, &b, &mut c, (m, k, n), &mut Workspace::new());
+    }
+
+    /// The public entry, packed shape, `A` one element short.
+    #[test]
+    #[should_panic(expected = "gemm: A is not m × k")]
+    fn gemm_short_a_panics() {
+        let (m, k, n) = (32, 8, 32);
+        let (a, b) = (vec![1.0f32; m * k - 1], vec![1.0f32; k * n]);
+        let mut c = vec![0.0f32; m * n];
+        gemm(Layout::Nn, &a, &b, &mut c, (m, k, n), &mut Workspace::new());
+    }
+
+    /// Dimensions whose product wraps must not pass for a short slice.
+    #[test]
+    #[should_panic(expected = "gemm: A is not m × k")]
+    fn gemm_overflowing_dims_panic() {
+        let mut c = [0.0f32; 0];
+        let dims = (usize::MAX / 2 + 1, 2, 0);
+        gemm(Layout::Nn, &[], &[], &mut c, dims, &mut Workspace::new());
     }
 }

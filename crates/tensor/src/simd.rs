@@ -32,18 +32,21 @@
 //! property-tested exhaustively in this module and relied on by the
 //! seeded-run reproducibility guarantees.
 //!
-//! The quantized (f16/int8) microkernels live here too; their shared
-//! quantize-on-pack logic is scalar code in [`crate::quant`], so all arms
-//! consume identical quantized panels.
+//! # Bounds
+//!
+//! The kernels here store through raw pointers and check no length in a
+//! release build. The lengths are the *caller's*: [`crate::linalg::gemm`] and
+//! [`crate::gemm::gemm_packed_arm`] `assert!` every slice against `(m, k, n)`
+//! before any of them runs, and nothing outside this crate can reach them
+//! another way.
 
-use crate::gemm::{fmadd, microkernel, skinny_nt_scalar, skinny_scalar, KC, MR, NR};
-use crate::quant::{microkernel_f16_scalar, microkernel_i8_scalar};
+use crate::gemm::{microkernel, skinny_nt_scalar, skinny_scalar, KC, MR, NR};
 use std::sync::OnceLock;
 
 /// True when the crate itself is compiled with FMA codegen (e.g.
 /// `-C target-cpu=native` from `.cargo/config.toml`). The explicit kernels
 /// branch on this so their multiply-add contraction always matches the
-/// scalar oracle's [`fmadd`], whatever features a build enables.
+/// scalar oracle's [`crate::gemm::fmadd`], whatever features a build enables.
 pub(crate) const BASE_FMA: bool = cfg!(target_feature = "fma");
 
 /// A GEMM kernel arm, resolved once per process by [`active`].
@@ -70,25 +73,14 @@ impl Kernel {
 }
 
 /// What runtime detection resolved, cached for the process lifetime.
-struct Resolved {
-    arm: Kernel,
-    /// F16C conversions available (and the arm is not forced scalar):
-    /// gates the vectorized f16 consumption kernel.
-    f16c: bool,
-}
-
-static RESOLVED: OnceLock<Resolved> = OnceLock::new();
-
-fn resolved() -> &'static Resolved {
-    RESOLVED.get_or_init(resolve)
-}
+static RESOLVED: OnceLock<Kernel> = OnceLock::new();
 
 /// The kernel arm every GEMM entry point dispatches to, resolved once from
 /// CPUID (plus the `FCA_GEMM_KERNEL` override: `scalar` forces the
 /// fallback, `avx2_fma`/`avx512` force an arm that must be available,
 /// `auto`/unset picks the best detected).
 pub fn active() -> Kernel {
-    resolved().arm
+    *RESOLVED.get_or_init(resolve)
 }
 
 /// All arms the current machine can run, scalar first. Test and bench
@@ -104,8 +96,8 @@ pub fn available() -> Vec<Kernel> {
     arms
 }
 
-fn resolve() -> Resolved {
-    let arm = match std::env::var("FCA_GEMM_KERNEL") {
+fn resolve() -> Kernel {
+    match std::env::var("FCA_GEMM_KERNEL") {
         Ok(v) => match v.as_str() {
             "" | "auto" => best(),
             "scalar" => Kernel::Scalar,
@@ -117,10 +109,6 @@ fn resolve() -> Resolved {
             ),
         },
         Err(_) => best(),
-    };
-    Resolved {
-        arm,
-        f16c: arm != Kernel::Scalar && detect_f16c(),
     }
 }
 
@@ -158,19 +146,9 @@ fn detect(arm: Kernel) -> bool {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn detect_f16c() -> bool {
-    std::arch::is_x86_feature_detected!("f16c") && detect(Kernel::Avx2Fma)
-}
-
 #[cfg(not(target_arch = "x86_64"))]
 fn detect(arm: Kernel) -> bool {
     arm == Kernel::Scalar
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_f16c() -> bool {
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +189,9 @@ pub(crate) unsafe fn microkernel_arm(
 }
 
 /// Skinny-m kernel (`C += A_rowmajor · B`, B read directly, no packing)
-/// on the given arm. Safe: operates on checked slices.
+/// on the given arm. Safe: operates on checked slices — `arow` is `m·k`, `b`
+/// is `k·n` and `c` is `m·n`, asserted by [`crate::linalg::gemm`], the one
+/// caller outside the tests.
 pub(crate) fn skinny_arm(
     arm: Kernel,
     arow: &[f32],
@@ -238,7 +218,8 @@ pub(crate) fn skinny_arm(
 
 /// Skinny-m kernel for B stored `n × k` (`C += A·Bᵀ`, B read in place, `at`
 /// the one-panel pack of Aᵀ — see [`skinny_nt_scalar`]) on the given arm.
-/// Safe: operates on checked slices. Only AVX-512 has a kernel of its own,
+/// Safe: operates on checked slices — `at` is `k·NR`, `b` is `n·k` and `c` is
+/// `m·n`, asserted by [`crate::linalg::gemm`]. Only AVX-512 has a kernel of its own,
 /// and only where it is faster (`m ≤ 8`); every other arm and shape runs the
 /// portable code.
 pub(crate) fn skinny_nt_arm(
@@ -261,66 +242,12 @@ pub(crate) fn skinny_nt_arm(
     }
 }
 
-/// f16 microkernel (quantized panels, f32 accumulation) for one tile.
-///
-/// # Safety
-///
-/// Same `c` contract as [`microkernel_arm`]. Uses the F16C conversion
-/// kernel only when CPUID reported it (falls back to scalar otherwise).
-// SAFETY: forwards the caller's `c` contract; the F16C arm is gated on
-// the cached runtime-detection result.
-pub(crate) unsafe fn microkernel_f16_arm(
-    arm: Kernel,
-    pa: &[u16],
-    pb: &[u16],
-    c: *mut f32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if arm != Kernel::Scalar && resolved().f16c {
-        return x86::microkernel_f16_avx2(pa, pb, c, ldc, mr, nr);
-    }
-    let _ = arm;
-    microkernel_f16_scalar(pa, pb, c, ldc, mr, nr)
-}
-
-/// int8 microkernel (per-row/col scales, exact f32 integer accumulation)
-/// for one tile. `clip` is `(mr, nr)`; `scales` is `(row, col)` slices of
-/// at least MR/NR entries for this tile.
-///
-/// # Safety
-///
-/// Same `c` contract as [`microkernel_arm`]; non-scalar arms require the
-/// runtime-detected AVX2+FMA feature set.
-// SAFETY: forwards the caller's `c` contract; the AVX2 arm is only
-// reachable for runtime-detected arms.
-pub(crate) unsafe fn microkernel_i8_arm(
-    arm: Kernel,
-    pa: &[i8],
-    pb: &[i8],
-    c: *mut f32,
-    ldc: usize,
-    clip: (usize, usize),
-    scales: (&[f32], &[f32]),
-) {
-    match arm {
-        Kernel::Scalar => microkernel_i8_scalar(pa, pb, c, ldc, clip, scales),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2Fma | Kernel::Avx512 => x86::microkernel_i8_avx2(pa, pb, c, ldc, clip, scales),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => microkernel_i8_scalar(pa, pb, c, ldc, clip, scales),
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fmadd, BASE_FMA, KC, MR, NR};
-    use crate::quant::f16_lut;
+    use super::{BASE_FMA, KC, MR, NR};
     use core::arch::x86_64::*;
 
-    /// Multiply-add matching the scalar [`fmadd`] contraction choice: the
+    /// Multiply-add matching the scalar [`crate::gemm::fmadd`] contraction choice: the
     /// `BASE_FMA` branch is a compile-time constant, so this folds to one
     /// instruction either way.
     #[inline]
@@ -523,9 +450,12 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available. Slice bounds are fully checked by the
-    /// callee loads (`arow` is `m·k`, `b` is `k·n`, `c` is `m·n`).
-    // SAFETY: group calls stay inside the slice bounds asserted here.
+    /// AVX2+FMA must be available, and the bounds are the caller's: `arow`
+    /// must be `m·k`, `b` `k·n` and `c` `m·n` long. Nothing below checks
+    /// them in a release build; [`crate::linalg::gemm`] asserts them before
+    /// it dispatches here.
+    // SAFETY: given those lengths, every group call reads rows below `m`,
+    // columns below `n` and k steps below `k`.
     pub(super) unsafe fn skinny_avx2(
         arow: &[f32],
         b: &[f32],
@@ -572,9 +502,12 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// AVX-512F must be available. Slice bounds are fully checked by the
-    /// callee loads (`arow` is `m·k`, `b` is `k·n`, `c` is `m·n`).
-    // SAFETY: group calls stay inside the slice bounds asserted here.
+    /// AVX-512F must be available, and the bounds are the caller's: `arow`
+    /// must be `m·k`, `b` `k·n` and `c` `m·n` long. Nothing below checks
+    /// them in a release build; [`crate::linalg::gemm`] asserts them before
+    /// it dispatches here.
+    // SAFETY: given those lengths, every group call reads rows below `m`,
+    // columns below `n` and k steps below `k`.
     pub(super) unsafe fn skinny_avx512(
         arow: &[f32],
         b: &[f32],
@@ -852,142 +785,6 @@ mod x86 {
             t[4 + c] = _mm512_shuffle_f32x4::<0x88>(ab_odd, cd_odd);
             t[8 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_even, cd_even);
             t[12 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_odd, cd_odd);
-        }
-    }
-
-    /// AVX2+F16C f16 microkernel: panels are converted lane-exactly with
-    /// `vcvtph2ps` (B) and the shared f16 lookup table (A broadcasts), so
-    /// results are bit-identical to the scalar f16 kernel.
-    ///
-    /// # Safety
-    ///
-    /// Same `c` contract as [`microkernel_avx2`]; AVX2+FMA+F16C required.
-    // SAFETY: panel loads walk exactly kc rows of MR u16 / NR u16; stores
-    // are clipped to the caller's mr×nr region.
-    #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-    pub(super) unsafe fn microkernel_f16_avx2(
-        pa: &[u16],
-        pb: &[u16],
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        let kc = pb.len() / NR;
-        debug_assert_eq!(pa.len(), kc * MR);
-        let lut = f16_lut();
-        for half in 0..2 {
-            let row0 = half * 4;
-            if row0 >= mr {
-                break;
-            }
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let mut ap = pa.as_ptr().add(row0);
-            let mut bp = pb.as_ptr();
-            for _ in 0..kc {
-                let b0 = _mm256_cvtph_ps(_mm_loadu_si128(bp as *const __m128i));
-                let b1 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(8) as *const __m128i));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(lut[*ap.add(r) as usize]);
-                    accr[0] = fm256(av, b0, accr[0]);
-                    accr[1] = fm256(av, b1, accr[1]);
-                }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let i = row0 + r;
-                if i >= mr {
-                    break;
-                }
-                let cp = c.add(i * ldc);
-                if nr == NR {
-                    _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), accr[0]));
-                    let ch = cp.add(8);
-                    _mm256_storeu_ps(ch, _mm256_add_ps(_mm256_loadu_ps(ch), accr[1]));
-                } else {
-                    let mut spill = [0.0f32; NR];
-                    _mm256_storeu_ps(spill.as_mut_ptr(), accr[0]);
-                    _mm256_storeu_ps(spill.as_mut_ptr().add(8), accr[1]);
-                    for (j, &v) in spill.iter().take(nr).enumerate() {
-                        *cp.add(j) += v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// AVX2 int8 microkernel: sign-extend + convert to f32 lanes (exact
-    /// for the i8 range), accumulate, then apply `scale_row · scale_col`
-    /// per slab. Integer sums stay below 2²⁴ so accumulation is exact and
-    /// bit-identical to the scalar int8 kernel.
-    ///
-    /// # Safety
-    ///
-    /// Same `c` contract as [`microkernel_avx2`]; `scales` must hold at
-    /// least MR row and NR column entries; AVX2+FMA required.
-    // SAFETY: panel loads walk exactly kc rows; scale loads read MR/NR
-    // entries the caller guarantees; stores are clipped to mr×nr.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn microkernel_i8_avx2(
-        pa: &[i8],
-        pb: &[i8],
-        c: *mut f32,
-        ldc: usize,
-        clip: (usize, usize),
-        scales: (&[f32], &[f32]),
-    ) {
-        let (mr, nr) = clip;
-        let (sa, sb) = scales;
-        let kc = pb.len() / NR;
-        debug_assert_eq!(pa.len(), kc * MR);
-        debug_assert!(sa.len() >= mr && sb.len() >= 8);
-        let sb0 = _mm256_loadu_ps(sb.as_ptr());
-        let sb1 = _mm256_loadu_ps(sb.as_ptr().add(8));
-        for half in 0..2 {
-            let row0 = half * 4;
-            if row0 >= mr {
-                break;
-            }
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let mut ap = pa.as_ptr().add(row0);
-            let mut bp = pb.as_ptr();
-            for _ in 0..kc {
-                let b0 =
-                    _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(bp as *const __m128i)));
-                let b1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                    bp.add(8) as *const __m128i
-                )));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(r) as f32);
-                    accr[0] = fm256(av, b0, accr[0]);
-                    accr[1] = fm256(av, b1, accr[1]);
-                }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let i = row0 + r;
-                if i >= mr {
-                    break;
-                }
-                let sav = _mm256_set1_ps(sa[i]);
-                let cp = c.add(i * ldc);
-                if nr == NR {
-                    let c0 = fm256(accr[0], _mm256_mul_ps(sav, sb0), _mm256_loadu_ps(cp));
-                    _mm256_storeu_ps(cp, c0);
-                    let ch = cp.add(8);
-                    let c1 = fm256(accr[1], _mm256_mul_ps(sav, sb1), _mm256_loadu_ps(ch));
-                    _mm256_storeu_ps(ch, c1);
-                } else {
-                    let mut spill = [0.0f32; NR];
-                    _mm256_storeu_ps(spill.as_mut_ptr(), accr[0]);
-                    _mm256_storeu_ps(spill.as_mut_ptr().add(8), accr[1]);
-                    for (j, &v) in spill.iter().take(nr).enumerate() {
-                        *cp.add(j) = fmadd(v, sa[i] * sb[j], *cp.add(j));
-                    }
-                }
-            }
         }
     }
 }

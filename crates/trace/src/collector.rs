@@ -27,7 +27,6 @@ struct Cell {
     calls: AtomicU64,
     nanos: AtomicU64,
     flops: AtomicU64,
-    bytes: AtomicU64,
 }
 
 #[allow(clippy::declare_interior_mutable_const)] // const used only as array-repeat seed
@@ -35,7 +34,6 @@ const ZERO_CELL: Cell = Cell {
     calls: AtomicU64::new(0),
     nanos: AtomicU64::new(0),
     flops: AtomicU64::new(0),
-    bytes: AtomicU64::new(0),
 };
 
 static OPS: [Cell; OpId::COUNT] = [ZERO_CELL; OpId::COUNT];
@@ -93,20 +91,6 @@ pub fn op_flops(id: OpId, started: Option<Instant>, flops: u64) {
     }
 }
 
-/// [`op`] plus a byte count attributed to the span (e.g. packed panel
-/// bytes for the quantized compute path).
-#[inline]
-pub fn op_bytes(id: OpId, started: Option<Instant>, bytes: u64) {
-    let Some(t0) = started else { return };
-    let cell = &OPS[id as usize];
-    cell.calls.fetch_add(1, Ordering::Relaxed);
-    cell.nanos
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    if bytes > 0 {
-        cell.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
 /// Close a phase span opened by [`clock`]. No-op when `started` is `None`.
 #[inline]
 pub fn phase(id: PhaseId, started: Option<Instant>) {
@@ -141,7 +125,6 @@ pub fn flush_ops(round: u64) {
         let calls = cell.calls.swap(0, Ordering::Relaxed);
         let nanos = cell.nanos.swap(0, Ordering::Relaxed);
         cell.flops.store(0, Ordering::Relaxed);
-        cell.bytes.store(0, Ordering::Relaxed);
         if calls > 0 {
             emit(&Event::Phase {
                 round,
@@ -155,7 +138,6 @@ pub fn flush_ops(round: u64) {
         let calls = cell.calls.swap(0, Ordering::Relaxed);
         let nanos = cell.nanos.swap(0, Ordering::Relaxed);
         let flops = cell.flops.swap(0, Ordering::Relaxed);
-        let bytes = cell.bytes.swap(0, Ordering::Relaxed);
         if calls > 0 {
             emit(&Event::Op {
                 round,
@@ -163,7 +145,8 @@ pub fn flush_ops(round: u64) {
                 calls,
                 total_us: nanos / 1000,
                 flops,
-                bytes,
+                // No op counts bytes today; the key stays in the schema.
+                bytes: 0,
             });
         }
     }
@@ -292,7 +275,6 @@ impl Drop for TraceGuard {
             cell.calls.store(0, Ordering::Relaxed);
             cell.nanos.store(0, Ordering::Relaxed);
             cell.flops.store(0, Ordering::Relaxed);
-            cell.bytes.store(0, Ordering::Relaxed);
         }
     }
 }

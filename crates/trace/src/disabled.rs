@@ -32,10 +32,6 @@ pub fn op_flops(_id: OpId, _started: Option<Instant>, _flops: u64) {}
 
 /// No-op.
 #[inline(always)]
-pub fn op_bytes(_id: OpId, _started: Option<Instant>, _bytes: u64) {}
-
-/// No-op.
-#[inline(always)]
 pub fn phase(_id: PhaseId, _started: Option<Instant>) {}
 
 /// No-op.

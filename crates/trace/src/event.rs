@@ -36,7 +36,7 @@ pub enum Event {
         label: String,
         /// Resolved GEMM kernel arm (`scalar` / `avx2_fma` / `avx512`).
         kernel: String,
-        /// Eval precision (`f32` / `f16` / `int8`).
+        /// Compute precision (`f32`, the only one there is).
         precision: String,
     },
     /// Accumulated time inside one round phase (broadcast, local_train,
@@ -68,7 +68,7 @@ pub enum Event {
         /// does not count flops).
         flops: u64,
         /// Bytes moved/produced by this op (0 when the op does not count
-        /// bytes; quantized packing reports packed panel bytes).
+        /// bytes — no op does today; the key is kept for the schema).
         bytes: u64,
     },
     /// Fleet-wide workspace allocator counters at an evaluation point
@@ -611,7 +611,7 @@ mod tests {
             },
             Event::Op {
                 round: 3,
-                op: "quant_pack".into(),
+                op: "gemm_pack".into(),
                 calls: 64,
                 total_us: 1_800,
                 flops: 0,
@@ -688,7 +688,7 @@ mod tests {
                 schema: 1,
                 label: label.into(),
                 kernel: "scalar".into(),
-                precision: "int8".into(),
+                precision: "f32".into(),
             };
             assert_eq!(Event::parse(&ev.to_json()), Ok(ev));
         }

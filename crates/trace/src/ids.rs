@@ -14,15 +14,12 @@ pub enum OpId {
     /// The packed register-blocked GEMM engine; carries the canonical
     /// `2·m·k·n` flop count.
     GemmKernel,
-    /// `C += A·B` entry point (thread-local or workspace scratch).
+    /// `C += A·B` calls of the one GEMM entry (`Layout::Nn`).
     GemmNn,
-    /// `C += Aᵀ·B` entry point.
+    /// `C += Aᵀ·B` calls (`Layout::Tn`).
     GemmTn,
-    /// `C += A·Bᵀ` entry point.
+    /// `C += A·Bᵀ` calls (`Layout::Nt`).
     GemmNt,
-    /// The pre-packing seed kernels (`gemm_*_naive`), timed when benchmarks
-    /// or tests run them.
-    GemmNaive,
     /// Convolution input lowering: the im2col matrix, or the zero-bordered
     /// copy of an image and its pixel-major transpose.
     Im2col,
@@ -36,14 +33,11 @@ pub enum OpId {
     LinearForward,
     /// Whole `Linear::backward` call.
     LinearBackward,
-    /// Quantize-on-pack for the f16/int8 eval compute path; carries the
-    /// packed panel byte count.
-    QuantPack,
 }
 
 impl OpId {
     /// Number of registered operations.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 11;
 
     /// Every operation, in counter-array order.
     pub const ALL: [OpId; Self::COUNT] = [
@@ -52,14 +46,12 @@ impl OpId {
         OpId::GemmNn,
         OpId::GemmTn,
         OpId::GemmNt,
-        OpId::GemmNaive,
         OpId::Im2col,
         OpId::Col2im,
         OpId::ConvForward,
         OpId::ConvBackward,
         OpId::LinearForward,
         OpId::LinearBackward,
-        OpId::QuantPack,
     ];
 
     /// The journal name of this operation.
@@ -70,14 +62,12 @@ impl OpId {
             OpId::GemmNn => "gemm_nn",
             OpId::GemmTn => "gemm_tn",
             OpId::GemmNt => "gemm_nt",
-            OpId::GemmNaive => "gemm_naive",
             OpId::Im2col => "im2col",
             OpId::Col2im => "col2im",
             OpId::ConvForward => "conv_forward",
             OpId::ConvBackward => "conv_backward",
             OpId::LinearForward => "linear_forward",
             OpId::LinearBackward => "linear_backward",
-            OpId::QuantPack => "quant_pack",
         }
     }
 }

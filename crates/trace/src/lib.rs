@@ -80,7 +80,7 @@ mod collector;
 #[cfg(feature = "enabled")]
 pub use collector::{
     clock, emit_checkpoint, emit_drift, emit_pool, emit_round, emit_transport, emit_workspace,
-    flush_ops, install_file, install_writer, is_active, op, op_bytes, op_flops, phase, TraceGuard,
+    flush_ops, install_file, install_writer, is_active, op, op_flops, phase, TraceGuard,
 };
 
 #[cfg(not(feature = "enabled"))]
@@ -88,7 +88,7 @@ mod disabled;
 #[cfg(not(feature = "enabled"))]
 pub use disabled::{
     clock, emit_checkpoint, emit_drift, emit_pool, emit_round, emit_transport, emit_workspace,
-    flush_ops, install_file, install_writer, is_active, op, op_bytes, op_flops, phase, TraceGuard,
+    flush_ops, install_file, install_writer, is_active, op, op_flops, phase, TraceGuard,
 };
 
 #[cfg(test)]
@@ -155,8 +155,6 @@ mod tests {
         }
         phase(PhaseId::Broadcast, clock());
         phase(PhaseId::LocalTrain, clock());
-        op_bytes(OpId::QuantPack, clock(), 2048);
-        op_bytes(OpId::QuantPack, clock(), 2048);
         flush_ops(1);
         emit_workspace(1, 4, 2, 98, 4096);
         emit_pool(1, 0, 7, 42, 42, 42, 8192);
@@ -208,16 +206,6 @@ mod tests {
             })
             .expect("gemm_kernel op event");
         assert_eq!(kernel, (40, 40_000), "atomic op totals are exact");
-        let quant = events
-            .iter()
-            .find_map(|e| match e {
-                Event::Op {
-                    op, calls, bytes, ..
-                } if op == "quant_pack" => Some((*calls, *bytes)),
-                _ => None,
-            })
-            .expect("quant_pack op event");
-        assert_eq!(quant, (2, 4096), "byte totals are exact");
         let phases: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
@@ -290,7 +278,6 @@ mod tests {
         assert!(!is_active(), "disabled build must never activate");
         assert!(clock().is_none());
         op_flops(OpId::GemmKernel, clock(), 123);
-        op_bytes(OpId::QuantPack, clock(), 123);
         phase(PhaseId::Broadcast, clock());
         flush_ops(1);
         emit_workspace(1, 1, 1, 1, 1);

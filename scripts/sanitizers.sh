@@ -10,7 +10,11 @@
 #      assertions and overflow checks forced ON: release profiles
 #      normally compile `debug_assert!`/overflow panics out, so this is
 #      the only tier that proves optimized code paths hold those
-#      invariants too.
+#      invariants too. RUSTFLAGS replaces .cargo/config.toml's
+#      build.rustflags (cargo reads the first source that is set), so the
+#      pass names `-C target-cpu=native` itself: it must check the build
+#      that ships (FMA contraction, the host's vector width), not an SSE2
+#      one.
 #
 # Run from anywhere in the repo. Pass --quick to cap the Miri pass at the
 # lint crate only.
@@ -46,7 +50,7 @@ echo "=== checked release: debug assertions + overflow checks in -O ==="
 # RUSTFLAGS changes the crate hash, so this build lands in its own
 # target dir and never poisons the normal release cache.
 export CARGO_TARGET_DIR=target/checked-release
-export RUSTFLAGS="-C debug-assertions -C overflow-checks"
+export RUSTFLAGS="-C target-cpu=native -C debug-assertions -C overflow-checks"
 cargo test -q --release -p fca-tensor
 cargo test -q --release -p fedclassavg --lib
 

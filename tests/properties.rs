@@ -9,7 +9,7 @@ use fedclassavg_suite::models::classifier::ClassifierWeights;
 use fedclassavg_suite::nn::conv::{conv2d_reference, Conv2d, ConvGeometry};
 use fedclassavg_suite::nn::loss::{cross_entropy, supervised_contrastive};
 use fedclassavg_suite::nn::Module;
-use fedclassavg_suite::tensor::linalg::{matmul, matmul_nt, matmul_reference, matmul_tn};
+use fedclassavg_suite::tensor::linalg::{gemm, matmul, matmul_reference, Layout};
 use fedclassavg_suite::tensor::ops::{logsumexp_rows, softmax_rows};
 use fedclassavg_suite::tensor::rng::{derive_seed, seeded_rng};
 use fedclassavg_suite::tensor::serialize::{decode_tensor, to_bytes};
@@ -114,24 +114,39 @@ fn gemm_matches_reference() {
     });
 }
 
+/// The one slice-level entry in its three layouts, each handed the explicit
+/// transpose it says it is reading, must add `A·B` (by the triple-loop
+/// reference) to what `C` already holds. Every case runs a shape on each
+/// side of the path choice: `m ≤ 16` with `n ≥ 64` streams B through a
+/// skinny kernel in every layout, `m > 16` takes the packed engine.
 #[test]
 fn gemm_transpose_variants_agree() {
     sweep("gemm_transpose_variants_agree", |c| {
-        let (m, k, n) = (c.size("m", 1..8), c.size("k", 1..8), c.size("n", 1..8));
+        let k = c.size("k", 1..24);
+        let shapes = [
+            (c.size("skinny m", 1..17), c.size("skinny n", 64..97)),
+            (c.size("packed m", 17..33), c.size("packed n", 1..64)),
+        ];
         let mut rng = seeded_rng(c.seed());
-        let a = Tensor::randn([k, m], 1.0, &mut rng);
-        let b = Tensor::randn([k, n], 1.0, &mut rng);
-        let tn = matmul_tn(&a, &b);
-        let explicit = matmul(&a.transpose(), &b);
-        for (x, y) in tn.data().iter().zip(explicit.data()) {
-            assert!(close(*x, *y, 1e-4));
-        }
-        let p = Tensor::randn([m, k], 1.0, &mut rng);
-        let q = Tensor::randn([n, k], 1.0, &mut rng);
-        let nt = matmul_nt(&p, &q);
-        let explicit = matmul(&p, &q.transpose());
-        for (x, y) in nt.data().iter().zip(explicit.data()) {
-            assert!(close(*x, *y, 1e-4));
+        let mut ws = Workspace::new();
+        for (m, n) in shapes {
+            let a = Tensor::randn([m, k], 1.0, &mut rng);
+            let b = Tensor::randn([k, n], 1.0, &mut rng);
+            let before = Tensor::randn([m, n], 1.0, &mut rng);
+            let product = matmul_reference(&a, &b);
+            let (at, bt) = (a.transpose(), b.transpose());
+            for (layout, x, y) in [
+                (Layout::Nn, &a, &b),
+                (Layout::Tn, &at, &b),
+                (Layout::Nt, &a, &bt),
+            ] {
+                let mut after = before.clone();
+                let dims = (m, k, n);
+                gemm(layout, x.data(), y.data(), after.data_mut(), dims, &mut ws);
+                for ((got, c0), p) in after.data().iter().zip(before.data()).zip(product.data()) {
+                    assert!(close(*got, c0 + p, 1e-4), "{layout:?} {m}x{k}x{n}");
+                }
+            }
         }
     });
 }
