@@ -1,13 +1,11 @@
 //! FedAvg (McMahan et al. 2017) and FedProx (Li et al. 2020) — the
 //! homogeneous full-weight-sharing baselines of Table 3.
 
-use super::{exchange, same_shapes, Algorithm, Downlink, Leg, Reply};
-use crate::checkpoint::{expect_empty, put_tensor_list, take_tensor_list};
+use super::{exactly, exchange, same_shapes, Algorithm, Downlink, Leg, Reply, OTHER_STATE};
 use crate::client::{Client, LocalStats};
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
-use bytes::{Bytes, BytesMut};
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
 
@@ -123,16 +121,14 @@ impl Algorithm for FedAvg {
         self.exchange(&mut leg, |c| c.local_update_supervised(hp.local_epochs, hp));
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        let mut buf = BytesMut::new();
-        put_tensor_list(&mut buf, &self.global_state)?;
-        Ok(Some(buf.freeze().to_vec()))
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        vec![Some(self.global_state.iter().collect())]
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        let state = take_tensor_list(&mut buf)?;
-        expect_empty(&buf)?;
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        let [Some(state)] = exactly(groups)? else {
+            return Err(OTHER_STATE);
+        };
         self.restore_state(state)
     }
 }
@@ -188,12 +184,12 @@ impl Algorithm for FedProx {
         });
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        self.inner.checkpoint_state()
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        self.inner.server_state()
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        self.inner.restore_checkpoint_state(blob)
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        self.inner.load_server_state(groups)
     }
 }
 

@@ -12,15 +12,13 @@
 //! * the `+weight` constructor reproduces the homogeneous rows of Table 3
 //!   (all weights averaged, proximal still classifier-only).
 
-use super::{classifier_fits, exchange, Algorithm, Downlink, FedAvg, Leg, Reply};
-use crate::checkpoint::{
-    expect_empty, put_tensor, put_tensor_list, take_tensor, take_tensor_list, take_u8,
+use super::{
+    classifier_fits, exactly, exchange, Algorithm, Downlink, FedAvg, Leg, Reply, OTHER_STATE,
 };
 use crate::client::{Client, LocalObjective};
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
-use bytes::{BufMut, Bytes, BytesMut};
 use fca_models::classifier::ClassifierWeights;
 use fca_tensor::rng::derived_rng;
 use fca_tensor::serialize::WireError;
@@ -230,37 +228,26 @@ impl Algorithm for FedClassAvg {
         exchange(&mut leg, Downlink::All(down), turn, Some(uplink));
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        let mut buf = BytesMut::new();
-        put_tensor(&mut buf, &self.global.weight)?;
-        put_tensor(&mut buf, &self.global.bias)?;
-        match &self.payload {
-            Payload::FullModel(full) => {
-                buf.put_u8(1);
-                put_tensor_list(&mut buf, full.global_state())?;
-            }
-            _ => buf.put_u8(0),
-        }
-        Ok(Some(buf.freeze().to_vec()))
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        let full = match &self.payload {
+            Payload::FullModel(full) => Some(full.global_state().iter().collect()),
+            _ => None,
+        };
+        vec![Some(vec![&self.global.weight, &self.global.bias]), full]
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        let weight = take_tensor(&mut buf)?;
-        let bias = take_tensor(&mut buf)?;
-        let state = match take_u8(&mut buf)? {
-            0 => None,
-            1 => Some(take_tensor_list(&mut buf)?),
-            _ => return Err(WireError::Malformed("bad option flag in FedClassAvg state")),
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        let [Some(classifier), full] = exactly(groups)? else {
+            return Err(OTHER_STATE);
         };
-        expect_empty(&buf)?;
+        let [weight, bias] = exactly(classifier)?;
         if weight.dims() != self.global.weight.dims() || bias.dims() != self.global.bias.dims() {
             return Err(WireError::Malformed(
                 "checkpoint classifier shape does not match the configuration",
             ));
         }
-        match (&mut self.payload, state) {
-            (Payload::FullModel(full), Some(state)) => full.restore_state(state)?,
+        match (&mut self.payload, full) {
+            (Payload::FullModel(own), Some(state)) => own.restore_state(state)?,
             (Payload::Classifier | Payload::ClassifierF16, None) => {}
             _ => {
                 return Err(WireError::Malformed(

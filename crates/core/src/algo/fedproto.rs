@@ -2,13 +2,11 @@
 //! prototypes instead of weights; local training adds a regularizer
 //! pulling features toward the global prototypes.
 
-use super::{exchange, Algorithm, Downlink, Leg, Reply};
-use crate::checkpoint::{expect_empty, put_opt_tensor, take_opt_tensor};
+use super::{exactly, exchange, Algorithm, Downlink, Leg, Reply};
 use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
 
@@ -105,42 +103,21 @@ impl Algorithm for FedProto {
         exchange(&mut leg, down, turn, Some((self, accept, &mut Self::fold)));
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(
-            u32::try_from(self.global_protos.len())
-                .map_err(|_| WireError::Unencodable("prototype count exceeds u32"))?,
-        );
-        for p in &self.global_protos {
-            put_opt_tensor(&mut buf, p.as_ref())?;
-        }
-        Ok(Some(buf.freeze().to_vec()))
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        let protos = self.global_protos.iter();
+        protos.map(|p| p.as_ref().map(|p| vec![p])).collect()
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let count = buf.get_u32_le() as usize;
-        if count != self.num_classes {
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        let protos = groups
+            .into_iter()
+            .map(|group| group.map(|g| exactly(g).map(|[p]| p)).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
+        if !prototypes_fit(&protos, self.num_classes, self.feature_dim) {
             return Err(WireError::Malformed(
-                "checkpoint class count does not match the configuration",
+                "checkpoint prototypes do not match the configuration",
             ));
         }
-        let mut protos = Vec::with_capacity(count);
-        for _ in 0..count {
-            let p = take_opt_tensor(&mut buf)?;
-            if let Some(p) = &p {
-                if p.numel() != self.feature_dim {
-                    return Err(WireError::Malformed(
-                        "checkpoint prototype size does not match the configuration",
-                    ));
-                }
-            }
-            protos.push(p);
-        }
-        expect_empty(&buf)?;
         self.global_protos = protos;
         Ok(())
     }

@@ -10,15 +10,11 @@
 //! through `c`, and ships weights instead of soft predictions.
 
 use super::fedmd::Transfer;
-use super::{exchange, Algorithm, Downlink, Leg, Reply};
-use crate::checkpoint::{
-    expect_empty, put_tensor, put_tensor_list, take_tensor, take_tensor_list, take_u8,
-};
+use super::{exactly, exchange, Algorithm, Downlink, Leg, Reply, OTHER_STATE};
 use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fca_tensor::ops::softmax_rows;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
@@ -171,24 +167,29 @@ impl Algorithm for KtPfl {
         }
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        let mut buf = BytesMut::new();
-        put_tensor(&mut buf, &self.coeff.theta)?;
-        Ok(Some(buf.freeze().to_vec()))
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        vec![Some(vec![&self.coeff.theta])]
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        let theta = take_tensor(&mut buf)?;
-        expect_empty(&buf)?;
-        if theta.dims() != self.coeff.theta.dims() {
-            return Err(WireError::Malformed(
-                "checkpoint coefficient shape does not match the fleet",
-            ));
-        }
-        self.coeff.theta = theta;
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        self.coeff.theta = theta_like(&self.coeff.theta, groups)?;
         Ok(())
     }
+}
+
+/// The coefficient logits at the head of a checkpoint's `groups` — a group
+/// of one tensor, of `own`'s shape — with no group left behind it.
+fn theta_like(own: &Tensor, groups: Vec<Option<Vec<Tensor>>>) -> Result<Tensor, WireError> {
+    let [Some(theta)] = exactly(groups)? else {
+        return Err(OTHER_STATE);
+    };
+    let [theta] = exactly(theta)?;
+    if theta.dims() != own.dims() {
+        return Err(WireError::Malformed(
+            "checkpoint coefficient shape does not match the fleet",
+        ));
+    }
+    Ok(theta)
 }
 
 /// The homogeneous "+weight" KT-pFL variant: personalized global *models*
@@ -349,52 +350,19 @@ impl Algorithm for KtPflWeight {
         exchange(&mut leg, down, turn, Some((self, accept, fold)));
     }
 
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        let mut buf = BytesMut::new();
-        put_tensor(&mut buf, &self.theta)?;
-        buf.put_u32_le(
-            u32::try_from(self.states.len())
-                .map_err(|_| WireError::Unencodable("client count exceeds u32"))?,
-        );
-        for s in &self.states {
-            match s {
-                None => buf.put_u8(0),
-                Some(state) => {
-                    buf.put_u8(1);
-                    put_tensor_list(&mut buf, state)?;
-                }
-            }
-        }
-        Ok(Some(buf.freeze().to_vec()))
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        let states = self.states.iter();
+        std::iter::once(Some(vec![&self.theta]))
+            .chain(states.map(|s| s.as_ref().map(|s| s.iter().collect())))
+            .collect()
     }
 
-    fn restore_checkpoint_state(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        let theta = take_tensor(&mut buf)?;
-        if theta.dims() != self.theta.dims() {
-            return Err(WireError::Malformed(
-                "checkpoint coefficient shape does not match the fleet",
-            ));
+    fn load_server_state(&mut self, mut groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        if groups.len() != 1 + self.states.len() {
+            return Err(OTHER_STATE);
         }
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let count = buf.get_u32_le() as usize;
-        if count != self.states.len() {
-            return Err(WireError::Malformed(
-                "checkpoint state count does not match the fleet",
-            ));
-        }
-        let mut states = Vec::with_capacity(count);
-        for _ in 0..count {
-            states.push(match take_u8(&mut buf)? {
-                0 => None,
-                1 => Some(take_tensor_list(&mut buf)?),
-                _ => return Err(WireError::Malformed("bad option flag in KT-pFL state")),
-            });
-        }
-        expect_empty(&buf)?;
-        self.theta = theta;
+        let states = groups.split_off(1);
+        self.theta = theta_like(&self.theta, groups)?;
         self.states = states;
         Ok(())
     }

@@ -58,24 +58,26 @@ pub trait Algorithm: Send {
         hp: &HyperParams,
     );
 
-    /// Serialize the *mutable* server state a checkpoint must carry to
-    /// resume this algorithm mid-run (global classifier, prototypes,
-    /// coefficient matrix, …). `Ok(None)` marks a stateless algorithm —
-    /// the default. Construction-time configuration (temperatures, loss
-    /// flags, public data) does not belong here: a resume reconstructs
-    /// the algorithm the same way the original run did and only the
-    /// evolving state rides in the blob.
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, WireError> {
-        Ok(None)
+    /// The *mutable* server state a checkpoint must carry to resume this
+    /// algorithm mid-run (global classifier, prototypes, coefficient
+    /// matrix, …), as groups of tensors in an order of the algorithm's
+    /// choosing; `None` is a group the run has not filled yet. A stateless
+    /// algorithm has no groups — the default. The checkpoint turns groups
+    /// into bytes and back; an algorithm never sees the bytes.
+    /// Construction-time configuration (temperatures, loss flags, public
+    /// data) does not belong here: a resume reconstructs the algorithm the
+    /// way the original run did and only the evolving state is carried.
+    fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
+        Vec::new()
     }
 
-    /// Restore state captured by [`Algorithm::checkpoint_state`]. Called
-    /// only when the checkpoint carries a blob, so the stateless default
-    /// rejects any blob as an algorithm mismatch.
-    fn restore_checkpoint_state(&mut self, _blob: &[u8]) -> Result<(), WireError> {
-        Err(WireError::Malformed(
-            "algorithm carries no checkpoint state",
-        ))
+    /// Take over state captured by [`Algorithm::server_state`] — of this
+    /// algorithm, or of whatever a damaged or foreign checkpoint held:
+    /// group count, group lengths and tensor shapes are held against the
+    /// algorithm's own, and on `Err` nothing of it has changed.
+    fn load_server_state(&mut self, groups: Vec<Option<Vec<Tensor>>>) -> Result<(), WireError> {
+        let [] = exactly(groups)?;
+        Ok(())
     }
 
     /// Whether this algorithm's round can run under buffered asynchronous
@@ -88,6 +90,16 @@ pub trait Algorithm: Send {
     fn supports_buffered_aggregation(&self) -> bool {
         true
     }
+}
+
+/// A checkpoint's server state has another algorithm's (or another
+/// configuration's) groups.
+pub(crate) const OTHER_STATE: WireError =
+    WireError::Malformed("checkpoint server state does not match the algorithm");
+
+/// `items` as exactly `N` of them, or [`OTHER_STATE`].
+pub(crate) fn exactly<T, const N: usize>(items: Vec<T>) -> Result<[T; N], WireError> {
+    items.try_into().map_err(|_| OTHER_STATE)
 }
 
 /// Exponent of the polynomial staleness decay `(1 + s)^(-α)` applied to
@@ -242,6 +254,7 @@ pub(crate) fn classifier_fits(w: &ClassifierWeights, features: usize, classes: u
 #[cfg(test)]
 pub(crate) mod testing {
     use super::Algorithm;
+    use crate::checkpoint::put_groups;
     use crate::comm::{Network, WireMessage};
     use crate::config::HyperParams;
     use crate::fleet::Fleet;
@@ -295,11 +308,12 @@ pub(crate) mod testing {
         fleet.clients_mut().map(|c| c.snapshot_blob()).collect()
     }
 
-    /// What a round left behind: the server's checkpoint blob, every
-    /// client's snapshot blob, and the round's `(dropped, corrupt)`.
+    /// What a round left behind: the server's state as a checkpoint would
+    /// carry it, every client's snapshot blob, and the round's
+    /// `(dropped, corrupt)`.
     #[derive(Debug, PartialEq)]
     pub(crate) struct Outcome {
-        pub server: Option<Vec<u8>>,
+        pub server: Vec<u8>,
         pub clients: Vec<Vec<u8>>,
         pub faults: (u64, u64),
     }
@@ -320,7 +334,7 @@ pub(crate) mod testing {
         let net = Network::over(Box::new(transport)).with_collect_budget(Duration::from_millis(50));
         algo.round(1, &mut fleet, &all, &net, &HyperParams::micro_default());
         Outcome {
-            server: algo.checkpoint_state().expect("server state encodes"),
+            server: put_groups(&algo.server_state()).expect("server state encodes"),
             clients: snapshots(&mut fleet),
             faults: net.take_round_faults(),
         }

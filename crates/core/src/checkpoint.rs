@@ -4,7 +4,8 @@
 //! process restart: the run's identity (algorithm name, seed, fleet
 //! size), the engine's [`RunState`] (next round, cumulative epochs, the
 //! learning curve so far, fault and traffic totals), the algorithm's
-//! mutable server state ([`crate::algo::Algorithm::checkpoint_state`]),
+//! mutable server state ([`crate::algo::Algorithm::server_state`]: groups
+//! of tensors, which this module — and nothing else — turns into bytes),
 //! and one snapshot blob per client — the same versioned little-endian
 //! blobs the fleet pager writes ([`crate::client::Client::snapshot_blob`]).
 //!
@@ -22,12 +23,13 @@
 //! the resumed run folds exactly the updates the uninterrupted run would
 //! have.
 //!
-//! The encoding is strict in the same way the wire layer is: checked
-//! length arithmetic before any allocation, every structural error mapped
-//! into [`WireError`], and trailing bytes rejected. Client snapshot blobs
-//! are opaque to the codec; [`Checkpoint::restore`] has the fleet restore
-//! each onto a scratch twin before it accepts any, so a damaged file is
-//! refused there and never reaches a hydration.
+//! The encoding is strict in the same way the wire layer is: every read
+//! goes through the checked [`Reader`], every structural error maps into
+//! [`WireError`], and trailing bytes are rejected. The server-state and
+//! client snapshot blobs are opaque to [`Checkpoint::decode`];
+//! [`Checkpoint::restore`] decodes the one and has the fleet restore each
+//! of the others onto a scratch twin before it accepts any, so a damaged
+//! file is refused there and never reaches a round or a hydration.
 //!
 //! A blob is copied twice on its way through a file and no more: into the
 //! encoded buffer, and out of the decoded one. Capture shares the fleet's
@@ -38,8 +40,8 @@ use crate::client::SnapshotBlob;
 use crate::config::FedConfig;
 use crate::fleet::Fleet;
 use crate::sim::{RoundMetrics, RunState};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fca_tensor::serialize::{decode_tensor, encode_tensor, WireError};
+use bytes::BufMut;
+use fca_tensor::serialize::{encode_tensor, Reader, WireError};
 use fca_tensor::Tensor;
 
 /// Magic bytes opening every encoded checkpoint.
@@ -47,8 +49,10 @@ const MAGIC: [u8; 4] = *b"FCKP";
 /// Format version; bump on any layout change. v2 added the staleness
 /// counters (per-point and cumulative) and the buffered-aggregation
 /// straggler buffer to the encoded [`RunState`]; v3 added the logical and
-/// physical byte tallies, per point and pending.
-const VERSION: u16 = 3;
+/// physical byte tallies, per point and pending; v4 made the server state
+/// tensor groups ([`put_groups`]) where each algorithm had a layout of its
+/// own.
+const VERSION: u16 = 4;
 /// Cap on the algorithm-name field (corruption guard).
 const MAX_NAME_LEN: usize = 256;
 /// Bytes per encoded curve point (2×u64 + 2×f32 + 6×u64).
@@ -79,8 +83,10 @@ pub struct Checkpoint {
     pub num_clients: usize,
     /// Engine state: next round, epochs, curve, fault/traffic totals.
     pub state: RunState,
-    /// The algorithm's serialized server state (`None` = stateless).
-    pub algo_blob: Option<Vec<u8>>,
+    /// The groups of [`Algorithm::server_state`], encoded (`u32 groups |
+    /// per group: u8 present | u32 count | tensors`); a stateless
+    /// algorithm's is the empty group list.
+    pub algo_blob: Vec<u8>,
     /// Per-client weight + snapshot blob, indexed by client id.
     pub clients: Vec<ClientCheckpoint>,
 }
@@ -106,7 +112,7 @@ impl Checkpoint {
             seed: cfg.seed,
             num_clients: fleet.len(),
             state: state.clone(),
-            algo_blob: algo.checkpoint_state()?,
+            algo_blob: put_groups(&algo.server_state())?,
             clients,
         })
     }
@@ -133,9 +139,7 @@ impl Checkpoint {
                 "checkpoint client count does not match the fleet",
             ));
         }
-        if let Some(blob) = &self.algo_blob {
-            algo.restore_checkpoint_state(blob)?;
-        }
+        algo.load_server_state(take_groups(&self.algo_blob)?)?;
         for (k, c) in self.clients.iter().enumerate() {
             fleet.set_weight(k, c.weight);
         }
@@ -161,78 +165,67 @@ impl Checkpoint {
         buf.put_u32_le(checked_u32(self.algo_name.len(), "name length")?);
         buf.put_slice(self.algo_name.as_bytes());
         encode_run_state(&mut buf, &self.state)?;
-        put_opt_bytes(&mut buf, self.algo_blob.as_deref())?;
+        put_bytes(&mut buf, &self.algo_blob)?;
         for c in &self.clients {
             buf.put_u32_le(c.weight.to_bits());
-            put_opt_bytes(&mut buf, c.blob.as_ref().map(|b| &b[..]))?;
+            buf.put_u8(u8::from(c.blob.is_some()));
+            if let Some(blob) = &c.blob {
+                put_bytes(&mut buf, blob)?;
+            }
         }
         Ok(buf)
     }
 
     /// Exactly the bytes [`Checkpoint::encode`] writes.
     fn encoded_len(&self) -> usize {
-        let opt_len = |b: Option<usize>| 1 + b.map_or(0, |len| 4 + len);
         let buffered: usize = self.state.buffer.iter().map(|e| e.3.len()).sum();
-        let blobs = self
-            .clients
-            .iter()
-            .map(|c| c.blob.as_ref().map(|b| b.len()));
+        let blob_len = |c: &ClientCheckpoint| c.blob.as_ref().map_or(0, |b| 4 + b.len());
         (4 + 2 + 8 + 4 + 4 + self.algo_name.len())
             + (RUN_STATE_FIXED_LEN + CURVE_POINT_LEN * self.state.curve.len())
             + (4 + BUFFER_ENTRY_MIN_LEN * self.state.buffer.len() + buffered)
-            + opt_len(self.algo_blob.as_ref().map(Vec::len))
-            + blobs.map(|b| 4 + opt_len(b)).sum::<usize>()
+            + (4 + self.algo_blob.len())
+            + self
+                .clients
+                .iter()
+                .map(|c| 4 + 1 + blob_len(c))
+                .sum::<usize>()
     }
 
     /// Strictly decode an encoded checkpoint: checked lengths before any
     /// allocation, version/magic verification, trailing-byte rejection.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
-        let mut buf = bytes;
-        let mut magic = [0u8; 4];
-        need(&buf, 4)?;
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(4)? != MAGIC {
             return Err(WireError::Malformed("bad checkpoint magic"));
         }
-        need(&buf, 2)?;
-        let version = buf.get_u16_le();
-        if version != VERSION {
+        if r.u16()? != VERSION {
             return Err(WireError::Malformed("unsupported checkpoint version"));
         }
-        need(&buf, 8 + 4)?;
-        let seed = buf.get_u64_le();
-        let num_clients = buf.get_u32_le() as usize;
-        need(&buf, 4)?;
-        let name_len = buf.get_u32_le() as usize;
+        let seed = r.u64()?;
+        let num_clients = r.u32()? as usize;
+        let name_len = r.u32()? as usize;
         if name_len > MAX_NAME_LEN {
             return Err(WireError::Malformed("algorithm name too long"));
         }
-        let algo_name = std::str::from_utf8(take_bytes(&mut buf, name_len)?)
+        let algo_name = std::str::from_utf8(r.bytes(name_len)?)
             .map_err(|_| WireError::Malformed("algorithm name is not utf-8"))?
             .to_string();
-        let state = decode_run_state(&mut buf)?;
-        let algo_blob = take_opt_bytes(&mut buf)?;
-        // Each client entry is at least 5 bytes (weight + flag) — reject a
-        // count the remaining buffer cannot possibly satisfy before
-        // reserving anything.
-        if num_clients
-            .checked_mul(5)
-            .is_none_or(|min| min > buf.remaining())
-        {
-            return Err(WireError::Truncated);
-        }
-        let mut clients = Vec::with_capacity(num_clients);
-        for _ in 0..num_clients {
-            need(&buf, 4)?;
-            let weight = f32::from_bits(buf.get_u32_le());
-            let blob = take_opt_bytes(&mut buf)?.map(SnapshotBlob::new);
-            clients.push(ClientCheckpoint { weight, blob });
-        }
-        if buf.has_remaining() {
-            return Err(WireError::TrailingBytes {
-                extra: buf.remaining(),
-            });
-        }
+        let state = decode_run_state(&mut r)?;
+        let algo_blob = take_bytes(&mut r)?;
+        // The client count sits far in front of the entries, so nothing is
+        // reserved for it: the list grows as entries are actually read.
+        let clients = (0..num_clients)
+            .map(|_| {
+                let weight = f32::from_bits(r.u32()?);
+                let blob = match r.u8()? {
+                    0 => None,
+                    1 => Some(SnapshotBlob::new(take_bytes(&mut r)?)),
+                    _ => return Err(WireError::Malformed("bad option flag")),
+                };
+                Ok(ClientCheckpoint { weight, blob })
+            })
+            .collect::<Result<_, _>>()?;
+        r.finish()?;
         Ok(Checkpoint {
             algo_name,
             seed,
@@ -308,211 +301,101 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
         buf.put_u64_le(*ready);
         buf.put_u64_le(*origin);
         buf.put_u64_le(*client);
-        buf.put_u32_le(checked_u32(bytes.len(), "buffer entry exceeds u32")?);
-        buf.put_slice(bytes);
+        put_bytes(buf, bytes)?;
     }
     Ok(())
 }
 
-fn decode_run_state(buf: &mut &[u8]) -> Result<RunState, WireError> {
-    need(buf, RUN_STATE_FIXED_LEN)?;
-    let next_round = buf.get_u64_le() as usize;
-    let epochs = buf.get_u64_le() as usize;
-    let point_dropped = buf.get_u64_le();
-    let point_corrupt = buf.get_u64_le();
-    let point_stale = buf.get_u64_le();
-    let point_expired = buf.get_u64_le();
-    let point_logical_bytes = buf.get_u64_le();
-    let point_physical_bytes = buf.get_u64_le();
-    let total_dropped = buf.get_u64_le();
-    let total_corrupt = buf.get_u64_le();
-    let total_stale = buf.get_u64_le();
-    let total_expired = buf.get_u64_le();
-    let prior_downlink = buf.get_u64_le();
-    let prior_uplink = buf.get_u64_le();
-    let curve_len = buf.get_u32_le() as usize;
-    // Length math is checked before the allocation: a corrupt count either
-    // overflows (rejected) or demands more bytes than remain (rejected).
-    if curve_len
-        .checked_mul(CURVE_POINT_LEN)
-        .is_none_or(|need_bytes| need_bytes > buf.remaining())
-    {
-        return Err(WireError::Truncated);
-    }
-    let mut curve = Vec::with_capacity(curve_len);
-    for _ in 0..curve_len {
-        curve.push(RoundMetrics {
-            round: buf.get_u64_le() as usize,
-            epochs: buf.get_u64_le() as usize,
-            mean_acc: f32::from_bits(buf.get_u32_le()),
-            std_acc: f32::from_bits(buf.get_u32_le()),
-            dropped: buf.get_u64_le(),
-            corrupt: buf.get_u64_le(),
-            stale: buf.get_u64_le(),
-            expired: buf.get_u64_le(),
-            logical_bytes: buf.get_u64_le(),
-            physical_bytes: buf.get_u64_le(),
-        });
-    }
-    need(buf, 4)?;
-    let buffer_len = buf.get_u32_le() as usize;
-    // Same checked bound for the straggler buffer: every entry carries at
-    // least its fixed key + length prefix.
-    if buffer_len
-        .checked_mul(BUFFER_ENTRY_MIN_LEN)
-        .is_none_or(|need_bytes| need_bytes > buf.remaining())
-    {
-        return Err(WireError::Truncated);
-    }
-    let mut buffer = Vec::with_capacity(buffer_len);
-    for _ in 0..buffer_len {
-        need(buf, BUFFER_ENTRY_MIN_LEN)?;
-        let ready = buf.get_u64_le();
-        let origin = buf.get_u64_le();
-        let client = buf.get_u64_le();
-        let len = buf.get_u32_le() as usize;
-        buffer.push((ready, origin, client, take_bytes(buf, len)?.to_vec()));
-    }
+fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
+    // Fields are read in the order they are written here, which is the
+    // order `encode_run_state` wrote them in.
     Ok(RunState {
-        next_round,
-        epochs,
-        curve,
-        point_dropped,
-        point_corrupt,
-        point_stale,
-        point_expired,
-        point_logical_bytes,
-        point_physical_bytes,
-        total_dropped,
-        total_corrupt,
-        total_stale,
-        total_expired,
-        prior_downlink,
-        prior_uplink,
-        buffer,
+        next_round: r.u64()? as usize,
+        epochs: r.u64()? as usize,
+        point_dropped: r.u64()?,
+        point_corrupt: r.u64()?,
+        point_stale: r.u64()?,
+        point_expired: r.u64()?,
+        point_logical_bytes: r.u64()?,
+        point_physical_bytes: r.u64()?,
+        total_dropped: r.u64()?,
+        total_corrupt: r.u64()?,
+        total_stale: r.u64()?,
+        total_expired: r.u64()?,
+        prior_downlink: r.u64()?,
+        prior_uplink: r.u64()?,
+        curve: (0..r.count(CURVE_POINT_LEN)?)
+            .map(|_| {
+                Ok(RoundMetrics {
+                    round: r.u64()? as usize,
+                    epochs: r.u64()? as usize,
+                    mean_acc: f32::from_bits(r.u32()?),
+                    std_acc: f32::from_bits(r.u32()?),
+                    dropped: r.u64()?,
+                    corrupt: r.u64()?,
+                    stale: r.u64()?,
+                    expired: r.u64()?,
+                    logical_bytes: r.u64()?,
+                    physical_bytes: r.u64()?,
+                })
+            })
+            .collect::<Result<_, WireError>>()?,
+        buffer: (0..r.count(BUFFER_ENTRY_MIN_LEN)?)
+            .map(|_| Ok((r.u64()?, r.u64()?, r.u64()?, take_bytes(r)?)))
+            .collect::<Result<_, WireError>>()?,
     })
-}
-
-/// `Err(Truncated)` unless `buf` holds at least `n` more bytes.
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        return Err(WireError::Truncated);
-    }
-    Ok(())
-}
-
-/// Split the next `n` bytes off the front of `buf`, borrowed.
-fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    need(buf, n)?;
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
 }
 
 fn checked_u32(n: usize, what: &'static str) -> Result<u32, WireError> {
     u32::try_from(n).map_err(|_| WireError::Unencodable(what))
 }
 
-/// `u8` presence flag, then `u32 len | bytes` when present.
-fn put_opt_bytes(buf: &mut Vec<u8>, b: Option<&[u8]>) -> Result<(), WireError> {
-    match b {
-        None => buf.put_u8(0),
-        Some(b) => {
-            buf.put_u8(1);
-            buf.put_u32_le(checked_u32(b.len(), "blob length exceeds u32")?);
-            buf.put_slice(b);
-        }
-    }
+/// `u32 len | bytes`.
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) -> Result<(), WireError> {
+    buf.put_u32_le(checked_u32(b.len(), "blob length exceeds u32")?);
+    buf.put_slice(b);
     Ok(())
 }
 
-fn take_opt_bytes(buf: &mut &[u8]) -> Result<Option<Vec<u8>>, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            Ok(Some(take_bytes(buf, len)?.to_vec()))
-        }
-        _ => Err(WireError::Malformed("bad option flag")),
-    }
+fn take_bytes(r: &mut Reader) -> Result<Vec<u8>, WireError> {
+    let len = r.count(1)?;
+    Ok(r.bytes(len)?.to_vec())
 }
 
-// ---- tensor-blob helpers shared by the algorithms' checkpoint codecs ----
-
-/// Encode one tensor (wire format) into an algorithm state blob.
-pub(crate) fn put_tensor(buf: &mut BytesMut, t: &Tensor) -> Result<(), WireError> {
-    encode_tensor(t, buf)
-}
-
-/// Decode one tensor from an algorithm state blob.
-pub(crate) fn take_tensor(buf: &mut Bytes) -> Result<Tensor, WireError> {
-    decode_tensor(buf)
-}
-
-/// `u32 count | count × tensor`.
-pub(crate) fn put_tensor_list(buf: &mut BytesMut, ts: &[Tensor]) -> Result<(), WireError> {
-    buf.put_u32_le(checked_u32(ts.len(), "tensor count exceeds u32")?);
-    for t in ts {
-        encode_tensor(t, buf)?;
-    }
-    Ok(())
-}
-
-/// Inverse of [`put_tensor_list`]. Each tensor header is at least 1 byte,
-/// so the count is bounded by the remaining buffer before any allocation.
-pub(crate) fn take_tensor_list(buf: &mut Bytes) -> Result<Vec<Tensor>, WireError> {
-    need(buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    if count > buf.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut ts = Vec::with_capacity(count);
-    for _ in 0..count {
-        ts.push(decode_tensor(buf)?);
-    }
-    Ok(ts)
-}
-
-/// `u8 presence flag`, then the tensor when present.
-pub(crate) fn put_opt_tensor(buf: &mut BytesMut, t: Option<&Tensor>) -> Result<(), WireError> {
-    match t {
-        None => {
-            buf.put_u8(0);
-            Ok(())
-        }
-        Some(t) => {
-            buf.put_u8(1);
-            encode_tensor(t, buf)
+/// The one codec of an algorithm's server state
+/// ([`Algorithm::server_state`]): `u32 groups | per group: u8 present |
+/// u32 count | count × tensor`, an absent group ending at its flag.
+pub(crate) fn put_groups(groups: &[Option<Vec<&Tensor>>]) -> Result<Vec<u8>, WireError> {
+    let mut buf = Vec::new();
+    buf.put_u32_le(checked_u32(groups.len(), "state group count exceeds u32")?);
+    for group in groups {
+        buf.put_u8(u8::from(group.is_some()));
+        if let Some(tensors) = group {
+            buf.put_u32_le(checked_u32(tensors.len(), "tensor count exceeds u32")?);
+            tensors
+                .iter()
+                .try_for_each(|t| encode_tensor(t, &mut buf))?;
         }
     }
+    Ok(buf)
 }
 
-/// Inverse of [`put_opt_tensor`].
-pub(crate) fn take_opt_tensor(buf: &mut Bytes) -> Result<Option<Tensor>, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(decode_tensor(buf)?)),
-        _ => Err(WireError::Malformed("bad option flag")),
-    }
-}
-
-/// `u8` grab for algorithm codecs.
-pub(crate) fn take_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-/// Reject undecoded trailing bytes at the end of a state blob.
-pub(crate) fn expect_empty(buf: &Bytes) -> Result<(), WireError> {
-    if buf.has_remaining() {
-        return Err(WireError::TrailingBytes {
-            extra: buf.remaining(),
-        });
-    }
-    Ok(())
+/// Inverse of [`put_groups`]. A group is at least its flag and a tensor at
+/// least its rank byte, which bounds both counts by the blob's length.
+pub(crate) fn take_groups(blob: &[u8]) -> Result<Vec<Option<Vec<Tensor>>>, WireError> {
+    let mut r = Reader::new(blob);
+    let groups = (0..r.count(1)?)
+        .map(|_| match r.u8()? {
+            0 => Ok(None),
+            1 => (0..r.count(1)?)
+                .map(|_| r.tensor())
+                .collect::<Result<_, _>>()
+                .map(Some),
+            _ => Err(WireError::Malformed("bad option flag")),
+        })
+        .collect::<Result<_, _>>()?;
+    r.finish()?;
+    Ok(groups)
 }
 
 #[cfg(test)]
@@ -562,7 +445,7 @@ mod tests {
                 prior_uplink: 987,
                 buffer: vec![(6, 4, 2, vec![0xAA, 0xBB, 0xCC]), (7, 5, 0, Vec::new())],
             },
-            algo_blob: Some(vec![1, 2, 3, 4]),
+            algo_blob: vec![1, 2, 3, 4],
             clients: vec![
                 ClientCheckpoint {
                     weight: 0.5,
@@ -651,31 +534,59 @@ mod tests {
 
     #[test]
     fn decode_rejects_absurd_buffer_counts_without_allocating() {
-        // With no algo blob, no clients, and an empty straggler buffer the
-        // encoding ends `buffer_count (u32) | algo_blob flag (u8)`; claim
-        // 2³²−1 buffer entries against an empty tail.
+        // With an empty algo blob, no clients, and an empty straggler buffer
+        // the encoding ends `buffer_count (u32) | algo_blob len (u32)`;
+        // claim 2³²−1 buffer entries against that tail.
         let mut ckpt = sample();
         ckpt.state.buffer.clear();
-        ckpt.algo_blob = None;
+        ckpt.algo_blob.clear();
         ckpt.clients.clear();
         ckpt.num_clients = 0;
         let mut bytes = ckpt.encode().expect("encode");
         let n = bytes.len();
-        bytes[n - 5..n - 1].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[n - 8..n - 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Checkpoint::decode(&bytes).is_err());
     }
 
     #[test]
-    fn tensor_helpers_round_trip() {
+    fn state_groups_round_trip_and_refuse_damage() {
         let t = Tensor::from_vec([2, 3], vec![1.0, -2.5, 3.25, 0.0, 4.5, 6.0]);
-        let mut buf = BytesMut::new();
-        put_tensor_list(&mut buf, std::slice::from_ref(&t)).expect("encode");
-        put_opt_tensor(&mut buf, None).expect("encode");
-        put_opt_tensor(&mut buf, Some(&t)).expect("encode");
-        let mut bytes = buf.freeze();
-        assert_eq!(take_tensor_list(&mut bytes).expect("list"), vec![t.clone()]);
-        assert_eq!(take_opt_tensor(&mut bytes).expect("none"), None);
-        assert_eq!(take_opt_tensor(&mut bytes).expect("some"), Some(t));
-        expect_empty(&bytes).expect("fully consumed");
+        let b = Tensor::from_vec([3], vec![0.5, 0.25, -1.0]);
+        for groups in [
+            vec![],
+            vec![None],
+            vec![Some(vec![])],
+            vec![Some(vec![&t, &b]), None, Some(vec![&b])],
+        ] {
+            let blob = put_groups(&groups).expect("encode");
+            let back = take_groups(&blob).expect("decode");
+            let owned =
+                |g: &Option<Vec<&Tensor>>| g.as_ref().map(|g| g.iter().copied().cloned().collect());
+            assert_eq!(back, groups.iter().map(owned).collect::<Vec<_>>());
+            for cut in 0..blob.len() {
+                assert!(take_groups(&blob[..cut]).is_err(), "cut at {cut}");
+            }
+            let long = [&blob[..], &[0]].concat();
+            assert_eq!(
+                take_groups(&long),
+                Err(WireError::TrailingBytes { extra: 1 })
+            );
+        }
+        // Layout: `u32 groups | u8 present | u32 count | tensors`.
+        let blob = put_groups(&[None, Some(vec![&b])]).expect("encode");
+        assert_eq!(&blob[..10], &[2, 0, 0, 0, 0, 1, 1, 0, 0, 0]);
+        assert_eq!(blob.len(), 4 + 1 + 1 + 4 + (1 + 4 + 4 * 3));
+        // A flag that is neither, and counts no blob could hold.
+        let mut bad_flag = blob.clone();
+        bad_flag[4] = 2;
+        assert_eq!(
+            take_groups(&bad_flag),
+            Err(WireError::Malformed("bad option flag"))
+        );
+        for at in [0, 6] {
+            let mut absurd = blob.clone();
+            absurd[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(take_groups(&absurd), Err(WireError::Truncated), "at {at}");
+        }
     }
 }

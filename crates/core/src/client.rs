@@ -2,7 +2,7 @@
 //! the local-update primitives the algorithms compose.
 
 use crate::config::{HyperParams, OptKind};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use fca_data::augment::AugmentConfig;
 use fca_data::Dataset;
 use fca_models::classifier::ClassifierWeights;
@@ -11,9 +11,7 @@ use fca_nn::loss::{accuracy, cross_entropy, prototype_loss, supervised_contrasti
 use fca_nn::optim::{Adam, OptState, Optimizer, Sgd};
 use fca_nn::Module as _;
 use fca_tensor::rng::{derive_seed, SnapRng};
-use fca_tensor::serialize::{
-    decode_tensor, decode_tensor_into, encode_tensor, encoded_len, WireError,
-};
+use fca_tensor::serialize::{encode_tensor, encoded_len, Reader, WireError};
 use fca_tensor::{Tensor, Workspace, WorkspaceStats};
 use std::sync::Arc;
 
@@ -195,63 +193,38 @@ impl Client {
     /// runs this on a scratch twin first, so a blob that reaches a
     /// hydration has already restored cleanly once.
     pub fn restore_snapshot(&mut self, blob: &[u8]) -> Result<(), WireError> {
-        fn take_count(buf: &mut &[u8]) -> Result<usize, WireError> {
-            if buf.remaining() < 4 {
-                return Err(WireError::Truncated);
-            }
-            Ok(buf.get_u32_le() as usize)
+        fn rng(r: &mut Reader) -> Result<SnapRng, WireError> {
+            SnapRng::try_from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+                .ok_or(WireError::Malformed("snapshot RNG position is all zeros"))
         }
-        fn take_rng(buf: &mut &[u8]) -> Result<SnapRng, WireError> {
-            if buf.remaining() < RNG_LEN {
-                return Err(WireError::Truncated);
-            }
-            Ok(SnapRng::from_state(std::array::from_fn(|_| {
-                buf.get_u64_le()
-            })))
-        }
-        let mut buf = blob;
-        if buf.remaining() < 1 + 4 + 8 {
-            return Err(WireError::Truncated);
-        }
-        if buf.get_u8() != SNAPSHOT_VERSION {
+        let mut r = Reader::new(blob);
+        if r.u8()? != SNAPSHOT_VERSION {
             return Err(WireError::Malformed("unknown snapshot version"));
         }
-        let lr = buf.get_f32_le();
-        let step = buf.get_u64_le();
-        let n_slots = take_count(&mut buf)?;
-        // A tensor is at least its rank byte: bound the count before
-        // reserving for it.
-        if n_slots > buf.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(decode_tensor(&mut buf)?);
-        }
+        let (lr, step) = (r.f32()?, r.u64()?);
+        // A tensor is at least its rank byte.
+        let slots = (0..r.count(1)?)
+            .map(|_| r.tensor())
+            .collect::<Result<_, _>>()?;
         self.optimizer
             .load_state(OptState { lr, step, slots }, &self.model.params_mut())?;
-        self.rng = take_rng(&mut buf)?;
+        self.rng = rng(&mut r)?;
         let rng_slots = self.model.rng_slots();
-        if take_count(&mut buf)? != rng_slots.len() {
+        if r.count(RNG_LEN)? != rng_slots.len() {
             return Err(OTHER_ARCH);
         }
         for slot in rng_slots {
-            *slot = take_rng(&mut buf)?;
+            *slot = rng(&mut r)?;
         }
-        let mut unread = take_count(&mut buf)?;
+        let mut unread = r.count(1)?;
         self.model.try_for_each_state(|t| {
             unread = unread.checked_sub(1).ok_or(OTHER_ARCH)?;
-            decode_tensor_into(&mut buf, t)
+            r.tensor_into(t)
         })?;
         if unread != 0 {
             return Err(OTHER_ARCH);
         }
-        if buf.has_remaining() {
-            return Err(WireError::TrailingBytes {
-                extra: buf.remaining(),
-            });
-        }
-        Ok(())
+        r.finish()
     }
 
     /// Swap this client's scratch workspace (pool checkout on hydrate).
@@ -889,6 +862,31 @@ mod tests {
             b.restore_snapshot(&blob),
             Err(WireError::Malformed("unknown snapshot version"))
         );
+    }
+
+    #[test]
+    fn snapshot_rejects_zeroed_rng_positions() {
+        // 32 zero bytes where an RNG position belongs — the client's own,
+        // or a dropout layer's — are damage, not a position: an `Err`.
+        let hp = HyperParams::micro_default();
+        let mut a = dropout_client(617, &hp);
+        a.local_update_supervised(1, &hp);
+        let blob = a.snapshot_blob();
+        let slots: usize = a.optimizer.slots().iter().map(|t| encoded_len(t)).sum();
+        let client_rng = 1 + 4 + 8 + 4 + slots;
+        assert!(!a.model.rng_slots().is_empty());
+        for at in [client_rng, client_rng + RNG_LEN + 4] {
+            let mut zeroed = blob.clone();
+            zeroed[at..at + RNG_LEN].fill(0);
+            assert_eq!(
+                dropout_client(617, &hp).restore_snapshot(&zeroed),
+                Err(WireError::Malformed("snapshot RNG position is all zeros")),
+                "window at {at}"
+            );
+        }
+        dropout_client(617, &hp)
+            .restore_snapshot(&blob)
+            .expect("the blob itself");
     }
 
     #[test]

@@ -35,20 +35,19 @@
 
 use crate::config::Aggregation;
 use crate::transport::{ChannelTransport, Transport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use fca_models::classifier::ClassifierWeights;
 use fca_models::ClientModel;
 use fca_tensor::rng::derived_rng;
 use fca_tensor::serialize::{
-    decode_tensor, decode_tensor_f16, decode_tensor_into, encode_tensor, encode_tensor_f16,
-    encoded_len, encoded_len_f16, skip_tensor_like, WireError,
+    encode_tensor, encode_tensor_f16, encoded_len, encoded_len_f16, Reader, WireError,
 };
 use fca_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 /// A message crossing the simulated network.
@@ -101,73 +100,47 @@ impl WireMessage {
         Ok(buf.freeze())
     }
 
+    /// What the codec needs of a variant: its tag, whether its tensors
+    /// travel in binary16, and the tensors in wire order (an empty tensor
+    /// stands in for a prototype no client saw).
+    fn parts(&self) -> (u8, bool, Vec<&Tensor>) {
+        static EMPTY: LazyLock<Tensor> = LazyLock::new(|| Tensor::zeros([0]));
+        fn pair(w: &ClassifierWeights) -> Vec<&Tensor> {
+            vec![&w.weight, &w.bias]
+        }
+        match self {
+            WireMessage::Classifier(w) => (TAG_CLASSIFIER, false, pair(w)),
+            WireMessage::ClassifierF16(w) => (TAG_CLASSIFIER_F16, true, pair(w)),
+            WireMessage::FullModel(state) => (TAG_FULL_MODEL, false, state.iter().collect()),
+            WireMessage::Prototypes(protos) => {
+                let filled = protos.iter().map(|p| p.as_ref().unwrap_or(&EMPTY));
+                (TAG_PROTOTYPES, false, filled.collect())
+            }
+            WireMessage::SoftPredictions(t) => (TAG_SOFT_PRED, false, vec![t]),
+            WireMessage::SoftTargets(t) => (TAG_SOFT_TARGET, false, vec![t]),
+            WireMessage::PublicData(t) => (TAG_PUBLIC_DATA, false, vec![t]),
+        }
+    }
+
     /// [`WireMessage::encode`], appended to a buffer the caller owns.
     pub fn encode_into<B: BufMut>(&self, buf: &mut B) -> Result<(), WireError> {
-        match self {
-            WireMessage::Classifier(w) => {
-                buf.put_u8(TAG_CLASSIFIER);
-                buf.put_u32_le(2);
-                encode_tensor(&w.weight, buf)?;
-                encode_tensor(&w.bias, buf)?;
+        let (tag, half, tensors) = self.parts();
+        buf.put_u8(tag);
+        buf.put_u32_le(checked_count(tensors.len())?);
+        tensors.into_iter().try_for_each(|t| {
+            if half {
+                encode_tensor_f16(t, buf)
+            } else {
+                encode_tensor(t, buf)
             }
-            WireMessage::FullModel(state) => {
-                buf.put_u8(TAG_FULL_MODEL);
-                buf.put_u32_le(checked_count(state.len())?);
-                for t in state {
-                    encode_tensor(t, buf)?;
-                }
-            }
-            WireMessage::Prototypes(protos) => {
-                buf.put_u8(TAG_PROTOTYPES);
-                buf.put_u32_le(checked_count(protos.len())?);
-                let empty = Tensor::zeros([0]);
-                for p in protos {
-                    encode_tensor(p.as_ref().unwrap_or(&empty), buf)?;
-                }
-            }
-            WireMessage::SoftPredictions(t) => {
-                buf.put_u8(TAG_SOFT_PRED);
-                buf.put_u32_le(1);
-                encode_tensor(t, buf)?;
-            }
-            WireMessage::SoftTargets(t) => {
-                buf.put_u8(TAG_SOFT_TARGET);
-                buf.put_u32_le(1);
-                encode_tensor(t, buf)?;
-            }
-            WireMessage::PublicData(t) => {
-                buf.put_u8(TAG_PUBLIC_DATA);
-                buf.put_u32_le(1);
-                encode_tensor(t, buf)?;
-            }
-            WireMessage::ClassifierF16(w) => {
-                buf.put_u8(TAG_CLASSIFIER_F16);
-                buf.put_u32_le(2);
-                encode_tensor_f16(&w.weight, buf)?;
-                encode_tensor_f16(&w.bias, buf)?;
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Exact encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        let body = match self {
-            WireMessage::Classifier(w) => encoded_len(&w.weight) + encoded_len(&w.bias),
-            WireMessage::FullModel(state) => state.iter().map(encoded_len).sum(),
-            WireMessage::Prototypes(protos) => {
-                let empty = Tensor::zeros([0]);
-                protos
-                    .iter()
-                    .map(|p| encoded_len(p.as_ref().unwrap_or(&empty)))
-                    .sum()
-            }
-            WireMessage::SoftPredictions(t)
-            | WireMessage::SoftTargets(t)
-            | WireMessage::PublicData(t) => encoded_len(t),
-            WireMessage::ClassifierF16(w) => encoded_len_f16(&w.weight) + encoded_len_f16(&w.bias),
-        };
-        MESSAGE_HEADER_LEN + body
+        let (_, half, tensors) = self.parts();
+        let len = if half { encoded_len_f16 } else { encoded_len };
+        MESSAGE_HEADER_LEN + tensors.into_iter().map(len).sum::<usize>()
     }
 
     /// Decode from the wire. `buf` must hold exactly one message.
@@ -179,69 +152,49 @@ impl WireMessage {
     /// message are [`WireError::TrailingBytes`] — on a framed stream a
     /// disagreement between frame and message boundaries means the stream
     /// is desynchronized or the peer is smuggling data.
-    pub fn decode(mut buf: Bytes) -> Result<WireMessage, WireError> {
-        if buf.remaining() < MESSAGE_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let count = buf.get_u32_le() as usize;
-        let expect_count = |expected: usize| -> Result<(), WireError> {
-            if count == expected {
+    pub fn decode(buf: Bytes) -> Result<WireMessage, WireError> {
+        let mut r = Reader::new(&buf);
+        let tag = r.u8()?;
+        // A tensor is at least its rank byte.
+        let got = r.count(1)?;
+        let expect = |expected: usize| {
+            if got == expected {
                 Ok(())
             } else {
-                Err(WireError::CountMismatch {
-                    expected,
-                    got: count,
-                })
+                Err(WireError::CountMismatch { expected, got })
             }
         };
         let msg = match tag {
-            TAG_CLASSIFIER_F16 => {
-                expect_count(2)?;
-                let weight = decode_tensor_f16(&mut buf)?;
-                let bias = decode_tensor_f16(&mut buf)?;
-                WireMessage::ClassifierF16(ClassifierWeights { weight, bias })
-            }
             TAG_CLASSIFIER => {
-                expect_count(2)?;
-                let weight = decode_tensor(&mut buf)?;
-                let bias = decode_tensor(&mut buf)?;
+                expect(2)?;
+                let (weight, bias) = (r.tensor()?, r.tensor()?);
                 WireMessage::Classifier(ClassifierWeights { weight, bias })
             }
+            TAG_CLASSIFIER_F16 => {
+                expect(2)?;
+                let (weight, bias) = (r.tensor_f16()?, r.tensor_f16()?);
+                WireMessage::ClassifierF16(ClassifierWeights { weight, bias })
+            }
             TAG_FULL_MODEL => {
-                let mut tensors = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    tensors.push(decode_tensor(&mut buf)?);
-                }
-                WireMessage::FullModel(tensors)
+                WireMessage::FullModel((0..got).map(|_| r.tensor()).collect::<Result<_, _>>()?)
             }
             TAG_PROTOTYPES => {
-                let mut protos = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let t = decode_tensor(&mut buf)?;
-                    protos.push(if t.numel() == 0 { None } else { Some(t) });
-                }
-                WireMessage::Prototypes(protos)
+                let seen = |t: Tensor| Some(t).filter(|t| t.numel() != 0);
+                let protos = (0..got).map(|_| r.tensor().map(seen));
+                WireMessage::Prototypes(protos.collect::<Result<_, _>>()?)
             }
-            TAG_SOFT_PRED => {
-                expect_count(1)?;
-                WireMessage::SoftPredictions(decode_tensor(&mut buf)?)
-            }
-            TAG_SOFT_TARGET => {
-                expect_count(1)?;
-                WireMessage::SoftTargets(decode_tensor(&mut buf)?)
-            }
-            TAG_PUBLIC_DATA => {
-                expect_count(1)?;
-                WireMessage::PublicData(decode_tensor(&mut buf)?)
+            TAG_SOFT_PRED | TAG_SOFT_TARGET | TAG_PUBLIC_DATA => {
+                expect(1)?;
+                let wrap = match tag {
+                    TAG_SOFT_PRED => WireMessage::SoftPredictions,
+                    TAG_SOFT_TARGET => WireMessage::SoftTargets,
+                    _ => WireMessage::PublicData,
+                };
+                wrap(r.tensor()?)
             }
             other => return Err(WireError::UnknownTag(other)),
         };
-        if buf.has_remaining() {
-            return Err(WireError::TrailingBytes {
-                extra: buf.remaining(),
-            });
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -274,33 +227,22 @@ impl WireMessage {
     /// bytes — so a frame for another architecture, a short one or a long
     /// one is an `Err` that leaves every bit of `model` as it was.
     pub fn decode_full_model_into(frame: &[u8], model: &mut ClientModel) -> Result<(), WireError> {
-        let mut head = frame;
-        if head.remaining() < MESSAGE_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if head.get_u8() != TAG_FULL_MODEL {
+        let mut body = Reader::new(frame);
+        if body.u8()? != TAG_FULL_MODEL {
             return Err(WireError::Malformed("expected a full-model message"));
         }
-        let count = head.get_u32_le() as usize;
-        let mut walk = head;
+        let got = body.count(1)?;
+        let mut walk = body;
         let mut expected = 0usize;
         model.try_for_each_state(|t| {
             expected += 1;
-            skip_tensor_like(&mut walk, t)
+            walk.skip_tensor_like(t)
         })?;
-        if count != expected {
-            return Err(WireError::CountMismatch {
-                expected,
-                got: count,
-            });
+        if got != expected {
+            return Err(WireError::CountMismatch { expected, got });
         }
-        if walk.has_remaining() {
-            return Err(WireError::TrailingBytes {
-                extra: walk.remaining(),
-            });
-        }
-        let mut body = head;
-        model.try_for_each_state(|t| decode_tensor_into(&mut body, t))
+        walk.finish()?;
+        model.try_for_each_state(|t| body.tensor_into(t))
     }
 }
 

@@ -78,7 +78,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fca_tensor::serialize::WireError;
+use fca_tensor::serialize::{Reader, WireError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -419,23 +419,17 @@ fn write_multicast(w: &mut impl Write, ids: &[u32], message: &[u8]) -> Result<u6
 /// message. Strict: the id list must lie inside the payload and pass
 /// [`check_recipients`].
 fn decode_multicast(payload: &Bytes) -> Result<(Vec<usize>, Bytes), WireError> {
-    if payload.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let count = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
-    let ids_end = count
-        .checked_mul(4)
-        .and_then(|n| n.checked_add(4))
-        .ok_or(WireError::ShapeTooLarge)?;
-    if payload.len() < ids_end {
-        return Err(WireError::Truncated);
-    }
-    let ids: Vec<usize> = payload[4..ids_end]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
-        .collect();
+    let mut r = Reader::new(payload);
+    let ids = take_ids(&mut r)?;
     check_recipients(&ids)?;
-    Ok((ids, payload.slice(ids_end..)))
+    let message = payload.slice(4 + 4 * ids.len()..);
+    Ok((ids, message))
+}
+
+/// `u32 count | count × u32 id`, as the multicast and hello payloads both
+/// carry it.
+fn take_ids(r: &mut Reader) -> Result<Vec<usize>, WireError> {
+    (0..r.count(4)?).map(|_| Ok(r.u32()? as usize)).collect()
 }
 
 /// Append exactly `len` bytes of the stream to `payload`. The space is
@@ -467,8 +461,8 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Bytes)>, WireError> {
     if !read_exact_or_eof(r, &mut head)? {
         return Ok(None);
     }
-    let address = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
+    let mut fields = Reader::new(&head);
+    let (address, len) = (fields.u32()?, fields.u32()? as usize);
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
             len: len as u64,
@@ -498,39 +492,16 @@ fn encode_hello(num_clients: usize, ids: &[usize]) -> Result<Vec<u8>, WireError>
 
 /// Strict hello decode: checked lengths, no trailing bytes.
 fn decode_hello(payload: &[u8]) -> Result<(usize, Vec<usize>), WireError> {
-    if payload.len() < 14 {
-        return Err(WireError::Truncated);
-    }
-    if payload[..4] != HELLO_MAGIC {
+    let mut r = Reader::new(payload);
+    if r.bytes(4)? != HELLO_MAGIC {
         return Err(WireError::Malformed("hello magic mismatch"));
     }
-    if u16::from_le_bytes([payload[4], payload[5]]) != HELLO_VERSION {
+    if r.u16()? != HELLO_VERSION {
         return Err(WireError::Malformed("unsupported hello version"));
     }
-    let total = u32::from_le_bytes([payload[6], payload[7], payload[8], payload[9]]) as usize;
-    let count = u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]) as usize;
-    let want = count
-        .checked_mul(4)
-        .and_then(|n| n.checked_add(14))
-        .ok_or(WireError::ShapeTooLarge)?;
-    if payload.len() < want {
-        return Err(WireError::Truncated);
-    }
-    if payload.len() > want {
-        return Err(WireError::TrailingBytes {
-            extra: payload.len() - want,
-        });
-    }
-    let mut ids = Vec::with_capacity(count.min(1 << 20));
-    for i in 0..count {
-        let at = 14 + 4 * i;
-        ids.push(u32::from_le_bytes([
-            payload[at],
-            payload[at + 1],
-            payload[at + 2],
-            payload[at + 3],
-        ]) as usize);
-    }
+    let total = r.u32()? as usize;
+    let ids = take_ids(&mut r)?;
+    r.finish()?;
     Ok((total, ids))
 }
 

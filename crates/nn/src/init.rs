@@ -1,5 +1,5 @@
-//! Weight initializers (He / Xavier), matching the PyTorch defaults the
-//! paper's models rely on.
+//! The weight initializer (He), matching the PyTorch default the paper's
+//! models rely on.
 
 use fca_tensor::{Shape, Tensor};
 use rand::Rng;
@@ -9,18 +9,6 @@ use rand::Rng;
 pub fn kaiming_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut impl Rng) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
     Tensor::randn(shape, std, rng)
-}
-
-/// Xavier (Glorot) uniform initialization:
-/// `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(
-    shape: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut impl Rng,
-) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Tensor::rand_uniform(shape, -a, a, rng)
 }
 
 #[cfg(test)]
@@ -38,13 +26,5 @@ mod tests {
             (var - expect).abs() < expect * 0.2,
             "var {var} vs expected {expect}"
         );
-    }
-
-    #[test]
-    fn xavier_bounds_respected() {
-        let mut rng = seeded_rng(42);
-        let t = xavier_uniform([32, 32], 32, 32, &mut rng);
-        let a = (6.0f32 / 64.0).sqrt();
-        assert!(t.data().iter().all(|&v| v >= -a && v < a));
     }
 }

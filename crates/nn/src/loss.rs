@@ -153,32 +153,6 @@ pub fn supervised_contrastive(
     (loss, dfeat)
 }
 
-/// L2 distance `‖w − w_ref‖₂` (paper Eq. 5) and its gradient w.r.t. `w`.
-///
-/// The gradient is `(w − w_ref)/‖w − w_ref‖`; at zero distance it is zero
-/// (subgradient choice).
-pub fn l2_distance(w: &Tensor, w_ref: &Tensor) -> (f32, Tensor) {
-    assert_eq!(w.dims(), w_ref.dims(), "shape mismatch in l2_distance");
-    let diff = w.sub(w_ref);
-    let norm = diff.norm();
-    if norm <= 1e-12 {
-        (0.0, Tensor::zeros(w.shape().clone()))
-    } else {
-        let grad = diff.scaled(1.0 / norm);
-        (norm, grad)
-    }
-}
-
-/// Squared L2 proximal term `(μ/2)‖w − w_ref‖²` (FedProx) and its gradient
-/// `μ(w − w_ref)`.
-pub fn proximal_sq(w: &Tensor, w_ref: &Tensor, mu: f32) -> (f32, Tensor) {
-    assert_eq!(w.dims(), w_ref.dims(), "shape mismatch in proximal_sq");
-    let diff = w.sub(w_ref);
-    let loss = 0.5 * mu * diff.sq_norm();
-    let grad = diff.scaled(mu);
-    (loss, grad)
-}
-
 /// Temperature-scaled KL distillation `KL(teacher ‖ student)` used by
 /// KT-pFL: `teacher_probs` are already probabilities; the student enters as
 /// logits. Returns the mean KL over the batch and `∂L/∂student_logits`.
@@ -384,41 +358,6 @@ mod tests {
         let (l1, _) = supervised_contrastive(&v1, &both, 0.7);
         let (l2, _) = supervised_contrastive(&v2, &both, 0.7);
         assert!((l1 - l2).abs() < 1e-5);
-    }
-
-    #[test]
-    fn l2_distance_value_and_gradient() {
-        let w = Tensor::from_vec([2], vec![3.0, 4.0]);
-        let r = Tensor::zeros([2]);
-        let (d, g) = l2_distance(&w, &r);
-        assert!((d - 5.0).abs() < 1e-6);
-        assert!((g.at(0) - 0.6).abs() < 1e-6);
-        assert!((g.at(1) - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn l2_distance_at_zero_has_zero_grad() {
-        let w = Tensor::ones([3]);
-        let (d, g) = l2_distance(&w, &w);
-        assert_eq!(d, 0.0);
-        assert!(g.data().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn proximal_sq_gradient_matches_finite_difference() {
-        let mut rng = seeded_rng(116);
-        let w = Tensor::randn([3, 3], 1.0, &mut rng);
-        let r = Tensor::randn([3, 3], 1.0, &mut rng);
-        let (_, grad) = proximal_sq(&w, &r, 0.7);
-        let f = |x: &Tensor| proximal_sq(x, &r, 0.7).0;
-        for i in 0..w.numel() {
-            let mut xp = w.clone();
-            xp.data_mut()[i] += 1e-2;
-            let mut xm = w.clone();
-            xm.data_mut()[i] -= 1e-2;
-            let fd = (f(&xp) - f(&xm)) / 2e-2;
-            assert!((fd - grad.at(i)).abs() < 1e-2);
-        }
     }
 
     #[test]

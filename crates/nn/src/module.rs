@@ -93,42 +93,6 @@ pub trait Module: Send {
     }
 }
 
-/// Snapshot all parameter values (and buffers) of a module, in order.
-pub fn state_dict(m: &mut dyn Module) -> Vec<Tensor> {
-    let mut out: Vec<Tensor> = m.params_mut().iter().map(|p| p.value.clone()).collect();
-    out.extend(m.buffers_mut().iter().map(|b| (**b).clone()));
-    out
-}
-
-/// Load a snapshot produced by [`state_dict`] back into a module.
-///
-/// Panics if the tensor count or any shape mismatches — federated
-/// aggregation relies on architecturally identical modules.
-pub fn load_state_dict(m: &mut dyn Module, state: &[Tensor]) {
-    let n_params = m.params_mut().len();
-    let n_bufs = m.buffers_mut().len();
-    assert_eq!(
-        state.len(),
-        n_params + n_bufs,
-        "state dict has {} tensors, module expects {}",
-        state.len(),
-        n_params + n_bufs
-    );
-    for (p, s) in m.params_mut().into_iter().zip(state) {
-        assert_eq!(
-            p.value.dims(),
-            s.dims(),
-            "shape mismatch loading param {}",
-            p.name
-        );
-        p.value = s.clone();
-    }
-    for (b, s) in m.buffers_mut().into_iter().zip(&state[n_params..]) {
-        assert_eq!(b.dims(), s.dims(), "shape mismatch loading buffer");
-        *b = s.clone();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,26 +105,6 @@ mod tests {
         p.grad = Tensor::ones([2, 2]);
         p.zero_grad();
         assert!(p.grad.data().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn state_dict_roundtrip() {
-        let mut rng = seeded_rng(5);
-        let mut a = Linear::new(4, 3, &mut rng);
-        let mut b = Linear::new(4, 3, &mut rng);
-        let sd = state_dict(&mut a);
-        load_state_dict(&mut b, &sd);
-        let sa = state_dict(&mut a);
-        let sb = state_dict(&mut b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    #[should_panic(expected = "state dict has")]
-    fn load_state_dict_count_mismatch() {
-        let mut rng = seeded_rng(6);
-        let mut a = Linear::new(4, 3, &mut rng);
-        load_state_dict(&mut a, &[Tensor::zeros([3, 4])]);
     }
 
     #[test]

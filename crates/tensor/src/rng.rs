@@ -34,7 +34,7 @@ pub fn derived_rng(base: u64, tag: u64) -> StdRng {
 
 /// A deterministic generator whose position is a value: the 256-bit state
 /// can be read out with [`SnapRng::state`] and later re-entered with
-/// [`SnapRng::from_state`], resuming the stream mid-flight bit-for-bit.
+/// [`SnapRng::try_from_state`], resuming the stream mid-flight bit-for-bit.
 ///
 /// The paging layer needs this: a dehydrated client's RNG position travels
 /// in its snapshot blob, so a page-out → page-in cycle draws exactly the
@@ -73,9 +73,10 @@ impl SnapRng {
     }
 
     /// Re-enter a stream at a position captured by [`SnapRng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0; 4], "the all-zero state is not a valid position");
-        SnapRng { s }
+    /// `None` for the all-zero state: no stream passes through it (xoshiro
+    /// would stay there forever), so words read back as zeros are damage.
+    pub fn try_from_state(s: [u64; 4]) -> Option<Self> {
+        (s != [0; 4]).then_some(SnapRng { s })
     }
 }
 
@@ -163,10 +164,11 @@ mod tests {
         for _ in 0..37 {
             let _: u64 = a.gen();
         }
-        let mut b = SnapRng::from_state(a.state());
+        let mut b = SnapRng::try_from_state(a.state()).expect("a live position");
         let xs: Vec<u64> = (0..32).map(|_| a.gen()).collect();
         let ys: Vec<u64> = (0..32).map(|_| b.gen()).collect();
         assert_eq!(xs, ys, "resumed stream diverged from the original");
+        assert_eq!(SnapRng::try_from_state([0; 4]), None);
     }
 
     #[test]

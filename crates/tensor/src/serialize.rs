@@ -333,7 +333,7 @@ pub fn encode_tensor_f16<B: BufMut>(t: &Tensor, buf: &mut B) -> Result<(), WireE
 }
 
 /// Decode one half-precision tensor from the front of `buf`.
-pub fn decode_tensor_f16(buf: &mut Bytes) -> Result<Tensor, WireError> {
+pub fn decode_tensor_f16<B: Buf>(buf: &mut B) -> Result<Tensor, WireError> {
     let (shape, numel) = take_header(buf)?;
     if buf.remaining() < 2 * numel {
         return Err(WireError::Truncated);
@@ -343,6 +343,82 @@ pub fn decode_tensor_f16(buf: &mut Bytes) -> Result<Tensor, WireError> {
         data.push(f16_bits_to_f32(buf.get_u16_le()));
     }
     Ok(Tensor::from_vec(shape, data))
+}
+
+/// A checked cursor over bytes nobody trusts — a frame off a socket, a blob
+/// out of a file. Every read is a `Result`: one that needs more bytes than
+/// remain is [`WireError::Truncated`] and consumes nothing, so a decoder
+/// written on it has no bounds check of its own to forget. After any `Err`
+/// the position is unspecified; a decoder returns the error.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a>(&'a [u8]);
+
+macro_rules! reader_le {
+    ($($t:ident),*) => {$(
+        #[doc = concat!("The next little-endian `", stringify!($t), "`.")]
+        pub fn $t(&mut self) -> Result<$t, WireError> {
+            let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+            self.0 = rest;
+            Ok($t::from_le_bytes(*head))
+        }
+    )*};
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the front of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader(bytes)
+    }
+
+    reader_le!(u8, u16, u32, u64, f32);
+
+    /// The next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// A `u32` element count, held against what remains: `count` elements
+    /// of at least `min_bytes_each` bytes must still fit, so a caller may
+    /// reserve for the count it is handed. The product is checked — a
+    /// count that overflows it cannot fit either.
+    pub fn count(&mut self, min_bytes_each: usize) -> Result<usize, WireError> {
+        let count = self.u32()? as usize;
+        match count.checked_mul(min_bytes_each) {
+            Some(need) if need <= self.0.len() => Ok(count),
+            _ => Err(WireError::Truncated),
+        }
+    }
+
+    /// [`decode_tensor`] at the cursor.
+    pub fn tensor(&mut self) -> Result<Tensor, WireError> {
+        decode_tensor(&mut self.0)
+    }
+
+    /// [`decode_tensor_f16`] at the cursor.
+    pub fn tensor_f16(&mut self) -> Result<Tensor, WireError> {
+        decode_tensor_f16(&mut self.0)
+    }
+
+    /// [`decode_tensor_into`] at the cursor.
+    pub fn tensor_into(&mut self, dst: &mut Tensor) -> Result<(), WireError> {
+        decode_tensor_into(&mut self.0, dst)
+    }
+
+    /// [`skip_tensor_like`] at the cursor.
+    pub fn skip_tensor_like(&mut self, like: &Tensor) -> Result<(), WireError> {
+        skip_tensor_like(&mut self.0, like)
+    }
+
+    /// The end of the decode: bytes left over are
+    /// [`WireError::TrailingBytes`].
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -526,6 +602,91 @@ mod tests {
         let full = buf.freeze();
         let mut cut = full.slice(0..full.len() - 1);
         assert_eq!(decode_tensor_f16(&mut cut), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn reader_methods_at_zero_one_short_and_exact_lengths() {
+        // Each fixed-width read, and `bytes`, against 0, n − 1 and n bytes.
+        fn probe<T: PartialEq + std::fmt::Debug>(
+            n: usize,
+            want: T,
+            read: impl Fn(&mut Reader) -> Result<T, WireError>,
+        ) {
+            let wire: Vec<u8> = (1..=n as u8).collect();
+            for short in [0, n - 1] {
+                let mut r = Reader::new(&wire[..short]);
+                assert_eq!(read(&mut r), Err(WireError::Truncated), "{n} at {short}");
+                assert_eq!(r.0.len(), short, "a refused read consumed bytes");
+            }
+            let mut r = Reader::new(&wire);
+            assert_eq!(read(&mut r), Ok(want));
+            assert_eq!(r.finish(), Ok(()));
+        }
+        probe(1, 0x01, |r| r.u8());
+        probe(2, 0x0201, |r| r.u16());
+        probe(4, 0x0403_0201, |r| r.u32());
+        probe(8, 0x0807_0605_0403_0201, |r| r.u64());
+        probe(4, f32::from_bits(0x0403_0201), |r| r.f32());
+        probe(3, vec![1, 2, 3], |r| r.bytes(3).map(<[u8]>::to_vec));
+        assert_eq!(Reader::new(&[]).bytes(0), Ok(&[][..]));
+        assert_eq!(
+            Reader::new(&[7, 7]).finish(),
+            Err(WireError::TrailingBytes { extra: 2 })
+        );
+    }
+
+    #[test]
+    fn reader_count_is_bounded_by_what_remains() {
+        // The largest count a u32 can claim, at element sizes whose product
+        // with it fits a usize and does not: refused before a caller could
+        // reserve for it.
+        let mut wire = u32::MAX.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0; 64]);
+        for min_bytes_each in [1, 5, 28, usize::MAX] {
+            let got = Reader::new(&wire).count(min_bytes_each);
+            assert_eq!(got, Err(WireError::Truncated), "{min_bytes_each}");
+        }
+        // 3 elements of 5 bytes: 14 bytes behind the count are one short.
+        let mut wire = 3u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0; 15]);
+        assert_eq!(Reader::new(&wire).count(5), Ok(3));
+        assert_eq!(
+            Reader::new(&wire[..4 + 14]).count(5),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(Reader::new(&wire[..3]).count(0), Err(WireError::Truncated));
+        assert_eq!(Reader::new(&0u32.to_le_bytes()).count(28), Ok(0));
+    }
+
+    #[test]
+    fn reader_tensor_methods_are_the_tensor_decoders() {
+        let t = Tensor::from_vec([2, 3], vec![1.0, -2.5, 3.25, 0.0, 4.5, 6.0]);
+        let mut wire = Vec::new();
+        encode_tensor(&t, &mut wire).unwrap();
+        encode_tensor_f16(&t, &mut wire).unwrap();
+        encode_tensor(&t, &mut wire).unwrap();
+        encode_tensor(&t, &mut wire).unwrap();
+        let mut r = Reader::new(&wire);
+        assert_eq!(r.tensor(), Ok(t.clone()));
+        assert_eq!(r.tensor_f16(), Ok(t.clone()));
+        let mut twin = Tensor::zeros([2, 3]);
+        r.tensor_into(&mut twin).unwrap();
+        assert_eq!(twin, t);
+        r.skip_tensor_like(&twin).unwrap();
+        assert_eq!(r.finish(), Ok(()));
+        // Every cut of one f32 and one f16 tensor: an `Err`, at 0 bytes and
+        // at n − 1 as anywhere between.
+        let (full, half) = (encoded_len(&t), encoded_len_f16(&t));
+        for cut in 0..full {
+            let mut r = Reader::new(&wire[..cut]);
+            assert_eq!(r.tensor(), Err(WireError::Truncated), "cut at {cut}");
+            assert!(Reader::new(&wire[..cut]).tensor_into(&mut twin).is_err());
+            assert!(Reader::new(&wire[..cut]).skip_tensor_like(&twin).is_err());
+        }
+        for cut in 0..half {
+            let mut r = Reader::new(&wire[full..full + cut]);
+            assert_eq!(r.tensor_f16(), Err(WireError::Truncated), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== fca-lint: determinism / panic-freedom / unsafe-hygiene contracts ==="
 cargo run --release -p fca-lint -- --deny
 
+echo "=== codec size (informational): lines above the first #[cfg(test)] of the twelve codec files ==="
+scripts/loc.sh crates/core/src/{checkpoint,client,comm,transport}.rs crates/core/src/algo/*.rs crates/tensor/src/serialize.rs | tail -1
+
 echo "=== tier-1: build + test ==="
 cargo build --release
 cargo test -q --workspace

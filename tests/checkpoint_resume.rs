@@ -5,7 +5,9 @@
 
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
-use fedclassavg_suite::fed::algo::{Algorithm, FedAvg, FedClassAvg, FedProto, KtPfl};
+use fedclassavg_suite::fed::algo::{
+    Algorithm, FedAvg, FedClassAvg, FedProto, KtPfl, KtPflWeight, LocalOnly,
+};
 use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
@@ -331,6 +333,56 @@ fn restore_rejects_mismatched_federations() {
         &ModelArch::heterogeneous_rotation,
     );
     assert!(ckpt.restore(&mut fleet3, &mut algo2, &cfg).is_err());
+
+    // Server state that is not the algorithm's own — none at all, as a
+    // stateless algorithm leaves it, or the other weight-sharing mode's —
+    // under the right name, seed and fleet size. Each algorithm takes its
+    // own state back and refuses the one offered.
+    let mut blob_of = |algo: &dyn Algorithm| {
+        let ckpt = Checkpoint::capture(&mut fleet, algo, &cfg, &state).expect("capture");
+        ckpt.algo_blob
+    };
+    let model = fleet2.client_mut(0).model.full_state();
+    let new_plain = || FedClassAvg::new(cfg.feature_dim, CLASSES, cfg.seed);
+    let (mut plain, mut plain_again) = (new_plain(), new_plain());
+    let mut shared =
+        FedClassAvg::with_full_weight_sharing(cfg.feature_dim, CLASSES, cfg.seed, model.clone());
+    let mut fedavg = FedAvg::new(model);
+    let mut fedproto = FedProto::new(cfg.feature_dim, CLASSES, 1.0);
+    let stateless = blob_of(&LocalOnly);
+    let (of_plain, of_shared) = (blob_of(&plain), blob_of(&shared));
+    let offers: [(&mut dyn Algorithm, &Vec<u8>); 5] = [
+        (&mut plain, &stateless),
+        (&mut fedavg, &stateless),
+        (&mut fedproto, &stateless),
+        (&mut shared, &of_plain),
+        (&mut plain_again, &of_shared),
+    ];
+    for (algo, offered) in offers {
+        let name = algo.name();
+        for (blob, fits) in [(blob_of(algo), true), (offered.clone(), false)] {
+            let ckpt = Checkpoint {
+                algo_name: name.clone(),
+                algo_blob: blob,
+                ..ckpt.clone()
+            };
+            let got = ckpt.restore(&mut fleet2, algo, &cfg);
+            assert_eq!(got.is_ok(), fits, "{name}: {:?}", got.err());
+        }
+    }
+}
+
+/// The bits of an algorithm's server state: per group, per tensor, the
+/// dims and then the values' bit patterns.
+fn state_bits(algo: &dyn Algorithm) -> Vec<Option<Vec<Vec<u32>>>> {
+    let bits = |t: &&fedclassavg_suite::tensor::Tensor| {
+        let dims = t.dims().iter().map(|&d| d as u32);
+        dims.chain(t.data().iter().map(|v| v.to_bits())).collect()
+    };
+    let groups = algo.server_state().into_iter();
+    groups
+        .map(|g| g.map(|g| g.iter().map(bits).collect()))
+        .collect()
 }
 
 #[test]
@@ -368,4 +420,119 @@ fn corrupted_checkpoint_bytes_error_instead_of_panicking() {
         // name checks at restore time are for.)
         let _ = Checkpoint::decode(&bad);
     }
+
+    // Damage inside the blobs `Checkpoint::decode` does not look into: one
+    // round of each stateful algorithm, captured; then the state blob cut
+    // at every offset and each of its first 64 bytes flipped, restored
+    // onto a freshly built algorithm. `Ok` or `Err`, no panic; and after
+    // an `Err` the algorithm's state is bit for bit what it was.
+    let cfg = cfg1;
+    let hetero = |cfg: &FedConfig| {
+        build_fleet(
+            &data,
+            Partitioner::Dirichlet { alpha: 0.5 },
+            cfg,
+            &ModelArch::heterogeneous_rotation,
+        )
+    };
+    let homo = |cfg: &FedConfig| {
+        build_fleet(&data, Partitioner::Dirichlet { alpha: 0.5 }, cfg, &|_| {
+            ModelArch::ProtoCnn { width_variant: 0 }
+        })
+    };
+    let model = homo(&cfg).client_mut(0).model.full_state();
+    let public = data.test.images.clone();
+    type Make<'a> = Box<dyn Fn() -> Box<dyn Algorithm> + 'a>;
+    let (feat, seed) = (cfg.feature_dim, cfg.seed);
+    let cases: Vec<(bool, Make)> = vec![
+        (false, Box::new(|| Box::new(FedAvg::new(model.clone())))),
+        (
+            true,
+            Box::new(|| Box::new(FedClassAvg::new(feat, CLASSES, seed))),
+        ),
+        (
+            false,
+            Box::new(|| {
+                let state = model.clone();
+                Box::new(FedClassAvg::with_full_weight_sharing(
+                    feat, CLASSES, seed, state,
+                ))
+            }),
+        ),
+        (
+            true,
+            Box::new(|| Box::new(FedProto::new(feat, CLASSES, 1.0))),
+        ),
+        (
+            true,
+            Box::new(|| Box::new(KtPfl::new(public.clone(), 4).with_local_epochs(1))),
+        ),
+        (false, Box::new(|| Box::new(KtPflWeight::new(4)))),
+    ];
+    let mut snapshot = None;
+    for (heterogeneous, make) in cases {
+        let fleet_for = |cfg: &FedConfig| {
+            if heterogeneous {
+                hetero(cfg)
+            } else {
+                homo(cfg)
+            }
+        };
+        let (mut fleet, mut algo) = (fleet_for(&cfg), make());
+        let (_, state) = run_federation_from(&mut fleet, algo.as_mut(), &cfg, RunState::fresh());
+        let ckpt = Checkpoint::capture(&mut fleet, algo.as_ref(), &cfg, &state).expect("capture");
+        let name = algo.name();
+        let trained = state_bits(algo.as_ref());
+        assert!(!trained.is_empty(), "{name}: no server state");
+
+        let (mut fleet, mut algo) = (fleet_for(&cfg), make());
+        let fresh = state_bits(algo.as_ref());
+        let mut offer = |algo: &mut dyn Algorithm, blob: Vec<u8>, what: String| {
+            let before = state_bits(algo);
+            let mutant = Checkpoint {
+                algo_blob: blob,
+                ..ckpt.clone()
+            };
+            match mutant.restore(&mut fleet, algo, &cfg) {
+                Ok(_) => {}
+                Err(_) => assert!(state_bits(algo) == before, "{name}: {what}: state moved"),
+            }
+        };
+        let blob = &ckpt.algo_blob;
+        for cut in 0..blob.len() {
+            offer(algo.as_mut(), blob[..cut].to_vec(), format!("cut at {cut}"));
+            assert!(state_bits(algo.as_ref()) == fresh, "{name}: cut at {cut}");
+        }
+        for at in 0..blob.len().min(64) {
+            for bit in [0x01, 0x80] {
+                let mut flipped = blob.clone();
+                flipped[at] ^= bit;
+                offer(algo.as_mut(), flipped, format!("flip {bit:#x} at {at}"));
+            }
+        }
+        offer(algo.as_mut(), blob.clone(), "the blob itself".into());
+        assert!(
+            state_bits(algo.as_ref()) == trained,
+            "{name}: restored state"
+        );
+        snapshot = snapshot.or(heterogeneous
+            .then(|| ckpt.clients[1].blob.clone())
+            .flatten());
+    }
+
+    // One trained client's snapshot blob, onto a twin of its architecture.
+    let blob = snapshot.expect("a trained heterogeneous client");
+    let mut fleet = hetero(&cfg);
+    let twin = fleet.client_mut(1);
+    for cut in 0..blob.len() {
+        assert!(twin.restore_snapshot(&blob[..cut]).is_err(), "cut at {cut}");
+    }
+    let mut zeroed = blob.to_vec();
+    for at in (0..blob.len()).step_by(8) {
+        let end = (at + 8).min(blob.len());
+        zeroed[at..end].fill(0);
+        let _ = twin.restore_snapshot(&zeroed);
+        zeroed[at..end].copy_from_slice(&blob[at..end]);
+    }
+    twin.restore_snapshot(&blob).expect("the blob itself");
 }
