@@ -43,8 +43,6 @@ use fca_tensor::serialize::{
     encode_tensor, encode_tensor_f16, encoded_len, encoded_len_f16, Reader, WireError,
 };
 use fca_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
@@ -366,8 +364,7 @@ impl FaultPlan {
         let tag = 0xFA17_0000_0000_0000_u64
             ^ (round as u64).wrapping_mul(0x0000_0001_0000_0001)
             ^ (client as u64);
-        let mut rng = derived_rng(self.seed, tag);
-        let u: f32 = rng.gen();
+        let u = derived_rng(self.seed, tag).unit_f32();
         if u < self.dropout {
             Fate::Dropped
         } else if u < self.dropout + self.straggler {
@@ -735,8 +732,8 @@ impl Network {
         let round = self.current_round;
         let tag =
             0xB0FF_0000_0000_0000_u64 ^ round.wrapping_mul(0x0000_0001_0000_0001) ^ (client as u64);
-        let mut rng = derived_rng(self.agg_seed, tag);
-        let delay = rng.gen_range(1..=2 * max_staleness.max(1) as u64);
+        let delay =
+            derived_rng(self.agg_seed, tag).inclusive(1, 2 * max_staleness.max(1) as i64) as u64;
         let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
         buf.insert((round + delay, round, client as u64), bytes);
         self.round_buffered.fetch_add(1, Ordering::Relaxed);
@@ -805,7 +802,7 @@ impl Network {
             let mut order: Vec<usize> = (0..merged.len()).collect();
             let tag =
                 0xB0FF_4B00_0000_0000_u64 ^ (round as u64).wrapping_mul(0x0000_0001_0000_0001);
-            order.shuffle(&mut derived_rng(self.agg_seed, tag));
+            derived_rng(self.agg_seed, tag).shuffle(&mut order);
             let mut in_time = vec![false; merged.len()];
             order[..goal_k].iter().for_each(|&i| in_time[i] = true);
             let mut in_time = in_time.into_iter();

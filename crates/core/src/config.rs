@@ -113,7 +113,8 @@ impl HyperParams {
 /// `examples/socket_federation`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Crossbeam channels in one process — the fast default.
+    /// Queues and one `std::sync::mpsc` uplink in one process — the fast
+    /// default.
     #[default]
     InProcess,
     /// A Unix-domain socket pair in one process; every frame crosses the
@@ -285,7 +286,7 @@ pub struct FedConfig {
     /// config literal, and leaves with that literal (ROADMAP item 4).
     pub eval_precision: Precision,
     /// Transport backend for the run (`InProcess`, the default, keeps
-    /// frames in crossbeam channels; the socket kinds route every frame
+    /// frames in in-process queues; the socket kinds route every frame
     /// through a real kernel socket). Results are bit-identical across
     /// backends at the same seed.
     pub transport: TransportKind,

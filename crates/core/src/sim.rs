@@ -9,9 +9,8 @@ use crate::transport::{ChannelTransport, LoopbackSocketTransport, Transport};
 use fca_data::partition::Partitioner;
 use fca_data::synth::SynthDataset;
 use fca_models::ModelArch;
-use fca_tensor::rng::derived_rng;
+use fca_tensor::rng::{derived_rng, SnapRng};
 use fca_trace::{PhaseId, RoundRecord};
-use rand::seq::SliceRandom;
 
 /// One evaluation point on the learning curve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -239,10 +238,16 @@ pub fn sample_clients(num_clients: usize, m: usize, seed: u64, round: usize) -> 
         m > 0,
         "cannot sample zero clients per round — check sample_rate"
     );
-    let mut rng = derived_rng(seed, 0x5A3B_0000 + round as u64);
+    let rng = derived_rng(seed, 0x5A3B_0000 + round as u64);
+    sorted_sample(num_clients, m, rng)
+}
+
+/// `m` distinct ids out of `0..num_clients` (all of them when `m` covers
+/// the fleet), ascending: the first `m` of a shuffle, sorted.
+fn sorted_sample(num_clients: usize, m: usize, mut rng: SnapRng) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..num_clients).collect();
-    ids.shuffle(&mut rng);
-    ids.truncate(m.min(num_clients));
+    rng.shuffle(&mut ids);
+    ids.truncate(m);
     ids.sort_unstable();
     ids
 }
@@ -256,12 +261,8 @@ pub fn eval_ids(cfg: &FedConfig, num_clients: usize, round: usize) -> Vec<usize>
     if cfg.eval_sample == 0 || cfg.eval_sample >= num_clients {
         return (0..num_clients).collect();
     }
-    let mut rng = derived_rng(cfg.seed, 0xE7A1_0000 + round as u64);
-    let mut ids: Vec<usize> = (0..num_clients).collect();
-    ids.shuffle(&mut rng);
-    ids.truncate(cfg.eval_sample);
-    ids.sort_unstable();
-    ids
+    let rng = derived_rng(cfg.seed, 0xE7A1_0000 + round as u64);
+    sorted_sample(num_clients, cfg.eval_sample, rng)
 }
 
 /// Emit the fleet's allocator/paging counters as one trace point: a

@@ -5,9 +5,9 @@
 //! fault injection, byte accounting, the count-driven collect — and hands
 //! the raw frames to a [`Transport`]. Three backends implement the trait:
 //!
-//! * [`ChannelTransport`] — crossbeam channels, the fast in-process
-//!   default. A send happens-before the matching receive, so receives
-//!   never wait.
+//! * [`ChannelTransport`] — a locked queue per client and one
+//!   `std::sync::mpsc` uplink channel, the fast in-process default. A send
+//!   happens-before the matching receive, so client receives never wait.
 //! * [`LoopbackSocketTransport`] — the same process, but every frame
 //!   crosses a real kernel socket (TCP loopback or a Unix socket pair)
 //!   through the length-prefixed frame protocol. Exists to prove the
@@ -70,21 +70,22 @@
 //!
 //! No backend consults a clock or ambient RNG. The socket backends park
 //! one reader thread per connection on blocking reads; it routes each
-//! frame straight into the crossbeam channel of the mailbox it is
-//! addressed to, so a bounded receive is a plain `recv_timeout`
-//! whose wait is the caller's safety net, never a scheduling decision:
+//! frame straight into the channel of the mailbox it is addressed to, so a
+//! bounded receive is a plain `recv_timeout` whose wait is the caller's
+//! safety net, never a scheduling decision:
 //! which frames arrive is decided by the fault plan and the peers, not by
 //! timing.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fca_tensor::serialize::{Reader, WireError};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -193,42 +194,38 @@ fn sum_writes(writes: impl Iterator<Item = Result<u64, WireError>>) -> Result<u6
 }
 
 // --------------------------------------------------------------------
-// In-process backend: crossbeam channels.
+// In-process backend: queues and one channel.
 // --------------------------------------------------------------------
 
-/// The fast in-process default: one unbounded channel pair per client plus
-/// a shared uplink channel. Within a process a send happens-before the
-/// matching receive, so the client-side receive never needs to wait.
+/// The fast in-process default: one mailbox per client plus a shared
+/// uplink channel. Within a process a send happens-before the matching
+/// receive, so the client-side receive never needs to wait — which is why a
+/// mailbox is a plain locked queue (40 bytes while empty, where an `mpsc`
+/// channel is 512: it decides a 10 000-client fleet's footprint) and only
+/// the uplink, which the server does wait on, is a channel. A `Receiver`
+/// is not `Sync`, so it sits behind a mutex; every mailbox has one consumer
+/// at a time and no lock here is contended.
 pub struct ChannelTransport {
-    to_client: Vec<Sender<Bytes>>,
-    at_client: Vec<Receiver<Bytes>>,
+    at_client: Vec<Mutex<VecDeque<Bytes>>>,
     to_server: Sender<(usize, Bytes)>,
-    at_server: Receiver<(usize, Bytes)>,
+    at_server: Mutex<Receiver<(usize, Bytes)>>,
 }
 
 impl ChannelTransport {
-    /// Channels for `num_clients` clients.
+    /// Mailboxes for `num_clients` clients.
     pub fn new(num_clients: usize) -> Self {
-        let mut to_client = Vec::with_capacity(num_clients);
-        let mut at_client = Vec::with_capacity(num_clients);
-        for _ in 0..num_clients {
-            let (tx, rx) = unbounded();
-            to_client.push(tx);
-            at_client.push(rx);
-        }
-        let (to_server, at_server) = unbounded();
+        let (to_server, at_server) = channel();
         ChannelTransport {
-            to_client,
-            at_client,
+            at_client: (0..num_clients).map(|_| Mutex::default()).collect(),
             to_server,
-            at_server,
+            at_server: Mutex::new(at_server),
         }
     }
 }
 
 impl Transport for ChannelTransport {
     fn num_clients(&self) -> usize {
-        self.to_client.len()
+        self.at_client.len()
     }
 
     fn backend(&self) -> &'static str {
@@ -236,25 +233,16 @@ impl Transport for ChannelTransport {
     }
 
     fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.to_client
-            .get(client)
-            .ok_or(WireError::ChannelClosed)?
-            .send(frame)
-            .map_err(|_| WireError::ChannelClosed)
+        let mailbox = self.at_client.get(client).ok_or(WireError::ChannelClosed)?;
+        lock(mailbox).push_back(frame);
+        Ok(())
     }
 
     fn recv_at_client(&self, client: usize, _wait: Duration) -> Result<Option<Bytes>, WireError> {
         // In-process delivery is synchronous: an empty mailbox means "not
         // coming", never "not yet", so there is nothing to wait for.
-        match self
-            .at_client
-            .get(client)
-            .ok_or(WireError::ChannelClosed)?
-            .try_recv()
-        {
-            Ok(frame) => Ok(Some(frame)),
-            Err(_) => Ok(None),
-        }
+        let mailbox = self.at_client.get(client).ok_or(WireError::ChannelClosed)?;
+        Ok(lock(mailbox).pop_front())
     }
 
     fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
@@ -264,10 +252,7 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-        match self.at_server.recv_timeout(wait) {
-            Ok(pair) => Ok(Some(pair)),
-            Err(_) => Ok(None),
-        }
+        Ok(lock(&self.at_server).recv_timeout(wait).ok())
     }
 }
 
@@ -613,7 +598,7 @@ impl SocketListener {
         let mut shard_of = vec![usize::MAX; num_clients];
         let mut writers = Vec::with_capacity(shards);
         let mut readers = Vec::with_capacity(shards);
-        let (uplink_tx, uplink_rx) = unbounded();
+        let (uplink_tx, uplink_rx) = channel();
         for shard_idx in 0..shards {
             let conn = match &self.kind {
                 ListenerKind::Tcp(l) => {
@@ -667,18 +652,24 @@ impl SocketListener {
                 "not every client is hosted by a shard",
             ));
         }
-        // The rendezvous is complete; a Unix socket path can disappear now.
-        #[cfg(unix)]
-        if let ListenerKind::Unix(_, path) = &self.kind {
-            let _ = std::fs::remove_file(path);
-        }
         Ok(SocketServerTransport {
             shard_of,
             shards: writers,
             readers,
-            uplink_rx,
+            uplink_rx: Mutex::new(uplink_rx),
             backend: self.backend,
         })
+    }
+}
+
+impl Drop for SocketListener {
+    fn drop(&mut self) {
+        // A Unix socket's path is needed only until the rendezvous ends,
+        // however it ends — accepted, refused or never attempted.
+        #[cfg(unix)]
+        if let ListenerKind::Unix(_, path) = &self.kind {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -697,7 +688,7 @@ pub struct SocketServerTransport {
     shards: Vec<Mutex<Conn>>,
     /// The uplink reader of each shard connection.
     readers: Vec<JoinHandle<()>>,
-    uplink_rx: Receiver<(usize, Bytes)>,
+    uplink_rx: Mutex<Receiver<(usize, Bytes)>>,
     backend: &'static str,
 }
 
@@ -741,10 +732,7 @@ impl Transport for SocketServerTransport {
     }
 
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-        match self.uplink_rx.recv_timeout(wait) {
-            Ok(pair) => Ok(Some(pair)),
-            Err(_) => Ok(None),
-        }
+        Ok(lock(&self.uplink_rx).recv_timeout(wait).ok())
     }
 }
 
@@ -772,7 +760,7 @@ pub struct SocketShardTransport {
     write_buf: Mutex<Vec<u8>>,
     conn: Mutex<Conn>,
     /// Indexed by client id; `None` for clients hosted elsewhere.
-    inbox: Vec<Option<Receiver<Bytes>>>,
+    inbox: Vec<Option<Mutex<Receiver<Bytes>>>>,
     /// The downlink reader; joined on drop.
     reader: Option<JoinHandle<()>>,
     backend: &'static str,
@@ -832,14 +820,14 @@ impl SocketShardTransport {
             HELLO_SENTINEL,
             &encode_hello(num_clients, ids)?,
         )?;
-        let mut inbox: Vec<Option<Receiver<Bytes>>> = Vec::with_capacity(num_clients);
+        let mut inbox: Vec<Option<Mutex<Receiver<Bytes>>>> = Vec::with_capacity(num_clients);
         inbox.resize_with(num_clients, || None);
         let mut fanout: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(num_clients);
         fanout.resize_with(num_clients, || None);
         for &id in ids {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             fanout[id] = Some(tx);
-            inbox[id] = Some(rx);
+            inbox[id] = Some(Mutex::new(rx));
         }
         // One reader thread pumps the shared stream and fans each
         // multicast frame out itself, so `recv_at_client` stays a plain
@@ -888,10 +876,7 @@ impl Transport for SocketShardTransport {
             .get(client)
             .and_then(|slot| slot.as_ref())
             .ok_or(WireError::Malformed("client not hosted on this shard"))?;
-        match rx.recv_timeout(wait) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(_) => Ok(None),
-        }
+        Ok(lock(rx).recv_timeout(wait).ok())
     }
 
     fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
@@ -975,12 +960,10 @@ impl LoopbackSocketTransport {
         // Connect before accept: the listener backlog holds the pending
         // connection and the hello frame sits in the socket buffer until
         // `accept_federation` reads it.
-        let shard = match listener.backend {
-            "tcp" => SocketShardTransport::connect_tcp(&addr, num_clients, &ids)?,
+        let shard = match &listener.kind {
+            ListenerKind::Tcp(_) => SocketShardTransport::connect_tcp(&addr, num_clients, &ids)?,
             #[cfg(unix)]
-            _ => SocketShardTransport::connect_unix(&addr, num_clients, &ids)?,
-            #[cfg(not(unix))]
-            _ => return Err(WireError::ChannelClosed),
+            ListenerKind::Unix(..) => SocketShardTransport::connect_unix(&addr, num_clients, &ids)?,
         };
         let server = listener.accept_federation(num_clients, 1)?;
         Ok(LoopbackSocketTransport { server, shard })
@@ -1444,6 +1427,26 @@ mod tests {
                 "not every client is hosted by a shard"
             ))
         );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_unix_socket_path_goes_with_its_listener() {
+        // A refused rendezvous: the shard claims a 5-client fleet.
+        let listener = SocketListener::unix_auto().expect("bind");
+        let path = listener.local_addr().expect("addr");
+        let _shard = SocketShardTransport::connect_unix(&path, 5, &[0, 1, 2, 3]).expect("shard");
+        assert_eq!(
+            listener.accept_federation(4, 1).err(),
+            Some(WireError::Malformed("shard disagrees on fleet size"))
+        );
+        assert!(!std::path::Path::new(&path).exists(), "{path} leaked");
+        // A listener that never accepts.
+        let listener = SocketListener::unix_auto().expect("bind");
+        let path = listener.local_addr().expect("addr");
+        assert!(std::path::Path::new(&path).exists());
+        drop(listener);
+        assert!(!std::path::Path::new(&path).exists(), "{path} leaked");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! random shift-crop, horizontal flip (multi-channel datasets only, like
 //! CIFAR practice), brightness jitter, additive Gaussian noise, and cutout.
 
+use fca_tensor::rng::SnapRng;
 use fca_tensor::Tensor;
-use rand::Rng;
 
 /// Augmentation configuration.
 #[derive(Clone, Copy, Debug)]
@@ -74,7 +74,7 @@ impl AugmentConfig {
     }
 
     /// Augment a whole NCHW batch, returning a new tensor.
-    pub fn augment_batch(&self, batch: &Tensor, rng: &mut impl Rng) -> Tensor {
+    pub fn augment_batch(&self, batch: &Tensor, rng: &mut SnapRng) -> Tensor {
         let (n, c, h, w) = batch.shape().as_nchw();
         let mut out = batch.clone();
         for i in 0..n {
@@ -84,21 +84,21 @@ impl AugmentConfig {
     }
 
     /// Generate the two contrastive views of a batch.
-    pub fn two_views(&self, batch: &Tensor, rng: &mut impl Rng) -> (Tensor, Tensor) {
+    pub fn two_views(&self, batch: &Tensor, rng: &mut SnapRng) -> (Tensor, Tensor) {
         (
             self.augment_batch(batch, rng),
             self.augment_batch(batch, rng),
         )
     }
 
-    fn augment_image(&self, img: &mut [f32], c: usize, h: usize, w: usize, rng: &mut impl Rng) {
+    fn augment_image(&self, img: &mut [f32], c: usize, h: usize, w: usize, rng: &mut SnapRng) {
         let plane = h * w;
 
         // Shift-crop: translate with zero padding.
         if self.max_shift > 0 {
-            let s = self.max_shift as isize;
-            let dx = rng.gen_range(-s..=s);
-            let dy = rng.gen_range(-s..=s);
+            let s = self.max_shift as i64;
+            let dx = rng.inclusive(-s, s) as isize;
+            let dy = rng.inclusive(-s, s) as isize;
             if dx != 0 || dy != 0 {
                 let src = img.to_vec();
                 for ci in 0..c {
@@ -119,7 +119,7 @@ impl AugmentConfig {
         }
 
         // Horizontal flip.
-        if self.hflip && rng.gen_bool(0.5) {
+        if self.hflip && rng.chance(0.5) {
             for ci in 0..c {
                 for y in 0..h {
                     let row = &mut img[ci * plane + y * w..ci * plane + (y + 1) * w];
@@ -130,7 +130,7 @@ impl AugmentConfig {
 
         // Brightness jitter.
         if self.brightness > 0.0 {
-            let scale = 1.0 + rng.gen_range(-self.brightness..self.brightness);
+            let scale = 1.0 + rng.range_f32(-self.brightness, self.brightness);
             for v in img.iter_mut() {
                 *v *= scale;
             }
@@ -139,17 +139,14 @@ impl AugmentConfig {
         // Additive noise.
         if self.noise_std > 0.0 {
             for v in img.iter_mut() {
-                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-                let u2: f32 = rng.gen_range(0.0..1.0);
-                let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-                *v += g * self.noise_std;
+                *v += rng.normal() * self.noise_std;
             }
         }
 
         // Cutout: zero a random square across all channels.
         if self.cutout > 0 && self.cutout <= h.min(w) {
-            let cy = rng.gen_range(0..h);
-            let cx = rng.gen_range(0..w);
+            let cy = rng.index(h);
+            let cx = rng.index(w);
             let half = self.cutout / 2;
             let y0 = cy.saturating_sub(half);
             let y1 = (cy + half + self.cutout % 2).min(h);

@@ -1,8 +1,7 @@
 //! In-memory labeled image datasets and batching.
 
+use fca_tensor::rng::SnapRng;
 use fca_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A labeled image dataset held as one NCHW tensor plus a label vector.
 #[derive(Clone)]
@@ -90,10 +89,10 @@ impl Dataset {
     }
 
     /// Shuffled mini-batch index lists covering the whole dataset once.
-    pub fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
+    pub fn batch_indices(&self, batch_size: usize, rng: &mut SnapRng) -> Vec<Vec<usize>> {
         assert!(batch_size >= 1);
         let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(rng);
+        rng.shuffle(&mut order);
         order.chunks(batch_size).map(|c| c.to_vec()).collect()
     }
 

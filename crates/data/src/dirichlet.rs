@@ -1,23 +1,22 @@
-//! Dirichlet sampling, implemented over `rand` (no `rand_distr`
-//! dependency): Gamma draws via the Marsaglia–Tsang squeeze method,
-//! normalized to a simplex sample.
+//! Dirichlet sampling over [`SnapRng`]'s uniform draws: Gamma draws via the
+//! Marsaglia–Tsang squeeze method, normalized to a simplex sample.
 
-use rand::Rng;
+use fca_tensor::rng::SnapRng;
 
 /// One standard-normal draw via Box–Muller.
-fn randn(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+fn randn(rng: &mut SnapRng) -> f64 {
+    let u1 = rng.range_f64(f64::EPSILON, 1.0);
+    let u2 = rng.range_f64(0.0, 1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Sample `Gamma(shape, 1)` with Marsaglia–Tsang (2000).
 ///
 /// For `shape < 1` uses the boost `Gamma(a) = Gamma(a+1) · U^(1/a)`.
-pub fn sample_gamma(shape: f64, rng: &mut impl Rng) -> f64 {
+pub fn sample_gamma(shape: f64, rng: &mut SnapRng) -> f64 {
     assert!(shape > 0.0, "gamma shape must be positive, got {shape}");
     if shape < 1.0 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u = rng.range_f64(f64::EPSILON, 1.0);
         return sample_gamma(shape + 1.0, rng) * u.powf(1.0 / shape);
     }
     let d = shape - 1.0 / 3.0;
@@ -28,7 +27,7 @@ pub fn sample_gamma(shape: f64, rng: &mut impl Rng) -> f64 {
         if v <= 0.0 {
             continue;
         }
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u = rng.range_f64(f64::EPSILON, 1.0);
         if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
             return d * v;
         }
@@ -36,7 +35,7 @@ pub fn sample_gamma(shape: f64, rng: &mut impl Rng) -> f64 {
 }
 
 /// Sample a symmetric `Dirichlet(α)` over `k` categories.
-pub fn sample_dirichlet(alpha: f64, k: usize, rng: &mut impl Rng) -> Vec<f64> {
+pub fn sample_dirichlet(alpha: f64, k: usize, rng: &mut SnapRng) -> Vec<f64> {
     assert!(k >= 1, "dirichlet needs at least one category");
     let mut draws: Vec<f64> = (0..k).map(|_| sample_gamma(alpha, rng)).collect();
     let sum: f64 = draws.iter().sum();

@@ -18,10 +18,8 @@
 
 use crate::dataset::Dataset;
 use crate::dirichlet::sample_dirichlet;
-use crate::partition::{largest_remainder_counts, ClientSplit};
+use crate::partition::{largest_remainder_counts, split_by, ClientSplit};
 use fca_tensor::rng::derived_rng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// RNG stream tag for client `k`'s drift *target* distribution. Disjoint
 /// from the partitioner's per-client tag (`0xC11E + k`) so drawing the
@@ -33,12 +31,11 @@ const DRIFT_TARGET_TAG: u64 = 0xD21F_0000_0000_0000;
 /// `Dir(alpha)` start distribution to its independently drawn `Dir(alpha)`
 /// drift target.
 ///
-/// The mechanics mirror
-/// [`Partitioner::Dirichlet`](crate::partition::Partitioner::Dirichlet)
-/// exactly — same pool shuffle, same largest-remainder apportionment, same
-/// deficit spill, same distribution-matched test resampling — with only the
-/// desired per-class proportions interpolated. `lambda_permille` saturates at
-/// 1000 (= fully drifted).
+/// The mechanics are the stationary partitioner's own
+/// ([`split_by`](crate::partition) — pool shuffle, largest-remainder
+/// apportionment, deficit spill, distribution-matched test resampling);
+/// only the desired per-class proportions are interpolated.
+/// `lambda_permille` saturates at 1000 (= fully drifted).
 pub fn drifted_splits(
     train: &Dataset,
     test: &Dataset,
@@ -47,40 +44,13 @@ pub fn drifted_splits(
     alpha: f64,
     lambda_permille: u64,
 ) -> Vec<ClientSplit> {
-    assert!(num_clients >= 1, "need at least one client");
-    assert!(
-        train.len() >= num_clients,
-        "fewer training examples ({}) than clients ({num_clients})",
-        train.len()
-    );
     let lambda = lambda_permille.min(1000) as f64;
     let num_classes = train.num_classes;
-    // Same pool stream as the stationary partitioner: at λ = 0 the two
-    // walk identical pools in identical order and emit identical shards.
-    let mut rng = derived_rng(seed, 0xD1D1);
-
-    let mut pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-    for (i, &l) in train.labels.iter().enumerate() {
-        pools[l].push(i);
-    }
-    for p in &mut pools {
-        p.shuffle(&mut rng);
-    }
-    let mut test_pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-    for (i, &l) in test.labels.iter().enumerate() {
-        test_pools[l].push(i);
-    }
-
-    let share = train.len() / num_clients;
-    let test_share = (test.len() / num_clients).max(1);
-
-    let mut splits = Vec::with_capacity(num_clients);
-    for k in 0..num_clients {
+    split_by(train, test, num_clients, seed, |k, crng, share| {
         // Start distribution from the partitioner's own stream; target
         // from a disjoint one. Interpolate in permille (the apportionment
         // normalizes, so the 1000× scale cancels).
-        let mut crng = derived_rng(seed, 0xC11E + k as u64);
-        let p_start = sample_dirichlet(alpha, num_classes, &mut crng);
+        let p_start = sample_dirichlet(alpha, num_classes, crng);
         let mut trng = derived_rng(seed, DRIFT_TARGET_TAG ^ k as u64);
         let p_end = sample_dirichlet(alpha, num_classes, &mut trng);
         let p: Vec<f64> = p_start
@@ -88,62 +58,8 @@ pub fn drifted_splits(
             .zip(&p_end)
             .map(|(&a, &b)| a * (1000.0 - lambda) + b * lambda)
             .collect();
-        let desired = largest_remainder_counts(&p, share);
-
-        // Draw from pools; move deficits to the fullest pools.
-        let mut train_indices = Vec::with_capacity(share);
-        let mut realized = vec![0usize; num_classes];
-        let mut deficit = 0usize;
-        for (c, &want) in desired.iter().enumerate() {
-            let take = want.min(pools[c].len());
-            for _ in 0..take {
-                train_indices.push(pools[c].pop().expect("pool sized above"));
-            }
-            realized[c] += take;
-            deficit += want - take;
-        }
-        while deficit > 0 {
-            let richest = (0..num_classes)
-                .max_by_key(|&c| pools[c].len())
-                .expect("at least one class");
-            if pools[richest].is_empty() {
-                break; // Dataset exhausted; shard stays short.
-            }
-            train_indices.push(pools[richest].pop().expect("checked non-empty"));
-            realized[richest] += 1;
-            deficit -= 1;
-        }
-
-        // Matching test distribution (with replacement), drawn from the
-        // same per-client stream the stationary partitioner uses.
-        let total_realized: usize = realized.iter().sum();
-        let mut test_indices = Vec::with_capacity(test_share);
-        if total_realized > 0 {
-            let test_counts = largest_remainder_counts(
-                &realized
-                    .iter()
-                    .map(|&r| r as f64 / total_realized as f64)
-                    .collect::<Vec<_>>(),
-                test_share,
-            );
-            for (c, &want) in test_counts.iter().enumerate() {
-                if test_pools[c].is_empty() {
-                    continue;
-                }
-                for _ in 0..want {
-                    let pick = crng.gen_range(0..test_pools[c].len());
-                    test_indices.push(test_pools[c][pick]);
-                }
-            }
-        }
-
-        splits.push(ClientSplit {
-            client_id: k,
-            train_indices,
-            test_indices,
-        });
-    }
-    splits
+        largest_remainder_counts(&p, share)
+    })
 }
 
 /// Total-variation distance `½ Σ|p_c − q_c|` between the label histograms

@@ -9,9 +9,7 @@
 
 use crate::dataset::Dataset;
 use crate::dirichlet::sample_dirichlet;
-use fca_tensor::rng::derived_rng;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use fca_tensor::rng::{derived_rng, SnapRng};
 
 /// A non-iid partitioning scheme.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,15 +41,10 @@ pub struct ClientSplit {
 }
 
 impl Partitioner {
-    /// Partition `train`/`test` into `num_clients` equal shards.
-    ///
-    /// Train indices are sampled without replacement from per-class pools;
-    /// when a client's desired class allocation exceeds availability the
-    /// deficit moves to the most-available classes, so all examples are
-    /// assigned at most once and shard sizes stay equal (±1 from rounding).
-    /// Test indices are sampled to mirror each client's realized training
-    /// label distribution (with replacement — test sets may overlap between
-    /// clients, matching per-client evaluation in the paper).
+    /// Partition `train`/`test` into `num_clients` equal shards: train
+    /// indices drawn without replacement toward this scheme's per-class
+    /// counts, test indices drawn with replacement to mirror each client's
+    /// realized label mix (the shard builder's docs have the details).
     pub fn split(
         &self,
         train: &Dataset,
@@ -59,38 +52,15 @@ impl Partitioner {
         num_clients: usize,
         seed: u64,
     ) -> Vec<ClientSplit> {
-        assert!(num_clients >= 1, "need at least one client");
-        assert!(
-            train.len() >= num_clients,
-            "fewer training examples ({}) than clients ({num_clients})",
-            train.len()
-        );
         let num_classes = train.num_classes;
-        let mut rng = derived_rng(seed, 0xD1D1);
-
-        // Per-class index pools, shuffled.
-        let mut pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-        for (i, &l) in train.labels.iter().enumerate() {
-            pools[l].push(i);
-        }
-        for p in &mut pools {
-            p.shuffle(&mut rng);
-        }
-        let mut test_pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-        for (i, &l) in test.labels.iter().enumerate() {
-            test_pools[l].push(i);
-        }
-
-        let share = train.len() / num_clients;
-        let test_share = (test.len() / num_clients).max(1);
-
-        let mut splits = Vec::with_capacity(num_clients);
-        for k in 0..num_clients {
-            let mut crng = derived_rng(seed, 0xC11E + k as u64);
-            // Desired per-class counts for this client.
-            let desired: Vec<usize> = match self {
+        split_by(
+            train,
+            test,
+            num_clients,
+            seed,
+            |k, crng, share| match self {
                 Partitioner::Dirichlet { alpha } => {
-                    let p = sample_dirichlet(*alpha, num_classes, &mut crng);
+                    let p = sample_dirichlet(*alpha, num_classes, crng);
                     largest_remainder_counts(&p, share)
                 }
                 Partitioner::Skewed { classes_per_client } => {
@@ -107,62 +77,111 @@ impl Partitioner {
                     counts[base] += share - per * cpc;
                     counts
                 }
-            };
-
-            // Draw from pools; move deficits to the fullest pools.
-            let mut train_indices = Vec::with_capacity(share);
-            let mut realized = vec![0usize; num_classes];
-            let mut deficit = 0usize;
-            for (c, &want) in desired.iter().enumerate() {
-                let take = want.min(pools[c].len());
-                for _ in 0..take {
-                    train_indices.push(pools[c].pop().expect("pool sized above"));
-                }
-                realized[c] += take;
-                deficit += want - take;
-            }
-            while deficit > 0 {
-                let richest = (0..num_classes)
-                    .max_by_key(|&c| pools[c].len())
-                    .expect("at least one class");
-                if pools[richest].is_empty() {
-                    break; // Dataset exhausted; shard stays short.
-                }
-                train_indices.push(pools[richest].pop().expect("checked non-empty"));
-                realized[richest] += 1;
-                deficit -= 1;
-            }
-
-            // Matching test distribution (with replacement).
-            let total_realized: usize = realized.iter().sum();
-            let mut test_indices = Vec::with_capacity(test_share);
-            if total_realized > 0 {
-                let test_counts = largest_remainder_counts(
-                    &realized
-                        .iter()
-                        .map(|&r| r as f64 / total_realized as f64)
-                        .collect::<Vec<_>>(),
-                    test_share,
-                );
-                for (c, &want) in test_counts.iter().enumerate() {
-                    if test_pools[c].is_empty() {
-                        continue;
-                    }
-                    for _ in 0..want {
-                        let pick = crng.gen_range(0..test_pools[c].len());
-                        test_indices.push(test_pools[c][pick]);
-                    }
-                }
-            }
-
-            splits.push(ClientSplit {
-                client_id: k,
-                train_indices,
-                test_indices,
-            });
-        }
-        splits
+            },
+        )
     }
+}
+
+/// The one shard builder: `num_clients` equal shards of `train`/`test`,
+/// client `k` wanting `desired_of(k, its stream, share)` examples per class.
+///
+/// Train indices are sampled without replacement from per-class pools;
+/// when a client's desired class allocation exceeds availability the
+/// deficit moves to the most-available classes, so all examples are
+/// assigned at most once and shard sizes stay equal (±1 from rounding).
+/// Test indices are sampled to mirror each client's realized training
+/// label distribution (with replacement — test sets may overlap between
+/// clients, matching per-client evaluation in the paper), from what is left
+/// of the client's stream after `desired_of` drew from it.
+pub(crate) fn split_by(
+    train: &Dataset,
+    test: &Dataset,
+    num_clients: usize,
+    seed: u64,
+    mut desired_of: impl FnMut(usize, &mut SnapRng, usize) -> Vec<usize>,
+) -> Vec<ClientSplit> {
+    assert!(num_clients >= 1, "need at least one client");
+    assert!(
+        train.len() >= num_clients,
+        "fewer training examples ({}) than clients ({num_clients})",
+        train.len()
+    );
+    let num_classes = train.num_classes;
+    let mut rng = derived_rng(seed, 0xD1D1);
+
+    // Per-class index pools, shuffled.
+    let mut pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
+    for (i, &l) in train.labels.iter().enumerate() {
+        pools[l].push(i);
+    }
+    for p in &mut pools {
+        rng.shuffle(p);
+    }
+    let mut test_pools: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
+    for (i, &l) in test.labels.iter().enumerate() {
+        test_pools[l].push(i);
+    }
+
+    let share = train.len() / num_clients;
+    let test_share = (test.len() / num_clients).max(1);
+
+    let mut splits = Vec::with_capacity(num_clients);
+    for k in 0..num_clients {
+        let mut crng = derived_rng(seed, 0xC11E + k as u64);
+        let desired = desired_of(k, &mut crng, share);
+
+        // Draw from pools; move deficits to the fullest pools.
+        let mut train_indices = Vec::with_capacity(share);
+        let mut realized = vec![0usize; num_classes];
+        let mut deficit = 0usize;
+        for (c, &want) in desired.iter().enumerate() {
+            let take = want.min(pools[c].len());
+            for _ in 0..take {
+                train_indices.push(pools[c].pop().expect("pool sized above"));
+            }
+            realized[c] += take;
+            deficit += want - take;
+        }
+        while deficit > 0 {
+            let richest = (0..num_classes)
+                .max_by_key(|&c| pools[c].len())
+                .expect("at least one class");
+            if pools[richest].is_empty() {
+                break; // Dataset exhausted; shard stays short.
+            }
+            train_indices.push(pools[richest].pop().expect("checked non-empty"));
+            realized[richest] += 1;
+            deficit -= 1;
+        }
+
+        // Matching test distribution (with replacement).
+        let total_realized: usize = realized.iter().sum();
+        let mut test_indices = Vec::with_capacity(test_share);
+        if total_realized > 0 {
+            let test_counts = largest_remainder_counts(
+                &realized
+                    .iter()
+                    .map(|&r| r as f64 / total_realized as f64)
+                    .collect::<Vec<_>>(),
+                test_share,
+            );
+            for (c, &want) in test_counts.iter().enumerate() {
+                if test_pools[c].is_empty() {
+                    continue;
+                }
+                for _ in 0..want {
+                    test_indices.push(test_pools[c][crng.index(test_pools[c].len())]);
+                }
+            }
+        }
+
+        splits.push(ClientSplit {
+            client_id: k,
+            train_indices,
+            test_indices,
+        });
+    }
+    splits
 }
 
 /// Apportion `total` into integer counts proportional to `p` using the

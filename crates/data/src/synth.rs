@@ -10,9 +10,8 @@
 //! and enough class structure that they can.
 
 use crate::dataset::Dataset;
-use fca_tensor::rng::{derived_rng, seeded_rng};
+use fca_tensor::rng::{derived_rng, seeded_rng, SnapRng};
 use fca_tensor::Tensor;
-use rand::Rng;
 
 /// Configuration of a synthetic dataset.
 #[derive(Clone, Debug)]
@@ -142,7 +141,7 @@ impl SynthConfig {
 
     /// A random texture: 3 oriented gratings + a Gaussian blob, per channel
     /// with correlated but distinct phases.
-    fn render_texture(&self, rng: &mut impl Rng) -> Vec<f32> {
+    fn render_texture(&self, rng: &mut SnapRng) -> Vec<f32> {
         let (h, w, c) = (self.height, self.width, self.channels);
         let mut tex = vec![0.0f32; c * h * w];
         let scale = h.max(w) as f32;
@@ -150,18 +149,18 @@ impl SynthConfig {
         // Gratings shared across channels (channel phase offsets below).
         let gratings: Vec<(f32, f32, f32, f32)> = (0..3)
             .map(|_| {
-                let amp = rng.gen_range(0.4..1.0);
-                let freq = rng.gen_range(1.5..4.5);
-                let theta = rng.gen_range(0.0..std::f32::consts::PI);
-                let phase = rng.gen_range(0.0..2.0 * std::f32::consts::PI);
+                let amp = rng.range_f32(0.4, 1.0);
+                let freq = rng.range_f32(1.5, 4.5);
+                let theta = rng.range_f32(0.0, std::f32::consts::PI);
+                let phase = rng.range_f32(0.0, 2.0 * std::f32::consts::PI);
                 (amp, freq, theta, phase)
             })
             .collect();
-        let blob_x = rng.gen_range(0.2..0.8) * w as f32;
-        let blob_y = rng.gen_range(0.2..0.8) * h as f32;
-        let blob_sigma = rng.gen_range(0.12..0.28) * scale;
-        let blob_amp: f32 = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-        let chan_phase: Vec<f32> = (0..c).map(|_| rng.gen_range(0.0..0.8)).collect();
+        let blob_x = rng.range_f32(0.2, 0.8) * w as f32;
+        let blob_y = rng.range_f32(0.2, 0.8) * h as f32;
+        let blob_sigma = rng.range_f32(0.12, 0.28) * scale;
+        let blob_amp: f32 = if rng.chance(0.5) { 1.0 } else { -1.0 };
+        let chan_phase: Vec<f32> = (0..c).map(|_| rng.range_f32(0.0, 0.8)).collect();
 
         for ci in 0..c {
             for y in 0..h {
@@ -185,7 +184,7 @@ impl SynthConfig {
         tex
     }
 
-    fn render_split(&self, prototypes: &[Vec<f32>], count: usize, mut rng: impl Rng) -> Dataset {
+    fn render_split(&self, prototypes: &[Vec<f32>], count: usize, mut rng: SnapRng) -> Dataset {
         let (h, w, c) = (self.height, self.width, self.channels);
         let img_sz = c * h * w;
         let mut data = Vec::with_capacity(count * img_sz);
@@ -199,8 +198,7 @@ impl SynthConfig {
         }
         // Shuffle example order (labels were round-robin).
         let mut order: Vec<usize> = (0..count).collect();
-        use rand::seq::SliceRandom;
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         let mut sh_data = Vec::with_capacity(data.len());
         let mut sh_labels = Vec::with_capacity(count);
         for &i in &order {
@@ -215,30 +213,25 @@ impl SynthConfig {
     }
 
     /// Render one instance of `proto` into `out` (appended).
-    fn render_instance(&self, proto: &[f32], rng: &mut impl Rng, out: &mut Vec<f32>) {
+    fn render_instance(&self, proto: &[f32], rng: &mut SnapRng, out: &mut Vec<f32>) {
         let (h, w, c) = (self.height, self.width, self.channels);
-        let j = self.jitter as isize;
-        let dx = if j > 0 { rng.gen_range(-j..=j) } else { 0 };
-        let dy = if j > 0 { rng.gen_range(-j..=j) } else { 0 };
-        let brightness = rng.gen_range(0.85..1.15f32);
+        let j = self.jitter as i64;
+        // No jitter, no draw.
+        let mut shift = || if j > 0 { rng.inclusive(-j, j) } else { 0 } as isize;
+        let (dx, dy) = (shift(), shift());
+        let brightness = rng.range_f32(0.85, 1.15);
         for ci in 0..c {
             let plane = &proto[ci * h * w..(ci + 1) * h * w];
             for y in 0..h {
                 let sy = (y as isize + dy).rem_euclid(h as isize) as usize;
                 for x in 0..w {
                     let sx = (x as isize + dx).rem_euclid(w as isize) as usize;
-                    let noise = gaussian(rng) * self.noise_std;
+                    let noise = rng.normal() * self.noise_std;
                     out.push(plane[sy * w + sx] * brightness + noise);
                 }
             }
         }
     }
-}
-
-fn gaussian(rng: &mut impl Rng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 /// A generated synthetic dataset: train/test splits plus the class

@@ -16,7 +16,7 @@
 //!
 //! Rules (run `fca-lint --explain <RULE>` for the full contract):
 //!
-//! - **D1** determinism — no wall-clock reads or `thread_rng` outside the
+//! - **D1** determinism — no wall-clock reads outside the
 //!   trace/bench crates; no iteration-order-unstable `HashMap`/`HashSet`
 //!   in aggregation or wire code.
 //! - **F1** fleet virtualization — no dense-fleet iteration outside the

@@ -4,7 +4,7 @@
 //!
 //! | rule | contract | scope |
 //! |------|----------|-------|
-//! | `D1` | determinism: no wall-clock / ambient RNG reads outside the observability and bench crates; no iteration-order-dependent containers in aggregation or wire code | workspace minus `crates/trace`, `crates/bench`, `tests/`; hash-container check on `fca-core` algo/comm/sim only |
+//! | `D1` | determinism: no wall-clock reads outside the observability and bench crates; no iteration-order-dependent containers in aggregation or wire code | workspace minus `crates/trace`, `crates/bench`, `tests/`; hash-container check on `fca-core` algo/comm/sim only |
 //! | `F1` | fleet virtualization: no dense-fleet iteration (`.clients()`/`.clients_mut()`) outside the pool module — a paged fleet keeps almost nothing resident, so O(fleet) walks must go through the paging-aware entry points | `crates/core/src/` minus `fleet.rs` |
 //! | `K1` | kernel confinement: `std::arch`/`core::arch` intrinsics and `is_x86_feature_detected!` live only in the dispatch module, so every other file stays portable and the scalar oracle stays the single source of truth for numerics | whole workspace minus `crates/tensor/src/simd.rs` |
 //! | `P1` | panic-freedom: no `unwrap`/`expect`/`panic!`/subtraction-indexing *reachable in the call graph* from an `Algorithm::round` impl, `run_federation*`, or the wire/checkpoint entry points | call graph over `crates/core/src/` |
@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const RULES: &[(&str, &str)] = &[
     (
         "D1",
-        "determinism: no Instant::now/SystemTime::now/thread_rng outside crates/{trace,bench}; no HashMap/HashSet in fca-core aggregation or wire modules",
+        "determinism: no Instant::now/SystemTime::now outside crates/{trace,bench}; no HashMap/HashSet in fca-core aggregation or wire modules",
     ),
     (
         "F1",
@@ -155,8 +155,10 @@ fn in_w1_scope(path: &str) -> bool {
     path.starts_with("crates/nn/src/")
 }
 
-/// D1 (time/RNG half): seeded runs must not read wall clocks or ambient
-/// RNG state outside the crates whose whole job is timing.
+/// D1 (time half): seeded runs must not read wall clocks outside the
+/// crates whose whole job is timing. (An ambient RNG cannot be named at
+/// all: no crate in the graph defines one, and `scripts/ci.sh` pins the
+/// graph.)
 fn d1_time(f: &FileLint, out: &mut Vec<Finding>) {
     if !in_d1_time_scope(&f.path) {
         return;
@@ -170,8 +172,6 @@ fn d1_time(f: &FileLint, out: &mut Vec<Finding>) {
             Some("Instant::now()")
         } else if f.code_matches(ci, &["SystemTime", ":", ":", "now"]) {
             Some("SystemTime::now()")
-        } else if f.code_matches(ci, &["thread_rng"]) {
-            Some("thread_rng()")
         } else {
             None
         };
@@ -180,7 +180,7 @@ fn d1_time(f: &FileLint, out: &mut Vec<Finding>) {
                 "D1",
                 tok,
                 format!(
-                    "{call} outside crates/{{trace,bench}}: wall-clock/ambient-RNG reads \
+                    "{call} outside crates/{{trace,bench}}: wall-clock reads \
                      break run-for-run reproducibility"
                 ),
             ));
@@ -777,8 +777,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 D1 — determinism
 
 CONTRACT
-  No `Instant::now()`, `SystemTime::now()`, or `thread_rng()` outside
-  crates/trace and crates/bench; no `HashMap`/`HashSet` in fca-core's
+  No `Instant::now()` or `SystemTime::now()` outside crates/trace and
+  crates/bench; no `HashMap`/`HashSet` in fca-core's
   aggregation, wire, or round-engine modules (algo/, comm.rs, sim.rs).
   Test modules are exempt.
 

@@ -3,8 +3,8 @@
 
 use fca_nn::linear::Linear;
 use fca_nn::module::Module;
+use fca_tensor::rng::SnapRng;
 use fca_tensor::{Tensor, Workspace};
-use rand::Rng;
 
 /// Classifier weights as a plain value pair — the unit of aggregation and
 /// the payload that crosses the wire.
@@ -51,7 +51,7 @@ pub struct Classifier {
 
 impl Classifier {
     /// New classifier head.
-    pub fn new(feature_dim: usize, num_classes: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(feature_dim: usize, num_classes: usize, rng: &mut SnapRng) -> Self {
         Classifier {
             linear: Linear::new(feature_dim, num_classes, rng),
         }

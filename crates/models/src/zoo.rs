@@ -14,7 +14,7 @@ use fca_nn::linear::Linear;
 use fca_nn::norm::BatchNorm2d;
 use fca_nn::pool::{GlobalAvgPool, MaxPool2d};
 use fca_nn::structure::{ChannelShuffle, Flatten, InceptionBlock, Residual, Sequential};
-use fca_tensor::rng::derived_rng;
+use fca_tensor::rng::{derived_rng, SnapRng};
 
 /// Input geometry `(channels, height, width)`.
 pub type InputShape = (usize, usize, usize);
@@ -53,9 +53,9 @@ pub fn build_model(
 
 /// ResNet idiom: stem + identity block + strided projection block +
 /// identity block, global average pool, FC projection.
-fn micro_resnet(input: InputShape, feature_dim: usize, rng: &mut rand::rngs::StdRng) -> Sequential {
+fn micro_resnet(input: InputShape, feature_dim: usize, rng: &mut SnapRng) -> Sequential {
     let (c, _, _) = input;
-    let res_identity = |ch: usize, rng: &mut rand::rngs::StdRng| {
+    let res_identity = |ch: usize, rng: &mut SnapRng| {
         Residual::identity(
             Sequential::new()
                 .push(Conv2d::basic(ch, ch, 3, 1, 1, rng))
@@ -65,7 +65,7 @@ fn micro_resnet(input: InputShape, feature_dim: usize, rng: &mut rand::rngs::Std
                 .push(BatchNorm2d::new(ch)),
         )
     };
-    let res_down = |cin: usize, cout: usize, rng: &mut rand::rngs::StdRng| {
+    let res_down = |cin: usize, cout: usize, rng: &mut SnapRng| {
         Residual::projected(
             Sequential::new()
                 .push(Conv2d::basic(cin, cout, 3, 2, 1, rng))
@@ -93,11 +93,7 @@ fn micro_resnet(input: InputShape, feature_dim: usize, rng: &mut rand::rngs::Std
 }
 
 /// ShuffleNetV2 idiom: grouped 1×1 convs, channel shuffle, depthwise 3×3.
-fn micro_shufflenet(
-    input: InputShape,
-    feature_dim: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> Sequential {
+fn micro_shufflenet(input: InputShape, feature_dim: usize, rng: &mut SnapRng) -> Sequential {
     let (c, _, _) = input;
     // Downsampling shuffle unit 16 → 32.
     let down_unit = Sequential::new()
@@ -174,19 +170,15 @@ fn micro_shufflenet(
 }
 
 /// GoogLeNet idiom: inception blocks with 1×1 / 3×3 / reduced-3×3 branches.
-fn micro_googlenet(
-    input: InputShape,
-    feature_dim: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> Sequential {
+fn micro_googlenet(input: InputShape, feature_dim: usize, rng: &mut SnapRng) -> Sequential {
     let (c, _, _) = input;
-    let branch1 = |cin: usize, cout: usize, rng: &mut rand::rngs::StdRng| {
+    let branch1 = |cin: usize, cout: usize, rng: &mut SnapRng| {
         Sequential::new()
             .push(Conv2d::basic(cin, cout, 1, 1, 0, rng))
             .push(BatchNorm2d::new(cout))
             .push(Relu::new())
     };
-    let branch3 = |cin: usize, mid: usize, cout: usize, rng: &mut rand::rngs::StdRng| {
+    let branch3 = |cin: usize, mid: usize, cout: usize, rng: &mut SnapRng| {
         Sequential::new()
             .push(Conv2d::basic(cin, mid, 1, 1, 0, rng))
             .push(BatchNorm2d::new(mid))
@@ -222,7 +214,7 @@ fn micro_alexnet(
     input: InputShape,
     feature_dim: usize,
     seed: u64,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut SnapRng,
 ) -> Sequential {
     let (c, h, w) = input;
     let (h1, w1) = (half(h), half(w));
@@ -248,7 +240,7 @@ fn micro_alexnet(
 }
 
 /// The FedAvg paper's two-conv CNN (homogeneous baseline).
-fn cnn_fedavg(input: InputShape, feature_dim: usize, rng: &mut rand::rngs::StdRng) -> Sequential {
+fn cnn_fedavg(input: InputShape, feature_dim: usize, rng: &mut SnapRng) -> Sequential {
     let (c, h, w) = input;
     let (h1, w1) = (half(h), half(w));
     let (h2, w2) = (half(h1), half(w1));
@@ -269,7 +261,7 @@ fn proto_cnn(
     input: InputShape,
     feature_dim: usize,
     width_variant: usize,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut SnapRng,
 ) -> Sequential {
     let (c, h, w) = input;
     let c1 = 8 + 2 * (width_variant % 4);

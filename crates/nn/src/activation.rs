@@ -3,7 +3,6 @@
 use crate::module::{Module, Param};
 use fca_tensor::rng::SnapRng;
 use fca_tensor::{Tensor, Workspace};
-use rand::Rng;
 
 /// Rectified linear unit.
 pub struct Relu {
@@ -56,9 +55,9 @@ impl Module for Relu {
 /// `p` and scales survivors by `1/(1-p)`; identity at eval time.
 ///
 /// The layer owns a seeded generator so training stays deterministic even
-/// when clients run on rayon worker threads. The generator is a
-/// [`SnapRng`], so its position is exposed via [`Module::rng_slots`] and
-/// survives a page-out → page-in cycle of the owning client.
+/// when clients run on rayon worker threads; its position is exposed via
+/// [`Module::rng_slots`] and survives a page-out → page-in cycle of the
+/// owning client.
 pub struct Dropout {
     p: f32,
     rng: SnapRng,
@@ -91,7 +90,7 @@ impl Module for Dropout {
         let scale = 1.0 / keep;
         self.mask.clear();
         self.mask.extend((0..x.numel()).map(|_| {
-            if self.rng.gen::<f32>() < keep {
+            if self.rng.unit_f32() < keep {
                 scale
             } else {
                 0.0

@@ -22,10 +22,10 @@ use fca_tensor::gemm::{
     fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len,
     packed_b_len, KC, NR,
 };
+use fca_tensor::rng::SnapRng;
 use fca_tensor::simd::{self, Kernel};
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
-use rand::Rng;
 use rayon::prelude::*;
 
 /// Convolution geometry, shared by forward and backward.
@@ -200,7 +200,7 @@ impl Conv2d {
     /// New convolution with Kaiming-normal weights.
     ///
     /// Panics if channel counts are not divisible by `groups`.
-    pub fn new(geom: ConvGeometry, rng: &mut impl Rng) -> Self {
+    pub fn new(geom: ConvGeometry, rng: &mut SnapRng) -> Self {
         assert!(geom.groups >= 1, "groups must be >= 1");
         assert_eq!(
             geom.in_channels % geom.groups,
@@ -237,7 +237,7 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut impl Rng,
+        rng: &mut SnapRng,
     ) -> Self {
         Conv2d::new(
             ConvGeometry {

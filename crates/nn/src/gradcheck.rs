@@ -162,7 +162,7 @@ mod tests {
     use crate::norm::BatchNorm2d;
     use crate::pool::{GlobalAvgPool, MaxPool2d};
     use crate::structure::{Flatten, Residual, Sequential};
-    use fca_tensor::rng::seeded_rng;
+    use fca_tensor::rng::{seeded_rng, SnapRng};
 
     #[test]
     fn mlp_gradients_check_out() {
@@ -179,7 +179,7 @@ mod tests {
         assert!(rep.max_rel_err < 3e-2, "input grad err {}", rep.max_rel_err);
     }
 
-    fn small_cnn(rng: &mut impl rand::Rng) -> Sequential {
+    fn small_cnn(rng: &mut SnapRng) -> Sequential {
         Sequential::new()
             .push(Conv2d::basic(1, 4, 3, 1, 1, rng))
             .push(BatchNorm2d::new(4))

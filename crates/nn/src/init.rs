@@ -1,12 +1,12 @@
 //! The weight initializer (He), matching the PyTorch default the paper's
 //! models rely on.
 
+use fca_tensor::rng::SnapRng;
 use fca_tensor::{Shape, Tensor};
-use rand::Rng;
 
 /// Kaiming (He) normal initialization for ReLU networks:
 /// `std = sqrt(2 / fan_in)`.
-pub fn kaiming_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut impl Rng) -> Tensor {
+pub fn kaiming_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut SnapRng) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
     Tensor::randn(shape, std, rng)
 }

@@ -4,9 +4,9 @@ use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
 use fca_tensor::linalg::{gemm, Layout};
 use fca_tensor::ops::add_bias_rows;
+use fca_tensor::rng::SnapRng;
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
-use rand::Rng;
 
 /// `y = x·Wᵀ + b` with `W: (out, in)`, operating on `(batch, in)` inputs.
 ///
@@ -29,7 +29,7 @@ pub struct Linear {
 
 impl Linear {
     /// New layer with Kaiming-normal weights and zero bias.
-    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(in_features: usize, out_features: usize, rng: &mut SnapRng) -> Self {
         Linear {
             weight: Param::new(
                 "linear.weight",

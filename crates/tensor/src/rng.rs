@@ -1,17 +1,17 @@
-//! Deterministic randomness plumbing.
+//! The one generator.
 //!
 //! Every stochastic component in the reproduction (weight init, data
-//! synthesis, partitioning, augmentation, client sampling) receives a
-//! generator derived from a single experiment seed, so runs are
-//! bit-reproducible and clients can be trained in parallel without sharing
-//! RNG state.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! synthesis, partitioning, augmentation, client sampling, dropout, fault
+//! plans) draws from a [`SnapRng`] derived from a single experiment seed,
+//! so runs are bit-reproducible and clients can be trained in parallel
+//! without sharing RNG state. What a seed means — the word stream and how
+//! each kind of draw consumes it — is defined here and nowhere else; the
+//! recipes are the ones every committed fingerprint ran on, pinned by
+//! `draws_match_the_streams_every_committed_number_ran_on`.
 
 /// A seeded deterministic generator.
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+pub fn seeded_rng(seed: u64) -> SnapRng {
+    SnapRng::seed_from(seed)
 }
 
 /// Derive an independent stream seed from a base seed and a tag.
@@ -28,19 +28,20 @@ pub fn derive_seed(base: u64, tag: u64) -> u64 {
 }
 
 /// Convenience: derive a generator for stream `tag` of base seed `base`.
-pub fn derived_rng(base: u64, tag: u64) -> StdRng {
+pub fn derived_rng(base: u64, tag: u64) -> SnapRng {
     seeded_rng(derive_seed(base, tag))
 }
 
-/// A deterministic generator whose position is a value: the 256-bit state
-/// can be read out with [`SnapRng::state`] and later re-entered with
-/// [`SnapRng::try_from_state`], resuming the stream mid-flight bit-for-bit.
+/// xoshiro256++ with SplitMix64 seeding: the generator behind every
+/// seed-derived bit.
 ///
-/// The paging layer needs this: a dehydrated client's RNG position travels
-/// in its snapshot blob, so a page-out → page-in cycle draws exactly the
-/// numbers a never-paged client would have drawn. (`StdRng` deliberately
-/// hides its state, so every client-held generator uses `SnapRng`
-/// instead.) The core is xoshiro256++ with SplitMix64 seeding.
+/// Its position is a value: the 256-bit state can be read out with
+/// [`SnapRng::state`] and later re-entered with [`SnapRng::try_from_state`],
+/// resuming the stream mid-flight bit-for-bit. The paging layer relies on
+/// it — a dehydrated client's RNG position travels in its snapshot blob, so
+/// a page-out → page-in cycle draws exactly the numbers a never-paged client
+/// would have drawn — and any other holder of a generator can checkpoint it
+/// the same way.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapRng {
     s: [u64; 4],
@@ -78,15 +79,10 @@ impl SnapRng {
     pub fn try_from_state(s: [u64; 4]) -> Option<Self> {
         (s != [0; 4]).then_some(SnapRng { s })
     }
-}
 
-impl rand::RngCore for SnapRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xoshiro256++ step.
+    /// The next 64 random bits: one xoshiro256++ step. Every other draw is
+    /// a function of these words.
+    pub fn next_u64(&mut self) -> u64 {
         let out = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -101,46 +97,124 @@ impl rand::RngCore for SnapRng {
         out
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+    /// Uniform in `[0, 1)`: the top 24 bits of one word, times 2⁻²⁴.
+    pub fn unit_f32(&mut self) -> f32 {
+        (self.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits of one word, times 2⁻⁵³.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform in `[0, span)` without modulo bias: words above the largest
+    /// multiple of `span` are rejected, the first one kept is reduced.
+    /// A `span` of 0 stands for 2⁶⁴ (what an inclusive range over every
+    /// `i64` wraps to): the word itself.
+    fn below(&mut self, span: u64) -> u64 {
+        if span == 0 {
+            return self.next_u64();
+        }
+        let zone = u64::MAX - (u64::MAX % span + 1) % span;
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return v % span;
+            }
         }
     }
 
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    /// A uniform index in `0..n`; panics when `n == 0`.
+    pub fn index(&mut self, n: usize) -> usize {
+        assert!(n > 0, "empty range");
+        self.below(n as u64) as usize
+    }
+
+    /// A uniform integer in `lo..=hi`: `lo` plus a draw below the span.
+    /// Panics when `lo > hi`.
+    pub fn inclusive(&mut self, lo: i64, hi: i64) -> i64 {
+        assert!(lo <= hi, "empty range");
+        let span = (i128::from(hi) - i128::from(lo) + 1) as u64;
+        (i128::from(lo) + i128::from(self.below(span))) as i64
+    }
+
+    /// Uniform in `[lo, hi)`: `lo + (hi − lo)·unit_f32()`, stepping back to
+    /// `lo` when rounding lands on `hi`. Panics when `lo >= hi`.
+    pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
+        assert!(lo < hi, "empty range");
+        let v = lo + (hi - lo) * self.unit_f32();
+        if v < hi {
+            v
+        } else {
+            lo
+        }
+    }
+
+    /// Uniform in `[lo, hi)`, the `f64` twin of [`SnapRng::range_f32`].
+    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+        assert!(lo < hi, "empty range");
+        let v = lo + (hi - lo) * self.unit_f64();
+        if v < hi {
+            v
+        } else {
+            lo
+        }
+    }
+
+    /// `true` with probability `p`: `unit_f64() < p`, one word either way.
+    pub fn chance(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        self.unit_f64() < p
+    }
+
+    /// Fisher–Yates from the back: element `i` swaps with a uniform
+    /// position in `0..=i`.
+    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, self.index(i + 1));
+        }
+    }
+
+    /// Box–Muller's radius and angle from two `f32` uniforms; the first
+    /// stays off zero so the logarithm is finite.
+    fn box_muller(&mut self) -> (f32, f32) {
+        let u1 = self.range_f32(f32::EPSILON, 1.0);
+        let u2 = self.range_f32(0.0, 1.0);
+        ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f32::consts::PI * u2)
+    }
+
+    /// One standard-normal `f32` (the cosine branch; two words).
+    pub fn normal(&mut self) -> f32 {
+        let (r, theta) = self.box_muller();
+        r * theta.cos()
+    }
+
+    /// Both Box–Muller branches of the same two words, cosine first.
+    pub fn normal_pair(&mut self) -> (f32, f32) {
+        let (r, theta) = self.box_muller();
+        (r * theta.cos(), r * theta.sin())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, RngCore};
 
     #[test]
     fn same_seed_same_stream() {
-        let a: Vec<u32> = {
-            let mut r = seeded_rng(42);
-            (0..8).map(|_| r.gen()).collect()
+        let draw = |seed| -> Vec<u64> {
+            let mut r = seeded_rng(seed);
+            (0..16).map(|_| r.next_u64()).collect()
         };
-        let b: Vec<u32> = {
-            let mut r = seeded_rng(42);
-            (0..8).map(|_| r.gen()).collect()
-        };
-        assert_eq!(a, b);
+        assert_eq!(draw(42), draw(42));
+        assert_ne!(draw(7), draw(8));
     }
 
     #[test]
     fn derived_streams_differ() {
         assert_ne!(derive_seed(1, 0), derive_seed(1, 1));
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
-        let mut r0 = derived_rng(9, 0);
-        let mut r1 = derived_rng(9, 1);
-        let x0: u64 = r0.gen();
-        let x1: u64 = r1.gen();
-        assert_ne!(x0, x1);
+        assert_ne!(derived_rng(9, 0).next_u64(), derived_rng(9, 1).next_u64());
     }
 
     #[test]
@@ -149,46 +223,262 @@ mod tests {
     }
 
     #[test]
-    fn snap_rng_is_deterministic_per_seed() {
-        let draw = |seed| -> Vec<u64> {
-            let mut r = SnapRng::seed_from(seed);
-            (0..16).map(|_| r.gen()).collect()
-        };
-        assert_eq!(draw(7), draw(7));
-        assert_ne!(draw(7), draw(8));
-    }
-
-    #[test]
-    fn snap_rng_state_roundtrip_resumes_mid_stream() {
+    fn state_roundtrip_resumes_mid_stream() {
         let mut a = SnapRng::seed_from(99);
         for _ in 0..37 {
-            let _: u64 = a.gen();
+            a.next_u64();
         }
         let mut b = SnapRng::try_from_state(a.state()).expect("a live position");
-        let xs: Vec<u64> = (0..32).map(|_| a.gen()).collect();
-        let ys: Vec<u64> = (0..32).map(|_| b.gen()).collect();
+        let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys, "resumed stream diverged from the original");
         assert_eq!(SnapRng::try_from_state([0; 4]), None);
     }
 
     #[test]
-    fn snap_rng_floats_cover_unit_interval() {
+    fn floats_cover_unit_interval() {
         let mut r = SnapRng::seed_from(3);
-        let xs: Vec<f32> = (0..1000).map(|_| r.gen::<f32>()).collect();
+        let xs: Vec<f32> = (0..1000).map(|_| r.unit_f32()).collect();
         assert!(xs.iter().all(|x| (0.0..1.0).contains(x)));
         let mean = xs.iter().sum::<f32>() / xs.len() as f32;
         assert!((mean - 0.5).abs() < 0.05, "suspicious mean {mean}");
     }
 
     #[test]
-    fn snap_rng_fill_bytes_matches_u64_stream() {
-        let mut a = SnapRng::seed_from(11);
-        let mut b = SnapRng::seed_from(11);
-        let mut buf = [0u8; 11];
-        a.fill_bytes(&mut buf);
-        let w0 = b.next_u64().to_le_bytes();
-        let w1 = b.next_u64().to_le_bytes();
-        assert_eq!(&buf[..8], &w0);
-        assert_eq!(&buf[8..], &w1[..3]);
+    fn the_widest_integer_range_is_the_word_itself() {
+        let (mut a, mut b) = (SnapRng::seed_from(4), SnapRng::seed_from(4));
+        let word = b.next_u64() as i64;
+        assert_eq!(a.inclusive(i64::MIN, i64::MAX), i64::MIN.wrapping_add(word));
     }
+
+    #[test]
+    fn normals_share_their_words_and_have_unit_scale() {
+        let (mut a, mut b) = (SnapRng::seed_from(5), SnapRng::seed_from(5));
+        let xs: Vec<f32> = (0..2000).map(|_| a.normal()).collect();
+        assert!(xs
+            .iter()
+            .all(|&x| x.to_bits() == b.normal_pair().0.to_bits()));
+        assert_eq!(a, b, "one draw and a pair consume the same two words");
+        let var = xs.iter().map(|x| x * x).sum::<f32>() / xs.len() as f32;
+        assert!((var - 1.0).abs() < 0.1, "suspicious variance {var}");
+    }
+
+    /// The oracle that outlives the `rand` crate: a fixed script over every
+    /// draw method, compared with what the stand-in this workspace was built
+    /// against until commit `2e9d814` (`benchmark/standins/rand`, whose
+    /// default generator is the same xoshiro256++) produced for it.
+    ///
+    /// The constants were printed once, at that commit, by this script
+    /// written line for line against that crate's traits, on its default
+    /// generator built with `seed_from_u64(seed)`: `next_u64` as is;
+    /// `unit_f32()` / `unit_f64()` as `gen::<f32>()` / `gen::<f64>()`;
+    /// `index(n)` as `gen_range(0..n)`; `inclusive(-3, 3)` and `(5, 5)` as
+    /// `gen_range(lo..=hi)` on `i32`, `inclusive(1, 12)` on `u64`;
+    /// `range_f32(lo, hi)` / `range_f64(lo, hi)` as `gen_range(lo..hi)`;
+    /// `chance(p)` as `gen_bool(p)`; `r.shuffle(&mut v)` as
+    /// `v.shuffle(&mut r)`; every value pushed as its bits (`to_bits`, or
+    /// `as i64 as u64` for the signed ones). EXPERIMENTS.md has the program.
+    #[test]
+    fn draws_match_the_streams_every_committed_number_ran_on() {
+        for (seed, want) in [0u64, 1, 42, u64::MAX].into_iter().zip(GOLDEN) {
+            let mut r = SnapRng::seed_from(seed);
+            let mut o: Vec<u64> = vec![r.next_u64()];
+            o.push(u64::from(r.unit_f32().to_bits()));
+            o.push(r.unit_f64().to_bits());
+            o.push(r.index(1) as u64);
+            o.push(r.index(10) as u64);
+            // More than half of all words are rejected for this span.
+            o.push(r.index(usize::MAX / 2 + 2) as u64);
+            o.push(r.inclusive(-3, 3) as u64);
+            o.push(r.inclusive(5, 5) as u64);
+            o.push(r.inclusive(1, 12) as u64);
+            o.push(u64::from(r.range_f32(0.4, 1.0).to_bits()));
+            for _ in 0..8 {
+                // Three floats wide: a quarter of the draws round onto `hi`.
+                let v = r.range_f32(1.0, 1.0 + 2.0 * f32::EPSILON);
+                o.push(u64::from(v.to_bits()));
+            }
+            o.push(r.range_f64(f64::EPSILON, 1.0).to_bits());
+            o.push(r.range_f64(-2.5, 7.25).to_bits());
+            for p in [0.0, 1.0, 0.5, 0.5, 0.5, 0.5] {
+                o.push(u64::from(r.chance(p)));
+            }
+            let mut v: Vec<u64> = (0..13).collect();
+            r.shuffle(&mut v);
+            o.extend(v);
+            o.push(r.next_u64());
+            assert_eq!(o, want, "seed {seed:#x}");
+        }
+    }
+
+    const GOLDEN: [[u64; 40]; 4] = [
+        [
+            0x53175d61490b23df,
+            0x3ec3b4de,
+            0x3fd703f7e47b269e,
+            0x0,
+            0x4,
+            0x543c37757f08d9a,
+            0xfffffffffffffffd,
+            0x5,
+            0xc,
+            0x3ee39ac8,
+            0x3f800001,
+            0x3f800000,
+            0x3f800000,
+            0x3f800000,
+            0x3f800000,
+            0x3f800001,
+            0x3f800001,
+            0x3f800000,
+            0x3fd4ef8a1f7b4d7f,
+            0x3ff6e29895e2adc0,
+            0x0,
+            0x1,
+            0x1,
+            0x1,
+            0x1,
+            0x1,
+            0x6,
+            0x5,
+            0x4,
+            0x1,
+            0xc,
+            0x3,
+            0xa,
+            0x0,
+            0x8,
+            0x2,
+            0x9,
+            0xb,
+            0x7,
+            0xb6362d8b640aec49,
+        ],
+        [
+            0xcfc5d07f6f03c29b,
+            0x3f3f4241,
+            0x3fb9a37d5757aaf0,
+            0x0,
+            0x0,
+            0x18bae5b30d334bd0,
+            0x2,
+            0x5,
+            0x4,
+            0x3ee30d10,
+            0x3f800001,
+            0x3f800000,
+            0x3f800000,
+            0x3f800001,
+            0x3f800001,
+            0x3f800000,
+            0x3f800001,
+            0x3f800001,
+            0x3fe967f65e19fa20,
+            0xbfee7a65259bae82,
+            0x0,
+            0x1,
+            0x0,
+            0x1,
+            0x0,
+            0x0,
+            0x1,
+            0x4,
+            0x5,
+            0xc,
+            0x8,
+            0x3,
+            0x9,
+            0x6,
+            0xb,
+            0xa,
+            0x2,
+            0x7,
+            0x0,
+            0x7fbb09eab8d1b4d7,
+        ],
+        [
+            0xd0764d4f4476689f,
+            0x3ea33c82,
+            0x3fef7c0f9f61849d,
+            0x0,
+            0x1,
+            0x201718ff221a3556,
+            0xffffffffffffffff,
+            0x5,
+            0x5,
+            0x3f3c5863,
+            0x3f800000,
+            0x3f800001,
+            0x3f800000,
+            0x3f800001,
+            0x3f800001,
+            0x3f800000,
+            0x3f800000,
+            0x3f800001,
+            0x3fdde132e2789208,
+            0xbfed8c6b74347574,
+            0x0,
+            0x1,
+            0x0,
+            0x0,
+            0x1,
+            0x1,
+            0xb,
+            0xa,
+            0x5,
+            0x6,
+            0x9,
+            0x4,
+            0x2,
+            0x8,
+            0x0,
+            0x1,
+            0xc,
+            0x3,
+            0x7,
+            0xcca7e752da48d83d,
+        ],
+        [
+            0x56ccf8ce948e27b2,
+            0x3f668588,
+            0x3fec7d36b4902339,
+            0x0,
+            0x1,
+            0x66f1fb2ac9402c14,
+            0xffffffffffffffff,
+            0x5,
+            0x6,
+            0x3f6994c2,
+            0x3f800001,
+            0x3f800001,
+            0x3f800000,
+            0x3f800000,
+            0x3f800001,
+            0x3f800001,
+            0x3f800000,
+            0x3f800000,
+            0x3fd752dba3b47623,
+            0xbffd1f555b4de4e3,
+            0x0,
+            0x1,
+            0x1,
+            0x0,
+            0x1,
+            0x0,
+            0xc,
+            0xa,
+            0x4,
+            0x9,
+            0x5,
+            0x7,
+            0x1,
+            0x2,
+            0x6,
+            0x0,
+            0xb,
+            0x8,
+            0x3,
+            0x3d916fb9e73c648b,
+        ],
+    ];
 }

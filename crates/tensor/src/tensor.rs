@@ -1,7 +1,7 @@
 //! The dense `f32` tensor type.
 
+use crate::rng::SnapRng;
 use crate::shape::Shape;
-use rand::Rng;
 use std::fmt;
 
 /// A dense, contiguous, row-major `f32` tensor.
@@ -65,29 +65,25 @@ impl Tensor {
     }
 
     /// Standard-normal initialized tensor scaled by `std`.
-    pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Self {
+    pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut SnapRng) -> Self {
         let shape = shape.into();
         let n = shape.numel();
         let mut data = Vec::with_capacity(n);
-        // Box-Muller on uniform draws: avoids a rand_distr dependency.
         while data.len() < n {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos() * std);
+            let (a, b) = rng.normal_pair();
+            data.push(a * std);
             if data.len() < n {
-                data.push(r * theta.sin() * std);
+                data.push(b * std);
             }
         }
         Tensor { shape, data }
     }
 
     /// Uniformly initialized tensor on `[lo, hi)`.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
+    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut SnapRng) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
+        let data = (0..n).map(|_| rng.range_f32(lo, hi)).collect();
         Tensor { shape, data }
     }
 

@@ -1,6 +1,5 @@
 //! The live collector: lock-free counter cells, the journal sink, and the
-//! install/uninstall lifecycle. Compiled only with the `enabled` feature;
-//! `disabled.rs` provides the no-op twin of this API surface.
+//! install/uninstall lifecycle.
 //!
 //! Concurrency model: the hot path ([`clock`]/[`op`]/[`phase`]) touches one
 //! relaxed [`AtomicBool`] and, when a sink is installed, a few relaxed

@@ -13,8 +13,7 @@
 //!    `trace_e2e` proves it. Nothing in this crate returns a measured
 //!    value to the instrumented code.
 //! 2. **Hot-path cost** — with no sink installed, a probe is one relaxed
-//!    atomic load. With the `enabled` feature off, probes compile to
-//!    nothing and [`clock`] is a constant `None`.
+//!    atomic load.
 //! 3. **Thread safety** — probes run inside rayon regions; counter cells
 //!    are static atomics, and only cold paths (install/flush/drop) lock.
 //!
@@ -75,18 +74,8 @@ pub struct RoundRecord {
     pub expired: u64,
 }
 
-#[cfg(feature = "enabled")]
 mod collector;
-#[cfg(feature = "enabled")]
 pub use collector::{
-    clock, emit_checkpoint, emit_drift, emit_pool, emit_round, emit_transport, emit_workspace,
-    flush_ops, install_file, install_writer, is_active, op, op_flops, phase, TraceGuard,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod disabled;
-#[cfg(not(feature = "enabled"))]
-pub use disabled::{
     clock, emit_checkpoint, emit_drift, emit_pool, emit_round, emit_transport, emit_workspace,
     flush_ops, install_file, install_writer, is_active, op, op_flops, phase, TraceGuard,
 };
@@ -122,7 +111,6 @@ mod tests {
     /// The collector is a process-wide singleton, so every assertion that
     /// installs a sink lives in this ONE test function — parallel test
     /// threads must never race on the global tracer.
-    #[cfg(feature = "enabled")]
     #[test]
     fn live_collector_lifecycle() {
         // Inactive: clock is None and probes are inert.
@@ -258,36 +246,6 @@ mod tests {
             events2.len(),
             2,
             "leftover counters leaked into a fresh journal: {events2:?}"
-        );
-    }
-
-    /// With the feature off the whole surface must be inert: probes do
-    /// nothing, install succeeds without writing, and the guard carries no
-    /// state (the "spans compile to zero code" contract, asserted as
-    /// zero-sized guard + constant-`None` clock).
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_is_inert_and_zero_sized() {
-        assert_eq!(std::mem::size_of::<TraceGuard>(), 0);
-        assert!(clock().is_none());
-        assert!(!is_active());
-
-        let buf = Shared::default();
-        let guard =
-            install_writer(Box::new(buf.clone()), "noop", "scalar", "f32").expect("install");
-        assert!(!is_active(), "disabled build must never activate");
-        assert!(clock().is_none());
-        op_flops(OpId::GemmKernel, clock(), 123);
-        phase(PhaseId::Broadcast, clock());
-        flush_ops(1);
-        emit_workspace(1, 1, 1, 1, 1);
-        emit_pool(1, 1, 1, 1, 1, 1, 1);
-        emit_round(&RoundRecord::default());
-        emit_drift(1, 500, 4);
-        drop(guard);
-        assert!(
-            buf.contents().is_empty(),
-            "disabled build wrote journal bytes"
         );
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The pre-merge gate, and the only one: formatting, lints as errors, then the
 # tier-1 build-and-test pass from ROADMAP.md and the end-to-end drives. Needs
-# no network: the five external crates are the path stand-ins the root
+# no network: the three external crates are the path stand-ins the root
 # Cargo.toml patches in, pinned by Cargo.lock. Run from anywhere in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,12 +18,14 @@ cargo run --release -p fca-lint -- --deny
 echo "=== codec size (informational): lines above the first #[cfg(test)] of the twelve codec files ==="
 scripts/loc.sh crates/core/src/{checkpoint,client,comm,transport}.rs crates/core/src/algo/*.rs crates/tensor/src/serialize.rs | tail -1
 
+echo "=== dependencies: the lock names exactly bytes, rayon and serde_json outside the workspace ==="
+# Also what keeps an ambient generator (rand::thread_rng) out of the graph.
+names() { sed -n 's/^name = "\(.*\)"$/\1/p' "$@" | sort -u; }
+diff <(printf '%s\n' bytes rayon serde_json) <(comm -23 <(names Cargo.lock) <(names Cargo.toml crates/*/Cargo.toml))
+
 echo "=== tier-1: build + test ==="
 cargo build --release
 cargo test -q --workspace
-
-echo "=== trace compiled out: fca-trace with the 'enabled' feature off ==="
-cargo test -q -p fca-trace --no-default-features
 
 echo "=== doc build (rustdoc warnings are errors) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -11,11 +11,9 @@ use fedclassavg_suite::nn::loss::{cross_entropy, supervised_contrastive};
 use fedclassavg_suite::nn::Module;
 use fedclassavg_suite::tensor::linalg::{gemm, matmul, matmul_reference, Layout};
 use fedclassavg_suite::tensor::ops::{logsumexp_rows, softmax_rows};
-use fedclassavg_suite::tensor::rng::{derive_seed, seeded_rng};
+use fedclassavg_suite::tensor::rng::{derive_seed, seeded_rng, SnapRng};
 use fedclassavg_suite::tensor::serialize::{decode_tensor, to_bytes};
 use fedclassavg_suite::tensor::{Shape, Tensor, Workspace};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::ops::Range;
 
 /// Cases per property.
@@ -32,28 +30,28 @@ fn close(a: f32, b: f32, tol: f32) -> bool {
 struct Case {
     property: &'static str,
     seed: u64,
-    rng: StdRng,
+    rng: SnapRng,
     drawn: Vec<String>,
 }
 
 impl Case {
     /// A size from `range`, recorded under `name`.
     fn size(&mut self, name: &str, range: Range<usize>) -> usize {
-        let v = self.rng.gen_range(range);
+        let v = range.start + self.rng.index(range.len());
         self.drawn.push(format!("{name} = {v}"));
         v
     }
 
     /// A real from `range`, recorded under `name`.
     fn real(&mut self, name: &str, range: Range<f64>) -> f64 {
-        let v = self.rng.gen_range(range);
+        let v = self.rng.range_f64(range.start, range.end);
         self.drawn.push(format!("{name} = {v:?}"));
         v
     }
 
     /// Any `u64`, for seeding the data of the case.
     fn seed(&mut self) -> u64 {
-        let v = self.rng.gen();
+        let v = self.rng.next_u64();
         self.drawn.push(format!("seed = {v:#x}"));
         v
     }
@@ -89,7 +87,7 @@ fn sweep(property: &'static str, body: impl Fn(&mut Case)) {
         .fold(SWEEP_SEED, |s, b| derive_seed(s, u64::from(b)));
     let mut stream = seeded_rng(stream_seed);
     for _ in 0..CASES {
-        let seed = stream.gen();
+        let seed = stream.next_u64();
         body(&mut Case {
             property,
             seed,
