@@ -6,8 +6,10 @@
 //! `probe [--quick] [--dataset fashion] [--dist dir|skew]
 //!        [--methods baseline,proposed,ca,ktpfl,fedproto]`
 
-// Bench binaries time wall-clock by design (fca-lint D1 exempts crates/bench).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries time wall-clock by design"
+)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
 use fca_data::partition::Partitioner;

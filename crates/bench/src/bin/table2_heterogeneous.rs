@@ -6,8 +6,10 @@
 //! Usage: `cargo run --release -p fca-bench --bin table2_heterogeneous
 //! [--quick] [--seed N] [--dataset cifar|fashion|emnist]`
 
-// Bench binaries time wall-clock by design (fca-lint D1 exempts crates/bench).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries time wall-clock by design"
+)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
 use fca_bench::report::{

@@ -6,8 +6,10 @@
 //! `--clients 20|100` restricts to one fleet size (default: both, but 100
 //! only at full scale — it is the expensive column).
 
-// Bench binaries time wall-clock by design (fca-lint D1 exempts crates/bench).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries time wall-clock by design"
+)]
 
 use fca_bench::experiments::{run_homogeneous, DatasetKind, ExperimentContext, Method};
 use fca_bench::report::{

@@ -3,8 +3,10 @@
 //! with the contrastive loss (+CL), and with both (+PR,CL) — on 20
 //! heterogeneous clients under Dir(0.5).
 
-// Bench binaries time wall-clock by design (fca-lint D1 exempts crates/bench).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries time wall-clock by design"
+)]
 
 use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
 use fca_bench::report::{comparison_table, comparisons_value, write_json, Comparison};

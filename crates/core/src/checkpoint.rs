@@ -35,6 +35,9 @@
 //! encoded buffer, and out of the decoded one. Capture shares the fleet's
 //! blobs and restore hands them to the fleet by reference count.
 
+// C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::algo::Algorithm;
 use crate::client::SnapshotBlob;
 use crate::config::FedConfig;
@@ -310,8 +313,8 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
     // Fields are read in the order they are written here, which is the
     // order `encode_run_state` wrote them in.
     Ok(RunState {
-        next_round: r.u64()? as usize,
-        epochs: r.u64()? as usize,
+        next_round: u64_usize(r)?,
+        epochs: u64_usize(r)?,
         point_dropped: r.u64()?,
         point_corrupt: r.u64()?,
         point_stale: r.u64()?,
@@ -327,8 +330,8 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
         curve: (0..r.count(CURVE_POINT_LEN)?)
             .map(|_| {
                 Ok(RoundMetrics {
-                    round: r.u64()? as usize,
-                    epochs: r.u64()? as usize,
+                    round: u64_usize(r)?,
+                    epochs: u64_usize(r)?,
                     mean_acc: f32::from_bits(r.u32()?),
                     std_acc: f32::from_bits(r.u32()?),
                     dropped: r.u64()?,
@@ -344,6 +347,12 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
             .map(|_| Ok((r.u64()?, r.u64()?, r.u64()?, take_bytes(r)?)))
             .collect::<Result<_, WireError>>()?,
     })
+}
+
+/// A round or epoch count, written as a `u64` from a `usize`.
+fn u64_usize(r: &mut Reader) -> Result<usize, WireError> {
+    usize::try_from(r.u64()?)
+        .map_err(|_| WireError::Malformed("round or epoch count exceeds usize"))
 }
 
 fn checked_u32(n: usize, what: &'static str) -> Result<u32, WireError> {

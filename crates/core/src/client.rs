@@ -1,6 +1,9 @@
 //! A federated client: local data shard, personal model, optimizer, and
 //! the local-update primitives the algorithms compose.
 
+// C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::config::{HyperParams, OptKind};
 use bytes::BufMut;
 use fca_data::augment::AugmentConfig;
@@ -81,7 +84,10 @@ pub struct Client {
 
 impl Client {
     /// Assemble a client. `seed` feeds the client's private RNG stream.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a client is these eight parts; every caller has each in hand"
+    )]
     pub fn new(
         id: usize,
         model: ClientModel,
@@ -133,13 +139,16 @@ impl Client {
     /// config, and workspace: shards are immutable and derivable from the
     /// fleet's partition, and workspace contents never influence numerics
     /// (every slot is fully overwritten before use).
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side of a local artifact: a count above u32::MAX or a tensor rank above 255 is a program bug, and truncating it silently would corrupt the blob"
+    )]
     pub fn snapshot_blob(&mut self) -> Vec<u8> {
         // Counts and tensor headers are architecture-sized; one that does
         // not fit the blob's u32 / u8 fields is a program bug, so the
         // encoder refuses loudly instead of truncating.
-        let blob = self.write_snapshot();
-        // fca-lint: allow(P1, reason = "encode side of a local artifact: a count above u32::MAX or a tensor rank above 255 is a program bug, and truncating it silently would corrupt the blob")
-        blob.expect("client state exceeds the snapshot format's fields")
+        self.write_snapshot()
+            .expect("client state exceeds the snapshot format's fields")
     }
 
     /// [`Client::snapshot_blob`]'s body: sizes the blob exactly, then

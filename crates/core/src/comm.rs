@@ -33,6 +33,9 @@
 //! handed, framing included: a broadcast over one socket counts once, a
 //! dropped or straggling message not at all.
 
+// C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::config::Aggregation;
 use crate::transport::{ChannelTransport, Transport};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -762,7 +765,10 @@ impl Network {
     /// Replies are returned sorted by `(client, staleness)`; which of them
     /// are usable, their weight decay and the renormalization over the
     /// usable set happen in `crate::algo`'s exchange driver.
-    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock: safety-net deadline below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last; the second read is the remaining budget for the transport recv safety net"
+    )]
     pub fn collect_round(&self, round: usize, expected: usize) -> Collected {
         let (goal_k, max_staleness) = match self.agg {
             Aggregation::Sync => (usize::MAX, 0),
@@ -771,13 +777,11 @@ impl Network {
                 max_staleness,
             } => (goal_k, max_staleness),
         };
-        // fca-lint: allow(D1, reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last")
         let deadline = Instant::now() + self.collect_budget;
         let will_arrive = expected.min(self.expected_deliveries);
         let mut merged: Vec<(usize, usize, WireMessage)> = Vec::with_capacity(will_arrive);
         let mut corrupt = 0usize;
         while merged.len() + corrupt < will_arrive {
-            // fca-lint: allow(D1, reason = "remaining budget for the transport recv safety net; see deadline above")
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.transport.recv_at_server(remaining) {
                 Ok(Some((k, bytes))) => match WireMessage::decode(bytes) {
@@ -791,6 +795,10 @@ impl Network {
         }
         merged.sort_by_key(|&(k, _, _)| k);
         // Stragglers parked in the buffer are deferred, not dropped.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "counts this round's parked uplinks, at most one per sampled client, so it fits the usize it was added from"
+        )]
         let buffered = self.round_buffered.swap(0, Ordering::Relaxed) as usize;
         let dropped = expected.saturating_sub(merged.len() + corrupt + buffered);
 
@@ -834,7 +842,15 @@ impl Network {
                 continue;
             };
             let (_ready, origin, client) = key;
-            let age = (round as u64).saturating_sub(origin) as usize;
+            // A key that does not fit a usize is damage, counted like a
+            // body that does not decode.
+            let (Ok(age), Ok(client)) = (
+                usize::try_from((round as u64).saturating_sub(origin)),
+                usize::try_from(client),
+            ) else {
+                corrupt += 1;
+                continue;
+            };
             if age > max_staleness {
                 expired += 1;
                 continue;
@@ -842,7 +858,7 @@ impl Network {
             match WireMessage::decode(Bytes::from(bytes)) {
                 Ok(msg) => {
                     stale += 1;
-                    merged.push((client as usize, age, msg));
+                    merged.push((client, age, msg));
                 }
                 Err(_) => corrupt += 1,
             }
@@ -1189,7 +1205,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // asserts on real elapsed time by design
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "asserts on real elapsed time by design"
+    )]
     fn straggler_uplink_counts_as_drop_without_blocking() {
         let mut net = Network::new(2)
             .with_fault_plan(all_fate_plan(Fate::Straggler))

@@ -39,7 +39,6 @@ use fca_tensor::rng::derive_seed;
 use fca_tensor::serialize::WireError;
 use fca_tensor::{PoolStats, Workspace, WorkspacePool, WorkspaceStats};
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -176,7 +175,10 @@ impl Fleet {
     /// `max_resident = None` materializes every client eagerly (the
     /// classic cross-silo shape); `Some(r)` starts every client cold and
     /// caps the scheduler at `r` materialized clients per wave.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one crate-internal caller, `sim`, which holds each input separately"
+    )]
     pub(crate) fn from_splits(
         train: &Dataset,
         test: &Dataset,
@@ -276,6 +278,10 @@ impl Fleet {
 
     /// Mutable access to a materialized client. Panics on a cold slot —
     /// use [`Fleet::with_client`] when the fleet may be paged.
+    #[expect(
+        clippy::panic,
+        reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
+    )]
     pub fn client_mut(&mut self, k: usize) -> &mut Client {
         match &mut self.slots[k] {
             Slot::Live(c) => c,
@@ -306,6 +312,10 @@ impl Fleet {
         match &mut self.slots[k] {
             Slot::Live(c) => f(c),
             Slot::Cold(blob) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
+                )]
                 let h = self
                     .hydrator
                     .as_ref()
@@ -355,7 +365,10 @@ impl Fleet {
                 .for_each(|(slot, &k)| match slot {
                     Slot::Live(c) => f(c),
                     Slot::Cold(blob) => {
-                        // fca-lint: allow(P1, reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
+                        )]
                         let h = hydrator.expect("cold slot in a fleet without a hydrator");
                         let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +405,10 @@ impl Fleet {
                 .map(|(slot, &k)| match slot {
                     Slot::Live(c) => c.evaluate(),
                     Slot::Cold(blob) => {
-                        // fca-lint: allow(P1, reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
+                        )]
                         let h = hydrator.expect("cold slot in a fleet without a hydrator");
                         let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
@@ -445,7 +461,11 @@ impl Fleet {
             ));
         }
         if let Some(h) = &self.hydrator {
-            let mut twins: HashMap<ModelArch, Client> = HashMap::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "lookup only: one scratch twin per architecture, never iterated, so its order cannot reach a result"
+            )]
+            let mut twins = std::collections::HashMap::new();
             for (meta, blob) in self.metas.iter().zip(&blobs) {
                 if let Some(blob) = blob {
                     twins
@@ -499,9 +519,12 @@ impl Fleet {
             hydrator,
             ..
         } = self;
+        #[expect(
+            clippy::expect_used,
+            reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire"
+        )]
         let h = hydrator
             .as_ref()
-            // fca-lint: allow(P1, reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire")
             .expect("re-sharding needs the fleet's parent datasets (build via from_splits)");
         let total: usize = splits.iter().map(|s| s.train_indices.len()).sum();
         for split in splits {
@@ -529,10 +552,13 @@ impl Fleet {
     /// rounds feeds in, so resumed and uninterrupted runs re-derive the
     /// same shards) and apply them via [`Fleet::apply_splits`].
     pub fn drift_to(&mut self, seed: u64, alpha: f64, lambda_permille: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire"
+        )]
         let h = self
             .hydrator
             .as_ref()
-            // fca-lint: allow(P1, reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire")
             .expect("drift needs the fleet's parent datasets (build via from_splits)");
         let splits = fca_data::drift::drifted_splits(
             &h.train,
@@ -591,7 +617,10 @@ fn carve<'a>(slots: &'a mut [Slot], ids: &[usize]) -> Vec<&'a mut Slot> {
     for &k in ids {
         assert!(k >= offset, "sampled indices must be sorted and distinct");
         let tail = rest.split_at_mut(k - offset).1;
-        // fca-lint: allow(P1, reason = "sampled ids come from sample_clients over 0..num_clients, so the id is always in range; the assert above already enforces the sortedness half of the contract")
+        #[expect(
+            clippy::expect_used,
+            reason = "sampled ids come from sample_clients over 0..num_clients, so the id is always in range; the assert above already enforces the sortedness half of the contract"
+        )]
         let (s, tail) = tail.split_first_mut().expect("sampled index out of range");
         picked.push(s);
         rest = tail;
@@ -611,8 +640,11 @@ fn hydrate(
 ) -> Box<Client> {
     let mut c = Box::new(h.build_pristine(meta));
     if let Some(blob) = blob {
+        #[expect(
+            clippy::expect_used,
+            reason = "slot invariant: a Cold blob was written by dehydrate or restored cleanly onto a twin of this architecture in restore_snapshots; bytes from a file never reach this call unchecked"
+        )]
         c.restore_snapshot(blob)
-            // fca-lint: allow(P1, reason = "slot invariant: a Cold blob was written by dehydrate or restored cleanly onto a twin of this architecture in restore_snapshots; bytes from a file never reach this call unchecked")
             .expect("a parked snapshot restores onto its own architecture");
     }
     drop(c.swap_workspace(pool.checkout()));

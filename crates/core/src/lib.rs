@@ -27,6 +27,10 @@
 //!   FedBuff-style buffered), and the streaming-drift schedule.
 
 #![warn(missing_docs)]
+// P1: a client or peer failure is an outcome (skip, or a `WireError`), not a
+// crash. The panics left carry an `#[expect]` naming the local invariant they
+// assert; test code is exempt through clippy.toml.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod algo;
 pub mod checkpoint;

@@ -147,6 +147,10 @@ impl RunState {
 /// a loopback federation (real OS sockets, frame protocol and all) inside
 /// this process — the same code path `examples/socket_federation` splits
 /// across processes.
+#[expect(
+    clippy::panic,
+    reason = "environment bootstrap before any round runs; no wire bytes have been read yet and a silent fallback would mask a broken harness"
+)]
 fn build_transport(kind: TransportKind, num_clients: usize) -> Box<dyn Transport> {
     let built: Result<Box<dyn Transport>, _> = match kind {
         TransportKind::InProcess => return Box::new(ChannelTransport::new(num_clients)),
@@ -166,7 +170,6 @@ fn build_transport(kind: TransportKind, num_clients: usize) -> Box<dyn Transport
     };
     // Transport construction is environment, not data: failing to bind a
     // loopback socket is unrecoverable for the run and loud is correct.
-    // fca-lint: allow(P1, reason = "environment bootstrap before any round runs; no wire bytes have been read yet and a silent fallback would mask a broken harness")
     built.unwrap_or_else(|e| panic!("failed to construct {} transport: {e}", kind.as_str()))
 }
 

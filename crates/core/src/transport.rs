@@ -76,6 +76,9 @@
 //! which frames arrive is decided by the fault plan and the peers, not by
 //! timing.
 
+// C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use bytes::Bytes;
 use fca_tensor::serialize::{Reader, WireError};
 use std::collections::VecDeque;

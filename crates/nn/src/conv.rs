@@ -1235,7 +1235,10 @@ pub fn conv2d_backward_reference(
     let mut dw = vec![0.0f64; weight.numel()];
     let mut db = vec![0.0f64; geom.out_channels];
     for ni in 0..n {
-        #[allow(clippy::needless_range_loop)] // the reference reads as the seven-deep sum it is
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the reference reads as the seven-deep sum it is"
+        )]
         for ocix in 0..geom.out_channels {
             let grp = ocix / ocg;
             for oy in 0..oh {

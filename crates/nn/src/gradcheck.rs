@@ -71,7 +71,10 @@ pub fn check_param_gradients(
     let mut checked = 0usize;
     let mut skipped_nonsmooth = 0usize;
     let n_params = module.params_mut().len();
-    #[allow(clippy::needless_range_loop)] // `pi` also addresses the module's parameters
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`pi` also addresses the module's parameters"
+    )]
     for pi in 0..n_params {
         let numel = module.params_mut()[pi].value.numel();
         for ci in (0..numel).step_by(stride.max(1)) {

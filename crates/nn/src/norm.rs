@@ -663,7 +663,6 @@ mod tests {
     /// were overlapped, kept verbatim as the oracle. `groups == None` is
     /// batch norm (training mode); returns `(out, x̂, running mean, running
     /// var)` — the running statistics empty for group norm.
-    #[allow(clippy::type_complexity)]
     fn forward_oracle(
         x: &Tensor,
         gamma: &[f32],
@@ -798,7 +797,7 @@ mod tests {
     }
 
     /// Group norm's input gradient, as the same one-chain loops.
-    #[allow(clippy::needless_range_loop)] // kept as they were written
+    #[expect(clippy::needless_range_loop, reason = "kept as they were written")]
     fn groupnorm_dx_oracle(
         gy: &Tensor,
         xhat: &[f32],

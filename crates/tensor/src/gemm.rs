@@ -276,7 +276,10 @@ pub(crate) unsafe fn microkernel(
 /// this tile's region, and no other thread may touch rows `[i0, i1)` ×
 /// columns `[j0, j1)` concurrently. `i0`/`j0` must be multiples of
 /// MR/NR respectively (they are multiples of MC/NC by construction).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a tile is its arm, two packed panels, C's base and stride and its four edges"
+)]
 // SAFETY: the only unsafe op below is the arm-dispatched microkernel call
 // at `c.add(ir * n + jr)` with `ir < i1 <= m`, `jr < j1 <= n`, and mr/nr
 // clipped to the tile edge — exactly the mr × nr region at stride n the
@@ -320,10 +323,13 @@ unsafe fn compute_tile(
 /// row×column region of C (see [`compute_tile`]).
 #[derive(Clone, Copy)]
 struct TilePtr(*mut f32);
-// SAFETY: Send/Sync are sound because the pointer is only dereferenced
-// inside `compute_tile`, and the macro-tile grid hands every task a
-// disjoint row×column region of C — concurrent tasks never alias.
+// SAFETY: Send is sound because the pointer is only dereferenced inside
+// `compute_tile`, and the macro-tile grid hands every task a disjoint
+// row×column region of C — concurrent tasks never alias.
 unsafe impl Send for TilePtr {}
+// SAFETY: a shared `&TilePtr` gives a thread nothing but a copy of the
+// address (`base` takes `self` by value, and there is no interior
+// mutability); every write through that copy is the Send case above.
 unsafe impl Sync for TilePtr {}
 
 impl TilePtr {

@@ -48,7 +48,10 @@ pub fn log_softmax_rows(x: &Tensor) -> Tensor {
     let lse = logsumexp_rows(x);
     let (rows, cols) = x.shape().as_matrix();
     let mut out = Tensor::zeros([rows, cols]);
-    #[allow(clippy::needless_range_loop)] // `r` names one row of `x`, `out` and `lse` alike
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`r` names one row of `x`, `out` and `lse` alike"
+    )]
     for r in 0..rows {
         let row = x.row(r);
         let o = out.row_mut(r);
@@ -96,7 +99,10 @@ pub fn normalize_rows_backward(
     assert_eq!(grad.dims(), normalized.dims());
     assert_eq!(norms.len(), rows);
     let mut out = Tensor::zeros([rows, cols]);
-    #[allow(clippy::needless_range_loop)] // `r` names one row of four operands alike
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`r` names one row of four operands alike"
+    )]
     for r in 0..rows {
         let n = norms[r];
         if n <= eps {

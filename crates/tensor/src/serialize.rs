@@ -7,6 +7,9 @@
 //! u8 rank | rank × u32 dims | numel × f32 data
 //! ```
 
+// C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -265,6 +268,10 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
         let mant16 = mant >> 13;
         let round_bit = (mant >> 12) & 1;
         let sticky = mant & 0x0FFF;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "exp16 ≤ 30 and mant16 < 2^10, so the value is below 2^15"
+        )]
         let mut out = ((exp16 << 10) | mant16) as u16;
         if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
             out += 1; // may carry into the exponent — that is correct
@@ -278,6 +285,10 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
         let mant16 = full >> shift;
         let round_bit = (full >> (shift - 1)) & 1;
         let sticky = full & ((1 << (shift - 1)) - 1);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a 24-bit significand shifted right by at least 14 is below 2^10"
+        )]
         let mut out = mant16 as u16;
         if round_bit == 1 && (sticky != 0 || (out & 1) == 1) {
             out += 1;

@@ -2,7 +2,7 @@
 //!
 //! This module is the **only** place in the workspace allowed to touch
 //! `std::arch`/`core::arch` intrinsics or `is_x86_feature_detected!`
-//! (enforced by the `K1` fca-lint rule), so every ISA decision is auditable
+//! (enforced by `scripts/ci.sh`'s K1 check), so every ISA decision is auditable
 //! in one file. Everything else selects a kernel through [`active`] /
 //! [`Kernel`] and calls the `*_arm` dispatch shims below.
 //!
@@ -250,10 +250,14 @@ mod x86 {
     /// Multiply-add matching the scalar [`crate::gemm::fmadd`] contraction choice: the
     /// `BASE_FMA` branch is a compile-time constant, so this folds to one
     /// instruction either way.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. The body is intrinsics on
+    /// registers with no memory access; it is reached only from kernels
+    /// that dispatch resolved as AVX2+FMA-capable at startup.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    // SAFETY: intrinsic-only body, no memory access; reached only from
-    // kernels that dispatch resolved as AVX2+FMA-capable at startup.
     unsafe fn fm256(a: __m256, b: __m256, c: __m256) -> __m256 {
         if BASE_FMA {
             _mm256_fmadd_ps(a, b, c)
@@ -263,10 +267,14 @@ mod x86 {
     }
 
     /// [`fm256`] at ZMM width.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F. The body is intrinsics on registers
+    /// with no memory access; it is reached only from the AVX-512 kernels,
+    /// which dispatch gates on avx512f support.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    // SAFETY: intrinsic-only body, no memory access; reached only from
-    // the AVX-512 kernel, which dispatch gates on avx512f support.
     unsafe fn fm512(a: __m512, b: __m512, c: __m512) -> __m512 {
         if BASE_FMA {
             _mm512_fmadd_ps(a, b, c)
@@ -752,10 +760,15 @@ mod x86 {
     /// In-register transpose of a 16 × 16 f32 block: `t[q]` lane `l`
     /// becomes the old `t[l]` lane `q`. Interleave 32-bit pairs, then 64-bit
     /// pairs, then two rounds of 128-bit lane shuffles (64 shuffles in all).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F. The body shuffles registers and
+    /// indexes `t` only with in-bounds constants, so it touches no other
+    /// memory; it is reached only from the AVX-512 skinny kernel, which
+    /// dispatch gates on avx512f support.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    // SAFETY: intrinsic-only body, no memory access; reached only from
-    // the AVX-512 kernel, which dispatch gates on avx512f support.
     unsafe fn transpose16(t: &mut [__m512; NR]) {
         let mut u = [_mm512_setzero_ps(); NR];
         for i in 0..8 {

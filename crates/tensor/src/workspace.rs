@@ -33,7 +33,6 @@
 //! (`allocations`), so tests can assert a steady state allocates nothing.
 
 use crate::{Shape, Tensor};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stable identity of a persistent workspace slot.
@@ -107,7 +106,11 @@ pub struct WorkspaceStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    slots: HashMap<SlotId, Vec<f32>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a keyed lookup on every layer call; the one walk (retire_slots) only decides which parked buffer a first take adopts, and every buffer is overwritten before use, so the order never reaches a result"
+    )]
+    slots: std::collections::HashMap<SlotId, Vec<f32>>,
     pool: Vec<Vec<f32>>,
     /// Keyed buffers of departed tenants, for first takes to adopt.
     retired: Vec<Vec<f32>>,

@@ -28,7 +28,10 @@ struct Cell {
     flops: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // const used only as array-repeat seed
+#[expect(
+    clippy::declare_interior_mutable_const,
+    reason = "const used only as array-repeat seed"
+)]
 const ZERO_CELL: Cell = Cell {
     calls: AtomicU64::new(0),
     nanos: AtomicU64::new(0),
@@ -56,7 +59,10 @@ static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 /// duration, which is what keeps traced runs bit-identical to untraced
 /// ones (see DESIGN.md §7.4).
 #[inline]
-#[allow(clippy::disallowed_methods)] // the trace clock is the sanctioned timing source
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the trace clock is the sanctioned timing source"
+)]
 pub fn clock() -> Option<Instant> {
     if ACTIVE.load(Ordering::Relaxed) {
         Some(Instant::now())
@@ -286,7 +292,10 @@ impl Drop for TraceGuard {
 /// Errors with `AlreadyExists` if a sink is already installed — the
 /// journal is a process-wide singleton, so tests that trace must serialize
 /// themselves (the repo keeps all traced test logic in one `#[test]`).
-#[allow(clippy::disallowed_methods)] // stamps the run's start for the run_end duration
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps the run's start for the run_end duration"
+)]
 pub fn install_writer(
     writer: Box<dyn Write + Send>,
     label: &str,

@@ -9,11 +9,15 @@ cd "$(dirname "$0")/.."
 echo "=== cargo fmt --check ==="
 cargo fmt --all -- --check
 
-echo "=== cargo clippy (warnings are errors) ==="
+echo "=== cargo clippy (warnings are errors): the D1/P1/U1/C1/LINT contracts, DESIGN.md §7.5 ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== fca-lint: determinism / panic-freedom / unsafe-hygiene contracts ==="
-cargo run --release -p fca-lint -- --deny
+echo "=== K1: ISA code only in simd.rs; V1: every format VERSION/MAGIC is named by test code ==="
+grep -rnE --include='*.rs' 'std::arch|core::arch|is_x86_feature_detected' crates src tests examples | grep -v '^crates/tensor/src/simd\.rs:' && { echo "K1: ISA code outside crates/tensor/src/simd.rs" >&2; exit 1; }
+tested="$(awk 'FNR == 1 { t = FILENAME ~ /(^|\/)tests\// } /#\[cfg\(test\)\]/ { t = 1 } t && !/const [A-Z0-9_]*(VERSION|MAGIC):/' $(find crates src tests examples -name '*.rs'))"
+for c in $(grep -rhoE 'const [A-Z0-9_]*(VERSION|MAGIC)\b' crates/{core,trace}/src | cut -d' ' -f2); do
+    grep -qw "$c" <<<"$tested" || { echo "V1: $c is named by no test" >&2; exit 1; }
+done
 
 echo "=== codec size (informational): lines above the first #[cfg(test)] of the twelve codec files ==="
 scripts/loc.sh crates/core/src/{checkpoint,client,comm,transport}.rs crates/core/src/algo/*.rs crates/tensor/src/serialize.rs | tail -1
@@ -35,7 +39,7 @@ cargo test -q --release -p fca-tensor -p fca-nn
 
 echo "=== sanitizers: miri (when installed) + checked release ==="
 # Graceful inside: skips Miri when the nightly component is absent.
-scripts/sanitizers.sh --quick
+scripts/sanitizers.sh
 
 echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
 # Exercises the FCA_GEMM_KERNEL escape hatch and proves the portable

@@ -2,10 +2,10 @@
 # Sanitizer pass: deeper checks than the tier-1 gate, each skipped
 # gracefully when the toolchain component it needs is not installed.
 #
-#   1. Miri (UB detection at the interpreter level) over the two std-only
-#      crates whose logic is pure and fast enough to interpret: fca-lint
-#      and fca-trace. The tensor/nn crates are out of Miri's practical
-#      reach (rayon thread pools, hours of interpreted GEMM).
+#   1. Miri (UB detection at the interpreter level) over fca-trace, the
+#      one std-only crate, pure and fast enough to interpret. The
+#      tensor/nn crates are out of Miri's practical reach (rayon thread
+#      pools, hours of interpreted GEMM).
 #   2. A release-mode run of fca-tensor and fca-core with debug
 #      assertions and overflow checks forced ON: release profiles
 #      normally compile `debug_assert!`/overflow panics out, so this is
@@ -16,32 +16,13 @@
 #      that ships (FMA contraction, the host's vector width), not an SSE2
 #      one.
 #
-# Run from anywhere in the repo. Pass --quick to cap the Miri pass at the
-# lint crate only.
+# Run from anywhere in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=0
-for arg in "$@"; do
-    case "$arg" in
-    --quick) QUICK=1 ;;
-    *)
-        echo "usage: $0 [--quick]" >&2
-        exit 1
-        ;;
-    esac
-done
-
-echo "=== miri: UB check on the std-only crates ==="
+echo "=== miri: UB check on fca-trace ==="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^miri.*(installed)'; then
-    MIRI_CRATES=(fca-lint)
-    if [ "$QUICK" -eq 0 ]; then
-        MIRI_CRATES+=(fca-trace)
-    fi
-    for crate in "${MIRI_CRATES[@]}"; do
-        echo "--- miri: $crate ---"
-        cargo +nightly miri test -p "$crate"
-    done
+    cargo +nightly miri test -p fca-trace
 else
     echo "skip: miri not installed (rustup +nightly component add miri)"
 fi
