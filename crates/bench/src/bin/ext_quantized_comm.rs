@@ -53,7 +53,7 @@ fn main() {
         "FedClassAvg (f16)",
         Box::new(FedClassAvg::new(feat, classes, ctx.seed).with_half_precision()),
     );
-    let public = public_data(&ctx, d, &data);
+    let public = public_data(&ctx, d);
     run(
         "FedMD",
         Box::new(FedMd::new(public.clone()).with_local_epochs(ctx.ktpfl_local_epochs())),

@@ -8,11 +8,9 @@
 //! the baseline while the nearest-neighbour **client** agreement falls
 //! (clients' clusters split up to mix by label).
 
-use fca_bench::experiments::{
-    run_heterogeneous_keep_fleet, DatasetKind, ExperimentContext, Method,
-};
+use fca_bench::experiments::{run, DatasetKind, ExperimentContext, Method, Setting};
 use fca_bench::report::{field, num, object, write_json};
-use fca_data::partition::Partitioner;
+use fca_bench::tables::DIR;
 use fca_metrics::eval::extract_fleet_features;
 use fca_metrics::tsne::{nearest_neighbor_label_agreement, tsne, TsneConfig};
 use serde_json::Value;
@@ -21,14 +19,13 @@ fn main() {
     let ctx = ExperimentContext::from_env();
     // Paper: Fashion-MNIST features from 1,000 sampled test images. The
     // micro fleet uses fewer points per client, same analysis.
-    let d = DatasetKind::Fashion;
-    let dist = Partitioner::Dirichlet { alpha: 0.5 };
+    let setting = Setting::heterogeneous(DatasetKind::Fashion, DIR);
     let per_client = if ctx.quick { 12 } else { 25 };
 
     let mut records = Vec::new();
     for m in [Method::Baseline, Method::FedClassAvg] {
         eprintln!("[fig8] training {}…", m.name());
-        let (_, mut fleet) = run_heterogeneous_keep_fleet(&ctx, d, dist, m);
+        let (_, mut fleet) = run(&ctx, &setting, m, ctx.seed);
         let ff = extract_fleet_features(&mut fleet, per_client);
         eprintln!("[fig8] embedding {} feature rows…", ff.labels.len());
         let cfg = TsneConfig {

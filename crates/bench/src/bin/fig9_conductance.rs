@@ -7,11 +7,9 @@
 //! units. We print the rank heat map and the mean pairwise Spearman
 //! agreement, contrasted with the local-only baseline.
 
-use fca_bench::experiments::{
-    run_heterogeneous_keep_fleet, DatasetKind, ExperimentContext, Method,
-};
+use fca_bench::experiments::{run, DatasetKind, ExperimentContext, Method, Setting};
 use fca_bench::report::{field, num, object, write_json};
-use fca_data::partition::Partitioner;
+use fca_bench::tables::DIR;
 use fca_metrics::conductance::{
     layer_conductance, mean_pairwise_rank_agreement, rank_heatmap, rank_scores,
 };
@@ -19,13 +17,12 @@ use serde_json::Value;
 
 fn main() {
     let ctx = ExperimentContext::from_env();
-    let dist = Partitioner::Dirichlet { alpha: 0.5 };
     let mut records = Vec::new();
 
     for d in DatasetKind::ALL {
         for m in [Method::Baseline, Method::FedClassAvg] {
             eprintln!("[fig9] training {} on {}…", m.name(), d.name());
-            let (_, mut fleet) = run_heterogeneous_keep_fleet(&ctx, d, dist, m);
+            let (_, mut fleet) = run(&ctx, &Setting::heterogeneous(d, DIR), m, ctx.seed);
 
             // Find the label with the most clients answering correctly on a
             // shared probe image (the paper samples such labels).

@@ -4,9 +4,9 @@
 //! 3,000 public CIFAR images) — and, as a cross-check, the *measured*
 //! wire traffic of our micro-scale simulation for the same three regimes.
 
-use fca_bench::experiments::{run_heterogeneous, DatasetKind, ExperimentContext, Method};
+use fca_bench::experiments::{run, DatasetKind, ExperimentContext, Method, Setting};
 use fca_bench::report::{object, write_json};
-use fca_data::partition::Partitioner;
+use fca_bench::tables::DIR;
 use fca_models::descriptors::{
     classifier_bytes, fedproto_bytes, ktpfl_public_bytes, resnet18_descriptor,
 };
@@ -60,11 +60,10 @@ fn main() {
 
     // --- Micro-scale measured traffic ------------------------------------
     println!("\n-- measured wire traffic of the micro simulation (per client per round) --");
-    let d = DatasetKind::Fashion;
-    let dist = Partitioner::Dirichlet { alpha: 0.5 };
+    let setting = Setting::heterogeneous(DatasetKind::Fashion, DIR);
     let mut measured = Vec::new();
     for m in [Method::FedClassAvg, Method::KtPfl, Method::FedProto] {
-        let result = run_heterogeneous(&ctx, d, dist, m);
+        let (result, _) = run(&ctx, &setting, m, ctx.seed);
         let per = result.bytes_per_client_round(ctx.num_clients());
         println!("{:<28} {:>12.0} B  ({})", m.name(), per, human(per as u64));
         measured.push((m.name(), per));

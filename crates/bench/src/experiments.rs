@@ -1,9 +1,10 @@
-//! Shared experiment runners used by the table/figure binaries and the
-//! Criterion benches.
+//! The experiment runner behind the paper binaries: [`run`] trains one
+//! method on one setting at one seed, and [`reproduce`] runs a table
+//! declaration ([`crate::tables`]) over every setting × seed × method.
 //!
 //! The micro-scale knobs (dataset sizes, rounds, feature dim) and their
 //! paper-scale counterparts are documented in EXPERIMENTS.md; pass
-//! `--quick` (or set `FCA_QUICK=1`) to any binary for a fast smoke run.
+//! `--quick` to any binary for a fast smoke run.
 
 use fca_data::partition::Partitioner;
 use fca_data::synth::{SynthConfig, SynthDataset};
@@ -45,28 +46,29 @@ impl DatasetKind {
         }
     }
 
-    /// Generate the synthetic dataset at the context's scale.
-    ///
-    /// At micro scale the image extents are halved (16×16 / 14×14) — the
-    /// dominant cost lever on CPU; set `FCA_FULL_DIMS=1` to keep the
-    /// original 32×32 / 28×28 geometry. Class structure, channel counts,
-    /// and class counts are unchanged.
-    pub fn generate(&self, ctx: &ExperimentContext) -> SynthDataset {
-        let seed = derive_seed(ctx.seed, 0xDA7A + *self as u64);
+    /// The dataset's generator seeded `seed`, at the reproduction's
+    /// geometry: image extents are halved (16×16 / 14×14) — the dominant
+    /// cost lever on CPU — unless `FCA_FULL_DIMS=1` keeps the original
+    /// 32×32 / 28×28. Class structure, channel counts, and class counts are
+    /// unchanged.
+    fn synth_config(self, seed: u64) -> SynthConfig {
         let mut cfg = match self {
             DatasetKind::Cifar => SynthConfig::synth_cifar(seed),
             DatasetKind::Fashion => SynthConfig::synth_fashion(seed),
             DatasetKind::Emnist => SynthConfig::synth_emnist(seed),
         };
-        let full_dims = std::env::var("FCA_FULL_DIMS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        if !full_dims {
+        if std::env::var("FCA_FULL_DIMS").as_deref() != Ok("1") {
             cfg.height /= 2;
             cfg.width /= 2;
             cfg.jitter = (cfg.jitter / 2).max(1);
         }
-        cfg.with_sizes(ctx.train_size(*self), ctx.test_size(*self))
+        cfg
+    }
+
+    /// Generate the synthetic dataset at the context's scale.
+    pub fn generate(&self, ctx: &ExperimentContext) -> SynthDataset {
+        self.synth_config(derive_seed(ctx.seed, 0xDA7A + *self as u64))
+            .with_sizes(ctx.train_size(*self), ctx.test_size(*self))
             .generate()
     }
 
@@ -92,7 +94,7 @@ impl DatasetKind {
 }
 
 /// The methods appearing across Tables 2–4.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
     /// Local-only baseline.
     Baseline,
@@ -114,8 +116,8 @@ pub enum Method {
     Ablation {
         /// Contrastive loss on/off.
         contrastive: bool,
-        /// Proximal weight (0 = off).
-        rho: f32,
+        /// Proximal term at the dataset's ρ, or off.
+        proximal: bool,
     },
 }
 
@@ -131,9 +133,12 @@ impl Method {
             Method::FedProx => "FedProx".into(),
             Method::FedClassAvgWeight => "Proposed +weight".into(),
             Method::KtPflWeight => "KT-pFL +weight".into(),
-            Method::Ablation { contrastive, rho } => {
+            Method::Ablation {
+                contrastive,
+                proximal,
+            } => {
                 let mut n = "CA".to_string();
-                if *rho > 0.0 {
+                if *proximal {
                     n.push_str("+PR");
                 }
                 if *contrastive {
@@ -145,13 +150,20 @@ impl Method {
     }
 }
 
-/// Scale and seed shared by all experiments.
-#[derive(Clone, Copy, Debug)]
+/// Seeds a full-scale [`reproduce`] runs per setting.
+const SEEDS: u64 = 5;
+/// Seeds a `--quick` [`reproduce`] runs per setting.
+const QUICK_SEEDS: u64 = 3;
+
+/// Scale, seed and setting filter shared by all experiments.
+#[derive(Clone, Debug)]
 pub struct ExperimentContext {
-    /// Master seed.
+    /// Master seed: the first of a multi-seed run's seeds.
     pub seed: u64,
     /// Quick (smoke) scale vs full reproduction scale.
     pub quick: bool,
+    /// Keep only the settings whose name contains this (case-insensitive).
+    pub filter: Option<String>,
 }
 
 fn env_usize(name: &str) -> Option<usize> {
@@ -159,30 +171,55 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 impl ExperimentContext {
-    /// Build from CLI args / environment: `--quick` or `FCA_QUICK=1`
-    /// selects the smoke scale; `--seed N` overrides the seed.
+    /// Build from the command line: `--quick` selects the smoke scale,
+    /// `--seed N` the master seed (default 42), `--setting NAME` a filter
+    /// on the table's settings. Exits with status 2 on any other argument
+    /// or a malformed value.
     ///
     /// Fine-grained overrides (for calibration runs): `FCA_EPOCHS`,
     /// `FCA_TRAIN_PER_CLASS`, `FCA_TEST_PER_CLASS`, `FCA_FEAT`,
-    /// `FCA_CLIENTS`, `FCA_PUBLIC`.
+    /// `FCA_CLIENTS`, `FCA_PUBLIC`, `FCA_FULL_DIMS`.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick")
-            || std::env::var("FCA_QUICK")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        ExperimentContext { seed, quick }
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: [--quick] [--seed N] [--setting NAME]");
+            std::process::exit(2)
+        })
     }
 
-    /// Fixed context (tests).
+    /// [`Self::from_env`] over the given arguments.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut ctx = ExperimentContext::fixed(42, false);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--quick" => ctx.quick = true,
+                "--seed" => {
+                    let v = value()?;
+                    ctx.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed {v:?} is not a seed"))?;
+                }
+                "--setting" => ctx.filter = Some(value()?),
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        Ok(ctx)
+    }
+
+    /// The context at `seed` and scale `quick`, unfiltered.
     pub fn fixed(seed: u64, quick: bool) -> Self {
-        ExperimentContext { seed, quick }
+        ExperimentContext {
+            seed,
+            quick,
+            filter: None,
+        }
+    }
+
+    /// The seeds a multi-seed run trains at, starting at [`Self::seed`].
+    pub fn seeds(&self) -> Vec<u64> {
+        let n = if self.quick { QUICK_SEEDS } else { SEEDS };
+        (0..n).map(|i| self.seed.wrapping_add(i)).collect()
     }
 
     /// Training-set size (paper: 50k–125k; micro scale keeps ≥60 images
@@ -249,178 +286,259 @@ impl ExperimentContext {
     }
 }
 
-/// Which architecture client `k` runs.
-type ArchMap = Box<dyn Fn(usize) -> ModelArch>;
+/// KT-pFL public data: an extra synthetic split from the same generator
+/// family and geometry (the paper assumes public data distributionally
+/// similar to the private data).
+pub fn public_data(ctx: &ExperimentContext, d: DatasetKind) -> fca_tensor::Tensor {
+    d.synth_config(derive_seed(ctx.seed, 0x9B11C + d as u64))
+        .with_sizes(ctx.public_size(), 1)
+        .generate()
+        .train
+        .images
+}
 
-/// Build the method's server-side algorithm (and pick the fleet's
-/// architecture map) for a heterogeneous experiment.
-fn hetero_algorithm(
-    method: Method,
-    ctx: &ExperimentContext,
-    d: DatasetKind,
-    data: &SynthDataset,
-) -> (Box<dyn Algorithm>, ArchMap) {
-    let feat = ctx.feature_dim();
-    let classes = d.num_classes();
-    match method {
-        Method::Baseline => (
-            Box::new(LocalOnly::new()),
-            Box::new(ModelArch::heterogeneous_rotation),
-        ),
-        Method::FedClassAvg => (
-            Box::new(FedClassAvg::new(feat, classes, ctx.seed)),
-            Box::new(ModelArch::heterogeneous_rotation),
-        ),
-        Method::Ablation { contrastive, rho } => (
-            Box::new(FedClassAvg::ablation(
-                feat,
-                classes,
-                ctx.seed,
-                contrastive,
-                rho,
-            )),
-            Box::new(ModelArch::heterogeneous_rotation),
-        ),
-        Method::KtPfl => {
-            let public = public_data(ctx, d, data);
-            (
-                Box::new(
-                    KtPfl::new(public, ctx.num_clients())
-                        .with_local_epochs(ctx.ktpfl_local_epochs()),
-                ),
-                Box::new(ModelArch::heterogeneous_rotation),
-            )
+/// One column of a table: the data, how its labels are spread, and the
+/// fleet that trains on it.
+#[derive(Clone, Copy, Debug)]
+pub struct Setting {
+    /// The dataset.
+    pub dataset: DatasetKind,
+    /// How labels are spread across clients.
+    pub partitioner: Partitioner,
+    /// Fleet size; `None` is the context's standard fleet
+    /// ([`ExperimentContext::num_clients`]).
+    pub clients: Option<usize>,
+    /// Fraction of clients sampled per round.
+    pub sample_rate: f32,
+    /// Every client runs one architecture (Table 3) rather than the
+    /// four-family rotation (Tables 2 and 4).
+    pub homogeneous: bool,
+}
+
+impl Setting {
+    /// The standard heterogeneous fleet on `dataset` under `partitioner`.
+    pub const fn heterogeneous(dataset: DatasetKind, partitioner: Partitioner) -> Setting {
+        Setting {
+            dataset,
+            partitioner,
+            clients: None,
+            sample_rate: 1.0,
+            homogeneous: false,
         }
-        Method::FedProto => (
-            // Paper: FedProto runs the *less heterogeneous* width-varied
-            // CNN scheme because prototypes must share dimensions.
-            Box::new(FedProto::new(feat, classes, 1.0)),
-            Box::new(|k: usize| ModelArch::ProtoCnn {
-                width_variant: k % 4,
-            }),
-        ),
-        other => panic!("{other:?} is a homogeneous-only method"),
+    }
+
+    /// Display name: the dataset and what the table varies beside it.
+    pub fn name(&self) -> String {
+        match self.clients {
+            Some(n) => format!("{} {n} clients", self.dataset.name()),
+            None => format!("{} {}", self.dataset.name(), self.distribution()),
+        }
+    }
+
+    /// The label distribution's name, as the paper labels it.
+    pub fn distribution(&self) -> String {
+        match self.partitioner {
+            Partitioner::Dirichlet { alpha } => format!("Dir({alpha})"),
+            Partitioner::Skewed { .. } => "Skewed".into(),
+        }
+    }
+
+    /// Fleet size at the context's scale.
+    pub fn num_clients(&self, ctx: &ExperimentContext) -> usize {
+        self.clients.unwrap_or_else(|| ctx.num_clients())
     }
 }
 
-/// KT-pFL public data: an extra synthetic split from the same generator
-/// family (the paper assumes public data distributionally similar to the
-/// private data).
-pub fn public_data(
+/// Which architecture client `k` runs.
+type ArchMap = Box<dyn Fn(usize) -> ModelArch>;
+
+/// Build the method's server-side algorithm and pick the fleet's
+/// architecture map.
+fn algorithm(
+    method: Method,
     ctx: &ExperimentContext,
-    d: DatasetKind,
+    setting: &Setting,
     data: &SynthDataset,
-) -> fca_tensor::Tensor {
-    let seed = derive_seed(ctx.seed, 0x9B11C + d as u64);
-    let mut cfg = match d {
-        DatasetKind::Cifar => SynthConfig::synth_cifar(seed),
-        DatasetKind::Fashion => SynthConfig::synth_fashion(seed),
-        DatasetKind::Emnist => SynthConfig::synth_emnist(seed),
+) -> (Box<dyn Algorithm>, ArchMap) {
+    let d = setting.dataset;
+    let (feat, classes, seed) = (ctx.feature_dim(), d.num_classes(), ctx.seed);
+    let clients = setting.num_clients(ctx);
+    // Paper: FedProto runs the *less heterogeneous* width-varied CNN scheme
+    // because prototypes must share dimensions; homogeneous fleets run the
+    // FedAvg-paper CNN, except FedClassAvg's ResNet backbone.
+    let arch_of: ArchMap = match method {
+        Method::FedProto => Box::new(|k| ModelArch::ProtoCnn {
+            width_variant: k % 4,
+        }),
+        _ if !setting.homogeneous => Box::new(ModelArch::heterogeneous_rotation),
+        Method::FedClassAvg | Method::FedClassAvgWeight => Box::new(|_| ModelArch::MicroResNet),
+        _ => Box::new(|_| ModelArch::CnnFedAvg),
     };
-    // Match the private data's geometry exactly (incl. the micro-scale
-    // halving applied in `DatasetKind::generate`).
-    let (_, h, w) = data.train.image_shape();
-    cfg.jitter = cfg.jitter * h / cfg.height.max(1);
-    cfg.height = h;
-    cfg.width = w;
-    cfg.jitter = cfg.jitter.max(1);
-    cfg.with_sizes(ctx.public_size(), 1).generate().train.images
+    let init_state = || {
+        let shape = data.train.image_shape();
+        let model_seed = derive_seed(seed, 0x610B);
+        fca_models::build_model(arch_of(0), shape, feat, classes, model_seed).full_state()
+    };
+    let algo: Box<dyn Algorithm> = match method {
+        Method::Baseline => Box::new(LocalOnly::new()),
+        Method::FedProto => Box::new(FedProto::new(feat, classes, 1.0)),
+        Method::KtPfl => Box::new(
+            KtPfl::new(public_data(ctx, d), clients).with_local_epochs(ctx.ktpfl_local_epochs()),
+        ),
+        Method::FedClassAvg => Box::new(FedClassAvg::new(feat, classes, seed)),
+        Method::Ablation {
+            contrastive,
+            proximal,
+        } => {
+            let rho = if proximal { d.hyperparams().rho } else { 0.0 };
+            Box::new(FedClassAvg::ablation(feat, classes, seed, contrastive, rho))
+        }
+        Method::FedAvg => Box::new(FedAvg::new(init_state())),
+        Method::FedProx => Box::new(FedProx::new(init_state(), 0.1)),
+        Method::FedClassAvgWeight => Box::new(FedClassAvg::with_full_weight_sharing(
+            feat,
+            classes,
+            seed,
+            init_state(),
+        )),
+        Method::KtPflWeight => Box::new(KtPflWeight::new(clients)),
+    };
+    (algo, arch_of)
 }
 
-/// Run one heterogeneous experiment (Tables 2 & 4, Figures 4 & 5).
-pub fn run_heterogeneous(
+/// Train `method` on `setting` at `seed` for the context's epoch budget;
+/// also returns the trained fleet (Figures 8–9 analyse the client models).
+/// Every method at one (setting, seed) draws the same dataset, partition
+/// and (empty) fault plan.
+pub fn run(
     ctx: &ExperimentContext,
-    d: DatasetKind,
-    dist: Partitioner,
+    setting: &Setting,
     method: Method,
-) -> RunResult {
-    run_heterogeneous_keep_fleet(ctx, d, dist, method).0
-}
-
-/// [`run_heterogeneous`], also returning the trained fleet — the Figure 8
-/// (t-SNE) and Figure 9 (conductance) analyses need the client models.
-pub fn run_heterogeneous_keep_fleet(
-    ctx: &ExperimentContext,
-    d: DatasetKind,
-    dist: Partitioner,
-    method: Method,
+    seed: u64,
 ) -> (RunResult, Fleet) {
+    let ctx = &ExperimentContext::fixed(seed, ctx.quick);
+    let d = setting.dataset;
     let data = d.generate(ctx);
-    let (mut algo, arch_of) = hetero_algorithm(method, ctx, d, &data);
+    let (mut algo, arch_of) = algorithm(method, ctx, setting, &data);
     let epochs_per_round = algo.epochs_per_round(&d.hyperparams()).max(1);
     let rounds = (ctx.epoch_budget() / epochs_per_round).max(1);
-    let cfg = ctx.fed_config(d, ctx.num_clients(), 1.0, rounds);
-    let mut fleet = build_fleet(&data, dist, &cfg, arch_of.as_ref());
+    let cfg = ctx.fed_config(d, setting.num_clients(ctx), setting.sample_rate, rounds);
+    let mut fleet = build_fleet(&data, setting.partitioner, &cfg, arch_of.as_ref());
     let result = run_federation(&mut fleet, algo.as_mut(), &cfg);
     (result, fleet)
 }
 
-/// Run one homogeneous experiment (Table 3, Figures 6 & 7).
-pub fn run_homogeneous(
+/// A paper table as data: what to run, what the paper reported, and which
+/// orderings it claims ([`crate::tables`] holds Tables 2–4).
+#[derive(Debug)]
+pub struct Table {
+    /// Heading printed above the table.
+    pub title: &'static str,
+    /// Stem of the `results/*.json` file an unfiltered run writes.
+    pub file: &'static str,
+    /// The columns.
+    pub settings: &'static [Setting],
+    /// The rows: each method with the paper's value in every setting, in
+    /// `settings` order.
+    pub rows: &'static [(Method, &'static [f64])],
+    /// The paper's claims: `(better, worse)` rows, `better` ahead in
+    /// every setting.
+    pub orderings: &'static [(Method, Method)],
+    /// The learning-curve figures drawn from the first seed's runs: their
+    /// results file and the methods they plot.
+    pub curves: Option<(&'static str, &'static [Method])>,
+}
+
+impl Table {
+    /// Index of `method` among the rows.
+    pub(crate) fn row(&self, method: Method) -> Option<usize> {
+        self.rows.iter().position(|(m, _)| *m == method)
+    }
+}
+
+/// Every run of one [`reproduce`] call.
+#[derive(Debug)]
+pub struct Reproduction<'t> {
+    /// The table run.
+    pub table: &'t Table,
+    /// Indices of the settings the filter kept.
+    pub settings: Vec<usize>,
+    /// The seeds, first to last.
+    pub seeds: Vec<u64>,
+    /// `runs[setting][row][seed]`, `setting` indexing [`Self::settings`].
+    pub runs: Vec<Vec<Vec<RunResult>>>,
+}
+
+/// Run every setting × seed × method of `table` that the context's filter
+/// keeps. A filter that keeps no setting is an error, before anything
+/// runs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries time wall-clock by design"
+)]
+pub fn reproduce<'t>(
     ctx: &ExperimentContext,
-    d: DatasetKind,
-    num_clients: usize,
-    sample_rate: f32,
-    method: Method,
-) -> RunResult {
-    let data = d.generate(ctx);
-    let feat = ctx.feature_dim();
-    let classes = d.num_classes();
-    // Paper: FedAvg/FedProx/KT-pFL use the FedAvg-paper CNN; FedClassAvg
-    // uses the ResNet backbone.
-    let arch: ModelArch = match method {
-        Method::FedClassAvg | Method::FedClassAvgWeight => ModelArch::MicroResNet,
-        _ => ModelArch::CnnFedAvg,
-    };
-    let (c, h, w) = {
-        let (c, h, w) = data.train.image_shape();
-        (c, h, w)
-    };
-    let init_state = || {
-        let mut reference = fca_models::build_model(
-            arch,
-            (c, h, w),
-            feat,
-            classes,
-            derive_seed(ctx.seed, 0x610B),
-        );
-        reference.full_state()
-    };
-    let mut algo: Box<dyn Algorithm> = match method {
-        Method::Baseline => Box::new(LocalOnly::new()),
-        Method::FedAvg => Box::new(FedAvg::new(init_state())),
-        Method::FedProx => Box::new(FedProx::new(init_state(), 0.1)),
-        Method::FedClassAvg => Box::new(FedClassAvg::new(feat, classes, ctx.seed)),
-        Method::FedClassAvgWeight => Box::new(FedClassAvg::with_full_weight_sharing(
-            feat,
-            classes,
-            ctx.seed,
-            init_state(),
-        )),
-        Method::KtPfl => {
-            let public = public_data(ctx, d, &data);
-            Box::new(KtPfl::new(public, num_clients).with_local_epochs(ctx.ktpfl_local_epochs()))
+    table: &'t Table,
+) -> Result<Reproduction<'t>, String> {
+    let settings: Vec<usize> = (0..table.settings.len())
+        .filter(|&s| {
+            ctx.filter.as_ref().is_none_or(|f| {
+                let name = table.settings[s].name().to_lowercase();
+                name.contains(&f.to_lowercase())
+            })
+        })
+        .collect();
+    if settings.is_empty() {
+        let names: Vec<String> = table.settings.iter().map(Setting::name).collect();
+        return Err(format!(
+            "--setting {:?} matches none of {}'s settings: {}",
+            ctx.filter.as_deref().unwrap_or_default(),
+            table.file,
+            names.join(", ")
+        ));
+    }
+    let seeds = ctx.seeds();
+    let mut runs = Vec::with_capacity(settings.len());
+    for &s in &settings {
+        let setting = &table.settings[s];
+        let mut by_row: Vec<Vec<RunResult>> = table.rows.iter().map(|_| Vec::new()).collect();
+        for &seed in &seeds {
+            for ((method, _), cell) in table.rows.iter().zip(&mut by_row) {
+                let t0 = std::time::Instant::now();
+                let (result, _) = run(ctx, setting, *method, seed);
+                eprintln!(
+                    "[{}] {:<26} {:<24} seed {seed:<4} acc {:.4} ± {:.4}  ({:.1}s)",
+                    table.file,
+                    method.name(),
+                    setting.name(),
+                    result.final_mean,
+                    result.final_std,
+                    t0.elapsed().as_secs_f32()
+                );
+                cell.push(result);
+            }
         }
-        Method::KtPflWeight => Box::new(KtPflWeight::new(num_clients)),
-        Method::FedProto | Method::Ablation { .. } => {
-            panic!("{method:?} is not a Table 3 method")
-        }
-    };
-    let epochs_per_round = algo.epochs_per_round(&d.hyperparams()).max(1);
-    let rounds = (ctx.epoch_budget() / epochs_per_round).max(1);
-    let cfg = ctx.fed_config(d, num_clients, sample_rate, rounds);
-    let mut fleet = build_fleet(&data, Partitioner::Dirichlet { alpha: 0.5 }, &cfg, &|_| {
-        arch
-    });
-    run_federation(&mut fleet, algo.as_mut(), &cfg)
+        runs.push(by_row);
+    }
+    Ok(Reproduction {
+        table,
+        settings,
+        seeds,
+        runs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::{TABLE2, TABLE3, TABLE4};
 
     fn quick_ctx() -> ExperimentContext {
         ExperimentContext::fixed(7, true)
+    }
+
+    fn args(s: &str) -> Result<ExperimentContext, String> {
+        ExperimentContext::parse(s.split_whitespace().map(String::from))
     }
 
     #[test]
@@ -443,7 +561,7 @@ mod tests {
         assert_eq!(
             Method::Ablation {
                 contrastive: false,
-                rho: 0.0
+                proximal: false
             }
             .name(),
             "CA"
@@ -451,7 +569,7 @@ mod tests {
         assert_eq!(
             Method::Ablation {
                 contrastive: true,
-                rho: 0.1
+                proximal: true
             }
             .name(),
             "CA+PR+CL"
@@ -464,13 +582,118 @@ mod tests {
         let f = ExperimentContext::fixed(1, false);
         assert!(q.train_size(DatasetKind::Cifar) < f.train_size(DatasetKind::Cifar));
         assert!(q.epoch_budget() < f.epoch_budget());
+        assert_eq!(q.seeds(), [1, 2, 3]);
+        assert_eq!(f.seeds(), [1, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn public_data_has_requested_size() {
+    fn public_data_has_requested_size_and_the_private_geometry() {
         let ctx = quick_ctx();
         let d = DatasetKind::Fashion.generate(&ctx);
-        let p = public_data(&ctx, DatasetKind::Fashion, &d);
-        assert_eq!(p.shape().as_nchw().0, ctx.public_size());
+        let p = public_data(&ctx, DatasetKind::Fashion);
+        let (n, c, h, w) = p.shape().as_nchw();
+        assert_eq!(n, ctx.public_size());
+        assert_eq!((c, h, w), d.train.image_shape());
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors() {
+        let ctx = args("--quick --seed 7 --setting fashion").expect("well-formed");
+        assert_eq!((ctx.seed, ctx.quick), (7, true));
+        assert_eq!(ctx.filter.as_deref(), Some("fashion"));
+        assert_eq!(args("").expect("no arguments").seed, 42);
+        for bad in [
+            "--seed abc",
+            "--seed",
+            "--setting",
+            "--dataset fashion",
+            "quick",
+        ] {
+            assert!(args(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn a_filter_matching_no_setting_is_an_error_before_anything_runs() {
+        let mut ctx = quick_ctx();
+        ctx.filter = Some("xyz".into());
+        for table in [&TABLE2, &TABLE3, &TABLE4] {
+            let err = reproduce(&ctx, table).expect_err("nothing matches");
+            assert!(err.contains("xyz"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_method_at_one_setting_and_seed_trains_on_the_same_shards() {
+        // Table 2's four methods build three kinds of fleet (the rotation,
+        // FedProto's width-varied CNNs) and KT-pFL runs fewer, longer
+        // rounds; the shards under them must still be the same.
+        let ctx = quick_ctx();
+        let setting = &TABLE2.settings[3];
+        assert_eq!(setting.name(), "Fashion-MNIST Skewed");
+        let runs: Vec<(Method, usize, Vec<f32>)> = TABLE2
+            .rows
+            .iter()
+            .map(|&(m, _)| {
+                let (result, fleet) = run(&ctx, setting, m, ctx.seed);
+                let weights = (0..fleet.len()).map(|k| fleet.weight(k)).collect();
+                (m, result.rounds, weights)
+            })
+            .collect();
+        let (_, rounds, weights) = &runs[0];
+        assert_eq!(weights.len(), ctx.num_clients());
+        for (m, r, w) in &runs {
+            assert_eq!(w, weights, "{m:?} trained on other shards");
+            if *m == Method::KtPfl {
+                assert!(r < rounds, "KT-pFL ran {r} rounds, the baseline {rounds}");
+            }
+        }
+    }
+
+    #[test]
+    fn fedclassavg_vs_local_on_skewed_labels() {
+        // The paper's core claim: under label skew, classifier averaging +
+        // representation learning beats isolated local training. At this
+        // micro scale the paired runs do not resolve that ordering on
+        // skewed Fashion-MNIST (EXPERIMENTS.md, Table 2), so what is
+        // asserted is what they do say: with the same seed, partition and
+        // budget in both arms, both learn on every seed and FedClassAvg is
+        // on average no worse. ROADMAP item 1's scale ladder owns the
+        // ordering.
+        static SETTINGS: [Setting; 1] = [TABLE2.settings[3]];
+        static PAPER: [(Method, &[f64]); 2] = [
+            (Method::Baseline, &[0.9430]),
+            (Method::FedClassAvg, &[0.9800]),
+        ];
+        let table = Table {
+            title: "Baseline vs Proposed, Fashion-MNIST Skewed",
+            file: "parity",
+            settings: &SETTINGS,
+            rows: &PAPER,
+            orderings: &[(Method::FedClassAvg, Method::Baseline)],
+            curves: None,
+        };
+        let ctx = ExperimentContext::fixed(42, true);
+        let rep = reproduce(&ctx, &table).expect("one setting");
+        let chance = 1.0 / SETTINGS[0].dataset.num_classes() as f32;
+        for (row, runs) in rep.runs[0].iter().enumerate() {
+            assert_eq!(runs.len(), 3);
+            for (r, seed) in runs.iter().zip(&rep.seeds) {
+                assert!(
+                    r.per_client_acc.iter().all(|a| a.is_finite()) && r.final_mean > chance + 0.05,
+                    "{} did not learn at seed {seed}: {:.3}",
+                    table.rows[row].0.name(),
+                    r.final_mean
+                );
+            }
+        }
+        let verdicts = rep.verdicts();
+        let v = &verdicts[0];
+        println!("{}", crate::report::render(&rep));
+        assert!(
+            v.mean > -0.05,
+            "FedClassAvg fell behind local-only by {:+.3} on average",
+            v.mean
+        );
     }
 }

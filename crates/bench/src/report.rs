@@ -1,8 +1,15 @@
-//! Report rendering: paper-vs-measured tables and JSON artifacts.
+//! Report rendering: paper-vs-measured tables, paired verdicts on the
+//! paper's orderings, and JSON artifacts.
 
-use fedclassavg::sim::RoundMetrics;
+use crate::experiments::{reproduce, ExperimentContext, Method, Reproduction, Setting, Table};
+use fca_data::partition::Partitioner;
+use fca_metrics::eval::curve_sparkline;
+use fca_tensor::rng::derived_rng;
+use fedclassavg::sim::{RoundMetrics, RunResult};
 use serde_json::Value;
+use std::fmt::Write as _;
 use std::path::Path;
+use std::process::ExitCode;
 
 /// A JSON object from `(key, value)` pairs.
 pub fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
@@ -35,81 +42,331 @@ pub fn curve_points(curve: &[RoundMetrics]) -> Value {
     )
 }
 
-/// A single table cell comparison: the paper's number next to ours.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Row label (method name).
-    pub method: String,
-    /// Column label (dataset / setting).
-    pub setting: String,
-    /// The paper's reported value.
-    pub paper: f64,
-    /// Our measured value.
-    pub measured: f64,
-    /// Optional measured spread (±).
-    pub measured_std: Option<f64>,
+/// Per-seed outcomes of a paired comparison. A tie (equal mean accuracy)
+/// counts for neither side.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WinCount {
+    /// Seeds the better-claimed method won.
+    pub wins: usize,
+    /// Seeds with equal means.
+    pub ties: usize,
+    /// Seeds it lost.
+    pub losses: usize,
 }
 
-impl Comparison {
-    /// The row as it is written to `results/*.json`.
-    pub fn to_value(&self) -> Value {
-        object([
-            ("method", self.method.as_str().into()),
-            ("setting", self.setting.as_str().into()),
-            ("paper", self.paper.into()),
-            ("measured", self.measured.into()),
-            (
-                "measured_std",
-                self.measured_std.map_or(Value::Null, Value::from),
-            ),
-        ])
+impl WinCount {
+    /// Count the signs of per-seed mean differences.
+    pub fn of(diffs: &[f64]) -> WinCount {
+        let mut c = WinCount::default();
+        for d in diffs {
+            match d.partial_cmp(&0.0) {
+                Some(std::cmp::Ordering::Greater) => c.wins += 1,
+                Some(std::cmp::Ordering::Less) => c.losses += 1,
+                _ => c.ties += 1,
+            }
+        }
+        c
     }
 }
 
-/// The rows of a comparison table as one JSON array.
-pub fn comparisons_value(rows: &[Comparison]) -> Value {
-    Value::Array(rows.iter().map(Comparison::to_value).collect())
+/// Bootstrap resamples behind [`bootstrap_ci`].
+const BOOTSTRAP_DRAWS: usize = 2000;
+
+/// Seeded two-level bootstrap 95 % interval of the mean of `diffs[seed][client]`:
+/// each draw resamples the seeds, then the clients within each drawn seed.
+pub fn bootstrap_ci(diffs: &[Vec<f64>], seed: u64) -> (f64, f64) {
+    let mut rng = derived_rng(seed, 0xB007);
+    let mut means: Vec<f64> = (0..BOOTSTRAP_DRAWS)
+        .map(|_| {
+            let (mut sum, mut n) = (0.0, 0);
+            for _ in 0..diffs.len() {
+                let clients = &diffs[rng.index(diffs.len())];
+                for _ in 0..clients.len() {
+                    sum += clients[rng.index(clients.len())];
+                }
+                n += clients.len();
+            }
+            sum / n as f64
+        })
+        .collect();
+    means.sort_by(f64::total_cmp);
+    let tail = BOOTSTRAP_DRAWS / 40;
+    (means[tail], means[BOOTSTRAP_DRAWS - 1 - tail])
 }
 
-/// Render comparisons grouped by setting.
-pub fn comparison_table(title: &str, rows: &[Comparison]) -> String {
-    use std::fmt::Write as _;
+/// The evidence on one ordering in one setting.
+#[derive(Clone, Copy, Debug)]
+pub struct Verdict {
+    /// The row the paper puts ahead.
+    pub better: Method,
+    /// The row it beats.
+    pub worse: Method,
+    /// Index into the table's settings.
+    pub setting: usize,
+    /// Per-seed wins, ties and losses of `better` over `worse`.
+    pub count: WinCount,
+    /// Mean paired per-client difference, `better − worse`.
+    pub mean: f64,
+    /// Its bootstrap 95 % interval.
+    pub ci: (f64, f64),
+}
+
+impl Verdict {
+    /// The claim is reproduced when the whole interval lies above 0.
+    pub fn reproduced(&self) -> bool {
+        self.ci.0 > 0.0
+    }
+}
+
+/// Per-client accuracy differences `a − b` of two runs on one fleet.
+fn paired(a: &RunResult, b: &RunResult) -> Vec<f64> {
+    assert_eq!(
+        a.per_client_acc.len(),
+        b.per_client_acc.len(),
+        "unpaired runs"
+    );
+    a.per_client_acc
+        .iter()
+        .zip(&b.per_client_acc)
+        .map(|(a, b)| f64::from(*a) - f64::from(*b))
+        .collect()
+}
+
+fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len() as f64;
+    xs.sum::<f64>() / n
+}
+
+/// Mean over seeds of each run's mean accuracy and of its across-client std.
+fn seed_means(runs: &[RunResult]) -> (f64, f64) {
+    (
+        mean(runs.iter().map(|r| f64::from(r.final_mean))),
+        mean(runs.iter().map(|r| f64::from(r.final_std))),
+    )
+}
+
+/// The paper figure plotting a setting's curves: 4–5 the heterogeneous
+/// Dir/Skewed columns, 6–7 the homogeneous full/sampled participation ones.
+fn figure(s: &Setting) -> u8 {
+    let second = matches!(s.partitioner, Partitioner::Skewed { .. }) || s.sample_rate < 1.0;
+    let first = if s.homogeneous { 6 } else { 4 };
+    first + u8::from(second)
+}
+
+impl Reproduction<'_> {
+    fn row(&self, method: Method) -> usize {
+        self.table
+            .row(method)
+            .expect("a table's orderings and curves name its rows")
+    }
+
+    /// One verdict per setting × ordering.
+    pub fn verdicts(&self) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        for (si, &setting) in self.settings.iter().enumerate() {
+            for &(better, worse) in self.table.orderings {
+                let diffs: Vec<Vec<f64>> = self.runs[si][self.row(better)]
+                    .iter()
+                    .zip(&self.runs[si][self.row(worse)])
+                    .map(|(b, w)| paired(b, w))
+                    .collect();
+                let per_seed: Vec<f64> = diffs.iter().map(|d| mean(d.iter().copied())).collect();
+                out.push(Verdict {
+                    better,
+                    worse,
+                    setting,
+                    count: WinCount::of(&per_seed),
+                    mean: mean(per_seed.iter().copied()),
+                    ci: bootstrap_ci(&diffs, self.seeds[0]),
+                });
+            }
+        }
+        out
+    }
+
+    /// The first seed's runs of the table's curve methods, by figure.
+    fn curve_runs(&self) -> Vec<(u8, &Setting, Method, &RunResult)> {
+        let Some((_, methods)) = self.table.curves else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for (si, &s) in self.settings.iter().enumerate() {
+            let setting = &self.table.settings[s];
+            for &m in methods {
+                out.push((figure(setting), setting, m, &self.runs[si][self.row(m)][0]));
+            }
+        }
+        out.sort_by_key(|&(fig, ..)| fig);
+        out
+    }
+
+    /// The table as written to `results/<table.file>.json`.
+    pub fn to_value(&self) -> Value {
+        let mut rows = Vec::new();
+        for (si, &s) in self.settings.iter().enumerate() {
+            for ((method, paper), runs) in self.table.rows.iter().zip(&self.runs[si]) {
+                let per_seed = runs
+                    .iter()
+                    .map(|r| Value::Array(vec![num(r.final_mean), num(r.final_std)]))
+                    .collect();
+                let (measured, measured_std) = seed_means(runs);
+                rows.push(object([
+                    ("method", method.name().into()),
+                    ("setting", self.table.settings[s].name().into()),
+                    ("paper", paper[s].into()),
+                    ("measured", measured.into()),
+                    ("measured_std", measured_std.into()),
+                    ("per_seed", Value::Array(per_seed)),
+                ]));
+            }
+        }
+        let orderings = self
+            .verdicts()
+            .iter()
+            .map(|v| {
+                object([
+                    ("better", v.better.name().into()),
+                    ("worse", v.worse.name().into()),
+                    ("setting", self.table.settings[v.setting].name().into()),
+                    ("wins", v.count.wins.into()),
+                    ("ties", v.count.ties.into()),
+                    ("losses", v.count.losses.into()),
+                    ("mean_diff", v.mean.into()),
+                    ("ci_low", v.ci.0.into()),
+                    ("ci_high", v.ci.1.into()),
+                    ("reproduced", v.reproduced().into()),
+                ])
+            })
+            .collect();
+        object([
+            ("seeds", self.seeds.clone().into()),
+            ("rows", Value::Array(rows)),
+            ("orderings", Value::Array(orderings)),
+        ])
+    }
+
+    /// The first seed's learning curves, as written to the table's curve
+    /// file: one record per figure × setting × method.
+    pub fn curves_value(&self) -> Value {
+        let records = self
+            .curve_runs()
+            .into_iter()
+            .map(|(fig, setting, method, run)| {
+                let column = match setting.clients {
+                    Some(n) => ("clients", n.into()),
+                    None => ("distribution", setting.distribution().into()),
+                };
+                object([
+                    ("figure", fig.into()),
+                    ("dataset", setting.dataset.name().into()),
+                    column,
+                    ("method", method.name().into()),
+                    ("points", curve_points(&run.curve)),
+                ])
+            });
+        Value::Array(records.collect())
+    }
+}
+
+/// The table, the verdict on each ordering, and the curves' sparklines.
+pub fn render(rep: &Reproduction) -> String {
+    let table = rep.table;
     let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
+    let (first, last) = (rep.seeds[0], rep.seeds[rep.seeds.len() - 1]);
+    let _ = writeln!(out, "== {} (seeds {first}–{last}) ==", table.title);
     let _ = writeln!(
         out,
-        "{:<28} {:<22} {:>10} {:>10} {:>8}",
+        "{:<26} {:<25} {:>7} {:>9} {:>7}  per seed",
         "method", "setting", "paper", "measured", "±"
     );
-    for r in rows {
-        let std = r
-            .measured_std
-            .map(|s| format!("{s:.4}"))
-            .unwrap_or_else(|| "-".into());
+    for (si, &s) in rep.settings.iter().enumerate() {
+        for ((method, paper), runs) in table.rows.iter().zip(&rep.runs[si]) {
+            let per_seed: Vec<String> = runs
+                .iter()
+                .map(|r| format!("{:.4}", r.final_mean))
+                .collect();
+            let (measured, measured_std) = seed_means(runs);
+            let _ = writeln!(
+                out,
+                "{:<26} {:<25} {:>7.4} {:>9.4} {:>7.4}  {}",
+                method.name(),
+                table.settings[s].name(),
+                paper[s],
+                measured,
+                measured_std,
+                per_seed.join(" ")
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\n{:<38} {:<25} {:>6} {:>9}  {:<20} verdict",
+        "ordering (paired, seeds × clients)", "setting", "W-T-L", "mean diff", "95 % CI"
+    );
+    for v in rep.verdicts() {
+        let claim = format!("{} > {}", v.better.name(), v.worse.name());
         let _ = writeln!(
             out,
-            "{:<28} {:<22} {:>10.4} {:>10.4} {:>8}",
-            r.method, r.setting, r.paper, r.measured, std
+            "{claim:<38} {:<25} {:>6} {:>+9.4}  [{:+.4}, {:+.4}]   {}",
+            table.settings[v.setting].name(),
+            format!("{}-{}-{}", v.count.wins, v.count.ties, v.count.losses),
+            v.mean,
+            v.ci.0,
+            v.ci.1,
+            if v.reproduced() {
+                "reproduced"
+            } else {
+                "not reproduced"
+            }
+        );
+    }
+    let curves = rep.curve_runs();
+    if !curves.is_empty() {
+        let _ = writeln!(out, "\nlearning curves, seed {first} (x = local epochs):");
+    }
+    for (fig, setting, method, run) in curves {
+        let _ = writeln!(
+            out,
+            "Figure {fig}  {:<25} {:<26} {}",
+            setting.name(),
+            method.name(),
+            curve_sparkline(&run.curve)
         );
     }
     out
 }
 
-/// Check that our measurements preserve the paper's *ordering* between two
-/// methods in a setting (the reproduction criterion — absolute numbers
-/// come from different substrates).
-pub fn ordering_holds(
-    rows: &[Comparison],
-    better: &str,
-    worse: &str,
-    setting: &str,
-) -> Option<bool> {
-    let find = |m: &str| {
-        rows.iter()
-            .find(|r| r.method == m && r.setting == setting)
-            .map(|r| r.measured)
+/// A table binary's `main`: run the declaration at the command line's
+/// scale, print it, and — unless a `--setting` filter narrowed it — write
+/// its results and curve files.
+pub fn reproduce_main(table: &Table) -> ExitCode {
+    let ctx = ExperimentContext::from_env();
+    let rep = match reproduce(&ctx, table) {
+        Ok(rep) => rep,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
-    Some(find(better)? > find(worse)?)
+    println!("{}", render(&rep));
+    if ctx.filter.is_some() {
+        println!("filtered run: results/ left untouched");
+        return ExitCode::SUCCESS;
+    }
+    let mut files = vec![(table.file, rep.to_value())];
+    if let Some((file, _)) = table.curves {
+        files.push((file, rep.curves_value()));
+    }
+    for (name, value) in files {
+        match write_json(name, &value) {
+            Ok(p) => println!("wrote {}", p.display()),
+            Err(e) => {
+                eprintln!("could not write results/{name}.json: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// Write a result as pretty-printed JSON under `results/`.
@@ -139,76 +396,63 @@ pub fn results_dir() -> std::path::PathBuf {
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<Comparison> {
-        vec![
-            Comparison {
-                method: "Proposed".into(),
-                setting: "CIFAR Dir(0.5)".into(),
-                paper: 0.767,
-                measured: 0.71,
-                measured_std: Some(0.05),
-            },
-            Comparison {
-                method: "KT-pFL".into(),
-                setting: "CIFAR Dir(0.5)".into(),
-                paper: 0.6228,
-                measured: 0.62,
-                measured_std: None,
-            },
-        ]
+    #[test]
+    fn ties_count_for_neither_side() {
+        let c = WinCount::of(&[0.1, 0.0, -0.2, 0.3, 0.0]);
+        assert_eq!(
+            c,
+            WinCount {
+                wins: 2,
+                ties: 2,
+                losses: 1
+            }
+        );
     }
 
     #[test]
-    fn table_renders_all_rows() {
-        let t = comparison_table("Table 2", &rows());
-        assert_eq!(t.lines().count(), 4);
-        assert!(t.contains("Proposed"));
-        assert!(t.contains("0.7100"));
+    fn bootstrap_ci_is_seeded_and_separates_a_shift_from_noise() {
+        // Three seeds × eight clients of symmetric, zero-mean noise.
+        let noise: Vec<Vec<f64>> = (0..3)
+            .map(|s| {
+                (0..8)
+                    .map(|k| (if k % 2 == 0 { 1.0 } else { -1.0 }) * 0.02 * (1 + k / 2 + s) as f64)
+                    .collect()
+            })
+            .collect();
+        let shifted: Vec<Vec<f64>> = noise
+            .iter()
+            .map(|d| d.iter().map(|x| x + 0.1).collect())
+            .collect();
+
+        let (lo, hi) = bootstrap_ci(&noise, 5);
+        assert!(
+            lo < 0.0 && 0.0 < hi,
+            "zero-mean noise excluded 0: [{lo}, {hi}]"
+        );
+        let (lo, hi) = bootstrap_ci(&shifted, 5);
+        assert!(0.0 < lo && lo < 0.1 && 0.1 < hi, "+0.1 shift: [{lo}, {hi}]");
+        assert_eq!(bootstrap_ci(&shifted, 5), (lo, hi));
+        assert_ne!(bootstrap_ci(&noise, 6), bootstrap_ci(&noise, 5));
     }
 
     #[test]
-    fn ordering_detection() {
-        let r = rows();
-        assert_eq!(
-            ordering_holds(&r, "Proposed", "KT-pFL", "CIFAR Dir(0.5)"),
-            Some(true)
-        );
-        assert_eq!(
-            ordering_holds(&r, "KT-pFL", "Proposed", "CIFAR Dir(0.5)"),
-            Some(false)
-        );
-        assert_eq!(
-            ordering_holds(&r, "Missing", "KT-pFL", "CIFAR Dir(0.5)"),
-            None
-        );
+    fn figures_follow_the_paper_numbering() {
+        use crate::tables::{TABLE2, TABLE3};
+        let figs = |t: &Table| t.settings.iter().map(figure).collect::<Vec<_>>();
+        assert_eq!(figs(&TABLE2), [4, 5, 4, 5, 4, 5]);
+        assert_eq!(figs(&TABLE3), [6, 7, 6, 7, 6, 7]);
     }
 
     #[test]
     fn json_artifact_written() {
-        let path = write_json("test_artifact", &comparisons_value(&rows())).expect("write");
+        let value = object([("method", "Proposed".into()), ("measured", num(0.7125))]);
+        let path = write_json("test_artifact", &value).expect("write");
         let body = std::fs::read_to_string(&path).expect("read");
         std::fs::remove_file(path).ok();
         let parsed = serde_json::from_str::<Value>(&body).expect("the artifact is JSON");
-        let items = parsed.as_array().expect("an array of rows");
-        assert_eq!(items.len(), 2);
-        for (item, row) in items.iter().zip(rows()) {
-            let keys: Vec<&str> = item
-                .as_object()
-                .expect("a row object")
-                .keys()
-                .map(String::as_str)
-                .collect();
-            assert_eq!(
-                keys,
-                ["measured", "measured_std", "method", "paper", "setting"]
-            );
-            assert_eq!(item["method"].as_str(), Some(row.method.as_str()));
-            assert_eq!(item["setting"].as_str(), Some(row.setting.as_str()));
-            assert_eq!(item["paper"].as_f64(), Some(row.paper));
-            assert_eq!(item["measured"].as_f64(), Some(row.measured));
-            assert_eq!(item["measured_std"].as_f64(), row.measured_std);
-        }
-        assert!(items[1]["measured_std"].is_null());
+        assert_eq!(parsed["method"].as_str(), Some("Proposed"));
+        assert_eq!(field(&parsed, "measured"), 0.7125);
+        assert!(field(&parsed, "missing").is_nan());
         assert_eq!(
             serde_json::to_string(&num(0.7125)).expect("prints"),
             "0.7125"

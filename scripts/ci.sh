@@ -64,9 +64,15 @@ echo "=== benchmark smoke: what benchmark/ compiles against still builds, and ev
 # signature it uses could drift here unnoticed.
 benchmark/smoke.sh
 
-echo "=== paper binaries: fca-bench builds, and the cheapest figure runs ==="
+echo "=== paper binaries: fca-bench builds, the cheapest figure runs, and Table 4's declaration runs end to end on one setting ==="
 cargo build --release -p fca-bench --bins
 cargo run --release -p fca-bench --bin fig2_3_partitions >/dev/null
+# A filtered run prints its verdicts and writes nothing under results/; a
+# filter matching no setting fails before anything trains.
+cargo run --release -p fca-bench --bin table4_ablation -- --quick --setting Fashion-MNIST
+if cargo run --release -p fca-bench --bin table4_ablation -- --quick --setting no-such-setting; then
+    echo "a filter matching no setting was accepted" >&2; exit 1
+fi
 
 echo "=== observability smoke: traced quick run + journal schema check ==="
 cargo run --release --example quickstart -- --quick --trace
