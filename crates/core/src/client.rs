@@ -241,17 +241,6 @@ impl Client {
         std::mem::replace(&mut self.workspace, ws)
     }
 
-    /// Adjust the local optimizer's learning rate (LR schedules are
-    /// applied by the experiment driver between rounds).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.optimizer.set_learning_rate(lr);
-    }
-
-    /// Current learning rate of the local optimizer.
-    pub fn learning_rate(&self) -> f32 {
-        self.optimizer.learning_rate()
-    }
-
     /// Allocation counters of the client's scratch workspace.
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.workspace.stats()
@@ -846,18 +835,6 @@ mod tests {
             weight_decay: 1e-4,
         };
         assert_snapshot_fidelity(&hp);
-    }
-
-    #[test]
-    fn snapshot_carries_scheduled_learning_rate() {
-        let hp = HyperParams::micro_default();
-        let mut a = dropout_client(613, &hp);
-        a.local_update_supervised(1, &hp);
-        a.set_learning_rate(7e-4);
-        let blob = a.snapshot_blob();
-        let mut b = dropout_client(613, &hp);
-        b.restore_snapshot(&blob).expect("restore");
-        assert_eq!(b.learning_rate(), 7e-4);
     }
 
     #[test]

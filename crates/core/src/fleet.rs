@@ -128,9 +128,7 @@ impl Hydrator {
 pub struct Fleet {
     metas: Vec<ClientMeta>,
     slots: Vec<Slot>,
-    /// `None` for fleets built directly from client values — those can
-    /// never page, so every slot stays `Live` forever.
-    hydrator: Option<Hydrator>,
+    hydrator: Hydrator,
     /// Upper bound on clients materialized at once by the scheduler.
     max_resident: usize,
     pool: WorkspacePool,
@@ -140,36 +138,6 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fully resident fleet wrapping pre-built clients. Used by test
-    /// fixtures and experiments that construct [`Client`]s by hand; such
-    /// a fleet never pages.
-    pub fn from_clients(clients: Vec<Client>) -> Fleet {
-        let metas = clients
-            .iter()
-            .map(|c| ClientMeta {
-                id: c.id,
-                arch: c.model.arch,
-                weight: c.weight,
-                train_indices: Vec::new(),
-                test_indices: Vec::new(),
-            })
-            .collect();
-        let max_resident = clients.len().max(1);
-        Fleet {
-            metas,
-            slots: clients
-                .into_iter()
-                .map(|c| Slot::Live(Box::new(c)))
-                .collect(),
-            hydrator: None,
-            max_resident,
-            pool: WorkspacePool::new(),
-            page_ins: AtomicU64::new(0),
-            page_outs: AtomicU64::new(0),
-            page_bytes: AtomicU64::new(0),
-        }
-    }
-
     /// Build a fleet over partitioner splits.
     ///
     /// `max_resident = None` materializes every client eagerly (the
@@ -220,7 +188,7 @@ impl Fleet {
         Fleet {
             metas,
             slots,
-            hydrator: Some(hydrator),
+            hydrator,
             max_resident: cap,
             pool: WorkspacePool::new(),
             page_ins: AtomicU64::new(0),
@@ -271,16 +239,11 @@ impl Fleet {
         }
     }
 
-    /// True when client `k` is currently materialized.
-    pub fn is_live(&self, k: usize) -> bool {
-        matches!(self.slots[k], Slot::Live(_))
-    }
-
     /// Mutable access to a materialized client. Panics on a cold slot —
     /// use [`Fleet::with_client`] when the fleet may be paged.
     #[expect(
         clippy::panic,
-        reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
+        reason = "caller contract: the accessor of resident fleets; a caller that may meet a paged-out client goes through with_client"
     )]
     pub fn client_mut(&mut self, k: usize) -> &mut Client {
         match &mut self.slots[k] {
@@ -312,15 +275,7 @@ impl Fleet {
         match &mut self.slots[k] {
             Slot::Live(c) => f(c),
             Slot::Cold(blob) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
-                )]
-                let h = self
-                    .hydrator
-                    .as_ref()
-                    .expect("cold slot in a fleet without a hydrator");
-                let mut c = hydrate(h, &self.metas[k], blob.as_ref(), &self.pool);
+                let mut c = hydrate(&self.hydrator, &self.metas[k], blob.as_ref(), &self.pool);
                 self.page_ins.fetch_add(1, Ordering::Relaxed);
                 let out = f(&mut c);
                 *blob = Some(dehydrate(&mut c, &self.pool, &self.page_bytes));
@@ -346,14 +301,9 @@ impl Fleet {
     where
         F: Fn(&mut Client) + Sync,
     {
-        let wave = if self.hydrator.is_some() {
-            self.max_resident.max(1)
-        } else {
-            sampled.len().max(1)
-        };
-        for chunk in sampled.chunks(wave) {
+        for chunk in sampled.chunks(self.max_resident) {
             let picked = carve(&mut self.slots, chunk);
-            let hydrator = self.hydrator.as_ref();
+            let hydrator = &self.hydrator;
             let metas = &self.metas;
             let pool = &self.pool;
             let page_ins = &self.page_ins;
@@ -365,12 +315,7 @@ impl Fleet {
                 .for_each(|(slot, &k)| match slot {
                     Slot::Live(c) => f(c),
                     Slot::Cold(blob) => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
-                        )]
-                        let h = hydrator.expect("cold slot in a fleet without a hydrator");
-                        let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
+                        let mut c = hydrate(hydrator, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
                         f(&mut c);
                         *blob = Some(dehydrate(&mut c, pool, page_bytes));
@@ -387,15 +332,10 @@ impl Fleet {
     /// stays as-is and nothing pages out. `ids` must be sorted and
     /// distinct, like a round's sample.
     pub fn evaluate_ids(&mut self, ids: &[usize]) -> Vec<f32> {
-        let wave = if self.hydrator.is_some() {
-            self.max_resident.max(1)
-        } else {
-            ids.len().max(1)
-        };
         let mut accs = Vec::with_capacity(ids.len());
-        for chunk in ids.chunks(wave) {
+        for chunk in ids.chunks(self.max_resident) {
             let picked = carve(&mut self.slots, chunk);
-            let hydrator = self.hydrator.as_ref();
+            let hydrator = &self.hydrator;
             let metas = &self.metas;
             let pool = &self.pool;
             let page_ins = &self.page_ins;
@@ -405,12 +345,7 @@ impl Fleet {
                 .map(|(slot, &k)| match slot {
                     Slot::Live(c) => c.evaluate(),
                     Slot::Cold(blob) => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "construction invariant: a fleet only holds Cold slots when built with a hydrator (from_splits); no wire input can create one"
-                        )]
-                        let h = hydrator.expect("cold slot in a fleet without a hydrator");
-                        let mut c = hydrate(h, &metas[k], blob.as_ref(), pool);
+                        let mut c = hydrate(hydrator, &metas[k], blob.as_ref(), pool);
                         page_ins.fetch_add(1, Ordering::Relaxed);
                         let acc = c.evaluate();
                         pool.checkin(c.swap_workspace(Workspace::new()));
@@ -444,52 +379,34 @@ impl Fleet {
     /// [`Fleet::export_snapshots`]). The fleet must have been built over
     /// the same dataset/partition/seed so the pristine twins match.
     ///
-    /// Fleets with a hydrator swap every slot to `Cold(blob)` — the next
-    /// hydration replays the blob, and the residency cap may differ from
-    /// the checkpointing run's (elastic resize). That hydration runs
-    /// mid-round inside the rayon region, where a bad blob could only
-    /// abort the federation, so every blob is restored here first onto a
-    /// scratch twin of its architecture: a damaged or foreign checkpoint
-    /// is refused whole, before any slot changes. Hydrator-less fleets
-    /// ([`Fleet::from_clients`]) restore in place onto the live clients
-    /// and reject `None` entries, since a pristine twin cannot be rebuilt;
-    /// after an `Err` such a fleet is partly overwritten — discard it.
+    /// Every slot becomes `Cold(blob)` — the next hydration replays the
+    /// blob, and the residency cap may differ from the checkpointing run's
+    /// (elastic resize). That hydration runs mid-round inside the rayon
+    /// region, where a bad blob could only abort the federation, so every
+    /// blob is restored here first onto a scratch twin of its architecture:
+    /// a damaged or foreign checkpoint is refused whole, before any slot
+    /// changes.
     pub fn restore_snapshots(&mut self, blobs: Vec<Option<SnapshotBlob>>) -> Result<(), WireError> {
         if blobs.len() != self.slots.len() {
             return Err(WireError::Malformed(
                 "checkpoint client count does not match the fleet",
             ));
         }
-        if let Some(h) = &self.hydrator {
-            #[expect(
-                clippy::disallowed_types,
-                reason = "lookup only: one scratch twin per architecture, never iterated, so its order cannot reach a result"
-            )]
-            let mut twins = std::collections::HashMap::new();
-            for (meta, blob) in self.metas.iter().zip(&blobs) {
-                if let Some(blob) = blob {
-                    twins
-                        .entry(meta.arch)
-                        .or_insert_with(|| h.build_pristine(meta))
-                        .restore_snapshot(blob)?;
-                }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup only: one scratch twin per architecture, never iterated, so its order cannot reach a result"
+        )]
+        let mut twins = std::collections::HashMap::new();
+        for (meta, blob) in self.metas.iter().zip(&blobs) {
+            if let Some(blob) = blob {
+                twins
+                    .entry(meta.arch)
+                    .or_insert_with(|| self.hydrator.build_pristine(meta))
+                    .restore_snapshot(blob)?;
             }
-            for (slot, blob) in self.slots.iter_mut().zip(blobs) {
-                *slot = Slot::Cold(blob);
-            }
-            return Ok(());
         }
         for (slot, blob) in self.slots.iter_mut().zip(blobs) {
-            match (slot, blob) {
-                (Slot::Live(c), Some(b)) => c.restore_snapshot(&b)?,
-                (Slot::Live(_), None) => {
-                    return Err(WireError::Malformed(
-                        "pristine checkpoint entry for a fleet without a hydrator",
-                    ));
-                }
-                // Unreachable for hydrator-less fleets, but harmless.
-                (s @ Slot::Cold(_), blob) => *s = Slot::Cold(blob),
-            }
+            *slot = Slot::Cold(blob);
         }
         Ok(())
     }
@@ -503,10 +420,6 @@ impl Fleet {
     /// state, never data, so existing blobs stay valid). Models,
     /// optimizers, and RNG streams are untouched: drift moves the data
     /// under the clients, it does not reset them.
-    ///
-    /// Requires a fleet built over parent datasets
-    /// (`Fleet::from_splits`); a [`Fleet::from_clients`] fleet owns no
-    /// parent data to re-shard from and panics.
     pub fn apply_splits(&mut self, splits: &[ClientSplit]) {
         assert_eq!(
             splits.len(),
@@ -516,16 +429,9 @@ impl Fleet {
         let Fleet {
             metas,
             slots,
-            hydrator,
+            hydrator: h,
             ..
         } = self;
-        #[expect(
-            clippy::expect_used,
-            reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire"
-        )]
-        let h = hydrator
-            .as_ref()
-            .expect("re-sharding needs the fleet's parent datasets (build via from_splits)");
         let total: usize = splits.iter().map(|s| s.train_indices.len()).sum();
         for split in splits {
             let k = split.client_id;
@@ -552,17 +458,9 @@ impl Fleet {
     /// rounds feeds in, so resumed and uninterrupted runs re-derive the
     /// same shards) and apply them via [`Fleet::apply_splits`].
     pub fn drift_to(&mut self, seed: u64, alpha: f64, lambda_permille: u64) {
-        #[expect(
-            clippy::expect_used,
-            reason = "misconfiguration guard on the experiment driver path: drift scenarios are declared in local config, never taken from the wire"
-        )]
-        let h = self
-            .hydrator
-            .as_ref()
-            .expect("drift needs the fleet's parent datasets (build via from_splits)");
         let splits = fca_data::drift::drifted_splits(
-            &h.train,
-            &h.test,
+            &self.hydrator.train,
+            &self.hydrator.test,
             self.metas.len(),
             seed,
             alpha,
@@ -946,7 +844,7 @@ mod tests {
     }
 
     #[test]
-    fn from_clients_fleet_never_pages() {
+    fn resident_fleet_never_pages() {
         let data = tiny_dataset(3, 48, 24, 956);
         let cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 956);
         let splits = Partitioner::Dirichlet { alpha: 0.5 }.split(&data.train, &data.test, 2, 956);
@@ -961,7 +859,6 @@ mod tests {
             &|_| ModelArch::CnnFedAvg,
         );
         assert_eq!(resident.clients().count(), 2);
-        assert!(resident.is_live(0) && resident.is_live(1));
         assert_eq!(resident.paging_stats(), PagingStats::default());
     }
 }

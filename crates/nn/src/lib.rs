@@ -40,8 +40,8 @@ pub mod prelude {
     pub use crate::conv::Conv2d;
     pub use crate::linear::Linear;
     pub use crate::module::{Module, Param};
-    pub use crate::norm::{BatchNorm2d, GroupNorm};
-    pub use crate::optim::{Adam, Optimizer, Schedule, Sgd};
-    pub use crate::pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+    pub use crate::norm::BatchNorm2d;
+    pub use crate::optim::{Adam, Optimizer, Sgd};
+    pub use crate::pool::{GlobalAvgPool, MaxPool2d};
     pub use crate::structure::{ChannelShuffle, Flatten, InceptionBlock, Residual, Sequential};
 }

@@ -1,4 +1,4 @@
-//! Batch and group normalization over NCHW tensors.
+//! Batch normalization over NCHW tensors.
 //!
 //! A statistic here is a long chain of dependent adds — a plane's `f64` sum
 //! for the mean and variance, a channel's `f32` sum for `dβ`/`dγ` — and one
@@ -29,19 +29,6 @@ fn plane_sums(planes: &[f32], plane: usize, term: impl Fn(usize, f32) -> f64) ->
         }
     }
     sums
-}
-
-/// Sum of `term` over a group's consecutive planes: their [`plane_sums`]
-/// added in channel order.
-fn group_sum(group: &[f32], plane: usize, term: impl Fn(f32) -> f64) -> f64 {
-    let mut sum = 0.0f64;
-    for planes in group.chunks(LANES * plane) {
-        let sums = plane_sums(planes, plane, |_, v| term(v));
-        for s in &sums[..planes.len() / plane] {
-            sum += s;
-        }
-    }
-    sum
 }
 
 /// `(Σ g, Σ g·x̂)` over all samples and pixels of channels `c0..c0 + LANES`
@@ -274,162 +261,6 @@ impl Module for BatchNorm2d {
     }
 }
 
-/// `GroupNorm` (Wu & He 2018): per-sample normalization over channel
-/// groups — batch-size independent, which matters in federated settings
-/// where BatchNorm's batch statistics leak and drift under non-iid data
-/// (the motivation for the `ext_groupnorm` ablation).
-pub struct GroupNorm {
-    groups: usize,
-    /// Scale γ, shape `(channels,)`.
-    pub gamma: Param,
-    /// Shift β, shape `(channels,)`.
-    pub beta: Param,
-    eps: f32,
-    xhat_slot: SlotId,
-    cached_numel: usize,
-    inv_std: Vec<f32>, // one per (sample, group)
-}
-
-impl GroupNorm {
-    /// New group norm over `channels` split into `groups`.
-    pub fn new(groups: usize, channels: usize) -> Self {
-        assert!(
-            groups >= 1 && channels.is_multiple_of(groups),
-            "channels {channels} must divide into {groups} groups"
-        );
-        GroupNorm {
-            groups,
-            gamma: Param::new("gn.gamma", Tensor::ones([channels])),
-            beta: Param::new("gn.beta", Tensor::zeros([channels])),
-            eps: 1e-5,
-            xhat_slot: SlotId::fresh(),
-            cached_numel: 0,
-            inv_std: Vec::new(),
-        }
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.gamma.value.numel()
-    }
-}
-
-impl Module for GroupNorm {
-    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = x.shape().as_nchw();
-        assert_eq!(
-            c,
-            self.channels(),
-            "groupnorm expects {} channels, got {c}",
-            self.channels()
-        );
-        let cg = c / self.groups;
-        let plane = h * w;
-        let m = (cg * plane) as f32;
-        // Both `out` and `xhat` are fully overwritten below.
-        let mut out = ws.tensor([n, c, h, w]);
-        let mut xhat = ws.take_slot(self.xhat_slot, x.numel());
-        self.inv_std.clear();
-        self.inv_std.resize(n * self.groups, 0.0);
-
-        let (xd, od) = (x.data(), out.data_mut());
-        for ni in 0..n {
-            for g in 0..self.groups {
-                let c_lo = g * cg;
-                // Statistics over (C/G, H, W) of this sample.
-                let group = &xd[(ni * c + c_lo) * plane..][..cg * plane];
-                let mean = (group_sum(group, plane, |v| v as f64) / m as f64) as f32;
-                let var = group_sum(group, plane, |v| {
-                    let d = (v - mean) as f64;
-                    d * d
-                });
-                let var = (var / m as f64) as f32;
-                let inv_std = 1.0 / (var + self.eps).sqrt();
-                self.inv_std[ni * self.groups + g] = inv_std;
-                for ci in c_lo..c_lo + cg {
-                    let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
-                    let gam = self.gamma.value.at(ci);
-                    let bet = self.beta.value.at(ci);
-                    let rows = od[at.clone()].iter_mut().zip(&mut xhat[at.clone()]);
-                    for ((o, xh), &v) in rows.zip(&xd[at]) {
-                        *xh = (v - mean) * inv_std;
-                        *o = gam * *xh + bet;
-                    }
-                }
-            }
-        }
-        ws.put_slot(self.xhat_slot, xhat);
-        self.cached_numel = x.numel();
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert!(
-            self.cached_numel > 0,
-            "backward before forward on GroupNorm"
-        );
-        assert_eq!(
-            grad_out.numel(),
-            self.cached_numel,
-            "backward before forward on GroupNorm"
-        );
-        let xhat = ws.take_slot(self.xhat_slot, self.cached_numel);
-        let (n, c, h, w) = grad_out.shape().as_nchw();
-        let cg = c / self.groups;
-        let plane = h * w;
-        let m = (cg * plane) as f32;
-        // Fully overwritten in the per-group loop below.
-        let mut dx = ws.tensor([n, c, h, w]);
-
-        // Parameter gradients (per channel, over all samples).
-        let (gd, dd) = (grad_out.data(), dx.data_mut());
-        for c0 in (0..c).step_by(LANES) {
-            let (dbeta, dgamma) = affine_grad_sums(gd, &xhat, (c, plane), c0);
-            for (ci, (dbeta, dgamma)) in (c0..c).zip(dbeta.into_iter().zip(dgamma)) {
-                self.gamma.grad.data_mut()[ci] += dgamma;
-                self.beta.grad.data_mut()[ci] += dbeta;
-            }
-        }
-
-        // Input gradient, per (sample, group): with ĝ = γ⊙dy,
-        // dx = inv_std · (ĝ − mean(ĝ) − x̂·mean(ĝ⊙x̂)).
-        for ni in 0..n {
-            for g in 0..self.groups {
-                let inv_std = self.inv_std[ni * self.groups + g];
-                let channels = || {
-                    (g * cg..(g + 1) * cg).map(|ci| {
-                        let at = (ni * c + ci) * plane..(ni * c + ci + 1) * plane;
-                        (self.gamma.value.at(ci), at)
-                    })
-                };
-                let mut mean_gh = 0.0f32;
-                let mut mean_ghx = 0.0f32;
-                for (gam, at) in channels() {
-                    for (&g, &xh) in gd[at.clone()].iter().zip(&xhat[at]) {
-                        let gh = gam * g;
-                        mean_gh += gh;
-                        mean_ghx += gh * xh;
-                    }
-                }
-                mean_gh /= m;
-                mean_ghx /= m;
-                for (gam, at) in channels() {
-                    let rows = dd[at.clone()].iter_mut().zip(&gd[at.clone()]);
-                    for ((d, &g), &xh) in rows.zip(&xhat[at]) {
-                        *d = inv_std * (gam * g - mean_gh - xh * mean_ghx);
-                    }
-                }
-            }
-        }
-        ws.put_slot(self.xhat_slot, xhat);
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,190 +408,69 @@ mod tests {
         assert_eq!(bn.buffers_mut().len(), 2);
     }
 
-    #[test]
-    fn groupnorm_normalizes_per_sample_group() {
-        let mut rng = seeded_rng(95);
-        let mut ws = Workspace::new();
-        let x = Tensor::randn([3, 4, 5, 5], 2.0, &mut rng).map(|v| v + 3.0);
-        let mut gn = GroupNorm::new(2, 4);
-        let y = gn.forward(&x, true, &mut ws);
-        // Each (sample, group) block of y has mean ≈ 0, var ≈ 1.
-        let plane = 25;
-        for ni in 0..3 {
-            for g in 0..2 {
-                let mut vals = Vec::new();
-                for ci in (g * 2)..(g * 2 + 2) {
-                    let base = (ni * 4 + ci) * plane;
-                    vals.extend_from_slice(&y.data()[base..base + plane]);
-                }
-                let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
-                let var: f32 =
-                    vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
-                assert!(mean.abs() < 1e-4, "sample {ni} group {g} mean {mean}");
-                assert!((var - 1.0).abs() < 1e-2, "sample {ni} group {g} var {var}");
-            }
-        }
-    }
-
-    #[test]
-    fn groupnorm_is_batch_size_independent() {
-        // The same sample produces the same output regardless of what else
-        // is in the batch — the property BatchNorm lacks.
-        let mut rng = seeded_rng(96);
-        let mut ws = Workspace::new();
-        let a = Tensor::randn([1, 4, 3, 3], 1.0, &mut rng);
-        let b = Tensor::randn([1, 4, 3, 3], 5.0, &mut rng);
-        let both = Tensor::from_vec(
-            [2, 4, 3, 3],
-            a.data().iter().chain(b.data()).copied().collect::<Vec<_>>(),
-        );
-        let mut gn = GroupNorm::new(2, 4);
-        let solo = gn.forward(&a, true, &mut ws);
-        let joint = gn.forward(&both, true, &mut ws);
-        for (x, y) in solo.data().iter().zip(&joint.data()[..solo.numel()]) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn groupnorm_backward_matches_finite_difference() {
-        let mut rng = seeded_rng(97);
-        let mut ws = Workspace::new();
-        let x = Tensor::randn([2, 4, 3, 3], 1.0, &mut rng);
-        let gy = Tensor::randn([2, 4, 3, 3], 1.0, &mut rng);
-        let mut gn = GroupNorm::new(2, 4);
-        gn.gamma.value = Tensor::from_vec([4], vec![1.2, 0.8, 1.5, 0.5]);
-        let _ = gn.forward(&x, true, &mut ws);
-        let dx = gn.backward(&gy, &mut ws);
-        let loss = |gn: &mut GroupNorm, x: &Tensor, ws: &mut Workspace| {
-            let y = gn.forward(x, true, ws);
-            y.data()
-                .iter()
-                .zip(gy.data())
-                .map(|(a, b)| a * b)
-                .sum::<f32>()
-        };
-        let h = 1e-2;
-        for i in (0..x.numel()).step_by(3) {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += h;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= h;
-            let fd = (loss(&mut gn, &xp, &mut ws) - loss(&mut gn, &xm, &mut ws)) / (2.0 * h);
-            let an = dx.at(i);
-            assert!(
-                (fd - an).abs() < 5e-2 * (1.0 + fd.abs()),
-                "elem {i}: fd {fd} vs {an}"
-            );
-        }
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|e| e.to_bits()).collect()
     }
 
-    /// The one-chain-at-a-time passes these layers ran before the chains
-    /// were overlapped, kept verbatim as the oracle. `groups == None` is
-    /// batch norm (training mode); returns `(out, x̂, running mean, running
-    /// var)` — the running statistics empty for group norm.
+    /// The one-chain-at-a-time passes the layer ran before the chains were
+    /// overlapped, kept verbatim as the oracle: training-mode
+    /// `(out, x̂, running mean, running var)` …
     fn forward_oracle(
         x: &Tensor,
         gamma: &[f32],
         beta: &[f32],
-        groups: Option<usize>,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
         let (n, c, h, w) = x.shape().as_nchw();
         let plane = h * w;
         let (eps, momentum) = (1e-5f32, 0.1f32);
         let mut out = vec![f32::NAN; x.numel()];
         let mut xhat = vec![f32::NAN; x.numel()];
-        let Some(groups) = groups else {
-            let m = (n * plane) as f32;
-            let (mut rm, mut rv) = (vec![0.0f32; c], vec![1.0f32; c]);
-            for ci in 0..c {
-                let mut mean = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    mean += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>();
-                }
-                let mean = (mean / m as f64) as f32;
-                let mut var = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    var += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| {
-                            let d = (v - mean) as f64;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
-                let var = (var / m as f64) as f32;
-                let inv_std = 1.0 / (var + eps).sqrt();
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let xh = (x.data()[base + i] - mean) * inv_std;
-                        xhat[base + i] = xh;
-                        out[base + i] = gamma[ci] * xh + beta[ci];
-                    }
-                }
-                let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                rm[ci] = (1.0 - momentum) * rm[ci] + momentum * mean;
-                rv[ci] = (1.0 - momentum) * rv[ci] + momentum * unbiased;
+        let m = (n * plane) as f32;
+        let (mut rm, mut rv) = (vec![0.0f32; c], vec![1.0f32; c]);
+        for ci in 0..c {
+            let mut mean = 0.0f64;
+            for ni in 0..n {
+                let base = (ni * c + ci) * plane;
+                mean += x.data()[base..base + plane]
+                    .iter()
+                    .map(|&v| v as f64)
+                    .sum::<f64>();
             }
-            return (out, xhat, rm, rv);
-        };
-        let cg = c / groups;
-        let m = (cg * plane) as f32;
-        for ni in 0..n {
-            for g in 0..groups {
-                let c_lo = g * cg;
-                let mut mean = 0.0f64;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    mean += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>();
-                }
-                let mean = (mean / m as f64) as f32;
-                let mut var = 0.0f64;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    var += x.data()[base..base + plane]
-                        .iter()
-                        .map(|&v| {
-                            let d = (v - mean) as f64;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
-                let var = (var / m as f64) as f32;
-                let inv_std = 1.0 / (var + eps).sqrt();
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let xh = (x.data()[base + i] - mean) * inv_std;
-                        xhat[base + i] = xh;
-                        out[base + i] = gamma[ci] * xh + beta[ci];
-                    }
+            let mean = (mean / m as f64) as f32;
+            let mut var = 0.0f64;
+            for ni in 0..n {
+                let base = (ni * c + ci) * plane;
+                var += x.data()[base..base + plane]
+                    .iter()
+                    .map(|&v| {
+                        let d = (v - mean) as f64;
+                        d * d
+                    })
+                    .sum::<f64>();
+            }
+            let var = (var / m as f64) as f32;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            for ni in 0..n {
+                let base = (ni * c + ci) * plane;
+                for i in 0..plane {
+                    let xh = (x.data()[base + i] - mean) * inv_std;
+                    xhat[base + i] = xh;
+                    out[base + i] = gamma[ci] * xh + beta[ci];
                 }
             }
+            let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+            rm[ci] = (1.0 - momentum) * rm[ci] + momentum * mean;
+            rv[ci] = (1.0 - momentum) * rv[ci] + momentum * unbiased;
         }
-        (out, xhat, Vec::new(), Vec::new())
+        (out, xhat, rm, rv)
     }
 
-    /// The oracle's `(dβ, dγ)` — and, for batch norm (`inv_std` one per
-    /// channel), `dx` from them.
+    /// … and `(dβ, dγ, dx)`.
     fn backward_oracle(
         gy: &Tensor,
         xhat: &[f32],
         gamma: &[f32],
-        inv_std: Option<&[f32]>,
+        inv_std: &[f32],
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let (n, c, h, w) = gy.shape().as_nchw();
         let plane = h * w;
@@ -780,7 +490,6 @@ mod tests {
             }
             dbetas[ci] += dbeta;
             dgammas[ci] += dgamma;
-            let Some(inv_std) = inv_std else { continue };
             let scale = gamma[ci] * inv_std[ci];
             let mean_dy = dbeta / m;
             let mean_dyxhat = dgamma / m;
@@ -794,48 +503,6 @@ mod tests {
             }
         }
         (dbetas, dgammas, dx)
-    }
-
-    /// Group norm's input gradient, as the same one-chain loops.
-    #[expect(clippy::needless_range_loop, reason = "kept as they were written")]
-    fn groupnorm_dx_oracle(
-        gy: &Tensor,
-        xhat: &[f32],
-        gamma: &[f32],
-        inv_stds: &[f32],
-        groups: usize,
-    ) -> Vec<f32> {
-        let (n, c, h, w) = gy.shape().as_nchw();
-        let (cg, plane) = (c / groups, h * w);
-        let m = (cg * plane) as f32;
-        let mut dx = vec![f32::NAN; gy.numel()];
-        for ni in 0..n {
-            for g in 0..groups {
-                let c_lo = g * cg;
-                let inv_std = inv_stds[ni * groups + g];
-                let mut mean_gh = 0.0f32;
-                let mut mean_ghx = 0.0f32;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let gh = gamma[ci] * gy.data()[base + i];
-                        mean_gh += gh;
-                        mean_ghx += gh * xhat[base + i];
-                    }
-                }
-                mean_gh /= m;
-                mean_ghx /= m;
-                for ci in c_lo..c_lo + cg {
-                    let base = (ni * c + ci) * plane;
-                    for i in 0..plane {
-                        let gh = gamma[ci] * gy.data()[base + i];
-                        let xh = xhat[base + i];
-                        dx[base + i] = inv_std * (gh - mean_gh - xh * mean_ghx);
-                    }
-                }
-            }
-        }
-        dx
     }
 
     #[test]
@@ -857,9 +524,8 @@ mod tests {
             let y = bn.forward(&x, true, &mut ws);
             let dx = bn.backward(&gy, &mut ws);
             let xhat = ws.take_slot(bn.xhat_slot, x.numel());
-            let (y_ref, xhat_ref, rm, rv) = forward_oracle(&x, &gamma, &beta, None);
-            let (dbeta, dgamma, dx_ref) =
-                backward_oracle(&gy, &xhat_ref, &gamma, Some(&bn.inv_std));
+            let (y_ref, xhat_ref, rm, rv) = forward_oracle(&x, &gamma, &beta);
+            let (dbeta, dgamma, dx_ref) = backward_oracle(&gy, &xhat_ref, &gamma, &bn.inv_std);
             let on = format!("[{n}, {c}, {h}, {w}]");
             assert_eq!(bits(y.data()), bits(&y_ref), "out {on}");
             assert_eq!(bits(&xhat), bits(&xhat_ref), "xhat {on}");
@@ -870,43 +536,5 @@ mod tests {
             assert_eq!(bits(bn.gamma.grad.data()), bits(&dgamma), "dgamma {on}");
             ws.put_slot(bn.xhat_slot, xhat);
         }
-    }
-
-    #[test]
-    fn overlapped_chains_change_no_bit_of_groupnorm() {
-        let mut rng = seeded_rng(99);
-        let mut ws = Workspace::new();
-        // Groups narrower and wider than a group of lanes.
-        for (n, c, groups, h, w) in [(3, 4, 2, 5, 5), (2, 20, 2, 3, 4), (2, 9, 9, 2, 3)] {
-            let x = Tensor::randn([n, c, h, w], 2.0, &mut rng).map(|v| v - 0.5);
-            let gy = Tensor::randn([n, c, h, w], 1.0, &mut rng);
-            let mut gn = GroupNorm::new(groups, c);
-            gn.gamma.value = Tensor::randn([c], 1.0, &mut rng);
-            gn.beta.value = Tensor::randn([c], 1.0, &mut rng);
-            let (gamma, beta) = (
-                gn.gamma.value.data().to_vec(),
-                gn.beta.value.data().to_vec(),
-            );
-
-            let y = gn.forward(&x, true, &mut ws);
-            let dx = gn.backward(&gy, &mut ws);
-            let xhat = ws.take_slot(gn.xhat_slot, x.numel());
-            let (y_ref, xhat_ref, ..) = forward_oracle(&x, &gamma, &beta, Some(groups));
-            let (dbeta, dgamma, _) = backward_oracle(&gy, &xhat_ref, &gamma, None);
-            let on = format!("[{n}, {c}/{groups}, {h}, {w}]");
-            assert_eq!(bits(y.data()), bits(&y_ref), "out {on}");
-            assert_eq!(bits(&xhat), bits(&xhat_ref), "xhat {on}");
-            let dx_ref = groupnorm_dx_oracle(&gy, &xhat_ref, &gamma, &gn.inv_std, groups);
-            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx {on}");
-            assert_eq!(bits(gn.beta.grad.data()), bits(&dbeta), "dbeta {on}");
-            assert_eq!(bits(gn.gamma.grad.data()), bits(&dgamma), "dgamma {on}");
-            ws.put_slot(gn.xhat_slot, xhat);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "divide into")]
-    fn groupnorm_rejects_indivisible_channels() {
-        GroupNorm::new(3, 4);
     }
 }

@@ -20,8 +20,7 @@ use fca_tensor::Tensor;
 /// client blobs rely on it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OptState {
-    /// Learning rate at snapshot time (schedules may have moved it off the
-    /// configured base).
+    /// Learning rate at snapshot time.
     pub lr: f32,
     /// Update steps taken so far (drives Adam's bias correction; 0 for
     /// optimizers without a step count).
@@ -39,9 +38,6 @@ pub trait Optimizer: Send {
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
-
-    /// Change the learning rate (schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 
     /// Update steps taken so far ([`OptState::step`]).
     fn step_count(&self) -> u64;
@@ -147,10 +143,6 @@ impl Optimizer for Sgd {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn step_count(&self) -> u64 {
         0
     }
@@ -236,10 +228,6 @@ impl Optimizer for Adam {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn step_count(&self) -> u64 {
         self.t
     }
@@ -258,58 +246,6 @@ impl Optimizer for Adam {
         self.v = slots.split_off(half);
         self.m = slots;
         Ok(())
-    }
-}
-
-/// Learning-rate schedules over communication rounds.
-///
-/// The paper trains with a constant rate; schedules are provided for the
-/// longer-horizon runs this library supports (applied by calling
-/// [`Schedule::rate_at`] each round and `set_learning_rate` on the
-/// optimizer).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Schedule {
-    /// Constant rate.
-    Constant,
-    /// Multiply by `gamma` every `every` rounds.
-    Step {
-        /// Interval between decays (rounds).
-        every: usize,
-        /// Multiplicative decay factor.
-        gamma: f32,
-    },
-    /// Cosine annealing from the base rate to `min_lr` over `horizon`
-    /// rounds (held at `min_lr` afterwards).
-    Cosine {
-        /// Total annealing horizon (rounds).
-        horizon: usize,
-        /// Terminal learning rate.
-        min_lr: f32,
-    },
-}
-
-impl Schedule {
-    /// The learning rate at `round` (0-based) for a base rate `base`.
-    pub fn rate_at(&self, base: f32, round: usize) -> f32 {
-        match *self {
-            Schedule::Constant => base,
-            Schedule::Step { every, gamma } => {
-                let decays = round.checked_div(every).unwrap_or(0);
-                base * gamma.powi(decays as i32)
-            }
-            Schedule::Cosine { horizon, min_lr } => {
-                if horizon == 0 || round >= horizon {
-                    return min_lr;
-                }
-                let t = round as f32 / horizon as f32;
-                min_lr + 0.5 * (base - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-        }
-    }
-
-    /// Apply the schedule to an optimizer for the given round.
-    pub fn apply(&self, opt: &mut dyn Optimizer, base: f32, round: usize) {
-        opt.set_learning_rate(self.rate_at(base, round));
     }
 }
 
@@ -361,60 +297,6 @@ mod tests {
         assert!((ps[0].value.at(0) - 1.9).abs() < 1e-6);
     }
 
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.005);
-        assert_eq!(opt.learning_rate(), 0.005);
-    }
-
-    #[test]
-    fn step_schedule_decays_at_intervals() {
-        let s = Schedule::Step {
-            every: 10,
-            gamma: 0.5,
-        };
-        assert_eq!(s.rate_at(1.0, 0), 1.0);
-        assert_eq!(s.rate_at(1.0, 9), 1.0);
-        assert_eq!(s.rate_at(1.0, 10), 0.5);
-        assert_eq!(s.rate_at(1.0, 25), 0.25);
-    }
-
-    #[test]
-    fn cosine_schedule_endpoints_and_monotonicity() {
-        let s = Schedule::Cosine {
-            horizon: 100,
-            min_lr: 0.01,
-        };
-        assert!((s.rate_at(1.0, 0) - 1.0).abs() < 1e-6);
-        assert!((s.rate_at(1.0, 100) - 0.01).abs() < 1e-6);
-        assert!((s.rate_at(1.0, 500) - 0.01).abs() < 1e-6);
-        let mid = s.rate_at(1.0, 50);
-        assert!((mid - 0.505).abs() < 1e-3, "midpoint {mid}");
-        for r in 1..100 {
-            assert!(s.rate_at(1.0, r) <= s.rate_at(1.0, r - 1) + 1e-6);
-        }
-    }
-
-    #[test]
-    fn constant_schedule_is_constant() {
-        let s = Schedule::Constant;
-        assert_eq!(s.rate_at(0.3, 0), 0.3);
-        assert_eq!(s.rate_at(0.3, 1000), 0.3);
-    }
-
-    #[test]
-    fn schedule_applies_to_optimizer() {
-        let mut opt = Sgd::new(1.0);
-        Schedule::Step {
-            every: 1,
-            gamma: 0.1,
-        }
-        .apply(&mut opt, 1.0, 2);
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-7);
-    }
-
     /// Run `steps` quadratic-descent updates on `p` with `opt`.
     fn descend(opt: &mut dyn Optimizer, p: &mut Param, steps: usize) {
         for _ in 0..steps {
@@ -464,10 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_scheduled_learning_rate() {
-        let mut opt = Adam::new(0.3);
-        opt.set_learning_rate(0.07);
-        let st = state_of(&opt);
+    fn snapshot_carries_learning_rate() {
+        let st = state_of(&Adam::new(0.07));
         assert_eq!(st.lr, 0.07);
         let mut twin = Adam::new(0.3);
         twin.load_state(st, &[]).expect("load");

@@ -1,4 +1,4 @@
-//! Spatial pooling layers: max, average, and global average pooling.
+//! Spatial pooling layers: max and global average pooling.
 
 use crate::module::{Module, Param};
 use fca_tensor::{Tensor, Workspace};
@@ -90,102 +90,6 @@ impl Module for MaxPool2d {
         let dd = dx.data_mut();
         for (g, &idx) in grad_out.data().iter().zip(&self.argmax) {
             dd[idx] += g;
-        }
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-}
-
-/// Average pooling over square windows.
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    in_dims: [usize; 4],
-}
-
-impl AvgPool2d {
-    /// New average pool with window `kernel` and the given stride.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel >= 1 && stride >= 1);
-        AvgPool2d {
-            kernel,
-            stride,
-            in_dims: [0; 4],
-        }
-    }
-
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            (h - self.kernel) / self.stride + 1,
-            (w - self.kernel) / self.stride + 1,
-        )
-    }
-}
-
-impl Module for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = x.shape().as_nchw();
-        assert!(
-            h >= self.kernel && w >= self.kernel,
-            "pool window larger than input"
-        );
-        let (oh, ow) = self.out_hw(h, w);
-        self.in_dims = [n, c, h, w];
-        // Every output element is written in order below.
-        let mut out = ws.tensor([n, c, oh, ow]);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let xd = x.data();
-        let od = out.data_mut();
-        let mut oi = 0;
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                acc +=
-                                    xd[base + (oy * self.stride + ky) * w + ox * self.stride + kx];
-                            }
-                        }
-                        od[oi] = acc * norm;
-                        oi += 1;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let [n, c, h, w] = self.in_dims;
-        let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
-        assert_eq!((gn, gc), (n, c), "backward before forward on AvgPool2d");
-        // Scatter-add target: must start zeroed (windows may overlap).
-        let mut dx = ws.tensor_zeroed([n, c, h, w]);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let gd = grad_out.data();
-        let dd = dx.data_mut();
-        let mut gi = 0;
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gd[gi] * norm;
-                        gi += 1;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                dd[base + (oy * self.stride + ky) * w + ox * self.stride + kx] += g;
-                            }
-                        }
-                    }
-                }
-            }
         }
         dx
     }
@@ -313,17 +217,6 @@ mod tests {
             let is_max = finite.data()[i] == y.data()[plane * 4 + y0 * 2 + x0];
             assert_eq!(g, if is_max { 1.0 } else { 0.0 }, "elem {i}");
         }
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let mut ws = Workspace::new();
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 6.0]);
-        let mut p = AvgPool2d::new(2, 2);
-        let y = p.forward(&x, true, &mut ws);
-        assert_eq!(y.data(), &[3.0]);
-        let dx = p.backward(&Tensor::from_vec([1, 1, 1, 1], vec![4.0]), &mut ws);
-        assert!(dx.data().iter().all(|&v| v == 1.0));
     }
 
     #[test]

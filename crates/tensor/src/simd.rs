@@ -14,11 +14,13 @@
 //!   computed as two 4×16 register passes (8 YMM accumulators + 2 B
 //!   vectors + 1 broadcast stays inside the 16-register file), plus a
 //!   narrow subkernel for `nr ≤ 8` column strips (the small-n classifier
-//!   shapes) and a skinny-m kernel that reads row-major B directly.
+//!   shapes). Skinny-m products run the portable kernels: an AVX2 one
+//!   measured level with them end to end (EXPERIMENTS.md, *Paid for, or
+//!   gone*).
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
 //!   `NR = 16` tile width, so all 8 rows accumulate in a single pass. Also
-//!   the one arm with a skinny kernel for a B stored `n × k`: sixteen rows
-//!   of B transposed in registers (every other arm runs the portable one).
+//!   the one arm with skinny-m kernels of its own: row-major B in 16-column
+//!   strips, and a B stored `n × k` as sixteen rows transposed in registers.
 //!
 //! # Determinism contract
 //!
@@ -54,7 +56,7 @@ pub(crate) const BASE_FMA: bool = cfg!(target_feature = "fma");
 pub enum Kernel {
     /// Safe autovectorized fallback (also the bit-exactness oracle).
     Scalar,
-    /// Explicit AVX2+FMA microkernels.
+    /// Explicit AVX2+FMA packed microkernels.
     Avx2Fma,
     /// Explicit AVX-512F microkernels.
     Avx512,
@@ -189,7 +191,8 @@ pub(crate) unsafe fn microkernel_arm(
 }
 
 /// Skinny-m kernel (`C += A_rowmajor · B`, B read directly, no packing)
-/// on the given arm. Safe: operates on checked slices — `arow` is `m·k`, `b`
+/// on the given arm: AVX-512 has one of its own, every other arm runs the
+/// portable one. Safe: operates on checked slices — `arow` is `m·k`, `b`
 /// is `k·n` and `c` is `m·n`, asserted by [`crate::linalg::gemm`], the one
 /// caller outside the tests.
 pub(crate) fn skinny_arm(
@@ -202,16 +205,10 @@ pub(crate) fn skinny_arm(
     n: usize,
 ) {
     match arm {
-        Kernel::Scalar => skinny_scalar(arow, b, c, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: runtime detection established AVX2+FMA before handing
-        // out this `Kernel` value.
-        Kernel::Avx2Fma => unsafe { x86::skinny_avx2(arow, b, c, m, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: runtime detection established AVX-512F before handing
         // out this `Kernel` value.
         Kernel::Avx512 => unsafe { x86::skinny_avx512(arow, b, c, m, k, n) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => skinny_scalar(arow, b, c, m, k, n),
     }
 }
@@ -453,60 +450,13 @@ mod x86 {
         }
     }
 
-    /// Skinny-m driver: 16-column strips × row groups of ≤4, B read
-    /// directly from row-major storage (no pack), scalar column tail.
-    ///
-    /// # Safety
-    ///
-    /// AVX2+FMA must be available, and the bounds are the caller's: `arow`
-    /// must be `m·k`, `b` `k·n` and `c` `m·n` long. Nothing below checks
-    /// them in a release build; [`crate::linalg::gemm`] asserts them before
-    /// it dispatches here.
-    // SAFETY: given those lengths, every group call reads rows below `m`,
-    // columns below `n` and k steps below `k`.
-    pub(super) unsafe fn skinny_avx2(
-        arow: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        debug_assert_eq!(arow.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let nstrip = n - n % NR;
-        let cp = c.as_mut_ptr();
-        let mut j0 = 0;
-        while j0 < nstrip {
-            let mut i0 = 0;
-            while i0 + 4 <= m {
-                skinny_avx2_group::<4>(arow, b, cp, i0, j0, (k, n));
-                i0 += 4;
-            }
-            if m - i0 >= 2 {
-                skinny_avx2_group::<2>(arow, b, cp, i0, j0, (k, n));
-                i0 += 2;
-            }
-            if m - i0 == 1 {
-                skinny_avx2_group::<1>(arow, b, cp, i0, j0, (k, n));
-            }
-            j0 += NR;
-        }
-        if nstrip < n {
-            crate::gemm::skinny_tail(arow, b, c, m, k, n, nstrip);
-        }
-    }
-
-    /// [`skinny_avx2`] at ZMM width: one 16-lane register covers a whole
-    /// strip, and with 32 vector registers the row group stretches to the
-    /// full skinny range (`m ≤ 16`), so each strip streams B exactly once
-    /// with one load per `k` step feeding up to 16 FMAs. Per-lane
-    /// accumulation chains are identical to the scalar/AVX2 strips, so
-    /// results stay bit-for-bit equal.
+    /// Skinny-m driver: 16-column strips, B read directly from row-major
+    /// storage (no pack), scalar column tail. One 16-lane register covers
+    /// a whole strip, and with 32 vector registers the row group stretches
+    /// to the full skinny range (`m ≤ 16`), so each strip streams B exactly
+    /// once with one load per `k` step feeding up to 16 FMAs. Per-lane
+    /// accumulation chains are identical to the scalar strips, so results
+    /// stay bit-for-bit equal.
     ///
     /// # Safety
     ///
@@ -601,51 +551,6 @@ mod x86 {
             for (r, accr) in acc.iter().enumerate() {
                 let crow = c.add((i0 + r) * n + j0);
                 _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), *accr));
-            }
-            kc_lo += KC;
-        }
-    }
-
-    /// One `R`-row × 16-column block of the skinny kernel over all KC
-    /// slabs (`R ≤ 4`: R·2 accumulators + 2 B vectors + 1 broadcast).
-    ///
-    /// # Safety
-    ///
-    /// Rows `[i0, i0+R)` and columns `[j0, j0+16)` must be in bounds for
-    /// `arow` (`m × k` row-major), `b` (`k × n`), and `c` (`m × n`).
-    // SAFETY: every load/store below indexes row < i0+R, col < j0+16,
-    // k < kn.0, all inside the caller-guaranteed bounds.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn skinny_avx2_group<const R: usize>(
-        arow: &[f32],
-        b: &[f32],
-        c: *mut f32,
-        i0: usize,
-        j0: usize,
-        kn: (usize, usize),
-    ) {
-        let (k, n) = kn;
-        let ap = arow.as_ptr();
-        let bp = b.as_ptr();
-        let mut kc_lo = 0;
-        while kc_lo < k {
-            let kc_hi = (kc_lo + KC).min(k);
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            for kk in kc_lo..kc_hi {
-                let brow = bp.add(kk * n + j0);
-                let b0 = _mm256_loadu_ps(brow);
-                let b1 = _mm256_loadu_ps(brow.add(8));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add((i0 + r) * k + kk));
-                    accr[0] = fm256(av, b0, accr[0]);
-                    accr[1] = fm256(av, b1, accr[1]);
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let crow = c.add((i0 + r) * n + j0);
-                _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), accr[0]));
-                let ch = crow.add(8);
-                _mm256_storeu_ps(ch, _mm256_add_ps(_mm256_loadu_ps(ch), accr[1]));
             }
             kc_lo += KC;
         }

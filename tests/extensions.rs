@@ -1,6 +1,5 @@
 //! Integration tests of the beyond-paper extensions: half-precision
-//! classifier exchange, FedMD, GroupNorm-in-a-model, and LR schedules
-//! driving a federation.
+//! classifier exchange and FedMD.
 
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
@@ -9,7 +8,6 @@ use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
 use fedclassavg_suite::models::ModelArch;
-use fedclassavg_suite::nn::optim::Schedule;
 
 const CLASSES: usize = 4;
 const FEAT: usize = 12;
@@ -99,41 +97,4 @@ fn fedmd_learns_above_chance_on_heterogeneous_fleet() {
         r.final_mean
     );
     assert!(r.downlink_bytes > 0 && r.uplink_bytes > 0);
-}
-
-#[test]
-fn schedule_driven_federation_decays_client_rates() {
-    // Drive rounds manually, applying a cosine schedule to every client's
-    // optimizer between rounds — the intended integration pattern.
-    use fedclassavg_suite::fed::algo::Algorithm as _;
-    use fedclassavg_suite::fed::comm::Network;
-
-    let d = data(71);
-    let c = cfg(71, 1);
-    let mut fleet = build_fleet(
-        &d,
-        Partitioner::Dirichlet { alpha: 0.5 },
-        &c,
-        &ModelArch::heterogeneous_rotation,
-    );
-    let mut algo = FedClassAvg::new(FEAT, CLASSES, c.seed);
-    let net = Network::new(fleet.len());
-    let schedule = Schedule::Cosine {
-        horizon: 10,
-        min_lr: 1e-4,
-    };
-    let base = c.hp.lr;
-    let mut rates = Vec::new();
-    for round in 0..5 {
-        rates.push(schedule.rate_at(base, round));
-        for client in fleet.clients_mut() {
-            client.set_learning_rate(schedule.rate_at(base, round));
-        }
-        algo.round(round, &mut fleet, &[0, 1, 2, 3], &net, &c.hp);
-    }
-    assert!(
-        rates.windows(2).all(|w| w[1] < w[0]),
-        "cosine rates not decreasing: {rates:?}"
-    );
-    assert!(fleet.clients_mut().all(|cl| cl.evaluate().is_finite()));
 }
