@@ -379,6 +379,8 @@ pub fn run_federation_from(
     // resumed fleet is rebuilt from the λ = 0 partition, so the segment
     // must move the data back under it before training.
     let mut applied_lambda: Option<u64> = None;
+    // What the round-`cfg.rounds` curve point measured, per client.
+    let mut last_point: Option<Vec<f32>> = None;
 
     for round in next_round..=cfg.rounds {
         if cfg.drift.is_active() {
@@ -450,6 +452,9 @@ pub fn run_federation_from(
             point_stale = 0;
             point_expired = 0;
             emit_workspace_point(round as u64, fleet);
+            if round == cfg.rounds {
+                last_point = Some(accs);
+            }
         }
 
         fca_trace::flush_ops(round as u64);
@@ -470,13 +475,19 @@ pub fn run_federation_from(
     }
 
     // Final sweep — the round-`cfg.rounds` eval selection, so subsampled
-    // runs report the same clients the last curve point measured.
-    let span = fca_trace::clock();
-    let per_client_acc = fleet.evaluate_ids(&eval_ids(cfg, fleet.len(), cfg.rounds));
-    fca_trace::phase(PhaseId::Evaluate, span);
-    // The final fleet evaluation lands on the last round's op/phase rows
-    // (the report aggregates additively per `(round, name)` key).
-    fca_trace::flush_ops(cfg.rounds as u64);
+    // runs report the same clients the last curve point measured. A segment
+    // that ran that round has just measured them, and evaluation changes
+    // nothing, so the point's accuracies are the sweep's; only a segment
+    // that ran no round evaluates here.
+    let per_client_acc = last_point.unwrap_or_else(|| {
+        let span = fca_trace::clock();
+        let accs = fleet.evaluate_ids(&eval_ids(cfg, fleet.len(), cfg.rounds));
+        fca_trace::phase(PhaseId::Evaluate, span);
+        // The final fleet evaluation lands on the last round's op/phase rows
+        // (the report aggregates additively per `(round, name)` key).
+        fca_trace::flush_ops(cfg.rounds as u64);
+        accs
+    });
     let (final_mean, final_std) = mean_std(&per_client_acc);
     // This segment's network counted from zero; earlier segments'
     // traffic rides in on the prior_* fields.
@@ -806,6 +817,44 @@ mod tests {
         let result = run_federation(&mut fleet, &mut algo, &cfg);
         assert_eq!(result.per_client_acc.len(), 2);
         assert!(result.curve.iter().all(|p| !p.mean_acc.is_nan()));
+    }
+
+    #[test]
+    fn the_final_sweep_is_the_last_curve_point() {
+        let cfg = small_cfg(811, 2).with_eval_sample(2);
+        let data = tiny_dataset(3, 96, 48, cfg.seed);
+        let part = Partitioner::Dirichlet { alpha: 0.5 };
+        let mut fleet = build_fleet_paged(&data, part, &cfg, 1, &ModelArch::heterogeneous_rotation);
+        let mut algo = FedClassAvg::new(cfg.feature_dim, 3, cfg.seed);
+        let (result, done) = run_federation_from(&mut fleet, &mut algo, &cfg, RunState::fresh());
+        let page_ins = |fleet: &Fleet| fleet.paging_stats().page_ins;
+        let bits = |v: &[f32]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        // One page-in per sampled client per round, `eval_sample` per curve
+        // point, and none for the final sweep.
+        let trained = (cfg.rounds * cfg.clients_per_round()) as u64;
+        assert_eq!(page_ins(&fleet), trained + 2 * result.curve.len() as u64);
+
+        // Measured again, the sweep's clients read what the run reported,
+        // and the last point is their mean: a sweep pages in each of them.
+        let before = page_ins(&fleet);
+        let again = fleet.evaluate_ids(&eval_ids(&cfg, fleet.len(), cfg.rounds));
+        let sweep_page_ins = page_ins(&fleet) - before;
+        assert_eq!(sweep_page_ins, 2);
+        assert_eq!(bits(&result.per_client_acc), bits(&again));
+        let last = result.curve.last().expect("a curve");
+        let (mean, std) = mean_std(&again);
+        assert_eq!(
+            (last.mean_acc.to_bits(), last.std_acc.to_bits()),
+            (mean.to_bits(), std.to_bits())
+        );
+
+        // A segment that runs no round still sweeps: that costs it exactly
+        // the page-ins a sweep costs, which a segment that ran the last
+        // round no longer pays.
+        let before = page_ins(&fleet);
+        let (tail, _) = run_federation_from(&mut fleet, &mut algo, &cfg, done);
+        assert_eq!(page_ins(&fleet) - before, sweep_page_ins);
+        assert_eq!(bits(&tail.per_client_acc), bits(&result.per_client_acc));
     }
 
     #[test]

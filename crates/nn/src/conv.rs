@@ -4,9 +4,11 @@
 //! The geometry alone picks one of three lowerings (`Path`):
 //!
 //! * **view** (stride 1) — each image is copied once into zero-bordered
-//!   planes, in which every kernel tap is a contiguous shifted view, so the
-//!   forward and weight-gradient operands are packed straight from that copy
-//!   and the im2col matrix is never written;
+//!   planes, in which every kernel tap is a contiguous shifted view: the
+//!   forward packs its operand straight from that copy and the weight
+//!   gradient reads it in place, so the im2col matrix is never written; with
+//!   at least `MR` input channels per group the input gradient adds tap by
+//!   tap into padded planes of its own, so neither is its gradient;
 //! * **stencil** (depthwise) — shifted multiply-adds over the same padded
 //!   planes, no GEMM at all;
 //! * **im2col** (stride > 1) — the lowered matrix, every byte of it moved by
@@ -20,10 +22,11 @@ use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
 use fca_tensor::gemm::{
     fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len,
-    packed_b_len, KC, NR,
+    packed_b_len, Lhs, KC, MR, NR,
 };
 use fca_tensor::rng::SnapRng;
 use fca_tensor::simd::{self, Kernel};
+use fca_tensor::workspace::as_u32s_mut;
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
 use rayon::prelude::*;
@@ -85,6 +88,19 @@ impl ConvGeometry {
         }
     }
 
+    /// True when a view-path layer's input gradient is accumulated tap by
+    /// tap into padded planes rather than folded from `dcol` by col2im: one
+    /// product per tap has `C_in/G` rows, so it needs a full register tile
+    /// of them (a 1-channel stem reads slower that way), and `C_out/G` must
+    /// fit one KC block, where a product's sum over output channels is a
+    /// single chain — across two blocks `dcol`'s rounding would differ.
+    fn input_grad_by_taps(&self) -> bool {
+        self.path() == Path::View
+            && !self.is_pointwise()
+            && self.in_channels / self.groups >= MR
+            && self.out_channels / self.groups <= KC
+    }
+
     /// Output positions `[lo, hi)` along one axis whose tap `k` reads inside
     /// the input (`0 <= o·stride + k − padding < extent`); the rest of
     /// `[0, out)` reads padding.
@@ -116,13 +132,13 @@ pub struct Conv2d {
     /// What a training forward caches for backward: the batch's padded
     /// planes (`Plan::cache_img` per image), or its im2col matrix.
     col_slot: SlotId,
-    /// Packed per-group weight panels: `W` in forward, `Wᵀ` in backward
-    /// (repacked by every call).
+    /// Packed per-group weight panels: `W` in forward, `Wᵀ` — or its rows
+    /// tap by tap — in backward (repacked by every call).
     wpack_slot: SlotId,
     /// One chunk per rayon thread: the packed B panels of the image in
     /// flight and that image's transients (`Plan::tail_len`). Backward's
-    /// weight gradient packs its operands here once the per-image work is
-    /// done.
+    /// weight gradient lays its operand and offset tables here once the
+    /// per-image work is done.
     scratch_slot: SlotId,
     /// `[n, c, h, w]` of the last training forward (`n == 0` when there is
     /// none to backpropagate through).
@@ -134,6 +150,8 @@ pub struct Conv2d {
 /// contents survive from one to the other.
 struct Plan {
     path: Path,
+    /// [`ConvGeometry::input_grad_by_taps`].
+    by_taps: bool,
     oh: usize,
     ow: usize,
     icg: usize,
@@ -160,9 +178,13 @@ struct Plan {
     col_img: usize,
     /// One group's packed forward B operand.
     col_panels: usize,
-    /// One group's packed output-gradient panels (input-gradient B operand).
+    /// One group's packed output-gradient panels (input-gradient B operand):
+    /// `dY_g` as it is, or spread over the padded-flat domain (`by_taps`).
     gy_panels: usize,
-    /// One group's packed weight block, as `W` or as `Wᵀ`.
+    /// One tap's rows of `W_gᵀ` (`icg × ocg`), packed.
+    tap_panels: usize,
+    /// One group's packed weight block, as `W`, as `Wᵀ` or as `k²` blocks of
+    /// `tap_panels`.
     w_panels: usize,
     /// Consecutive images one rayon task works through with one scratch
     /// chunk: the batch is cut into a run per thread, so scratch stays
@@ -277,7 +299,8 @@ impl Conv2d {
             _ => ((oh - 1) * wp + ow - 1) * g.stride + 1,
         };
         let col_panels = packed_b_len(kdim, flat);
-        let gy_panels = packed_b_len(ocg, row_len);
+        let by_taps = g.input_grad_by_taps();
+        let gy_panels = packed_b_len(ocg, if by_taps { flat } else { row_len });
         let plane = match path {
             // The last panel's copies run up to NR − 1 floats past `flat`.
             Path::View if !g.is_pointwise() => hp * wp + col_panels / kdim - flat,
@@ -292,43 +315,46 @@ impl Conv2d {
             Path::View if flat != row_len => oc * flat,
             _ => 0,
         };
-        let (cache_img, w_panels, panels_len, tail_len, dw_scratch) = match path {
+        let tap_panels = packed_a_len(icg, ocg);
+        let w_panels = match path {
+            Path::Stencil => 0,
+            _ if by_taps => packed_a_len(ocg, kdim).max(g.kernel * g.kernel * tap_panels),
+            _ => packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+        };
+        let (cache_img, tail_len, dw_scratch) = match path {
             // Forward: an inference image's padded planes, the accumulator.
             // Backward: the spread-out output gradient, a padded `dX` plane.
             Path::Stencil => {
                 let tail = (c * plane + flat).max(flat + hp * wp);
-                (c * plane, 0, 0, tail, 0)
+                (c * plane, tail, 0)
             }
+            // A pointwise layer pads nothing, folds nothing and packs its
+            // weight gradient from the cache as it is.
+            Path::View if g.is_pointwise() => (c * plane, 0, dw_operands),
             // Forward: the product with its seams still in, an inference
-            // image's padded planes. Backward: `dcol`. The weight gradient
-            // adds the pixel-major planes and the tap-major `dW`.
+            // image's padded planes. Backward: one group's spread-out output
+            // gradient and the image's padded `dX` planes, or `dcol`. The
+            // weight gradient: packed `dY_gᵀ`, the transposed `dW`, and the
+            // row and pixel offset tables of its in-place A.
             Path::View => {
-                // A pointwise layer pads nothing, folds nothing and packs its
-                // weight gradient from the cache as it is.
-                let (padded, dcol, taps_major) = if g.is_pointwise() {
-                    (0, 0, 0)
+                let backward = if by_taps {
+                    ocg * flat + c * plane
                 } else {
-                    (c * plane, col_img, dw_imgs * hp * wp * c + oc * kdim)
+                    col_img
                 };
-                (
-                    c * plane,
-                    packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
-                    g.groups * col_panels.max(gy_panels),
-                    (seamed_len + padded).max(dcol),
-                    dw_operands + taps_major,
-                )
+                let dw_views = packed_b_len(dw_k, ocg) + oc * kdim + kdim + dw_k;
+                (c * plane, (seamed_len + c * plane).max(backward), dw_views)
             }
             // An inference forward's `col`, backward's `dcol`.
-            Path::Im2col => (
-                col_img,
-                packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
-                g.groups * col_panels.max(gy_panels),
-                col_img,
-                dw_operands,
-            ),
+            Path::Im2col => (col_img, col_img, dw_operands),
+        };
+        let panels_len = match path {
+            Path::Stencil => 0,
+            _ => g.groups * col_panels.max(gy_panels),
         };
         Plan {
             path,
+            by_taps,
             oh,
             ow,
             icg,
@@ -343,6 +369,7 @@ impl Conv2d {
             col_img,
             col_panels,
             gy_panels,
+            tap_panels,
             w_panels,
             run,
             panels_len,
@@ -361,6 +388,30 @@ impl Conv2d {
         let blocks = self.weight.value.data().chunks_exact(m * k);
         for (w_g, pa) in blocks.zip(wpack.chunks_exact_mut(stride)) {
             pack_a(w_g, m, k, trans, pa);
+        }
+        fca_trace::op(OpId::GemmPack, span);
+    }
+
+    /// Pack, for every group and tap `t`, the A operand of that tap's input
+    /// gradient product: rows `(ci, t)` of `W_gᵀ`, `icg × ocg`, element
+    /// `(ci, oc) = W_g[oc][ci·k² + t]`, into `k²` blocks of `tap_panels`,
+    /// `w_panels` apart per group, under one pack span.
+    fn pack_tap_weights(&self, wpack: &mut [f32], plan: &Plan) {
+        let span = fca_trace::clock();
+        let (icg, ocg, kdim) = (plan.icg, plan.ocg, plan.kdim);
+        let taps = self.geom.kernel * self.geom.kernel;
+        let blocks = self.weight.value.data().chunks_exact(ocg * kdim);
+        for (w_g, pw) in blocks.zip(wpack.chunks_exact_mut(plan.w_panels)) {
+            for (t, pa) in pw.chunks_exact_mut(plan.tap_panels).take(taps).enumerate() {
+                for (p, panel) in pa.chunks_exact_mut(ocg * MR).enumerate() {
+                    for (w_oc, lanes) in w_g.chunks_exact(kdim).zip(panel.chunks_exact_mut(MR)) {
+                        for (l, d) in lanes.iter_mut().enumerate() {
+                            let ci = p * MR + l;
+                            *d = if ci < icg { w_oc[ci * taps + t] } else { 0.0 };
+                        }
+                    }
+                }
+            }
         }
         fca_trace::op(OpId::GemmPack, span);
     }
@@ -554,89 +605,87 @@ fn drop_seams(c: &[f32], plan: &Plan, out: &mut [f32]) {
     }
 }
 
-/// Transpose a padded image (`c` planes) to pixel-major (`hp·wp` pixels of
-/// `c` channels), where the channels a tap reads at a pixel are contiguous.
-fn pixel_major(padded: &[f32], c: usize, plan: &Plan, pm: &mut [f32]) {
-    let planes = padded.chunks_exact(plan.plane).take(c);
-    for (ci, plane) in planes.enumerate() {
-        for (d, &v) in pm[ci..].iter_mut().step_by(c).zip(plane) {
-            *d = v;
+/// Spread one group's output gradient (`ocg` planes of `oh × ow`) over the
+/// padded-flat domain: row `oy` of a plane lands at `oy·wp` of its `flat`
+/// row of `dyf`, and the `wp − ow` seam positions after it are zero.
+fn spread_rows(gy_g: &[f32], plan: &Plan, dyf: &mut [f32]) {
+    let (ow, wp) = (plan.ow, plan.wp);
+    let planes = gy_g.chunks_exact(plan.row_len);
+    for (src, dst) in planes.zip(dyf.chunks_exact_mut(plan.flat)) {
+        for (srow, drow) in src.chunks_exact(ow).zip(dst.chunks_mut(wp)) {
+            drow[..ow].copy_from_slice(srow);
+            drow[ow..].fill(0.0);
         }
     }
 }
 
-/// Pack one image's `col_gᵀ` — a row per output pixel, in im2col's pixel
-/// order, seams skipped — into its k-segment `(ktot, k0)` of the B panels,
-/// from the image's pixel-major planes. Columns are in **tap-major** order
-/// `(kh, kw, ci)`, not the weight's `(ci, kh, kw)`: a pixel's row is then a
-/// few contiguous runs of `pm` (with one group, the `k` taps of a kernel row
-/// are `k` consecutive pixels — one run), and a permutation of a product's
-/// columns changes no element's reduction.
-///
-/// A run is cut where its columns cross a panel edge; each piece has one
-/// panel, first lane and length for every pixel, so it is moved for all of
-/// them at once: a full-width piece (all of them when `icg` is a multiple
-/// of `NR`) as fixed-size copies, a shorter one a lane at a time.
-fn pack_taps(
-    pm: &[f32],
-    grp: usize,
-    geom: &ConvGeometry,
-    plan: &Plan,
-    pb: &mut [f32],
-    (ktot, k0): (usize, usize),
-) {
-    let (c, k, icg) = (geom.in_channels, geom.kernel, plan.icg);
-    let (ow, wp) = (plan.ow, plan.wp);
-    let taps_per_run = if geom.groups == 1 { k } else { 1 };
-    // Columns `[q, q + len)` of the panel they fall in, from `pm` at
-    // `src` past each pixel (`None`: zeros).
-    let mut piece = |q: usize, len: usize, src: Option<usize>| {
-        let lane = q % NR;
-        let panel = &mut pb[(q / NR * ktot + k0) * NR..][..plan.row_len * NR];
-        for (oy, rows) in panel.chunks_exact_mut(ow * NR).enumerate() {
-            let Some(src) = src else {
-                for row in rows.chunks_exact_mut(NR) {
-                    row[lane..lane + len].fill(0.0);
-                }
-                continue;
-            };
-            let from = &pm[oy * wp * c + src..];
-            if len == NR {
-                for (ox, row) in rows.chunks_exact_mut(NR).enumerate() {
-                    row.copy_from_slice(&from[ox * c..ox * c + NR]);
-                }
-                continue;
-            }
-            for l in 0..len {
-                let lanes = rows[lane + l..].iter_mut().step_by(NR);
-                for (d, &v) in lanes.zip(from[l..].iter().step_by(c)) {
-                    *d = v;
-                }
-            }
-        }
-    };
-    for kh in 0..k {
-        for kw in (0..k).step_by(taps_per_run) {
-            let mut src = (kh * wp + kw) * c + grp * icg;
-            let mut q = (kh * k + kw) * icg;
-            let end = q + taps_per_run * icg;
-            while q < end {
-                let len = (NR - q % NR).min(end - q);
-                piece(q, len, Some(src));
-                src += len;
-                q += len;
-            }
+/// Copy the interior `h × w` of every padded plane of `padded` into the
+/// planes of `img`: the inverse of [`pad_planes`].
+fn unpad_planes(padded: &[f32], (h, w): (usize, usize), p: usize, plan: &Plan, img: &mut [f32]) {
+    let planes = padded.chunks_exact(plan.plane);
+    for (src, dst) in planes.zip(img.chunks_exact_mut(h * w)) {
+        for (iy, row) in dst.chunks_exact_mut(w).enumerate() {
+            let at = (iy + p) * plan.wp + p;
+            row.copy_from_slice(&src[at..at + w]);
         }
     }
-    let edge_lanes = plan.kdim % NR;
-    if edge_lanes > 0 {
-        piece(plan.kdim, NR - edge_lanes, None);
+}
+
+/// Input gradient of one image, tap by tap, into its zeroed padded `dX`
+/// planes `dxp` (a view-path layer with `by_taps`). Per group, `dY_g` is
+/// spread over the padded-flat domain and packed once as B (`ocg × flat`);
+/// then for every tap `(kh, kw)`, in col2im's order, the engine adds
+/// `W_gᵀ`'s rows for that tap times `dY_g` (`icg × ocg × flat`, A packed by
+/// [`Conv2d::pack_tap_weights`]) into the group's planes at the tap's
+/// shift, C's rows `plane` apart.
+///
+/// Every `(ci, tap, pixel)` gets the chain `dcol` holds for it, and an input
+/// pixel's chains arrive in col2im's tap order. What else lands on an
+/// interior pixel comes from a seam position of the spread `dY`: a chain of
+/// products with +0.0 that started at +0.0 is +0.0, and adding ±0.0 to a sum
+/// that started at +0.0 changes no bit. So once the interior is copied out,
+/// `dX` is bit-identical to `dcol` folded by col2im.
+fn input_grad_by_taps(
+    gy: &[f32],
+    wpack: &[f32],
+    geom: &ConvGeometry,
+    plan: &Plan,
+    (panels, dyf): (&mut [f32], &mut [f32]),
+    dxp: &mut [f32],
+) {
+    let &Plan {
+        icg,
+        ocg,
+        flat,
+        plane,
+        row_len,
+        ..
+    } = plan;
+    let k = geom.kernel;
+    let pb = &mut panels[..plan.gy_panels];
+    dxp.fill(0.0);
+    let groups = gy
+        .chunks_exact(ocg * row_len)
+        .zip(wpack.chunks_exact(plan.w_panels));
+    for (grp, (gy_g, w_g)) in groups.enumerate() {
+        let span = fca_trace::clock();
+        spread_rows(gy_g, plan, dyf);
+        pack_b(dyf, ocg, flat, false, pb);
+        fca_trace::op(OpId::GemmPack, span);
+        let span = fca_trace::clock();
+        let taps = w_g.chunks_exact(plan.tap_panels).take(k * k);
+        for (t, pa) in taps.enumerate() {
+            let at = grp * icg * plane + plan.tap_at(k, t);
+            gemm_packed(Lhs::Packed(pa), pb, &mut dxp[at..], plane, (icg, ocg, flat));
+        }
+        let flops = 2 * (k * k * icg * ocg * flat) as u64;
+        fca_trace::op_flops(OpId::GemmKernel, span, flops);
     }
 }
 
 /// Transpose every `rows × cols` block of `src` into `dst`: how `dW` moves
-/// between the weight's `(ci, kh, kw)` column order and [`pack_taps`]'s
-/// `(kh, kw, ci)`.
+/// to and from the `kdim × ocg` blocks the view path's weight gradient
+/// accumulates into.
 fn transpose_blocks(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     let blocks = src
         .chunks_exact(rows * cols)
@@ -717,10 +766,7 @@ fn stencil_input_grad(
                 *d += wt * g;
             }
         }
-        for (iy, drow) in dx_c.chunks_exact_mut(w).enumerate() {
-            let at = (iy + p) * plan.wp + p;
-            drow.copy_from_slice(&dxp[at..at + w]);
-        }
+        unpad_planes(dxp, (h, w), p, plan, dx_c);
     }
 }
 
@@ -802,15 +848,20 @@ fn stencil_chains(
 /// `dW_g += dY_g · col_gᵀ` for every group, reduced over pixels and images,
 /// on the engine (every path but the stencil).
 ///
-/// The batch is taken `dw_imgs` images at a time; each product packs both
+/// The batch is taken `dw_imgs` images at a time; each product packs its
 /// operands image by image into their k-segment of `scratch` and the engine
 /// reduces it in its fixed KC-block order. `cache` is what the training
-/// forward left: the im2col matrix, transposed as it is packed, or — view
-/// path — the padded planes, which go through [`pixel_major`] and
-/// [`pack_taps`], the products accumulating into a tap-major copy of `dw`
-/// that is permuted back at the end. Either way a `dw` element sees the
-/// same sequence of partial sums, fixed by the shapes alone, so `dw` comes
-/// out bit-identical whatever the path, thread count or kernel `arm`.
+/// forward left. Where it is the im2col matrix (strided and pointwise
+/// layers) `dY_g` is A and `col_gᵀ` is packed as B, transposed as it goes.
+/// Where it is the padded planes (the view path) the product is taken the
+/// other way round, `dW_gᵀ += col_g · dY_gᵀ`: row `(ci, kh, kw)` of `col_g`
+/// is the view `ci·plane + kh·wp + kw` of the planes, read in place through
+/// an offset table ([`Lhs::Rows`]), pixels in im2col's order with the seams
+/// skipped, and only `dY_gᵀ` is packed; the products add into a transposed
+/// copy of `dw`. An exact product is symmetric, so either way a `dw`
+/// element sees the same sequence of partial sums, fixed by the shapes
+/// alone, and `dw` comes out bit-identical whatever the path, thread count
+/// or kernel `arm`.
 fn accumulate_weight_grad(
     arm: Kernel,
     dw: &mut [f32],
@@ -826,56 +877,73 @@ fn accumulate_weight_grad(
         kdim,
         row_len,
         dw_imgs,
+        cache_img,
         ..
     } = plan;
-    // A pointwise convolution's cache is its im2col matrix, and with one
-    // tap there is nothing for the pixel-major pack to save.
     let view = plan.path == Path::View && !geom.is_pointwise();
-    let (c, taps) = (geom.in_channels, geom.kernel * geom.kernel);
     let out_img_sz = dw.len() / kdim * row_len;
     let n = gout.len() / out_img_sz;
-    let (pa, rest) = scratch.split_at_mut(packed_a_len(ocg, dw_imgs * row_len));
-    let (pb, rest) = rest.split_at_mut(packed_b_len(dw_imgs * row_len, kdim));
-    let pm_img = if view { plan.hp * plan.wp * c } else { 0 };
-    let (pm, rest) = rest.split_at_mut(dw_imgs * pm_img);
-    let dw_taps = &mut rest[..if view { dw.len() } else { 0 }];
+    let dw_k = dw_imgs * row_len;
+    let (pb, rest) = scratch.split_at_mut(packed_b_len(dw_k, if view { ocg } else { kdim }));
+    let (pa, rest) = rest.split_at_mut(if view { 0 } else { packed_a_len(ocg, dw_k) });
+    let (dwt, rest) = rest.split_at_mut(if view { dw.len() } else { 0 });
+    let tables = as_u32s_mut(&mut rest[..if view { kdim + dw_k } else { 0 }]);
+    let (rows, ks) = tables.split_at_mut(if view { kdim } else { 0 });
     if view {
-        transpose_blocks(dw, dw_taps, icg, taps);
+        let taps = geom.kernel * geom.kernel;
+        assert!(
+            dw_imgs * cache_img <= u32::MAX as usize,
+            "conv offsets overflow u32"
+        );
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = (r / taps * plan.plane + plan.tap_at(geom.kernel, r % taps)) as u32;
+        }
+        for (i, ks_img) in ks.chunks_exact_mut(row_len).enumerate() {
+            for (oy, ks_row) in ks_img.chunks_exact_mut(plan.ow).enumerate() {
+                let at = i * cache_img + oy * plan.wp;
+                for (ox, o) in ks_row.iter_mut().enumerate() {
+                    *o = (at + ox) as u32;
+                }
+            }
+        }
+        transpose_blocks(dw, dwt, ocg, kdim);
     }
     for first in (0..n).step_by(dw_imgs) {
         let imgs = dw_imgs.min(n - first);
         let k = imgs * row_len;
-        if view {
-            let span = fca_trace::clock();
-            for (i, pm) in pm.chunks_exact_mut(pm_img).take(imgs).enumerate() {
-                pixel_major(&cache[(first + i) * plan.cache_img..], c, plan, pm);
-            }
-            fca_trace::op(OpId::Im2col, span);
-        }
-        let target = if view { &mut *dw_taps } else { &mut *dw };
+        let target = if view { &mut *dwt } else { &mut *dw };
         for (grp, dw_g) in target.chunks_exact_mut(ocg * kdim).enumerate() {
             let span = fca_trace::clock();
             for i in 0..imgs {
                 let ni = first + i;
                 let gy_g = &gout[ni * out_img_sz + grp * ocg * row_len..][..ocg * row_len];
-                pack_a_at(gy_g, ocg, row_len, false, pa, (k, i * row_len));
+                let at = (k, i * row_len);
                 if view {
-                    let pm = &pm[i * pm_img..(i + 1) * pm_img];
-                    pack_taps(pm, grp, geom, plan, pb, (k, i * row_len));
+                    pack_b_at(gy_g, row_len, ocg, true, pb, at);
                 } else {
-                    let col_g = &cache[ni * plan.cache_img + grp * kdim * row_len..];
-                    let col_g = &col_g[..kdim * row_len];
-                    pack_b_at(col_g, row_len, kdim, true, pb, (k, i * row_len));
+                    pack_a_at(gy_g, ocg, row_len, false, pa, at);
+                    let col_g = &cache[ni * cache_img + grp * kdim * row_len..];
+                    pack_b_at(&col_g[..kdim * row_len], row_len, kdim, true, pb, at);
                 }
             }
             fca_trace::op(OpId::GemmPack, span);
             let span = fca_trace::clock();
-            gemm_packed_arm(arm, pa, pb, dw_g, ocg, k, kdim);
+            if view {
+                let src = &cache[first * cache_img + grp * icg * plan.plane..];
+                let a = Lhs::Rows {
+                    src,
+                    rows,
+                    ks: &ks[..k],
+                };
+                gemm_packed_arm(arm, a, pb, dw_g, ocg, (kdim, k, ocg));
+            } else {
+                gemm_packed_arm(arm, Lhs::Packed(pa), pb, dw_g, kdim, (ocg, k, kdim));
+            }
             fca_trace::op_flops(OpId::GemmKernel, span, 2 * (ocg * k * kdim) as u64);
         }
     }
     if view {
-        transpose_blocks(dw_taps, dw, taps, icg);
+        transpose_blocks(dwt, dw, kdim, ocg);
     }
 }
 
@@ -937,7 +1005,7 @@ impl Module for Conv2d {
                 .zip(panels.chunks_exact(plan.col_panels))
                 .zip(wpack.chunks_exact(plan.w_panels))
             {
-                gemm_packed(pa, pb, y_g, ocg, kdim, n);
+                gemm_packed(Lhs::Packed(pa), pb, y_g, n, (ocg, kdim, n));
             }
             let flops = 2 * (g.out_channels * kdim * row_len) as u64;
             fca_trace::op_flops(OpId::GemmKernel, span, flops);
@@ -1068,15 +1136,19 @@ impl Module for Conv2d {
         let cache = ws.take_slot(self.col_slot, n * plan.cache_img);
         let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
         // Pack Wᵀ per group once (`dCol = Wᵀ·dY` reads the weight with the
-        // roles of its axes swapped — a pack-time layout choice).
+        // roles of its axes swapped — a pack-time layout choice), or its
+        // rows tap by tap.
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        if plan.path != Path::Stencil {
+        if plan.by_taps {
+            self.pack_tap_weights(&mut wpack, &plan);
+        } else if plan.path != Path::Stencil {
             self.pack_weights(&mut wpack, plan.w_panels, (kdim, ocg), true);
         }
         let weight = self.weight.value.data();
         // Every image of `dx` is zeroed or overwritten before it is
         // accumulated into (by col2im, the stencil, or below for a
-        // pointwise convolution).
+        // pointwise convolution), or overwritten from the padded planes
+        // the taps accumulate into.
         let mut dx = ws.tensor([n, c, h, w]);
 
         // dX: parallel over runs of images.
@@ -1093,6 +1165,15 @@ impl Module for Conv2d {
                         let (dyf, dxp) = tail.split_at_mut(plan.flat);
                         let dxp = &mut dxp[..plan.hp * plan.wp];
                         stencil_input_grad(gy, weight, &g, &plan, (dyf, dxp), dx_img, (h, w));
+                        continue;
+                    }
+                    if plan.by_taps {
+                        let (dyf, dxp) = tail.split_at_mut(ocg * plan.flat);
+                        let dxp = &mut dxp[..c * plan.plane];
+                        input_grad_by_taps(gy, &wpack, &g, &plan, (panels, dyf), dxp);
+                        let span = fca_trace::clock();
+                        unpad_planes(dxp, (h, w), g.padding, &plan, dx_img);
+                        fca_trace::op(OpId::Col2im, span);
                         continue;
                     }
                     let span = fca_trace::clock();
@@ -1117,7 +1198,7 @@ impl Module for Conv2d {
                         .zip(panels.chunks_exact(plan.gy_panels))
                         .zip(wpack.chunks_exact(plan.w_panels))
                     {
-                        gemm_packed(pa, pb, dcol_g, kdim, ocg, row_len);
+                        gemm_packed(Lhs::Packed(pa), pb, dcol_g, row_len, (kdim, ocg, row_len));
                     }
                     let flops = 2 * (g.out_channels * kdim * row_len) as u64;
                     fca_trace::op_flops(OpId::GemmKernel, span, flops);
@@ -1706,7 +1787,14 @@ mod tests {
                     false,
                     &mut pb,
                 );
-                gemm_packed_arm(arm, &pa, &pb, y_g, ocg, kdim, row_len);
+                gemm_packed_arm(
+                    arm,
+                    Lhs::Packed(&pa),
+                    &pb,
+                    y_g,
+                    row_len,
+                    (ocg, kdim, row_len),
+                );
 
                 let dcol_g = &mut dcol[grp * kdim * row_len..][..kdim * row_len];
                 dcol_g.fill(0.0);
@@ -1718,7 +1806,14 @@ mod tests {
                     false,
                     &mut pb,
                 );
-                gemm_packed_arm(arm, &pa, &pb, dcol_g, kdim, ocg, row_len);
+                gemm_packed_arm(
+                    arm,
+                    Lhs::Packed(&pa),
+                    &pb,
+                    dcol_g,
+                    row_len,
+                    (kdim, ocg, row_len),
+                );
             }
             col2im(
                 &mut dcol,
@@ -1747,7 +1842,7 @@ mod tests {
                     let col_g = &col_g[..kdim * row_len];
                     pack_b_at(col_g, row_len, kdim, true, &mut pb, (k, i * row_len));
                 }
-                gemm_packed_arm(arm, &pa, &pb, dw_g, ocg, k, kdim);
+                gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, dw_g, kdim, (ocg, k, kdim));
             }
         }
         (y, dx, dw)
@@ -1805,9 +1900,103 @@ mod tests {
         }
     }
 
+    /// Both input-gradient routes of the view path — `dcol` + col2im below
+    /// `MR` input channels per group, tap by tap from there — and the
+    /// row-view weight gradient, against the im2col lowering to the bit:
+    /// `C_in/G` of 1, 4, 12 and 16 (a ragged and two full 8-row panels per
+    /// tap), 1 and 2 groups, 3×3 and 5×5 kernels padded "same" and not at
+    /// all, 1, 2 and 32 images, `C_out/G` below and above one 16-lane panel.
+    /// Each case runs on 1 and 4 threads, with a pre-filled `dW`, on slots
+    /// adopted NaN-filled from a retired tenant, for random and all −0.0
+    /// output gradients, and is held against the lowering under every arm.
+    #[test]
+    fn view_backward_matches_the_im2col_lowering_across_channels_threads_and_slots() {
+        let mut rng = seeded_rng(76);
+        let (h, w) = (7, 10);
+        let mut routes = Vec::new();
+        for icg in [1, 4, 12, 16] {
+            for groups in [1, 2] {
+                for kernel in [3, 5] {
+                    for padding in [kernel / 2, 0] {
+                        let geom = ConvGeometry {
+                            in_channels: icg * groups,
+                            out_channels: (icg + 2) * groups,
+                            kernel,
+                            stride: 1,
+                            padding,
+                            groups,
+                        };
+                        routes.push(geom.input_grad_by_taps());
+                        let (oh, ow) = geom.out_hw(h, w);
+                        let proto = Conv2d::new(geom, &mut rng);
+                        let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
+                        for n in [1, 2, 32] {
+                            let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
+                            let random =
+                                Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
+                            let negative_zeros = Tensor::full(random.shape().clone(), -0.0);
+                            for gy in [random, negative_zeros] {
+                                let on = format!("{geom:?} x{n}");
+                                view_backward_case(&proto, &x, &gy, &dw0, &on);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            routes.contains(&true) && routes.contains(&false),
+            "a dX route went untested"
+        );
+    }
+
+    /// One case of the test above: `proto`'s weights and bias, `dw0` in
+    /// `weight.grad`, forward and backward on `x` and `gy`.
+    fn view_backward_case(proto: &Conv2d, x: &Tensor, gy: &Tensor, dw0: &Tensor, on: &str) {
+        let geom = proto.geom;
+        let (n, _, h, w) = x.shape().as_nchw();
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                // A retired tenant's slots, NaN-filled, for this layer to adopt.
+                let mut ws = Workspace::new();
+                let tenant = Conv2d::new(geom, &mut seeded_rng(1));
+                let plan = tenant.plan(n, h, w);
+                for (slot, len) in [
+                    (tenant.col_slot, n * plan.cache_img),
+                    (tenant.scratch_slot, plan.scratch_len),
+                    (tenant.wpack_slot, geom.groups * plan.w_panels),
+                ] {
+                    let mut buf = ws.take_slot(slot, len);
+                    buf.fill(f32::NAN);
+                    ws.put_slot(slot, buf);
+                }
+                ws.retire_slots();
+                let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
+                conv.weight.value = proto.weight.value.clone();
+                conv.bias.value = proto.bias.value.clone();
+                conv.weight.grad = dw0.clone();
+                let _ = conv.forward(x, true, &mut ws);
+                let dx = conv.backward(gy, &mut ws);
+                (bits(dx.data()), bits(conv.weight.grad.data()))
+            })
+        };
+        let one = run(1);
+        assert_eq!(one, run(4), "threads changed bits: {on}");
+        for arm in simd::available() {
+            let (_, dx, dw) = gemm_lowering(arm, proto, x, gy, dw0.data().to_vec());
+            let arm = arm.as_str();
+            assert_eq!(one.0, bits(&dx), "dX {on}, arm {arm}");
+            assert_eq!(one.1, bits(&dw), "dW {on}, arm {arm}");
+        }
+    }
+
     #[test]
     fn a_second_gradient_accumulates_onto_the_first_to_the_bit() {
-        // The view path reduces into a tap-major copy of `dW`, the stencil
+        // The view path reduces into a transposed copy of `dW`, the stencil
         // into registers: both must continue from what `weight.grad` holds.
         let mut rng = seeded_rng(74);
         let mut ws = Workspace::new();

@@ -23,6 +23,12 @@
 //!    `m`, large `n·k` — exactly the `dW = Xᵀ·dY` weight-gradient shape)
 //!    still fans out across the n dimension.
 //!
+//! A need not be packed: an [`Lhs::Rows`] operand is read where it lies,
+//! each row a view of one buffer through an offset table (a convolution's
+//! im2col rows are views of its zero-bordered input planes), and C's rows
+//! may be any stride apart (`ldc`), so a product can add into shifted
+//! windows of a larger buffer.
+//!
 //! # Determinism contract
 //!
 //! Every C element is owned by exactly one macro-tile task; within a task
@@ -191,6 +197,33 @@ fn pack_cols<const W: usize>(src: &[f32], k: usize, lanes: usize, dst: &mut [f32
     }
 }
 
+/// The `m × k` A operand of [`gemm_packed`].
+#[derive(Clone, Copy, Debug)]
+pub enum Lhs<'a> {
+    /// MR-row panels written by [`pack_a`] / [`pack_a_at`].
+    Packed(&'a [f32]),
+    /// Read in place: `a(r, kk) = src[rows[r] + ks[kk]]`. Row `r` is the
+    /// view of `src` starting at `rows[r]`, and `ks` picks the same `k`
+    /// positions out of every view.
+    Rows {
+        /// The buffer every row views.
+        src: &'a [f32],
+        /// Where each of the `m` rows starts in `src`.
+        rows: &'a [u32],
+        /// The `k` offsets into every row, in the product's k order.
+        ks: &'a [u32],
+    },
+}
+
+/// One register tile's rows of an [`Lhs::Rows`] operand over one KC slab:
+/// `rows` its `mr` row offsets, `ks` the slab's k offsets.
+#[derive(Clone, Copy)]
+pub(crate) struct RowTile<'a> {
+    pub(crate) src: &'a [f32],
+    pub(crate) rows: &'a [u32],
+    pub(crate) ks: &'a [u32],
+}
+
 /// One register-tile row update: `acc += a · b`, elementwise over NR lanes.
 ///
 /// Kept as a named helper on fixed-size arrays: this exact shape is what
@@ -245,7 +278,63 @@ pub(crate) unsafe fn microkernel(
         axpy_row(&mut r6, af[6], bf);
         axpy_row(&mut r7, af[7], bf);
     }
-    let rows = [r0, r1, r2, r3, r4, r5, r6, r7];
+    add_tile(&[r0, r1, r2, r3, r4, r5, r6, r7], c, ldc, mr, nr);
+}
+
+/// [`microkernel`] with its rows of A read in place ([`Lhs::Rows`]): the
+/// same chains in the same order, each `a` loaded from its row's view at
+/// the step's k offset instead of from a panel. The portable kernel of the
+/// row-view operand and the oracle of every arm's.
+///
+/// # Safety
+///
+/// As [`microkernel`]. `a.rows` holds `mr` offsets, `pb` one panel slab of
+/// `a.ks.len()` steps; `src[row + kk]` is indexed (and checked) here.
+#[inline(always)]
+// SAFETY: the only unsafe op is `add_tile`, under the contract above.
+pub(crate) unsafe fn microkernel_rows(
+    a: RowTile<'_>,
+    pb: &[f32],
+    c: *mut f32,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    // A ragged tile's missing rows read row 0's view: computed, never stored.
+    let v: [&[f32]; MR] =
+        std::array::from_fn(|i| &a.src[a.rows[if i < mr { i } else { 0 }] as usize..]);
+    let mut r0 = [0.0f32; NR];
+    let mut r1 = [0.0f32; NR];
+    let mut r2 = [0.0f32; NR];
+    let mut r3 = [0.0f32; NR];
+    let mut r4 = [0.0f32; NR];
+    let mut r5 = [0.0f32; NR];
+    let mut r6 = [0.0f32; NR];
+    let mut r7 = [0.0f32; NR];
+    for (&kk, bf) in a.ks.iter().zip(pb.chunks_exact(NR)) {
+        let kk = kk as usize;
+        let bf: &[f32; NR] = bf.try_into().expect("NR-sized chunk");
+        axpy_row(&mut r0, v[0][kk], bf);
+        axpy_row(&mut r1, v[1][kk], bf);
+        axpy_row(&mut r2, v[2][kk], bf);
+        axpy_row(&mut r3, v[3][kk], bf);
+        axpy_row(&mut r4, v[4][kk], bf);
+        axpy_row(&mut r5, v[5][kk], bf);
+        axpy_row(&mut r6, v[6][kk], bf);
+        axpy_row(&mut r7, v[7][kk], bf);
+    }
+    add_tile(&[r0, r1, r2, r3, r4, r5, r6, r7], c, ldc, mr, nr);
+}
+
+/// Add the `mr × nr` corner of a register tile into C at row stride `ldc`.
+///
+/// # Safety
+///
+/// As [`microkernel`]'s C.
+#[inline(always)]
+// SAFETY: every store targets `c.add(i * ldc)[..len]` with `i < mr` and
+// `len <= nr`, inside the caller's exclusive region.
+unsafe fn add_tile(rows: &[[f32; NR]; MR], c: *mut f32, ldc: usize, mr: usize, nr: usize) {
     if mr == MR && nr == NR {
         // Hot full-tile path: fixed trip counts, no per-row masking.
         for (i, row) in rows.iter().enumerate() {
@@ -272,29 +361,23 @@ pub(crate) unsafe fn microkernel(
 ///
 /// # Safety
 ///
-/// `c` must be the base pointer of an `m × n` row-major matrix valid for
-/// this tile's region, and no other thread may touch rows `[i0, i1)` ×
-/// columns `[j0, j1)` concurrently. `i0`/`j0` must be multiples of
-/// MR/NR respectively (they are multiples of MC/NC by construction).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a tile is its arm, two packed panels, C's base and stride and its four edges"
-)]
+/// `c` must be the base pointer of an `m × n` matrix at row stride `ldc`
+/// valid for this tile's region, and no other thread may touch rows
+/// `[i0, i1)` × columns `[j0, j1)` concurrently. `i0`/`j0` must be
+/// multiples of MR/NR respectively (they are multiples of MC/NC by
+/// construction), and an [`Lhs::Rows`] operand's reads must have been
+/// checked against its `src` ([`gemm_packed_arm`] does).
 // SAFETY: the only unsafe op below is the arm-dispatched microkernel call
-// at `c.add(ir * n + jr)` with `ir < i1 <= m`, `jr < j1 <= n`, and mr/nr
-// clipped to the tile edge — exactly the mr × nr region at stride n the
+// at `c.add(ir * ldc + jr)` with `ir < i1 <= m`, `jr < j1 <= n`, and mr/nr
+// clipped to the tile edge — exactly the mr × nr region at stride ldc the
 // microkernel contract requires, inside this tile's exclusive area.
 unsafe fn compute_tile(
     arm: Kernel,
-    pa: &[f32],
-    pb: &[f32],
-    c: *mut f32,
+    (a, pb): (Lhs<'_>, &[f32]),
+    (c, ldc): (*mut f32, usize),
     k: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
+    (i0, i1): (usize, usize),
+    (j0, j1): (usize, usize),
 ) {
     let mut kc_lo = 0;
     while kc_lo < k {
@@ -307,8 +390,22 @@ unsafe fn compute_tile(
             let mut ir = i0;
             while ir < i1 {
                 let mr = MR.min(i1 - ir);
-                let pap = &pa[(ir / MR) * MR * k + kc_lo * MR..][..klen * MR];
-                crate::simd::microkernel_arm(arm, pap, pbp, c.add(ir * n + jr), n, mr, nr);
+                let ct = c.add(ir * ldc + jr);
+                match a {
+                    Lhs::Packed(pa) => {
+                        let pap = &pa[(ir / MR) * MR * k + kc_lo * MR..][..klen * MR];
+                        crate::simd::microkernel_arm(arm, pap, pbp, ct, ldc, mr, nr);
+                    }
+                    Lhs::Rows { src, rows, ks } => {
+                        let rows = &rows[ir..ir + mr];
+                        let tile = RowTile {
+                            src,
+                            rows,
+                            ks: &ks[kc_lo..kc_hi],
+                        };
+                        crate::simd::microkernel_rows_arm(arm, tile, pbp, ct, ldc, mr, nr);
+                    }
+                }
                 ir += MR;
             }
             jr += NR;
@@ -341,15 +438,18 @@ impl TilePtr {
     }
 }
 
-/// `C += PA · PB` where `PA`/`PB` were produced by [`pack_a`]/[`pack_b`]
-/// for a logical `m × k` · `k × n` product. C is row-major `m × n` and is
-/// accumulated into (zero it first for a plain product).
+/// `C += A · PB` for a logical `m × k` · `k × n` product (`dims`), where
+/// `PB` was produced by [`pack_b`] and A is either [`pack_a`]'s panels or
+/// rows read in place ([`Lhs`]). C's `m` rows of `n` are `ldc` apart in
+/// `c` (`ldc = n`: row-major `m × n`) and are accumulated into (zero them
+/// first for a plain product); nothing else in `c` is touched.
 ///
 /// Parallelizes over the 2D macro-tile grid once the work is large enough;
 /// results are bit-identical across thread counts **and** across kernel
-/// arms (see module docs and [`crate::simd`]).
-pub fn gemm_packed(pa: &[f32], pb: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed_arm(crate::simd::active(), pa, pb, c, m, k, n);
+/// arms, and a row view adds the bits its packed copy would (see module
+/// docs and [`crate::simd`]).
+pub fn gemm_packed(a: Lhs<'_>, pb: &[f32], c: &mut [f32], ldc: usize, dims: (usize, usize, usize)) {
+    gemm_packed_arm(crate::simd::active(), a, pb, c, ldc, dims);
 }
 
 /// [`gemm_packed`] with an explicit kernel arm instead of the
@@ -358,21 +458,42 @@ pub fn gemm_packed(pa: &[f32], pb: &[f32], c: &mut [f32], m: usize, k: usize, n:
 ///
 /// # Panics
 ///
-/// When `pa` or `pb` is shorter than [`packed_a_len`]/[`packed_b_len`] or
-/// `c` is not `m · n` long — in every build: the tiles below store through
-/// raw pointers, so these are the checks their safety rests on.
+/// In every build, when packed A or `pb` is shorter than
+/// [`packed_a_len`]/[`packed_b_len`], a row view's tables are not `m` and
+/// `k` long or reach past its `src`, or `c` cannot hold `m` rows of `n` at
+/// stride `ldc`: the tiles below read and store through raw pointers, so
+/// these are the checks their safety rests on.
 pub fn gemm_packed_arm(
     arm: Kernel,
-    pa: &[f32],
+    a: Lhs<'_>,
     pb: &[f32],
     c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    ldc: usize,
+    (m, k, n): (usize, usize, usize),
 ) {
-    assert!(pa.len() >= packed_a_len(m, k), "gemm: packed A is short");
+    match a {
+        Lhs::Packed(pa) => assert!(pa.len() >= packed_a_len(m, k), "gemm: packed A is short"),
+        Lhs::Rows { src, rows, ks } => {
+            assert!(
+                rows.len() == m && ks.len() == k,
+                "gemm: A's tables are not m and k long"
+            );
+            let last = |t: &[u32]| t.iter().max().map_or(0, |&o| o as usize);
+            let reach = last(rows) + last(ks);
+            assert!(
+                m == 0 || k == 0 || reach < src.len(),
+                "gemm: A's rows reach past its source"
+            );
+        }
+    }
     assert!(pb.len() >= packed_b_len(k, n), "gemm: packed B is short");
-    assert!(is_len(c.len(), m, n), "gemm: C is not m × n");
+    let c_need = m
+        .checked_sub(1)
+        .map_or(Some(0), |r| r.checked_mul(ldc)?.checked_add(n));
+    assert!(
+        (m <= 1 || ldc >= n) && c_need.is_some_and(|need| n == 0 || c.len() >= need),
+        "gemm: C is short of m rows of n at stride ldc"
+    );
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -383,19 +504,16 @@ pub fn gemm_packed_arm(
         let i0 = (t / ntiles) * MC;
         let j0 = (t % ntiles) * NC;
         // SAFETY: tile t exclusively owns rows [i0, i0+MC) × cols
-        // [j0, j0+NC) of C; regions of distinct t are disjoint.
+        // [j0, j0+NC) of C (`ldc ≥ n`, so distinct (row, column) pairs are
+        // distinct elements); regions of distinct t are disjoint.
         unsafe {
             compute_tile(
                 arm,
-                pa,
-                pb,
-                cp.base(),
+                (a, pb),
+                (cp.base(), ldc),
                 k,
-                n,
-                i0,
-                (i0 + MC).min(m),
-                j0,
-                (j0 + NC).min(n),
+                (i0, (i0 + MC).min(m)),
+                (j0, (j0 + NC).min(n)),
             );
         }
     };
@@ -629,7 +747,7 @@ mod tests {
         pack_a(a, m, k, false, &mut pa);
         pack_b(b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed(&pa, &pb, &mut c, m, k, n);
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
         c
     }
 
@@ -824,8 +942,8 @@ mod tests {
         pack_a(&a, m, k, false, &mut pa);
         pack_b(&b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed(&pa, &pb, &mut c, m, k, n);
-        gemm_packed(&pa, &pb, &mut c, m, k, n);
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
         for (x, y) in c.iter().zip(&once) {
             assert_eq!(*x, 2.0 * y);
         }
@@ -844,7 +962,7 @@ mod tests {
         pack_a(a, m, k, false, &mut pa);
         pack_b(b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed_arm(arm, &pa, &pb, &mut c, m, k, n);
+        gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
         c
     }
 
@@ -984,7 +1102,7 @@ mod tests {
                     pack_b(&b, k, n, true, &mut pb);
                     for arm in crate::simd::available() {
                         let mut oracle = c0.clone();
-                        gemm_packed_arm(arm, &pa, &pb, &mut oracle, m, k, n);
+                        gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut oracle, n, (m, k, n));
                         for threads in [1, 4] {
                             let mut c = c0.clone();
                             rayon::ThreadPoolBuilder::new()
@@ -1023,11 +1141,11 @@ mod tests {
             let mut c = vec![0.0f32; m * n];
             let short = (m - 1) * n;
             let refused = catch_unwind(AssertUnwindSafe(|| {
-                gemm_packed_arm(arm, &pa, &pb, &mut c[..short], m, k, n);
+                gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut c[..short], n, (m, k, n));
             }));
             assert!(refused.is_err(), "short C accepted on {}", arm.as_str());
             let refused = catch_unwind(AssertUnwindSafe(|| {
-                gemm_packed_arm(arm, &pa[1..], &pb, &mut c, m, k, n);
+                gemm_packed_arm(arm, Lhs::Packed(&pa[1..]), &pb, &mut c, n, (m, k, n));
             }));
             assert!(refused.is_err(), "short A accepted on {}", arm.as_str());
             assert!(
@@ -1038,15 +1156,98 @@ mod tests {
         }
     }
 
+    /// A row-view A must add exactly what `pack_a` of the same matrix adds,
+    /// on every arm and thread count, into C rows `ldc > n` apart whose gaps
+    /// stay untouched: ragged and full 8-row tiles, 16-lane panels and
+    /// their edges, every KC boundary. The views overlap and skip, as a
+    /// convolution's taps over padded planes do.
+    #[test]
+    fn row_view_a_matches_packed_a_bit_for_bit() {
+        let mut seed = 0x20E5;
+        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for m in [1, 5, MR, MR + 3, 3 * MR, MC + 1] {
+            for n in [1, 6, NR, NR + 2, NC + 1] {
+                for k in [1, 7, KC - 1, KC, KC + 1, 2 * KC + 3] {
+                    // Row r starts 3r in; column kk is 2kk + kk / 5 along.
+                    let rows: Vec<u32> = (0..m as u32).map(|r| 3 * r).collect();
+                    let ks: Vec<u32> = (0..k as u32).map(|kk| 2 * kk + kk / 5).collect();
+                    let mut src = vec![0.0f32; 3 * m + 3 * k];
+                    fill(&mut src, &mut seed);
+                    let a: Vec<f32> = rows
+                        .iter()
+                        .flat_map(|&r| ks.iter().map(move |&kk| (r + kk) as usize))
+                        .map(|at| src[at])
+                        .collect();
+                    let mut b = vec![0.0f32; k * n];
+                    fill(&mut b, &mut seed);
+                    let ldc = n + 3;
+                    let mut c0 = vec![0.0f32; m * ldc];
+                    fill(&mut c0, &mut seed);
+                    let mut pa = vec![f32::NAN; packed_a_len(m, k)];
+                    let mut pb = vec![f32::NAN; packed_b_len(k, n)];
+                    pack_a(&a, m, k, false, &mut pa);
+                    pack_b(&b, k, n, false, &mut pb);
+                    let mut oracle = c0.clone();
+                    gemm_packed_arm(
+                        Kernel::Scalar,
+                        Lhs::Packed(&pa),
+                        &pb,
+                        &mut oracle,
+                        ldc,
+                        (m, k, n),
+                    );
+                    let view = Lhs::Rows {
+                        src: &src,
+                        rows: &rows,
+                        ks: &ks,
+                    };
+                    for arm in crate::simd::available() {
+                        for threads in [1, 4] {
+                            let mut c = c0.clone();
+                            rayon::ThreadPoolBuilder::new()
+                                .num_threads(threads)
+                                .build()
+                                .expect("pool")
+                                .install(|| {
+                                    gemm_packed_arm(arm, view, &pb, &mut c, ldc, (m, k, n))
+                                });
+                            let on = format!("{} at {m}x{k}x{n}, {threads} threads", arm.as_str());
+                            assert_eq!(bits(&c), bits(&oracle), "{on}");
+                        }
+                    }
+                    for (row, row0) in oracle.chunks_exact(ldc).zip(c0.chunks_exact(ldc)) {
+                        assert_eq!(bits(&row[n..]), bits(&row0[n..]), "a gap was written");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A row view whose reach passes its source must be refused before any
+    /// tile reads it.
+    #[test]
+    #[should_panic(expected = "gemm: A's rows reach past its source")]
+    fn row_view_past_its_source_panics() {
+        let src = vec![1.0f32; 10];
+        let pb = vec![1.0f32; packed_b_len(2, 1)];
+        let mut c = vec![0.0f32; 2];
+        let a = Lhs::Rows {
+            src: &src,
+            rows: &[0, 8],
+            ks: &[0, 2],
+        };
+        gemm_packed(a, &pb, &mut c, 1, (2, 2, 1));
+    }
+
     /// The dispatching entry, same defect: the panic is the entry's own.
     #[test]
-    #[should_panic(expected = "gemm: C is not m × n")]
+    #[should_panic(expected = "gemm: C is short")]
     fn gemm_packed_short_c_panics() {
         let (m, k, n) = (32, 8, 32);
         let pa = vec![1.0f32; packed_a_len(m, k)];
         let pb = vec![1.0f32; packed_b_len(k, n)];
         let mut c = vec![0.0f32; (m - 1) * n];
-        gemm_packed(&pa, &pb, &mut c, m, k, n);
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
     }
 
     /// Shapes the skinny heuristic must refuse — wide m, empty m or k in

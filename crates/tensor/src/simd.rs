@@ -16,11 +16,12 @@
 //!   narrow subkernel for `nr ≤ 8` column strips (the small-n classifier
 //!   shapes). Skinny-m products run the portable kernels: an AVX2 one
 //!   measured level with them end to end (EXPERIMENTS.md, *Paid for, or
-//!   gone*).
+//!   gone*). So does a row-view A, which no AVX2 measurement has paid for.
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
 //!   `NR = 16` tile width, so all 8 rows accumulate in a single pass. Also
-//!   the one arm with skinny-m kernels of its own: row-major B in 16-column
-//!   strips, and a B stored `n × k` as sixteen rows transposed in registers.
+//!   the one arm with kernels of its own for the other operand shapes:
+//!   row-major B in 16-column skinny strips, a B stored `n × k` as sixteen
+//!   rows transposed in registers, and a row-view A read in place.
 //!
 //! # Determinism contract
 //!
@@ -42,7 +43,9 @@
 //! before any of them runs, and nothing outside this crate can reach them
 //! another way.
 
-use crate::gemm::{microkernel, skinny_nt_scalar, skinny_scalar, KC, MR, NR};
+use crate::gemm::{
+    microkernel, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
+};
 use std::sync::OnceLock;
 
 /// True when the crate itself is compiled with FMA codegen (e.g.
@@ -190,6 +193,33 @@ pub(crate) unsafe fn microkernel_arm(
     }
 }
 
+/// Row-view microkernel (A read in place through its offset tables, see
+/// [`crate::gemm::Lhs::Rows`]) for one MR×NR tile on the given arm:
+/// AVX-512 has one of its own, every other arm runs the portable one.
+///
+/// # Safety
+///
+/// As [`microkernel_arm`]; in addition every `a.src[row + kk]` the tile
+/// reads must be in bounds (`gemm_packed_arm` asserts it for the whole
+/// operand before any tile runs).
+// SAFETY: each match arm forwards the caller's contract unchanged; the
+// AVX-512 arm is only reachable when runtime detection reported it.
+pub(crate) unsafe fn microkernel_rows_arm(
+    arm: Kernel,
+    a: RowTile<'_>,
+    pb: &[f32],
+    c: *mut f32,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => x86::microkernel_rows_avx512(a, pb, c, ldc, mr, nr),
+        _ => microkernel_rows(a, pb, c, ldc, mr, nr),
+    }
+}
+
 /// Skinny-m kernel (`C += A_rowmajor · B`, B read directly, no packing)
 /// on the given arm: AVX-512 has one of its own, every other arm runs the
 /// portable one. Safe: operates on checked slices — `arow` is `m·k`, `b`
@@ -241,7 +271,7 @@ pub(crate) fn skinny_nt_arm(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BASE_FMA, KC, MR, NR};
+    use super::{RowTile, BASE_FMA, KC, MR, NR};
     use core::arch::x86_64::*;
 
     /// Multiply-add matching the scalar [`crate::gemm::fmadd`] contraction choice: the
@@ -436,6 +466,58 @@ mod x86 {
             ap = ap.add(MR);
             bp = bp.add(NR);
         }
+        add_tile_avx512(&acc, c, ldc, mr, nr);
+    }
+
+    /// [`microkernel_avx512`] with A's rows read in place: per k step, each
+    /// row's `a` is broadcast straight from its view at the step's offset.
+    /// Bit-identical to [`crate::gemm::microkernel_rows`].
+    ///
+    /// # Safety
+    ///
+    /// As [`microkernel_avx512`]; `a.rows` holds `mr` offsets, `pb` one slab
+    /// of `a.ks.len()` steps, and every `a.src[row + kk]` is in bounds.
+    // SAFETY: a ragged tile's spare rows reuse row 0's offset, so every
+    // load is one the caller vouched for; stores as `add_tile_avx512`.
+    #[target_feature(enable = "avx512f", enable = "fma")]
+    pub(super) unsafe fn microkernel_rows_avx512(
+        a: RowTile<'_>,
+        pb: &[f32],
+        c: *mut f32,
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+    ) {
+        debug_assert_eq!(pb.len(), a.ks.len() * NR);
+        let base = a.src.as_ptr();
+        let rp: [*const f32; MR] = std::array::from_fn(|i| {
+            let row = a.rows[if i < mr { i } else { 0 }] as usize;
+            base.add(row)
+        });
+        let mut acc = [_mm512_setzero_ps(); MR];
+        let mut bp = pb.as_ptr();
+        for &kk in a.ks {
+            let kk = kk as usize;
+            let b = _mm512_loadu_ps(bp);
+            for (accr, p) in acc.iter_mut().zip(&rp) {
+                *accr = fm512(_mm512_set1_ps(*p.add(kk)), b, *accr);
+            }
+            bp = bp.add(NR);
+        }
+        add_tile_avx512(&acc, c, ldc, mr, nr);
+    }
+
+    /// Add the `mr × nr` corner of an AVX-512 register tile into C.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available and `c` valid for `mr × nr` read/writes
+    /// at stride `ldc`, exclusive to this call.
+    // SAFETY: stores are clipped to the caller's mr×nr region (spill path
+    // for partial tiles).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add_tile_avx512(acc: &[__m512; MR], c: *mut f32, ldc: usize, mr: usize, nr: usize) {
         for (i, accr) in acc.iter().enumerate().take(mr) {
             let cp = c.add(i * ldc);
             if nr == NR {

@@ -249,6 +249,16 @@ impl Workspace {
     }
 }
 
+/// View an `f32` buffer — a keyed slot, say — as `u32`s: how an offset
+/// table (a [`crate::gemm::Lhs::Rows`] operand's) lives in a slot beside the
+/// floats, adopted and reused with them, instead of in an allocation of
+/// its own.
+pub fn as_u32s_mut(buf: &mut [f32]) -> &mut [u32] {
+    // SAFETY: `f32` and `u32` have the same size and alignment and every
+    // bit pattern is a valid value of both; the borrow carries over.
+    unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u32>(), buf.len()) }
+}
+
 /// Remove and return the best fit for `len` from `free`: the smallest
 /// capacity that holds `len`, else the largest (for the caller to grow).
 fn best_fit(free: &mut Vec<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
@@ -368,6 +378,17 @@ impl WorkspacePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_slot_holds_offsets_through_a_u32_view() {
+        let mut ws = Workspace::new();
+        let id = SlotId::fresh();
+        let mut buf = ws.take_slot(id, 3);
+        as_u32s_mut(&mut buf).copy_from_slice(&[0, 7, u32::MAX]);
+        ws.put_slot(id, buf);
+        let mut buf = ws.take_slot(id, 3);
+        assert_eq!(as_u32s_mut(&mut buf), [0, 7, u32::MAX]);
+    }
 
     #[test]
     fn slot_ids_are_unique() {

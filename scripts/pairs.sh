@@ -13,12 +13,17 @@
 # neither side). A pair whose two sides disagree on the fingerprint, or a
 # run that is not `correct: true` with `failed: 0`, fails the script.
 #
+# Everything printed is also kept, as the table of that set, in the change
+# checkout's results/pairs/<workload>-<parent>-<change>.txt, each side named
+# by its short commit (`-dirty` when it has uncommitted changes); a later
+# set over the same pair of commits replaces it.
+#
 # Each checkout builds into its own benchmark/target the first time it
 # runs. Nothing else should run meanwhile: the box has two vCPUs.
 set -euo pipefail
 
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -29,6 +34,20 @@ seconds="${5:-30}"
 seed0="${PAIRS_SEED0:-1000}"
 out="$(mktemp -d "${TMPDIR:-/tmp}/fca-pairs.XXXXXX")"
 trap 'rm -rf "$out"' EXIT
+
+name() { # <checkout>: its short commit, `-dirty` when it has changes
+    local rev
+    rev="$(git -C "$1" rev-parse --short=7 HEAD 2>/dev/null || basename "$1")"
+    if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+        rev="$rev-dirty"
+    fi
+    echo "$rev"
+}
+parent_name="$(name "$parent")"
+change_name="$(name "$change")"
+table="$change/results/pairs/$workload-$parent_name-$change_name.txt"
+mkdir -p "$(dirname "$table")"
+exec > >(tee "$table")
 
 # metric name, and whether higher or lower is better
 metrics=(setup_s:lower client_steps_per_s:higher wire_bytes_per_client_round:lower peak_heap_mb:lower)
@@ -50,8 +69,7 @@ reading() { # <side> <pair> <metric>
 }
 
 echo "pairs: $workload, $pairs pairs of ${seconds} s, seeds $((seed0 + 1))..$((seed0 + pairs))"
-echo "pairs: parent $parent"
-echo "pairs: change $change"
+echo "pairs: parent $parent_name, change $change_name"
 for i in $(seq 1 "$pairs"); do
     seed=$((seed0 + i))
     if [ $((i % 2)) -eq 1 ]; then
