@@ -479,9 +479,9 @@ pub fn gemm_packed_arm(
                 "gemm: A's tables are not m and k long"
             );
             let last = |t: &[u32]| t.iter().max().map_or(0, |&o| o as usize);
-            let reach = last(rows) + last(ks);
+            let reach = last(rows).checked_add(last(ks));
             assert!(
-                m == 0 || k == 0 || reach < src.len(),
+                m == 0 || k == 0 || reach.is_some_and(|r| r < src.len()),
                 "gemm: A's rows reach past its source"
             );
         }
