@@ -21,9 +21,10 @@ pub enum OpId {
     /// `C += A·Bᵀ` calls (`Layout::Nt`).
     GemmNt,
     /// Convolution input lowering: the im2col matrix, or the zero-bordered
-    /// copy of an image and its pixel-major transpose.
+    /// copy of an image.
     Im2col,
-    /// Convolution gradient scatter-add.
+    /// Convolution gradient fold: col2im's scatter-add, or the copy of the
+    /// interior out of padded input-gradient planes.
     Col2im,
     /// Whole `Conv2d::forward` call.
     ConvForward,
