@@ -91,7 +91,8 @@ impl ConvGeometry {
     /// True when a view-path layer's input gradient is accumulated tap by
     /// tap into padded planes rather than folded from `dcol` by col2im: one
     /// product per tap has `C_in/G` rows, so it needs a full register tile
-    /// of them (a 1-channel stem reads slower that way), and `C_out/G` must
+    /// of them (every layer timed with 1–6 read 1.08–2.4× slower that way,
+    /// EXPERIMENTS.md *Conv backward in place*), and `C_out/G` must
     /// fit one KC block, where a product's sum over output channels is a
     /// single chain — across two blocks `dcol`'s rounding would differ.
     fn input_grad_by_taps(&self) -> bool {

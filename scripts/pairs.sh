@@ -13,10 +13,11 @@
 # neither side). A pair whose two sides disagree on the fingerprint, or a
 # run that is not `correct: true` with `failed: 0`, fails the script.
 #
-# Everything printed is also kept, as the table of that set, in the change
-# checkout's results/pairs/<workload>-<parent>-<change>.txt, each side named
-# by its short commit (`-dirty` when it has uncommitted changes); a later
-# set over the same pair of commits replaces it.
+# Everything printed, errors included, is also kept, as the table of that
+# set, in the change checkout's
+# results/pairs/<workload>-<parent>-<change>-s<first seed>.txt, each side
+# named by its short commit (`-dirty` when it has uncommitted changes), so
+# a set on other seeds never replaces it and an aborted set keeps its cause.
 #
 # Each checkout builds into its own benchmark/target the first time it
 # runs. Nothing else should run meanwhile: the box has two vCPUs.
@@ -45,9 +46,9 @@ name() { # <checkout>: its short commit, `-dirty` when it has changes
 }
 parent_name="$(name "$parent")"
 change_name="$(name "$change")"
-table="$change/results/pairs/$workload-$parent_name-$change_name.txt"
+table="$change/results/pairs/$workload-$parent_name-$change_name-s$((seed0 + 1)).txt"
 mkdir -p "$(dirname "$table")"
-exec > >(tee "$table")
+exec > >(tee "$table") 2>&1
 
 # metric name, and whether higher or lower is better
 metrics=(setup_s:lower client_steps_per_s:higher wire_bytes_per_client_round:lower peak_heap_mb:lower)
@@ -55,8 +56,15 @@ metrics=(setup_s:lower client_steps_per_s:higher wire_bytes_per_client_round:low
 run_side() { # <side> <checkout> <pair> <seed>
     # A CARGO_TARGET_DIR from the caller would make both checkouts share,
     # and rebuild, one target directory.
-    env -u CARGO_TARGET_DIR bash "$2/benchmark/run.sh" \
-        --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0 >"$out/$1.$3.txt"
+    # Its build chatter stays out of the table unless the run fails.
+    if ! env -u CARGO_TARGET_DIR bash "$2/benchmark/run.sh" \
+        --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0 \
+        >"$out/$1.$3.txt" 2>"$out/$1.$3.err"; then
+        echo "pairs: $1 run of pair $3 (seed $4) failed:" >&2
+        tail -n 20 "$out/$1.$3.err" >&2
+        grep '^VIOLATION' "$out/$1.$3.txt" >&2 || true
+        exit 1
+    fi
     if ! tail -n 1 "$out/$1.$3.txt" | grep -q '"correct":true,"failed":0,'; then
         echo "pairs: $1 run of pair $3 (seed $4) is not correct with failed 0:" >&2
         tail -n 1 "$out/$1.$3.txt" >&2
