@@ -468,8 +468,8 @@ mod tests {
     /// The classifier exchange as `FedClassAvg::round` and `client_turn`
     /// wrote it out before there was a driver — broadcast, client region,
     /// collect, variant filter, weights, fold, each by hand — kept as the
-    /// oracle the driver is held to. (`Collected` has since merged its two
-    /// parallel vectors; nothing else is changed.)
+    /// oracle the driver is held to. (The collection has since merged its
+    /// two parallel vectors; nothing else is changed.)
     struct HandWritten {
         global: ClassifierWeights,
         half_precision: bool,
@@ -530,12 +530,11 @@ mod tests {
             };
             let _ = net.broadcast(sampled, &msg);
             fleet.for_sampled_parallel(sampled, |c| Self::client_turn(c, net, hp, obj));
-            let collected = net.collect_round(round, sampled.len());
-            if collected.replies.is_empty() {
+            let replies = net.collect_round(round, sampled.len());
+            if replies.is_empty() {
                 return;
             }
-            let classifiers: Vec<(usize, usize, &ClassifierWeights)> = collected
-                .replies
+            let classifiers: Vec<(usize, usize, &ClassifierWeights)> = replies
                 .iter()
                 .filter_map(|(k, s, msg)| match msg {
                     WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {

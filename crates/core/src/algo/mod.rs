@@ -207,13 +207,13 @@ pub(crate) fn exchange<S, T, R>(
     let (state, accept, fold) = uplink?;
 
     let span = fca_trace::clock();
-    let collected = net.collect_round(leg.round, sampled.len());
+    let replies = net.collect_round(leg.round, sampled.len());
     fca_trace::phase(PhaseId::Collect, span);
 
     let span = fca_trace::clock();
-    let arrived = collected.replies.len();
+    let arrived = replies.len();
     let mut accepted: Vec<Reply<T>> = Vec::with_capacity(arrived);
-    for (client, staleness, msg) in collected.replies {
+    for (client, staleness, msg) in replies {
         if let Some(payload) = accept(state, client, msg) {
             // A meta-record read: it never hydrates a paged-out client.
             let raw = leg.fleet.weight(client) * staleness_decay(staleness);

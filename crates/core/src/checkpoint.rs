@@ -246,12 +246,12 @@ impl Checkpoint {
             .encode()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         std::fs::write(path, &bytes)?;
-        fca_trace::emit_checkpoint(
-            "save",
-            self.state.next_round as u64,
-            bytes.len() as u64,
-            self.num_clients as u64,
-        );
+        fca_trace::emit(fca_trace::Event::Checkpoint {
+            dir: "save".into(),
+            round: self.state.next_round as u64,
+            bytes: bytes.len() as u64,
+            clients: self.num_clients as u64,
+        });
         Ok(())
     }
 
@@ -261,12 +261,12 @@ impl Checkpoint {
         let bytes = std::fs::read(path)?;
         let ckpt = Checkpoint::decode(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        fca_trace::emit_checkpoint(
-            "load",
-            ckpt.state.next_round as u64,
-            bytes.len() as u64,
-            ckpt.num_clients as u64,
-        );
+        fca_trace::emit(fca_trace::Event::Checkpoint {
+            dir: "load".into(),
+            round: ckpt.state.next_round as u64,
+            bytes: bytes.len() as u64,
+            clients: ckpt.num_clients as u64,
+        });
         Ok(ckpt)
     }
 }

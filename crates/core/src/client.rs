@@ -4,14 +4,14 @@
 // C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::config::{HyperParams, OptKind};
+use crate::config::HyperParams;
 use bytes::BufMut;
 use fca_data::augment::AugmentConfig;
 use fca_data::Dataset;
 use fca_models::classifier::ClassifierWeights;
 use fca_models::ClientModel;
 use fca_nn::loss::{accuracy, cross_entropy, prototype_loss, supervised_contrastive};
-use fca_nn::optim::{Adam, OptState, Optimizer, Sgd};
+use fca_nn::optim::{Adam, OptState, Optimizer};
 use fca_nn::Module as _;
 use fca_tensor::rng::{derive_seed, SnapRng};
 use fca_tensor::serialize::{encode_tensor, encoded_len, Reader, WireError};
@@ -71,7 +71,7 @@ pub struct Client {
     pub augment: AugmentConfig,
     /// Aggregation weight `|D_k| / |D|`.
     pub weight: f32,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     rng: SnapRng,
     /// Scratch shared by every forward/backward this client runs. Batch
     /// shapes repeat across epochs, so the pool converges after the first
@@ -102,13 +102,6 @@ impl Client {
             !train_data.is_empty(),
             "client {id} has an empty training shard"
         );
-        let optimizer: Box<dyn Optimizer> = match hp.optimizer {
-            OptKind::Adam => Box::new(Adam::new(hp.lr)),
-            OptKind::Sgd {
-                momentum,
-                weight_decay,
-            } => Box::new(Sgd::with_momentum(hp.lr, momentum, weight_decay)),
-        };
         Client {
             id,
             model,
@@ -116,7 +109,7 @@ impl Client {
             test_data,
             augment,
             weight,
-            optimizer,
+            optimizer: Adam::new(hp.lr),
             rng: SnapRng::seed_from(derive_seed(seed, 0xC0FFEE + id as u64)),
             workspace: Workspace::new(),
             batch_idx: Vec::new(),
@@ -127,7 +120,7 @@ impl Client {
 
     /// Serialize every mutable piece of this client's training state into
     /// a compact blob: optimizer trajectory (learning rate, step count,
-    /// momentum/moment tensors), the client's private RNG position, the
+    /// moment tensors), the client's private RNG position, the
     /// model's layer-owned RNG positions (dropout), and the full model
     /// state (params + buffers). Rebuilding a pristine twin from the same
     /// seeds and calling [`Client::restore_snapshot`] with this blob
@@ -828,16 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_bit_identical_trajectory_sgd_momentum() {
-        let mut hp = HyperParams::micro_default().with_lr(5e-3);
-        hp.optimizer = OptKind::Sgd {
-            momentum: 0.9,
-            weight_decay: 1e-4,
-        };
-        assert_snapshot_fidelity(&hp);
-    }
-
-    #[test]
     fn snapshot_rejects_version_mismatch() {
         let hp = HyperParams::micro_default();
         let mut a = dropout_client(615, &hp);
@@ -930,21 +913,14 @@ mod tests {
 
     #[test]
     fn snapshot_bytes_match_the_reference_encoder() {
-        let adam = HyperParams::micro_default();
-        let mut sgd = HyperParams::micro_default().with_lr(5e-3);
-        sgd.optimizer = OptKind::Sgd {
-            momentum: 0.9,
-            weight_decay: 1e-4,
-        };
-        for hp in [adam, sgd] {
-            let mut c = dropout_client(616, &hp);
-            // Pristine (no optimizer slots yet), then mid-training.
-            for _ in 0..2 {
-                let blob = c.snapshot_blob();
-                assert_eq!(blob, reference_snapshot(&mut c));
-                assert_eq!(blob.capacity(), blob.len(), "blob was not sized exactly");
-                c.local_update_supervised(1, &hp);
-            }
+        let hp = HyperParams::micro_default();
+        let mut c = dropout_client(616, &hp);
+        // Pristine (no optimizer slots yet), then mid-training.
+        for _ in 0..2 {
+            let blob = c.snapshot_blob();
+            assert_eq!(blob, reference_snapshot(&mut c));
+            assert_eq!(blob.capacity(), blob.len(), "blob was not sized exactly");
+            c.local_update_supervised(1, &hp);
         }
     }
 

@@ -380,24 +380,6 @@ impl FaultPlan {
     }
 }
 
-/// What one round's collection actually gathered.
-#[derive(Debug)]
-pub struct Collected {
-    /// Decoded replies as `(client, staleness, message)`, ordered by
-    /// `(client, staleness)`. Staleness is the number of rounds a late
-    /// update aged in the buffer: 0 for every fresh reply, and so for
-    /// every reply under synchronous aggregation.
-    pub replies: Vec<(usize, usize, WireMessage)>,
-    /// Expected uplinks that never arrived (offline clients + stragglers).
-    pub dropped: usize,
-    /// Uplinks that arrived but failed to decode.
-    pub corrupt: usize,
-    /// Buffered late updates folded into this collection (staleness ≥ 1).
-    pub stale: usize,
-    /// Buffered updates discarded because they aged past `max_staleness`.
-    pub expired: usize,
-}
-
 /// Cumulative traffic statistics: the logical tally of what senders paid
 /// for (Table 5's unit) and the physical tally of what the transport's
 /// writes were handed — see the module docs.
@@ -762,14 +744,19 @@ impl Network {
     ///    reply set with their staleness recorded, older ones are counted
     ///    expired and discarded.
     ///
-    /// Replies are returned sorted by `(client, staleness)`; which of them
-    /// are usable, their weight decay and the renormalization over the
-    /// usable set happen in `crate::algo`'s exchange driver.
+    /// Returns the decoded replies as `(client, staleness, message)`, sorted
+    /// by `(client, staleness)`. Staleness is the number of rounds a late
+    /// update aged in the buffer: 0 for every fresh reply, and so for every
+    /// reply under synchronous aggregation. The round's dropped, corrupt,
+    /// stale and expired counts go to the per-round counters
+    /// ([`Network::take_round_faults`], [`Network::take_round_async`]).
+    /// Which replies are usable, their weight decay and the renormalization
+    /// over the usable set happen in `crate::algo`'s exchange driver.
     #[expect(
         clippy::disallowed_methods,
         reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last; the second read is the remaining budget for the transport recv safety net"
     )]
-    pub fn collect_round(&self, round: usize, expected: usize) -> Collected {
+    pub fn collect_round(&self, round: usize, expected: usize) -> Vec<(usize, usize, WireMessage)> {
         let (goal_k, max_staleness) = match self.agg {
             Aggregation::Sync => (usize::MAX, 0),
             Aggregation::Buffered {
@@ -873,13 +860,7 @@ impl Network {
         self.round_stale.fetch_add(stale as u64, Ordering::Relaxed);
         self.round_expired
             .fetch_add(expired as u64, Ordering::Relaxed);
-        Collected {
-            replies: merged,
-            dropped,
-            corrupt,
-            stale,
-            expired,
-        }
+        merged
     }
 
     /// Count `n` replies the round's algorithm refused — decoded, but not
@@ -953,13 +934,13 @@ mod tests {
     use fca_tensor::rng::seeded_rng;
 
     /// Client ids of a collection's replies, in reply order.
-    fn ids(got: &Collected) -> Vec<usize> {
-        got.replies.iter().map(|&(k, _, _)| k).collect()
+    fn ids(got: &[(usize, usize, WireMessage)]) -> Vec<usize> {
+        got.iter().map(|&(k, _, _)| k).collect()
     }
 
     /// `(client, staleness)` of a collection's replies, in reply order.
-    fn contributors(got: &Collected) -> Vec<(usize, usize)> {
-        got.replies.iter().map(|&(k, s, _)| (k, s)).collect()
+    fn contributors(got: &[(usize, usize, WireMessage)]) -> Vec<(usize, usize)> {
+        got.iter().map(|&(k, s, _)| (k, s)).collect()
     }
 
     #[test]
@@ -1049,8 +1030,8 @@ mod tests {
         net.send_to_server(1, &msg).expect("send");
         let got = net.collect_round(1, 3);
         assert_eq!(contributors(&got), vec![(0, 0), (1, 0), (2, 0)]);
-        assert_eq!((got.dropped, got.corrupt), (0, 0));
-        assert_eq!((got.stale, got.expired), (0, 0));
+        assert_eq!(net.take_round_faults(), (0, 0));
+        assert_eq!(net.take_round_async(), (0, 0));
         assert_eq!(net.export_buffer().len(), 0);
     }
 
@@ -1224,9 +1205,7 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "collection waited on stragglers"
         );
-        assert!(got.replies.is_empty());
-        assert_eq!(got.dropped, 2);
-        assert_eq!(got.corrupt, 0);
+        assert!(got.is_empty());
         assert_eq!(net.take_round_faults(), (2, 0));
     }
 
@@ -1244,8 +1223,7 @@ mod tests {
         net.send_to_server(2, &msg).expect("send");
         let got = net.collect_round(1, 3);
         assert_eq!(ids(&got), vec![0, 2]);
-        assert_eq!(got.corrupt, 1);
-        assert_eq!(got.dropped, 0);
+        assert_eq!(net.take_round_faults(), (0, 1));
     }
 
     #[test]
@@ -1253,8 +1231,8 @@ mod tests {
         let mut net = Network::new(2).with_fault_plan(all_fate_plan(Fate::Dropped));
         net.begin_round(3, &[0, 1]);
         let got = net.collect_round(3, 2);
-        assert!(got.replies.is_empty());
-        assert_eq!(got.dropped, 2);
+        assert!(got.is_empty());
+        assert_eq!(net.take_round_faults(), (2, 0));
     }
 
     #[test]
@@ -1341,7 +1319,7 @@ mod tests {
             net.begin_round(round, &[]);
             let got = net.collect_round(round, 0);
             folds.extend(contributors(&got));
-            expired += got.expired;
+            expired += net.take_round_async().1 as usize;
             assert!(round < from_round + 64, "buffer never drained");
         }
         (folds, expired)
@@ -1365,8 +1343,7 @@ mod tests {
         net.send_to_server(1, &msg).expect("send");
         let got = net.collect_round(1, 2);
         // Deferred, not dropped: both uplinks are parked in the buffer.
-        assert!(got.replies.is_empty());
-        assert_eq!(got.dropped, 0);
+        assert!(got.is_empty());
         assert_eq!(net.take_round_faults(), (0, 0));
         assert_eq!(net.export_buffer().len(), 2);
 
@@ -1412,19 +1389,22 @@ mod tests {
             net.send_to_server(k, &msg).expect("send");
         }
         let got = net.collect_round(1, 3);
-        assert_eq!(got.replies.len(), 1, "round closes at goal_k");
-        assert_eq!(got.replies[0].1, 0);
-        assert_eq!(got.dropped, 0, "overflow is deferred, not dropped");
+        assert_eq!(got.len(), 1, "round closes at goal_k");
+        assert_eq!(got[0].1, 0);
+        assert_eq!(
+            net.take_round_faults(),
+            (0, 0),
+            "overflow is deferred, not dropped"
+        );
         assert_eq!(net.export_buffer().len(), 2);
 
         net.begin_round(2, &[]);
         let next = net.collect_round(2, 0);
         // The cutoff gates *fresh* uplinks only: both spilled replies
         // mature at round 2 and fold in together, one round stale.
-        assert_eq!(next.replies.len(), 2);
-        assert!(next.replies.iter().all(|&(_, s, _)| s == 1));
-        assert_eq!(next.stale, 2);
-        assert_eq!(next.expired, 0);
+        assert_eq!(next.len(), 2);
+        assert!(next.iter().all(|&(_, s, _)| s == 1));
+        assert_eq!(net.take_round_async(), (2, 0));
         assert_eq!(net.export_buffer().len(), 0);
     }
 
@@ -1499,7 +1479,7 @@ mod tests {
             assert_eq!(net.stats().uplink_bytes(), 3 * len);
             assert_eq!(net.stats().uplink_physical_bytes(), 2 * uplink_physical - 1);
             let got = net.collect_round(1, 3);
-            assert_eq!((ids(&got), got.dropped, got.corrupt), (vec![0], 1, 1));
+            assert_eq!((ids(&got), net.take_round_faults()), (vec![0], (1, 1)));
         }
     }
 
@@ -1532,7 +1512,7 @@ mod tests {
         assert_eq!(b.full_state(), state);
         net.send_full_model(0, &mut b).expect("uplink");
         assert_eq!(net.stats().uplink_bytes(), msg.encoded_len() as u64);
-        assert_eq!(net.collect_round(0, 1).replies, vec![(0, 0, msg)]);
+        assert_eq!(net.collect_round(0, 1), vec![(0, 0, msg)]);
         // Nothing queued: nothing read.
         assert!(!net.client_recv_full_model_into(0, &mut b));
     }
@@ -1620,7 +1600,7 @@ mod tests {
         net.send_to_client(0, &msg).expect("send");
         // The fate gate answers without waiting on the socket.
         assert!(net.client_recv(0).is_none());
-        let got = net.collect_round(1, 2);
-        assert_eq!(got.dropped, 2);
+        assert!(net.collect_round(1, 2).is_empty());
+        assert_eq!(net.take_round_faults(), (2, 0));
     }
 }

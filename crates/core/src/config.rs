@@ -3,21 +3,6 @@
 use crate::comm::FaultPlan;
 use fca_tensor::quant::Precision;
 
-/// Which optimizer local updates use.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum OptKind {
-    /// SGD with momentum and weight decay.
-    Sgd {
-        /// Momentum coefficient.
-        momentum: f32,
-        /// L2 weight decay.
-        weight_decay: f32,
-    },
-    /// Adam with standard betas — what the paper's small learning rates
-    /// (1e-4 … 6e-4) imply.
-    Adam,
-}
-
 /// Local-update hyperparameters (paper Table 1).
 #[derive(Clone, Copy, Debug)]
 pub struct HyperParams {
@@ -31,8 +16,6 @@ pub struct HyperParams {
     pub local_epochs: usize,
     /// Supervised-contrastive temperature τ.
     pub temperature: f32,
-    /// Optimizer selection.
-    pub optimizer: OptKind,
 }
 
 impl HyperParams {
@@ -44,7 +27,6 @@ impl HyperParams {
             rho: 0.1,
             local_epochs: 1,
             temperature: 0.5,
-            optimizer: OptKind::Adam,
         }
     }
 
@@ -56,7 +38,6 @@ impl HyperParams {
             rho: 0.4662,
             local_epochs: 1,
             temperature: 0.5,
-            optimizer: OptKind::Adam,
         }
     }
 
@@ -68,7 +49,6 @@ impl HyperParams {
             rho: 0.1,
             local_epochs: 1,
             temperature: 0.5,
-            optimizer: OptKind::Adam,
         }
     }
 
@@ -82,7 +62,6 @@ impl HyperParams {
             rho: 0.1,
             local_epochs: 1,
             temperature: 0.5,
-            optimizer: OptKind::Adam,
         }
     }
 
@@ -185,22 +164,15 @@ pub struct DriftSchedule {
     /// Last round of the interpolation window (λ = 1 at and after it).
     /// `0` disables the schedule entirely.
     pub end_round: usize,
-    /// Dirichlet concentration of the drift *target* mix, in integer
-    /// permille (500 = the paper's α = 0.5). Integer so the schedule
-    /// stays `Eq` and crosses the trace journal exactly.
-    pub alpha_permille: u64,
 }
 
-/// The paper's α = 0.5 for the drift target mix, in permille.
-const DEFAULT_ALPHA_PERMILLE: u64 = 500;
+/// Dirichlet concentration of every drift *target* mix: the paper's α = 0.5.
+const DRIFT_ALPHA: f64 = 0.5;
 
 impl DriftSchedule {
     /// The disabled schedule (the `Default`).
     pub fn off() -> Self {
-        DriftSchedule {
-            alpha_permille: DEFAULT_ALPHA_PERMILLE,
-            ..DriftSchedule::default()
-        }
+        DriftSchedule::default()
     }
 
     /// A schedule interpolating over `[start_round, end_round]` toward a
@@ -209,15 +181,14 @@ impl DriftSchedule {
         let s = DriftSchedule {
             start_round,
             end_round,
-            alpha_permille: DEFAULT_ALPHA_PERMILLE,
         };
         s.validate();
         s
     }
 
-    /// The target-mix Dirichlet concentration as a float.
+    /// The target-mix Dirichlet concentration.
     pub fn alpha(&self) -> f64 {
-        self.alpha_permille as f64 / 1000.0
+        DRIFT_ALPHA
     }
 
     /// Whether any round ever sees a non-initial distribution.
@@ -247,10 +218,6 @@ impl DriftSchedule {
                 "drift end_round ({}) must exceed start_round ({})",
                 self.end_round,
                 self.start_round
-            );
-            assert!(
-                self.alpha_permille >= 1,
-                "drift alpha_permille must be >= 1 when the schedule is active"
             );
         }
     }

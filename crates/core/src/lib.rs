@@ -42,7 +42,7 @@ pub mod sim;
 pub mod transport;
 
 pub use checkpoint::Checkpoint;
-pub use comm::{Collected, Fate, FaultPlan, Network};
+pub use comm::{Fate, FaultPlan, Network};
 pub use config::{FedConfig, HyperParams, TransportKind};
 pub use fleet::{ClientMeta, Fleet, PagingStats};
 pub use sim::{RoundMetrics, RunResult, RunState};

@@ -10,7 +10,7 @@ use fca_data::partition::Partitioner;
 use fca_data::synth::SynthDataset;
 use fca_models::ModelArch;
 use fca_tensor::rng::{derived_rng, SnapRng};
-use fca_trace::{PhaseId, RoundRecord};
+use fca_trace::{Event, PhaseId};
 
 /// One evaluation point on the learning curve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -277,19 +277,25 @@ fn emit_workspace_point(round: u64, fleet: &Fleet) {
     if !fca_trace::is_active() {
         return;
     }
-    let (live, ws) = fleet.live_workspace_point();
-    fca_trace::emit_workspace(round, live, ws.allocations, ws.reuses, ws.peak_bytes);
+    let (clients, ws) = fleet.live_workspace_point();
+    fca_trace::emit(Event::Workspace {
+        round,
+        clients,
+        allocations: ws.allocations,
+        reuses: ws.reuses,
+        peak_bytes: ws.peak_bytes,
+    });
     let pool = fleet.pool_stats();
     let paging = fleet.paging_stats();
-    fca_trace::emit_pool(
+    fca_trace::emit(Event::Pool {
         round,
-        pool.resident,
-        pool.high_water,
-        pool.checkouts,
-        paging.page_ins,
-        paging.page_outs,
-        paging.page_bytes,
-    );
+        resident: pool.resident,
+        high_water: pool.high_water,
+        checkouts: pool.checkouts,
+        page_ins: paging.page_ins,
+        page_outs: paging.page_outs,
+        page_bytes: paging.page_bytes,
+    });
 }
 
 /// Drive a full federated run: `cfg.rounds` rounds of `algo` over the
@@ -332,7 +338,10 @@ pub fn run_federation_from(
     let mut net = Network::over(build_transport(cfg.transport, fleet.len()))
         .with_fault_plan(cfg.faults)
         .with_aggregation(cfg.aggregation, cfg.seed);
-    fca_trace::emit_transport(net.backend(), fleet.len() as u64);
+    fca_trace::emit(Event::Transport {
+        backend: net.backend().into(),
+        clients: fleet.len() as u64,
+    });
     let RunState {
         next_round,
         mut epochs,
@@ -389,7 +398,11 @@ pub fn run_federation_from(
                 let span = fca_trace::clock();
                 fleet.drift_to(cfg.seed, cfg.drift.alpha(), lambda);
                 fca_trace::phase(PhaseId::Drift, span);
-                fca_trace::emit_drift(round as u64, lambda, fleet.len() as u64);
+                fca_trace::emit(Event::Drift {
+                    round: round as u64,
+                    lambda_permille: lambda,
+                    clients: fleet.len() as u64,
+                });
                 applied_lambda = Some(lambda);
             }
         }
@@ -459,7 +472,7 @@ pub fn run_federation_from(
 
         fca_trace::flush_ops(round as u64);
         if let Some(started) = round_span {
-            fca_trace::emit_round(&RoundRecord {
+            fca_trace::emit(Event::Round {
                 round: round as u64,
                 dur_us: started.elapsed().as_micros() as u64,
                 downlink_bytes: down,

@@ -24,17 +24,6 @@ pub struct AugmentConfig {
 }
 
 impl AugmentConfig {
-    /// Standard recipe for 32×32 RGB-like images.
-    pub fn cifar_like() -> Self {
-        AugmentConfig {
-            max_shift: 3,
-            hflip: true,
-            brightness: 0.15,
-            noise_std: 0.05,
-            cutout: 6,
-        }
-    }
-
     /// Standard recipe for 28×28 grayscale images (no flips — characters
     /// and garments are orientation-sensitive).
     pub fn mnist_like() -> Self {
@@ -187,7 +176,7 @@ mod tests {
     fn shapes_preserved() {
         let mut rng = seeded_rng(303);
         let batch = Tensor::randn([3, 3, 16, 16], 1.0, &mut rng);
-        let out = AugmentConfig::cifar_like().augment_batch(&batch, &mut rng);
+        let out = AugmentConfig::for_image(3, 16, 16).augment_batch(&batch, &mut rng);
         assert_eq!(out.dims(), batch.dims());
     }
 

@@ -51,19 +51,6 @@ pub fn layer_conductance(
         .collect()
 }
 
-/// Completeness check value: `f_target(features) − f_target(baseline)`.
-pub fn logit_delta(
-    classifier: &ClassifierWeights,
-    features: &[f32],
-    baseline: &[f32],
-    target: usize,
-) -> f32 {
-    let w_row = classifier.weight.row(target);
-    let f: f32 = w_row.iter().zip(features).map(|(w, z)| w * z).sum();
-    let b: f32 = w_row.iter().zip(baseline).map(|(w, z)| w * z).sum();
-    f - b
-}
-
 /// Convert a score vector to rank scores: the smallest value gets rank 0,
 /// the largest `n−1`. Ties break by index (deterministic).
 pub fn rank_scores(values: &[f32]) -> Vec<usize> {
@@ -168,7 +155,9 @@ mod tests {
         let baseline = vec![0.0f32; 16];
         let cond = layer_conductance(&cls, z.row(0), &baseline, 2, 8);
         let total: f32 = cond.iter().sum();
-        let delta = logit_delta(&cls, z.row(0), &baseline, 2);
+        // f_2(z) − f_2(baseline) for the linear head.
+        let w = cls.weight.row(2);
+        let delta: f32 = (0..16).map(|i| w[i] * (z.row(0)[i] - baseline[i])).sum();
         assert!(
             (total - delta).abs() < 1e-4,
             "completeness: {total} vs {delta}"

@@ -49,25 +49,6 @@ pub fn extract_fleet_features(fleet: &mut Fleet, per_client: usize) -> FleetFeat
     }
 }
 
-/// Render a learning curve as an ASCII table (`epochs  mean±std`).
-pub fn curve_table(curve: &[RoundMetrics]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>7} {:>7} {:>10} {:>10}",
-        "round", "epochs", "mean_acc", "std_acc"
-    );
-    for p in curve {
-        let _ = writeln!(
-            out,
-            "{:>7} {:>7} {:>10.4} {:>10.4}",
-            p.round, p.epochs, p.mean_acc, p.std_acc
-        );
-    }
-    out
-}
-
 /// Render a learning curve as a sparkline (one char per eval point) — the
 /// terminal analogue of the paper's Figures 4–7.
 pub fn curve_sparkline(curve: &[RoundMetrics]) -> String {
@@ -97,29 +78,6 @@ mod tests {
         let mut ids = ff.client_ids.clone();
         ids.dedup();
         assert_eq!(ids.len(), 3, "each client should contribute a block");
-    }
-
-    #[test]
-    fn curve_table_formats_rows() {
-        let curve = vec![
-            RoundMetrics {
-                round: 0,
-                epochs: 0,
-                mean_acc: 0.1,
-                std_acc: 0.01,
-                ..Default::default()
-            },
-            RoundMetrics {
-                round: 1,
-                epochs: 1,
-                mean_acc: 0.5,
-                std_acc: 0.02,
-                ..Default::default()
-            },
-        ];
-        let t = curve_table(&curve);
-        assert_eq!(t.lines().count(), 3);
-        assert!(t.contains("0.5000"));
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl Conv2d {
         )
     }
 
-    /// The layer's geometry.
-    pub fn geometry(&self) -> ConvGeometry {
-        self.geom
-    }
-
     fn plan(&self, n: usize, h: usize, w: usize) -> Plan {
         let g = self.geom;
         let (oh, ow) = g.out_hw(h, w);

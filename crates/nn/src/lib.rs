@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::linear::Linear;
     pub use crate::module::{Module, Param};
     pub use crate::norm::BatchNorm2d;
-    pub use crate::optim::{Adam, Optimizer, Sgd};
+    pub use crate::optim::{Adam, Optimizer};
     pub use crate::pool::{GlobalAvgPool, MaxPool2d};
     pub use crate::structure::{ChannelShuffle, Flatten, InceptionBlock, Residual, Sequential};
 }

@@ -1,4 +1,4 @@
-//! Optimizers: SGD with momentum/weight-decay and Adam.
+//! The optimizer: Adam, behind the [`Optimizer`] trait.
 //!
 //! Optimizer state is keyed by parameter position, relying on the stable
 //! ordering guaranteed by [`crate::Module::params_mut`].
@@ -12,7 +12,7 @@ use fca_tensor::Tensor;
 /// and [`Optimizer::slots`] read out — re-applied with
 /// [`Optimizer::load_state`].
 ///
-/// Hyperparameters (momentum, betas, eps) are *not* part of the snapshot —
+/// Hyperparameters (betas, eps) are *not* part of the snapshot —
 /// a restored optimizer is rebuilt from the same configuration and only
 /// its trajectory (learning rate, step count, moment tensors) travels.
 /// Restoring a snapshot must make the optimizer's future updates
@@ -22,12 +22,11 @@ use fca_tensor::Tensor;
 pub struct OptState {
     /// Learning rate at snapshot time.
     pub lr: f32,
-    /// Update steps taken so far (drives Adam's bias correction; 0 for
-    /// optimizers without a step count).
+    /// Update steps taken so far (drives Adam's bias correction).
     pub step: u64,
     /// Per-parameter state tensors in the implementation's own layout
-    /// (SGD: velocity; Adam: first moments then second moments). Empty
-    /// when the state was never lazily initialized.
+    /// (Adam: first moments then second moments). Empty when the state
+    /// was never lazily initialized.
     pub slots: Vec<Tensor>,
 }
 
@@ -56,13 +55,13 @@ pub trait Optimizer: Send {
     fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError>;
 }
 
-/// `Ok` when `slots` is empty or holds `per_param` runs of tensors shaped
-/// like `params`, run after run.
-fn check_slots(slots: &[Tensor], per_param: usize, params: &[&mut Param]) -> Result<(), WireError> {
+/// `Ok` when `slots` is empty or holds two runs (Adam's first, then second
+/// moments) of tensors shaped like `params`.
+fn check_slots(slots: &[Tensor], params: &[&mut Param]) -> Result<(), WireError> {
     if slots.is_empty() {
         return Ok(());
     }
-    if slots.len() != per_param * params.len() {
+    if slots.len() != 2 * params.len() {
         return Err(WireError::Malformed(
             "optimizer slot count does not fit the model",
         ));
@@ -74,92 +73,6 @@ fn check_slots(slots: &[Tensor], per_param: usize, params: &[&mut Param]) -> Res
         ));
     }
     Ok(())
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum and L2 weight decay.
-    pub fn with_momentum(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() && self.momentum > 0.0 {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                assert_eq!(v.dims(), p.grad.dims(), "optimizer state shape drift");
-                for ((vi, &gi), &wi) in v
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.grad.data())
-                    .zip(p.value.data())
-                {
-                    *vi = self.momentum * *vi + gi + self.weight_decay * wi;
-                }
-                p.value.axpy(-self.lr, v);
-            } else if self.weight_decay > 0.0 {
-                let lr = self.lr;
-                let wd = self.weight_decay;
-                for (wi, &gi) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-                    *wi -= lr * (gi + wd * *wi);
-                }
-            } else {
-                p.value.axpy(-self.lr, &p.grad);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn step_count(&self) -> u64 {
-        0
-    }
-
-    fn slots(&self) -> Vec<&Tensor> {
-        self.velocity.iter().collect()
-    }
-
-    fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError> {
-        // Empty slots are legitimate: momentum-free SGD never allocates
-        // velocity, and momentum SGD lazily allocates it on the first step.
-        let per_param = usize::from(self.momentum > 0.0);
-        check_slots(&state.slots, per_param, params)?;
-        self.lr = state.lr;
-        self.velocity = state.slots;
-        Ok(())
-    }
 }
 
 /// Adam (Kingma & Ba), the optimizer the paper's hyperparameter table
@@ -238,7 +151,7 @@ impl Optimizer for Adam {
 
     fn load_state(&mut self, state: OptState, params: &[&mut Param]) -> Result<(), WireError> {
         // First moments for every parameter, then second moments.
-        check_slots(&state.slots, 2, params)?;
+        check_slots(&state.slots, params)?;
         self.lr = state.lr;
         self.t = state.step;
         let half = state.slots.len() / 2;
@@ -269,32 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(minimize(&mut opt, 100) < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9, 0.0);
-        assert!(minimize(&mut opt, 200) < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.3);
         assert!(minimize(&mut opt, 300) < 1e-2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let mut opt = Sgd::with_momentum(0.1, 0.0, 0.5);
-        let mut p = quadratic_param(2.0);
-        p.grad = Tensor::zeros([1]);
-        let mut ps = [&mut p];
-        opt.step(&mut ps);
-        // w ← w − lr·wd·w = 2 · (1 − 0.05) = 1.9
-        assert!((ps[0].value.at(0) - 1.9).abs() < 1e-6);
     }
 
     /// Run `steps` quadratic-descent updates on `p` with `opt`.
@@ -332,13 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_snapshot_resumes_bit_identically() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
-        let mut twin = Sgd::with_momentum(0.05, 0.9, 1e-4);
-        assert_snapshot_resumes(&mut opt, &mut twin);
-    }
-
-    #[test]
     fn adam_snapshot_resumes_bit_identically() {
         let mut opt = Adam::new(0.3);
         let mut twin = Adam::new(0.3);
@@ -355,19 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_sgd_snapshot_is_empty_and_loads() {
-        let mut opt = Sgd::new(0.1);
-        let mut p = quadratic_param(1.0);
-        descend(&mut opt, &mut p, 3);
-        let st = state_of(&opt);
-        assert!(st.slots.is_empty(), "plain SGD holds no state tensors");
-        assert_eq!(st.step, 0);
-        let mut twin = Sgd::new(0.1);
-        twin.load_state(st, &[&mut p]).expect("load");
-        assert_eq!(twin.learning_rate(), 0.1);
-    }
-
-    #[test]
     fn load_state_refuses_slots_that_do_not_fit_the_params() {
         let mut p = quadratic_param(1.0);
         let state = |slots: Vec<Tensor>| OptState {
@@ -376,8 +246,6 @@ mod tests {
             slots,
         };
         let mut adam = Adam::new(0.1);
-        let mut sgd = Sgd::with_momentum(0.1, 0.9, 0.0);
-        let mut plain = Sgd::new(0.1);
         let one = || Tensor::zeros([1]);
         let wide = || Tensor::zeros([2]);
         // Adam holds m then v: one slot, or three, fits no parameter list.
@@ -386,17 +254,12 @@ mod tests {
         assert!(adam
             .load_state(state(vec![one(), wide()]), &[&mut p])
             .is_err());
-        assert!(sgd.load_state(state(vec![one(); 2]), &[&mut p]).is_err());
-        assert!(sgd.load_state(state(vec![wide()]), &[&mut p]).is_err());
-        assert!(plain.load_state(state(vec![one()]), &[&mut p]).is_err());
-        // A refused snapshot changed nothing, and the optimizers still step.
+        // A refused snapshot changed nothing, and the optimizer still steps.
         assert_eq!(adam.learning_rate(), 0.1);
         assert_eq!(adam.step_count(), 0);
         assert!(adam.slots().is_empty());
         descend(&mut adam, &mut p, 1);
-        descend(&mut sgd, &mut p, 1);
         assert!(adam.load_state(state(vec![one(); 2]), &[&mut p]).is_ok());
-        assert!(sgd.load_state(state(vec![one()]), &[&mut p]).is_ok());
         assert_eq!(adam.step_count(), 9);
     }
 

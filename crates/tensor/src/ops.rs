@@ -131,27 +131,6 @@ pub fn add_bias_rows(x: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// Column sums of a rank-2 tensor (bias gradient).
-pub fn sum_rows(x: &Tensor) -> Tensor {
-    let (rows, cols) = x.shape().as_matrix();
-    let mut out = Tensor::zeros([cols]);
-    let o = out.data_mut();
-    for r in 0..rows {
-        for (oi, &v) in o.iter_mut().zip(x.row(r)) {
-            *oi += v;
-        }
-    }
-    out
-}
-
-/// Mean of each row of a rank-2 tensor.
-pub fn mean_rows(x: &Tensor) -> Vec<f32> {
-    let (rows, cols) = x.shape().as_matrix();
-    (0..rows)
-        .map(|r| x.row(r).iter().sum::<f32>() / cols.max(1) as f32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,18 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_sum_rows() {
+    fn bias_rows() {
         let mut x = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = Tensor::from_vec([3], vec![10., 20., 30.]);
         add_bias_rows(&mut x, &b);
         assert_eq!(x.data(), &[11., 22., 33., 14., 25., 36.]);
-        let s = sum_rows(&x);
-        assert_eq!(s.data(), &[25., 47., 69.]);
-    }
-
-    #[test]
-    fn mean_rows_values() {
-        let x = Tensor::from_vec([2, 2], vec![1., 3., 5., 7.]);
-        assert_eq!(mean_rows(&x), vec![2.0, 6.0]);
     }
 }

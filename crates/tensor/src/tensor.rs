@@ -79,14 +79,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Uniformly initialized tensor on `[lo, hi)`.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut SnapRng) -> Self {
-        let shape = shape.into();
-        let n = shape.numel();
-        let data = (0..n).map(|_| rng.range_f32(lo, hi)).collect();
-        Tensor { shape, data }
-    }
-
     // ------------------------------------------------------------ accessors
 
     /// The tensor's shape.
@@ -251,32 +243,6 @@ impl Tensor {
         out
     }
 
-    /// Split a rank-4 tensor along channels into parts of the given sizes.
-    pub fn split_channels(&self, sizes: &[usize]) -> Vec<Tensor> {
-        let (n, c, h, w) = self.shape.as_nchw();
-        assert_eq!(
-            sizes.iter().sum::<usize>(),
-            c,
-            "split sizes must sum to channel count"
-        );
-        let plane = h * w;
-        let mut parts: Vec<Tensor> = sizes
-            .iter()
-            .map(|&ci| Tensor::zeros([n, ci, h, w]))
-            .collect();
-        for img in 0..n {
-            let mut c_off = 0;
-            for (part, &ci) in parts.iter_mut().zip(sizes) {
-                let src_base = img * c * plane + c_off * plane;
-                let dst_base = img * ci * plane;
-                part.data[dst_base..dst_base + ci * plane]
-                    .copy_from_slice(&self.data[src_base..src_base + ci * plane]);
-                c_off += ci;
-            }
-        }
-        parts
-    }
-
     // ----------------------------------------------------------- arithmetic
 
     /// Elementwise sum into a new tensor.
@@ -287,11 +253,6 @@ impl Tensor {
     /// Elementwise difference into a new tensor.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise product into a new tensor.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
     }
 
     /// In-place elementwise add.
@@ -329,13 +290,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Apply `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -486,15 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn concat_split_channels_roundtrip() {
+    fn concat_channels_stacks_each_image() {
         let mut rng = seeded_rng(3);
         let a = Tensor::randn([2, 3, 4, 4], 1.0, &mut rng);
         let b = Tensor::randn([2, 2, 4, 4], 1.0, &mut rng);
         let cat = Tensor::concat_channels(&[&a, &b]);
         assert_eq!(cat.dims(), &[2, 5, 4, 4]);
-        let parts = cat.split_channels(&[3, 2]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        for n in 0..2 {
+            assert_eq!(cat.image(n), [a.image(n), b.image(n)].concat());
+        }
     }
 
     #[test]
@@ -503,7 +457,6 @@ mod tests {
         let b = Tensor::from_vec([2, 2], vec![4., 3., 2., 1.]);
         assert_eq!(a.add(&b).data(), &[5., 5., 5., 5.]);
         assert_eq!(a.sub(&b).data(), &[-3., -1., 1., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 6., 6., 4.]);
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c.data(), &[9., 8., 7., 6.]);

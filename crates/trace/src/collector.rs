@@ -9,7 +9,6 @@
 
 use crate::event::{Event, SCHEMA_VERSION};
 use crate::ids::{OpId, PhaseId};
-use crate::RoundRecord;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,8 +105,16 @@ pub fn phase(id: PhaseId, started: Option<Instant>) {
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// Write `ev` to the sink if one is installed.
-fn emit(ev: &Event) {
+/// Write `ev` to the journal; does nothing when no sink is installed.
+///
+/// The one journal writer: every event the engine records (`round`,
+/// `drift`, `workspace`, `pool`, `transport`, `checkpoint`, and the flushed
+/// `phase`/`op` rows) is built by its caller with named fields and handed
+/// here.
+pub fn emit(ev: Event) {
+    if !is_active() {
+        return;
+    }
     let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
     let Some(sink) = guard.as_mut() else { return };
     if matches!(ev, Event::Round { .. }) {
@@ -131,7 +138,7 @@ pub fn flush_ops(round: u64) {
         let nanos = cell.nanos.swap(0, Ordering::Relaxed);
         cell.flops.store(0, Ordering::Relaxed);
         if calls > 0 {
-            emit(&Event::Phase {
+            emit(Event::Phase {
                 round,
                 phase: id.as_str().into(),
                 calls,
@@ -144,7 +151,7 @@ pub fn flush_ops(round: u64) {
         let nanos = cell.nanos.swap(0, Ordering::Relaxed);
         let flops = cell.flops.swap(0, Ordering::Relaxed);
         if calls > 0 {
-            emit(&Event::Op {
+            emit(Event::Op {
                 round,
                 op: id.as_str().into(),
                 calls,
@@ -155,99 +162,6 @@ pub fn flush_ops(round: u64) {
             });
         }
     }
-}
-
-/// Emit one `Round` event (wall time, traffic deltas, fault counts).
-pub fn emit_round(rec: &RoundRecord) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Round {
-        round: rec.round,
-        dur_us: rec.dur_us,
-        downlink_bytes: rec.downlink_bytes,
-        uplink_bytes: rec.uplink_bytes,
-        downlink_physical_bytes: rec.downlink_physical_bytes,
-        uplink_physical_bytes: rec.uplink_physical_bytes,
-        dropped: rec.dropped,
-        corrupt: rec.corrupt,
-        stale: rec.stale,
-        expired: rec.expired,
-    });
-}
-
-/// Emit one `Drift` event (the fleet re-sharded to λ before `round`).
-pub fn emit_drift(round: u64, lambda_permille: u64, clients: u64) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Drift {
-        round,
-        lambda_permille,
-        clients,
-    });
-}
-
-/// Emit one fleet-wide `Workspace` allocator-counter event.
-pub fn emit_workspace(round: u64, clients: u64, allocations: u64, reuses: u64, peak_bytes: u64) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Workspace {
-        round,
-        clients,
-        allocations,
-        reuses,
-        peak_bytes,
-    });
-}
-
-/// Emit one resident-pool `Pool` paging-counter event.
-pub fn emit_pool(
-    round: u64,
-    resident: u64,
-    high_water: u64,
-    checkouts: u64,
-    page_ins: u64,
-    page_outs: u64,
-    page_bytes: u64,
-) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Pool {
-        round,
-        resident,
-        high_water,
-        checkouts,
-        page_ins,
-        page_outs,
-        page_bytes,
-    });
-}
-
-/// Emit one `Transport` event naming the run's wire backend.
-pub fn emit_transport(backend: &str, clients: u64) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Transport {
-        backend: backend.into(),
-        clients,
-    });
-}
-
-/// Emit one `Checkpoint` event (`dir` is `"save"` or `"load"`).
-pub fn emit_checkpoint(dir: &str, round: u64, bytes: u64, clients: u64) {
-    if !is_active() {
-        return;
-    }
-    emit(&Event::Checkpoint {
-        dir: dir.into(),
-        round,
-        bytes,
-        clients,
-    });
 }
 
 /// Uninstalls the sink on drop: deactivates the probes, writes the

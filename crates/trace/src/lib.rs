@@ -43,41 +43,10 @@ mod ids;
 pub use event::{Event, SCHEMA_VERSION};
 pub use ids::{OpId, PhaseId};
 
-/// Everything `emit_round` needs to describe one communication round.
-///
-/// Built by the round loop from the network's byte counters (as deltas
-/// across the round) and the fault counts it already tracks for
-/// `RoundMetrics`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundRecord {
-    /// Communication round (1-based).
-    pub round: u64,
-    /// Wall-clock duration of the round, microseconds.
-    pub dur_us: u64,
-    /// Server→client bytes sent during the round, per recipient (logical).
-    pub downlink_bytes: u64,
-    /// Client→server bytes sent during the round (logical).
-    pub uplink_bytes: u64,
-    /// Server→client bytes handed to transport writes during the round.
-    pub downlink_physical_bytes: u64,
-    /// Client→server bytes handed to transport writes during the round.
-    pub uplink_physical_bytes: u64,
-    /// Uplinks lost to dropout/stragglers during the round.
-    pub dropped: u64,
-    /// Uplinks discarded as corrupt during the round.
-    pub corrupt: u64,
-    /// Buffered straggler updates folded into this round's aggregate
-    /// (0 under synchronous aggregation).
-    pub stale: u64,
-    /// Buffered updates discarded this round as older than the configured
-    /// staleness bound.
-    pub expired: u64,
-}
-
 mod collector;
 pub use collector::{
-    clock, emit_checkpoint, emit_drift, emit_pool, emit_round, emit_transport, emit_workspace,
-    flush_ops, install_file, install_writer, is_active, op, op_flops, phase, TraceGuard,
+    clock, emit, flush_ops, install_file, install_writer, is_active, op, op_flops, phase,
+    TraceGuard,
 };
 
 #[cfg(test)]
@@ -118,6 +87,11 @@ mod tests {
         assert!(clock().is_none());
         op(OpId::GemmKernel, clock());
         flush_ops(0); // no sink: must not panic
+        emit(Event::Drift {
+            round: 0,
+            lambda_permille: 0,
+            clients: 0,
+        }); // no sink: dropped
 
         let buf = Shared::default();
         let guard = install_writer(Box::new(buf.clone()), "unit \"quoted\"", "avx2_fma", "f32")
@@ -144,9 +118,23 @@ mod tests {
         phase(PhaseId::Broadcast, clock());
         phase(PhaseId::LocalTrain, clock());
         flush_ops(1);
-        emit_workspace(1, 4, 2, 98, 4096);
-        emit_pool(1, 0, 7, 42, 42, 42, 8192);
-        emit_round(&RoundRecord {
+        emit(Event::Workspace {
+            round: 1,
+            clients: 4,
+            allocations: 2,
+            reuses: 98,
+            peak_bytes: 4096,
+        });
+        emit(Event::Pool {
+            round: 1,
+            resident: 0,
+            high_water: 7,
+            checkouts: 42,
+            page_ins: 42,
+            page_outs: 42,
+            page_bytes: 8192,
+        });
+        emit(Event::Round {
             round: 1,
             dur_us: 10,
             downlink_bytes: 100,
@@ -158,7 +146,11 @@ mod tests {
             stale: 2,
             expired: 0,
         });
-        emit_drift(1, 250, 4);
+        emit(Event::Drift {
+            round: 1,
+            lambda_permille: 250,
+            clients: 4,
+        });
         drop(guard);
         assert!(!is_active());
         assert!(clock().is_none());

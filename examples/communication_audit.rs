@@ -63,7 +63,7 @@ fn main() {
     // Decode on the receiving ends.
     let got = net.client_recv(0).expect("broadcast delivered");
     assert_eq!(got, msg);
-    let replies = net.collect_round(0, 1).replies;
+    let replies = net.collect_round(0, 1);
     assert_eq!(replies[0].0, 0);
     println!("round-trip decode OK; byte accounting is exact.");
 }

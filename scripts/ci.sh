@@ -27,6 +27,10 @@ echo "=== dependencies: the lock names exactly bytes, rayon and serde_json outsi
 names() { sed -n 's/^name = "\(.*\)"$/\1/p' "$@" | sort -u; }
 diff <(printf '%s\n' bytes rayon serde_json) <(comm -23 <(names Cargo.lock) <(names Cargo.toml crates/*/Cargo.toml))
 
+echo "=== pair ledger: every kept results/pairs table has exactly one LEDGER.tsv row, and it says what the table says ==="
+ledger=results/pairs/LEDGER.tsv
+diff <(scripts/ledger.sh --header; scripts/ledger.sh results/pairs/*.txt | sort) <(head -n 1 "$ledger"; tail -n +2 "$ledger" | sort)
+
 echo "=== tier-1: build + test ==="
 cargo build --release
 cargo test -q --workspace

@@ -18,13 +18,17 @@
 # results/pairs/<workload>-<parent>-<change>-s<first seed>.txt, each side
 # named by its short commit (`-dirty` when it has uncommitted changes), so
 # a set on other seeds never replaces it and an aborted set keeps its cause.
+# Every kept table, an aborted one included, also gets its row in
+# results/pairs/LEDGER.tsv (scripts/ledger.sh: the set, and per metric the
+# median ratio and the better/worse/tied counts); a set re-run on the same
+# commits and seeds replaces its table and its row.
 #
 # Each checkout builds into its own benchmark/target the first time it
 # runs. Nothing else should run meanwhile: the box has two vCPUs.
 set -euo pipefail
 
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,27p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -33,13 +37,30 @@ workload="$3"
 pairs="$4"
 seconds="${5:-30}"
 seed0="${PAIRS_SEED0:-1000}"
+here="$(cd "$(dirname "$0")" && pwd)"
 out="$(mktemp -d "${TMPDIR:-/tmp}/fca-pairs.XXXXXX")"
-trap 'rm -rf "$out"' EXIT
 
-name() { # <checkout>: its short commit, `-dirty` when it has changes
+finish() { # whatever ended the set: keep the table's ledger row
+    local status=$?
+    rm -rf "$out"
+    if [ -n "${tee_pid:-}" ]; then
+        exec 1>&3 2>&4
+        wait "$tee_pid" || true
+        local ledger
+        ledger="$(dirname "$table")/LEDGER.tsv"
+        [ -s "$ledger" ] || "$here/ledger.sh" --header >"$ledger"
+        awk -F'\t' -v t="$(basename "$table")" '$1 != t' "$ledger" >"$ledger.tmp"
+        "$here/ledger.sh" "$table" >>"$ledger.tmp"
+        mv "$ledger.tmp" "$ledger"
+    fi
+    exit "$status"
+}
+trap finish EXIT
+
+name() { # <checkout>: its short commit, `-dirty` when it has changes outside results/pairs
     local rev
     rev="$(git -C "$1" rev-parse --short=7 HEAD 2>/dev/null || basename "$1")"
-    if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+    if [ -n "$(git -C "$1" status --porcelain --untracked-files=no -- . ':!results/pairs' 2>/dev/null)" ]; then
         rev="$rev-dirty"
     fi
     echo "$rev"
@@ -48,7 +69,8 @@ parent_name="$(name "$parent")"
 change_name="$(name "$change")"
 table="$change/results/pairs/$workload-$parent_name-$change_name-s$((seed0 + 1)).txt"
 mkdir -p "$(dirname "$table")"
-exec > >(tee "$table") 2>&1
+exec 3>&1 4>&2 > >(tee "$table") 2>&1
+tee_pid=$!
 
 # metric name, and whether higher or lower is better
 metrics=(setup_s:lower client_steps_per_s:higher wire_bytes_per_client_round:lower peak_heap_mb:lower)

@@ -13,7 +13,7 @@ use fedclassavg_suite::fed::algo::FedClassAvg;
 use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::client::Client;
 use fedclassavg_suite::fed::comm::WireMessage;
-use fedclassavg_suite::fed::config::{FedConfig, HyperParams, OptKind};
+use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet_paged, run_federation_from, RunState};
 use fedclassavg_suite::models::classifier::ClassifierWeights;
 use fedclassavg_suite::models::{build_model, ModelArch};
@@ -331,16 +331,6 @@ fn full_model_frames_for_another_shape_are_refused_with_the_model_untouched() {
     }
 }
 
-/// Adam (two optimizer slots per parameter) and SGD with momentum (one).
-fn optimizers() -> [HyperParams; 2] {
-    let mut sgd = HyperParams::micro_default();
-    sgd.optimizer = OptKind::Sgd {
-        momentum: 0.9,
-        weight_decay: 1e-4,
-    };
-    [HyperParams::micro_default(), sgd]
-}
-
 /// The byte ranges of `blob` that hold tensor payloads, found by walking
 /// the snapshot layout (`u8 version | f32 lr | u64 step | u32 n | n tensors
 /// | rng | u32 n | n rngs | u32 n | n tensors`, a tensor being `u8 rank |
@@ -386,52 +376,51 @@ fn sweep_offsets(len: usize, payloads: &[std::ops::Range<usize>]) -> Vec<usize> 
 
 #[test]
 fn snapshot_blobs_round_trip_and_every_mutant_is_an_error_or_a_valid_client() {
+    let hp = HyperParams::micro_default();
     for arch in ZOO {
-        for hp in optimizers() {
-            let mut trained = zoo_client(arch, &hp);
-            trained.local_update_supervised(1, &hp);
-            let blob = trained.snapshot_blob();
-            let payloads = snapshot_payloads(&blob);
-            assert!(
-                payloads.len() > 4,
-                "{arch:?}: a step leaves optimizer slots"
-            );
+        let mut trained = zoo_client(arch, &hp);
+        trained.local_update_supervised(1, &hp);
+        let blob = trained.snapshot_blob();
+        let payloads = snapshot_payloads(&blob);
+        assert!(
+            payloads.len() > 4,
+            "{arch:?}: a step leaves optimizer slots"
+        );
 
-            // Unmutated: the twin takes the exact bits and re-encodes them.
-            let mut twin = zoo_client(arch, &hp);
-            twin.restore_snapshot(&blob).expect("restore");
-            assert_eq!(twin.snapshot_blob(), blob, "{arch:?}: re-encode differs");
-            let bits = |c: &mut Client| -> Vec<u32> {
-                let state = c.model.full_state();
-                let values = state.iter().flat_map(|t| t.data());
-                values.map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&mut twin), bits(&mut trained));
+        // Unmutated: the twin takes the exact bits and re-encodes them.
+        let mut twin = zoo_client(arch, &hp);
+        twin.restore_snapshot(&blob).expect("restore");
+        assert_eq!(twin.snapshot_blob(), blob, "{arch:?}: re-encode differs");
+        let bits = |c: &mut Client| -> Vec<u32> {
+            let state = c.model.full_state();
+            let values = state.iter().flat_map(|t| t.data());
+            values.map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&mut twin), bits(&mut trained));
 
-            // One twin takes every mutant in turn: a refused restore may
-            // leave it partly overwritten but never misshapen, so the next
-            // mutant, the re-encode and the training step at the end all
-            // still find a structurally valid client.
-            let offsets = sweep_offsets(blob.len(), &payloads);
-            for &cut in &offsets {
-                let got = twin.restore_snapshot(&blob[..cut]);
-                assert!(got.is_err(), "{arch:?}: accepted {cut} of {}", blob.len());
-            }
-            let mut mutant = blob.clone();
-            let mut refused = 0usize;
-            for &at in &offsets {
-                for bit in 0..8 {
-                    mutant[at] ^= 1 << bit;
-                    refused += usize::from(twin.restore_snapshot(&mutant).is_err());
-                    mutant[at] ^= 1 << bit;
-                }
-            }
-            // Flips in a count, a rank or a dim are refused; flips in a
-            // value (lr, step, an rng word, a weight) restore.
-            assert!(refused > offsets.len(), "{arch:?}: sweep refused {refused}");
-            assert_eq!(twin.snapshot_blob().len(), blob.len(), "{arch:?}");
-            twin.local_update_supervised(1, &hp);
+        // One twin takes every mutant in turn: a refused restore may
+        // leave it partly overwritten but never misshapen, so the next
+        // mutant, the re-encode and the training step at the end all
+        // still find a structurally valid client.
+        let offsets = sweep_offsets(blob.len(), &payloads);
+        for &cut in &offsets {
+            let got = twin.restore_snapshot(&blob[..cut]);
+            assert!(got.is_err(), "{arch:?}: accepted {cut} of {}", blob.len());
         }
+        let mut mutant = blob.clone();
+        let mut refused = 0usize;
+        for &at in &offsets {
+            for bit in 0..8 {
+                mutant[at] ^= 1 << bit;
+                refused += usize::from(twin.restore_snapshot(&mutant).is_err());
+                mutant[at] ^= 1 << bit;
+            }
+        }
+        // Flips in a count, a rank or a dim are refused; flips in a
+        // value (lr, step, an rng word, a weight) restore.
+        assert!(refused > offsets.len(), "{arch:?}: sweep refused {refused}");
+        assert_eq!(twin.snapshot_blob().len(), blob.len(), "{arch:?}");
+        twin.local_update_supervised(1, &hp);
     }
 }
 
