@@ -4,8 +4,10 @@
 //! schedule moves λ (carrying that λ), and a `checkpoint` event for the
 //! save and for the load, each carrying the encoded checkpoint's length.
 //!
-//! One test function: the collector is a process-wide singleton, so
-//! concurrent `#[test]`s would interleave their events.
+//! One test function installs the collector: it is a process-wide
+//! singleton, so concurrent installs would interleave their events. The
+//! golden tests beside it only encode, and pin the journal's bytes and
+//! registry names, which a round trip through `parse` alone would not.
 
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::tiny_dataset;
@@ -14,7 +16,7 @@ use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::config::{DriftSchedule, FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation_from, RunState};
 use fedclassavg_suite::models::ModelArch;
-use fedclassavg_suite::trace::{self, Event};
+use fedclassavg_suite::trace::{self, Event, OpId, PhaseId};
 
 const SEED: u64 = 913;
 const ROUNDS: usize = 6;
@@ -141,4 +143,155 @@ fn drift_and_checkpoint_events_carry_what_the_engine_did() {
             ("load", next, encoded, CLIENTS)
         ]
     );
+}
+
+/// The exact line each of the ten event kinds encodes to: field names,
+/// their order and the string escapes are the journal's wire format.
+#[test]
+fn every_event_kind_encodes_to_its_golden_line() {
+    let golden: [(Event, &str); 10] = [
+        (
+            Event::RunStart {
+                schema: 6,
+                label: "a\"b\\c\td\ne λ \u{1}".into(),
+                kernel: "avx2_fma".into(),
+                precision: "f32".into(),
+            },
+            r#"{"ev":"run_start","schema":6,"label":"a\"b\\c\td\ne λ \u0001","kernel":"avx2_fma","precision":"f32"}"#,
+        ),
+        (
+            Event::Phase {
+                round: 3,
+                phase: "local_train".into(),
+                calls: 2,
+                total_us: 41,
+            },
+            r#"{"ev":"phase","round":3,"phase":"local_train","calls":2,"total_us":41}"#,
+        ),
+        (
+            Event::Op {
+                round: 3,
+                op: "gemm_kernel".into(),
+                calls: 5,
+                total_us: 7,
+                flops: 11,
+                bytes: 13,
+            },
+            r#"{"ev":"op","round":3,"op":"gemm_kernel","calls":5,"total_us":7,"flops":11,"bytes":13}"#,
+        ),
+        (
+            Event::Workspace {
+                round: 4,
+                clients: 8,
+                allocations: 1,
+                reuses: 2,
+                peak_bytes: 4096,
+            },
+            r#"{"ev":"workspace","round":4,"clients":8,"allocations":1,"reuses":2,"peak_bytes":4096}"#,
+        ),
+        (
+            Event::Pool {
+                round: 4,
+                resident: 1,
+                high_water: 2,
+                checkouts: 3,
+                page_ins: 4,
+                page_outs: 5,
+                page_bytes: 6,
+            },
+            r#"{"ev":"pool","round":4,"resident":1,"high_water":2,"checkouts":3,"page_ins":4,"page_outs":5,"page_bytes":6}"#,
+        ),
+        (
+            Event::Round {
+                round: 5,
+                dur_us: 1,
+                downlink_bytes: 2,
+                uplink_bytes: 3,
+                downlink_physical_bytes: 4,
+                uplink_physical_bytes: 5,
+                dropped: 6,
+                corrupt: 7,
+                stale: 8,
+                expired: 9,
+            },
+            r#"{"ev":"round","round":5,"dur_us":1,"downlink_bytes":2,"uplink_bytes":3,"downlink_physical_bytes":4,"uplink_physical_bytes":5,"dropped":6,"corrupt":7,"stale":8,"expired":9}"#,
+        ),
+        (
+            Event::Drift {
+                round: 6,
+                lambda_permille: 250,
+                clients: 20,
+            },
+            r#"{"ev":"drift","round":6,"lambda_permille":250,"clients":20}"#,
+        ),
+        (
+            Event::Transport {
+                backend: "unix".into(),
+                clients: 20,
+            },
+            r#"{"ev":"transport","backend":"unix","clients":20}"#,
+        ),
+        (
+            Event::Checkpoint {
+                dir: "save".into(),
+                round: 7,
+                bytes: 1024,
+                clients: 20,
+            },
+            r#"{"ev":"checkpoint","dir":"save","round":7,"bytes":1024,"clients":20}"#,
+        ),
+        (
+            Event::RunEnd {
+                rounds: 12,
+                wall_us: 345,
+            },
+            r#"{"ev":"run_end","rounds":12,"wall_us":345}"#,
+        ),
+    ];
+    assert_eq!(
+        trace::SCHEMA_VERSION,
+        6,
+        "a schema bump rewrites these lines"
+    );
+    for (event, line) in golden {
+        assert_eq!(event.to_json(), line);
+        assert_eq!(Event::parse(line), Ok(event), "{line}");
+    }
+}
+
+/// The op and phase registries in counter-array order: the names a
+/// journal carries and the order `trace_report` prints them in.
+#[test]
+fn registry_names_are_pinned_in_order() {
+    let ops: Vec<&str> = OpId::ALL.iter().map(|o| o.as_str()).collect();
+    assert_eq!(
+        ops,
+        [
+            "gemm_pack",
+            "gemm_kernel",
+            "gemm_nn",
+            "gemm_tn",
+            "gemm_nt",
+            "im2col",
+            "col2im",
+            "conv_forward",
+            "conv_backward",
+            "linear_forward",
+            "linear_backward",
+        ]
+    );
+    assert_eq!(OpId::COUNT, ops.len());
+    let phases: Vec<&str> = PhaseId::ALL.iter().map(|p| p.as_str()).collect();
+    assert_eq!(
+        phases,
+        [
+            "drift_reshard",
+            "broadcast",
+            "local_train",
+            "collect",
+            "aggregate",
+            "evaluate",
+        ]
+    );
+    assert_eq!(PhaseId::COUNT, phases.len());
 }
