@@ -11,12 +11,13 @@
 //! non-zero on any violation. `scripts/ci.sh` runs it against a traced
 //! quickstart as the observability smoke test.
 //!
-//! The report renders six tables (see DESIGN.md §7.4 for field
-//! semantics): per-round phase timings, per-op totals with achieved
-//! GFLOP/s, workspace counters per evaluation point, pool occupancy with
-//! paging traffic, the drift schedule's λ positions (if the run streamed
-//! one), and per-round wire traffic next to the fault and staleness
-//! counters.
+//! The report prints one table per event kind, in the order each kind
+//! first appears in the journal (see DESIGN.md §7.4 for field semantics).
+//! Two kinds are folded: `phase` into per-round phase timings and `op`
+//! into per-op run totals with achieved GFLOP/s. Every other kind prints
+//! one row per event and one column per field, straight from
+//! [`Event::fields`], so a field added to the schema shows up here with no
+//! edit to this file.
 
 use fca_bench::report::results_dir;
 use fca_trace::{Event, OpId, PhaseId, SCHEMA_VERSION};
@@ -82,33 +83,27 @@ fn fmt_ms(us: u64) -> String {
 }
 
 fn render(events: &[Event]) {
-    if let Some(Event::RunStart {
-        label,
-        kernel,
-        precision,
-        ..
-    }) = events.first()
-    {
-        println!("run: {label} (gemm kernel: {kernel}, eval precision: {precision})");
-    }
+    let mut kinds: Vec<&str> = Vec::new();
     for ev in events {
-        match ev {
-            Event::Transport { backend, clients } => {
-                println!("transport: {backend} ({clients} clients)");
-            }
-            Event::Checkpoint {
-                dir,
-                round,
-                bytes,
-                clients,
-            } => {
-                println!("checkpoint {dir}: next round {round}, {bytes} B, {clients} clients");
-            }
-            _ => {}
+        if !kinds.contains(&ev.kind()) {
+            kinds.push(ev.kind());
         }
     }
+    for kind in kinds {
+        let of_kind = events.iter().filter(|e| e.kind() == kind);
+        match kind {
+            "phase" => phase_table(of_kind),
+            "op" => op_table(of_kind),
+            _ => {
+                println!("\n== {kind} ==");
+                field_table(of_kind);
+            }
+        }
+    }
+}
 
-    // Per-round phase timings (µs summed per (round, phase)).
+/// Per-round phase timings: `total_us` summed per (round, phase), in ms.
+fn phase_table<'a>(events: impl Iterator<Item = &'a Event>) {
     let mut phases: BTreeMap<u64, [u64; PhaseId::COUNT]> = BTreeMap::new();
     for ev in events {
         if let Event::Phase {
@@ -123,23 +118,23 @@ fn render(events: &[Event]) {
             }
         }
     }
-    if !phases.is_empty() {
-        println!("\n== per-round phase timings (ms) ==");
-        print!("{:>6}", "round");
-        for p in PhaseId::ALL {
-            print!(" {:>12}", p.as_str());
+    println!("\n== per-round phase timings (ms) ==");
+    print!("{:>6}", "round");
+    for p in PhaseId::ALL {
+        print!(" {:>12}", p.as_str());
+    }
+    println!();
+    for (round, row) in &phases {
+        print!("{round:>6}");
+        for cell in row {
+            print!(" {:>12}", fmt_ms(*cell));
         }
         println!();
-        for (round, row) in &phases {
-            print!("{round:>6}");
-            for cell in row {
-                print!(" {:>12}", fmt_ms(*cell));
-            }
-            println!();
-        }
     }
+}
 
-    // Per-op totals across the whole run, in the registry's order.
+/// Per-op totals across the whole run, in the registry's order.
+fn op_table<'a>(events: impl Iterator<Item = &'a Event>) {
     let mut ops: BTreeMap<usize, (u64, u64, u64, u64)> = BTreeMap::new();
     for ev in events {
         if let Event::Op {
@@ -160,161 +155,53 @@ fn render(events: &[Event]) {
             }
         }
     }
-    if !ops.is_empty() {
-        println!("\n== per-op totals ==");
+    println!("\n== per-op totals ==");
+    println!(
+        "{:<16} {:>10} {:>12} {:>16} {:>14} {:>8}",
+        "op", "calls", "total ms", "flops", "bytes", "GFLOP/s"
+    );
+    for (ix, (calls, total_us, flops, bytes)) in &ops {
+        let gflops = if *total_us > 0 && *flops > 0 {
+            format!("{:.2}", *flops as f64 / (*total_us as f64 * 1e3))
+        } else {
+            "-".into()
+        };
         println!(
             "{:<16} {:>10} {:>12} {:>16} {:>14} {:>8}",
-            "op", "calls", "total ms", "flops", "bytes", "GFLOP/s"
+            OpId::ALL[*ix].as_str(),
+            calls,
+            fmt_ms(*total_us),
+            flops,
+            bytes,
+            gflops
         );
-        for (ix, (calls, total_us, flops, bytes)) in &ops {
-            let gflops = if *total_us > 0 && *flops > 0 {
-                format!("{:.2}", *flops as f64 / (*total_us as f64 * 1e3))
-            } else {
-                "-".into()
-            };
-            println!(
-                "{:<16} {:>10} {:>12} {:>16} {:>14} {:>8}",
-                OpId::ALL[*ix].as_str(),
-                calls,
-                fmt_ms(*total_us),
-                flops,
-                bytes,
-                gflops
-            );
-        }
     }
+}
 
-    // Workspace counters at each evaluation point.
-    let ws: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, Event::Workspace { .. }))
-        .collect();
-    if !ws.is_empty() {
-        println!("\n== workspace (fleet-wide) ==");
-        println!(
-            "{:>6} {:>8} {:>12} {:>12} {:>14}",
-            "round", "clients", "allocs", "reuses", "peak bytes"
-        );
-        for ev in ws {
-            if let Event::Workspace {
-                round,
-                clients,
-                allocations,
-                reuses,
-                peak_bytes,
-            } = ev
-            {
-                println!("{round:>6} {clients:>8} {allocations:>12} {reuses:>12} {peak_bytes:>14}");
-            }
-        }
-    }
-
-    // Workspace-pool occupancy and paging traffic at each evaluation point
-    // (all zeros on fully resident fleets).
-    let pool: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, Event::Pool { .. }))
-        .collect();
-    if !pool.is_empty() {
-        println!("\n== workspace pool / paging ==");
-        println!(
-            "{:>6} {:>9} {:>10} {:>10} {:>10} {:>10} {:>14}",
-            "round", "resident", "high", "checkouts", "page ins", "page outs", "page bytes"
-        );
-        for ev in pool {
-            if let Event::Pool {
-                round,
-                resident,
-                high_water,
-                checkouts,
-                page_ins,
-                page_outs,
-                page_bytes,
-            } = ev
-            {
-                println!(
-                    "{round:>6} {resident:>9} {high_water:>10} {checkouts:>10} {page_ins:>10} {page_outs:>10} {page_bytes:>14}"
-                );
-            }
-        }
-    }
-
-    // Drift re-shards, if the run streamed a label-distribution schedule.
-    let drifts: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, Event::Drift { .. }))
-        .collect();
-    if !drifts.is_empty() {
-        println!("\n== drift schedule ==");
-        println!("{:>6} {:>10} {:>8}", "round", "lambda ‰", "clients");
-        for ev in drifts {
-            if let Event::Drift {
-                round,
-                lambda_permille,
-                clients,
-            } = ev
-            {
-                println!("{round:>6} {lambda_permille:>10} {clients:>8}");
-            }
-        }
-    }
-
-    // Per-round wall time, traffic, and fault/staleness counters.
-    println!("\n== rounds ==");
-    println!(
-        "{:>6} {:>12} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
-        "round",
-        "dur ms",
-        "down bytes",
-        "up bytes",
-        "down physical",
-        "up physical",
-        "dropped",
-        "corrupt",
-        "stale",
-        "expired"
-    );
-    let (mut down, mut up) = (0u64, 0u64);
-    let (mut down_physical, mut up_physical) = (0u64, 0u64);
+/// One row per event and one column per field, headed by the field names
+/// and each column as wide as its widest cell.
+fn field_table<'a>(events: impl Iterator<Item = &'a Event>) {
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for ev in events {
-        if let Event::Round {
-            round,
-            dur_us,
-            downlink_bytes,
-            uplink_bytes,
-            downlink_physical_bytes,
-            uplink_physical_bytes,
-            dropped,
-            corrupt,
-            stale,
-            expired,
-        } = ev
-        {
-            down += downlink_bytes;
-            up += uplink_bytes;
-            down_physical += downlink_physical_bytes;
-            up_physical += uplink_physical_bytes;
-            println!(
-                "{:>6} {:>12} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8}",
-                round,
-                fmt_ms(*dur_us),
-                downlink_bytes,
-                uplink_bytes,
-                downlink_physical_bytes,
-                uplink_physical_bytes,
-                dropped,
-                corrupt,
-                stale,
-                expired
-            );
+        let fields = ev.fields();
+        if rows.is_empty() {
+            rows.push(fields.iter().map(|(name, _)| name.to_string()).collect());
+        }
+        rows.push(fields.iter().map(|(_, value)| value.to_string()).collect());
+    }
+    let mut widths = vec![0; rows.first().map_or(0, Vec::len)];
+    for row in &rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    if let Some(Event::RunEnd { rounds, wall_us }) = events.last() {
-        println!(
-            "\ntotal: {rounds} rounds, {} ms wall, {down} B down / {up} B up paid for, \
-             {down_physical} B down / {up_physical} B up written",
-            fmt_ms(*wall_us)
-        );
+    for row in &rows {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(&widths)
+            .map(|(cell, w)| format!("{cell:>w$}"))
+            .collect();
+        println!("{}", cells.join("  "));
     }
 }
 

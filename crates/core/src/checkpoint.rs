@@ -54,14 +54,15 @@ const MAGIC: [u8; 4] = *b"FCKP";
 /// straggler buffer to the encoded [`RunState`]; v3 added the logical and
 /// physical byte tallies, per point and pending; v4 made the server state
 /// tensor groups ([`put_groups`]) where each algorithm had a layout of its
-/// own.
-const VERSION: u16 = 4;
+/// own; v5 dropped v3's byte tallies again (the journal's `round` events
+/// carry every round's bytes).
+const VERSION: u16 = 5;
 /// Cap on the algorithm-name field (corruption guard).
 const MAX_NAME_LEN: usize = 256;
-/// Bytes per encoded curve point (2×u64 + 2×f32 + 6×u64).
-const CURVE_POINT_LEN: usize = 8 + 8 + 4 + 4 + 8 * 6;
-/// Bytes of a [`RunState`]'s fixed fields: 14×u64 and the curve length.
-const RUN_STATE_FIXED_LEN: usize = 8 * 14 + 4;
+/// Bytes per encoded curve point (2×u64 + 2×f32 + 4×u64).
+const CURVE_POINT_LEN: usize = 8 + 8 + 4 + 4 + 8 * 4;
+/// Bytes of a [`RunState`]'s fixed fields: 12×u64 and the curve length.
+const RUN_STATE_FIXED_LEN: usize = 8 * 12 + 4;
 /// Minimum bytes per encoded straggler-buffer entry (3×u64 key + u32 len).
 const BUFFER_ENTRY_MIN_LEN: usize = 8 + 8 + 8 + 4;
 
@@ -278,8 +279,6 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
     buf.put_u64_le(s.point_corrupt);
     buf.put_u64_le(s.point_stale);
     buf.put_u64_le(s.point_expired);
-    buf.put_u64_le(s.point_logical_bytes);
-    buf.put_u64_le(s.point_physical_bytes);
     buf.put_u64_le(s.total_dropped);
     buf.put_u64_le(s.total_corrupt);
     buf.put_u64_le(s.total_stale);
@@ -296,8 +295,6 @@ fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
         buf.put_u64_le(p.corrupt);
         buf.put_u64_le(p.stale);
         buf.put_u64_le(p.expired);
-        buf.put_u64_le(p.logical_bytes);
-        buf.put_u64_le(p.physical_bytes);
     }
     buf.put_u32_le(checked_u32(s.buffer.len(), "buffer count exceeds u32")?);
     for (ready, origin, client, bytes) in &s.buffer {
@@ -319,8 +316,6 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
         point_corrupt: r.u64()?,
         point_stale: r.u64()?,
         point_expired: r.u64()?,
-        point_logical_bytes: r.u64()?,
-        point_physical_bytes: r.u64()?,
         total_dropped: r.u64()?,
         total_corrupt: r.u64()?,
         total_stale: r.u64()?,
@@ -338,8 +333,6 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
                     corrupt: r.u64()?,
                     stale: r.u64()?,
                     expired: r.u64()?,
-                    logical_bytes: r.u64()?,
-                    physical_bytes: r.u64()?,
                 })
             })
             .collect::<Result<_, WireError>>()?,
@@ -436,16 +429,12 @@ mod tests {
                         corrupt: 1,
                         stale: 3,
                         expired: 1,
-                        logical_bytes: 44_800,
-                        physical_bytes: 23_744,
                     },
                 ],
                 point_dropped: 0,
                 point_corrupt: 0,
                 point_stale: 1,
                 point_expired: 0,
-                point_logical_bytes: 11_200,
-                point_physical_bytes: 5_936,
                 total_dropped: 2,
                 total_corrupt: 1,
                 total_stale: 3,
@@ -520,12 +509,16 @@ mod tests {
         );
         // A checkpoint from a future format revision must be rejected, not
         // misread: flip the version field to one past the current VERSION.
-        let mut bad_version = good;
-        bad_version[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&bad_version),
-            Err(WireError::Malformed("unsupported checkpoint version"))
-        );
+        // So must one from the previous revision, whose curve points were
+        // 16 bytes longer.
+        for version in [VERSION + 1, VERSION - 1] {
+            let mut bad_version = good.clone();
+            bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&bad_version),
+                Err(WireError::Malformed("unsupported checkpoint version"))
+            );
+        }
     }
 
     #[test]

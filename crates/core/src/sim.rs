@@ -35,13 +35,6 @@ pub struct RoundMetrics {
     /// Buffered updates discarded for exceeding `max_staleness` since the
     /// previous curve point.
     pub expired: u64,
-    /// Bytes senders paid for since the previous curve point, both
-    /// directions, per recipient (the logical tally: Table 5's unit).
-    pub logical_bytes: u64,
-    /// Bytes handed to transport writes since the previous curve point,
-    /// both directions, framing included: a broadcast counts once per
-    /// socket connection, a lost message not at all.
-    pub physical_bytes: u64,
 }
 
 /// Outcome of a full federated run.
@@ -107,10 +100,6 @@ pub struct RunState {
     pub point_stale: u64,
     /// Buffered expiries since the last curve point.
     pub point_expired: u64,
-    /// Logical bytes (both directions) since the last curve point.
-    pub point_logical_bytes: u64,
-    /// Physical bytes (both directions) since the last curve point.
-    pub point_physical_bytes: u64,
     /// Total uplinks dropped so far.
     pub total_dropped: u64,
     /// Total uplinks corrupted so far.
@@ -350,8 +339,6 @@ pub fn run_federation_from(
         mut point_corrupt,
         mut point_stale,
         mut point_expired,
-        mut point_logical_bytes,
-        mut point_physical_bytes,
         mut total_dropped,
         mut total_corrupt,
         mut total_stale,
@@ -430,8 +417,6 @@ pub fn run_federation_from(
         let (st, ex) = net.take_round_async();
         let after = traffic(&net);
         let [down, up, down_physical, up_physical] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
-        point_logical_bytes += down + up;
-        point_physical_bytes += down_physical + up_physical;
         point_dropped += d;
         point_corrupt += c;
         point_stale += st;
@@ -455,11 +440,7 @@ pub fn run_federation_from(
                 corrupt: point_corrupt,
                 stale: point_stale,
                 expired: point_expired,
-                logical_bytes: point_logical_bytes,
-                physical_bytes: point_physical_bytes,
             });
-            point_logical_bytes = 0;
-            point_physical_bytes = 0;
             point_dropped = 0;
             point_corrupt = 0;
             point_stale = 0;
@@ -528,8 +509,6 @@ pub fn run_federation_from(
         point_corrupt,
         point_stale,
         point_expired,
-        point_logical_bytes,
-        point_physical_bytes,
         total_dropped,
         total_corrupt,
         total_stale,

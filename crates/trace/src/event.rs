@@ -1,8 +1,14 @@
 //! The trace event schema: one JSON object per journal line.
 //!
-//! Events are encoded by hand (no serde dependency — this crate sits below
-//! everything else in the workspace) and parsed back by a strict,
-//! flat-object JSON reader, so a journal round-trips exactly:
+//! Each event kind is declared once, in the `journal_schema!` invocation
+//! below: its variant, journal name, and fields in journal order. The
+//! macro derives the enum, [`Event::kind`], the [`Event::fields`] view,
+//! and the strict parser from that one list, and [`Event::to_json`] is one
+//! loop over `fields()`, so the encoder, the parser and every reader that
+//! walks `fields()` (the `trace_report` tables) cannot disagree about a
+//! field. Events are encoded by hand (no serde dependency — this crate
+//! sits below everything else in the workspace) and parsed back by a
+//! strict, flat-object JSON reader, so a journal round-trips exactly:
 //! `Event::parse(&ev.to_json()) == Ok(ev)` for every variant. The schema is
 //! documented field-by-field in DESIGN.md §7.4; [`SCHEMA_VERSION`] is
 //! bumped whenever a field or variant is added, removed, or changes
@@ -18,301 +24,293 @@ use std::fmt::Write as _;
 /// than guessing.
 pub const SCHEMA_VERSION: u64 = 6;
 
-/// One journal line. See DESIGN.md §7.4 for units and emission points.
-///
-/// All durations are integer microseconds; all byte counts are bytes.
-/// `round` is 0 for work before the first communication round (the
-/// untrained round-0 evaluation).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// First line of every journal: schema version, a free-form label, and
-    /// the process-wide compute configuration (resolved GEMM kernel arm and
-    /// eval precision), so every downstream number is attributable to a
-    /// kernel.
-    RunStart {
-        /// The writer's [`SCHEMA_VERSION`].
-        schema: u64,
-        /// Free-form run label chosen at install time.
-        label: String,
-        /// Resolved GEMM kernel arm (`scalar` / `avx2_fma` / `avx512`).
-        kernel: String,
-        /// Compute precision (`f32`, the only one there is).
-        precision: String,
-    },
-    /// Accumulated time inside one round phase (broadcast, local_train,
-    /// collect, aggregate, evaluate). `calls` counts span activations —
-    /// two-stage algorithms like FedMD enter `local_train` twice per round.
-    Phase {
-        /// Communication round the phase ran in.
-        round: u64,
-        /// Phase name (one of [`crate::PhaseId`]'s strings).
-        phase: String,
-        /// Number of span activations folded into this event.
-        calls: u64,
-        /// Total time inside the phase, microseconds.
-        total_us: u64,
-    },
-    /// Accumulated time/work of one instrumented operation over a round.
-    /// Op timers run inside data-parallel regions, so `total_us` sums
-    /// *per-thread* time and can exceed the round's wall clock.
-    Op {
-        /// Communication round the work happened in.
-        round: u64,
-        /// Operation name (one of [`crate::OpId`]'s strings).
-        op: String,
-        /// Number of timed invocations.
-        calls: u64,
-        /// Total time across invocations (summed over threads), µs.
-        total_us: u64,
-        /// Floating-point operations attributed to this op (0 when the op
-        /// does not count flops).
-        flops: u64,
-        /// Bytes moved/produced by this op (0 when the op does not count
-        /// bytes — no op does today; the key is kept for the schema).
-        bytes: u64,
-    },
-    /// Fleet-wide workspace allocator counters at an evaluation point
-    /// (cumulative since run start; see `fca_tensor::WorkspaceStats`).
-    Workspace {
-        /// Round of the evaluation point.
-        round: u64,
-        /// Number of client workspaces aggregated.
-        clients: u64,
-        /// Total hand-outs that touched the heap allocator.
-        allocations: u64,
-        /// Total hand-outs served from already-owned capacity.
-        reuses: u64,
-        /// Largest single-client capacity high-water mark, bytes.
-        peak_bytes: u64,
-    },
-    /// Resident-pool and paging counters at an evaluation point
-    /// (cumulative since run start; see `fca_tensor::PoolStats`). Occupancy
-    /// numbers (`resident`, `high_water`) depend on worker scheduling but
-    /// are bounded by the fleet's residency cap; training results are not
-    /// affected.
-    Pool {
-        /// Round of the evaluation point.
-        round: u64,
-        /// Workspaces currently checked out of the pool.
-        resident: u64,
-        /// Most workspaces ever simultaneously checked out.
-        high_water: u64,
-        /// Total pool checkouts.
-        checkouts: u64,
-        /// Cold clients hydrated (blob/pristine → live model).
-        page_ins: u64,
-        /// Live clients dehydrated back to snapshot blobs.
-        page_outs: u64,
-        /// Total bytes of snapshot blobs written by page-outs.
-        page_bytes: u64,
-    },
-    /// One communication round: wall time, traffic deltas, fault counts.
-    Round {
-        /// Communication round (1-based).
-        round: u64,
-        /// Wall-clock duration of the round, µs (evaluation included on
-        /// eval rounds).
-        dur_us: u64,
-        /// Server→client bytes sent during this round, per recipient (the
-        /// logical tally: Table 5's unit).
-        downlink_bytes: u64,
-        /// Client→server bytes sent during this round (logical).
-        uplink_bytes: u64,
-        /// Server→client bytes handed to transport writes this round,
-        /// framing included: a broadcast counts once per connection.
-        downlink_physical_bytes: u64,
-        /// Client→server bytes handed to transport writes this round.
-        uplink_physical_bytes: u64,
-        /// Uplinks lost to dropout/stragglers this round.
-        dropped: u64,
-        /// Uplinks discarded as corrupt this round.
-        corrupt: u64,
-        /// Buffered straggler updates folded into this round's aggregate
-        /// with staleness-decayed weight (0 under sync aggregation).
-        stale: u64,
-        /// Buffered updates discarded this round for exceeding the
-        /// configured `max_staleness`.
-        expired: u64,
-    },
-    /// The drift scenario re-sharded the fleet before this round
-    /// (emitted only on rounds where the interpolation coefficient
-    /// actually moved).
-    Drift {
-        /// Round the re-sharded data first trains in.
-        round: u64,
-        /// Interpolation coefficient λ in integer permille (0..=1000).
-        lambda_permille: u64,
-        /// Number of clients re-sharded (the whole fleet).
-        clients: u64,
-    },
-    /// The transport backend the round loop constructed for this run —
-    /// emitted once, before the first round, so every traffic number in
-    /// the journal is attributable to a wire path.
-    Transport {
-        /// Backend name (`channel` / `tcp` / `unix`).
-        backend: String,
-        /// Number of clients the transport addresses.
-        clients: u64,
-    },
-    /// A federation checkpoint was captured (`dir` = `save`) or restored
-    /// (`dir` = `load`).
-    Checkpoint {
-        /// Direction: `save` or `load`.
-        dir: String,
-        /// The round the checkpoint resumes from (its `next_round`).
-        round: u64,
-        /// Encoded checkpoint size in bytes.
-        bytes: u64,
-        /// Number of client entries the checkpoint carries.
-        clients: u64,
-    },
-    /// Last line of every journal, written when the guard drops.
-    RunEnd {
-        /// Number of `round` events the journal carries.
-        rounds: u64,
-        /// Wall time from install to guard drop, µs.
-        wall_us: u64,
-    },
+/// One field value as a journal line carries it: journals hold only
+/// unsigned integers and strings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Value<'a> {
+    /// An unsigned integer field.
+    Num(u64),
+    /// A string field.
+    Str(&'a str),
+}
+
+impl std::fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Num(n) => n.fmt(f),
+            Value::Str(s) => s.fmt(f),
+        }
+    }
+}
+
+/// The two Rust types an event field may have, and how each maps to and
+/// from the journal.
+trait Field: Sized {
+    fn value(&self) -> Value<'_>;
+    fn from_json(json: Json, key: &str) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn value(&self) -> Value<'_> {
+        Value::Num(*self)
+    }
+
+    fn from_json(json: Json, key: &str) -> Result<Self, String> {
+        match json {
+            Json::Num(n) => Ok(n),
+            Json::Str(_) => Err(format!("field {key:?} must be an integer")),
+        }
+    }
+}
+
+impl Field for String {
+    fn value(&self) -> Value<'_> {
+        Value::Str(self)
+    }
+
+    fn from_json(json: Json, key: &str) -> Result<Self, String> {
+        match json {
+            Json::Str(s) => Ok(s),
+            Json::Num(_) => Err(format!("field {key:?} must be a string")),
+        }
+    }
+}
+
+/// Declares [`Event`] from one list of `Variant = "journal_name" { fields }`
+/// and derives `kind`, `fields` and the strict per-kind field reader from
+/// that same list. A field's position in the list is its position in the
+/// journal line.
+macro_rules! journal_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+            )*
+        }
+
+        impl Event {
+            /// The journal name of this event's kind (its `ev` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Every field but `ev`, as `(name, value)` in journal order.
+            pub fn fields(&self) -> Vec<(&'static str, Value<'_>)> {
+                match self {
+                    $(
+                        Event::$variant { $($field),* } => {
+                            vec![$( (stringify!($field), Field::value($field)) ),*]
+                        }
+                    )*
+                }
+            }
+
+            /// Build the `kind` event by taking each of its fields out of
+            /// `fields`; whatever is left over is the caller's to reject.
+            fn take_fields(kind: &str, fields: &mut Vec<(String, Json)>) -> Result<Event, String> {
+                Ok(match kind {
+                    $(
+                        $kind => Event::$variant {
+                            $( $field: take(fields, stringify!($field))?, )*
+                        },
+                    )*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+journal_schema! {
+    /// One journal line. See DESIGN.md §7.4 for units and emission points.
+    ///
+    /// All durations are integer microseconds; all byte counts are bytes.
+    /// `round` is 0 for work before the first communication round (the
+    /// untrained round-0 evaluation).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Event {
+        /// First line of every journal: schema version, a free-form label, and
+        /// the process-wide compute configuration (resolved GEMM kernel arm and
+        /// eval precision), so every downstream number is attributable to a
+        /// kernel.
+        RunStart = "run_start" {
+            /// The writer's [`SCHEMA_VERSION`].
+            schema: u64,
+            /// Free-form run label chosen at install time.
+            label: String,
+            /// Resolved GEMM kernel arm (`scalar` / `avx2_fma` / `avx512`).
+            kernel: String,
+            /// Compute precision (`f32`, the only one there is).
+            precision: String,
+        },
+        /// Accumulated time inside one round phase (a [`crate::PhaseId`]).
+        /// `calls` counts span activations — two-stage algorithms like
+        /// FedMD enter local training twice per round.
+        Phase = "phase" {
+            /// Communication round the phase ran in.
+            round: u64,
+            /// Phase name (one of [`crate::PhaseId`]'s strings).
+            phase: String,
+            /// Number of span activations folded into this event.
+            calls: u64,
+            /// Total time inside the phase, microseconds.
+            total_us: u64,
+        },
+        /// Accumulated time/work of one instrumented operation over a round.
+        /// Op timers run inside data-parallel regions, so `total_us` sums
+        /// *per-thread* time and can exceed the round's wall clock.
+        Op = "op" {
+            /// Communication round the work happened in.
+            round: u64,
+            /// Operation name (one of [`crate::OpId`]'s strings).
+            op: String,
+            /// Number of timed invocations.
+            calls: u64,
+            /// Total time across invocations (summed over threads), µs.
+            total_us: u64,
+            /// Floating-point operations attributed to this op (0 when the op
+            /// does not count flops).
+            flops: u64,
+            /// Bytes moved/produced by this op (0 when the op does not count
+            /// bytes — no op does today; the key is kept for the schema).
+            bytes: u64,
+        },
+        /// Fleet-wide workspace allocator counters at an evaluation point
+        /// (cumulative since run start; see `fca_tensor::WorkspaceStats`).
+        Workspace = "workspace" {
+            /// Round of the evaluation point.
+            round: u64,
+            /// Number of client workspaces aggregated.
+            clients: u64,
+            /// Total hand-outs that touched the heap allocator.
+            allocations: u64,
+            /// Total hand-outs served from already-owned capacity.
+            reuses: u64,
+            /// Largest single-client capacity high-water mark, bytes.
+            peak_bytes: u64,
+        },
+        /// Resident-pool and paging counters at an evaluation point
+        /// (cumulative since run start; see `fca_tensor::PoolStats`). Occupancy
+        /// numbers (`resident`, `high_water`) depend on worker scheduling but
+        /// are bounded by the fleet's residency cap; training results are not
+        /// affected.
+        Pool = "pool" {
+            /// Round of the evaluation point.
+            round: u64,
+            /// Workspaces currently checked out of the pool.
+            resident: u64,
+            /// Most workspaces ever simultaneously checked out.
+            high_water: u64,
+            /// Total pool checkouts.
+            checkouts: u64,
+            /// Cold clients hydrated (blob/pristine → live model).
+            page_ins: u64,
+            /// Live clients dehydrated back to snapshot blobs.
+            page_outs: u64,
+            /// Total bytes of snapshot blobs written by page-outs.
+            page_bytes: u64,
+        },
+        /// One communication round: wall time, traffic deltas, fault counts.
+        Round = "round" {
+            /// Communication round (1-based).
+            round: u64,
+            /// Wall-clock duration of the round, µs (evaluation included on
+            /// eval rounds).
+            dur_us: u64,
+            /// Server→client bytes sent during this round, per recipient (the
+            /// logical tally: Table 5's unit).
+            downlink_bytes: u64,
+            /// Client→server bytes sent during this round (logical).
+            uplink_bytes: u64,
+            /// Server→client bytes handed to transport writes this round,
+            /// framing included: a broadcast counts once per connection.
+            downlink_physical_bytes: u64,
+            /// Client→server bytes handed to transport writes this round.
+            uplink_physical_bytes: u64,
+            /// Uplinks lost to dropout/stragglers this round.
+            dropped: u64,
+            /// Uplinks discarded as corrupt this round.
+            corrupt: u64,
+            /// Buffered straggler updates folded into this round's aggregate
+            /// with staleness-decayed weight (0 under sync aggregation).
+            stale: u64,
+            /// Buffered updates discarded this round for exceeding the
+            /// configured `max_staleness`.
+            expired: u64,
+        },
+        /// The drift scenario re-sharded the fleet before this round
+        /// (emitted only on rounds where the interpolation coefficient
+        /// actually moved).
+        Drift = "drift" {
+            /// Round the re-sharded data first trains in.
+            round: u64,
+            /// Interpolation coefficient λ in integer permille (0..=1000).
+            lambda_permille: u64,
+            /// Number of clients re-sharded (the whole fleet).
+            clients: u64,
+        },
+        /// The transport backend the round loop constructed for this run —
+        /// emitted once, before the first round, so every traffic number in
+        /// the journal is attributable to a wire path.
+        Transport = "transport" {
+            /// Backend name (`channel` / `tcp` / `unix`).
+            backend: String,
+            /// Number of clients the transport addresses.
+            clients: u64,
+        },
+        /// A federation checkpoint was captured (`dir` = `save`) or restored
+        /// (`dir` = `load`).
+        Checkpoint = "checkpoint" {
+            /// Direction: `save` or `load`.
+            dir: String,
+            /// The round the checkpoint resumes from (its `next_round`).
+            round: u64,
+            /// Encoded checkpoint size in bytes.
+            bytes: u64,
+            /// Number of client entries the checkpoint carries.
+            clients: u64,
+        },
+        /// Last line of every journal, written when the guard drops.
+        RunEnd = "run_end" {
+            /// Number of `round` events the journal carries.
+            rounds: u64,
+            /// Wall time from install to guard drop, µs.
+            wall_us: u64,
+        },
+    }
 }
 
 impl Event {
     /// Encode as one JSON object (no trailing newline), suitable for a
-    /// JSONL journal line.
+    /// JSONL journal line: `ev` first, then [`Event::fields`] in order.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
-        match self {
-            Event::RunStart {
-                schema,
-                label,
-                kernel,
-                precision,
-            } => {
-                s.push_str("{\"ev\":\"run_start\",\"schema\":");
-                let _ = write!(s, "{schema},\"label\":");
-                push_json_string(&mut s, label);
-                s.push_str(",\"kernel\":");
-                push_json_string(&mut s, kernel);
-                s.push_str(",\"precision\":");
-                push_json_string(&mut s, precision);
-                s.push('}');
-            }
-            Event::Phase {
-                round,
-                phase,
-                calls,
-                total_us,
-            } => {
-                s.push_str("{\"ev\":\"phase\",\"round\":");
-                let _ = write!(s, "{round},\"phase\":");
-                push_json_string(&mut s, phase);
-                let _ = write!(s, ",\"calls\":{calls},\"total_us\":{total_us}}}");
-            }
-            Event::Op {
-                round,
-                op,
-                calls,
-                total_us,
-                flops,
-                bytes,
-            } => {
-                s.push_str("{\"ev\":\"op\",\"round\":");
-                let _ = write!(s, "{round},\"op\":");
-                push_json_string(&mut s, op);
-                let _ = write!(
-                    s,
-                    ",\"calls\":{calls},\"total_us\":{total_us},\"flops\":{flops},\
-                     \"bytes\":{bytes}}}"
-                );
-            }
-            Event::Workspace {
-                round,
-                clients,
-                allocations,
-                reuses,
-                peak_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"workspace\",\"round\":{round},\"clients\":{clients},\
-                     \"allocations\":{allocations},\"reuses\":{reuses},\
-                     \"peak_bytes\":{peak_bytes}}}"
-                );
-            }
-            Event::Pool {
-                round,
-                resident,
-                high_water,
-                checkouts,
-                page_ins,
-                page_outs,
-                page_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"pool\",\"round\":{round},\"resident\":{resident},\
-                     \"high_water\":{high_water},\"checkouts\":{checkouts},\
-                     \"page_ins\":{page_ins},\"page_outs\":{page_outs},\
-                     \"page_bytes\":{page_bytes}}}"
-                );
-            }
-            Event::Round {
-                round,
-                dur_us,
-                downlink_bytes,
-                uplink_bytes,
-                downlink_physical_bytes,
-                uplink_physical_bytes,
-                dropped,
-                corrupt,
-                stale,
-                expired,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"round\",\"round\":{round},\"dur_us\":{dur_us},\
-                     \"downlink_bytes\":{downlink_bytes},\"uplink_bytes\":{uplink_bytes},\
-                     \"downlink_physical_bytes\":{downlink_physical_bytes},\
-                     \"uplink_physical_bytes\":{uplink_physical_bytes},\
-                     \"dropped\":{dropped},\"corrupt\":{corrupt},\
-                     \"stale\":{stale},\"expired\":{expired}}}"
-                );
-            }
-            Event::Drift {
-                round,
-                lambda_permille,
-                clients,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"drift\",\"round\":{round},\
-                     \"lambda_permille\":{lambda_permille},\"clients\":{clients}}}"
-                );
-            }
-            Event::Transport { backend, clients } => {
-                s.push_str("{\"ev\":\"transport\",\"backend\":");
-                push_json_string(&mut s, backend);
-                let _ = write!(s, ",\"clients\":{clients}}}");
-            }
-            Event::Checkpoint {
-                dir,
-                round,
-                bytes,
-                clients,
-            } => {
-                s.push_str("{\"ev\":\"checkpoint\",\"dir\":");
-                push_json_string(&mut s, dir);
-                let _ = write!(
-                    s,
-                    ",\"round\":{round},\"bytes\":{bytes},\"clients\":{clients}}}"
-                );
-            }
-            Event::RunEnd { rounds, wall_us } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"run_end\",\"rounds\":{rounds},\"wall_us\":{wall_us}}}"
-                );
+        s.push_str("{\"ev\":");
+        push_json_string(&mut s, self.kind());
+        for (name, value) in self.fields() {
+            let _ = write!(s, ",\"{name}\":");
+            match value {
+                Value::Num(n) => {
+                    let _ = write!(s, "{n}");
+                }
+                Value::Str(v) => push_json_string(&mut s, v),
             }
         }
+        s.push('}');
         s
     }
 
@@ -323,77 +321,8 @@ impl Event {
     /// on this strictness, and the round-trip property test pins it.
     pub fn parse(line: &str) -> Result<Event, String> {
         let mut fields = parse_flat_object(line)?;
-        let ev = take_str(&mut fields, "ev")?;
-        let event = match ev.as_str() {
-            "run_start" => Event::RunStart {
-                schema: take_num(&mut fields, "schema")?,
-                label: take_str(&mut fields, "label")?,
-                kernel: take_str(&mut fields, "kernel")?,
-                precision: take_str(&mut fields, "precision")?,
-            },
-            "phase" => Event::Phase {
-                round: take_num(&mut fields, "round")?,
-                phase: take_str(&mut fields, "phase")?,
-                calls: take_num(&mut fields, "calls")?,
-                total_us: take_num(&mut fields, "total_us")?,
-            },
-            "op" => Event::Op {
-                round: take_num(&mut fields, "round")?,
-                op: take_str(&mut fields, "op")?,
-                calls: take_num(&mut fields, "calls")?,
-                total_us: take_num(&mut fields, "total_us")?,
-                flops: take_num(&mut fields, "flops")?,
-                bytes: take_num(&mut fields, "bytes")?,
-            },
-            "workspace" => Event::Workspace {
-                round: take_num(&mut fields, "round")?,
-                clients: take_num(&mut fields, "clients")?,
-                allocations: take_num(&mut fields, "allocations")?,
-                reuses: take_num(&mut fields, "reuses")?,
-                peak_bytes: take_num(&mut fields, "peak_bytes")?,
-            },
-            "pool" => Event::Pool {
-                round: take_num(&mut fields, "round")?,
-                resident: take_num(&mut fields, "resident")?,
-                high_water: take_num(&mut fields, "high_water")?,
-                checkouts: take_num(&mut fields, "checkouts")?,
-                page_ins: take_num(&mut fields, "page_ins")?,
-                page_outs: take_num(&mut fields, "page_outs")?,
-                page_bytes: take_num(&mut fields, "page_bytes")?,
-            },
-            "round" => Event::Round {
-                round: take_num(&mut fields, "round")?,
-                dur_us: take_num(&mut fields, "dur_us")?,
-                downlink_bytes: take_num(&mut fields, "downlink_bytes")?,
-                uplink_bytes: take_num(&mut fields, "uplink_bytes")?,
-                downlink_physical_bytes: take_num(&mut fields, "downlink_physical_bytes")?,
-                uplink_physical_bytes: take_num(&mut fields, "uplink_physical_bytes")?,
-                dropped: take_num(&mut fields, "dropped")?,
-                corrupt: take_num(&mut fields, "corrupt")?,
-                stale: take_num(&mut fields, "stale")?,
-                expired: take_num(&mut fields, "expired")?,
-            },
-            "drift" => Event::Drift {
-                round: take_num(&mut fields, "round")?,
-                lambda_permille: take_num(&mut fields, "lambda_permille")?,
-                clients: take_num(&mut fields, "clients")?,
-            },
-            "transport" => Event::Transport {
-                backend: take_str(&mut fields, "backend")?,
-                clients: take_num(&mut fields, "clients")?,
-            },
-            "checkpoint" => Event::Checkpoint {
-                dir: take_str(&mut fields, "dir")?,
-                round: take_num(&mut fields, "round")?,
-                bytes: take_num(&mut fields, "bytes")?,
-                clients: take_num(&mut fields, "clients")?,
-            },
-            "run_end" => Event::RunEnd {
-                rounds: take_num(&mut fields, "rounds")?,
-                wall_us: take_num(&mut fields, "wall_us")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
+        let ev: String = take(&mut fields, "ev")?;
+        let event = Event::take_fields(&ev, &mut fields)?;
         if let Some((k, _)) = fields.first() {
             return Err(format!("unexpected field {k:?} on {ev:?} event"));
         }
@@ -560,26 +489,13 @@ impl Parser<'_> {
     }
 }
 
-fn take_field(fields: &mut Vec<(String, Json)>, key: &str) -> Result<Json, String> {
+/// Remove `key` from `fields` and convert it to the field's type.
+fn take<T: Field>(fields: &mut Vec<(String, Json)>, key: &str) -> Result<T, String> {
     let pos = fields
         .iter()
         .position(|(k, _)| k == key)
         .ok_or_else(|| format!("missing field {key:?}"))?;
-    Ok(fields.remove(pos).1)
-}
-
-fn take_num(fields: &mut Vec<(String, Json)>, key: &str) -> Result<u64, String> {
-    match take_field(fields, key)? {
-        Json::Num(n) => Ok(n),
-        Json::Str(_) => Err(format!("field {key:?} must be an integer")),
-    }
-}
-
-fn take_str(fields: &mut Vec<(String, Json)>, key: &str) -> Result<String, String> {
-    match take_field(fields, key)? {
-        Json::Str(s) => Ok(s),
-        Json::Num(_) => Err(format!("field {key:?} must be a string")),
-    }
+    T::from_json(fields.remove(pos).1, key)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Lightweight span/counter instrumentation for the FedClassAvg
 //! reproduction: lock-free per-op timers and FLOP counters (GEMM packing
 //! vs. kernel, im2col/col2im, layer forward/backward), per-round phase
-//! spans (broadcast / local_train / collect / aggregate / evaluate), and a
-//! versioned JSONL run journal under `results/trace/`.
+//! spans (the [`PhaseId`] registry), and a versioned JSONL run journal
+//! under `results/trace/`.
 //!
 //! Design rules, in order:
 //!
@@ -32,8 +32,9 @@
 //! // later, once per round: fca_trace::flush_ops(round);
 //! ```
 //!
-//! The journal schema lives in [`event`]; DESIGN.md §7.4 documents every
-//! event kind, field, and unit, plus the version-bump rule.
+//! The journal schema lives in [`event`], one declaration per event kind;
+//! DESIGN.md §7.4 documents every event kind, field, and unit, plus the
+//! version-bump rule.
 
 #![warn(missing_docs)]
 

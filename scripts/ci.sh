@@ -78,9 +78,10 @@ if cargo run --release -p fca-bench --bin table4_ablation -- --quick --setting n
     echo "a filter matching no setting was accepted" >&2; exit 1
 fi
 
-echo "=== observability smoke: traced quick run + journal schema check ==="
+echo "=== observability smoke: traced quick run + journal schema check + report render ==="
 cargo run --release --example quickstart -- --quick --trace
 cargo run --release -p fca-bench --bin trace_report -- --check results/trace/quickstart.jsonl
+cargo run --release -p fca-bench --bin trace_report -- results/trace/quickstart.jsonl >/dev/null
 
 echo "=== fleet virtualization smoke: 1k-client paged run under a 4-client cap ==="
 cargo run --release --example fleet_scale -- --quick
