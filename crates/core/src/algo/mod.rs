@@ -281,8 +281,8 @@ pub(crate) mod testing {
         fn backend(&self) -> &'static str {
             "tamper"
         }
-        fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-            self.inner.send_to_client(client, frame)
+        fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+            self.inner.broadcast_to_clients(clients, frame)
         }
         fn recv_at_client(
             &self,
@@ -291,11 +291,21 @@ pub(crate) mod testing {
         ) -> Result<Option<Bytes>, WireError> {
             self.inner.recv_at_client(client, wait)
         }
-        fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
+        fn send_to_server_with(
+            &self,
+            client: usize,
+            len: usize,
+            fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+        ) -> Result<u64, WireError> {
             match self.uplinks.get(&client) {
-                None => self.inner.send_to_server(client, frame),
-                Some(None) => Ok(()),
-                Some(Some(forged)) => self.inner.send_to_server(client, forged.encode()?),
+                None => self.inner.send_to_server_with(client, len, fill),
+                Some(None) => Ok(0),
+                Some(Some(forged)) => {
+                    self.inner
+                        .send_to_server_with(client, forged.encoded_len(), &mut |buf| {
+                            forged.encode_into(buf)
+                        })
+                }
             }
         }
         fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {

@@ -2,8 +2,9 @@
 //!
 //! A [`Checkpoint`] captures everything a run needs to continue after a
 //! process restart: the run's identity (algorithm name, seed, fleet
-//! size), the engine's [`RunState`] (next round, cumulative epochs, the
-//! learning curve so far, fault and traffic totals), the algorithm's
+//! size), the engine's [`RunState`] (next round, the learning curve so
+//! far — which holds the epoch and fault totals — and the traffic of
+//! earlier segments), the algorithm's
 //! mutable server state ([`crate::algo::Algorithm::server_state`]: groups
 //! of tensors, which this module — and nothing else — turns into bytes),
 //! and one snapshot blob per client — the same versioned little-endian
@@ -55,14 +56,15 @@ const MAGIC: [u8; 4] = *b"FCKP";
 /// physical byte tallies, per point and pending; v4 made the server state
 /// tensor groups ([`put_groups`]) where each algorithm had a layout of its
 /// own; v5 dropped v3's byte tallies again (the journal's `round` events
-/// carry every round's bytes).
-const VERSION: u16 = 5;
+/// carry every round's bytes); v6 dropped the cumulative epochs and the
+/// per-point and total fault counters, which the curve holds.
+const VERSION: u16 = 6;
 /// Cap on the algorithm-name field (corruption guard).
 const MAX_NAME_LEN: usize = 256;
 /// Bytes per encoded curve point (2×u64 + 2×f32 + 4×u64).
 const CURVE_POINT_LEN: usize = 8 + 8 + 4 + 4 + 8 * 4;
-/// Bytes of a [`RunState`]'s fixed fields: 12×u64 and the curve length.
-const RUN_STATE_FIXED_LEN: usize = 8 * 12 + 4;
+/// Bytes of a [`RunState`]'s fixed fields: 3×u64 and the curve length.
+const RUN_STATE_FIXED_LEN: usize = 8 * 3 + 4;
 /// Minimum bytes per encoded straggler-buffer entry (3×u64 key + u32 len).
 const BUFFER_ENTRY_MIN_LEN: usize = 8 + 8 + 8 + 4;
 
@@ -85,7 +87,8 @@ pub struct Checkpoint {
     pub seed: u64,
     /// Fleet size the checkpoint covers.
     pub num_clients: usize,
-    /// Engine state: next round, epochs, curve, fault/traffic totals.
+    /// Engine state: next round, curve, earlier segments' traffic, and the
+    /// straggler buffer.
     pub state: RunState,
     /// The groups of [`Algorithm::server_state`], encoded (`u32 groups |
     /// per group: u8 present | u32 count | tensors`); a stateless
@@ -274,15 +277,6 @@ impl Checkpoint {
 
 fn encode_run_state(buf: &mut Vec<u8>, s: &RunState) -> Result<(), WireError> {
     buf.put_u64_le(s.next_round as u64);
-    buf.put_u64_le(s.epochs as u64);
-    buf.put_u64_le(s.point_dropped);
-    buf.put_u64_le(s.point_corrupt);
-    buf.put_u64_le(s.point_stale);
-    buf.put_u64_le(s.point_expired);
-    buf.put_u64_le(s.total_dropped);
-    buf.put_u64_le(s.total_corrupt);
-    buf.put_u64_le(s.total_stale);
-    buf.put_u64_le(s.total_expired);
     buf.put_u64_le(s.prior_downlink);
     buf.put_u64_le(s.prior_uplink);
     buf.put_u32_le(checked_u32(s.curve.len(), "curve length exceeds u32")?);
@@ -311,15 +305,6 @@ fn decode_run_state(r: &mut Reader) -> Result<RunState, WireError> {
     // order `encode_run_state` wrote them in.
     Ok(RunState {
         next_round: u64_usize(r)?,
-        epochs: u64_usize(r)?,
-        point_dropped: r.u64()?,
-        point_corrupt: r.u64()?,
-        point_stale: r.u64()?,
-        point_expired: r.u64()?,
-        total_dropped: r.u64()?,
-        total_corrupt: r.u64()?,
-        total_stale: r.u64()?,
-        total_expired: r.u64()?,
         prior_downlink: r.u64()?,
         prior_uplink: r.u64()?,
         curve: (0..r.count(CURVE_POINT_LEN)?)
@@ -411,7 +396,6 @@ mod tests {
             num_clients: 3,
             state: RunState {
                 next_round: 5,
-                epochs: 4,
                 curve: vec![
                     RoundMetrics {
                         round: 0,
@@ -431,14 +415,6 @@ mod tests {
                         expired: 1,
                     },
                 ],
-                point_dropped: 0,
-                point_corrupt: 0,
-                point_stale: 1,
-                point_expired: 0,
-                total_dropped: 2,
-                total_corrupt: 1,
-                total_stale: 3,
-                total_expired: 1,
                 prior_downlink: 1234,
                 prior_uplink: 987,
                 buffer: vec![(6, 4, 2, vec![0xAA, 0xBB, 0xCC]), (7, 5, 0, Vec::new())],
@@ -509,8 +485,8 @@ mod tests {
         );
         // A checkpoint from a future format revision must be rejected, not
         // misread: flip the version field to one past the current VERSION.
-        // So must one from the previous revision, whose curve points were
-        // 16 bytes longer.
+        // So must one from the previous revision, whose run state carried
+        // nine more u64s.
         for version in [VERSION + 1, VERSION - 1] {
             let mut bad_version = good.clone();
             bad_version[4..6].copy_from_slice(&version.to_le_bytes());

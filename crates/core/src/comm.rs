@@ -1288,11 +1288,11 @@ mod tests {
 
     #[test]
     fn network_over_socket_backend_matches_channel_semantics() {
-        use crate::transport::LoopbackSocketTransport;
+        use crate::transport::SocketTransport;
         let transports: Vec<Box<dyn Transport>> = vec![
-            Box::new(LoopbackSocketTransport::tcp(2).expect("tcp loopback")),
+            Box::new(SocketTransport::tcp(2).expect("tcp loopback")),
             #[cfg(unix)]
-            Box::new(LoopbackSocketTransport::unix(2).expect("unix loopback")),
+            Box::new(SocketTransport::unix(2).expect("unix loopback")),
         ];
         for transport in transports {
             let net = Network::over(transport);
@@ -1436,7 +1436,7 @@ mod tests {
 
     #[test]
     fn broadcast_pays_per_client_and_writes_per_connection() {
-        use crate::transport::LoopbackSocketTransport;
+        use crate::transport::SocketTransport;
         let msg = WireMessage::Classifier(ClassifierWeights::zeros(8, 4));
         let len = msg.encoded_len() as u64;
         // (transport, physical bytes of one broadcast to two live clients,
@@ -1446,12 +1446,12 @@ mod tests {
             // One multicast frame: header, count, two ids, one message.
             #[cfg(unix)]
             (
-                Box::new(LoopbackSocketTransport::unix(3).expect("unix loopback")),
+                Box::new(SocketTransport::unix(3).expect("unix loopback")),
                 8 + 4 + 2 * 4 + len,
                 8 + len,
             ),
             (
-                Box::new(LoopbackSocketTransport::tcp(3).expect("tcp loopback")),
+                Box::new(SocketTransport::tcp(3).expect("tcp loopback")),
                 8 + 4 + 2 * 4 + len,
                 8 + len,
             ),
@@ -1592,8 +1592,8 @@ mod tests {
 
     #[test]
     fn socket_backend_applies_fates_above_the_transport() {
-        use crate::transport::LoopbackSocketTransport;
-        let transport = Box::new(LoopbackSocketTransport::tcp(2).expect("tcp loopback"));
+        use crate::transport::SocketTransport;
+        let transport = Box::new(SocketTransport::tcp(2).expect("tcp loopback"));
         let mut net = Network::over(transport).with_fault_plan(all_fate_plan(Fate::Dropped));
         net.begin_round(1, &[0, 1]);
         let msg = WireMessage::Classifier(ClassifierWeights::zeros(4, 2));

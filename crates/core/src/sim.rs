@@ -5,7 +5,7 @@ use crate::algo::Algorithm;
 use crate::comm::Network;
 use crate::config::{FedConfig, TransportKind};
 use crate::fleet::Fleet;
-use crate::transport::{ChannelTransport, LoopbackSocketTransport, Transport};
+use crate::transport::{ChannelTransport, SocketTransport, Transport};
 use fca_data::partition::Partitioner;
 use fca_data::synth::SynthDataset;
 use fca_models::ModelArch;
@@ -57,7 +57,9 @@ pub struct RunResult {
     pub uplink_bytes: u64,
     /// Rounds executed.
     pub rounds: usize,
-    /// Total uplinks lost to dropout/stragglers over the whole run.
+    /// Total uplinks lost to dropout/stragglers over the whole run: the
+    /// sum of the curve's `dropped`, as are the three totals below of
+    /// theirs.
     pub dropped: u64,
     /// Total uplinks discarded as corrupt over the whole run.
     pub corrupt: u64,
@@ -88,26 +90,10 @@ pub struct RunState {
     /// The next round to execute (1 for a fresh run; `rounds + 1` after a
     /// completed one).
     pub next_round: usize,
-    /// Cumulative local epochs so far (the curve's x-axis).
-    pub epochs: usize,
     /// Learning-curve points collected so far (round-0 point included).
+    /// Every segment ends on a point, so the curve also holds the run's
+    /// cumulative epochs (its last point's) and fault totals (its sums).
     pub curve: Vec<RoundMetrics>,
-    /// Uplinks dropped since the last curve point.
-    pub point_dropped: u64,
-    /// Uplinks corrupted since the last curve point.
-    pub point_corrupt: u64,
-    /// Buffered folds since the last curve point.
-    pub point_stale: u64,
-    /// Buffered expiries since the last curve point.
-    pub point_expired: u64,
-    /// Total uplinks dropped so far.
-    pub total_dropped: u64,
-    /// Total uplinks corrupted so far.
-    pub total_corrupt: u64,
-    /// Total buffered folds so far.
-    pub total_stale: u64,
-    /// Total buffered expiries so far.
-    pub total_expired: u64,
     /// Server→client bytes accumulated by *earlier segments* of the run —
     /// each segment's network counts from zero, so the totals in
     /// [`RunResult`] are `prior + this segment`.
@@ -141,25 +127,21 @@ impl RunState {
     reason = "environment bootstrap before any round runs; no wire bytes have been read yet and a silent fallback would mask a broken harness"
 )]
 fn build_transport(kind: TransportKind, num_clients: usize) -> Box<dyn Transport> {
-    let built: Result<Box<dyn Transport>, _> = match kind {
+    let built = match kind {
         TransportKind::InProcess => return Box::new(ChannelTransport::new(num_clients)),
         #[cfg(unix)]
-        TransportKind::UnixSocket => {
-            LoopbackSocketTransport::unix(num_clients).map(|t| Box::new(t) as Box<dyn Transport>)
-        }
+        TransportKind::UnixSocket => SocketTransport::unix(num_clients),
         // Unix-domain sockets are unavailable off unix; TCP loopback is
         // the closest faithful substitute.
         #[cfg(not(unix))]
-        TransportKind::UnixSocket => {
-            LoopbackSocketTransport::tcp(num_clients).map(|t| Box::new(t) as Box<dyn Transport>)
-        }
-        TransportKind::Tcp => {
-            LoopbackSocketTransport::tcp(num_clients).map(|t| Box::new(t) as Box<dyn Transport>)
-        }
+        TransportKind::UnixSocket => SocketTransport::tcp(num_clients),
+        TransportKind::Tcp => SocketTransport::tcp(num_clients),
     };
     // Transport construction is environment, not data: failing to bind a
     // loopback socket is unrecoverable for the run and loud is correct.
-    built.unwrap_or_else(|e| panic!("failed to construct {} transport: {e}", kind.as_str()))
+    Box::new(
+        built.unwrap_or_else(|e| panic!("failed to construct {} transport: {e}", kind.as_str())),
+    )
 }
 
 /// Mean and (population) standard deviation.
@@ -333,16 +315,7 @@ pub fn run_federation_from(
     });
     let RunState {
         next_round,
-        mut epochs,
         mut curve,
-        mut point_dropped,
-        mut point_corrupt,
-        mut point_stale,
-        mut point_expired,
-        mut total_dropped,
-        mut total_corrupt,
-        mut total_stale,
-        mut total_expired,
         prior_downlink,
         prior_uplink,
         buffer,
@@ -377,6 +350,9 @@ pub fn run_federation_from(
     let mut applied_lambda: Option<u64> = None;
     // What the round-`cfg.rounds` curve point measured, per client.
     let mut last_point: Option<Vec<f32>> = None;
+    // Where the last point left the x-axis, and what has gone wrong since.
+    let mut epochs = curve.last().map_or(0, |p| p.epochs);
+    let mut since_point = RoundMetrics::default();
 
     for round in next_round..=cfg.rounds {
         if cfg.drift.is_active() {
@@ -417,14 +393,10 @@ pub fn run_federation_from(
         let (st, ex) = net.take_round_async();
         let after = traffic(&net);
         let [down, up, down_physical, up_physical] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
-        point_dropped += d;
-        point_corrupt += c;
-        point_stale += st;
-        point_expired += ex;
-        total_dropped += d;
-        total_corrupt += c;
-        total_stale += st;
-        total_expired += ex;
+        since_point.dropped += d;
+        since_point.corrupt += c;
+        since_point.stale += st;
+        since_point.expired += ex;
 
         if round % cfg.eval_every.max(1) == 0 || round == cfg.rounds {
             let span = fca_trace::clock();
@@ -436,15 +408,8 @@ pub fn run_federation_from(
                 epochs,
                 mean_acc: m,
                 std_acc: s,
-                dropped: point_dropped,
-                corrupt: point_corrupt,
-                stale: point_stale,
-                expired: point_expired,
+                ..std::mem::take(&mut since_point)
             });
-            point_dropped = 0;
-            point_corrupt = 0;
-            point_stale = 0;
-            point_expired = 0;
             emit_workspace_point(round as u64, fleet);
             if round == cfg.rounds {
                 last_point = Some(accs);
@@ -487,6 +452,7 @@ pub fn run_federation_from(
     // traffic rides in on the prior_* fields.
     let downlink_bytes = prior_downlink + net.stats().downlink_bytes();
     let uplink_bytes = prior_uplink + net.stats().uplink_bytes();
+    let total = |count: fn(&RoundMetrics) -> u64| curve.iter().map(count).sum();
     let result = RunResult {
         algo: algo.name(),
         curve: curve.clone(),
@@ -496,23 +462,14 @@ pub fn run_federation_from(
         downlink_bytes,
         uplink_bytes,
         rounds: cfg.rounds,
-        dropped: total_dropped,
-        corrupt: total_corrupt,
-        stale: total_stale,
-        expired: total_expired,
+        dropped: total(|p| p.dropped),
+        corrupt: total(|p| p.corrupt),
+        stale: total(|p| p.stale),
+        expired: total(|p| p.expired),
     };
     let state = RunState {
         next_round: cfg.rounds + 1,
-        epochs,
         curve,
-        point_dropped,
-        point_corrupt,
-        point_stale,
-        point_expired,
-        total_dropped,
-        total_corrupt,
-        total_stale,
-        total_expired,
         prior_downlink: downlink_bytes,
         prior_uplink: uplink_bytes,
         buffer: net.export_buffer(),
@@ -934,7 +891,7 @@ mod tests {
         global: impl Fn(&A) -> Vec<fca_tensor::Tensor>,
     ) {
         use crate::comm::{Fate, FaultPlan};
-        use crate::transport::{SocketListener, SocketShardTransport};
+        use crate::transport::{SocketListener, SocketTransport};
         use std::time::Duration;
 
         let hp = HyperParams::micro_default();
@@ -1005,13 +962,9 @@ mod tests {
                         let (addr, all, fleet, algo, turn) = (&addr, &all, &fleet, &algo, &turn);
                         s.spawn(move || {
                             let transport = match kind {
-                                "tcp" => {
-                                    SocketShardTransport::connect_tcp(addr, SHARDED_CLIENTS, owned)
-                                }
+                                "tcp" => SocketTransport::connect_tcp(addr, SHARDED_CLIENTS, owned),
                                 #[cfg(unix)]
-                                _ => {
-                                    SocketShardTransport::connect_unix(addr, SHARDED_CLIENTS, owned)
-                                }
+                                _ => SocketTransport::connect_unix(addr, SHARDED_CLIENTS, owned),
                                 #[cfg(not(unix))]
                                 _ => unreachable!(),
                             }

@@ -3,18 +3,24 @@
 //!
 //! [`crate::comm::Network`] owns everything *semantic* about the exchange —
 //! fault injection, byte accounting, the count-driven collect — and hands
-//! the raw frames to a [`Transport`]. Three backends implement the trait:
+//! the raw frames to a [`Transport`]. A backend writes one path per
+//! direction ([`Transport::broadcast_to_clients`] down,
+//! [`Transport::send_to_server_with`] up) and one receive at each end;
+//! the single-frame sends are provided over those. Two backends:
 //!
 //! * [`ChannelTransport`] — a locked queue per client and one
 //!   `std::sync::mpsc` uplink channel, the fast in-process default. A send
 //!   happens-before the matching receive, so client receives never wait.
-//! * [`LoopbackSocketTransport`] — the same process, but every frame
-//!   crosses a real kernel socket (TCP loopback or a Unix socket pair)
-//!   through the length-prefixed frame protocol. Exists to prove the
-//!   socket path bit-identical to the channel path at the same seed.
-//! * [`SocketServerTransport`] / [`SocketShardTransport`] — genuinely
-//!   separate OS processes: one server process accepts shard processes,
-//!   each hosting a subset of the clients (`examples/socket_federation`).
+//! * [`SocketTransport`] — every frame crosses a real kernel socket (TCP or
+//!   Unix) through the length-prefixed frame protocol below. It has a
+//!   server end, built by [`SocketListener::accept_federation`], and a
+//!   shard end hosting some of the clients, built by
+//!   [`SocketTransport::connect_tcp`] / [`SocketTransport::connect_unix`];
+//!   separate OS processes each hold one (`examples/socket_federation`).
+//!   [`SocketTransport::tcp`] / [`SocketTransport::unix`] put both ends in
+//!   one process, one shard hosting every client, which proves the socket
+//!   path bit-identical to the channel path at the same seed. A method of
+//!   an end a transport lacks reports [`WireError::Malformed`].
 //!
 //! # Frame protocol
 //!
@@ -30,12 +36,13 @@
 //! the payload it promises arrives. What the payload is depends on
 //! the direction:
 //!
-//! * **Uplink** (shard → server): `address` is the sending client and the
-//!   payload is one `WireMessage` encoding. The shard builds the frame —
-//!   header and message — in one buffer kept beside its connection and
-//!   writes it with one call ([`Transport::send_to_server_with`]); the
-//!   buffer grows to the largest frame sent and lives as long as the
-//!   connection. Lock order: buffer, then connection.
+//! * **Uplink** (shard → server): `address` is the sending client, which
+//!   the shard must host, and the payload is one `WireMessage` encoding.
+//!   The shard builds the frame — header and message — in one buffer kept
+//!   beside its connection and writes it with one call
+//!   ([`Transport::send_to_server_with`]); the buffer grows to the largest
+//!   frame sent and lives as long as the connection. Lock order: buffer,
+//!   then connection.
 //! * **Downlink** (server → shard): `address` is always
 //!   [`MULTICAST_SENTINEL`] and the payload is
 //!   `u32_le count | count × u32_le client, strictly ascending | message`.
@@ -125,7 +132,9 @@ const CONNECT_RETRY_PAUSE: Duration = Duration::from_millis(25);
 
 /// How framed bytes move between the server and its clients. Implementors
 /// are shared across the server thread and the rayon client workers, so
-/// every method takes `&self`.
+/// every method takes `&self`. Each writes one path per direction —
+/// [`Transport::broadcast_to_clients`] down, [`Transport::send_to_server_with`]
+/// up — and the single-frame sends are provided over them.
 ///
 /// The two `recv_*` methods bound their wait by `wait` and report an
 /// empty mailbox as `Ok(None)` — "nothing arrived" is an outcome, not an
@@ -138,30 +147,15 @@ pub trait Transport: Send + Sync {
     /// Human-readable backend name (stamped into traces).
     fn backend(&self) -> &'static str;
 
-    /// Queue one downlink frame for `client`.
-    fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError>;
-
-    /// Take the next downlink frame addressed to `client`, waiting at
-    /// most `wait`.
-    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError>;
-
-    /// Queue one uplink frame from `client`.
-    fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError>;
-
-    /// Take the next uplink frame from any client, waiting at most
-    /// `wait`.
-    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError>;
-
     /// Queue the same downlink frame for every one of `clients` (distinct
     /// ids). Returns the bytes handed to the backend's writes, framing
     /// included. Every reachable recipient is served before the first
     /// error is reported.
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
-        sum_writes(clients.iter().map(|&k| {
-            self.send_to_client(k, frame.clone())
-                .map(|()| frame.len() as u64)
-        }))
-    }
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError>;
+
+    /// Take the next downlink frame addressed to `client`, waiting at
+    /// most `wait`.
+    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError>;
 
     /// Queue one uplink frame from `client` that `fill` appends to the
     /// buffer it is handed (which may already hold the backend's framing:
@@ -173,12 +167,24 @@ pub trait Transport: Send + Sync {
         client: usize,
         len: usize,
         fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
-    ) -> Result<u64, WireError> {
-        let mut frame = Vec::with_capacity(len);
-        fill(&mut frame)?;
-        let wrote = frame.len() as u64;
-        self.send_to_server(client, Bytes::from(frame))?;
-        Ok(wrote)
+    ) -> Result<u64, WireError>;
+
+    /// Take the next uplink frame from any client, waiting at most
+    /// `wait`.
+    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError>;
+
+    /// [`Transport::broadcast_to_clients`] to one client.
+    fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
+        self.broadcast_to_clients(&[client], &frame).map(drop)
+    }
+
+    /// [`Transport::send_to_server_with`] of a frame already built.
+    fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
+        self.send_to_server_with(client, frame.len(), &mut |buf| {
+            buf.extend_from_slice(&frame);
+            Ok(())
+        })
+        .map(drop)
     }
 }
 
@@ -235,10 +241,12 @@ impl Transport for ChannelTransport {
         "channel"
     }
 
-    fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        let mailbox = self.at_client.get(client).ok_or(WireError::ChannelClosed)?;
-        lock(mailbox).push_back(frame);
-        Ok(())
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        sum_writes(clients.iter().map(|&k| {
+            let mailbox = self.at_client.get(k).ok_or(WireError::ChannelClosed)?;
+            lock(mailbox).push_back(frame.clone());
+            Ok(frame.len() as u64)
+        }))
     }
 
     fn recv_at_client(&self, client: usize, _wait: Duration) -> Result<Option<Bytes>, WireError> {
@@ -248,10 +256,19 @@ impl Transport for ChannelTransport {
         Ok(lock(mailbox).pop_front())
     }
 
-    fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
+    fn send_to_server_with(
+        &self,
+        client: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<u64, WireError> {
+        let mut frame = Vec::with_capacity(len);
+        fill(&mut frame)?;
+        let wrote = frame.len() as u64;
         self.to_server
-            .send((client, frame))
-            .map_err(|_| WireError::ChannelClosed)
+            .send((client, Bytes::from(frame)))
+            .map_err(|_| WireError::ChannelClosed)?;
+        Ok(wrote)
     }
 
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
@@ -573,8 +590,8 @@ impl SocketListener {
         })
     }
 
-    /// The address to hand to [`SocketShardTransport::connect_tcp`] or
-    /// [`SocketShardTransport::connect_unix`]:
+    /// The address to hand to [`SocketTransport::connect_tcp`] or
+    /// [`SocketTransport::connect_unix`]:
     /// `host:port` for TCP, the socket path for Unix.
     pub fn local_addr(&self) -> Result<String, WireError> {
         match &self.kind {
@@ -589,7 +606,8 @@ impl SocketListener {
 
     /// Accept exactly `shards` shard connections, validate their hello
     /// claims (fleet size matches, ids in range, no id claimed twice, all
-    /// `num_clients` ids covered), and start the uplink reader threads.
+    /// `num_clients` ids covered), and start the uplink reader threads: the
+    /// server end of a [`SocketTransport`], with no shard end.
     ///
     /// Blocks until every shard has connected; the caller owns the
     /// process-level timeout (e.g. by killing a stuck launcher).
@@ -597,7 +615,7 @@ impl SocketListener {
         self,
         num_clients: usize,
         shards: usize,
-    ) -> Result<SocketServerTransport, WireError> {
+    ) -> Result<SocketTransport, WireError> {
         let mut shard_of = vec![usize::MAX; num_clients];
         let mut writers = Vec::with_capacity(shards);
         let mut readers = Vec::with_capacity(shards);
@@ -655,12 +673,16 @@ impl SocketListener {
                 "not every client is hosted by a shard",
             ));
         }
-        Ok(SocketServerTransport {
-            shard_of,
-            shards: writers,
-            readers,
-            uplink_rx: Mutex::new(uplink_rx),
+        Ok(SocketTransport {
+            num_clients,
             backend: self.backend,
+            server: Some(ServerEnd {
+                shard_of,
+                shards: writers,
+                readers,
+                uplink_rx: Mutex::new(uplink_rx),
+            }),
+            shard: None,
         })
     }
 }
@@ -677,14 +699,27 @@ impl Drop for SocketListener {
 }
 
 // --------------------------------------------------------------------
-// Server-process side.
+// The socket transport: a server end, a shard end, or both.
 // --------------------------------------------------------------------
 
-/// The server process's half of a socket federation: writes each downlink
-/// once to every shard hosting one of its recipients and muxes uplink
-/// frames from all shards. Hosts no clients itself — the client-side trait
-/// methods report [`WireError::Malformed`].
-pub struct SocketServerTransport {
+/// Frames over kernel sockets (see the module docs). The server end writes
+/// each downlink once to every shard connection hosting one of its
+/// recipients and muxes the uplinks of all of them; a shard end hosts a
+/// subset of the clients behind one connection. A method of an end this
+/// transport lacks reports [`WireError::Malformed`].
+pub struct SocketTransport {
+    num_clients: usize,
+    backend: &'static str,
+    /// Dropped before `shard`: a transport with both ends shuts its server
+    /// connections down first.
+    server: Option<ServerEnd>,
+    shard: Option<ShardEnd>,
+}
+
+/// Kept for `benchmark/`, which names the one-process federation this way.
+pub type LoopbackSocketTransport = SocketTransport;
+
+struct ServerEnd {
     /// Client id → index into `shards`.
     shard_of: Vec<usize>,
     /// Write halves, one per shard connection.
@@ -692,54 +727,9 @@ pub struct SocketServerTransport {
     /// The uplink reader of each shard connection.
     readers: Vec<JoinHandle<()>>,
     uplink_rx: Mutex<Receiver<(usize, Bytes)>>,
-    backend: &'static str,
 }
 
-impl Transport for SocketServerTransport {
-    fn num_clients(&self) -> usize {
-        self.shard_of.len()
-    }
-
-    fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.broadcast_to_clients(&[client], &frame).map(drop)
-    }
-
-    /// One multicast frame per shard connection that hosts a recipient.
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
-        let mut ids_of: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        for &client in clients {
-            let shard = *self.shard_of.get(client).ok_or(WireError::ChannelClosed)?;
-            ids_of[shard].push(u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?);
-        }
-        let hosting = self.shards.iter().zip(ids_of);
-        sum_writes(
-            hosting
-                .filter(|(_, ids)| !ids.is_empty())
-                .map(|(conn, mut ids)| {
-                    ids.sort_unstable();
-                    write_multicast(&mut *lock(conn), &ids, frame)
-                }),
-        )
-    }
-
-    fn recv_at_client(&self, _client: usize, _wait: Duration) -> Result<Option<Bytes>, WireError> {
-        Err(WireError::Malformed("server process hosts no clients"))
-    }
-
-    fn send_to_server(&self, _client: usize, _frame: Bytes) -> Result<(), WireError> {
-        Err(WireError::Malformed("server process hosts no clients"))
-    }
-
-    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-        Ok(lock(&self.uplink_rx).recv_timeout(wait).ok())
-    }
-}
-
-impl Drop for SocketServerTransport {
+impl Drop for ServerEnd {
     fn drop(&mut self) {
         for conn in &self.shards {
             lock(conn).shutdown();
@@ -748,16 +738,7 @@ impl Drop for SocketServerTransport {
     }
 }
 
-// --------------------------------------------------------------------
-// Shard-process side.
-// --------------------------------------------------------------------
-
-/// One shard process's half: hosts a subset of the clients, receives
-/// their downlink frames (fanned into per-client inboxes by the reader
-/// thread) and uplinks through the single shared connection. The
-/// server-side trait methods report [`WireError::Malformed`].
-pub struct SocketShardTransport {
-    num_clients: usize,
+struct ShardEnd {
     /// Where every uplink frame is built, header first, and written from.
     /// Taken before `conn`, and held across the write.
     write_buf: Mutex<Vec<u8>>,
@@ -766,49 +747,88 @@ pub struct SocketShardTransport {
     inbox: Vec<Option<Mutex<Receiver<Bytes>>>>,
     /// The downlink reader; joined on drop.
     reader: Option<JoinHandle<()>>,
-    backend: &'static str,
 }
 
-impl SocketShardTransport {
-    /// Connect to a server over TCP and claim `ids` out of a
-    /// `num_clients`-client fleet. Retries while the server is still
-    /// binding.
-    pub fn connect_tcp(addr: &str, num_clients: usize, ids: &[usize]) -> Result<Self, WireError> {
-        let mut attempt = 0usize;
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(_) if attempt < CONNECT_RETRIES => {
-                    attempt += 1;
-                    std::thread::sleep(CONNECT_RETRY_PAUSE);
-                }
-                Err(_) => return Err(WireError::ChannelClosed),
-            }
+impl ShardEnd {
+    /// `client`'s inbox, which is also the test of whether this shard hosts
+    /// it.
+    fn inbox(&self, client: usize) -> Result<&Mutex<Receiver<Bytes>>, WireError> {
+        self.inbox
+            .get(client)
+            .and_then(Option::as_ref)
+            .ok_or(WireError::Malformed("client not hosted on this shard"))
+    }
+}
+
+impl Drop for ShardEnd {
+    fn drop(&mut self) {
+        lock(&self.conn).shutdown();
+        self.reader.take().into_iter().for_each(join_reader);
+    }
+}
+
+/// Run `connect` until it succeeds — the server may still be binding — or
+/// [`CONNECT_RETRIES`] retries have failed.
+fn connect_with_retries<S>(connect: impl Fn() -> std::io::Result<S>) -> Result<S, WireError> {
+    for _ in 0..CONNECT_RETRIES {
+        if let Ok(stream) = connect() {
+            return Ok(stream);
+        }
+        std::thread::sleep(CONNECT_RETRY_PAUSE);
+    }
+    connect().map_err(|_| WireError::ChannelClosed)
+}
+
+impl SocketTransport {
+    /// Both ends in this process over TCP (127.0.0.1, ephemeral port), one
+    /// shard hosting every client.
+    pub fn tcp(num_clients: usize) -> Result<Self, WireError> {
+        Self::loopback(SocketListener::tcp("127.0.0.1:0")?, num_clients)
+    }
+
+    /// Both ends in this process over a Unix-domain socket in the temp
+    /// directory, one shard hosting every client.
+    #[cfg(unix)]
+    pub fn unix(num_clients: usize) -> Result<Self, WireError> {
+        Self::loopback(SocketListener::unix_auto()?, num_clients)
+    }
+
+    fn loopback(listener: SocketListener, num_clients: usize) -> Result<Self, WireError> {
+        let addr = listener.local_addr()?;
+        let ids: Vec<usize> = (0..num_clients).collect();
+        // Connect before accept: the listener backlog holds the pending
+        // connection and the hello frame sits in the socket buffer until
+        // `accept_federation` reads it.
+        let shard = match &listener.kind {
+            ListenerKind::Tcp(_) => Self::connect_tcp(&addr, num_clients, &ids)?,
+            #[cfg(unix)]
+            ListenerKind::Unix(..) => Self::connect_unix(&addr, num_clients, &ids)?,
         };
+        let server = listener.accept_federation(num_clients, 1)?;
+        Ok(SocketTransport {
+            shard: shard.shard,
+            ..server
+        })
+    }
+
+    /// A shard end with no server end: connect to a server over TCP and
+    /// claim `ids` out of a `num_clients`-client fleet.
+    pub fn connect_tcp(addr: &str, num_clients: usize, ids: &[usize]) -> Result<Self, WireError> {
+        let stream = connect_with_retries(|| TcpStream::connect(addr))?;
         stream
             .set_nodelay(true)
             .map_err(|_| WireError::ChannelClosed)?;
-        Self::finish_connect(Conn::Tcp(stream), num_clients, ids, "tcp")
+        Self::shard_end(Conn::Tcp(stream), num_clients, ids, "tcp")
     }
 
-    /// Connect to a server over a Unix-domain socket.
+    /// [`SocketTransport::connect_tcp`] over a Unix-domain socket.
     #[cfg(unix)]
     pub fn connect_unix(path: &str, num_clients: usize, ids: &[usize]) -> Result<Self, WireError> {
-        let mut attempt = 0usize;
-        let stream = loop {
-            match UnixStream::connect(path) {
-                Ok(s) => break s,
-                Err(_) if attempt < CONNECT_RETRIES => {
-                    attempt += 1;
-                    std::thread::sleep(CONNECT_RETRY_PAUSE);
-                }
-                Err(_) => return Err(WireError::ChannelClosed),
-            }
-        };
-        Self::finish_connect(Conn::Unix(stream), num_clients, ids, "unix")
+        let stream = connect_with_retries(|| UnixStream::connect(path))?;
+        Self::shard_end(Conn::Unix(stream), num_clients, ids, "unix")
     }
 
-    fn finish_connect(
+    fn shard_end(
         conn: Conn,
         num_clients: usize,
         ids: &[usize],
@@ -849,18 +869,33 @@ impl SocketShardTransport {
                 .collect();
             hosted.is_some_and(|txs| txs.iter().all(|tx| tx.send(message.clone()).is_ok()))
         })?;
-        Ok(SocketShardTransport {
+        Ok(SocketTransport {
             num_clients,
-            write_buf: Mutex::new(Vec::new()),
-            conn: Mutex::new(conn),
-            inbox,
-            reader: Some(reader),
             backend,
+            server: None,
+            shard: Some(ShardEnd {
+                write_buf: Mutex::new(Vec::new()),
+                conn: Mutex::new(conn),
+                inbox,
+                reader: Some(reader),
+            }),
         })
+    }
+
+    fn server(&self) -> Result<&ServerEnd, WireError> {
+        self.server
+            .as_ref()
+            .ok_or(WireError::Malformed("shard process hosts no server"))
+    }
+
+    fn shard(&self) -> Result<&ShardEnd, WireError> {
+        self.shard
+            .as_ref()
+            .ok_or(WireError::Malformed("server process hosts no clients"))
     }
 }
 
-impl Transport for SocketShardTransport {
+impl Transport for SocketTransport {
     fn num_clients(&self) -> usize {
         self.num_clients
     }
@@ -869,41 +904,48 @@ impl Transport for SocketShardTransport {
         self.backend
     }
 
-    fn send_to_client(&self, _client: usize, _frame: Bytes) -> Result<(), WireError> {
-        Err(WireError::Malformed("shard process hosts no server"))
+    /// One multicast frame per shard connection that hosts a recipient.
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        let server = self.server()?;
+        let mut ids_of: Vec<Vec<u32>> = vec![Vec::new(); server.shards.len()];
+        for &client in clients {
+            let shard = *server
+                .shard_of
+                .get(client)
+                .ok_or(WireError::ChannelClosed)?;
+            ids_of[shard].push(u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?);
+        }
+        let hosting = server.shards.iter().zip(ids_of);
+        sum_writes(
+            hosting
+                .filter(|(_, ids)| !ids.is_empty())
+                .map(|(conn, mut ids)| {
+                    ids.sort_unstable();
+                    write_multicast(&mut *lock(conn), &ids, frame)
+                }),
+        )
     }
 
     fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError> {
-        let rx = self
-            .inbox
-            .get(client)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(WireError::Malformed("client not hosted on this shard"))?;
-        Ok(lock(rx).recv_timeout(wait).ok())
-    }
-
-    fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.send_to_server_with(client, frame.len(), &mut |buf| {
-            buf.extend_from_slice(&frame);
-            Ok(())
-        })
-        .map(drop)
+        Ok(lock(self.shard()?.inbox(client)?).recv_timeout(wait).ok())
     }
 
     /// The frame is built in the connection's write buffer — the header's
     /// place kept at its front, the message appended by `fill`, the header
-    /// filled in once the length is known — and leaves in one write.
+    /// filled in once the length is known — and leaves in one write. An
+    /// uplink for a client this shard does not host is refused before
+    /// anything is written: the server would end the shard's whole uplink
+    /// stream at that frame.
     fn send_to_server_with(
         &self,
         client: usize,
         len: usize,
         fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
     ) -> Result<u64, WireError> {
-        if client >= self.num_clients {
-            return Err(WireError::Malformed("client not hosted on this shard"));
-        }
+        let shard = self.shard()?;
+        shard.inbox(client)?;
         let wire_id = u32::try_from(client).map_err(|_| WireError::ShapeTooLarge)?;
-        let mut buf = lock(&self.write_buf);
+        let mut buf = lock(&shard.write_buf);
         buf.clear();
         buf.reserve(FRAME_HEADER_LEN + len);
         buf.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
@@ -915,100 +957,11 @@ impl Transport for SocketShardTransport {
                 "uplink encoder cut into the frame header",
             ))?;
         buf[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(wire_id, payload_len)?);
-        write_parts(&mut *lock(&self.conn), &buf, &[])
-    }
-
-    fn recv_at_server(&self, _wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-        Err(WireError::Malformed("shard process hosts no server"))
-    }
-}
-
-impl Drop for SocketShardTransport {
-    fn drop(&mut self) {
-        lock(&self.conn).shutdown();
-        self.reader.take().into_iter().for_each(join_reader);
-    }
-}
-
-// --------------------------------------------------------------------
-// Loopback: both halves in one process, every frame through the kernel.
-// --------------------------------------------------------------------
-
-/// Both sides of a socket federation inside one process: a
-/// [`SocketServerTransport`] and a single [`SocketShardTransport`]
-/// hosting every client, glued back into one full-duplex [`Transport`].
-/// The frames cross real kernel sockets through the same codec the
-/// multi-process deployment uses, which is what makes the byte-identity
-/// acceptance check meaningful.
-pub struct LoopbackSocketTransport {
-    server: SocketServerTransport,
-    shard: SocketShardTransport,
-}
-
-impl LoopbackSocketTransport {
-    /// Loopback over TCP (127.0.0.1, ephemeral port).
-    pub fn tcp(num_clients: usize) -> Result<Self, WireError> {
-        Self::build(SocketListener::tcp("127.0.0.1:0")?, num_clients)
-    }
-
-    /// Loopback over a Unix-domain socket in the temp directory.
-    #[cfg(unix)]
-    pub fn unix(num_clients: usize) -> Result<Self, WireError> {
-        Self::build(SocketListener::unix_auto()?, num_clients)
-    }
-
-    fn build(listener: SocketListener, num_clients: usize) -> Result<Self, WireError> {
-        let addr = listener.local_addr()?;
-        let ids: Vec<usize> = (0..num_clients).collect();
-        // Connect before accept: the listener backlog holds the pending
-        // connection and the hello frame sits in the socket buffer until
-        // `accept_federation` reads it.
-        let shard = match &listener.kind {
-            ListenerKind::Tcp(_) => SocketShardTransport::connect_tcp(&addr, num_clients, &ids)?,
-            #[cfg(unix)]
-            ListenerKind::Unix(..) => SocketShardTransport::connect_unix(&addr, num_clients, &ids)?,
-        };
-        let server = listener.accept_federation(num_clients, 1)?;
-        Ok(LoopbackSocketTransport { server, shard })
-    }
-}
-
-impl Transport for LoopbackSocketTransport {
-    fn num_clients(&self) -> usize {
-        self.server.num_clients()
-    }
-
-    fn backend(&self) -> &'static str {
-        self.server.backend()
-    }
-
-    fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.server.send_to_client(client, frame)
-    }
-
-    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError> {
-        self.shard.recv_at_client(client, wait)
-    }
-
-    fn send_to_server(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.shard.send_to_server(client, frame)
+        write_parts(&mut *lock(&shard.conn), &buf, &[])
     }
 
     fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-        self.server.recv_at_server(wait)
-    }
-
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
-        self.server.broadcast_to_clients(clients, frame)
-    }
-
-    fn send_to_server_with(
-        &self,
-        client: usize,
-        len: usize,
-        fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
-    ) -> Result<u64, WireError> {
-        self.shard.send_to_server_with(client, len, fill)
+        Ok(lock(&self.server()?.uplink_rx).recv_timeout(wait).ok())
     }
 }
 
@@ -1061,13 +1014,13 @@ mod tests {
 
     #[test]
     fn tcp_loopback_moves_frames() {
-        exercise(&LoopbackSocketTransport::tcp(3).expect("bind tcp loopback"));
+        exercise(&SocketTransport::tcp(3).expect("bind tcp loopback"));
     }
 
     #[cfg(unix)]
     #[test]
     fn unix_loopback_moves_frames() {
-        exercise(&LoopbackSocketTransport::unix(3).expect("bind unix loopback"));
+        exercise(&SocketTransport::unix(3).expect("bind unix loopback"));
     }
 
     #[test]
@@ -1273,10 +1226,10 @@ mod tests {
 
     /// A hand-driven server end: accepts one shard that hosts `ids` of a
     /// 4-client fleet and returns the raw stream, hello consumed.
-    fn raw_server_for(ids: &[usize]) -> (TcpStream, SocketShardTransport) {
+    fn raw_server_for(ids: &[usize]) -> (TcpStream, SocketTransport) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let shard = SocketShardTransport::connect_tcp(&addr, 4, ids).expect("shard");
+        let shard = SocketTransport::connect_tcp(&addr, 4, ids).expect("shard");
         let (mut stream, _) = listener.accept().expect("accept");
         let (address, hello) = read_frame(&mut stream).expect("read").expect("hello");
         assert_eq!(address, HELLO_SENTINEL);
@@ -1358,8 +1311,8 @@ mod tests {
     fn a_broadcast_crosses_each_shard_connection_once() {
         let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let a = SocketShardTransport::connect_tcp(&addr, 5, &[0, 2, 4]).expect("shard a");
-        let b = SocketShardTransport::connect_tcp(&addr, 5, &[1, 3]).expect("shard b");
+        let a = SocketTransport::connect_tcp(&addr, 5, &[0, 2, 4]).expect("shard a");
+        let b = SocketTransport::connect_tcp(&addr, 5, &[1, 3]).expect("shard b");
         let server = listener.accept_federation(5, 2).expect("accept");
         let message = Bytes::from(vec![0xC3u8; 1000]);
         // Unsorted on purpose: the frame's id list is the server's job.
@@ -1407,12 +1360,54 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_refuses_an_uplink_for_a_client_it_does_not_host() {
+        let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let a = SocketTransport::connect_tcp(&addr, 4, &[0, 2]).expect("shard a");
+        let _b = SocketTransport::connect_tcp(&addr, 4, &[1, 3]).expect("shard b");
+        let server = listener.accept_federation(4, 2).expect("accept");
+        // Client 1 lives on the other shard: the frame would end this
+        // shard's uplink stream at the server, so it is never written.
+        assert_eq!(
+            a.send_to_server(1, Bytes::from_static(b"stray")),
+            Err(WireError::Malformed("client not hosted on this shard"))
+        );
+        a.send_to_server(2, Bytes::from_static(b"up"))
+            .expect("uplink");
+        let (k, frame) = server.recv_at_server(WAIT).expect("recv").expect("frame");
+        assert_eq!((k, &frame[..]), (2, &b"up"[..]));
+    }
+
+    #[test]
+    fn a_one_ended_transport_refuses_the_other_ends_methods() {
+        let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shard = SocketTransport::connect_tcp(&addr, 2, &[0, 1]).expect("shard");
+        let server = listener.accept_federation(2, 1).expect("accept");
+        let malformed = |got: Result<(), WireError>| matches!(got, Err(WireError::Malformed(_)));
+        let fill = &mut |buf: &mut Vec<u8>| {
+            buf.push(1);
+            Ok(())
+        };
+        assert!(malformed(server.recv_at_client(0, WAIT).map(drop)));
+        assert!(malformed(server.send_to_server_with(0, 1, fill).map(drop)));
+        let frame = Bytes::from_static(b"down");
+        assert!(malformed(
+            shard.broadcast_to_clients(&[0], &frame).map(drop)
+        ));
+        assert!(malformed(shard.recv_at_server(WAIT).map(drop)));
+        // Each end still does its own half.
+        server.send_to_client(1, frame.clone()).expect("downlink");
+        assert_eq!(shard.recv_at_client(1, WAIT).expect("recv"), Some(frame));
+    }
+
+    #[test]
     fn server_rejects_conflicting_shards() {
         let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         // Two shards both claim client 1.
-        let _a = SocketShardTransport::connect_tcp(&addr, 4, &[0, 1]).expect("shard a");
-        let _b = SocketShardTransport::connect_tcp(&addr, 4, &[1, 2, 3]).expect("shard b");
+        let _a = SocketTransport::connect_tcp(&addr, 4, &[0, 1]).expect("shard a");
+        let _b = SocketTransport::connect_tcp(&addr, 4, &[1, 2, 3]).expect("shard b");
         assert_eq!(
             listener.accept_federation(4, 2).err(),
             Some(WireError::Malformed("client claimed by two shards"))
@@ -1423,7 +1418,7 @@ mod tests {
     fn server_requires_full_coverage() {
         let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let _a = SocketShardTransport::connect_tcp(&addr, 4, &[0, 1]).expect("shard a");
+        let _a = SocketTransport::connect_tcp(&addr, 4, &[0, 1]).expect("shard a");
         assert_eq!(
             listener.accept_federation(4, 1).err(),
             Some(WireError::Malformed(
@@ -1438,7 +1433,7 @@ mod tests {
         // A refused rendezvous: the shard claims a 5-client fleet.
         let listener = SocketListener::unix_auto().expect("bind");
         let path = listener.local_addr().expect("addr");
-        let _shard = SocketShardTransport::connect_unix(&path, 5, &[0, 1, 2, 3]).expect("shard");
+        let _shard = SocketTransport::connect_unix(&path, 5, &[0, 1, 2, 3]).expect("shard");
         assert_eq!(
             listener.accept_federation(4, 1).err(),
             Some(WireError::Malformed("shard disagrees on fleet size"))
@@ -1456,8 +1451,8 @@ mod tests {
     fn multi_shard_federation_routes_by_ownership() {
         let listener = SocketListener::tcp("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let a = SocketShardTransport::connect_tcp(&addr, 4, &[0, 2]).expect("shard a");
-        let b = SocketShardTransport::connect_tcp(&addr, 4, &[1, 3]).expect("shard b");
+        let a = SocketTransport::connect_tcp(&addr, 4, &[0, 2]).expect("shard a");
+        let b = SocketTransport::connect_tcp(&addr, 4, &[1, 3]).expect("shard b");
         let server = listener.accept_federation(4, 2).expect("accept");
         for k in 0..4usize {
             server

@@ -34,7 +34,7 @@ use fedclassavg_suite::fed::comm::{FaultPlan, Network, WireMessage};
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation, run_federation_from, RunState};
-use fedclassavg_suite::fed::transport::{SocketListener, SocketShardTransport};
+use fedclassavg_suite::fed::transport::{SocketListener, SocketTransport};
 use fedclassavg_suite::models::classifier::ClassifierWeights;
 use fedclassavg_suite::models::ModelArch;
 use std::io::{BufRead, BufReader, Write};
@@ -130,8 +130,8 @@ fn role_server() {
 fn role_shard(addr: &str, lo: usize, hi: usize) {
     let cfg = config();
     let owned: Vec<usize> = (lo..hi).collect();
-    let transport = SocketShardTransport::connect_tcp(addr, cfg.num_clients, &owned)
-        .expect("connect to server");
+    let transport =
+        SocketTransport::connect_tcp(addr, cfg.num_clients, &owned).expect("connect to server");
     let net = Network::over(Box::new(transport)).with_collect_budget(BUDGET);
     let mut fleet = fleet(&cfg);
     let hp = cfg.hp;

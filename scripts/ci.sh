@@ -12,8 +12,10 @@ cargo fmt --all -- --check
 echo "=== cargo clippy (warnings are errors): the D1/P1/U1/C1/LINT contracts, DESIGN.md §7.5 ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== K1: ISA code only in simd.rs; V1: every format VERSION/MAGIC is named by test code ==="
+echo "=== K1: ISA code only in simd.rs; A1: the old socket type name only on its alias line; V1: every format VERSION/MAGIC is named by test code ==="
 grep -rnE --include='*.rs' 'std::arch|core::arch|is_x86_feature_detected' crates src tests examples | grep -v '^crates/tensor/src/simd\.rs:' && { echo "K1: ISA code outside crates/tensor/src/simd.rs" >&2; exit 1; }
+# benchmark/ still names it; everything else names SocketTransport.
+grep -rn --include='*.rs' 'LoopbackSocketTransport' crates src tests examples | grep -vx 'crates/core/src/transport\.rs:[0-9]*:pub type LoopbackSocketTransport = SocketTransport;' && { echo "A1: LoopbackSocketTransport named outside its alias line" >&2; exit 1; }
 tested="$(awk 'FNR == 1 { t = FILENAME ~ /(^|\/)tests\// } /#\[cfg\(test\)\]/ { t = 1 } t && !/const [A-Z0-9_]*(VERSION|MAGIC):/' $(find crates src tests examples -name '*.rs'))"
 for c in $(grep -rhoE 'const [A-Z0-9_]*(VERSION|MAGIC)\b' crates/{core,trace}/src | cut -d' ' -f2); do
     grep -qw "$c" <<<"$tested" || { echo "V1: $c is named by no test" >&2; exit 1; }

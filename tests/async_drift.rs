@@ -12,7 +12,7 @@ use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{Aggregation, DriftSchedule, FedConfig, HyperParams};
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation, run_federation_from, RunState};
-use fedclassavg_suite::fed::RunResult;
+use fedclassavg_suite::fed::{RoundMetrics, RunResult};
 use fedclassavg_suite::models::ModelArch;
 
 const CLASSES: usize = 4;
@@ -181,6 +181,62 @@ fn buffered_checkpoint_resume_is_bit_identical() {
     let state = ckpt.restore(&mut fleet, &mut algo, &cfg).expect("restore");
     let (resumed, _) = run_federation_from(&mut fleet, &mut algo, &cfg, state);
     assert_bit_identical(&resumed, &full, "buffered resume");
+}
+
+/// A run's fault totals are the sums of its curve's per-point counts, for a
+/// resumed run too: the run state keeps no totals of its own, so the curve
+/// the checkpoint carries is all the resumed segment counts on.
+#[test]
+fn run_totals_are_the_curve_sums_across_a_resume() {
+    let mut cfg = small_cfg(907, 8);
+    cfg.eval_every = 2;
+    cfg.faults = FaultPlan::new(907, 0.2, 0.4, 0.2);
+    cfg.aggregation = Aggregation::Buffered {
+        goal_k: 2,
+        max_staleness: 1,
+    };
+    let full = fresh_run(&cfg);
+
+    let data = small_data(cfg.seed);
+    let make_fleet = |cfg: &FedConfig| -> Fleet {
+        build_fleet(
+            &data,
+            Partitioner::Dirichlet { alpha: 0.5 },
+            cfg,
+            &ModelArch::heterogeneous_rotation,
+        )
+    };
+    let mut cfg_prefix = cfg.clone();
+    cfg_prefix.rounds = 4;
+    let mut fleet = make_fleet(&cfg);
+    let mut algo = FedClassAvg::new(cfg.feature_dim, data.train.num_classes, cfg.seed);
+    let (_, state) = run_federation_from(&mut fleet, &mut algo, &cfg_prefix, RunState::fresh());
+    let ckpt = Checkpoint::capture(&mut fleet, &algo, &cfg, &state).expect("capture");
+    let ckpt = Checkpoint::decode(&ckpt.encode().expect("encode")).expect("decode");
+    let mut fleet = make_fleet(&cfg);
+    let mut algo = FedClassAvg::new(cfg.feature_dim, data.train.num_classes, cfg.seed);
+    let state = ckpt.restore(&mut fleet, &mut algo, &cfg).expect("restore");
+    let (resumed, _) = run_federation_from(&mut fleet, &mut algo, &cfg, state);
+    assert_bit_identical(&resumed, &full, "resume");
+
+    for (what, run) in [("full", &full), ("resumed", &resumed)] {
+        let sum = |count: fn(&RoundMetrics) -> u64| run.curve.iter().map(count).sum::<u64>();
+        assert_eq!(
+            (run.dropped, run.corrupt, run.stale, run.expired),
+            (
+                sum(|p| p.dropped),
+                sum(|p| p.corrupt),
+                sum(|p| p.stale),
+                sum(|p| p.expired)
+            ),
+            "{what}"
+        );
+    }
+    assert!(
+        full.dropped > 0 && full.corrupt > 0 && full.stale > 0 && full.expired > 0,
+        "every counter must move: {:?}",
+        (full.dropped, full.corrupt, full.stale, full.expired)
+    );
 }
 
 /// Streaming drift is deterministic too: the λ-interpolated re-shards are
