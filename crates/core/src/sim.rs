@@ -57,9 +57,8 @@ pub struct RunResult {
     pub uplink_bytes: u64,
     /// Rounds executed.
     pub rounds: usize,
-    /// Total uplinks lost to dropout/stragglers over the whole run: the
-    /// sum of the curve's `dropped`, as are the three totals below of
-    /// theirs.
+    /// Total uplinks lost to dropout/stragglers over the whole run. This
+    /// and the three totals below are sums over the curve's points.
     pub dropped: u64,
     /// Total uplinks discarded as corrupt over the whole run.
     pub corrupt: u64,
