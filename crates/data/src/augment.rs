@@ -127,8 +127,13 @@ impl AugmentConfig {
 
         // Additive noise.
         if self.noise_std > 0.0 {
-            for v in img.iter_mut() {
-                *v += rng.normal() * self.noise_std;
+            let mut noise = [0.0; 256];
+            for part in img.chunks_mut(noise.len()) {
+                let noise = &mut noise[..part.len()];
+                rng.fill_normal(noise);
+                for (v, n) in part.iter_mut().zip(noise) {
+                    *v += *n * self.noise_std;
+                }
             }
         }
 

@@ -10,7 +10,7 @@
 //! and enough class structure that they can.
 
 use crate::dataset::Dataset;
-use fca_tensor::rng::{derived_rng, seeded_rng, SnapRng};
+use fca_tensor::rng::{derived_rng, SnapRng};
 use fca_tensor::Tensor;
 
 /// Configuration of a synthetic dataset.
@@ -220,14 +220,20 @@ impl SynthConfig {
         let mut shift = || if j > 0 { rng.inclusive(-j, j) } else { 0 } as isize;
         let (dx, dy) = (shift(), shift());
         let brightness = rng.range_f32(0.85, 1.15);
+        // The image's noise is drawn into its slots first, then each pixel
+        // adds the shifted, brightened prototype under it.
+        let start = out.len();
+        out.resize(start + c * h * w, 0.0);
+        let img = &mut out[start..];
+        rng.fill_normal(img);
         for ci in 0..c {
             let plane = &proto[ci * h * w..(ci + 1) * h * w];
             for y in 0..h {
                 let sy = (y as isize + dy).rem_euclid(h as isize) as usize;
                 for x in 0..w {
                     let sx = (x as isize + dx).rem_euclid(w as isize) as usize;
-                    let noise = rng.normal() * self.noise_std;
-                    out.push(plane[sy * w + sx] * brightness + noise);
+                    let v = &mut img[ci * h * w + y * w + x];
+                    *v = plane[sy * w + sx] * brightness + *v * self.noise_std;
                 }
             }
         }
@@ -283,8 +289,6 @@ pub fn tiny_dataset(num_classes: usize, train: usize, test: usize, seed: u64) ->
     cfg.height = 12;
     cfg.width = 12;
     cfg.jitter = 1;
-    // Keep the master RNG distinct per call pattern.
-    let _ = seeded_rng(seed);
     cfg.generate()
 }
 

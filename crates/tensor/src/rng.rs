@@ -7,7 +7,16 @@
 //! without sharing RNG state. What a seed means — the word stream and how
 //! each kind of draw consumes it — is defined here and nowhere else; the
 //! recipes are the ones every committed fingerprint ran on, pinned by
-//! `draws_match_the_streams_every_committed_number_ran_on`.
+//! `draws_match_the_streams_every_committed_number_ran_on` and
+//! `normal_draws_match_the_stream_every_committed_number_ran_on`.
+//!
+//! That includes the normal draws' arithmetic: Box–Muller runs on a private
+//! port of Arm optimized-routines' single-precision `sinf`, `cosf` and
+//! `logf` (the code glibc ships since 2.28, whose bits every committed
+//! number ran on), not on the host's libm, so a seed draws the same normals
+//! on every platform. The fills draw a chunk of uniforms in stream order
+//! and then evaluate the port over it without a branch, which LLVM
+//! vectorises.
 
 /// A seeded deterministic generator.
 pub fn seeded_rng(seed: u64) -> SnapRng {
@@ -175,25 +184,156 @@ impl SnapRng {
         }
     }
 
-    /// Box–Muller's radius and angle from two `f32` uniforms; the first
-    /// stays off zero so the logarithm is finite.
-    fn box_muller(&mut self) -> (f32, f32) {
-        let u1 = self.range_f32(f32::EPSILON, 1.0);
-        let u2 = self.range_f32(0.0, 1.0);
-        ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f32::consts::PI * u2)
+    /// Standard normals, one per slot: the cosine branch of a Box–Muller
+    /// pair, two words each.
+    pub fn fill_normal(&mut self, out: &mut [f32]) {
+        let (mut cos, mut sin) = ([0.0; CHUNK], [0.0; CHUNK]);
+        for part in out.chunks_mut(CHUNK) {
+            self.box_muller_chunk(part.len(), &mut cos, &mut sin);
+            part.copy_from_slice(&cos[..part.len()]);
+        }
     }
 
-    /// One standard-normal `f32` (the cosine branch; two words).
-    pub fn normal(&mut self) -> f32 {
-        let (r, theta) = self.box_muller();
-        r * theta.cos()
+    /// Standard normals, both Box–Muller branches of each pair of words,
+    /// cosine first; an odd tail still draws a whole pair and drops its sine.
+    pub fn fill_normal_pairs(&mut self, out: &mut [f32]) {
+        let (mut cos, mut sin) = ([0.0; CHUNK], [0.0; CHUNK]);
+        for part in out.chunks_mut(2 * CHUNK) {
+            self.box_muller_chunk(part.len().div_ceil(2), &mut cos, &mut sin);
+            for (o, (&c, &s)) in part.chunks_mut(2).zip(cos.iter().zip(&sin)) {
+                o[0] = c;
+                if let Some(o) = o.get_mut(1) {
+                    *o = s;
+                }
+            }
+        }
     }
 
-    /// Both Box–Muller branches of the same two words, cosine first.
-    pub fn normal_pair(&mut self) -> (f32, f32) {
-        let (r, theta) = self.box_muller();
-        (r * theta.cos(), r * theta.sin())
+    /// Box–Muller over `pairs` fresh pairs of words: first every pair's
+    /// uniforms in stream order (the first kept off zero so the logarithm is
+    /// finite, the second scaled to an angle), then a branch-free pass that
+    /// writes `r·cos θ` and `r·sin θ` with `r = √(−2 ln u₁)`.
+    fn box_muller_chunk(&mut self, pairs: usize, cos: &mut [f32; CHUNK], sin: &mut [f32; CHUNK]) {
+        let (mut u1, mut theta) = ([0.0; CHUNK], [0.0; CHUNK]);
+        for (u, t) in u1.iter_mut().zip(&mut theta).take(pairs) {
+            *u = self.range_f32(f32::EPSILON, 1.0);
+            *t = 2.0 * std::f32::consts::PI * self.range_f32(0.0, 1.0);
+        }
+        let words = u1.iter().zip(&theta).take(pairs);
+        for ((c, s), (&u, &t)) in cos.iter_mut().zip(sin.iter_mut()).zip(words) {
+            let r = (-2.0 * ln(u)).sqrt();
+            let (sin_t, cos_t) = sin_cos(t);
+            (*c, *s) = (r * cos_t, r * sin_t);
+        }
     }
+}
+
+/// How many pairs of words a normal fill draws before it computes them.
+const CHUNK: usize = 64;
+
+// Single-precision sine, cosine and logarithm for the normal draws: a port of
+// Arm optimized-routines' `sinf`/`cosf`/`logf` (sincosf.h, sincosf_data.c,
+// logf.c, logf_data.c), the implementation glibc ships since 2.28, so these
+// give glibc's `sinf`/`cosf`/`logf` bits on every host. Each evaluates a
+// table entry and an `f64` polynomial with separate multiplies and adds, as
+// glibc's build does; the constants are the sources' `f64` values.
+
+/// `2/π·2²⁴`: the quadrant lands in bits 24–31 of the scaled argument.
+const HPI_INV: f64 = f64::from_bits(0x4164_5f30_6dc9_c883);
+/// `π/2`.
+const HPI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
+/// Cosine polynomial `c0 + c1·x² + … + c4·x⁸` on `[−π/4, π/4]`.
+const COS_POLY: [f64; 5] = [
+    1.0,
+    f64::from_bits(0xbfdf_ffff_fd0c_621c),
+    f64::from_bits(0x3fa5_5553_e106_8f19),
+    f64::from_bits(0xbf56_c087_e89a_359d),
+    f64::from_bits(0x3ef9_9343_027b_f8c3),
+];
+/// Sine polynomial `x + s1·x³ + s2·x⁵ + s3·x⁷` on `[−π/4, π/4]`.
+const SIN_POLY: [f64; 3] = [
+    f64::from_bits(0xbfc5_5554_5995_a603),
+    f64::from_bits(0x3f81_1076_0523_0bc4),
+    f64::from_bits(0xbf29_94eb_3774_cf24),
+];
+
+/// `(sin θ, cos θ)` for `0 ≤ θ < 120`, glibc's fast-reduction range: `θ`
+/// less the nearest multiple `n·π/2`, both polynomials on the remainder
+/// `x`, then the quadrant `q = n mod 4` picks and signs them —
+/// `sin(x + qπ/2)` cycles `S, C, −S, −C` and `cos(x + qπ/2)` cycles
+/// `C, −S, −C, S`. Below `0.75` (glibc's unreduced path) `n` is 0 and the
+/// same polynomials apply, and below `2⁻¹²` they round to `θ` and 1, as
+/// glibc returns there.
+fn sin_cos(theta: f32) -> (f32, f32) {
+    debug_assert!(
+        (0.0..120.0).contains(&theta),
+        "{theta} outside the fast range"
+    );
+    let x = f64::from(theta);
+    // glibc's `n = ((int32_t) r + 0x800000) >> 24` in exact `f64` steps,
+    // which vectorise where a float-to-int cast does not.
+    let n =
+        (((x * HPI_INV).floor() + f64::from(0x80_0000)) * f64::from(1u32 << 24).recip()).floor();
+    let x = x - n * HPI;
+    let x2 = x * x;
+    let x3 = x * x2;
+    let s = x + x3 * SIN_POLY[0] + x3 * x2 * (SIN_POLY[1] + x2 * SIN_POLY[2]);
+    let x4 = x2 * x2;
+    let c = COS_POLY[0]
+        + x2 * COS_POLY[1]
+        + x4 * COS_POLY[2]
+        + x4 * x2 * (COS_POLY[3] + x2 * COS_POLY[4]);
+    // Adding 2⁵² puts the integer `n` in the low bits of the mantissa.
+    let q = (n + f64::from_bits(0x4330_0000_0000_0000)).to_bits() as u32 & 3;
+    let (s, c) = if q & 1 == 0 { (s, c) } else { (c, s) };
+    // Sine is negative in quadrants 2 and 3, cosine in 1 and 2.
+    let negate = |v: f64, mask: u32| f32::from_bits((v as f32).to_bits() ^ (mask & 2) << 30);
+    (negate(s, q), negate(c, q + 1))
+}
+
+/// `logf`'s table offset: subtracting its bits splits `x = 2ᵏ·z` with `z` in
+/// `[0.6992, 1.3984)` (this float and twice it), a range of 16 cells.
+const LOG_OFF: u32 = 0x3f33_0000;
+/// Per cell the bits of `(1/c, ln c)` for `c` near the cell's centre.
+const LOG_TABLE: [[u64; 2]; 16] = [
+    [0x3ff6_61ec_79f8_f3be, 0xbfd5_7bf7_808c_aade],
+    [0x3ff5_71ed_4aaf_883d, 0xbfd2_bef0_a7c0_6ddb],
+    [0x3ff4_9539_f0f0_10b0, 0xbfd0_1eae_7f51_3a67],
+    [0x3ff3_c995_b0b8_0385, 0xbfcb_31d8_a682_24e9],
+    [0x3ff3_0d19_0c88_64a5, 0xbfc6_574f_0ac0_7758],
+    [0x3ff2_5e22_7b0b_8ea0, 0xbfc1_aa2b_c79c_8100],
+    [0x3ff1_bb4a_4a1a_343f, 0xbfba_4e76_ce8c_0e5e],
+    [0x3ff1_2358_f08a_e5ba, 0xbfb1_973c_5a61_1ccc],
+    [0x3ff0_953f_4199_00a7, 0xbfa2_52f4_38e1_0c1e],
+    [0x3ff0_0000_0000_0000, 0],
+    [0x3fee_608c_fd9a_47ac, 0x3faa_a5aa_5df2_5984],
+    [0x3fec_a4b3_1f02_6aa0, 0x3fbc_5e53_aa36_2eb4],
+    [0x3feb_2036_576a_fce6, 0x3fc5_26e5_7720_db08],
+    [0x3fe9_c2d1_63a1_aa2d, 0x3fcb_c286_0d22_4770],
+    [0x3fe8_86e6_0378_41ed, 0x3fd1_058b_c8a0_7ee1],
+    [0x3fe7_67dc_f553_4862, 0x3fd4_0430_57b6_ee09],
+];
+/// `ln 2`.
+const LN2: f64 = f64::from_bits(0x3fe6_2e42_fefa_39ef);
+/// `ln(1 + r) − r ≈ a0·r⁴ + a1·r³ + a2·r²` on a cell.
+const LOG_POLY: [f64; 3] = [
+    f64::from_bits(0xbfd0_0ea3_48b8_8334),
+    f64::from_bits(0x3fd5_575b_0be0_0b6a),
+    f64::from_bits(0xbfdf_fffe_f20a_4123),
+];
+
+/// `ln x` for a positive normal finite `x`: `k·ln 2 + ln c + ln(z/c)`.
+fn ln(x: f32) -> f32 {
+    debug_assert!(x.is_normal() && x > 0.0, "{x} outside the normal range");
+    let ix = x.to_bits();
+    let tmp = ix.wrapping_sub(LOG_OFF);
+    let [inv_c, ln_c] = LOG_TABLE[(tmp >> 19) as usize & 15].map(f64::from_bits);
+    let k = (tmp as i32) >> 23;
+    let z = f64::from(f32::from_bits(ix.wrapping_sub(tmp & 0xff80_0000)));
+    let r = z * inv_c - 1.0;
+    let r2 = r * r;
+    let y = LOG_POLY[0] * r2 + (LOG_POLY[1] * r + LOG_POLY[2]);
+    (y * r2 + (ln_c + f64::from(k) * LN2 + r)) as f32
 }
 
 #[cfg(test)]
@@ -254,14 +394,189 @@ mod tests {
     #[test]
     fn normals_share_their_words_and_have_unit_scale() {
         let (mut a, mut b) = (SnapRng::seed_from(5), SnapRng::seed_from(5));
-        let xs: Vec<f32> = (0..2000).map(|_| a.normal()).collect();
+        let mut xs = vec![0.0; 2000];
+        let mut pairs = vec![0.0; 4000];
+        a.fill_normal(&mut xs);
+        b.fill_normal_pairs(&mut pairs);
         assert!(xs
             .iter()
-            .all(|&x| x.to_bits() == b.normal_pair().0.to_bits()));
+            .zip(pairs.iter().step_by(2))
+            .all(|(x, p)| x.to_bits() == p.to_bits()));
         assert_eq!(a, b, "one draw and a pair consume the same two words");
-        let var = xs.iter().map(|x| x * x).sum::<f32>() / xs.len() as f32;
+        let var = pairs.iter().map(|x| x * x).sum::<f32>() / pairs.len() as f32;
         assert!((var - 1.0).abs() < 0.1, "suspicious variance {var}");
     }
+
+    /// What the fills ran as before the port: Box–Muller on the host's
+    /// `f32::ln`/`cos`/`sin`, one pair at a time, cosine first.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn std_normal_pair(r: &mut SnapRng) -> (f32, f32) {
+        let u1 = r.range_f32(f32::EPSILON, 1.0);
+        let theta = 2.0 * std::f32::consts::PI * r.range_f32(0.0, 1.0);
+        let radius = (-2.0 * u1.ln()).sqrt();
+        (radius * theta.cos(), radius * theta.sin())
+    }
+
+    /// Both fills are the one-pair-at-a-time loop on glibc's libm, whatever
+    /// the length's remainder against a chunk, and stop at its position.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn fills_match_the_libm_loop_and_its_position() {
+        let lengths = [
+            0,
+            1,
+            2,
+            3,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            2 * CHUNK + 1,
+            38_435,
+        ];
+        for (seed, n) in lengths.into_iter().enumerate() {
+            let (mut fill, mut oracle) = (
+                SnapRng::seed_from(seed as u64),
+                SnapRng::seed_from(seed as u64),
+            );
+            let mut got = vec![0.0f32; n];
+            fill.fill_normal(&mut got);
+            let want: Vec<f32> = (0..n).map(|_| std_normal_pair(&mut oracle).0).collect();
+            assert_eq!(bits(&got), bits(&want), "fill_normal, length {n}");
+            assert_eq!(fill, oracle, "fill_normal position, length {n}");
+
+            fill.fill_normal_pairs(&mut got);
+            let mut want = Vec::with_capacity(n + 1);
+            while want.len() < n {
+                let (c, s) = std_normal_pair(&mut oracle);
+                want.extend([c, s]);
+            }
+            want.truncate(n);
+            assert_eq!(bits(&got), bits(&want), "fill_normal_pairs, length {n}");
+            assert_eq!(fill, oracle, "fill_normal_pairs position, length {n}");
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The port is glibc's `sinf`/`cosf`/`logf` on every input a draw can
+    /// hand it: each of the 2²⁴ angles `2π·k·2⁻²⁴` and radius uniforms
+    /// `range_f32(ε, 1)` of the same `k`.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn the_port_is_glibc_on_every_drawable_input() {
+        let (mut sin_bad, mut cos_bad, mut ln_bad) = (0u32, 0u32, 0u32);
+        for k in 0..1u32 << 24 {
+            let unit = k as f32 * (1.0 / (1u32 << 24) as f32);
+            let theta = 2.0 * std::f32::consts::PI * unit;
+            let (s, c) = sin_cos(theta);
+            sin_bad += u32::from(s.to_bits() != theta.sin().to_bits());
+            cos_bad += u32::from(c.to_bits() != theta.cos().to_bits());
+            let u1 = f32::EPSILON + (1.0 - f32::EPSILON) * unit;
+            let u1 = if u1 < 1.0 { u1 } else { f32::EPSILON };
+            ln_bad += u32::from(ln(u1).to_bits() != u1.ln().to_bits());
+        }
+        assert_eq!(
+            (sin_bad, cos_bad, ln_bad),
+            (0, 0, 0),
+            "mismatches (sin, cos, ln)"
+        );
+    }
+
+    /// The normal draws' bits, printed by the one-pair-at-a-time
+    /// `normal_pair`/`normal` every committed number before the fills ran
+    /// on: per seed, 9 `fill_normal_pairs` outputs (the fifth pair's sine
+    /// dropped), then 5 `fill_normal` outputs, then the next word. Unlike
+    /// the oracle above, this holds on any libm.
+    #[test]
+    fn normal_draws_match_the_stream_every_committed_number_ran_on() {
+        for (seed, want) in [0u64, 1, 42, u64::MAX].into_iter().zip(NORMAL_GOLDEN) {
+            let mut r = SnapRng::seed_from(seed);
+            let (mut pairs, mut singles) = ([0.0f32; 9], [0.0f32; 5]);
+            r.fill_normal_pairs(&mut pairs);
+            r.fill_normal(&mut singles);
+            let mut o: Vec<u64> = pairs
+                .iter()
+                .chain(&singles)
+                .map(|x| u64::from(x.to_bits()))
+                .collect();
+            o.push(r.next_u64());
+            assert_eq!(o, want, "seed {seed:#x}");
+        }
+    }
+
+    const NORMAL_GOLDEN: [[u64; 15]; 4] = [
+        [
+            0xbf8dcff1,
+            0x3f8176ec,
+            0x3fb696f8,
+            0x3dd2a3c5,
+            0x3f967929,
+            0x3e1c6b38,
+            0x3ea07b0b,
+            0xbeea8617,
+            0x3fb2ab9b,
+            0x3fb22664,
+            0x3fe24580,
+            0xbff1f7cc,
+            0x3f3a57f2,
+            0xbf9cf9c1,
+            0x46e91feb4535fbdc,
+        ],
+        [
+            0xbc408fe0,
+            0xbf2560d4,
+            0xbd50d99e,
+            0xc009420f,
+            0xbfc642bf,
+            0xbf7d511e,
+            0xbe24a9af,
+            0xbcc33a7f,
+            0x3fb7edf6,
+            0xbe6733a0,
+            0xbfe7454d,
+            0x3f9c18f6,
+            0xbf887218,
+            0xbe3c287d,
+            0x439401c53ed0d70b,
+        ],
+        [
+            0xbe8986e4,
+            0x3f14fc0f,
+            0xbd5f13d0,
+            0xbe2fe6b6,
+            0xbf141d83,
+            0xbeb710ef,
+            0xbfcdfec0,
+            0xbfa00a4d,
+            0x3fcf51be,
+            0x3f223223,
+            0x3f4bb69f,
+            0xbfa564ca,
+            0x3fd60289,
+            0xbf836a09,
+            0x296566311008aaa4,
+        ],
+        [
+            0x3f98a1f4,
+            0xbf5c6627,
+            0xbd9249f3,
+            0x3ef41d5d,
+            0xbf402517,
+            0x3f07b5db,
+            0xbefd88df,
+            0x3d2abfdb,
+            0x3f14691b,
+            0xbf6849e4,
+            0x3ebdc7fa,
+            0xbf415c24,
+            0x3ed3d94e,
+            0x3fa4b140,
+            0x32c14ddbee71348c,
+        ],
+    ];
 
     /// The oracle that outlives the `rand` crate: a fixed script over every
     /// draw method, compared with what the stand-in this workspace was built

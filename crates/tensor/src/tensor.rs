@@ -67,14 +67,10 @@ impl Tensor {
     /// Standard-normal initialized tensor scaled by `std`.
     pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut SnapRng) -> Self {
         let shape = shape.into();
-        let n = shape.numel();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            let (a, b) = rng.normal_pair();
-            data.push(a * std);
-            if data.len() < n {
-                data.push(b * std);
-            }
+        let mut data = vec![0.0; shape.numel()];
+        rng.fill_normal_pairs(&mut data);
+        for v in &mut data {
+            *v *= std;
         }
         Tensor { shape, data }
     }

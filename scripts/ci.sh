@@ -12,7 +12,7 @@ cargo fmt --all -- --check
 echo "=== cargo clippy (warnings are errors): the D1/P1/U1/C1/LINT contracts, DESIGN.md §7.5 ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== K1: ISA code only in simd.rs; A1: the old socket type name only on its alias line; V1: every format VERSION/MAGIC is named by test code ==="
+echo "=== K1: ISA code only in simd.rs; A1: the old socket type name only on its alias line; V1: every format VERSION/MAGIC is named by test code; R1: no libm call in the generator ==="
 grep -rnE --include='*.rs' 'std::arch|core::arch|is_x86_feature_detected' crates src tests examples | grep -v '^crates/tensor/src/simd\.rs:' && { echo "K1: ISA code outside crates/tensor/src/simd.rs" >&2; exit 1; }
 # benchmark/ still names it; everything else names SocketTransport.
 grep -rn --include='*.rs' 'LoopbackSocketTransport' crates src tests examples | grep -vx 'crates/core/src/transport\.rs:[0-9]*:pub type LoopbackSocketTransport = SocketTransport;' && { echo "A1: LoopbackSocketTransport named outside its alias line" >&2; exit 1; }
@@ -20,6 +20,10 @@ tested="$(awk 'FNR == 1 { t = FILENAME ~ /(^|\/)tests\// } /#\[cfg\(test\)\]/ { 
 for c in $(grep -rhoE 'const [A-Z0-9_]*(VERSION|MAGIC)\b' crates/{core,trace}/src | cut -d' ' -f2); do
     grep -qw "$c" <<<"$tested" || { echo "V1: $c is named by no test" >&2; exit 1; }
 done
+
+# The normal draws run on rng.rs's own sine, cosine and logarithm, so a
+# seed's stream does not depend on the host's libm.
+awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/tensor/src/rng.rs | grep -E '\.(sin|cos|ln|exp)\(' && { echo "R1: a libm call in crates/tensor/src/rng.rs outside its tests" >&2; exit 1; }
 
 echo "=== codec size (informational): lines above the first #[cfg(test)] of the twelve codec files ==="
 scripts/loc.sh crates/core/src/{checkpoint,client,comm,transport}.rs crates/core/src/algo/*.rs crates/tensor/src/serialize.rs | tail -1
