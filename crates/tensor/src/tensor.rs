@@ -67,7 +67,10 @@ impl Tensor {
     /// Standard-normal initialized tensor scaled by `std`.
     pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut SnapRng) -> Self {
         let shape = shape.into();
-        let mut data = vec![0.0; shape.numel()];
+        // Not `vec![0.0; n]`: glibc's calloc maps fresh pages for large
+        // blocks, which made every model build fault them in again.
+        let mut data = Vec::with_capacity(shape.numel());
+        data.resize(shape.numel(), 0.0);
         rng.fill_normal_pairs(&mut data);
         for v in &mut data {
             *v *= std;
