@@ -286,9 +286,10 @@ fn sin_cos(theta: f32) -> (f32, f32) {
     // Adding 2⁵² puts the integer `n` in the low bits of the mantissa.
     let q = (n + f64::from_bits(0x4330_0000_0000_0000)).to_bits() as u32 & 3;
     let (s, c) = if q & 1 == 0 { (s, c) } else { (c, s) };
-    // Sine is negative in quadrants 2 and 3, cosine in 1 and 2.
-    let negate = |v: f64, mask: u32| f32::from_bits((v as f32).to_bits() ^ (mask & 2) << 30);
-    (negate(s, q), negate(c, q + 1))
+    // Sine is negative in quadrants 2 and 3, cosine in 1 and 2: bit 1 of
+    // `q` and of `q + 1` becomes the sign bit.
+    let signed = |v: f64, q: u32| f32::from_bits((v as f32).to_bits() ^ (q & 2) << 30);
+    (signed(s, q), signed(c, q + 1))
 }
 
 /// `logf`'s table offset: subtracting its bits splits `x = 2ᵏ·z` with `z` in
