@@ -130,15 +130,14 @@ impl ClientModel {
         if let Some(extra) = grad_features_extra {
             d_feat.add_assign(extra);
         }
-        let dx = self.feature_extractor.backward(&d_feat, ws);
+        // Nothing reads the image gradient: the stem skips its product.
+        self.feature_extractor.backward_params(&d_feat, ws);
         ws.recycle(d_feat);
-        ws.recycle(dx);
     }
 
     /// Backward when only a feature-space loss is present (no logits path).
     pub fn backward_features_only(&mut self, grad_features: &Tensor, ws: &mut Workspace) {
-        let dx = self.feature_extractor.backward(grad_features, ws);
-        ws.recycle(dx);
+        self.feature_extractor.backward_params(grad_features, ws);
     }
 
     /// All trainable parameters: extractor first, then classifier.

@@ -323,6 +323,45 @@ mod tests {
         }
     }
 
+    /// A model's backward skips its stem's input-gradient product
+    /// (`Module::backward_params`), and every parameter gradient is still
+    /// the bits a full backward through the extractor adds: every
+    /// architecture, 1 and 3 input channels, feature and logit losses.
+    #[test]
+    fn skipping_the_stems_input_gradient_changes_no_parameter_gradient() {
+        use fca_nn::Module;
+        let mut rng = seeded_rng(427);
+        for (c, hw) in [(1, 12), (3, 14)] {
+            let x = Tensor::randn([3, c, hw, hw], 1.0, &mut rng);
+            let gf = Tensor::randn([3, 8], 1.0, &mut rng);
+            let gl = Tensor::randn([3, 4], 1.0, &mut rng);
+            for arch in ARCHS {
+                let grads = |full: bool| {
+                    let mut ws = Workspace::new();
+                    let mut m = build_model(arch, (c, hw, hw), 8, 4, 5);
+                    let _ = m.forward(&x, true, &mut ws);
+                    if full {
+                        let mut d_feat = m.classifier.backward(&gl, &mut ws);
+                        d_feat.add_assign(&gf);
+                        let dx = m.feature_extractor.backward(&d_feat, &mut ws);
+                        assert_eq!(dx.dims(), x.dims());
+                    } else {
+                        m.backward(Some(&gf), &gl, &mut ws);
+                    }
+                    let bits = |p: &mut fca_nn::Param| {
+                        p.grad
+                            .data()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    m.params_mut().into_iter().map(bits).collect::<Vec<_>>()
+                };
+                assert_eq!(grads(false), grads(true), "{arch:?} on {c}x{hw}x{hw}");
+            }
+        }
+    }
+
     #[test]
     fn all_archs_backward_produce_gradients() {
         let mut rng = seeded_rng(423);

@@ -3,26 +3,33 @@
 //!
 //! The geometry alone picks one of three lowerings (`Path`):
 //!
-//! * **view** (stride 1) — each image is copied once into zero-bordered
-//!   planes, in which every kernel tap is a contiguous shifted view: the
-//!   forward packs its operand straight from that copy and the weight
-//!   gradient reads it in place, so the im2col matrix is never written; with
-//!   at least `MR` input channels per group the input gradient adds tap by
-//!   tap into padded planes of its own, so neither is its gradient;
-//! * **stencil** (depthwise) — shifted multiply-adds over the same padded
-//!   planes, no GEMM at all;
-//! * **im2col** (stride > 1) — the lowered matrix, every byte of it moved by
-//!   a row copy.
+//! * **rows** (every kernel that is neither depthwise nor pointwise, any
+//!   stride) — each image is copied once into zero-bordered planes, and all
+//!   three products read their activation operand in place through offset
+//!   tables ([`Lhs::Rows`], the stride folded into the tables), so only the
+//!   weight is packed, once per call. The forward is pixel-major,
+//!   `Yᵀ = colᵀ·Wᵀ`, stored transposed straight into the output planes; the
+//!   input gradient is one product over all `k²` taps (per phase class of
+//!   pixels at stride > 1: `Phase`), read from the output gradient's own
+//!   zero-bordered planes, its sum over each tap's output channels a chain
+//!   of its own ([`Store::chain`]); the weight gradient reads the cached
+//!   planes with the pixels as its k axis;
+//! * **pointwise** (1×1, stride 1, unpadded) — the input is its own im2col
+//!   matrix: the forward and the input gradient are packed products with
+//!   nothing lowered, the weight gradient is the rows path's;
+//! * **stencil** (depthwise) — shifted multiply-adds over the padded
+//!   planes, no GEMM at all.
 //!
-//! Every product of the first and last runs on the packed engine in
-//! [`fca_tensor::gemm`], in one `k` order; the stencil rounds exactly as that
+//! Every product runs on the packed engine in [`fca_tensor::gemm`] and adds
+//! the bits the im2col lowering on that engine adds (`col` = im2col of the
+//! input, `dX` = col2im of `Wᵀ·dY`); the stencil rounds exactly as that
 //! engine would. DESIGN.md §7.2 (*Conv lowering*) has the operand table.
 
 use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
 use fca_tensor::gemm::{
-    fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_a_at, pack_b, pack_b_at, packed_a_len,
-    packed_b_len, Lhs, KC, MR, NR,
+    fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_b, pack_b_at, packed_a_len, packed_b_len,
+    Lhs, Store, KC, NR,
 };
 use fca_tensor::rng::SnapRng;
 use fca_tensor::simd::{self, Kernel};
@@ -48,12 +55,25 @@ pub struct ConvGeometry {
     pub groups: usize,
 }
 
+/// One axis of a phase class of the rows path's input gradient: the input
+/// indices `first + s·a` for `a < count`, and the taps `q + s·j` for
+/// `j < taps` that reach an output from them — input index `iy` reaches
+/// output `(iy + p − kh)/s` exactly when `kh ≡ iy + p (mod s)`. A class is
+/// a pair, `(y, x)`; at stride 1 there is one, every pixel with every tap.
+#[derive(Clone, Copy)]
+struct Phase {
+    first: usize,
+    count: usize,
+    q: usize,
+    taps: usize,
+}
+
 /// How a geometry is lowered (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Path {
     Stencil,
-    View,
-    Im2col,
+    Pointwise,
+    Rows,
 }
 
 impl ConvGeometry {
@@ -68,10 +88,24 @@ impl ConvGeometry {
         (out(h), out(w))
     }
 
-    /// True for a 1×1, stride-1, unpadded convolution: its padded planes are
-    /// the input itself, so the forward copies nothing to pack from.
-    fn is_pointwise(&self) -> bool {
-        self.kernel == 1 && self.stride == 1 && self.padding == 0
+    /// The `s²` phase classes of an `h × w` input, in order of `(qy, qx)`;
+    /// every tap belongs to exactly one, every pixel too.
+    fn phases(&self, h: usize, w: usize) -> impl Iterator<Item = (Phase, Phase)> {
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let axis = move |q: usize, extent: usize| {
+            let first = (q + s - p % s) % s;
+            let (count, taps) = (
+                extent.saturating_sub(first).div_ceil(s),
+                k.saturating_sub(q).div_ceil(s),
+            );
+            Phase {
+                first,
+                count,
+                q,
+                taps,
+            }
+        };
+        (0..s * s).map(move |q| (axis(q / s, h), axis(q % s, w)))
     }
 
     fn path(&self) -> Path {
@@ -81,49 +115,22 @@ impl ConvGeometry {
         // chain, which is what the stencil reproduces.
         if depthwise && self.kernel * self.kernel <= KC {
             Path::Stencil
-        } else if self.stride == 1 {
-            Path::View
+        } else if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
+            Path::Pointwise
         } else {
-            Path::Im2col
+            Path::Rows
         }
-    }
-
-    /// True when a view-path layer's input gradient is accumulated tap by
-    /// tap into padded planes rather than folded from `dcol` by col2im: one
-    /// product per tap has `C_in/G` rows, so it needs a full register tile
-    /// of them (every layer timed with 1–6 read 1.08–2.4× slower that way,
-    /// EXPERIMENTS.md *Conv backward in place*), and `C_out/G` must
-    /// fit one KC block, where a product's sum over output channels is a
-    /// single chain — across two blocks `dcol`'s rounding would differ.
-    fn input_grad_by_taps(&self) -> bool {
-        self.path() == Path::View
-            && !self.is_pointwise()
-            && self.in_channels / self.groups >= MR
-            && self.out_channels / self.groups <= KC
-    }
-
-    /// Output positions `[lo, hi)` along one axis whose tap `k` reads inside
-    /// the input (`0 <= o·stride + k − padding < extent`); the rest of
-    /// `[0, out)` reads padding.
-    fn valid_outputs(&self, k: usize, extent: usize, out: usize) -> (usize, usize) {
-        let hi = (extent + self.padding)
-            .saturating_sub(k)
-            .div_ceil(self.stride)
-            .min(out);
-        let lo = self.padding.saturating_sub(k).div_ceil(self.stride).min(hi);
-        (lo, hi)
     }
 }
 
 /// `Conv2d` layer over NCHW tensors.
 ///
 /// The weight is stored pre-flattened as `(out_channels, in_channels/groups ·
-/// k·k)` so the forward pass is a single GEMM per image per group.
+/// k·k)`, the rows of the im2col lowering's `W`.
 ///
-/// A training forward leaves what backward's weight gradient reads in a
-/// workspace slot — the batch's zero-bordered input planes, or its im2col
-/// matrix where the geometry is lowered that way — so backward never
-/// lowers again and never clones the input.
+/// A training forward leaves the batch's zero-bordered input planes in a
+/// workspace slot, which backward's weight gradient reads in place, so
+/// backward never lowers again and never clones the input.
 pub struct Conv2d {
     geom: ConvGeometry,
     /// Flattened kernel weights.
@@ -131,15 +138,14 @@ pub struct Conv2d {
     /// Per-output-channel bias.
     pub bias: Param,
     /// What a training forward caches for backward: the batch's padded
-    /// planes (`Plan::cache_img` per image), or its im2col matrix.
+    /// planes, `Plan::cache_img` per image.
     col_slot: SlotId,
-    /// Packed per-group weight panels: `W` in forward, `Wᵀ` — or its rows
-    /// tap by tap — in backward (repacked by every call).
+    /// Packed per-group weight panels, repacked by every call: what the
+    /// pass's products take as their packed operand.
     wpack_slot: SlotId,
-    /// One chunk per rayon thread: the packed B panels of the image in
-    /// flight and that image's transients (`Plan::tail_len`). Backward's
-    /// weight gradient lays its operand and offset tables here once the
-    /// per-image work is done.
+    /// The pass's offset tables, then one chunk per rayon run for the
+    /// image in flight (`Plan::run_len`). Backward's weight gradient lays
+    /// its operand and tables here once the per-image work is done.
     scratch_slot: SlotId,
     /// `[n, c, h, w]` of the last training forward (`n == 0` when there is
     /// none to backpropagate through).
@@ -151,8 +157,6 @@ pub struct Conv2d {
 /// contents survive from one to the other.
 struct Plan {
     path: Path,
-    /// [`ConvGeometry::input_grad_by_taps`].
-    by_taps: bool,
     oh: usize,
     ow: usize,
     icg: usize,
@@ -161,45 +165,34 @@ struct Plan {
     kdim: usize,
     /// Output pixels of an image: `oh · ow`.
     row_len: usize,
-    /// Height and width of a zero-bordered plane: `h + 2p`, `w + 2p`.
-    hp: usize,
+    /// Width of a zero-bordered input plane, `w + 2p`, and the distance
+    /// between an image's planes, `(h + 2p) · wp`.
     wp: usize,
-    /// Distance between the planes of a padded image: `hp · wp` and, for the
-    /// view path, the slack that lets the last panel be packed by full-width
-    /// copies.
     plane: usize,
-    /// Length of the *padded-flat* domain, output pixel `(oy, ox)` at
-    /// `oy·s·wp + ox·s`: there tap `(kh, kw)` of a plane is the contiguous
-    /// view starting `kh·wp + kw` in. The positions in between (for stride
-    /// 1, the `k − 1` seam columns after each row) are computed and dropped.
+    /// Length of the stencil's *padded-flat* domain, output pixel `(oy, ox)`
+    /// at `oy·s·wp + ox·s`: there tap `(kh, kw)` of a plane is the
+    /// contiguous view starting `kh·wp + kw` in.
     flat: usize,
+    /// The rows path's input gradient reads `dY` from zero-bordered planes
+    /// `gw` wide and `gplane` apart, `dY[oy][ox]` at row and column `gb + o`:
+    /// pixel `iy` of a phase class reads tap `j` at row `gb + (iy+p−q)/s − j`.
+    gb: usize,
+    gw: usize,
+    gplane: usize,
     /// One image of the training cache in `col_slot`.
     cache_img: usize,
-    /// One image's im2col matrix, all groups.
-    col_img: usize,
-    /// One group's packed forward B operand.
-    col_panels: usize,
-    /// One group's packed output-gradient panels (input-gradient B operand):
-    /// `dY_g` as it is, or spread over the padded-flat domain (`by_taps`).
-    gy_panels: usize,
-    /// One tap's rows of `W_gᵀ` (`icg × ocg`), packed.
-    tap_panels: usize,
-    /// One group's packed weight block, as `W`, as `Wᵀ` or as `k²` blocks of
-    /// `tap_panels`.
+    /// One group's packed weight, the largest either pass packs.
     w_panels: usize,
     /// Consecutive images one rayon task works through with one scratch
     /// chunk: the batch is cut into a run per thread, so scratch stays
     /// cache-sized however large the batch is.
     run: usize,
-    /// The panels at the head of a scratch chunk, all groups of one image.
-    panels_len: usize,
-    /// The view path's product of one image with its seams still in:
-    /// `out_channels · flat`, at the head of the tail (0 where there are
-    /// no seams to drop).
-    seamed_len: usize,
-    /// The rest of a scratch chunk: one image's transients, whichever pass
-    /// needs the most (see the `split_at_mut`s in forward and backward).
-    tail_len: usize,
+    /// The `u32` offset tables at the head of scratch, for the pass that
+    /// needs the most.
+    tables_len: usize,
+    /// One run's chunk of scratch after the tables: one image's
+    /// transients, whichever pass needs the most.
+    run_len: usize,
     /// Images per weight-gradient product: about one `KC` block of pixels
     /// (or the whole batch, if that is less), so the operands of a product
     /// stay cache-sized too.
@@ -209,10 +202,6 @@ struct Plan {
 }
 
 impl Plan {
-    fn scratch_run(&self) -> usize {
-        self.panels_len + self.tail_len
-    }
-
     /// Where tap `t` (of a `k × k` kernel) starts its view of a padded plane.
     fn tap_at(&self, k: usize, t: usize) -> usize {
         t / k * self.wp + t % k
@@ -284,126 +273,119 @@ impl Conv2d {
         );
         let path = g.path();
         let (c, oc) = (g.in_channels, g.out_channels);
+        let (k, s, p) = (g.kernel, g.stride, g.padding);
+        let taps = k * k;
         let icg = c / g.groups;
         let ocg = oc / g.groups;
-        let kdim = icg * g.kernel * g.kernel;
+        let kdim = icg * taps;
         let row_len = oh * ow;
-        let col_img = g.groups * kdim * row_len;
-        let (hp, wp) = (h + 2 * g.padding, w + 2 * g.padding);
-        let flat = match path {
-            Path::Im2col => row_len,
-            _ => ((oh - 1) * wp + ow - 1) * g.stride + 1,
-        };
-        let col_panels = packed_b_len(kdim, flat);
-        let by_taps = g.input_grad_by_taps();
-        let gy_panels = packed_b_len(ocg, if by_taps { flat } else { row_len });
-        let plane = match path {
-            // The last panel's copies run up to NR − 1 floats past `flat`.
-            Path::View if !g.is_pointwise() => hp * wp + col_panels / kdim - flat,
-            _ => hp * wp,
-        };
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let plane = hp * wp;
+        let flat = ((oh - 1) * wp + ow - 1) * s + 1;
+        // Room for every output pixel and every row a phase class reads.
+        let gb = k.div_ceil(s) - 1;
+        let gw = gb + ow.max((w - 1 + p) / s + 1);
+        let gplane = (gb + oh.max((h - 1 + p) / s + 1)) * gw;
+        // At stride > 1, one phase class of one group's `dX`, pixel-major,
+        // before it is scattered into place.
+        let phase_tmp = usize::from(s > 1) * icg * h.div_ceil(s) * w.div_ceil(s);
         let threads = rayon::current_num_threads().max(1);
         let run = n.div_ceil(threads).max(1);
         let dw_imgs = (KC / row_len).clamp(1, n.max(1));
         let dw_k = dw_imgs * row_len;
-        let dw_operands = packed_a_len(ocg, dw_k) + packed_b_len(dw_k, kdim);
-        let seamed_len = match path {
-            Path::View if flat != row_len => oc * flat,
-            _ => 0,
-        };
-        let tap_panels = packed_a_len(icg, ocg);
-        let w_panels = match path {
+        // The weight gradient: packed `dY_gᵀ` and its operand's two tables.
+        let dw_scratch = match path {
             Path::Stencil => 0,
-            _ if by_taps => packed_a_len(ocg, kdim).max(g.kernel * g.kernel * tap_panels),
-            _ => packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+            _ => packed_b_len(dw_k, ocg) + kdim + dw_k,
         };
-        let (cache_img, tail_len, dw_scratch) = match path {
+        let (tables_len, run_len, w_panels) = match path {
             // Forward: an inference image's padded planes, the accumulator.
             // Backward: the spread-out output gradient, a padded `dX` plane.
-            Path::Stencil => {
-                let tail = (c * plane + flat).max(flat + hp * wp);
-                (c * plane, tail, 0)
-            }
-            // A pointwise layer pads nothing, folds nothing and packs its
-            // weight gradient from the cache as it is.
-            Path::View if g.is_pointwise() => (c * plane, 0, dw_operands),
-            // Forward: the product with its seams still in, an inference
-            // image's padded planes. Backward: one group's spread-out output
-            // gradient and the image's padded `dX` planes, or `dcol`. The
-            // weight gradient: packed `dY_gᵀ`, the transposed `dW`, and the
-            // row and pixel offset tables of its in-place A.
-            Path::View => {
-                let backward = if by_taps {
-                    ocg * flat + c * plane
-                } else {
-                    col_img
-                };
-                let dw_views = packed_b_len(dw_k, ocg) + oc * kdim + kdim + dw_k;
-                (c * plane, (seamed_len + c * plane).max(backward), dw_views)
-            }
-            // An inference forward's `col`, backward's `dcol`.
-            Path::Im2col => (col_img, col_img, dw_operands),
-        };
-        let panels_len = match path {
-            Path::Stencil => 0,
-            _ => g.groups * col_panels.max(gy_panels),
+            Path::Stencil => (0, (c * plane + flat).max(flat + plane), 0),
+            // The packed input, or the packed output gradient, every group.
+            Path::Pointwise => (
+                0,
+                g.groups * packed_b_len(kdim, row_len).max(packed_b_len(ocg, row_len)),
+                packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
+            ),
+            // Forward: pixel and tap tables, an inference image's padded
+            // planes. Backward: the same for the input gradient, the padded
+            // output gradient and a phase class's `dX`.
+            Path::Rows => (
+                (row_len + kdim).max(h * w + taps * ocg),
+                (c * plane).max(oc * gplane + phase_tmp),
+                packed_b_len(kdim, ocg).max(packed_b_len(taps * ocg, icg)),
+            ),
         };
         Plan {
             path,
-            by_taps,
             oh,
             ow,
             icg,
             ocg,
             kdim,
             row_len,
-            hp,
             wp,
             plane,
             flat,
-            cache_img,
-            col_img,
-            col_panels,
-            gy_panels,
-            tap_panels,
+            gb,
+            gw,
+            gplane,
+            cache_img: c * plane,
             w_panels,
             run,
-            panels_len,
-            seamed_len,
-            tail_len,
+            tables_len,
+            run_len,
             dw_imgs,
-            scratch_len: (n.div_ceil(run) * (panels_len + tail_len)).max(dw_scratch),
+            scratch_len: (tables_len + n.div_ceil(run) * run_len).max(dw_scratch),
         }
     }
 
     /// Pack every group's weight block as the A operand of `m × k` products
-    /// (`trans` reads the block as its transpose), `stride` apart in
-    /// `wpack`, under one pack span.
-    fn pack_weights(&self, wpack: &mut [f32], stride: usize, (m, k): (usize, usize), trans: bool) {
+    /// (`trans` reads the block as its transpose), `w_panels` apart in
+    /// `wpack`, under one pack span: the pointwise path's `W` and `Wᵀ`.
+    fn pack_weights(&self, wpack: &mut [f32], plan: &Plan, (m, k): (usize, usize), trans: bool) {
         let span = fca_trace::clock();
         let blocks = self.weight.value.data().chunks_exact(m * k);
-        for (w_g, pa) in blocks.zip(wpack.chunks_exact_mut(stride)) {
+        for (w_g, pa) in blocks.zip(wpack.chunks_exact_mut(plan.w_panels)) {
             pack_a(w_g, m, k, trans, pa);
         }
         fca_trace::op(OpId::GemmPack, span);
     }
 
-    /// Pack, for every group and tap `t`, the A operand of that tap's input
-    /// gradient product: rows `(ci, t)` of `W_gᵀ`, `icg × ocg`, element
-    /// `(ci, oc) = W_g[oc][ci·k² + t]`, into `k²` blocks of `tap_panels`,
-    /// `w_panels` apart per group, under one pack span.
-    fn pack_tap_weights(&self, wpack: &mut [f32], plan: &Plan) {
+    /// Pack, for every group, the B operand of one of the rows path's
+    /// products, `w_panels` apart, under one pack span: the forward's `W_gᵀ`
+    /// (`kdim × ocg`), or, for each phase class in turn, the input
+    /// gradient's `taps·ocg × icg` matrix whose row `(t, oc)` holds
+    /// `W_g[oc][ci·k² + t]` for every `ci` — the class's taps in col2im's
+    /// order, each tap's output channels a chain.
+    fn pack_rows_weights(
+        &self,
+        wpack: &mut [f32],
+        plan: &Plan,
+        input_grad: Option<(usize, usize)>,
+    ) {
         let span = fca_trace::clock();
         let (icg, ocg, kdim) = (plan.icg, plan.ocg, plan.kdim);
-        let taps = self.geom.kernel * self.geom.kernel;
+        let (k, s) = (self.geom.kernel, self.geom.stride);
         let blocks = self.weight.value.data().chunks_exact(ocg * kdim);
-        for (w_g, pw) in blocks.zip(wpack.chunks_exact_mut(plan.w_panels)) {
-            for (t, pa) in pw.chunks_exact_mut(plan.tap_panels).take(taps).enumerate() {
-                for (p, panel) in pa.chunks_exact_mut(ocg * MR).enumerate() {
-                    for (w_oc, lanes) in w_g.chunks_exact(kdim).zip(panel.chunks_exact_mut(MR)) {
+        for (w_g, mut pb) in blocks.zip(wpack.chunks_exact_mut(plan.w_panels)) {
+            let Some((h, w)) = input_grad else {
+                pack_b(w_g, kdim, ocg, true, pb);
+                continue;
+            };
+            for (y, x) in self.geom.phases(h, w) {
+                let rows = y.taps * x.taps * ocg;
+                let (class, rest) = pb.split_at_mut(packed_b_len(rows, icg));
+                pb = rest;
+                for (pn, panel) in class.chunks_exact_mut(rows.max(1) * NR).enumerate() {
+                    for (row, lanes) in panel.chunks_exact_mut(NR).enumerate() {
+                        let (j, i) = (row / ocg / x.taps, row / ocg % x.taps);
+                        let t = (y.q + s * j) * k + x.q + s * i;
+                        let w_oc = &w_g[row % ocg * kdim..][..kdim];
                         for (l, d) in lanes.iter_mut().enumerate() {
-                            let ci = p * MR + l;
-                            *d = if ci < icg { w_oc[ci * taps + t] } else { 0.0 };
+                            let ci = pn * NR + l;
+                            *d = if ci < icg { w_oc[ci * k * k + t] } else { 0.0 };
                         }
                     }
                 }
@@ -411,127 +393,258 @@ impl Conv2d {
         }
         fca_trace::op(OpId::GemmPack, span);
     }
-}
 
-/// Fill `col` (`c·k·k` rows of `oh·ow`) from the `c` planes of `img`: row
-/// `(ci, kh, kw)` holds, for every output pixel, the input that tap reads,
-/// or zero where it reads padding.
-fn im2col(
-    img: &[f32],
-    h: usize,
-    w: usize,
-    geom: &ConvGeometry,
-    oh: usize,
-    ow: usize,
-    col: &mut [f32],
-) {
-    let k = geom.kernel;
-    let (s, p) = (geom.stride, geom.padding);
-    let row_len = oh * ow;
-    debug_assert_eq!(col.len(), img.len() / (h * w) * k * k * row_len);
-    let planes = img.chunks_exact(h * w);
-    for (plane, rows) in planes.zip(col.chunks_exact_mut(k * k * row_len)) {
-        for (tap, dst) in rows.chunks_exact_mut(row_len).enumerate() {
-            let (kh, kw) = (tap / k, tap % k);
-            let (oy_lo, oy_hi) = geom.valid_outputs(kh, h, oh);
-            let (ox_lo, ox_hi) = geom.valid_outputs(kw, w, ow);
-            if oy_lo == oy_hi || ox_lo == ox_hi {
-                dst.fill(0.0);
-                continue;
+    /// Input and parameter gradients (`dx`: whether to compute the first).
+    fn backprop(&mut self, grad_out: &Tensor, ws: &mut Workspace, dx: bool) -> Option<Tensor> {
+        let bwd_span = fca_trace::clock();
+        let [n, c, h, w] = self.in_dims;
+        assert!(n > 0, "backward before a training forward on Conv2d");
+        let g = self.geom;
+        let plan = self.plan(n, h, w);
+        let (oh, ow, row_len) = (plan.oh, plan.ow, plan.row_len);
+        assert_eq!(
+            grad_out.dims(),
+            &[n, g.out_channels, oh, ow],
+            "grad shape does not match the cached forward"
+        );
+        let gout = grad_out.data();
+
+        // Same length as forward requested, so what it cached survives the
+        // take/put round trip — no recompute, no input clone.
+        let cache = ws.take_slot(self.col_slot, n * plan.cache_img);
+        let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
+        let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
+        let dx = dx.then(|| {
+            let mut dx = ws.tensor([n, c, h, w]);
+            self.input_grad(gout, &plan, (&mut wpack, &mut scratch), &mut dx);
+            dx
+        });
+
+        let dw = self.weight.grad.data_mut();
+        match plan.path {
+            Path::Stencil => stencil_weight_grad(dw, gout, &cache, &g, &plan),
+            _ => {
+                let arm = simd::active();
+                accumulate_weight_grad(arm, dw, gout, &cache, &g, &plan, &mut scratch);
             }
-            // Input index of output pixel (oy_lo, ox_lo); non-negative by
-            // the definition of the valid range.
-            let src0 = (oy_lo * s + kh - p) * w + ox_lo * s + kw - p;
-            if (oy_hi - oy_lo) * (ox_hi - ox_lo) < row_len {
-                dst.fill(0.0);
+        }
+
+        // db: every plane of dY is summed pixel by pixel from −0.0, exactly
+        // as `Iterator::sum` would, then added to its channel. Eight planes
+        // go at a time so that eight independent chains of adds overlap.
+        let db = self.bias.grad.data_mut();
+        for gy in gout.chunks_exact(g.out_channels * row_len) {
+            for (db8, planes) in db.chunks_mut(8).zip(gy.chunks(8 * row_len)) {
+                // A short last group leaves its spare lanes empty; their
+                // sums are computed and dropped.
+                let mut rows: [_; 8] = std::array::from_fn(|lane| {
+                    let plane = planes.get(lane * row_len..(lane + 1) * row_len);
+                    plane.unwrap_or_default().iter()
+                });
+                let mut sums = [-0.0f32; 8];
+                for _ in 0..row_len {
+                    for (s, row) in sums.iter_mut().zip(&mut rows) {
+                        *s += row.next().copied().unwrap_or(0.0);
+                    }
+                }
+                for (d, s) in db8.iter_mut().zip(sums) {
+                    *d += s;
+                }
             }
-            for (oy, drow) in dst.chunks_exact_mut(ow).enumerate().take(oy_hi).skip(oy_lo) {
-                let src = &plane[src0 + (oy - oy_lo) * s * w..];
-                let valid = &mut drow[ox_lo..ox_hi];
+        }
+
+        ws.put_slot(self.col_slot, cache);
+        ws.put_slot(self.scratch_slot, scratch);
+        ws.put_slot(self.wpack_slot, wpack);
+        fca_trace::op(OpId::ConvBackward, bwd_span);
+        dx
+    }
+
+    /// `dX` of the last training forward's batch for the output gradient
+    /// `gout`, every image of `dx` overwritten; parallel over runs of
+    /// images.
+    fn input_grad(
+        &self,
+        gout: &[f32],
+        plan: &Plan,
+        (wpack, scratch): (&mut [f32], &mut [f32]),
+        dx: &mut Tensor,
+    ) {
+        let g = self.geom;
+        let [_, c, h, w] = self.in_dims;
+        let (k, s) = (g.kernel, g.stride);
+        let Plan {
+            ocg, kdim, row_len, ..
+        } = *plan;
+        let img_sz = c * h * w;
+        let out_img_sz = g.out_channels * row_len;
+        match plan.path {
+            // `dcol = Wᵀ·dY` is dX itself.
+            Path::Pointwise => self.pack_weights(wpack, plan, (kdim, ocg), true),
+            Path::Rows => self.pack_rows_weights(wpack, plan, Some((h, w))),
+            Path::Stencil => {}
+        }
+        // Phase class by phase class: its input pixels, then its taps of
+        // every output channel.
+        let (pixels, taps, runs) = split_tables(scratch, plan, (h * w, k * k * ocg));
+        if plan.path == Path::Rows {
+            assert!(
+                g.out_channels * plan.gplane <= u32::MAX as usize,
+                "conv offsets overflow u32"
+            );
+            let (mut pixels, mut taps) = (&mut *pixels, &mut *taps);
+            let (gb, gw, p) = (plan.gb, plan.gw, g.padding);
+            for (y, x) in g.phases(h, w) {
+                let (class, rest) = std::mem::take(&mut pixels).split_at_mut(y.count * x.count);
+                pixels = rest;
+                let top = gb + (y.first + p - y.q) / s + 1 - y.taps;
+                let left = gb + (x.first + p - x.q) / s + 1 - x.taps;
+                for (a, row) in class.chunks_exact_mut(x.count.max(1)).enumerate() {
+                    for (b, o) in row.iter_mut().enumerate() {
+                        *o = ((top + a) * gw + left + b) as u32;
+                    }
+                }
+                let (class, rest) = std::mem::take(&mut taps).split_at_mut(y.taps * x.taps * ocg);
+                taps = rest;
+                for (t, chain) in class.chunks_exact_mut(ocg).enumerate() {
+                    let back = (y.taps - 1 - t / x.taps) * gw + x.taps - 1 - t % x.taps;
+                    for (oc, o) in chain.iter_mut().enumerate() {
+                        *o = (oc * plan.gplane + back) as u32;
+                    }
+                }
+            }
+        }
+        let tables = (&*pixels, &*taps);
+        let weight = self.weight.value.data();
+        for_each_run(
+            (dx.data_mut(), plan.run * img_sz),
+            (&mut [], 0),
+            (runs, plan.run_len),
+            |r, dx_run, _, tmp| {
+                for (i, dx_img) in dx_run.chunks_exact_mut(img_sz).enumerate() {
+                    let ni = r * plan.run + i;
+                    let gy = &gout[ni * out_img_sz..(ni + 1) * out_img_sz];
+                    match plan.path {
+                        Path::Stencil => {
+                            let (dyf, dxp) = tmp.split_at_mut(plan.flat);
+                            let dxp = &mut dxp[..plan.plane];
+                            stencil_input_grad(gy, weight, &g, plan, (dyf, dxp), dx_img, (h, w));
+                        }
+                        Path::Pointwise => {
+                            let span = fca_trace::clock();
+                            let gys = gy.chunks_exact(ocg * row_len);
+                            let panels = packed_b_len(ocg, row_len);
+                            for (gy_g, pb) in gys.zip(tmp.chunks_exact_mut(panels)) {
+                                pack_b(gy_g, ocg, row_len, false, pb);
+                            }
+                            fca_trace::op(OpId::GemmPack, span);
+                            dx_img.fill(0.0);
+                            let span = fca_trace::clock();
+                            let (store, dims) = (Store::rows(row_len), (kdim, ocg, row_len));
+                            for ((dx_g, pb), pa) in dx_img
+                                .chunks_exact_mut(kdim * row_len)
+                                .zip(tmp.chunks_exact(panels))
+                                .zip(wpack.chunks_exact(plan.w_panels))
+                            {
+                                gemm_packed(Lhs::Packed(pa), pb, dx_g, store, dims);
+                            }
+                            let flops = 2 * (g.out_channels * kdim * row_len) as u64;
+                            fca_trace::op_flops(OpId::GemmKernel, span, flops);
+                        }
+                        Path::Rows => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
+                    }
+                }
+            },
+        );
+    }
+
+    /// The rows path's `dX` of one image: its output gradient `gy` copied
+    /// into zero-bordered planes, then per group and phase class one
+    /// product over the class's taps, `C_out/G` steps a chain, stored
+    /// transposed into the group's `dX` planes — straight at stride 1,
+    /// through `phase_tmp` and a scatter otherwise.
+    ///
+    /// Every element of `dX` gets one add of its total over the taps, onto
+    /// +0.0: that is the total's bits, and the total is col2im's sum of the
+    /// `dcol` chains in its tap order. A tap that reads a border (output
+    /// pixel off the map) adds a chain of +0.0 products, which is +0.0 and
+    /// changes no bit of a total from +0.0; col2im skips it.
+    fn rows_input_grad(
+        &self,
+        plan: &Plan,
+        (pixels, taps): (&[u32], &[u32]),
+        wpack: &[f32],
+        gy: &[f32],
+        tmp: &mut [f32],
+        dx_img: &mut [f32],
+    ) {
+        let g = self.geom;
+        let [_, _, h, w] = self.in_dims;
+        let (icg, ocg, s) = (plan.icg, plan.ocg, g.stride);
+        let (gyp, tmp) = tmp.split_at_mut(g.out_channels * plan.gplane);
+        let span = fca_trace::clock();
+        pad_planes(gy, (plan.oh, plan.ow), (plan.gb, plan.gw), gyp);
+        fca_trace::op(OpId::Col2im, span);
+        dx_img.fill(0.0);
+        let span = fca_trace::clock();
+        let mut flops = 0;
+        let groups = gyp
+            .chunks_exact(ocg * plan.gplane)
+            .zip(dx_img.chunks_exact_mut(icg * h * w))
+            .zip(wpack.chunks_exact(plan.w_panels));
+        for ((src, dx_g), mut pb) in groups {
+            let (mut pixels, mut taps) = (pixels, taps);
+            for (y, x) in g.phases(h, w) {
+                let (m, k) = (y.count * x.count, y.taps * x.taps * ocg);
+                let a = Lhs::Rows {
+                    src,
+                    rows: &pixels[..m],
+                    ks: &taps[..k],
+                };
+                let pb_c = &pb[..packed_b_len(k, icg)];
+                (pixels, taps, pb) = (&pixels[m..], &taps[k..], &pb[pb_c.len()..]);
+                if m * k == 0 {
+                    continue;
+                }
+                flops += 2 * (m * k * icg) as u64;
+                let store = Store::cols(m, Some(ocg));
                 if s == 1 {
-                    valid.copy_from_slice(&src[..valid.len()]);
-                } else {
-                    for (d, &v) in valid.iter_mut().zip(src.iter().step_by(s)) {
-                        *d = v;
+                    gemm_packed(a, pb_c, dx_g, store, (m, k, icg));
+                    continue;
+                }
+                let class = &mut tmp[..icg * m];
+                class.fill(0.0);
+                gemm_packed(a, pb_c, class, store, (m, k, icg));
+                for (dx_c, class_c) in dx_g.chunks_exact_mut(h * w).zip(class.chunks_exact(m)) {
+                    for (a, row) in class_c.chunks_exact(x.count).enumerate() {
+                        let dst = &mut dx_c[(y.first + a * s) * w + x.first..];
+                        for (d, &v) in dst.iter_mut().step_by(s).zip(row) {
+                            *d = v;
+                        }
                     }
                 }
             }
         }
+        fca_trace::op_flops(OpId::GemmKernel, span, flops);
     }
 }
 
-/// Zero, between each pair of consecutive `ow`-pixel rows of `rows`, the
-/// pixels from column `ox_hi` of one row to column `ox_lo` of the next:
-/// where a span copied or added across whole rows wraps round a row edge.
-/// At most `2·padding` pixels per seam, so the walk is down the rows, one
-/// seam column at a time.
-fn zero_seams(rows: &mut [f32], ow: usize, ox_lo: usize, ox_hi: usize) {
-    let seams = rows.len() / ow - 1;
-    for column in ox_hi..ow + ox_lo {
-        for v in rows.iter_mut().skip(column).step_by(ow).take(seams) {
-            *v = 0.0;
-        }
-    }
-}
-
-/// Fold `col` (the gradient of the im2col matrix, `c·k·k` rows of `oh·ow`)
-/// back into the `c` planes of the gradient image `dimg`: zero it, then
-/// scatter-add. Taps are visited in `(kh, kw)` order, which fixes the order
-/// every input pixel's contributions are added in. `col` is scratch: the
-/// "same"-convolution path zeroes pixels in it.
-fn col2im(
-    col: &mut [f32],
-    h: usize,
-    w: usize,
-    geom: &ConvGeometry,
-    oh: usize,
-    ow: usize,
-    dimg: &mut [f32],
-) {
-    let k = geom.kernel;
-    let (s, p) = (geom.stride, geom.padding);
-    let row_len = oh * ow;
-    debug_assert_eq!(col.len(), dimg.len() / (h * w) * k * k * row_len);
-    dimg.fill(0.0);
-    let planes = dimg.chunks_exact_mut(h * w);
-    for (plane, rows) in planes.zip(col.chunks_exact_mut(k * k * row_len)) {
-        for (tap, src) in rows.chunks_exact_mut(row_len).enumerate() {
-            let (kh, kw) = (tap / k, tap % k);
-            let (oy_lo, oy_hi) = geom.valid_outputs(kh, h, oh);
-            let (ox_lo, ox_hi) = geom.valid_outputs(kw, w, ow);
-            if oy_lo == oy_hi || ox_lo == ox_hi {
-                continue;
-            }
-            let dst0 = (oy_lo * s + kh - p) * w + ox_lo * s + kw - p;
-            if s == 1 && ow == w {
-                // The mirror of im2col's shifted copy: one long add over the
-                // valid span, with the pixels that wrap round a row edge
-                // zeroed first. Adding those zeros changes no bit: `dimg`
-                // started from +0.0 and a sum never rounds to −0.0 from
-                // there, so no element is ever the one value (−0.0) that
-                // `+ 0.0` would alter.
-                zero_seams(&mut src[oy_lo * ow..oy_hi * ow], ow, ox_lo, ox_hi);
-                let span = &src[oy_lo * ow + ox_lo..(oy_hi - 1) * ow + ox_hi];
-                for (d, &v) in plane[dst0..dst0 + span.len()].iter_mut().zip(span) {
-                    *d += v;
-                }
-                continue;
-            }
-            for (oy, srow) in src.chunks_exact(ow).enumerate().take(oy_hi).skip(oy_lo) {
-                let valid = &srow[ox_lo..ox_hi];
-                let dst = &mut plane[dst0 + (oy - oy_lo) * s * w..];
-                if s == 1 {
-                    for (d, &v) in dst[..valid.len()].iter_mut().zip(valid) {
-                        *d += v;
-                    }
-                } else {
-                    for (d, &v) in dst.iter_mut().step_by(s).zip(valid) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
+/// Cut the head of `scratch` into a pass's two `u32` offset tables of
+/// `lens` (both empty off the rows path, which alone reads any) and hand
+/// back the rest, the runs' chunks.
+fn split_tables<'a>(
+    scratch: &'a mut [f32],
+    plan: &Plan,
+    lens: (usize, usize),
+) -> (&'a mut [u32], &'a mut [u32], &'a mut [f32]) {
+    let (a, b) = if plan.path == Path::Rows {
+        lens
+    } else {
+        (0, 0)
+    };
+    let (tables, runs) = scratch.split_at_mut(plan.tables_len);
+    let (first, second) = as_u32s_mut(tables).split_at_mut(a);
+    (first, &mut second[..b], runs)
 }
 
 /// Hand every run of consecutive images to `body`, runs in parallel: the
@@ -558,139 +671,18 @@ fn for_each_run<F>(
 }
 
 /// Copy the planes of `img` (`h × w` each) into the zero-bordered planes of
-/// `dst`. Every float of `dst` is written — borders and slack too — so what
-/// the buffer held before (another layer's data, NaN) never shows.
-fn pad_planes(img: &[f32], (h, w): (usize, usize), p: usize, plan: &Plan, dst: &mut [f32]) {
+/// `dst`, each `dst.len() / planes` long and `wp` wide, pixel `(y, x)` at
+/// row and column `p + y`, `p + x`. Every float of `dst` is written —
+/// borders too — so what the buffer held before (another layer's data,
+/// NaN) never shows.
+fn pad_planes(img: &[f32], (h, w): (usize, usize), (p, wp): (usize, usize), dst: &mut [f32]) {
     let planes = img.chunks_exact(h * w);
-    for (src, dst) in planes.zip(dst.chunks_exact_mut(plan.plane)) {
+    let plane = dst.len() / (img.len() / (h * w));
+    for (src, dst) in planes.zip(dst.chunks_exact_mut(plane)) {
         dst.fill(0.0);
         for (iy, row) in src.chunks_exact(w).enumerate() {
-            let at = (iy + p) * plan.wp + p;
+            let at = (iy + p) * wp + p;
             dst[at..at + w].copy_from_slice(row);
-        }
-    }
-}
-
-/// Pack one group's `kdim × flat` forward operand into B panels straight
-/// from its padded planes: row `(ci, kh, kw)` — the engine's `k` order, as
-/// im2col lays it out — is the view `kh·wp + kw` into plane `ci`, so a panel
-/// row is one full-width copy.
-fn pack_view(planes: &[f32], k: usize, plan: &Plan, pb: &mut [f32]) {
-    for (pn, panel) in pb.chunks_exact_mut(plan.kdim * NR).enumerate() {
-        let channels = panel.chunks_exact_mut(k * k * NR);
-        for (rows, plane) in channels.zip(planes.chunks_exact(plan.plane)) {
-            for (kh, rows) in rows.chunks_exact_mut(k * NR).enumerate() {
-                let at = kh * plan.wp + pn * NR;
-                let taps = &plane[at..at + k - 1 + NR];
-                for (kw, row) in rows.chunks_exact_mut(NR).enumerate() {
-                    row.copy_from_slice(&taps[kw..kw + NR]);
-                }
-            }
-        }
-    }
-}
-
-/// Compact product rows from the padded-flat domain (`flat` per channel,
-/// `wp` per image row) into the `oh × ow` planes of `out`.
-fn drop_seams(c: &[f32], plan: &Plan, out: &mut [f32]) {
-    let channels = c.chunks_exact(plan.flat);
-    for (src, dst) in channels.zip(out.chunks_exact_mut(plan.row_len)) {
-        for (drow, srow) in dst.chunks_exact_mut(plan.ow).zip(src.chunks(plan.wp)) {
-            drow.copy_from_slice(&srow[..plan.ow]);
-        }
-    }
-}
-
-/// Spread one group's output gradient (`ocg` planes of `oh × ow`) over the
-/// padded-flat domain: row `oy` of a plane lands at `oy·wp` of its `flat`
-/// row of `dyf`, and the `wp − ow` seam positions after it are zero.
-fn spread_rows(gy_g: &[f32], plan: &Plan, dyf: &mut [f32]) {
-    let (ow, wp) = (plan.ow, plan.wp);
-    let planes = gy_g.chunks_exact(plan.row_len);
-    for (src, dst) in planes.zip(dyf.chunks_exact_mut(plan.flat)) {
-        for (srow, drow) in src.chunks_exact(ow).zip(dst.chunks_mut(wp)) {
-            drow[..ow].copy_from_slice(srow);
-            drow[ow..].fill(0.0);
-        }
-    }
-}
-
-/// Copy the interior `h × w` of every padded plane of `padded` into the
-/// planes of `img`: the inverse of [`pad_planes`].
-fn unpad_planes(padded: &[f32], (h, w): (usize, usize), p: usize, plan: &Plan, img: &mut [f32]) {
-    let planes = padded.chunks_exact(plan.plane);
-    for (src, dst) in planes.zip(img.chunks_exact_mut(h * w)) {
-        for (iy, row) in dst.chunks_exact_mut(w).enumerate() {
-            let at = (iy + p) * plan.wp + p;
-            row.copy_from_slice(&src[at..at + w]);
-        }
-    }
-}
-
-/// Input gradient of one image, tap by tap, into its zeroed padded `dX`
-/// planes `dxp` (a view-path layer with `by_taps`). Per group, `dY_g` is
-/// spread over the padded-flat domain and packed once as B (`ocg × flat`);
-/// then for every tap `(kh, kw)`, in col2im's order, the engine adds
-/// `W_gᵀ`'s rows for that tap times `dY_g` (`icg × ocg × flat`, A packed by
-/// [`Conv2d::pack_tap_weights`]) into the group's planes at the tap's
-/// shift, C's rows `plane` apart.
-///
-/// Every `(ci, tap, pixel)` gets the chain `dcol` holds for it, and an input
-/// pixel's chains arrive in col2im's tap order. What else lands on an
-/// interior pixel comes from a seam position of the spread `dY`: a chain of
-/// products with +0.0 that started at +0.0 is +0.0, and adding ±0.0 to a sum
-/// that started at +0.0 changes no bit. So once the interior is copied out,
-/// `dX` is bit-identical to `dcol` folded by col2im.
-fn input_grad_by_taps(
-    gy: &[f32],
-    wpack: &[f32],
-    geom: &ConvGeometry,
-    plan: &Plan,
-    (panels, dyf): (&mut [f32], &mut [f32]),
-    dxp: &mut [f32],
-) {
-    let &Plan {
-        icg,
-        ocg,
-        flat,
-        plane,
-        row_len,
-        ..
-    } = plan;
-    let k = geom.kernel;
-    let pb = &mut panels[..plan.gy_panels];
-    dxp.fill(0.0);
-    let groups = gy
-        .chunks_exact(ocg * row_len)
-        .zip(wpack.chunks_exact(plan.w_panels));
-    for (grp, (gy_g, w_g)) in groups.enumerate() {
-        let span = fca_trace::clock();
-        spread_rows(gy_g, plan, dyf);
-        pack_b(dyf, ocg, flat, false, pb);
-        fca_trace::op(OpId::GemmPack, span);
-        let span = fca_trace::clock();
-        let taps = w_g.chunks_exact(plan.tap_panels).take(k * k);
-        for (t, pa) in taps.enumerate() {
-            let at = grp * icg * plane + plan.tap_at(k, t);
-            gemm_packed(Lhs::Packed(pa), pb, &mut dxp[at..], plane, (icg, ocg, flat));
-        }
-        let flops = 2 * (k * k * icg * ocg * flat) as u64;
-        fca_trace::op_flops(OpId::GemmKernel, span, flops);
-    }
-}
-
-/// Transpose every `rows × cols` block of `src` into `dst`: how `dW` moves
-/// to and from the `kdim × ocg` blocks the view path's weight gradient
-/// accumulates into.
-fn transpose_blocks(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
-    let blocks = src
-        .chunks_exact(rows * cols)
-        .zip(dst.chunks_exact_mut(rows * cols));
-    for (s, d) in blocks {
-        for (r, row) in s.chunks_exact(cols).enumerate() {
-            for (d, &v) in d[r..].iter_mut().step_by(rows).zip(row) {
-                *d = v;
-            }
         }
     }
 }
@@ -762,7 +754,10 @@ fn stencil_input_grad(
                 *d += wt * g;
             }
         }
-        unpad_planes(dxp, (h, w), p, plan, dx_c);
+        for (iy, row) in dx_c.chunks_exact_mut(w).enumerate() {
+            let at = (iy + p) * plan.wp + p;
+            row.copy_from_slice(&dxp[at..at + w]);
+        }
     }
 }
 
@@ -844,20 +839,16 @@ fn stencil_chains(
 /// `dW_g += dY_g · col_gᵀ` for every group, reduced over pixels and images,
 /// on the engine (every path but the stencil).
 ///
-/// The batch is taken `dw_imgs` images at a time; each product packs its
-/// operands image by image into their k-segment of `scratch` and the engine
-/// reduces it in its fixed KC-block order. `cache` is what the training
-/// forward left. Where it is the im2col matrix (strided and pointwise
-/// layers) `dY_g` is A and `col_gᵀ` is packed as B, transposed as it goes.
-/// Where it is the padded planes (the view path) the product is taken the
-/// other way round, `dW_gᵀ += col_g · dY_gᵀ`: row `(ci, kh, kw)` of `col_g`
-/// is the view `ci·plane + kh·wp + kw` of the planes, read in place through
-/// an offset table ([`Lhs::Rows`]), pixels in im2col's order with the seams
-/// skipped, and only `dY_gᵀ` is packed; the products add into a transposed
-/// copy of `dw`. An exact product is symmetric, so either way a `dw`
-/// element sees the same sequence of partial sums, fixed by the shapes
-/// alone, and `dw` comes out bit-identical whatever the path, thread count
-/// or kernel `arm`.
+/// The batch is taken `dw_imgs` images at a time. The product is taken the
+/// other way round, `dW_gᵀ += col_g · dY_gᵀ`, stored transposed into `dw`:
+/// row `(ci, kh, kw)` of `col_g` is the view `ci·plane + kh·wp + kw` of the
+/// cached padded planes, read in place through an offset table
+/// ([`Lhs::Rows`]) at every output pixel's `oy·s·wp + ox·s`, pixels in
+/// im2col's order, and only `dY_gᵀ` is packed, image by image into its
+/// k-segment of `scratch`. An exact product is symmetric, so a `dw` element
+/// sees the partial sums of `dY_g · col_gᵀ` on the engine, fixed by the
+/// shapes alone, and comes out bit-identical whatever the thread count or
+/// kernel `arm`.
 fn accumulate_weight_grad(
     arm: Kernel,
     dw: &mut [f32],
@@ -876,70 +867,48 @@ fn accumulate_weight_grad(
         cache_img,
         ..
     } = plan;
-    let view = plan.path == Path::View && !geom.is_pointwise();
-    let out_img_sz = dw.len() / kdim * row_len;
+    let (k, s) = (geom.kernel, geom.stride);
+    let out_img_sz = geom.out_channels * row_len;
     let n = gout.len() / out_img_sz;
     let dw_k = dw_imgs * row_len;
-    let (pb, rest) = scratch.split_at_mut(packed_b_len(dw_k, if view { ocg } else { kdim }));
-    let (pa, rest) = rest.split_at_mut(if view { 0 } else { packed_a_len(ocg, dw_k) });
-    let (dwt, rest) = rest.split_at_mut(if view { dw.len() } else { 0 });
-    let tables = as_u32s_mut(&mut rest[..if view { kdim + dw_k } else { 0 }]);
-    let (rows, ks) = tables.split_at_mut(if view { kdim } else { 0 });
-    if view {
-        let taps = geom.kernel * geom.kernel;
-        assert!(
-            dw_imgs * cache_img <= u32::MAX as usize,
-            "conv offsets overflow u32"
-        );
-        for (r, row) in rows.iter_mut().enumerate() {
-            *row = (r / taps * plan.plane + plan.tap_at(geom.kernel, r % taps)) as u32;
-        }
-        for (i, ks_img) in ks.chunks_exact_mut(row_len).enumerate() {
-            for (oy, ks_row) in ks_img.chunks_exact_mut(plan.ow).enumerate() {
-                let at = i * cache_img + oy * plan.wp;
-                for (ox, o) in ks_row.iter_mut().enumerate() {
-                    *o = (at + ox) as u32;
-                }
+    let (pb, rest) = scratch.split_at_mut(packed_b_len(dw_k, ocg));
+    let (rows, ks) = as_u32s_mut(&mut rest[..kdim + dw_k]).split_at_mut(kdim);
+    assert!(
+        dw_imgs * cache_img <= u32::MAX as usize,
+        "conv offsets overflow u32"
+    );
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = (r / (k * k) * plan.plane + plan.tap_at(k, r % (k * k))) as u32;
+    }
+    for (i, ks_img) in ks.chunks_exact_mut(row_len).enumerate() {
+        for (oy, ks_row) in ks_img.chunks_exact_mut(plan.ow).enumerate() {
+            let at = i * cache_img + oy * s * plan.wp;
+            for (ox, o) in ks_row.iter_mut().enumerate() {
+                *o = (at + ox * s) as u32;
             }
         }
-        transpose_blocks(dw, dwt, ocg, kdim);
     }
+    let store = Store::cols(kdim, None);
     for first in (0..n).step_by(dw_imgs) {
         let imgs = dw_imgs.min(n - first);
         let k = imgs * row_len;
-        let target = if view { &mut *dwt } else { &mut *dw };
-        for (grp, dw_g) in target.chunks_exact_mut(ocg * kdim).enumerate() {
+        for (grp, dw_g) in dw.chunks_exact_mut(ocg * kdim).enumerate() {
             let span = fca_trace::clock();
             for i in 0..imgs {
                 let ni = first + i;
                 let gy_g = &gout[ni * out_img_sz + grp * ocg * row_len..][..ocg * row_len];
-                let at = (k, i * row_len);
-                if view {
-                    pack_b_at(gy_g, row_len, ocg, true, pb, at);
-                } else {
-                    pack_a_at(gy_g, ocg, row_len, false, pa, at);
-                    let col_g = &cache[ni * cache_img + grp * kdim * row_len..];
-                    pack_b_at(&col_g[..kdim * row_len], row_len, kdim, true, pb, at);
-                }
+                pack_b_at(gy_g, row_len, ocg, true, pb, (k, i * row_len));
             }
             fca_trace::op(OpId::GemmPack, span);
             let span = fca_trace::clock();
-            if view {
-                let src = &cache[first * cache_img + grp * icg * plan.plane..];
-                let a = Lhs::Rows {
-                    src,
-                    rows,
-                    ks: &ks[..k],
-                };
-                gemm_packed_arm(arm, a, pb, dw_g, ocg, (kdim, k, ocg));
-            } else {
-                gemm_packed_arm(arm, Lhs::Packed(pa), pb, dw_g, kdim, (ocg, k, kdim));
-            }
+            let a = Lhs::Rows {
+                src: &cache[first * cache_img + grp * icg * plan.plane..],
+                rows,
+                ks: &ks[..k],
+            };
+            gemm_packed_arm(arm, a, pb, dw_g, store, (kdim, k, ocg));
             fca_trace::op_flops(OpId::GemmKernel, span, 2 * (ocg * k * kdim) as u64);
         }
-    }
-    if view {
-        transpose_blocks(dwt, dw, kdim, ocg);
     }
 }
 
@@ -961,50 +930,50 @@ impl Module for Conv2d {
             ocg,
             kdim,
             row_len,
-            flat,
-            col_img,
             cache_img,
             ..
         } = plan;
+        let (k, s) = (g.kernel, g.stride);
         let img_sz = c * h * w;
         let out_img_sz = g.out_channels * row_len;
-        // An inference image's padded planes, in scratch.
-        let pad_tmp_len = if g.is_pointwise() { 0 } else { c * plan.plane };
 
         // Every element of `out` is overwritten, so unspecified pool
         // contents are fine.
         let mut out = ws.tensor([n, g.out_channels, oh, ow]);
-        // Only a training forward keeps what it lowered; an inference
-        // forward lowers each image into its run's scratch and leaves the
+        // Only a training forward keeps its padded planes; an inference
+        // forward pads each image into its run's scratch and leaves the
         // slot alone.
         let mut cache = train.then(|| ws.take_slot(self.col_slot, n * cache_img));
         let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
-        // Each group's weight is packed into MR-panels once per call and
-        // shared read-only by every image in the rayon region.
+        // Each group's weight is packed once per call and shared read-only
+        // by every image in the rayon region.
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        if plan.path != Path::Stencil {
-            self.pack_weights(&mut wpack, plan.w_panels, (ocg, kdim), false);
+        match plan.path {
+            Path::Pointwise => self.pack_weights(&mut wpack, &plan, (ocg, kdim), false),
+            Path::Rows => self.pack_rows_weights(&mut wpack, &plan, None),
+            Path::Stencil => {}
         }
+        // Output pixel (oy, ox) and tap (ci, kh, kw) of the padded planes.
+        let (pixels, taps, runs) = split_tables(&mut scratch, &plan, (row_len, kdim));
+        if plan.path == Path::Rows {
+            assert!(cache_img <= u32::MAX as usize, "conv offsets overflow u32");
+            for (oy, row) in pixels.chunks_exact_mut(ow).enumerate() {
+                for (ox, o) in row.iter_mut().enumerate() {
+                    *o = ((oy * plan.wp + ox) * s) as u32;
+                }
+            }
+            for (r, o) in taps.iter_mut().enumerate() {
+                *o = (r / (k * k) * plan.plane + plan.tap_at(k, r % (k * k))) as u32;
+            }
+        }
+        let (pixels, taps) = (&*pixels, &*taps);
         let weight = self.weight.value.data();
         let bias = self.bias.value.data();
         let x_data = x.data();
-        let fill_bias = |rows: &mut [f32], len: usize| {
-            for (row, &b) in rows.chunks_exact_mut(len).zip(bias) {
+        let fill_bias = |rows: &mut [f32]| {
+            for (row, &b) in rows.chunks_exact_mut(row_len).zip(bias) {
                 row.fill(b);
             }
-        };
-        // `C_g += W_g · B_g` for every group of one image, `n` columns.
-        let products = |c_img: &mut [f32], panels: &[f32], n: usize| {
-            let span = fca_trace::clock();
-            for ((y_g, pb), pa) in c_img
-                .chunks_exact_mut(ocg * n)
-                .zip(panels.chunks_exact(plan.col_panels))
-                .zip(wpack.chunks_exact(plan.w_panels))
-            {
-                gemm_packed(Lhs::Packed(pa), pb, y_g, n, (ocg, kdim, n));
-            }
-            let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-            fca_trace::op_flops(OpId::GemmKernel, span, flops);
         };
 
         for_each_run(
@@ -1013,9 +982,8 @@ impl Module for Conv2d {
                 cache.as_deref_mut().unwrap_or_default(),
                 plan.run * cache_img,
             ),
-            (&mut scratch, plan.scratch_run()),
-            |r, out_run, cache_run, scratch| {
-                let (panels, tail) = scratch.split_at_mut(plan.panels_len);
+            (runs, plan.run_len),
+            |r, out_run, cache_run, tmp| {
                 for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
                     let ni = r * plan.run + i;
                     let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
@@ -1024,70 +992,78 @@ impl Module for Conv2d {
                     } else {
                         &mut []
                     };
-                    if plan.path == Path::Im2col {
-                        // A pointwise convolution's im2col matrix is its input.
-                        let lowered: &[f32] = if g.is_pointwise() {
-                            img
-                        } else {
-                            let col = if train { cached } else { &mut tail[..col_img] };
-                            let span = fca_trace::clock();
-                            im2col(img, h, w, &g, oh, ow, col);
-                            fca_trace::op(OpId::Im2col, span);
-                            col
-                        };
-                        fill_bias(out_img, row_len);
-                        let cols = lowered.chunks_exact(kdim * row_len);
+                    if plan.path == Path::Pointwise {
+                        // The input is its own im2col matrix; only a
+                        // training forward copies it, for the weight
+                        // gradient.
+                        if train {
+                            cached.copy_from_slice(img);
+                        }
                         let span = fca_trace::clock();
-                        for (col_g, pb) in cols.zip(panels.chunks_exact_mut(plan.col_panels)) {
-                            pack_b(col_g, kdim, row_len, false, pb);
+                        let panels = packed_b_len(kdim, row_len);
+                        let groups = img.chunks_exact(kdim * row_len);
+                        for (x_g, pb) in groups.zip(tmp.chunks_exact_mut(panels)) {
+                            pack_b(x_g, kdim, row_len, false, pb);
                         }
                         fca_trace::op(OpId::GemmPack, span);
-                        products(out_img, panels, row_len);
+                        fill_bias(out_img);
+                        let span = fca_trace::clock();
+                        for ((y_g, pb), pa) in out_img
+                            .chunks_exact_mut(ocg * row_len)
+                            .zip(tmp.chunks_exact(panels))
+                            .zip(wpack.chunks_exact(plan.w_panels))
+                        {
+                            gemm_packed(
+                                Lhs::Packed(pa),
+                                pb,
+                                y_g,
+                                Store::rows(row_len),
+                                (ocg, kdim, row_len),
+                            );
+                        }
+                        let flops = 2 * (g.out_channels * kdim * row_len) as u64;
+                        fca_trace::op_flops(OpId::GemmKernel, span, flops);
                         continue;
                     }
 
                     // The padded planes: written into the cache by a
-                    // training forward, into scratch otherwise. A pointwise
-                    // convolution's are its input, which only a training
-                    // forward copies, for backward's weight gradient.
-                    let (seamed, tmp) = tail.split_at_mut(plan.seamed_len);
-                    let (pad_tmp, acc) = tmp.split_at_mut(pad_tmp_len);
+                    // training forward, into scratch otherwise.
+                    let (pad_tmp, acc) = tmp.split_at_mut(if train { 0 } else { c * plan.plane });
+                    let padded = if train { cached } else { pad_tmp };
                     let span = fca_trace::clock();
-                    let padded: &[f32] = if g.is_pointwise() {
-                        if train {
-                            cached.copy_from_slice(img);
-                        }
-                        img
-                    } else {
-                        let dst = if train { cached } else { pad_tmp };
-                        pad_planes(img, (h, w), g.padding, &plan, dst);
-                        dst
-                    };
+                    pad_planes(img, (h, w), (g.padding, plan.wp), padded);
                     fca_trace::op(OpId::Im2col, span);
+                    let padded = &*padded;
 
                     if plan.path == Path::Stencil {
-                        stencil_forward(padded, weight, bias, &g, &plan, &mut acc[..flat], out_img);
+                        stencil_forward(
+                            padded,
+                            weight,
+                            bias,
+                            &g,
+                            &plan,
+                            &mut acc[..plan.flat],
+                            out_img,
+                        );
                         continue;
                     }
+                    fill_bias(out_img);
                     let span = fca_trace::clock();
-                    let groups = padded.chunks_exact(icg * plan.plane);
-                    for (planes, pb) in groups.zip(panels.chunks_exact_mut(plan.col_panels)) {
-                        if g.is_pointwise() {
-                            pack_b(planes, kdim, row_len, false, pb);
-                        } else {
-                            pack_view(planes, g.kernel, &plan, pb);
-                        }
+                    let store = Store::cols(row_len, None);
+                    let groups = padded
+                        .chunks_exact(icg * plan.plane)
+                        .zip(out_img.chunks_exact_mut(ocg * row_len))
+                        .zip(wpack.chunks_exact(plan.w_panels));
+                    for ((src, y_g), pb) in groups {
+                        let a = Lhs::Rows {
+                            src,
+                            rows: pixels,
+                            ks: taps,
+                        };
+                        gemm_packed(a, pb, y_g, store, (row_len, kdim, ocg));
                     }
-                    fca_trace::op(OpId::GemmPack, span);
-                    if flat == row_len {
-                        // A 1×1 kernel leaves no seams.
-                        fill_bias(out_img, row_len);
-                        products(out_img, panels, row_len);
-                    } else {
-                        fill_bias(seamed, flat);
-                        products(seamed, panels, flat);
-                        drop_seams(seamed, &plan, out_img);
-                    }
+                    let flops = 2 * (g.out_channels * kdim * row_len) as u64;
+                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
                 }
             },
         );
@@ -1104,147 +1080,13 @@ impl Module for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let bwd_span = fca_trace::clock();
-        let [n, c, h, w] = self.in_dims;
-        assert!(n > 0, "backward before a training forward on Conv2d");
-        let g = self.geom;
-        let plan = self.plan(n, h, w);
-        let Plan {
-            oh,
-            ow,
-            ocg,
-            kdim,
-            row_len,
-            col_img,
-            ..
-        } = plan;
-        assert_eq!(
-            grad_out.dims(),
-            &[n, g.out_channels, oh, ow],
-            "grad shape does not match the cached forward"
-        );
-        let img_sz = c * h * w;
-        let out_img_sz = g.out_channels * row_len;
-        let gout = grad_out.data();
+        self.backprop(grad_out, ws, true)
+            .expect("backprop returns dX when asked for it")
+    }
 
-        // Same length as forward requested, so what it cached survives the
-        // take/put round trip — no recompute, no input clone.
-        let cache = ws.take_slot(self.col_slot, n * plan.cache_img);
-        let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
-        // Pack Wᵀ per group once (`dCol = Wᵀ·dY` reads the weight with the
-        // roles of its axes swapped — a pack-time layout choice), or its
-        // rows tap by tap.
-        let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
-        if plan.by_taps {
-            self.pack_tap_weights(&mut wpack, &plan);
-        } else if plan.path != Path::Stencil {
-            self.pack_weights(&mut wpack, plan.w_panels, (kdim, ocg), true);
-        }
-        let weight = self.weight.value.data();
-        // Every image of `dx` is zeroed or overwritten before it is
-        // accumulated into (by col2im, the stencil, or below for a
-        // pointwise convolution), or overwritten from the padded planes
-        // the taps accumulate into.
-        let mut dx = ws.tensor([n, c, h, w]);
-
-        // dX: parallel over runs of images.
-        for_each_run(
-            (dx.data_mut(), plan.run * img_sz),
-            (&mut [], 0),
-            (&mut scratch, plan.scratch_run()),
-            |r, dx_run, _, scratch| {
-                let (panels, tail) = scratch.split_at_mut(plan.panels_len);
-                for (i, dx_img) in dx_run.chunks_exact_mut(img_sz).enumerate() {
-                    let ni = r * plan.run + i;
-                    let gy = &gout[ni * out_img_sz..(ni + 1) * out_img_sz];
-                    if plan.path == Path::Stencil {
-                        let (dyf, dxp) = tail.split_at_mut(plan.flat);
-                        let dxp = &mut dxp[..plan.hp * plan.wp];
-                        stencil_input_grad(gy, weight, &g, &plan, (dyf, dxp), dx_img, (h, w));
-                        continue;
-                    }
-                    if plan.by_taps {
-                        let (dyf, dxp) = tail.split_at_mut(ocg * plan.flat);
-                        let dxp = &mut dxp[..c * plan.plane];
-                        input_grad_by_taps(gy, &wpack, &g, &plan, (panels, dyf), dxp);
-                        let span = fca_trace::clock();
-                        unpad_planes(dxp, (h, w), g.padding, &plan, dx_img);
-                        fca_trace::op(OpId::Col2im, span);
-                        continue;
-                    }
-                    let span = fca_trace::clock();
-                    for (gy_g, pb) in gy
-                        .chunks_exact(ocg * row_len)
-                        .zip(panels.chunks_exact_mut(plan.gy_panels))
-                    {
-                        pack_b(gy_g, ocg, row_len, false, pb);
-                    }
-                    fca_trace::op(OpId::GemmPack, span);
-                    // A pointwise convolution's im2col-space gradient is dX
-                    // itself; otherwise it is a transient that col2im folds.
-                    let dcol_img: &mut [f32] = if g.is_pointwise() {
-                        &mut *dx_img
-                    } else {
-                        &mut tail[..col_img]
-                    };
-                    dcol_img.fill(0.0);
-                    let span = fca_trace::clock();
-                    for ((dcol_g, pb), pa) in dcol_img
-                        .chunks_exact_mut(kdim * row_len)
-                        .zip(panels.chunks_exact(plan.gy_panels))
-                        .zip(wpack.chunks_exact(plan.w_panels))
-                    {
-                        gemm_packed(Lhs::Packed(pa), pb, dcol_g, row_len, (kdim, ocg, row_len));
-                    }
-                    let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
-                    if !g.is_pointwise() {
-                        let span = fca_trace::clock();
-                        col2im(&mut tail[..col_img], h, w, &g, oh, ow, dx_img);
-                        fca_trace::op(OpId::Col2im, span);
-                    }
-                }
-            },
-        );
-
-        let dw = self.weight.grad.data_mut();
-        match plan.path {
-            Path::Stencil => stencil_weight_grad(dw, gout, &cache, &g, &plan),
-            _ => {
-                let arm = simd::active();
-                accumulate_weight_grad(arm, dw, gout, &cache, &g, &plan, &mut scratch);
-            }
-        }
-
-        // db: every plane of dY is summed pixel by pixel from −0.0, exactly
-        // as `Iterator::sum` would, then added to its channel. Eight planes
-        // go at a time so that eight independent chains of adds overlap.
-        let db = self.bias.grad.data_mut();
-        for gy in gout.chunks_exact(out_img_sz) {
-            for (db8, planes) in db.chunks_mut(8).zip(gy.chunks(8 * row_len)) {
-                // A short last group leaves its spare lanes empty; their
-                // sums are computed and dropped.
-                let mut rows: [_; 8] = std::array::from_fn(|lane| {
-                    let plane = planes.get(lane * row_len..(lane + 1) * row_len);
-                    plane.unwrap_or_default().iter()
-                });
-                let mut sums = [-0.0f32; 8];
-                for _ in 0..row_len {
-                    for (s, row) in sums.iter_mut().zip(&mut rows) {
-                        *s += row.next().copied().unwrap_or(0.0);
-                    }
-                }
-                for (d, s) in db8.iter_mut().zip(sums) {
-                    *d += s;
-                }
-            }
-        }
-
-        ws.put_slot(self.col_slot, cache);
-        ws.put_slot(self.scratch_slot, scratch);
-        ws.put_slot(self.wpack_slot, wpack);
-        fca_trace::op(OpId::ConvBackward, bwd_span);
-        dx
+    /// The parameter gradients alone: no input-gradient product at all.
+    fn backward_params(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backprop(grad_out, ws, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -1607,8 +1449,10 @@ mod tests {
         conv.backward(&y, &mut ws);
     }
 
-    /// The pre-rewrite per-pixel im2col, kept as the oracle for the
-    /// row-copy one.
+    /// The per-pixel im2col: row `(ci, kh, kw)` of `col` holds, for every
+    /// output pixel, the input that tap reads, or zero where it reads
+    /// padding. With [`col2im_oracle`], the lowering every product of the
+    /// layer is held to.
     fn im2col_oracle(img: &[f32], h: usize, w: usize, geom: &ConvGeometry, col: &mut [f32]) {
         let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
         let (oh, ow) = geom.out_hw(h, w);
@@ -1636,7 +1480,8 @@ mod tests {
         }
     }
 
-    /// The pre-rewrite per-pixel col2im, kept as the oracle likewise.
+    /// The per-pixel col2im: fold `col` back into the (zeroed) planes of
+    /// `dimg`, every input pixel's contributions added in `(kh, kw)` order.
     fn col2im_oracle(col: &[f32], h: usize, w: usize, geom: &ConvGeometry, dimg: &mut [f32]) {
         let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
         let (oh, ow) = geom.out_hw(h, w);
@@ -1695,45 +1540,11 @@ mod tests {
         v.iter().map(|e| e.to_bits()).collect()
     }
 
-    #[test]
-    fn lowering_equals_the_per_pixel_oracles_to_the_bit() {
-        let mut rng = seeded_rng(71);
-        // Non-square, a single row (no seam to zero), and a plane smaller
-        // than the largest kernel.
-        for hw in [(7, 10), (1, 9), (3, 3)] {
-            sweep(hw, |geom, n, h, w| {
-                if n > 1 {
-                    return; // the lowering works on one image
-                }
-                let (oh, ow) = geom.out_hw(h, w);
-                let c = geom.in_channels;
-                let col_len = c * geom.kernel * geom.kernel * oh * ow;
-                let img = Tensor::randn([c * h * w], 1.0, &mut rng);
-                let mut col = vec![f32::NAN; col_len];
-                let mut col_ref = vec![f32::NAN; col_len];
-                im2col(img.data(), h, w, &geom, oh, ow, &mut col);
-                im2col_oracle(img.data(), h, w, &geom, &mut col_ref);
-                assert_eq!(bits(&col), bits(&col_ref), "im2col {geom:?} on {hw:?}");
-
-                // Random gradients, then all −0.0: the one input for which
-                // an added +0.0 would show.
-                let random = Tensor::randn([col_len], 1.0, &mut rng);
-                for dcol in [random.data().to_vec(), vec![-0.0f32; col_len]] {
-                    let mut dimg = vec![f32::NAN; c * h * w];
-                    let mut dimg_ref = vec![0.0f32; c * h * w];
-                    col2im_oracle(&dcol, h, w, &geom, &mut dimg_ref);
-                    col2im(&mut dcol.clone(), h, w, &geom, oh, ow, &mut dimg);
-                    assert_eq!(bits(&dimg), bits(&dimg_ref), "col2im {geom:?} on {hw:?}");
-                }
-            });
-        }
-    }
-
     /// Every product of the layer through the im2col lowering on the
-    /// engine, as all geometries ran before the padded-plane views and the
-    /// stencil: the oracle those must match to the bit. Fresh buffers, one
-    /// explicit kernel arm. Returns `(y, dX, dW)`, the weight gradient
-    /// accumulated onto `dw`.
+    /// engine, as all geometries once ran: the oracle every lowering must
+    /// match to the bit. Fresh buffers, one explicit kernel arm, the
+    /// per-pixel [`im2col_oracle`] and [`col2im_oracle`]. Returns
+    /// `(y, dX, dW)`, the weight gradient accumulated onto `dw`.
     fn gemm_lowering(
         arm: Kernel,
         conv: &Conv2d,
@@ -1741,6 +1552,7 @@ mod tests {
         gy: &Tensor,
         mut dw: Vec<f32>,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        use fca_tensor::gemm::pack_a_at;
         let g = conv.geom;
         let (n, c, h, w) = x.shape().as_nchw();
         let (oh, ow) = g.out_hw(h, w);
@@ -1750,21 +1562,13 @@ mod tests {
         let weight = conv.weight.value.data();
         let mut cols = vec![f32::NAN; n * col_img];
         let mut y = vec![f32::NAN; n * g.out_channels * row_len];
-        let mut dx = vec![f32::NAN; x.numel()];
+        let mut dx = vec![0.0; x.numel()];
         let mut dcol = vec![f32::NAN; col_img];
         let mut pa = vec![f32::NAN; packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg))];
         let mut pb = vec![f32::NAN; packed_b_len(kdim, row_len).max(packed_b_len(ocg, row_len))];
         for ni in 0..n {
             let col = &mut cols[ni * col_img..(ni + 1) * col_img];
-            im2col(
-                &x.data()[ni * c * h * w..][..c * h * w],
-                h,
-                w,
-                &g,
-                oh,
-                ow,
-                col,
-            );
+            im2col_oracle(&x.data()[ni * c * h * w..][..c * h * w], h, w, &g, col);
             for grp in 0..g.groups {
                 let w_g = &weight[grp * ocg * kdim..][..ocg * kdim];
                 let at = (ni * g.groups + grp) * ocg * row_len;
@@ -1776,21 +1580,10 @@ mod tests {
                     plane.fill(b);
                 }
                 pack_a(w_g, ocg, kdim, false, &mut pa);
-                pack_b(
-                    &col[grp * kdim * row_len..][..kdim * row_len],
-                    kdim,
-                    row_len,
-                    false,
-                    &mut pb,
-                );
-                gemm_packed_arm(
-                    arm,
-                    Lhs::Packed(&pa),
-                    &pb,
-                    y_g,
-                    row_len,
-                    (ocg, kdim, row_len),
-                );
+                let col_g = &col[grp * kdim * row_len..][..kdim * row_len];
+                pack_b(col_g, kdim, row_len, false, &mut pb);
+                let dims = (ocg, kdim, row_len);
+                gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, y_g, Store::rows(row_len), dims);
 
                 let dcol_g = &mut dcol[grp * kdim * row_len..][..kdim * row_len];
                 dcol_g.fill(0.0);
@@ -1802,24 +1595,17 @@ mod tests {
                     false,
                     &mut pb,
                 );
+                let dims = (kdim, ocg, row_len);
                 gemm_packed_arm(
                     arm,
                     Lhs::Packed(&pa),
                     &pb,
                     dcol_g,
-                    row_len,
-                    (kdim, ocg, row_len),
+                    Store::rows(row_len),
+                    dims,
                 );
             }
-            col2im(
-                &mut dcol,
-                h,
-                w,
-                &g,
-                oh,
-                ow,
-                &mut dx[ni * c * h * w..][..c * h * w],
-            );
+            col2im_oracle(&dcol, h, w, &g, &mut dx[ni * c * h * w..][..c * h * w]);
         }
 
         assert_eq!(dw.len(), weight.len());
@@ -1838,117 +1624,92 @@ mod tests {
                     let col_g = &col_g[..kdim * row_len];
                     pack_b_at(col_g, row_len, kdim, true, &mut pb, (k, i * row_len));
                 }
-                gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, dw_g, kdim, (ocg, k, kdim));
+                gemm_packed_arm(
+                    arm,
+                    Lhs::Packed(&pa),
+                    &pb,
+                    dw_g,
+                    Store::rows(kdim),
+                    (ocg, k, kdim),
+                );
             }
         }
         (y, dx, dw)
     }
 
-    #[test]
-    fn every_product_matches_the_im2col_lowering_to_the_bit_and_the_naive_references() {
-        let mut rng = seeded_rng(72);
-        let mut ws = Workspace::new();
-        let (mut odd_panels, mut odd_rows) = (false, false);
-        let mut paths = Vec::new();
-        // Non-square, and a plane smaller than the largest kernel.
-        for hw in [(7, 10), (3, 4)] {
-            sweep(hw, |geom, n, h, w| {
-                let (oh, ow) = geom.out_hw(h, w);
-                odd_panels |= (oh * ow) % NR != 0;
-                odd_rows |= (geom.out_channels / geom.groups) % fca_tensor::gemm::MR != 0;
-                paths.push(geom.path());
-                let mut conv = Conv2d::new(geom, &mut rng);
-                conv.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
-                let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
-                let gy = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
-                let y = conv.forward(&x, true, &mut ws);
-                let dx = conv.backward(&gy, &mut ws);
-
-                // Whatever arm the engine ran the oracle on.
-                for arm in simd::available() {
-                    let zeros = vec![0.0; conv.weight.grad.numel()];
-                    let (y_gemm, dx_gemm, dw_gemm) = gemm_lowering(arm, &conv, &x, &gy, zeros);
-                    let on = format!("{geom:?} x{n} on {hw:?}, arm {}", arm.as_str());
-                    assert_eq!(bits(y.data()), bits(&y_gemm), "forward {on}");
-                    assert_eq!(bits(dx.data()), bits(&dx_gemm), "dX {on}");
-                    assert_eq!(bits(conv.weight.grad.data()), bits(&dw_gemm), "dW {on}");
+    /// Every convolution the six architectures build on 12×12, 14×14 and
+    /// 28×28 inputs of 1 and 3 channels, as `(geometry, h, w)`.
+    fn zoo_geometries() -> Vec<(ConvGeometry, usize, usize)> {
+        let geom = |c: [usize; 2], kernel, stride, padding, groups| ConvGeometry {
+            in_channels: c[0],
+            out_channels: c[1],
+            kernel,
+            stride,
+            padding,
+            groups,
+        };
+        let half = |n: usize| (n - 2) / 2 + 1;
+        let mut all = Vec::new();
+        for s in [12, 14, 28] {
+            let (s2, s4) = (half(s), half(half(s)));
+            for c in [1, 3] {
+                // The stems: ResNet, ShuffleNet and GoogLeNet, AlexNet,
+                // the FedAvg CNN, the four ProtoCnn widths.
+                for oc in [16, 12, 8, 10, 12, 14] {
+                    all.push((geom([c, oc], 3, 1, 1, 1), s, s));
                 }
-
-                let y_ref = conv2d_reference(&x, &conv.weight.value, &conv.bias.value, &geom);
-                let (dx_ref, dw_ref, db_ref) =
-                    conv2d_backward_reference(&x, &conv.weight.value, &gy, &geom);
-                assert_close(&y, &y_ref, 1e-4);
-                assert_close(&dx, &dx_ref, 1e-4);
-                assert_close(&conv.weight.grad, &dw_ref, 1e-4);
-                assert_close(&conv.bias.grad, &db_ref, 1e-4);
-                // An inference forward lowers into scratch (or not at all)
-                // and must agree with the training one to the bit.
-                let y_eval = conv.forward(&x, false, &mut ws);
-                assert_eq!(bits(y_eval.data()), bits(y.data()), "eval forward {geom:?}");
-                for t in [y, dx, y_eval] {
-                    ws.recycle(t);
-                }
-            });
-        }
-        assert!(odd_panels && odd_rows, "sweep lost its ragged panels");
-        for path in [Path::Stencil, Path::View, Path::Im2col] {
-            assert!(paths.contains(&path), "sweep never took {path:?}");
-        }
-    }
-
-    /// Both input-gradient routes of the view path — `dcol` + col2im below
-    /// `MR` input channels per group, tap by tap from there — and the
-    /// row-view weight gradient, against the im2col lowering to the bit:
-    /// `C_in/G` of 1, 4, 12 and 16 (a ragged and two full 8-row panels per
-    /// tap), 1 and 2 groups, 3×3 and 5×5 kernels padded "same" and not at
-    /// all, 1, 2 and 32 images, `C_out/G` below and above one 16-lane panel.
-    /// Each case runs on 1 and 4 threads, with a pre-filled `dW`, on slots
-    /// adopted NaN-filled from a retired tenant, for random and all −0.0
-    /// output gradients, and is held against the lowering under every arm.
-    #[test]
-    fn view_backward_matches_the_im2col_lowering_across_channels_threads_and_slots() {
-        let mut rng = seeded_rng(76);
-        let (h, w) = (7, 10);
-        let mut routes = Vec::new();
-        for icg in [1, 4, 12, 16] {
-            for groups in [1, 2] {
-                for kernel in [3, 5] {
-                    for padding in [kernel / 2, 0] {
-                        let geom = ConvGeometry {
-                            in_channels: icg * groups,
-                            out_channels: (icg + 2) * groups,
-                            kernel,
-                            stride: 1,
-                            padding,
-                            groups,
-                        };
-                        routes.push(geom.input_grad_by_taps());
-                        let (oh, ow) = geom.out_hw(h, w);
-                        let proto = Conv2d::new(geom, &mut rng);
-                        let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
-                        for n in [1, 2, 32] {
-                            let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
-                            let random =
-                                Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
-                            let negative_zeros = Tensor::full(random.shape().clone(), -0.0);
-                            for gy in [random, negative_zeros] {
-                                let on = format!("{geom:?} x{n}");
-                                view_backward_case(&proto, &x, &gy, &dw0, &on);
-                            }
-                        }
-                    }
-                }
+                all.push((geom([c, 16], 5, 1, 2, 1), s, s));
+            }
+            // MicroResNet.
+            all.push((geom([16, 16], 3, 1, 1, 1), s, s));
+            all.push((geom([16, 32], 3, 2, 1, 1), s, s));
+            all.push((geom([16, 32], 1, 2, 0, 1), s, s));
+            let s_down = (s - 1) / 2 + 1;
+            all.push((geom([32, 32], 3, 1, 1, 1), s_down, s_down));
+            // MicroShuffleNet.
+            all.push((geom([16, 16], 1, 1, 0, 2), s, s));
+            all.push((geom([16, 16], 3, 2, 1, 16), s, s));
+            for (c, g) in [([16, 32], 1), ([32, 32], 2), ([32, 32], 1)] {
+                all.push((geom(c, 1, 1, 0, g), s_down, s_down));
+            }
+            all.push((geom([32, 32], 3, 1, 1, 32), s_down, s_down));
+            // MicroGoogLeNet, after one and two pools.
+            for c in [[16, 8], [16, 4]] {
+                all.push((geom(c, 1, 1, 0, 1), s2, s2));
+            }
+            for c in [[8, 12], [4, 12]] {
+                all.push((geom(c, 3, 1, 1, 1), s2, s2));
+            }
+            for c in [[32, 8], [32, 4]] {
+                all.push((geom(c, 1, 1, 0, 1), s4, s4));
+            }
+            for c in [[8, 16], [4, 8]] {
+                all.push((geom(c, 3, 1, 1, 1), s4, s4));
+            }
+            // MicroAlexNet, the FedAvg CNN, ProtoCnn.
+            all.push((geom([12, 24], 3, 1, 1, 1), s2, s2));
+            all.push((geom([24, 32], 3, 1, 1, 1), s4, s4));
+            all.push((geom([16, 32], 5, 1, 2, 1), s2, s2));
+            for v in 0..4 {
+                all.push((geom([8 + 2 * v, 16 + 2 * v], 3, 1, 1, 1), s2, s2));
             }
         }
-        assert!(
-            routes.contains(&true) && routes.contains(&false),
-            "a dX route went untested"
-        );
+        all
     }
 
-    /// One case of the test above: `proto`'s weights and bias, `dw0` in
-    /// `weight.grad`, forward and backward on `x` and `gy`.
-    fn view_backward_case(proto: &Conv2d, x: &Tensor, gy: &Tensor, dw0: &Tensor, on: &str) {
+    /// One case of the sweeps below: `proto`'s weights and bias, `dw0` in
+    /// `weight.grad`, a training forward on `x` and backward on `gy`, run on
+    /// 1 and 4 threads on slots adopted NaN-filled from a retired tenant,
+    /// and held to the im2col lowering under every arm the machine has —
+    /// output, input gradient and weight gradient to the bit. Returns
+    /// `(y, dX, dW, db)` of the single-threaded run.
+    fn lowering_case(
+        proto: &Conv2d,
+        x: &Tensor,
+        gy: &Tensor,
+        dw0: &Tensor,
+        on: &str,
+    ) -> [Tensor; 4] {
         let geom = proto.geom;
         let (n, _, h, w) = x.shape().as_nchw();
         let run = |threads: usize| {
@@ -1975,25 +1736,156 @@ mod tests {
                 conv.weight.value = proto.weight.value.clone();
                 conv.bias.value = proto.bias.value.clone();
                 conv.weight.grad = dw0.clone();
-                let _ = conv.forward(x, true, &mut ws);
+                let y = conv.forward(x, true, &mut ws);
                 let dx = conv.backward(gy, &mut ws);
-                (bits(dx.data()), bits(conv.weight.grad.data()))
+                [y, dx, conv.weight.grad, conv.bias.grad]
             })
         };
         let one = run(1);
-        assert_eq!(one, run(4), "threads changed bits: {on}");
+        let four = run(4);
+        for (a, b) in one.iter().zip(&four) {
+            assert_eq!(bits(a.data()), bits(b.data()), "threads changed bits: {on}");
+        }
         for arm in simd::available() {
-            let (_, dx, dw) = gemm_lowering(arm, proto, x, gy, dw0.data().to_vec());
+            let (y, dx, dw) = gemm_lowering(arm, proto, x, gy, dw0.data().to_vec());
             let arm = arm.as_str();
-            assert_eq!(one.0, bits(&dx), "dX {on}, arm {arm}");
-            assert_eq!(one.1, bits(&dw), "dW {on}, arm {arm}");
+            assert_eq!(bits(one[0].data()), bits(&y), "forward {on}, arm {arm}");
+            assert_eq!(bits(one[1].data()), bits(&dx), "dX {on}, arm {arm}");
+            assert_eq!(bits(one[2].data()), bits(&dw), "dW {on}, arm {arm}");
+        }
+        one
+    }
+
+    /// The sweep: every zoo geometry, then every kernel 1/3/5 × stride 1/2
+    /// × padding 0/1/2 × groups 1/2/depthwise on a ragged plane and on one
+    /// smaller than the largest kernel (`C_in/G` below `MR`, `C_out/G` not
+    /// a multiple of `MR` or `NR`), and wide
+    /// layers: `C_in/G` past one 16-lane panel, `C_out/G` past one KC
+    /// block (two slabs in every tap's chain). Batches of 1, 2 and 32, a
+    /// pre-filled `dW`, random and all −0.0 output gradients; each case to
+    /// the bit against the im2col lowering (see [`lowering_case`]), and
+    /// within rounding of the naive references.
+    #[test]
+    fn every_product_matches_the_im2col_lowering_to_the_bit_across_threads_and_arms() {
+        let mut rng = seeded_rng(72);
+        let mut cases = zoo_geometries();
+        // Non-square, and a plane smaller than the largest kernel.
+        for hw in [(7, 10), (3, 4)] {
+            sweep(hw, |geom, n, h, w| {
+                if n == 1 {
+                    cases.push((geom, h, w));
+                }
+            });
+        }
+        for (c, k, s) in [([20, 18], 3, 1), ([20, 18], 5, 2), ([2, 2 * KC + 4], 3, 1)] {
+            let groups = if c[1] > KC { 2 } else { 1 };
+            let geom = ConvGeometry {
+                in_channels: c[0],
+                out_channels: c[1],
+                kernel: k,
+                stride: s,
+                padding: k / 2,
+                groups,
+            };
+            cases.push((geom, 6, 5));
+        }
+        let (mut paths, mut wide) = (Vec::new(), (false, false));
+        let (mut odd_panels, mut odd_rows) = (false, false);
+        for (geom, h, w) in cases {
+            paths.push(geom.path());
+            wide.0 |= geom.in_channels / geom.groups > NR && geom.path() == Path::Rows;
+            wide.1 |= geom.out_channels / geom.groups > KC;
+            let (oh, ow) = geom.out_hw(h, w);
+            odd_panels |= (oh * ow) % NR != 0;
+            odd_rows |= (geom.out_channels / geom.groups) % fca_tensor::gemm::MR != 0;
+            let mut proto = Conv2d::new(geom, &mut rng);
+            proto.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
+            let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
+            for n in [1, 2, 32] {
+                let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
+                let random = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
+                let negative_zeros = Tensor::full(random.shape().clone(), -0.0);
+                let (pw, pb) = (&proto.weight.value, &proto.bias.value);
+                let y_ref = conv2d_reference(&x, pw, pb, &geom);
+                for (gy, sign) in [(random, "random"), (negative_zeros, "−0.0")] {
+                    let on = format!("{geom:?} x{n} on {h}x{w}, {sign} dY");
+                    let [y, dx, dw, db] = lowering_case(&proto, &x, &gy, &dw0, &on);
+                    let (dx_ref, dw_ref, db_ref) = conv2d_backward_reference(&x, pw, &gy, &geom);
+                    assert_close(&y, &y_ref, 1e-4);
+                    assert_close(&dx, &dx_ref, 1e-4);
+                    assert_close(&dw.sub(&dw0), &dw_ref, 1e-4);
+                    assert_close(&db, &db_ref, 1e-4);
+                }
+            }
+        }
+        assert!(wide.0 && wide.1, "sweep lost its wide layers");
+        assert!(odd_panels && odd_rows, "sweep lost its ragged panels");
+        for path in [Path::Stencil, Path::Pointwise, Path::Rows] {
+            assert!(paths.contains(&path), "sweep never took {path:?}");
+        }
+    }
+
+    /// An inference forward pads into scratch (or not at all) and must
+    /// agree with the training one to the bit.
+    #[test]
+    fn inference_forward_equals_the_training_forward() {
+        let mut rng = seeded_rng(77);
+        let mut ws = Workspace::new();
+        sweep((7, 10), |geom, n, h, w| {
+            let conv = &mut Conv2d::new(geom, &mut rng);
+            conv.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
+            let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
+            let y = conv.forward(&x, true, &mut ws);
+            let y_eval = conv.forward(&x, false, &mut ws);
+            assert_eq!(bits(y_eval.data()), bits(y.data()), "{geom:?} x{n}");
+            ws.recycle(y);
+            ws.recycle(y_eval);
+        });
+    }
+
+    /// A first layer's `backward_params` adds the parameter gradients
+    /// `backward` adds, to the bit, with no input gradient: every zoo stem
+    /// (and the sweep's geometries) over a pre-filled gradient.
+    #[test]
+    fn backward_params_adds_what_backward_adds() {
+        let mut rng = seeded_rng(78);
+        let mut cases: Vec<_> = zoo_geometries()
+            .into_iter()
+            .filter(|(g, _, _)| g.in_channels <= 3)
+            .collect();
+        sweep((5, 6), |geom, n, h, w| {
+            if n == 1 {
+                cases.push((geom, h, w));
+            }
+        });
+        for (geom, h, w) in cases {
+            let (oh, ow) = geom.out_hw(h, w);
+            let proto = Conv2d::new(geom, &mut rng);
+            let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
+            let x = Tensor::randn([3, geom.in_channels, h, w], 1.0, &mut rng);
+            let gy = Tensor::randn([3, geom.out_channels, oh, ow], 1.0, &mut rng);
+            let grads = |params_only: bool| {
+                let mut ws = Workspace::new();
+                let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
+                conv.weight.value = proto.weight.value.clone();
+                conv.weight.grad = dw0.clone();
+                let _ = conv.forward(&x, true, &mut ws);
+                if params_only {
+                    conv.backward_params(&gy, &mut ws);
+                } else {
+                    let _ = conv.backward(&gy, &mut ws);
+                }
+                (bits(conv.weight.grad.data()), bits(conv.bias.grad.data()))
+            };
+            assert_eq!(grads(true), grads(false), "{geom:?} on {h}x{w}");
         }
     }
 
     #[test]
     fn a_second_gradient_accumulates_onto_the_first_to_the_bit() {
-        // The view path reduces into a transposed copy of `dW`, the stencil
-        // into registers: both must continue from what `weight.grad` holds.
+        // The rows path adds into `dW` through a transposed store, the
+        // stencil from registers: both must continue from what
+        // `weight.grad` holds.
         let mut rng = seeded_rng(74);
         let mut ws = Workspace::new();
         sweep((5, 6), |geom, n, h, w| {
@@ -2028,9 +1920,9 @@ mod tests {
         for (geom, n, h, w) in [
             // Dense 3×3 with ragged panels; more images than one dW product.
             (geom([5, 11], 3, 1, 1, 1), 9, 7, 10),
-            // The same, strided: the im2col lowering.
+            // The same, strided.
             (geom([5, 11], 3, 2, 1, 1), 9, 7, 10),
-            // Grouped 5×5 on views.
+            // Grouped 5×5.
             (geom([6, 4], 5, 1, 2, 2), 5, 6, 9),
             // Depthwise, strided and not.
             (geom([6, 6], 3, 2, 1, 6), 5, 9, 8),

@@ -63,6 +63,16 @@ pub trait Module: Send {
     /// Backpropagate: accumulate parameter gradients, return input gradient.
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
+    /// Backpropagate where nothing reads the input gradient (the first
+    /// layer of a model): accumulate the parameter gradients `backward`
+    /// would, bit for bit. The default runs `backward` and recycles what it
+    /// returns; a layer whose input gradient costs work of its own (a
+    /// convolution's product) skips it.
+    fn backward_params(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let dx = self.backward(grad_out, ws);
+        ws.recycle(dx);
+    }
+
     /// All trainable parameters, in stable order.
     fn params_mut(&mut self) -> Vec<&mut Param>;
 

@@ -8,14 +8,15 @@ pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
     /// Flat input index of each output element's winner.
-    argmax: Vec<usize>,
+    argmax: Vec<u32>,
     in_dims: [usize; 4],
 }
 
 impl MaxPool2d {
-    /// New max pool with window `kernel` and the given stride.
+    /// New max pool with window `kernel` (at most 8: a window's elements
+    /// are bits of one `u64`) and the given stride.
     pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel >= 1 && stride >= 1);
+        assert!((1..=8).contains(&kernel) && stride >= 1);
         MaxPool2d {
             kernel,
             stride,
@@ -33,47 +34,31 @@ impl MaxPool2d {
 }
 
 impl Module for MaxPool2d {
+    /// One loop for every window: its maximum walks its elements in
+    /// row-major order from −∞, replaced on a strict `>`, and the winner is
+    /// the first element equal to it — where that walk last replaced it, so
+    /// the first maximum wins. A window with nothing above −∞ in it (all −∞
+    /// or NaN) routes its gradient to its first element.
     fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         assert!(
             h >= self.kernel && w >= self.kernel,
             "pool window larger than input"
         );
+        assert!(x.numel() <= u32::MAX as usize, "pool indices overflow u32");
         let (oh, ow) = self.out_hw(h, w);
-        // Every output element is written in order below.
+        let (k, s) = (self.kernel, self.stride);
+        // Every output element and winner is written below.
         let mut out = ws.tensor([n, c, oh, ow]);
-        self.argmax.clear();
-        self.argmax.reserve(n * c * oh * ow);
+        self.argmax.resize(n * c * oh * ow, 0);
         self.in_dims = [n, c, h, w];
-        let xd = x.data();
-        let od = out.data_mut();
-        let mut oi = 0;
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        // A window with nothing above −∞ in it (all −∞ or
-                        // NaN) still routes its gradient to itself.
-                        let mut best_idx = base + oy * self.stride * w + ox * self.stride;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let idx = base + iy * w + ix;
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        od[oi] = best;
-                        self.argmax.push(best_idx);
-                        oi += 1;
-                    }
-                }
-            }
+        let dims = (h, w, oh, ow);
+        let (out_d, at) = (out.data_mut(), &mut self.argmax[..]);
+        // The zoo's one window, with its sizes known to the compiler: the
+        // same loop over runtime sizes costs ~2× as much.
+        match (k, s) {
+            (2, 2) => max_windows(x.data(), dims, (2, 2), out_d, at),
+            _ => max_windows(x.data(), dims, (k, s), out_d, at),
         }
         out
     }
@@ -88,14 +73,59 @@ impl Module for MaxPool2d {
         // Scatter-add target: must start zeroed.
         let mut dx = ws.tensor_zeroed([n, c, h, w]);
         let dd = dx.data_mut();
+        // Added, not stored: a −0.0 gradient still lands as +0.0.
         for (g, &idx) in grad_out.data().iter().zip(&self.argmax) {
-            dd[idx] += g;
+            dd[idx as usize] += g;
         }
         dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
+    }
+}
+
+/// [`MaxPool2d::forward`]'s loop over every window of `x`: the maxima into
+/// `out`, their flat input indices into `at`. Each output row reads one
+/// slice of `x`, its windows' elements by offset within it. The winner is
+/// the lowest set bit of the window's equal-to-the-maximum mask, not a
+/// select per element: LLVM turns such a select chain back into branches
+/// on AVX2 targets, which mispredict on every other window.
+#[inline(always)]
+fn max_windows(
+    x: &[f32],
+    (h, w, oh, ow): (usize, usize, usize, usize),
+    (k, s): (usize, usize),
+    out: &mut [f32],
+    at: &mut [u32],
+) {
+    let rows = out.chunks_exact_mut(ow).zip(at.chunks_exact_mut(ow));
+    for (r, (best_row, at_row)) in rows.enumerate() {
+        // Output row `r % oh` of plane `r / oh`.
+        let top = (r / oh * h + r % oh * s) * w;
+        let span = &x[top..top + (k - 1) * w + (ow - 1) * s + k];
+        for (ox, (best, at)) in best_row.iter_mut().zip(at_row).enumerate() {
+            let window = &span[ox * s..];
+            let mut max = f32::NEG_INFINITY;
+            for ky in 0..k {
+                for &v in &window[ky * w..ky * w + k] {
+                    max = if v > max { v } else { max };
+                }
+            }
+            let mut hits = 0u64;
+            for ky in 0..k {
+                for (kx, &v) in window[ky * w..ky * w + k].iter().enumerate() {
+                    hits |= u64::from(v == max) << (ky * k + kx);
+                }
+            }
+            let p = if max == f32::NEG_INFINITY {
+                0
+            } else {
+                hits.trailing_zeros() as usize
+            };
+            *best = max;
+            *at = (top + ox * s + p / k * w + p % k) as u32;
+        }
     }
 }
 
@@ -216,6 +246,69 @@ mod tests {
             let (plane, y0, x0) = (i / 16, i / 4 % 4 / 2, i % 4 / 2);
             let is_max = finite.data()[i] == y.data()[plane * 4 + y0 * 2 + x0];
             assert_eq!(g, if is_max { 1.0 } else { 0.0 }, "elem {i}");
+        }
+    }
+
+    /// The per-window scan the layer ran before the row-at-a-time loop,
+    /// kept as its oracle: `(out, argmax)`.
+    fn maxpool_oracle(x: &Tensor, k: usize, s: usize) -> (Vec<f32>, Vec<u32>) {
+        let (n, c, h, w) = x.shape().as_nchw();
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let (mut out, mut arg) = (Vec::new(), Vec::new());
+        for base in (0..n * c).map(|p| p * h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = base + oy * s * w + ox * s;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = base + (oy * s + ky) * w + ox * s + kx;
+                            if x.data()[idx] > best {
+                                best = x.data()[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out.push(best);
+                    arg.push(best_idx as u32);
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    /// Outputs and winners equal the per-window scan's to the bit over
+    /// windows 1–3, strides 1–3 (overlapping and gapped windows), ragged
+    /// planes, ties (−0.0 against +0.0 too), −∞ and NaN; backward lands a
+    /// −0.0 gradient as +0.0.
+    #[test]
+    fn row_at_a_time_pool_equals_the_per_window_scan() {
+        let mut ws = Workspace::new();
+        let mut rng = seeded_rng(83);
+        for (k, s) in [(2, 2), (1, 1), (2, 1), (3, 2), (3, 3), (2, 3)] {
+            for (h, w) in [(4, 4), (7, 5), (3, 9)] {
+                if h < k || w < k {
+                    continue;
+                }
+                let mut x = Tensor::randn([2, 3, h, w], 1.0, &mut rng);
+                // Ties (rounded values, −0.0 against +0.0), −∞ and NaN.
+                for (i, v) in x.data_mut().iter_mut().enumerate() {
+                    *v = match i % 11 {
+                        3 => f32::NEG_INFINITY,
+                        5 => -0.0,
+                        7 => f32::NAN,
+                        _ => (*v * 2.0).round(),
+                    };
+                }
+                let mut p = MaxPool2d::new(k, s);
+                let y = p.forward(&x, true, &mut ws);
+                let (want, arg) = maxpool_oracle(&x, k, s);
+                let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(y.data()), bits(&want), "out k{k} s{s} {h}x{w}");
+                assert_eq!(p.argmax, arg, "argmax k{k} s{s} {h}x{w}");
+                let dx = p.backward(&Tensor::full(y.shape().clone(), -0.0), &mut ws);
+                assert!(dx.data().iter().all(|v| v.to_bits() == 0), "−0.0 landed");
+            }
         }
     }
 

@@ -63,6 +63,24 @@ impl Default for Sequential {
     }
 }
 
+/// Back-propagate `grad_out` through `rest`, last layer first: the
+/// gradient the layer before `rest` receives, `None` when `rest` is empty
+/// (it receives `grad_out` itself).
+fn backward_after_first(
+    rest: &mut [Box<dyn Module>],
+    grad_out: &Tensor,
+    ws: &mut Workspace,
+) -> Option<Tensor> {
+    let mut layers = rest.iter_mut().rev();
+    let mut g = layers.next()?.backward(grad_out, ws);
+    for layer in layers {
+        let next = layer.backward(&g, ws);
+        ws.recycle(g);
+        g = next;
+    }
+    Some(g)
+}
+
 impl Module for Sequential {
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut layers = self.layers.iter_mut();
@@ -79,17 +97,27 @@ impl Module for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let mut g = match layers.next() {
-            Some(last) => last.backward(grad_out, ws),
-            None => return ws.tensor_like(grad_out),
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return ws.tensor_like(grad_out);
         };
-        for layer in layers {
-            let next = layer.backward(&g, ws);
+        let g = backward_after_first(rest, grad_out, ws);
+        let dx = first.backward(g.as_ref().unwrap_or(grad_out), ws);
+        if let Some(g) = g {
             ws.recycle(g);
-            g = next;
         }
-        g
+        dx
+    }
+
+    /// `backward` with the first layer's input gradient never computed.
+    fn backward_params(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let g = backward_after_first(rest, grad_out, ws);
+        first.backward_params(g.as_ref().unwrap_or(grad_out), ws);
+        if let Some(g) = g {
+            ws.recycle(g);
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -25,9 +25,11 @@
 //!
 //! A need not be packed: an [`Lhs::Rows`] operand is read where it lies,
 //! each row a view of one buffer through an offset table (a convolution's
-//! im2col rows are views of its zero-bordered input planes), and C's rows
-//! may be any stride apart (`ldc`), so a product can add into shifted
-//! windows of a larger buffer.
+//! pixels and taps are views of its zero-bordered planes), and C's rows
+//! may be any stride apart ([`Store::rows`]), so a product can add into
+//! shifted windows of a larger buffer; against a row view C may also be
+//! stored transposed and summed in chains (a convolution's `Yᵀ = colᵀ·Wᵀ`
+//! lands in NCHW planes).
 //!
 //! # Determinism contract
 //!
@@ -215,13 +217,73 @@ pub enum Lhs<'a> {
     },
 }
 
-/// One register tile's rows of an [`Lhs::Rows`] operand over one KC slab:
-/// `rows` its `mr` row offsets, `ks` the slab's k offsets.
+/// Where [`gemm_packed`] adds the elements of C, and how it sums each one:
+/// [`Store::rows`] or [`Store::cols`], the only store that chains.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Store {
+    /// Distance in `c` between consecutive rows of C: element `(i, j)` is
+    /// `c[i·ld + j]` — or, with `trans`, between its columns: `c[j·ld + i]`.
+    ld: usize,
+    /// Store C transposed (see `ld`). Row-view A only.
+    trans: bool,
+    /// `Some(l)`: cut k into chains of `l` steps, each summed as a product of
+    /// its own onto a zeroed C, add them in order into a total from 0.0 and
+    /// that into C once. `None`: each KC slab's sum is added into C as it
+    /// ends (the same bits when C is zero and `k ≤ l ≤ KC`). Transposed
+    /// stores only.
+    chain: Option<usize>,
+}
+
+impl Store {
+    /// C row-major, rows `ld` apart (`ld = n`: a plain `m × n` matrix).
+    pub const fn rows(ld: usize) -> Store {
+        let (trans, chain) = (false, None);
+        Store { ld, trans, chain }
+    }
+
+    /// C stored transposed, columns `ld` apart, summed in `chain`s (see
+    /// the struct's fields). Row-view A only.
+    pub const fn cols(ld: usize, chain: Option<usize>) -> Store {
+        let trans = true;
+        Store { ld, trans, chain }
+    }
+}
+
+/// One register tile's rows of an [`Lhs::Rows`] operand over one kernel
+/// call's k steps: `mr` row offsets, the steps' offsets `ks`, cut into
+/// chains of `chain` steps ([`Store::chain`]; a lone KC slab is one).
 #[derive(Clone, Copy)]
 pub(crate) struct RowTile<'a> {
     pub(crate) src: &'a [f32],
     pub(crate) rows: &'a [u32],
     pub(crate) ks: &'a [u32],
+    pub(crate) chain: usize,
+}
+
+impl<'a> RowTile<'a> {
+    /// A [`pack_a`] panel slab (k steps of `MR` floats, at most one KC
+    /// slab) as a row view: row `i` at offset `i`, step `t` at `t·MR`, one
+    /// chain. Every arm but AVX-512's runs packed products through its
+    /// row-view kernel this way.
+    pub(crate) fn panel(pa: &'a [f32]) -> RowTile<'a> {
+        const ROWS: [u32; MR] = [0, 1, 2, 3, 4, 5, 6, 7];
+        static KS: [u32; KC] = {
+            let mut ks = [0; KC];
+            let mut t = 0;
+            while t < KC {
+                ks[t] = (t * MR) as u32;
+                t += 1;
+            }
+            ks
+        };
+        let k = pa.len() / MR;
+        RowTile {
+            src: pa,
+            rows: &ROWS,
+            ks: &KS[..k],
+            chain: k,
+        }
+    }
 }
 
 /// One register-tile row update: `acc += a · b`, elementwise over NR lanes.
@@ -236,73 +298,61 @@ fn axpy_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
     }
 }
 
-/// `C_tile += panelA · panelB` for one MR×NR register tile.
-///
-/// `pa`/`pb` are the k-major panel slabs for this tile's rows/columns
-/// (equal k length); `c` points at `C[tile_row_0, tile_col_0]` with row
-/// stride `ldc`. Only the `mr × nr` valid corner is stored back; the
-/// accumulators always run the full MR×NR shape (panel padding is zero).
-///
-/// # Safety
-///
-/// `c` must be valid for reads/writes of `mr` rows × `nr` columns at row
-/// stride `ldc`, and no other thread may access that region concurrently.
-#[inline(always)]
-// SAFETY: given the contract above, every store below targets
-// `c.add(i * ldc)[..len]` with `i < mr` and `len <= nr`, which stays
-// inside the caller's exclusive `mr × nr` region at stride `ldc`.
-pub(crate) unsafe fn microkernel(
-    pa: &[f32],
-    pb: &[f32],
-    c: *mut f32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut r0 = [0.0f32; NR];
-    let mut r1 = [0.0f32; NR];
-    let mut r2 = [0.0f32; NR];
-    let mut r3 = [0.0f32; NR];
-    let mut r4 = [0.0f32; NR];
-    let mut r5 = [0.0f32; NR];
-    let mut r6 = [0.0f32; NR];
-    let mut r7 = [0.0f32; NR];
-    for (af, bf) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
-        let bf: &[f32; NR] = bf.try_into().expect("NR-sized chunk");
-        axpy_row(&mut r0, af[0], bf);
-        axpy_row(&mut r1, af[1], bf);
-        axpy_row(&mut r2, af[2], bf);
-        axpy_row(&mut r3, af[3], bf);
-        axpy_row(&mut r4, af[4], bf);
-        axpy_row(&mut r5, af[5], bf);
-        axpy_row(&mut r6, af[6], bf);
-        axpy_row(&mut r7, af[7], bf);
-    }
-    add_tile(&[r0, r1, r2, r3, r4, r5, r6, r7], c, ldc, mr, nr);
-}
-
-/// [`microkernel`] with its rows of A read in place ([`Lhs::Rows`]): the
-/// same chains in the same order, each `a` loaded from its row's view at
-/// the step's k offset instead of from a panel. The portable kernel of the
-/// row-view operand and the oracle of every arm's.
+/// `C_tile += A · panelB` for one MR×NR register tile, A's rows read in
+/// place ([`Lhs::Rows`], or a packed panel as [`RowTile::panel`]), summed
+/// chain by chain ([`RowTile::chain`]) into a total from 0.0 that is added
+/// into C once, transposed under `trans`. A chain from 0.0 is never −0.0,
+/// so a lone chain (one KC slab) adds its sum into C unchanged. The
+/// portable kernel, and the oracle of every arm's.
 ///
 /// # Safety
 ///
-/// As [`microkernel`]. `a.rows` holds `mr` offsets, `pb` one panel slab of
-/// `a.ks.len()` steps; `src[row + kk]` is indexed (and checked) here.
+/// `c` valid for reads/writes of the `mr × nr` corner at row stride `ldc`
+/// (transposed under `trans`), no other thread touching it. `a.rows` holds
+/// `mr` offsets, `pb` `a.ks.len()` panel steps; `src[row + kk]` is checked.
 #[inline(always)]
-// SAFETY: the only unsafe op is `add_tile`, under the contract above.
+// SAFETY: the only unsafe ops are the tile stores, under the contract above.
 pub(crate) unsafe fn microkernel_rows(
     a: RowTile<'_>,
     pb: &[f32],
-    c: *mut f32,
-    ldc: usize,
+    (c, ldc, trans): (*mut f32, usize, bool),
     mr: usize,
     nr: usize,
 ) {
     // A ragged tile's missing rows read row 0's view: computed, never stored.
     let v: [&[f32]; MR] =
         std::array::from_fn(|i| &a.src[a.rows[if i < mr { i } else { 0 }] as usize..]);
+    if a.ks.len() <= a.chain.min(KC) {
+        // A lone chain in one slab, a packed panel's: its sum is the total.
+        let steps = a.ks.iter().map(|&kk| kk as usize);
+        return add_tile(&tile_chain(&v, steps, pb), c, (ldc, trans), mr, nr);
+    }
+    let mut total = [[0.0f32; NR]; MR];
+    for (ks, pb) in a.ks.chunks(a.chain).zip(pb.chunks(a.chain * NR)) {
+        let mut sum = [[0.0f32; NR]; MR];
+        for (ks, pb) in ks.chunks(KC).zip(pb.chunks(KC * NR)) {
+            let steps = ks.iter().map(|&kk| kk as usize);
+            add_rows(&mut sum, &tile_chain(&v, steps, pb));
+        }
+        add_rows(&mut total, &sum);
+    }
+    add_tile(&total, c, (ldc, trans), mr, nr);
+}
+
+/// `total += rows`, elementwise.
+#[inline(always)]
+fn add_rows(total: &mut [[f32; NR]; MR], rows: &[[f32; NR]; MR]) {
+    for (t, r) in total.iter_mut().zip(rows) {
+        for (t, &r) in t.iter_mut().zip(r) {
+            *t += r;
+        }
+    }
+}
+
+/// One chain of a register tile: its eight rows, from 0.0, over the k
+/// steps `ks` — offsets into the row views `v` — and their panel rows `pb`.
+#[inline(always)]
+fn tile_chain(v: &[&[f32]; MR], ks: impl Iterator<Item = usize>, pb: &[f32]) -> [[f32; NR]; MR] {
     let mut r0 = [0.0f32; NR];
     let mut r1 = [0.0f32; NR];
     let mut r2 = [0.0f32; NR];
@@ -311,8 +361,7 @@ pub(crate) unsafe fn microkernel_rows(
     let mut r5 = [0.0f32; NR];
     let mut r6 = [0.0f32; NR];
     let mut r7 = [0.0f32; NR];
-    for (&kk, bf) in a.ks.iter().zip(pb.chunks_exact(NR)) {
-        let kk = kk as usize;
+    for (kk, bf) in ks.zip(pb.chunks_exact(NR)) {
         let bf: &[f32; NR] = bf.try_into().expect("NR-sized chunk");
         axpy_row(&mut r0, v[0][kk], bf);
         axpy_row(&mut r1, v[1][kk], bf);
@@ -323,19 +372,26 @@ pub(crate) unsafe fn microkernel_rows(
         axpy_row(&mut r6, v[6][kk], bf);
         axpy_row(&mut r7, v[7][kk], bf);
     }
-    add_tile(&[r0, r1, r2, r3, r4, r5, r6, r7], c, ldc, mr, nr);
+    [r0, r1, r2, r3, r4, r5, r6, r7]
 }
 
-/// Add the `mr × nr` corner of a register tile into C at row stride `ldc`.
+/// Add the `mr × nr` corner of a register tile into C at row stride `ldc`
+/// — or, `trans`, tile row `i`, lane `j` into `c[j·ldc + i]`.
 ///
 /// # Safety
 ///
-/// As [`microkernel`]'s C.
+/// As [`microkernel_rows`]'s C.
 #[inline(always)]
-// SAFETY: every store targets `c.add(i * ldc)[..len]` with `i < mr` and
-// `len <= nr`, inside the caller's exclusive region.
-unsafe fn add_tile(rows: &[[f32; NR]; MR], c: *mut f32, ldc: usize, mr: usize, nr: usize) {
-    if mr == MR && nr == NR {
+// SAFETY: every store targets element `(i, j)`, `i < mr`, `j < nr`, of the
+// caller's exclusive region at stride `ldc`.
+pub(crate) unsafe fn add_tile(
+    rows: &[[f32; NR]; MR],
+    c: *mut f32,
+    (ldc, trans): (usize, bool),
+    mr: usize,
+    nr: usize,
+) {
+    if !trans && mr == MR && nr == NR {
         // Hot full-tile path: fixed trip counts, no per-row masking.
         for (i, row) in rows.iter().enumerate() {
             let crow = std::slice::from_raw_parts_mut(c.add(i * ldc), NR);
@@ -343,12 +399,12 @@ unsafe fn add_tile(rows: &[[f32; NR]; MR], c: *mut f32, ldc: usize, mr: usize, n
                 *cj += rv;
             }
         }
-    } else {
-        for (i, row) in rows.iter().enumerate().take(mr) {
-            let crow = std::slice::from_raw_parts_mut(c.add(i * ldc), nr);
-            for (cj, &rv) in crow.iter_mut().zip(row) {
-                *cj += rv;
-            }
+        return;
+    }
+    let (row_step, col_step) = if trans { (1, ldc) } else { (ldc, 1) };
+    for (i, row) in rows.iter().enumerate().take(mr) {
+        for (j, &rv) in row.iter().enumerate().take(nr) {
+            *c.add(i * row_step + j * col_step) += rv;
         }
     }
 }
@@ -357,31 +413,35 @@ unsafe fn add_tile(rows: &[[f32; NR]; MR], c: *mut f32, ldc: usize, mr: usize, n
 ///
 /// KC slabs are visited in ascending order; within a slab, B panels (jr)
 /// outer and A panels (ir) inner, so the current B panel slab stays
-/// L1-resident across the A panel sweep.
+/// L1-resident across the A panel sweep. A chained store takes all of k as
+/// one slab: its kernel adds into C once.
 ///
 /// # Safety
 ///
-/// `c` must be the base pointer of an `m × n` matrix at row stride `ldc`
+/// `c` must be the base pointer of an `m × n` matrix stored as `st` says,
 /// valid for this tile's region, and no other thread may touch rows
 /// `[i0, i1)` × columns `[j0, j1)` concurrently. `i0`/`j0` must be
 /// multiples of MR/NR respectively (they are multiples of MC/NC by
 /// construction), and an [`Lhs::Rows`] operand's reads must have been
 /// checked against its `src` ([`gemm_packed_arm`] does).
 // SAFETY: the only unsafe op below is the arm-dispatched microkernel call
-// at `c.add(ir * ldc + jr)` with `ir < i1 <= m`, `jr < j1 <= n`, and mr/nr
-// clipped to the tile edge — exactly the mr × nr region at stride ldc the
-// microkernel contract requires, inside this tile's exclusive area.
+// at C's element `(ir, jr)` with `ir < i1 <= m`, `jr < j1 <= n`, and mr/nr
+// clipped to the tile edge — exactly the mr × nr region (transposed under
+// `st.trans`) at stride `st.ld` the microkernel contract requires, inside
+// this tile's exclusive area.
 unsafe fn compute_tile(
     arm: Kernel,
     (a, pb): (Lhs<'_>, &[f32]),
-    (c, ldc): (*mut f32, usize),
+    (c, st): (*mut f32, Store),
     k: usize,
     (i0, i1): (usize, usize),
     (j0, j1): (usize, usize),
 ) {
+    let (row_step, col_step) = if st.trans { (1, st.ld) } else { (st.ld, 1) };
+    let slab = if st.chain.is_some() { k } else { KC };
     let mut kc_lo = 0;
     while kc_lo < k {
-        let kc_hi = (kc_lo + KC).min(k);
+        let kc_hi = (kc_lo + slab).min(k);
         let klen = kc_hi - kc_lo;
         let mut jr = j0;
         while jr < j1 {
@@ -390,27 +450,28 @@ unsafe fn compute_tile(
             let mut ir = i0;
             while ir < i1 {
                 let mr = MR.min(i1 - ir);
-                let ct = c.add(ir * ldc + jr);
+                let ct = c.add(ir * row_step + jr * col_step);
                 match a {
                     Lhs::Packed(pa) => {
                         let pap = &pa[(ir / MR) * MR * k + kc_lo * MR..][..klen * MR];
-                        crate::simd::microkernel_arm(arm, pap, pbp, ct, ldc, mr, nr);
+                        crate::simd::microkernel_arm(arm, pap, pbp, ct, st.ld, mr, nr);
                     }
                     Lhs::Rows { src, rows, ks } => {
-                        let rows = &rows[ir..ir + mr];
                         let tile = RowTile {
                             src,
-                            rows,
+                            rows: &rows[ir..ir + mr],
                             ks: &ks[kc_lo..kc_hi],
+                            chain: st.chain.unwrap_or(klen),
                         };
-                        crate::simd::microkernel_rows_arm(arm, tile, pbp, ct, ldc, mr, nr);
+                        let c = (ct, st.ld, st.trans);
+                        crate::simd::microkernel_rows_arm(arm, tile, pbp, c, mr, nr);
                     }
                 }
                 ir += MR;
             }
             jr += NR;
         }
-        kc_lo += KC;
+        kc_lo += slab;
     }
 }
 
@@ -440,16 +501,17 @@ impl TilePtr {
 
 /// `C += A · PB` for a logical `m × k` · `k × n` product (`dims`), where
 /// `PB` was produced by [`pack_b`] and A is either [`pack_a`]'s panels or
-/// rows read in place ([`Lhs`]). C's `m` rows of `n` are `ldc` apart in
-/// `c` (`ldc = n`: row-major `m × n`) and are accumulated into (zero them
-/// first for a plain product); nothing else in `c` is touched.
+/// rows read in place ([`Lhs`]). C lies in `c` as `st` says — for
+/// [`Store::rows`]`(ldc)`, its `m` rows of `n` are `ldc` apart — and is
+/// accumulated into (zero it first for a plain product); nothing else in
+/// `c` is touched.
 ///
 /// Parallelizes over the 2D macro-tile grid once the work is large enough;
 /// results are bit-identical across thread counts **and** across kernel
 /// arms, and a row view adds the bits its packed copy would (see module
 /// docs and [`crate::simd`]).
-pub fn gemm_packed(a: Lhs<'_>, pb: &[f32], c: &mut [f32], ldc: usize, dims: (usize, usize, usize)) {
-    gemm_packed_arm(crate::simd::active(), a, pb, c, ldc, dims);
+pub fn gemm_packed(a: Lhs<'_>, pb: &[f32], c: &mut [f32], st: Store, dims: (usize, usize, usize)) {
+    gemm_packed_arm(crate::simd::active(), a, pb, c, st, dims);
 }
 
 /// [`gemm_packed`] with an explicit kernel arm instead of the
@@ -460,19 +522,24 @@ pub fn gemm_packed(a: Lhs<'_>, pb: &[f32], c: &mut [f32], ldc: usize, dims: (usi
 ///
 /// In every build, when packed A or `pb` is shorter than
 /// [`packed_a_len`]/[`packed_b_len`], a row view's tables are not `m` and
-/// `k` long or reach past its `src`, or `c` cannot hold `m` rows of `n` at
-/// stride `ldc`: the tiles below read and store through raw pointers, so
+/// `k` long or reach past its `src`, `c` cannot hold C as `st` lays it
+/// out, a chain is empty, or a packed A is asked for a transposed
+/// store: the tiles below read and store through raw pointers, so
 /// these are the checks their safety rests on.
 pub fn gemm_packed_arm(
     arm: Kernel,
     a: Lhs<'_>,
     pb: &[f32],
     c: &mut [f32],
-    ldc: usize,
+    st: Store,
     (m, k, n): (usize, usize, usize),
 ) {
+    assert!(st.chain != Some(0), "gemm: a chain is empty");
     match a {
-        Lhs::Packed(pa) => assert!(pa.len() >= packed_a_len(m, k), "gemm: packed A is short"),
+        Lhs::Packed(pa) => {
+            assert!(pa.len() >= packed_a_len(m, k), "gemm: packed A is short");
+            assert!(!st.trans, "gemm: a transposed store needs a row-view A");
+        }
         Lhs::Rows { src, rows, ks } => {
             assert!(
                 rows.len() == m && ks.len() == k,
@@ -487,11 +554,13 @@ pub fn gemm_packed_arm(
         }
     }
     assert!(pb.len() >= packed_b_len(k, n), "gemm: packed B is short");
-    let c_need = m
+    // C as stored: `lines` runs of `line` elements, `st.ld` apart.
+    let (lines, line) = if st.trans { (n, m) } else { (m, n) };
+    let c_need = lines
         .checked_sub(1)
-        .map_or(Some(0), |r| r.checked_mul(ldc)?.checked_add(n));
+        .map_or(Some(0), |r| r.checked_mul(st.ld)?.checked_add(line));
     assert!(
-        (m <= 1 || ldc >= n) && c_need.is_some_and(|need| n == 0 || c.len() >= need),
+        (lines <= 1 || st.ld >= line) && c_need.is_some_and(|need| line == 0 || c.len() >= need),
         "gemm: C is short of m rows of n at stride ldc"
     );
     if m == 0 || n == 0 || k == 0 {
@@ -504,13 +573,14 @@ pub fn gemm_packed_arm(
         let i0 = (t / ntiles) * MC;
         let j0 = (t % ntiles) * NC;
         // SAFETY: tile t exclusively owns rows [i0, i0+MC) × cols
-        // [j0, j0+NC) of C (`ldc ≥ n`, so distinct (row, column) pairs are
-        // distinct elements); regions of distinct t are disjoint.
+        // [j0, j0+NC) of C (`ld` is at least a stored line, so distinct
+        // (row, column) pairs are distinct elements); regions of distinct t
+        // are disjoint.
         unsafe {
             compute_tile(
                 arm,
                 (a, pb),
-                (cp.base(), ldc),
+                (cp.base(), st),
                 k,
                 (i0, (i0 + MC).min(m)),
                 (j0, (j0 + NC).min(n)),
@@ -747,7 +817,7 @@ mod tests {
         pack_a(a, m, k, false, &mut pa);
         pack_b(b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, Store::rows(n), (m, k, n));
         c
     }
 
@@ -942,8 +1012,8 @@ mod tests {
         pack_a(&a, m, k, false, &mut pa);
         pack_b(&b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
-        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, Store::rows(n), (m, k, n));
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, Store::rows(n), (m, k, n));
         for (x, y) in c.iter().zip(&once) {
             assert_eq!(*x, 2.0 * y);
         }
@@ -962,7 +1032,14 @@ mod tests {
         pack_a(a, m, k, false, &mut pa);
         pack_b(b, k, n, false, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
+        gemm_packed_arm(
+            arm,
+            Lhs::Packed(&pa),
+            &pb,
+            &mut c,
+            Store::rows(n),
+            (m, k, n),
+        );
         c
     }
 
@@ -1102,7 +1179,14 @@ mod tests {
                     pack_b(&b, k, n, true, &mut pb);
                     for arm in crate::simd::available() {
                         let mut oracle = c0.clone();
-                        gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut oracle, n, (m, k, n));
+                        gemm_packed_arm(
+                            arm,
+                            Lhs::Packed(&pa),
+                            &pb,
+                            &mut oracle,
+                            Store::rows(n),
+                            (m, k, n),
+                        );
                         for threads in [1, 4] {
                             let mut c = c0.clone();
                             rayon::ThreadPoolBuilder::new()
@@ -1141,11 +1225,25 @@ mod tests {
             let mut c = vec![0.0f32; m * n];
             let short = (m - 1) * n;
             let refused = catch_unwind(AssertUnwindSafe(|| {
-                gemm_packed_arm(arm, Lhs::Packed(&pa), &pb, &mut c[..short], n, (m, k, n));
+                gemm_packed_arm(
+                    arm,
+                    Lhs::Packed(&pa),
+                    &pb,
+                    &mut c[..short],
+                    Store::rows(n),
+                    (m, k, n),
+                );
             }));
             assert!(refused.is_err(), "short C accepted on {}", arm.as_str());
             let refused = catch_unwind(AssertUnwindSafe(|| {
-                gemm_packed_arm(arm, Lhs::Packed(&pa[1..]), &pb, &mut c, n, (m, k, n));
+                gemm_packed_arm(
+                    arm,
+                    Lhs::Packed(&pa[1..]),
+                    &pb,
+                    &mut c,
+                    Store::rows(n),
+                    (m, k, n),
+                );
             }));
             assert!(refused.is_err(), "short A accepted on {}", arm.as_str());
             assert!(
@@ -1193,7 +1291,7 @@ mod tests {
                         Lhs::Packed(&pa),
                         &pb,
                         &mut oracle,
-                        ldc,
+                        Store::rows(ldc),
                         (m, k, n),
                     );
                     let view = Lhs::Rows {
@@ -1209,7 +1307,14 @@ mod tests {
                                 .build()
                                 .expect("pool")
                                 .install(|| {
-                                    gemm_packed_arm(arm, view, &pb, &mut c, ldc, (m, k, n))
+                                    gemm_packed_arm(
+                                        arm,
+                                        view,
+                                        &pb,
+                                        &mut c,
+                                        Store::rows(ldc),
+                                        (m, k, n),
+                                    )
                                 });
                             let on = format!("{} at {m}x{k}x{n}, {threads} threads", arm.as_str());
                             assert_eq!(bits(&c), bits(&oracle), "{on}");
@@ -1221,6 +1326,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A row view into a transposed store, chained or not, must add exactly what
+    /// the packed engine adds chain by chain onto zeroed buffers, summed
+    /// from 0.0 in k order, then added into C — transposed where asked — on
+    /// every arm and thread count: ragged and full tiles, lanes past `n`,
+    /// chains of one step, of a whole KC slab, past one (two slabs each),
+    /// and a short last chain. Without a chain, a transposed store adds what
+    /// the packed product adds into the transpose of C. Gaps stay untouched.
+    #[test]
+    fn transposed_chained_store_equals_packed_chains_plus_a_transpose() {
+        let mut seed = 0x7A5;
+        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let shapes = [
+            (7, None),
+            (KC + 1, None),
+            (9 * 16, Some(16)),
+            (5, Some(1)),
+            (3 * 7 + 2, Some(7)),
+            (2 * KC, Some(KC)),
+            (2 * (KC + 5), Some(KC + 5)),
+        ];
+        for m in [1, 5, MR, MR + 3, MC + 1] {
+            for n in [1, 6, NR, NR + 2] {
+                for (k, chain) in shapes {
+                    let rows: Vec<u32> = (0..m as u32).map(|r| 3 * r).collect();
+                    let ks: Vec<u32> = (0..k as u32).map(|kk| 2 * kk + kk / 5).collect();
+                    let mut src = vec![0.0f32; 3 * m + 3 * k];
+                    fill(&mut src, &mut seed);
+                    let a: Vec<f32> = rows
+                        .iter()
+                        .flat_map(|&r| ks.iter().map(move |&kk| (r + kk) as usize))
+                        .map(|at| src[at])
+                        .collect();
+                    let mut b = vec![0.0f32; k * n];
+                    fill(&mut b, &mut seed);
+                    let mut pb = vec![f32::NAN; packed_b_len(k, n)];
+                    pack_b(&b, k, n, false, &mut pb);
+                    // The sum each element adds into C, row-major `m × n`.
+                    let mut sum = vec![0.0f32; m * n];
+                    let len = chain.unwrap_or(k);
+                    for k0 in (0..k).step_by(len) {
+                        let kl = len.min(k - k0);
+                        let part: Vec<f32> = a
+                            .chunks_exact(k)
+                            .flat_map(|row| row[k0..k0 + kl].iter().copied())
+                            .collect();
+                        let mut one = packed_product(&part, &b[k0 * n..(k0 + kl) * n], m, kl, n);
+                        if chain.is_none() {
+                            sum = one;
+                            break;
+                        }
+                        add_rows_oracle(&mut sum, &mut one);
+                    }
+                    // A chain comes only with a transposed store.
+                    let orients: &[bool] = if chain.is_some() {
+                        &[true]
+                    } else {
+                        &[false, true]
+                    };
+                    for &trans in orients {
+                        let (lines, line) = if trans { (n, m) } else { (m, n) };
+                        let ld = line + 2;
+                        let mut c0 = vec![0.0f32; lines * ld];
+                        fill(&mut c0, &mut seed);
+                        let at = |i: usize, j: usize| if trans { j * ld + i } else { i * ld + j };
+                        let mut oracle = c0.clone();
+                        if chain.is_none() {
+                            // The packed engine adds each slab into C itself.
+                            let mut c_rm: Vec<f32> =
+                                (0..m * n).map(|e| c0[at(e / n, e % n)]).collect();
+                            let mut pa = vec![f32::NAN; packed_a_len(m, k)];
+                            pack_a(&a, m, k, false, &mut pa);
+                            gemm_packed_arm(
+                                Kernel::Scalar,
+                                Lhs::Packed(&pa),
+                                &pb,
+                                &mut c_rm,
+                                Store::rows(n),
+                                (m, k, n),
+                            );
+                            for (e, &v) in c_rm.iter().enumerate() {
+                                oracle[at(e / n, e % n)] = v;
+                            }
+                        } else {
+                            for (e, &v) in sum.iter().enumerate() {
+                                oracle[at(e / n, e % n)] += v;
+                            }
+                        }
+                        let view = Lhs::Rows {
+                            src: &src,
+                            rows: &rows,
+                            ks: &ks,
+                        };
+                        let store = if trans {
+                            Store::cols(ld, chain)
+                        } else {
+                            Store::rows(ld)
+                        };
+                        for arm in crate::simd::available() {
+                            for threads in [1, 4] {
+                                let mut c = c0.clone();
+                                rayon::ThreadPoolBuilder::new()
+                                    .num_threads(threads)
+                                    .build()
+                                    .expect("pool")
+                                    .install(|| {
+                                        gemm_packed_arm(arm, view, &pb, &mut c, store, (m, k, n))
+                                    });
+                                let on = format!(
+                                    "{} at {m}x{k}x{n}, {store:?}, {threads} threads",
+                                    arm.as_str()
+                                );
+                                assert_eq!(bits(&c), bits(&oracle), "{on}");
+                            }
+                        }
+                        for (l, l0) in oracle.chunks_exact(ld).zip(c0.chunks_exact(ld)) {
+                            assert_eq!(bits(&l[line..]), bits(&l0[line..]), "a gap was written");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `total += part`, elementwise: the oracle's fold of chain sums.
+    fn add_rows_oracle(total: &mut [f32], part: &mut [f32]) {
+        for (t, &p) in total.iter_mut().zip(part.iter()) {
+            *t += p;
+        }
+    }
+
+    /// A packed A cannot take a transposed store (nor so a chained one):
+    /// its kernels have neither.
+    #[test]
+    #[should_panic(expected = "needs a row-view A")]
+    fn packed_a_refuses_a_transposed_store() {
+        let pa = vec![1.0f32; packed_a_len(2, 2)];
+        let pb = vec![1.0f32; packed_b_len(2, 2)];
+        let mut c = vec![0.0f32; 4];
+        gemm_packed(
+            Lhs::Packed(&pa),
+            &pb,
+            &mut c,
+            Store::cols(2, None),
+            (2, 2, 2),
+        );
     }
 
     /// A row view whose reach passes its source must be refused before any
@@ -1236,7 +1488,7 @@ mod tests {
             rows: &[0, 8],
             ks: &[0, 2],
         };
-        gemm_packed(a, &pb, &mut c, 1, (2, 2, 1));
+        gemm_packed(a, &pb, &mut c, Store::rows(1), (2, 2, 1));
     }
 
     /// The dispatching entry, same defect: the panic is the entry's own.
@@ -1247,7 +1499,7 @@ mod tests {
         let pa = vec![1.0f32; packed_a_len(m, k)];
         let pb = vec![1.0f32; packed_b_len(k, n)];
         let mut c = vec![0.0f32; (m - 1) * n];
-        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, n, (m, k, n));
+        gemm_packed(Lhs::Packed(&pa), &pb, &mut c, Store::rows(n), (m, k, n));
     }
 
     /// Shapes the skinny heuristic must refuse — wide m, empty m or k in

@@ -36,7 +36,7 @@
 
 use crate::gemm::{
     gemm_packed_arm, is_len, pack_a, pack_a_rowmajor, pack_b, packed_a_len, packed_b_len,
-    skinny_applies, Lhs, NR,
+    skinny_applies, Lhs, Store, NR,
 };
 use crate::simd::Kernel;
 use crate::tensor::Tensor;
@@ -155,7 +155,7 @@ impl Path {
         fca_trace::op(OpId::GemmPack, span);
         let span = fca_trace::clock();
         match self {
-            Path::Packed => gemm_packed_arm(arm, Lhs::Packed(pa), pb, c, n, dims),
+            Path::Packed => gemm_packed_arm(arm, Lhs::Packed(pa), pb, c, Store::rows(n), dims),
             Path::SkinnyNn => crate::simd::skinny_arm(arm, pa, b, c, m, k, n),
             Path::SkinnyNt => crate::simd::skinny_nt_arm(arm, pa, b, c, m, k, n),
         }

@@ -10,20 +10,20 @@
 //!
 //! * [`Kernel::Scalar`] — the safe autovectorized engine from
 //!   [`crate::gemm`]. Portable fallback **and** bit-exactness oracle.
-//! * [`Kernel::Avx2Fma`] — AVX2+FMA f32 microkernel: the 8×16 tile is
-//!   computed as two 4×16 register passes (8 YMM accumulators + 2 B
-//!   vectors + 1 broadcast stays inside the 16-register file), plus a
-//!   narrow subkernel for `nr ≤ 8` column strips (the small-n classifier
-//!   shapes). Skinny-m products run the portable kernels: an AVX2 one
-//!   measured level with them end to end (EXPERIMENTS.md, *Paid for, or
-//!   gone*). So does a row-view A, which no AVX2 measurement has paid for.
+//! * [`Kernel::Avx2Fma`] — one AVX2+FMA row-view kernel: the 8×16 tile as
+//!   two 4×16 register passes (8 YMM accumulators + 2 B vectors + 1
+//!   broadcast stay inside the 16-register file), for a row-view A and a
+//!   packed panel read as one (`gemm::RowTile::panel`), the transposed
+//!   store turned in 8 × 8 blocks. Skinny-m products run the portable
+//!   kernels: an AVX2 one measured level with them end to end
+//!   (EXPERIMENTS.md, *Paid for, or gone*).
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
-//!   `NR = 16` tile width, so all 8 rows accumulate in a single pass. Also
-//!   the one arm with kernels of its own for the other operand shapes:
-//!   row-major B in 16-column skinny strips, a B stored `n × k` as sixteen
-//!   rows transposed in registers, and a row-view A read in place (with
-//!   it `hetero_train` ran 1.06× as fast as on the portable row-view
-//!   kernel, EXPERIMENTS.md *Conv backward in place*).
+//!   `NR = 16` tile width, so all 8 rows accumulate in a single pass. The
+//!   one arm with a packed-A kernel of its own beside its row-view one
+//!   (with which `hetero_train` ran 1.06× as fast as on the portable
+//!   kernel, EXPERIMENTS.md *Conv backward in place*), and with kernels
+//!   for the skinny shapes: row-major B in 16-column strips, a B stored
+//!   `n × k` as sixteen rows transposed in registers.
 //!
 //! # Determinism contract
 //!
@@ -46,7 +46,7 @@
 //! another way.
 
 use crate::gemm::{
-    microkernel, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
+    add_tile, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
 };
 use std::sync::OnceLock;
 
@@ -146,10 +146,8 @@ fn detect(arm: Kernel) -> bool {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
-        Kernel::Avx512 => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
+        // AVX2 too: the arm shares the AVX2 interleave.
+        Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && detect(Kernel::Avx2Fma),
     }
 }
 
@@ -164,12 +162,14 @@ fn detect(arm: Kernel) -> bool {
 // pointers, which keeps `#[target_feature]` coercion rules out of play.
 // ---------------------------------------------------------------------------
 
-/// f32 microkernel for one MR×NR tile on the given arm.
+/// f32 microkernel for one MR×NR tile of a packed A on the given arm:
+/// AVX-512 has one of its own, every other arm runs its row-view kernel
+/// over the panel ([`RowTile::panel`]).
 ///
 /// # Safety
 ///
-/// Same contract as [`crate::gemm::microkernel`]: `c` must be valid for
-/// `mr × nr` read/writes at row stride `ldc` with no concurrent aliasing.
+/// `c` must be valid for `mr × nr` read/writes at row stride `ldc` with
+/// no concurrent aliasing.
 /// Non-scalar arms additionally require that `arm` was reported available
 /// by [`available`]/[`active`] (runtime CPUID detection).
 // SAFETY: each match arm forwards the caller's contract unchanged; the
@@ -185,40 +185,42 @@ pub(crate) unsafe fn microkernel_arm(
     nr: usize,
 ) {
     match arm {
-        Kernel::Scalar => microkernel(pa, pb, c, ldc, mr, nr),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2Fma => x86::microkernel_avx2(pa, pb, c, ldc, mr, nr),
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => x86::microkernel_avx512(pa, pb, c, ldc, mr, nr),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => microkernel(pa, pb, c, ldc, mr, nr),
+        _ => microkernel_rows_arm(arm, RowTile::panel(pa), pb, (c, ldc, false), mr, nr),
     }
 }
 
-/// Row-view microkernel (A read in place through its offset tables, see
-/// [`crate::gemm::Lhs::Rows`]) for one MR×NR tile on the given arm:
-/// AVX-512 has one of its own, every other arm runs the portable one.
+/// Row-view microkernel (A read in place, [`crate::gemm::Lhs::Rows`]; k
+/// summed in chains, C `(c, ldc, trans)` transposed under `trans`,
+/// [`crate::gemm::Store`]) for one MR×NR tile on the given arm: AVX2 and
+/// AVX-512 have one each, the scalar arm runs the portable one.
 ///
 /// # Safety
 ///
-/// As [`microkernel_arm`]; in addition every `a.src[row + kk]` the tile
-/// reads must be in bounds (`gemm_packed_arm` asserts it for the whole
-/// operand before any tile runs).
+/// As [`microkernel_arm`], the region transposed under `trans`; every
+/// `a.src[row + kk]` the tile reads must be in bounds (`gemm_packed_arm`
+/// asserts it for the whole operand before any tile runs).
 // SAFETY: each match arm forwards the caller's contract unchanged; the
-// AVX-512 arm is only reachable when runtime detection reported it.
+// AVX2 and AVX-512 arms are only reachable when runtime detection
+// reported them.
+// Never inlined: the portable kernel's chains inlined into the tile loop
+// cost a packed-A product ~2× (measured at 8×16×196 on AVX-512).
+#[inline(never)]
 pub(crate) unsafe fn microkernel_rows_arm(
     arm: Kernel,
     a: RowTile<'_>,
     pb: &[f32],
-    c: *mut f32,
-    ldc: usize,
+    c: (*mut f32, usize, bool),
     mr: usize,
     nr: usize,
 ) {
     match arm {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => x86::microkernel_rows_avx512(a, pb, c, ldc, mr, nr),
-        _ => microkernel_rows(a, pb, c, ldc, mr, nr),
+        Kernel::Avx2Fma => x86::microkernel_rows_avx2(a, pb, c, mr, nr),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => x86::microkernel_rows_avx512(a, pb, c, mr, nr),
+        _ => microkernel_rows(a, pb, c, mr, nr),
     }
 }
 
@@ -271,9 +273,40 @@ pub(crate) fn skinny_nt_arm(
     }
 }
 
+/// Sixteen rows interleaved element-major, `dst[i][l] = rows[l][at + i]`
+/// for `i < dst.len()` — a copy, the same bits on every arm: the x86 arms
+/// turn pairs of 8 × 8 blocks in registers, the scalar arm and the tail
+/// copy element by element.
+///
+/// # Panics
+///
+/// When a row is shorter than `at + dst.len()`.
+pub fn interleave16(rows: &[&[f32]; NR], at: usize, dst: &mut [[f32; NR]]) {
+    interleave16_arm(active(), rows, at, dst);
+}
+
+/// [`interleave16`] on the given arm.
+fn interleave16_arm(arm: Kernel, rows: &[&[f32]; NR], at: usize, dst: &mut [[f32; NR]]) {
+    let end = at + dst.len();
+    assert!(
+        rows.iter().all(|r| r.len() >= end),
+        "interleave16: a row is short"
+    );
+    let done = match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: detection established AVX2 for both arms before handing
+        // them out; the rows are long enough (checked above).
+        Kernel::Avx2Fma | Kernel::Avx512 => unsafe { x86::interleave16_avx2(rows, at, dst) },
+        _ => 0,
+    };
+    for (i, d) in dst.iter_mut().enumerate().skip(done) {
+        *d = std::array::from_fn(|l| rows[l][at + i]);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{RowTile, BASE_FMA, KC, MR, NR};
+    use super::{add_tile, RowTile, BASE_FMA, KC, MR, NR};
     use core::arch::x86_64::*;
 
     /// Multiply-add matching the scalar [`crate::gemm::fmadd`] contraction choice: the
@@ -312,138 +345,162 @@ mod x86 {
         }
     }
 
-    /// AVX2+FMA f32 microkernel: two 4×16 register passes (or the narrow
-    /// single-YMM subkernel for `nr ≤ 8`). Bit-identical to
-    /// [`crate::gemm::microkernel`].
+    /// [`microkernel_rows_avx512`] on AVX2+FMA: two passes of four rows
+    /// (8 YMM accumulators + 2 B vectors + 1 broadcast stay inside the
+    /// 16-register file), each row's `a` broadcast from its view; chains
+    /// and store as in [`crate::gemm::microkernel_rows`], bit for bit. Also
+    /// the arm's packed kernel ([`RowTile::panel`]): its broadcasts are
+    /// separate loads here, so a table offset costs what a packed kernel's
+    /// pointer bump does. Transposed, the
+    /// tile is turned as two 8 × 8 blocks and lane `j`'s `mr` pixels land
+    /// as one (masked when `mr < MR`) add at `c + j·ldc`.
     ///
     /// # Safety
     ///
-    /// `c` valid for `mr × nr` read/writes at stride `ldc`, exclusive to
-    /// this call; AVX2+FMA must be available.
-    // SAFETY: all pointer arithmetic below stays inside `pa`/`pb` (panel
-    // slabs of kc·MR / kc·NR floats) and the caller's mr×nr region of C.
-    pub(super) unsafe fn microkernel_avx2(
-        pa: &[f32],
-        pb: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        if nr <= 8 {
-            microkernel_avx2_narrow(pa, pb, c, ldc, mr, nr)
-        } else {
-            microkernel_avx2_main(pa, pb, c, ldc, mr, nr)
-        }
-    }
-
-    /// # Safety
-    ///
-    /// See [`microkernel_avx2`].
-    // SAFETY: loads walk exactly kc panel rows; stores are clipped to the
-    // caller's mr×nr region.
+    /// AVX2+FMA must be available; `c` valid for `mr × nr` read/writes at
+    /// stride `ldc` (transposed under `trans`), exclusive to this call;
+    /// `a.rows` holds `mr` offsets, `pb` `a.ks.len()` panel steps, and every
+    /// `a.src[row + kk]` is in bounds.
+    // SAFETY: a ragged tile's spare rows reuse row 0's offset, so every
+    // load is one the caller vouched for; each pass's `bp` walks exactly
+    // the `a.ks.len()` panel steps of `pb`; stores stay in the `mr × nr`
+    // region (masked lanes `< mr` of `nr` runs when transposed).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn microkernel_avx2_main(
-        pa: &[f32],
+    pub(super) unsafe fn microkernel_rows_avx2(
+        a: RowTile<'_>,
         pb: &[f32],
-        c: *mut f32,
-        ldc: usize,
+        (c, ldc, trans): (*mut f32, usize, bool),
         mr: usize,
         nr: usize,
     ) {
-        let kc = pb.len() / NR;
-        debug_assert_eq!(pa.len(), kc * MR);
-        for half in 0..2 {
-            let row0 = half * 4;
-            if row0 >= mr {
-                break;
-            }
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let mut ap = pa.as_ptr().add(row0);
+        debug_assert_eq!(pb.len(), a.ks.len() * NR);
+        let rp: [*const f32; MR] = std::array::from_fn(|i| {
+            let row = a.rows[if i < mr { i } else { 0 }] as usize;
+            a.src.as_ptr().add(row)
+        });
+        let zero = [_mm256_setzero_ps(); 2];
+        let mut total = [zero; MR];
+        let passes = rp.chunks_exact(4).zip(total.chunks_exact_mut(4));
+        for (rp, total) in passes.take(mr.div_ceil(4)) {
             let mut bp = pb.as_ptr();
-            for _ in 0..kc {
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(r));
-                    accr[0] = fm256(av, b0, accr[0]);
-                    accr[1] = fm256(av, b1, accr[1]);
+            for ks in a.ks.chunks(a.chain) {
+                let mut sum = [zero; 4];
+                for (slab, ks) in ks.chunks(KC).enumerate() {
+                    let mut acc = [zero; 4];
+                    for &kk in ks {
+                        let kk = kk as usize;
+                        let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
+                        for (accr, p) in acc.iter_mut().zip(rp) {
+                            let av = _mm256_set1_ps(*p.add(kk));
+                            accr[0] = fm256(av, b0, accr[0]);
+                            accr[1] = fm256(av, b1, accr[1]);
+                        }
+                        bp = bp.add(NR);
+                    }
+                    for (s, a) in sum.iter_mut().zip(&acc) {
+                        for (s, &a) in s.iter_mut().zip(a) {
+                            *s = if slab == 0 { a } else { _mm256_add_ps(*s, a) };
+                        }
+                    }
                 }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let i = row0 + r;
-                if i >= mr {
-                    break;
-                }
-                let cp = c.add(i * ldc);
-                if nr == NR {
-                    _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), accr[0]));
-                    let ch = cp.add(8);
-                    _mm256_storeu_ps(ch, _mm256_add_ps(_mm256_loadu_ps(ch), accr[1]));
-                } else {
-                    let mut spill = [0.0f32; NR];
-                    _mm256_storeu_ps(spill.as_mut_ptr(), accr[0]);
-                    _mm256_storeu_ps(spill.as_mut_ptr().add(8), accr[1]);
-                    for (j, &v) in spill.iter().take(nr).enumerate() {
-                        *cp.add(j) += v;
+                for (t, s) in total.iter_mut().zip(&sum) {
+                    for (t, &s) in t.iter_mut().zip(s) {
+                        *t = _mm256_add_ps(*t, s);
                     }
                 }
             }
         }
+        if !trans {
+            // Two YMM are one 16-lane row: the portable store takes the tile.
+            let rows: [[f32; NR]; MR] = std::mem::transmute(total);
+            return add_tile(&rows, c, (ldc, false), mr, nr);
+        }
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(mr as i32), lanes);
+        for half in 0..nr.div_ceil(8) {
+            let mut t: [__m256; 8] = total.map(|row| row[half]);
+            transpose8(&mut t);
+            for (j, &tj) in t.iter().enumerate().take(nr - 8 * half) {
+                let cp = c.add((8 * half + j) * ldc);
+                if mr == MR {
+                    _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), tj));
+                } else {
+                    let sum = _mm256_add_ps(_mm256_maskload_ps(cp, mask), tj);
+                    _mm256_maskstore_ps(cp, mask, sum);
+                }
+            }
+        }
     }
 
-    /// Narrow subkernel for `nr ≤ 8` (small-n classifier logits): one YMM
-    /// column strip, all 8 rows in a single pass.
+    /// The whole 8-element blocks of [`super::interleave16`]; returns how
+    /// many elements of `dst` it wrote.
     ///
     /// # Safety
     ///
-    /// See [`microkernel_avx2`].
-    // SAFETY: lanes nr..8 read zero panel padding and are never stored.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn microkernel_avx2_narrow(
-        pa: &[f32],
-        pb: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        let kc = pb.len() / NR;
-        debug_assert_eq!(pa.len(), kc * MR);
-        let mut acc = [_mm256_setzero_ps(); MR];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(bp);
-            for (r, accr) in acc.iter_mut().enumerate() {
-                *accr = fm256(_mm256_set1_ps(*ap.add(r)), b0, *accr);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (i, accr) in acc.iter().enumerate().take(mr) {
-            let cp = c.add(i * ldc);
-            if nr == 8 {
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), *accr));
-            } else {
-                let mut spill = [0.0f32; 8];
-                _mm256_storeu_ps(spill.as_mut_ptr(), *accr);
-                for (j, &v) in spill.iter().take(nr).enumerate() {
-                    *cp.add(j) += v;
+    /// AVX2, and every row holds `at + dst.len()` floats.
+    // SAFETY: block `b` loads elements `at + 8b .. at + 8b + 8` of each
+    // row, below `at + dst.len()`, and stores into `dst`'s own elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn interleave16_avx2(
+        rows: &[&[f32]; NR],
+        at: usize,
+        dst: &mut [[f32; NR]],
+    ) -> usize {
+        for (b, out) in dst.chunks_exact_mut(8).enumerate() {
+            for (half, rows) in rows.chunks_exact(8).enumerate() {
+                let mut t: [__m256; 8] =
+                    std::array::from_fn(|l| _mm256_loadu_ps(rows[l].as_ptr().add(at + b * 8)));
+                transpose8(&mut t);
+                for (o, t) in out.iter_mut().zip(t) {
+                    _mm256_storeu_ps(o.as_mut_ptr().add(8 * half), t);
                 }
             }
+        }
+        dst.len() / 8 * 8
+    }
+
+    /// In-register transpose of an 8 × 8 f32 block: `t[q]` lane `l` becomes
+    /// the old `t[l]` lane `q`. Interleave 32-bit pairs, then 64-bit pairs
+    /// within 128-bit lanes, then swap 128-bit halves (24 shuffles).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX. The body shuffles registers and indexes
+    /// `t` only with in-bounds constants; it is reached only from the AVX2
+    /// arms, which dispatch gates on avx2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(t: &mut [__m256; 8]) {
+        let mut u = [_mm256_setzero_ps(); 8];
+        for i in 0..4 {
+            u[2 * i] = _mm256_unpacklo_ps(t[2 * i], t[2 * i + 1]);
+            u[2 * i + 1] = _mm256_unpackhi_ps(t[2 * i], t[2 * i + 1]);
+        }
+        // v[4g + c], 128-bit half H: column 4H + c of rows 4g..4g + 4.
+        let mut v = [_mm256_setzero_ps(); 8];
+        for g in 0..2 {
+            // 0x44 keeps elements 0 and 1 of each operand, 0xEE 2 and 3.
+            v[4 * g] = _mm256_shuffle_ps::<0x44>(u[4 * g], u[4 * g + 2]);
+            v[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(u[4 * g], u[4 * g + 2]);
+            v[4 * g + 2] = _mm256_shuffle_ps::<0x44>(u[4 * g + 1], u[4 * g + 3]);
+            v[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(u[4 * g + 1], u[4 * g + 3]);
+        }
+        for c in 0..4 {
+            // 0x20 joins the low halves, 0x31 the high ones.
+            t[c] = _mm256_permute2f128_ps::<0x20>(v[c], v[4 + c]);
+            t[4 + c] = _mm256_permute2f128_ps::<0x31>(v[c], v[4 + c]);
         }
     }
 
     /// AVX-512F f32 microkernel: one ZMM spans the NR=16 tile width, so
     /// all 8 rows accumulate in a single pass (8 accumulators + 1 B
-    /// vector). Bit-identical to [`crate::gemm::microkernel`].
+    /// vector). Bit-identical to [`crate::gemm::microkernel_rows`] over
+    /// the panel.
     ///
     /// # Safety
     ///
-    /// See [`microkernel_avx2`], with AVX-512F in place of AVX2.
+    /// AVX-512F must be available; `c` valid for `mr × nr` read/writes at
+    /// stride `ldc`, exclusive to this call.
     // SAFETY: loads walk exactly kc panel rows; stores are clipped to the
     // caller's mr×nr region (spill path for partial tiles).
     #[target_feature(enable = "avx512f", enable = "fma")]
@@ -472,21 +529,23 @@ mod x86 {
     }
 
     /// [`microkernel_avx512`] with A's rows read in place: per k step, each
-    /// row's `a` is broadcast straight from its view at the step's offset.
-    /// Bit-identical to [`crate::gemm::microkernel_rows`].
+    /// row's `a` is broadcast straight from its view; chains and store as
+    /// in [`crate::gemm::microkernel_rows`], bit for bit.
     ///
     /// # Safety
     ///
-    /// As [`microkernel_avx512`]; `a.rows` holds `mr` offsets, `pb` one slab
-    /// of `a.ks.len()` steps, and every `a.src[row + kk]` is in bounds.
+    /// As [`microkernel_avx512`], C's region transposed under `trans`;
+    /// `a.rows` holds `mr` offsets, `pb` `a.ks.len()` panel steps, and every
+    /// `a.src[row + kk]` is in bounds.
     // SAFETY: a ragged tile's spare rows reuse row 0's offset, so every
-    // load is one the caller vouched for; stores as `add_tile_avx512`.
+    // load is one the caller vouched for; `bp` walks exactly the
+    // `a.ks.len()` panel steps of `pb`; stores stay in the `mr × nr` region
+    // (masked lanes `< mr` of `nr` runs when transposed).
     #[target_feature(enable = "avx512f", enable = "fma")]
     pub(super) unsafe fn microkernel_rows_avx512(
         a: RowTile<'_>,
         pb: &[f32],
-        c: *mut f32,
-        ldc: usize,
+        (c, ldc, trans): (*mut f32, usize, bool),
         mr: usize,
         nr: usize,
     ) {
@@ -496,17 +555,43 @@ mod x86 {
             let row = a.rows[if i < mr { i } else { 0 }] as usize;
             base.add(row)
         });
-        let mut acc = [_mm512_setzero_ps(); MR];
+        let mut total = [_mm512_setzero_ps(); MR];
         let mut bp = pb.as_ptr();
-        for &kk in a.ks {
-            let kk = kk as usize;
-            let b = _mm512_loadu_ps(bp);
-            for (accr, p) in acc.iter_mut().zip(&rp) {
-                *accr = fm512(_mm512_set1_ps(*p.add(kk)), b, *accr);
+        for ks in a.ks.chunks(a.chain) {
+            let mut sum = [_mm512_setzero_ps(); MR];
+            for (slab, ks) in ks.chunks(KC).enumerate() {
+                let mut acc = [_mm512_setzero_ps(); MR];
+                for &kk in ks {
+                    let kk = kk as usize;
+                    let b = _mm512_loadu_ps(bp);
+                    for (accr, p) in acc.iter_mut().zip(&rp) {
+                        *accr = fm512(_mm512_set1_ps(*p.add(kk)), b, *accr);
+                    }
+                    bp = bp.add(NR);
+                }
+                for (s, &a) in sum.iter_mut().zip(&acc) {
+                    *s = if slab == 0 { a } else { _mm512_add_ps(*s, a) };
+                }
             }
-            bp = bp.add(NR);
+            for (t, &s) in total.iter_mut().zip(&sum) {
+                *t = _mm512_add_ps(*t, s);
+            }
         }
-        add_tile_avx512(&acc, c, ldc, mr, nr);
+        if !trans {
+            return add_tile_avx512(&total, c, ldc, mr, nr);
+        }
+        // Transposed: the tile is turned in registers (its upper eight rows
+        // zero), and lane `j`'s `mr` pixels land as one masked add, which
+        // touches nothing past them, at `c + j·ldc`.
+        let mut t = [_mm512_setzero_ps(); NR];
+        t[..MR].copy_from_slice(&total);
+        transpose16(&mut t);
+        let mask = ((1u32 << mr) - 1) as __mmask16;
+        for (j, &tj) in t.iter().enumerate().take(nr) {
+            let cp = c.add(j * ldc);
+            let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cp), tj);
+            _mm512_mask_storeu_ps(cp, mask, sum);
+        }
     }
 
     /// Add the `mr × nr` corner of an AVX-512 register tile into C.
@@ -754,7 +839,7 @@ mod x86 {
     ///
     /// The CPU must support AVX-512F. The body shuffles registers and
     /// indexes `t` only with in-bounds constants, so it touches no other
-    /// memory; it is reached only from the AVX-512 skinny kernel, which
+    /// memory; it is reached only from the AVX-512 arms, which
     /// dispatch gates on avx512f support.
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -787,6 +872,29 @@ mod x86 {
             t[4 + c] = _mm512_shuffle_f32x4::<0x88>(ab_odd, cd_odd);
             t[8 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_even, cd_even);
             t[12 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_odd, cd_odd);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every arm interleaves what the element-by-element copy does: whole
+    /// blocks, a tail, none at all, from an offset.
+    #[test]
+    fn interleave16_copies_the_same_on_every_arm() {
+        let planes: Vec<f32> = (0..NR * 50).map(|e| e as f32 * 0.5 - 7.0).collect();
+        let rows: [&[f32]; NR] = std::array::from_fn(|l| &planes[l * 50..(l + 1) * 50]);
+        for (at, len) in [(0, 0), (0, 7), (0, 8), (3, 16), (1, 33), (5, 45)] {
+            let want: Vec<[f32; NR]> = (0..len)
+                .map(|i| std::array::from_fn(|l| rows[l][at + i]))
+                .collect();
+            for arm in available() {
+                let mut dst = vec![[f32::NAN; NR]; len];
+                interleave16_arm(arm, &rows, at, &mut dst);
+                assert_eq!(dst, want, "{} at {at}, {len} long", arm.as_str());
+            }
         }
     }
 }

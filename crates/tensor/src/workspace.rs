@@ -200,7 +200,7 @@ impl Workspace {
     }
 
     /// An output tensor of `shape`, zero-filled (required before any
-    /// accumulating kernel such as the GEMMs or `col2im`).
+    /// accumulating kernel such as the GEMMs or a gradient scatter).
     pub fn tensor_zeroed(&mut self, shape: impl Into<Shape>) -> Tensor {
         let mut t = self.tensor(shape);
         t.data_mut().fill(0.0);

@@ -55,11 +55,13 @@ registry! {
         GemmTn = "gemm_tn",
         /// `C += A·Bᵀ` calls (`Layout::Nt`).
         GemmNt = "gemm_nt",
-        /// Convolution input lowering: the im2col matrix, or the
-        /// zero-bordered copy of an image.
+        /// Convolution forward operand: the zero-bordered copy of an image
+        /// that the products read in place (the name is the lowering it
+        /// replaced).
         Im2col = "im2col",
-        /// Convolution gradient fold: col2im's scatter-add, or the copy of
-        /// the interior out of padded input-gradient planes.
+        /// Convolution input-gradient operand: the zero-bordered copy of
+        /// an image's output gradient that the product reads in place (the
+        /// name is the fold it replaced).
         Col2im = "col2im",
         /// Whole `Conv2d::forward` call.
         ConvForward = "conv_forward",
