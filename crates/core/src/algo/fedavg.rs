@@ -6,8 +6,17 @@ use crate::client::{Client, LocalStats};
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
+use std::ops::Range;
+
+/// An accepted full-model reply: its frame, and the byte range of each
+/// tensor's values in it, in state order.
+pub(crate) struct ModelFrame {
+    frame: Frame,
+    payloads: Vec<Range<usize>>,
+}
 
 /// FedAvg server: weighted full-model averaging.
 pub struct FedAvg {
@@ -31,16 +40,20 @@ impl FedAvg {
 
     /// One full-model exchange, whatever `train` is — FedAvg's, FedProx's
     /// and FedClassAvg `+weight`'s round: the global state goes down as
-    /// one message, each client trains on it, and the replies of the
-    /// global's own shapes are averaged into the new global. True when a
-    /// new global was formed.
+    /// one message, encoded from where it lies, each client trains on it,
+    /// and the replies of the global's own shapes are averaged into the
+    /// global, from their frames. True when a new global was formed.
     pub(crate) fn exchange(
         &mut self,
         leg: &mut Leg<'_>,
         train: impl Fn(&mut Client) -> LocalStats + Sync,
     ) -> bool {
         let net = leg.net;
-        let down = Downlink::All(WireMessage::FullModel(self.global_state.clone()));
+        let len = WireMessage::full_state_len(&self.global_state);
+        let encode = |buf: &mut Vec<u8>| WireMessage::encode_full_state(&self.global_state, buf);
+        // A state that cannot be framed reaches nobody, as a broadcast
+        // that failed to encode would not.
+        let down = Frame::encode(len, encode).map_or(Downlink::Each(Vec::new()), Downlink::Encoded);
         let turn = |c: &mut Client| Self::client_turn(c, net, &train);
         exchange(
             leg,
@@ -66,30 +79,31 @@ impl FedAvg {
         let _ = net.send_full_model(c.id, &mut c.model);
     }
 
-    /// A reply is usable when it is a full model of the global's shapes.
-    fn accept(&self, _client: usize, msg: WireMessage) -> Option<Vec<Tensor>> {
-        match msg {
-            WireMessage::FullModel(state) if same_shapes(&state, &self.global_state) => Some(state),
-            _ => None,
-        }
+    /// A reply is usable when it is a full model of the global's shapes:
+    /// kept as its frame, with where each tensor's values lie in it.
+    fn accept(&self, _client: usize, frame: Frame) -> Option<ModelFrame> {
+        let payloads = WireMessage::full_model_payloads(&frame, &self.global_state).ok()?;
+        Some(ModelFrame { frame, payloads })
     }
 
     /// The weighted average of the replies becomes the global state,
-    /// folded into the first reply's own tensors: it is scaled where it
-    /// lies and the others are added onto it.
-    fn fold(&mut self, replies: Vec<Reply<Vec<Tensor>>>) {
-        let mut replies = replies.into_iter();
-        let Some(first) = replies.next() else {
-            return;
-        };
-        let mut acc = first.payload;
-        acc.iter_mut().for_each(|t| t.scale(first.weight));
-        for r in replies {
-            for (ai, ti) in acc.iter_mut().zip(&r.payload) {
-                ai.axpy(r.weight, ti);
+    /// written over it from the frames: the first reply scaled, then each
+    /// other one added in reply order — `Tensor::scale` and
+    /// `Tensor::axpy`'s arithmetic on the values where they lie.
+    fn fold(&mut self, replies: Vec<Reply<ModelFrame>>) {
+        for (i, r) in replies.iter().enumerate() {
+            let ModelFrame { frame, payloads } = &r.payload;
+            for (t, range) in self.global_state.iter_mut().zip(payloads) {
+                let values = frame[range.clone()].chunks_exact(4);
+                let values = values.map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+                let dst = t.data_mut().iter_mut().zip(values);
+                if i == 0 {
+                    dst.for_each(|(a, v)| *a = v * r.weight);
+                } else {
+                    dst.for_each(|(a, v)| *a += r.weight * v);
+                }
             }
         }
-        self.global_state = acc;
     }
 
     /// Replace the global state with one of the same shapes (a checkpoint's).
@@ -101,6 +115,13 @@ impl FedAvg {
         }
         self.global_state = state;
         Ok(())
+    }
+}
+
+impl FedAvg {
+    /// FedAvg's local update: supervised epochs from the global model.
+    fn train(hp: &HyperParams) -> impl Fn(&mut Client) -> LocalStats + Sync + '_ {
+        |c| c.local_update_supervised(hp.local_epochs, hp)
     }
 }
 
@@ -118,7 +139,7 @@ impl Algorithm for FedAvg {
         hp: &HyperParams,
     ) {
         let mut leg = Leg::new(round, fleet, sampled, net);
-        self.exchange(&mut leg, |c| c.local_update_supervised(hp.local_epochs, hp));
+        self.exchange(&mut leg, Self::train(hp));
     }
 
     fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
@@ -156,6 +177,24 @@ impl FedProx {
     }
 }
 
+impl FedProx {
+    /// FedProx's local update: supervised epochs pulled towards the
+    /// global model with weight `mu`.
+    fn train(mu: f32, hp: &HyperParams) -> impl Fn(&mut Client) -> LocalStats + Sync + '_ {
+        move |c| {
+            // Snapshot the just-loaded global parameters in params_mut
+            // order so the proximal pull aligns exactly.
+            let snapshot: Vec<Tensor> = c
+                .model
+                .params_mut()
+                .iter()
+                .map(|p| p.value.clone())
+                .collect();
+            c.local_update_fedprox(&snapshot, mu, hp)
+        }
+    }
+}
+
 impl Algorithm for FedProx {
     fn name(&self) -> String {
         "FedProx".into()
@@ -169,19 +208,8 @@ impl Algorithm for FedProx {
         net: &Network,
         hp: &HyperParams,
     ) {
-        let mu = self.mu;
         let mut leg = Leg::new(round, fleet, sampled, net);
-        self.inner.exchange(&mut leg, |c| {
-            // Snapshot the just-loaded global parameters in params_mut
-            // order so the proximal pull aligns exactly.
-            let snapshot: Vec<Tensor> = c
-                .model
-                .params_mut()
-                .iter()
-                .map(|p| p.value.clone())
-                .collect();
-            c.local_update_fedprox(&snapshot, mu, hp)
-        });
+        self.inner.exchange(&mut leg, Self::train(self.mu, hp));
     }
 
     fn server_state(&self) -> Vec<Option<Vec<&Tensor>>> {
@@ -348,6 +376,164 @@ mod tests {
                     forged,
                     lost,
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_mangled_full_model_reply_is_refused_before_the_first_write() {
+        use crate::algo::testing::{assert_forged_reply_is_a_lost_reply, Forgery, Mangle};
+        // Each leaves the frame unreadable as the global's full model: the
+        // message check refuses the first two, the fold's shape walk the
+        // rest.
+        let mangles: [(&str, Mangle); 5] = [
+            ("truncated", |b, _| {
+                b.pop();
+            }),
+            ("a byte too long", |b, _| b.push(0)),
+            ("its tag bit-flipped", |b, at| b[at] ^= 0x04),
+            // The first tensor's rank, then its first extent.
+            ("a rank bit-flipped", |b, at| b[at + 5] ^= 0x01),
+            ("an extent bit-flipped", |b, at| b[at + 6] ^= 0x01),
+        ];
+        use crate::algo::FedClassAvg;
+        let fleet = || tiny_fleet_homogeneous(3, 728).0;
+        let init = || fleet().client_mut(0).model.full_state();
+        for (what, mangle) in mangles {
+            // First reply of three, last of three, and the only one.
+            for (k, lost) in [(0, &[][..]), (2, &[][..]), (1, &[0, 2][..])] {
+                let what = format!("{what}, from client {k}, {} lost", lost.len());
+                let forged = Forgery::Mangled(mangle);
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("FedAvg: {what}"),
+                    || (fleet(), FedAvg::new(init())),
+                    k,
+                    forged.clone(),
+                    lost,
+                );
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("FedProx: {what}"),
+                    || (fleet(), FedProx::new(init(), 0.1)),
+                    k,
+                    forged.clone(),
+                    lost,
+                );
+                assert_forged_reply_is_a_lost_reply(
+                    &format!("FedClassAvg +weight: {what}"),
+                    || {
+                        let algo = FedClassAvg::with_full_weight_sharing(8, 3, 728, init());
+                        (fleet(), algo)
+                    },
+                    k,
+                    forged,
+                    lost,
+                );
+            }
+        }
+    }
+
+    /// The decode-then-fold exchange every full-model round ran before the
+    /// fold read frames: the broadcast encoded from a clone of the state,
+    /// each reply decoded into tensors, the first one scaled where it lies
+    /// and the others added onto it.
+    fn decode_then_fold(
+        state: &mut Vec<Tensor>,
+        leg: &mut Leg<'_>,
+        train: impl Fn(&mut Client) -> LocalStats + Sync,
+    ) -> bool {
+        let net = leg.net;
+        let down = Downlink::All(WireMessage::FullModel(state.clone()));
+        let turn = |c: &mut Client| FedAvg::client_turn(c, net, &train);
+        let accept = &mut |global: &Vec<Tensor>, _, frame: Frame| match WireMessage::decode(&frame)
+        {
+            Ok(WireMessage::FullModel(s)) if same_shapes(&s, global) => Some(s),
+            _ => None,
+        };
+        let fold = &mut |global: &mut Vec<Tensor>, replies: Vec<Reply<Vec<Tensor>>>| {
+            let mut replies = replies.into_iter();
+            let Some(first) = replies.next() else {
+                return;
+            };
+            let mut acc = first.payload;
+            acc.iter_mut().for_each(|t| t.scale(first.weight));
+            for r in replies {
+                for (ai, ti) in acc.iter_mut().zip(&r.payload) {
+                    ai.axpy(r.weight, ti);
+                }
+            }
+            *global = acc;
+        };
+        crate::algo::exchange(leg, down, turn, Some((state, accept, fold))).is_some()
+    }
+
+    #[test]
+    fn folding_from_frames_matches_decoding_then_folding_to_the_bit() {
+        use crate::algo::testing::snapshots;
+        use crate::algo::FedClassAvg;
+        use crate::comm::{FaultPlan, Network};
+        use crate::config::Aggregation;
+        let hp = HyperParams::micro_default();
+        let all: Vec<usize> = (0..5).collect();
+        let plan = FaultPlan::new(31, 0.15, 0.2, 0.2);
+        let obj = FedClassAvg::new(8, 3, 0).objective_for(&hp);
+        type Train<'a> = Box<dyn Fn(&mut Client) -> LocalStats + Sync + 'a>;
+        let trains: [(&str, Train); 3] = [
+            ("FedAvg", Box::new(FedAvg::train(&hp))),
+            ("FedProx", Box::new(FedProx::train(0.1, &hp))),
+            (
+                "FedClassAvg +weight",
+                Box::new(FedClassAvg::weight_train(&hp, obj)),
+            ),
+        ];
+        let buffered = Aggregation::Buffered {
+            goal_k: 2,
+            max_staleness: 2,
+        };
+        let bits = |state: &[Tensor]| -> Vec<u32> {
+            state
+                .iter()
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for agg in [Aggregation::Sync, buffered] {
+            for (name, train) in &trains {
+                let net = || {
+                    Network::new(5)
+                        .with_fault_plan(plan)
+                        .with_aggregation(agg, 77)
+                };
+                let (mut fleet_a, mut fleet_b) = (
+                    tiny_fleet_homogeneous(5, 729).0,
+                    tiny_fleet_homogeneous(5, 729).0,
+                );
+                let init = fleet_a.client_mut(0).model.full_state();
+                let (mut server, mut oracle) = (FedAvg::new(init.clone()), init);
+                let (mut net_a, mut net_b) = (net(), net());
+                let (mut folds, mut corrupt, mut stale) = (0, 0, 0);
+                for round in 1..=6 {
+                    let what = format!("{name}, {agg:?}, round {round}");
+                    net_a.begin_round(round, &all);
+                    net_b.begin_round(round, &all);
+                    let a =
+                        server.exchange(&mut Leg::new(round, &mut fleet_a, &all, &net_a), train);
+                    let b = decode_then_fold(
+                        &mut oracle,
+                        &mut Leg::new(round, &mut fleet_b, &all, &net_b),
+                        train,
+                    );
+                    assert_eq!(a, b, "{what}");
+                    assert_eq!(bits(server.global_state()), bits(&oracle), "{what}");
+                    let faults = net_a.take_round_faults();
+                    assert_eq!(faults, net_b.take_round_faults(), "{what}");
+                    let late = net_a.take_round_async();
+                    assert_eq!(late, net_b.take_round_async(), "{what}");
+                    folds += a as usize;
+                    corrupt += faults.1;
+                    stale += late.0;
+                }
+                assert_eq!(snapshots(&mut fleet_a), snapshots(&mut fleet_b), "{name}");
+                assert!(folds > 0 && corrupt > 0, "{name}, {agg:?}: nothing tested");
+                assert_eq!(stale > 0, agg == buffered, "{name}, {agg:?}");
             }
         }
     }

@@ -15,10 +15,11 @@
 use super::{
     classifier_fits, exactly, exchange, Algorithm, Downlink, FedAvg, Leg, Reply, OTHER_STATE,
 };
-use crate::client::{Client, LocalObjective};
+use crate::client::{Client, LocalObjective, LocalStats};
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_models::classifier::ClassifierWeights;
 use fca_tensor::rng::derived_rng;
 use fca_tensor::serialize::WireError;
@@ -151,6 +152,18 @@ impl FedClassAvg {
         let _ = net.send_to_server(c.id, &reply(c.model.classifier.weights()));
     }
 
+    /// The `+weight` local update: FedClassAvg's objective, its proximal
+    /// pull towards the classifier the full model just loaded.
+    pub(crate) fn weight_train(
+        hp: &HyperParams,
+        obj: LocalObjective,
+    ) -> impl Fn(&mut Client) -> LocalStats + Sync + '_ {
+        move |c| {
+            let global_cls = c.model.classifier.weights();
+            c.local_update_fedclassavg(Some(&global_cls), hp, obj)
+        }
+    }
+
     pub(crate) fn objective_for(&self, hp: &HyperParams) -> LocalObjective {
         LocalObjective {
             contrastive: self.objective.contrastive,
@@ -164,10 +177,10 @@ impl FedClassAvg {
 
     /// A reply is usable when it is a classifier of the global's shape, in
     /// either precision.
-    fn accept(&self, _client: usize, msg: WireMessage) -> Option<ClassifierWeights> {
+    fn accept(&self, _client: usize, frame: Frame) -> Option<ClassifierWeights> {
         let dims = self.global.weight.dims();
-        match msg {
-            WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {
+        match WireMessage::decode(&frame) {
+            Ok(WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw)) => {
                 classifier_fits(&cw, dims[1], dims[0]).then_some(cw)
             }
             _ => None,
@@ -211,10 +224,7 @@ impl Algorithm for FedClassAvg {
                 // The full state goes from the frame into the model and
                 // back; the classifier it just loaded is the round's
                 // global one.
-                let folded = full.exchange(&mut leg, |c| {
-                    let global_cls = c.model.classifier.weights();
-                    c.local_update_fedclassavg(Some(&global_cls), hp, obj)
-                });
+                let folded = full.exchange(&mut leg, Self::weight_train(hp, obj));
                 if folded {
                     self.sync_classifier();
                 }
@@ -534,10 +544,10 @@ mod tests {
             if replies.is_empty() {
                 return;
             }
-            let classifiers: Vec<(usize, usize, &ClassifierWeights)> = replies
+            let classifiers: Vec<(usize, usize, ClassifierWeights)> = replies
                 .iter()
-                .filter_map(|(k, s, msg)| match msg {
-                    WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw) => {
+                .filter_map(|(k, s, frame)| match WireMessage::decode(frame) {
+                    Ok(WireMessage::Classifier(cw) | WireMessage::ClassifierF16(cw)) => {
                         Some((*k, *s, cw))
                     }
                     _ => None,

@@ -13,6 +13,7 @@ use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_tensor::ops::softmax_rows;
 use fca_tensor::Tensor;
 
@@ -65,8 +66,8 @@ impl Transfer {
             let _ = net.send_to_server(c.id, &WireMessage::SoftPredictions(soft));
         };
         let (rows, mut classes) = (self.public.dims()[0], None);
-        let accept = &mut |_: &S, _, msg| match msg {
-            WireMessage::SoftPredictions(t) => {
+        let accept = &mut |_: &S, _, frame: Frame| match WireMessage::decode(&frame) {
+            Ok(WireMessage::SoftPredictions(t)) => {
                 let fits =
                     matches!(*t.dims(), [r, c] if r == rows && c == *classes.get_or_insert(c));
                 fits.then_some(t)

@@ -7,6 +7,7 @@ use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
 
@@ -93,8 +94,8 @@ impl Algorithm for FedProto {
             let local = c.compute_prototypes();
             let _ = net.send_to_server(c.id, &WireMessage::Prototypes(local));
         };
-        let accept = &mut |server: &Self, _, msg| match msg {
-            WireMessage::Prototypes(protos) => {
+        let accept = &mut |server: &Self, _, frame: Frame| match WireMessage::decode(&frame) {
+            Ok(WireMessage::Prototypes(protos)) => {
                 prototypes_fit(&protos, server.num_classes, server.feature_dim).then_some(protos)
             }
             _ => None,

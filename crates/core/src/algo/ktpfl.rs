@@ -15,6 +15,7 @@ use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_tensor::ops::softmax_rows;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
@@ -332,8 +333,8 @@ impl Algorithm for KtPflWeight {
             state.iter().map(|t| t.dims().to_vec()).collect()
         };
         let mut known = self.states.iter().flatten().next().map(|s| shapes(s));
-        let accept = &mut |_: &Self, _, msg| match msg {
-            WireMessage::FullModel(state) => {
+        let accept = &mut |_: &Self, _, frame: Frame| match WireMessage::decode(&frame) {
+            Ok(WireMessage::FullModel(state)) => {
                 let fits = *known.get_or_insert_with(|| shapes(&state)) == shapes(&state);
                 fits.then_some(state)
             }

@@ -22,6 +22,7 @@ use crate::client::Client;
 use crate::comm::{Network, WireMessage};
 use crate::config::HyperParams;
 use crate::fleet::Fleet;
+use crate::frame::Frame;
 use fca_models::classifier::ClassifierWeights;
 use fca_tensor::serialize::WireError;
 use fca_tensor::Tensor;
@@ -136,6 +137,8 @@ impl<'a> Leg<'a> {
 pub(crate) enum Downlink {
     /// One message for every sampled client, encoded once.
     All(WireMessage),
+    /// One message for every sampled client, already encoded.
+    Encoded(Frame),
     /// A message of its own for each of the listed clients — none at all,
     /// for purely local training.
     Each(Vec<(usize, WireMessage)>),
@@ -153,14 +156,16 @@ pub(crate) struct Reply<T> {
 }
 
 /// The uplink half of an exchange, `(state, accept, fold)`: the server
-/// state `S` the replies fold into; `accept(&state, client, message)`,
-/// `Some(payload)` for a reply of the right variant *and* of shapes the fold
-/// can take, judged against the server's own state; and
+/// state `S` the replies fold into; `accept(&state, client, frame)`, which
+/// decodes or validates the reply's message and answers `Some(payload)` for
+/// one of the right variant *and* of shapes the fold can take, judged
+/// against the server's own state — a frame it cannot read is refused like
+/// any other; and
 /// `fold(&mut state, replies)`, which is handed the accepted replies — never
 /// none — in `(client, staleness)` order.
 pub(crate) type Uplink<'a, S, T, R> = (
     &'a mut S,
-    &'a mut dyn FnMut(&S, usize, WireMessage) -> Option<T>,
+    &'a mut dyn FnMut(&S, usize, Frame) -> Option<T>,
     &'a mut dyn FnMut(&mut S, Vec<Reply<T>>) -> R,
 );
 
@@ -193,6 +198,9 @@ pub(crate) fn exchange<S, T, R>(
         Downlink::All(msg) => {
             let _ = net.broadcast(sampled, &msg);
         }
+        Downlink::Encoded(frame) => {
+            let _ = net.broadcast_frame(sampled, &frame);
+        }
         Downlink::Each(msgs) => {
             for (k, msg) in msgs {
                 let _ = net.send_to_client(k, &msg);
@@ -213,8 +221,8 @@ pub(crate) fn exchange<S, T, R>(
     let span = fca_trace::clock();
     let arrived = replies.len();
     let mut accepted: Vec<Reply<T>> = Vec::with_capacity(arrived);
-    for (client, staleness, msg) in replies {
-        if let Some(payload) = accept(state, client, msg) {
+    for (client, staleness, frame) in replies {
+        if let Some(payload) = accept(state, client, frame) {
             // A meta-record read: it never hydrates a paged-out client.
             let raw = leg.fleet.weight(client) * staleness_decay(staleness);
             accepted.push(Reply {
@@ -258,16 +266,35 @@ pub(crate) mod testing {
     use crate::comm::{Network, WireMessage};
     use crate::config::HyperParams;
     use crate::fleet::Fleet;
+    use crate::frame::Frame;
     use crate::transport::{ChannelTransport, Transport};
-    use bytes::Bytes;
     use fca_tensor::serialize::WireError;
     use std::collections::BTreeMap;
     use std::time::Duration;
 
-    /// What becomes of the uplinks of the listed clients: `Some(msg)` goes
-    /// up in place of whatever the client sent — well-formed, so it
-    /// decodes — and `None` means the upload is lost.
-    pub(crate) type Tampering = BTreeMap<usize, Option<WireMessage>>;
+    /// What becomes of the uplinks of the listed clients: `Some(forgery)`
+    /// goes up in place of what the client sent, and `None` means the
+    /// upload is lost.
+    pub(crate) type Tampering = BTreeMap<usize, Option<Forgery>>;
+
+    /// Mangles an encoded uplink in its buffer: handed the buffer and
+    /// where the message starts in it.
+    pub(crate) type Mangle = fn(&mut Vec<u8>, usize);
+
+    /// An uplink in place of a client's own.
+    #[derive(Clone)]
+    pub(crate) enum Forgery {
+        /// Another message — well-formed, so it decodes.
+        Message(WireMessage),
+        /// The client's own message, mangled once it is encoded.
+        Mangled(Mangle),
+    }
+
+    impl From<WireMessage> for Forgery {
+        fn from(msg: WireMessage) -> Forgery {
+            Forgery::Message(msg)
+        }
+    }
 
     struct Tamper {
         inner: ChannelTransport,
@@ -281,15 +308,15 @@ pub(crate) mod testing {
         fn backend(&self) -> &'static str {
             "tamper"
         }
-        fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+        fn broadcast_to_clients(&self, clients: &[usize], frame: &Frame) -> Result<u64, WireError> {
             self.inner.broadcast_to_clients(clients, frame)
         }
-        fn recv_at_client(
+        fn recv_frame_at_client(
             &self,
             client: usize,
             wait: Duration,
-        ) -> Result<Option<Bytes>, WireError> {
-            self.inner.recv_at_client(client, wait)
+        ) -> Result<Option<Frame>, WireError> {
+            self.inner.recv_frame_at_client(client, wait)
         }
         fn send_to_server_with(
             &self,
@@ -300,16 +327,27 @@ pub(crate) mod testing {
             match self.uplinks.get(&client) {
                 None => self.inner.send_to_server_with(client, len, fill),
                 Some(None) => Ok(0),
-                Some(Some(forged)) => {
+                Some(Some(Forgery::Message(forged))) => {
                     self.inner
                         .send_to_server_with(client, forged.encoded_len(), &mut |buf| {
                             forged.encode_into(buf)
                         })
                 }
+                Some(Some(Forgery::Mangled(mangle))) => {
+                    self.inner.send_to_server_with(client, len, &mut |buf| {
+                        let start = buf.len();
+                        fill(buf)?;
+                        mangle(buf, start);
+                        Ok(())
+                    })
+                }
             }
         }
-        fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
-            self.inner.recv_at_server(wait)
+        fn recv_frame_at_server(
+            &self,
+            wait: Duration,
+        ) -> Result<Option<(usize, Frame)>, WireError> {
+            self.inner.recv_frame_at_server(wait)
         }
     }
 
@@ -358,14 +396,14 @@ pub(crate) mod testing {
         what: &str,
         setup: impl Fn() -> (Fleet, A),
         k: usize,
-        forged: WireMessage,
+        forged: impl Into<Forgery>,
         lost: &[usize],
     ) {
         let mut uplinks: Tampering = lost.iter().map(|&l| (l, None)).collect();
         uplinks.insert(k, None);
         let (fleet, algo) = setup();
         let without = tampered_round(fleet, algo, uplinks.clone());
-        uplinks.insert(k, Some(forged));
+        uplinks.insert(k, Some(forged.into()));
         let (fleet, algo) = setup();
         let with = tampered_round(fleet, algo, uplinks);
         assert_eq!(with.server, without.server, "{what}: server state differs");
@@ -408,8 +446,8 @@ mod tests {
             };
             let _ = net.send_to_server(c.id, &reply);
         };
-        let accept = &mut |_: &Vec<Fold>, _, msg| match msg {
-            WireMessage::SoftPredictions(t) if t == sent => Some(t),
+        let accept = &mut |_: &Vec<Fold>, _, frame: Frame| match WireMessage::decode(&frame) {
+            Ok(WireMessage::SoftPredictions(t)) if t == sent => Some(t),
             _ => None,
         };
         let fold = &mut |folds: &mut Vec<Fold>, replies: Vec<Reply<Tensor>>| {

@@ -16,16 +16,18 @@
 //! are injected *above* the transport — a dropped frame is never handed
 //! to it — so the same seed produces the same round on every backend.
 //!
-//! A frame is built once, where it is written from. A downlink with many
-//! recipients is one [`Network::broadcast`]: encoded once, tallied and
-//! fated per client, and handed to the transport as one shared buffer. An
-//! uplink is encoded by the transport's own writer
-//! ([`Transport::send_to_server_with`]) — on a socket, into the
-//! connection's write buffer. And a full model never exists as a
-//! `Vec<Tensor>` on the client side of the wire:
+//! A frame is built once, where it is written from, in a recycled buffer
+//! ([`crate::frame`]). A downlink with many recipients is one
+//! [`Network::broadcast`]: encoded once, tallied and fated per client, and
+//! handed to the transport as one shared [`Frame`]. An uplink is encoded
+//! by the transport's own writer ([`Transport::send_to_server_with`]) — on
+//! a socket, into the connection's write buffer. And a full model never
+//! exists as a `Vec<Tensor>` on either side of the wire:
 //! [`Network::client_recv_full_model_into`] checks a frame whole against
 //! the model's own shapes and then reads it into the tensors where they
-//! live, [`Network::send_full_model`] encodes from them.
+//! live, [`Network::send_full_model`] encodes from them, and
+//! [`Network::collect_round`] hands the server frames, which a full-model
+//! fold reads in place ([`WireMessage::full_model_payloads`]).
 //!
 //! [`CommStats`] keeps two tallies. The *logical* one is Table 5's: every
 //! message a sender paid for, at its encoded size, per client — whatever
@@ -37,6 +39,7 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use crate::config::Aggregation;
+use crate::frame::Frame;
 use crate::transport::{ChannelTransport, Transport};
 use bytes::{BufMut, Bytes, BytesMut};
 use fca_models::classifier::ClassifierWeights;
@@ -47,6 +50,7 @@ use fca_tensor::serialize::{
 };
 use fca_tensor::Tensor;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
@@ -153,26 +157,15 @@ impl WireMessage {
     /// message are [`WireError::TrailingBytes`] — on a framed stream a
     /// disagreement between frame and message boundaries means the stream
     /// is desynchronized or the peer is smuggling data.
-    pub fn decode(buf: Bytes) -> Result<WireMessage, WireError> {
-        let mut r = Reader::new(&buf);
-        let tag = r.u8()?;
-        // A tensor is at least its rank byte.
-        let got = r.count(1)?;
-        let expect = |expected: usize| {
-            if got == expected {
-                Ok(())
-            } else {
-                Err(WireError::CountMismatch { expected, got })
-            }
-        };
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<WireMessage, WireError> {
+        let mut r = Reader::new(buf.as_ref());
+        let (tag, got) = Self::open(&mut r)?;
         let msg = match tag {
             TAG_CLASSIFIER => {
-                expect(2)?;
                 let (weight, bias) = (r.tensor()?, r.tensor()?);
                 WireMessage::Classifier(ClassifierWeights { weight, bias })
             }
             TAG_CLASSIFIER_F16 => {
-                expect(2)?;
                 let (weight, bias) = (r.tensor_f16()?, r.tensor_f16()?);
                 WireMessage::ClassifierF16(ClassifierWeights { weight, bias })
             }
@@ -184,19 +177,42 @@ impl WireMessage {
                 let protos = (0..got).map(|_| r.tensor().map(seen));
                 WireMessage::Prototypes(protos.collect::<Result<_, _>>()?)
             }
-            TAG_SOFT_PRED | TAG_SOFT_TARGET | TAG_PUBLIC_DATA => {
-                expect(1)?;
-                let wrap = match tag {
-                    TAG_SOFT_PRED => WireMessage::SoftPredictions,
-                    TAG_SOFT_TARGET => WireMessage::SoftTargets,
-                    _ => WireMessage::PublicData,
-                };
-                wrap(r.tensor()?)
-            }
+            TAG_SOFT_PRED => WireMessage::SoftPredictions(r.tensor()?),
+            TAG_SOFT_TARGET => WireMessage::SoftTargets(r.tensor()?),
+            TAG_PUBLIC_DATA => WireMessage::PublicData(r.tensor()?),
             other => return Err(WireError::UnknownTag(other)),
         };
         r.finish()?;
         Ok(msg)
+    }
+
+    /// Every check [`WireMessage::decode`] makes and none of its copies:
+    /// a frame passes exactly when it decodes. The collect holds each
+    /// uplink to this, so a frame it hands on is a message.
+    pub fn check(frame: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(frame);
+        let (tag, got) = Self::open(&mut r)?;
+        (0..got).try_for_each(|_| r.skip_tensor(tag == TAG_CLASSIFIER_F16))?;
+        r.finish()
+    }
+
+    /// Read a message's header: its tag and tensor count, the count held
+    /// against the tag's. An unrecognized tag is
+    /// [`WireError::UnknownTag`], checked before any tensor is read.
+    fn open(r: &mut Reader) -> Result<(u8, usize), WireError> {
+        let tag = r.u8()?;
+        // A tensor is at least its rank byte.
+        let got = r.count(1)?;
+        let expected = match tag {
+            TAG_CLASSIFIER | TAG_CLASSIFIER_F16 => 2,
+            TAG_SOFT_PRED | TAG_SOFT_TARGET | TAG_PUBLIC_DATA => 1,
+            TAG_FULL_MODEL | TAG_PROTOTYPES => got,
+            other => return Err(WireError::UnknownTag(other)),
+        };
+        if got != expected {
+            return Err(WireError::CountMismatch { expected, got });
+        }
+        Ok((tag, got))
     }
 }
 
@@ -244,6 +260,50 @@ impl WireMessage {
         }
         walk.finish()?;
         model.try_for_each_state(|t| body.tensor_into(t))
+    }
+
+    /// The encoded size of `state` as a `FullModel` message.
+    pub fn full_state_len(state: &[Tensor]) -> usize {
+        MESSAGE_HEADER_LEN + state.iter().map(encoded_len).sum::<usize>()
+    }
+
+    /// Append `state` as a `FullModel` message: the bytes of
+    /// `WireMessage::FullModel(state.to_vec())`, with no copy of the state.
+    pub fn encode_full_state(state: &[Tensor], buf: &mut Vec<u8>) -> Result<(), WireError> {
+        buf.put_u8(TAG_FULL_MODEL);
+        buf.put_u32_le(checked_count(state.len())?);
+        state.iter().try_for_each(|t| encode_tensor(t, buf))
+    }
+
+    /// Where the values of each of `like`'s tensors lie in `frame`, a
+    /// `FullModel` message of exactly `like`'s shapes: byte ranges of
+    /// little-endian `f32`s, in order. Every check
+    /// [`WireMessage::decode_full_model_into`] makes, none of its writes.
+    pub fn full_model_payloads(
+        frame: &[u8],
+        like: &[Tensor],
+    ) -> Result<Vec<Range<usize>>, WireError> {
+        let mut r = Reader::new(frame);
+        if r.u8()? != TAG_FULL_MODEL {
+            return Err(WireError::Malformed("expected a full-model message"));
+        }
+        let got = r.count(1)?;
+        if got != like.len() {
+            return Err(WireError::CountMismatch {
+                expected: like.len(),
+                got,
+            });
+        }
+        let ranges = like
+            .iter()
+            .map(|t| {
+                let values = r.payload_like(t)?;
+                let end = frame.len() - r.remaining();
+                Ok(end - values.len()..end)
+            })
+            .collect::<Result<_, WireError>>()?;
+        r.finish()?;
+        Ok(ranges)
     }
 }
 
@@ -458,10 +518,10 @@ pub struct Network {
     /// key their delay streams off it.
     current_round: u64,
     /// The staleness buffer: `(ready_round, origin_round, client)` →
-    /// encoded uplink bytes. A `BTreeMap` so drain order is a pure
+    /// encoded uplink frame. A `BTreeMap` so drain order is a pure
     /// function of the keys (the determinism contract, DESIGN.md §7.8);
     /// a `Mutex` because admission happens on client threads.
-    buffer: Mutex<BTreeMap<(u64, u64, u64), Vec<u8>>>,
+    buffer: Mutex<BTreeMap<(u64, u64, u64), Frame>>,
     /// Uplinks admitted to the buffer since `begin_round` (deferred, not
     /// dropped — the collection subtracts them from its drop count).
     round_buffered: AtomicU64,
@@ -578,11 +638,16 @@ impl Network {
     /// then. Callers may treat this like an offline client: the round
     /// proceeds without it.
     pub fn broadcast(&self, clients: &[usize], msg: &WireMessage) -> Result<(), WireError> {
-        let bytes = msg.encode()?;
+        let frame = Frame::encode(msg.encoded_len(), |buf| msg.encode_into(buf))?;
+        self.broadcast_frame(clients, &frame)
+    }
+
+    /// [`Network::broadcast`] of a message already encoded into `frame`.
+    pub fn broadcast_frame(&self, clients: &[usize], frame: &Frame) -> Result<(), WireError> {
         let recipients = clients.len() as u64;
         self.stats
             .downlink
-            .fetch_add(recipients * bytes.len() as u64, Ordering::Relaxed);
+            .fetch_add(recipients * frame.len() as u64, Ordering::Relaxed);
         self.stats.messages.fetch_add(recipients, Ordering::Relaxed);
         let online: Vec<usize> = clients
             .iter()
@@ -592,7 +657,7 @@ impl Network {
         if online.is_empty() {
             return Ok(());
         }
-        let wrote = self.transport.broadcast_to_clients(&online, &bytes)?;
+        let wrote = self.transport.broadcast_to_clients(&online, frame)?;
         self.stats
             .downlink_physical
             .fetch_add(wrote, Ordering::Relaxed);
@@ -609,7 +674,7 @@ impl Network {
     /// runs, so a missing frame means "not coming", never "not yet" — the
     /// collect budget only bounds the wait on socket backends, where
     /// delivery is asynchronous.
-    fn recv_frame(&self, client: usize) -> Option<Bytes> {
+    fn recv_frame(&self, client: usize) -> Option<Frame> {
         // The fate gate, not the transport, decides that an offline client
         // sees nothing: its broadcast was never handed to the transport,
         // so waiting for it would burn the whole budget.
@@ -617,7 +682,7 @@ impl Network {
             return None;
         }
         self.transport
-            .recv_at_client(client, self.collect_budget)
+            .recv_frame_at_client(client, self.collect_budget)
             .ok()?
     }
 
@@ -682,9 +747,8 @@ impl Network {
             // parks it in the staleness buffer for a later round.
             Fate::Straggler => {
                 if let Aggregation::Buffered { max_staleness, .. } = self.agg {
-                    let mut bytes = Vec::with_capacity(len);
-                    encode(&mut bytes)?;
-                    self.admit_to_buffer(client, bytes, max_staleness);
+                    let frame = Frame::encode(len, encode)?;
+                    self.admit_to_buffer(client, frame, max_staleness);
                 }
                 return Ok(());
             }
@@ -713,14 +777,14 @@ impl Network {
     /// replay admits the same bytes at the same future round regardless of
     /// thread timing. Delays span `1..=2·max_staleness`: the longer half
     /// exceeds the fold window and exercises the expiry path.
-    fn admit_to_buffer(&self, client: usize, bytes: Vec<u8>, max_staleness: usize) {
+    fn admit_to_buffer(&self, client: usize, frame: Frame, max_staleness: usize) {
         let round = self.current_round;
         let tag =
             0xB0FF_0000_0000_0000_u64 ^ round.wrapping_mul(0x0000_0001_0000_0001) ^ (client as u64);
         let delay =
             derived_rng(self.agg_seed, tag).inclusive(1, 2 * max_staleness.max(1) as i64) as u64;
         let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
-        buf.insert((round + delay, round, client as u64), bytes);
+        buf.insert((round + delay, round, client as u64), frame);
         self.round_buffered.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -735,17 +799,20 @@ impl Network {
     ///    clients cost no wall-clock time and cannot deadlock the round,
     ///    and the same set is seen on every backend. The collect budget is
     ///    a real-time safety net on top of that count.
+    ///    A frame that is not a message ([`WireMessage::check`]) is a
+    ///    corrupt uplink.
     /// 2. **Spill** — if more than `goal_k` fresh replies arrived, a
     ///    seeded per-round permutation picks which `goal_k` made the
-    ///    cutoff; the rest are re-encoded into the buffer with
+    ///    cutoff; the rest go into the buffer as they came, with
     ///    `ready = round + 1` (they "arrive" next round, one round stale).
     /// 3. **Fold** — every buffer entry with `ready ≤ round` is drained
     ///    in `BTreeMap` key order: entries aged `≤ max_staleness` join the
     ///    reply set with their staleness recorded, older ones are counted
     ///    expired and discarded.
     ///
-    /// Returns the decoded replies as `(client, staleness, message)`, sorted
-    /// by `(client, staleness)`. Staleness is the number of rounds a late
+    /// Returns the replies as `(client, staleness, frame)`, sorted by
+    /// `(client, staleness)`; each frame holds one message, which the
+    /// round's algorithm decodes or folds from where it lies. Staleness is the number of rounds a late
     /// update aged in the buffer: 0 for every fresh reply, and so for every
     /// reply under synchronous aggregation. The round's dropped, corrupt,
     /// stale and expired counts go to the per-round counters
@@ -756,7 +823,7 @@ impl Network {
         clippy::disallowed_methods,
         reason = "real-time safety net only; collection is count-driven via expected_deliveries, so the clock never decides *which* replies are seen, only bounds how long an impossible wait can last; the second read is the remaining budget for the transport recv safety net"
     )]
-    pub fn collect_round(&self, round: usize, expected: usize) -> Vec<(usize, usize, WireMessage)> {
+    pub fn collect_round(&self, round: usize, expected: usize) -> Vec<(usize, usize, Frame)> {
         let (goal_k, max_staleness) = match self.agg {
             Aggregation::Sync => (usize::MAX, 0),
             Aggregation::Buffered {
@@ -766,13 +833,13 @@ impl Network {
         };
         let deadline = Instant::now() + self.collect_budget;
         let will_arrive = expected.min(self.expected_deliveries);
-        let mut merged: Vec<(usize, usize, WireMessage)> = Vec::with_capacity(will_arrive);
+        let mut merged: Vec<(usize, usize, Frame)> = Vec::with_capacity(will_arrive);
         let mut corrupt = 0usize;
         while merged.len() + corrupt < will_arrive {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.transport.recv_at_server(remaining) {
-                Ok(Some((k, bytes))) => match WireMessage::decode(bytes) {
-                    Ok(msg) => merged.push((k, 0, msg)),
+            match self.transport.recv_frame_at_server(remaining) {
+                Ok(Some((k, frame))) => match WireMessage::check(&frame) {
+                    Ok(()) => merged.push((k, 0, frame)),
                     Err(_) => corrupt += 1,
                 },
                 // Budget exhausted or transport gone: whatever is still
@@ -801,21 +868,16 @@ impl Network {
             let mut in_time = vec![false; merged.len()];
             order[..goal_k].iter().for_each(|&i| in_time[i] = true);
             let mut in_time = in_time.into_iter();
-            merged.retain(|(k, _, msg)| {
-                let kept = in_time.next() == Some(true);
-                if !kept {
-                    match msg.encode() {
-                        Ok(bytes) => {
-                            buf.insert((round as u64 + 1, round as u64, *k as u64), bytes.to_vec());
-                        }
-                        // A decoded message always re-encodes; if it ever
-                        // cannot, losing it is a corrupt uplink, not a
-                        // server crash.
-                        Err(_) => corrupt += 1,
-                    }
+            let mut kept = Vec::with_capacity(goal_k);
+            for reply in merged.drain(..) {
+                if in_time.next() == Some(true) {
+                    kept.push(reply);
+                } else {
+                    let (k, _, frame) = reply;
+                    buf.insert((round as u64 + 1, round as u64, k as u64), frame);
                 }
-                kept
-            });
+            }
+            merged = kept;
         }
 
         // Fold matured buffer entries, oldest keys first (BTreeMap order).
@@ -825,7 +887,7 @@ impl Network {
             .map(|(key, _)| *key)
             .collect();
         for key in matured {
-            let Some(bytes) = buf.remove(&key) else {
+            let Some(frame) = buf.remove(&key) else {
                 continue;
             };
             let (_ready, origin, client) = key;
@@ -842,10 +904,11 @@ impl Network {
                 expired += 1;
                 continue;
             }
-            match WireMessage::decode(Bytes::from(bytes)) {
-                Ok(msg) => {
+            // An entry a checkpoint restored has not been checked yet.
+            match WireMessage::check(&frame) {
+                Ok(()) => {
                     stale += 1;
-                    merged.push((client, age, msg));
+                    merged.push((client, age, frame));
                 }
                 Err(_) => corrupt += 1,
             }
@@ -863,8 +926,8 @@ impl Network {
         merged
     }
 
-    /// Count `n` replies the round's algorithm refused — decoded, but not
-    /// the message or the shapes it can fold — as corrupt uplinks.
+    /// Count `n` replies the round's algorithm refused — not the message
+    /// or the shapes it can fold — as corrupt uplinks.
     pub(crate) fn count_rejected(&self, n: usize) {
         self.round_corrupt.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -895,7 +958,7 @@ impl Network {
     pub fn export_buffer(&self) -> Vec<(u64, u64, u64, Vec<u8>)> {
         let buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
         buf.iter()
-            .map(|(&(ready, origin, client), bytes)| (ready, origin, client, bytes.clone()))
+            .map(|(&(ready, origin, client), frame)| (ready, origin, client, frame.to_vec()))
             .collect()
     }
 
@@ -905,7 +968,7 @@ impl Network {
     pub fn import_buffer(&self, entries: Vec<(u64, u64, u64, Vec<u8>)>) {
         let mut buf = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
         for (ready, origin, client, bytes) in entries {
-            buf.insert((ready, origin, client), bytes);
+            buf.insert((ready, origin, client), Frame::from(bytes));
         }
     }
 
@@ -934,12 +997,12 @@ mod tests {
     use fca_tensor::rng::seeded_rng;
 
     /// Client ids of a collection's replies, in reply order.
-    fn ids(got: &[(usize, usize, WireMessage)]) -> Vec<usize> {
+    fn ids(got: &[(usize, usize, Frame)]) -> Vec<usize> {
         got.iter().map(|&(k, _, _)| k).collect()
     }
 
     /// `(client, staleness)` of a collection's replies, in reply order.
-    fn contributors(got: &[(usize, usize, WireMessage)]) -> Vec<(usize, usize)> {
+    fn contributors(got: &[(usize, usize, Frame)]) -> Vec<(usize, usize)> {
         got.iter().map(|&(k, s, _)| (k, s)).collect()
     }
 
@@ -1512,7 +1575,9 @@ mod tests {
         assert_eq!(b.full_state(), state);
         net.send_full_model(0, &mut b).expect("uplink");
         assert_eq!(net.stats().uplink_bytes(), msg.encoded_len() as u64);
-        assert_eq!(net.collect_round(0, 1), vec![(0, 0, msg)]);
+        let got = net.collect_round(0, 1);
+        assert_eq!(contributors(&got), vec![(0, 0)]);
+        assert_eq!(WireMessage::decode(&got[0].2), Ok(msg));
         // Nothing queued: nothing read.
         assert!(!net.client_recv_full_model_into(0, &mut b));
     }

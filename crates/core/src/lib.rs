@@ -11,6 +11,7 @@
 //!
 //! * [`comm`] — wire messages, per-round byte accounting (Table 5), and
 //!   deterministic fault injection (dropout / stragglers / corruption).
+//! * [`frame`] — the recycled buffers messages cross the transport in.
 //! * [`transport`] — how framed bytes move: in-process channels, loopback
 //!   sockets, or genuinely separate server/shard OS processes.
 //! * [`checkpoint`] — snapshot/restore of full federation state so a run
@@ -38,6 +39,7 @@ pub mod client;
 pub mod comm;
 pub mod config;
 pub mod fleet;
+pub mod frame;
 pub mod sim;
 pub mod transport;
 

@@ -86,6 +86,7 @@
 // C1: a length, count or id narrowed by `as` wraps silently; use `try_from`.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
+use crate::frame::{buffer_for, Frame};
 use bytes::Bytes;
 use fca_tensor::serialize::{Reader, WireError};
 use std::collections::VecDeque;
@@ -151,11 +152,15 @@ pub trait Transport: Send + Sync {
     /// ids). Returns the bytes handed to the backend's writes, framing
     /// included. Every reachable recipient is served before the first
     /// error is reported.
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError>;
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Frame) -> Result<u64, WireError>;
 
     /// Take the next downlink frame addressed to `client`, waiting at
     /// most `wait`.
-    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError>;
+    fn recv_frame_at_client(
+        &self,
+        client: usize,
+        wait: Duration,
+    ) -> Result<Option<Frame>, WireError>;
 
     /// Queue one uplink frame from `client` that `fill` appends to the
     /// buffer it is handed (which may already hold the backend's framing:
@@ -171,11 +176,19 @@ pub trait Transport: Send + Sync {
 
     /// Take the next uplink frame from any client, waiting at most
     /// `wait`.
-    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError>;
+    fn recv_frame_at_server(&self, wait: Duration) -> Result<Option<(usize, Frame)>, WireError>;
 
-    /// [`Transport::broadcast_to_clients`] to one client.
+    /// [`Transport::broadcast_to_clients`] of a copy of `frame` to one
+    /// client.
     fn send_to_client(&self, client: usize, frame: Bytes) -> Result<(), WireError> {
-        self.broadcast_to_clients(&[client], &frame).map(drop)
+        self.broadcast_to_clients(&[client], &Frame::from(&frame[..]))
+            .map(drop)
+    }
+
+    /// [`Transport::recv_frame_at_client`], copied out into a `Bytes`.
+    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError> {
+        let frame = self.recv_frame_at_client(client, wait)?;
+        Ok(frame.map(|f| f.to_bytes()))
     }
 
     /// [`Transport::send_to_server_with`] of a frame already built.
@@ -185,6 +198,12 @@ pub trait Transport: Send + Sync {
             Ok(())
         })
         .map(drop)
+    }
+
+    /// [`Transport::recv_frame_at_server`], copied out into a `Bytes`.
+    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
+        let got = self.recv_frame_at_server(wait)?;
+        Ok(got.map(|(client, f)| (client, f.to_bytes())))
     }
 }
 
@@ -215,9 +234,9 @@ fn sum_writes(writes: impl Iterator<Item = Result<u64, WireError>>) -> Result<u6
 /// is not `Sync`, so it sits behind a mutex; every mailbox has one consumer
 /// at a time and no lock here is contended.
 pub struct ChannelTransport {
-    at_client: Vec<Mutex<VecDeque<Bytes>>>,
-    to_server: Sender<(usize, Bytes)>,
-    at_server: Mutex<Receiver<(usize, Bytes)>>,
+    at_client: Vec<Mutex<VecDeque<Frame>>>,
+    to_server: Sender<(usize, Frame)>,
+    at_server: Mutex<Receiver<(usize, Frame)>>,
 }
 
 impl ChannelTransport {
@@ -241,7 +260,7 @@ impl Transport for ChannelTransport {
         "channel"
     }
 
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Frame) -> Result<u64, WireError> {
         sum_writes(clients.iter().map(|&k| {
             let mailbox = self.at_client.get(k).ok_or(WireError::ChannelClosed)?;
             lock(mailbox).push_back(frame.clone());
@@ -249,7 +268,11 @@ impl Transport for ChannelTransport {
         }))
     }
 
-    fn recv_at_client(&self, client: usize, _wait: Duration) -> Result<Option<Bytes>, WireError> {
+    fn recv_frame_at_client(
+        &self,
+        client: usize,
+        _wait: Duration,
+    ) -> Result<Option<Frame>, WireError> {
         // In-process delivery is synchronous: an empty mailbox means "not
         // coming", never "not yet", so there is nothing to wait for.
         let mailbox = self.at_client.get(client).ok_or(WireError::ChannelClosed)?;
@@ -262,16 +285,15 @@ impl Transport for ChannelTransport {
         len: usize,
         fill: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), WireError>,
     ) -> Result<u64, WireError> {
-        let mut frame = Vec::with_capacity(len);
-        fill(&mut frame)?;
+        let frame = Frame::encode(len, fill)?;
         let wrote = frame.len() as u64;
         self.to_server
-            .send((client, Bytes::from(frame)))
+            .send((client, frame))
             .map_err(|_| WireError::ChannelClosed)?;
         Ok(wrote)
     }
 
-    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
+    fn recv_frame_at_server(&self, wait: Duration) -> Result<Option<(usize, Frame)>, WireError> {
         Ok(lock(&self.at_server).recv_timeout(wait).ok())
     }
 }
@@ -313,7 +335,7 @@ impl Conn {
     /// [`read_frame`] on the stream itself, not through an adapter: the
     /// standard streams can fill unwritten buffer space, which a `Read`
     /// implementation written outside the standard library cannot.
-    fn read_frame(&mut self) -> Result<Option<(u32, Bytes)>, WireError> {
+    fn read_frame(&mut self) -> Result<Option<(u32, Frame)>, WireError> {
         match self {
             Conn::Tcp(s) => read_frame(s),
             #[cfg(unix)]
@@ -423,11 +445,11 @@ fn write_multicast(w: &mut impl Write, ids: &[u32], message: &[u8]) -> Result<u6
 /// Split a multicast payload into its recipients and a view of its
 /// message. Strict: the id list must lie inside the payload and pass
 /// [`check_recipients`].
-fn decode_multicast(payload: &Bytes) -> Result<(Vec<usize>, Bytes), WireError> {
+fn decode_multicast(payload: &Frame) -> Result<(Vec<usize>, Frame), WireError> {
     let mut r = Reader::new(payload);
     let ids = take_ids(&mut r)?;
     check_recipients(&ids)?;
-    let message = payload.slice(4 + 4 * ids.len()..);
+    let message = payload.slice(4 + 4 * ids.len()..payload.len());
     Ok((ids, message))
 }
 
@@ -458,10 +480,11 @@ fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> Result<
     Ok(())
 }
 
-/// Read one addressed frame. `Ok(None)` is a clean EOF at a frame
+/// Read one addressed frame into a buffer from the frame pool
+/// ([`crate::frame::buffer_for`]). `Ok(None)` is a clean EOF at a frame
 /// boundary; the length prefix is validated against [`MAX_FRAME_LEN`]
 /// before anything is reserved for the payload.
-fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Bytes)>, WireError> {
+fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Frame)>, WireError> {
     let mut head = [0u8; FRAME_HEADER_LEN];
     if !read_exact_or_eof(r, &mut head)? {
         return Ok(None);
@@ -474,9 +497,9 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u32, Bytes)>, WireError> {
             cap: MAX_FRAME_LEN as u64,
         });
     }
-    let mut payload = Vec::new();
+    let mut payload = buffer_for(len);
     read_payload(r, len, &mut payload)?;
-    Ok(Some((address, Bytes::from(payload))))
+    Ok(Some((address, Frame::from(payload))))
 }
 
 /// Hello payload: `magic | u16 version | u32 fleet size | u32 count | ids`.
@@ -517,7 +540,7 @@ fn decode_hello(payload: &[u8]) -> Result<(usize, Vec<usize>), WireError> {
 fn spawn_reader(
     name: &str,
     mut conn: Conn,
-    mut route: impl FnMut(u32, Bytes) -> bool + Send + 'static,
+    mut route: impl FnMut(u32, Frame) -> bool + Send + 'static,
 ) -> Result<JoinHandle<()>, WireError> {
     std::thread::Builder::new()
         .name(format!("fca-transport-{name}"))
@@ -726,7 +749,7 @@ struct ServerEnd {
     shards: Vec<Mutex<Conn>>,
     /// The uplink reader of each shard connection.
     readers: Vec<JoinHandle<()>>,
-    uplink_rx: Mutex<Receiver<(usize, Bytes)>>,
+    uplink_rx: Mutex<Receiver<(usize, Frame)>>,
 }
 
 impl Drop for ServerEnd {
@@ -744,7 +767,7 @@ struct ShardEnd {
     write_buf: Mutex<Vec<u8>>,
     conn: Mutex<Conn>,
     /// Indexed by client id; `None` for clients hosted elsewhere.
-    inbox: Vec<Option<Mutex<Receiver<Bytes>>>>,
+    inbox: Vec<Option<Mutex<Receiver<Frame>>>>,
     /// The downlink reader; joined on drop.
     reader: Option<JoinHandle<()>>,
 }
@@ -752,7 +775,7 @@ struct ShardEnd {
 impl ShardEnd {
     /// `client`'s inbox, which is also the test of whether this shard hosts
     /// it.
-    fn inbox(&self, client: usize) -> Result<&Mutex<Receiver<Bytes>>, WireError> {
+    fn inbox(&self, client: usize) -> Result<&Mutex<Receiver<Frame>>, WireError> {
         self.inbox
             .get(client)
             .and_then(Option::as_ref)
@@ -843,9 +866,9 @@ impl SocketTransport {
             HELLO_SENTINEL,
             &encode_hello(num_clients, ids)?,
         )?;
-        let mut inbox: Vec<Option<Mutex<Receiver<Bytes>>>> = Vec::with_capacity(num_clients);
+        let mut inbox: Vec<Option<Mutex<Receiver<Frame>>>> = Vec::with_capacity(num_clients);
         inbox.resize_with(num_clients, || None);
-        let mut fanout: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(num_clients);
+        let mut fanout: Vec<Option<Sender<Frame>>> = Vec::with_capacity(num_clients);
         fanout.resize_with(num_clients, || None);
         for &id in ids {
             let (tx, rx) = channel();
@@ -863,7 +886,7 @@ impl SocketTransport {
             let Ok((ids, message)) = decode_multicast(&payload) else {
                 return false;
             };
-            let hosted: Option<Vec<&Sender<Bytes>>> = ids
+            let hosted: Option<Vec<&Sender<Frame>>> = ids
                 .iter()
                 .map(|&id| fanout.get(id).and_then(Option::as_ref))
                 .collect();
@@ -905,7 +928,7 @@ impl Transport for SocketTransport {
     }
 
     /// One multicast frame per shard connection that hosts a recipient.
-    fn broadcast_to_clients(&self, clients: &[usize], frame: &Bytes) -> Result<u64, WireError> {
+    fn broadcast_to_clients(&self, clients: &[usize], frame: &Frame) -> Result<u64, WireError> {
         let server = self.server()?;
         let mut ids_of: Vec<Vec<u32>> = vec![Vec::new(); server.shards.len()];
         for &client in clients {
@@ -926,7 +949,11 @@ impl Transport for SocketTransport {
         )
     }
 
-    fn recv_at_client(&self, client: usize, wait: Duration) -> Result<Option<Bytes>, WireError> {
+    fn recv_frame_at_client(
+        &self,
+        client: usize,
+        wait: Duration,
+    ) -> Result<Option<Frame>, WireError> {
         Ok(lock(self.shard()?.inbox(client)?).recv_timeout(wait).ok())
     }
 
@@ -960,7 +987,7 @@ impl Transport for SocketTransport {
         write_parts(&mut *lock(&shard.conn), &buf, &[])
     }
 
-    fn recv_at_server(&self, wait: Duration) -> Result<Option<(usize, Bytes)>, WireError> {
+    fn recv_frame_at_server(&self, wait: Duration) -> Result<Option<(usize, Frame)>, WireError> {
         Ok(lock(&self.server()?.uplink_rx).recv_timeout(wait).ok())
     }
 }
@@ -1031,9 +1058,12 @@ mod tests {
         let mut r = &wire[..];
         assert_eq!(
             read_frame(&mut r).expect("read"),
-            Some((7, Bytes::from_static(&[1, 2, 3])))
+            Some((7, Frame::from(&[1, 2, 3][..])))
         );
-        assert_eq!(read_frame(&mut r).expect("read"), Some((9, Bytes::new())));
+        assert_eq!(
+            read_frame(&mut r).expect("read"),
+            Some((9, Frame::from(Vec::new())))
+        );
         assert_eq!(read_frame(&mut r).expect("read"), None);
 
         // A length prefix above the cap is rejected before allocation.
@@ -1137,7 +1167,7 @@ mod tests {
                 p.extend_from_slice(&id.to_le_bytes());
             }
             p.extend_from_slice(message);
-            Bytes::from(p)
+            Frame::from(p)
         };
         // Empty, duplicate and descending id lists.
         assert!(matches!(
@@ -1163,7 +1193,7 @@ mod tests {
         let whole = raw(2, &[1, 2], b"");
         for cut in 0..whole.len() {
             assert_eq!(
-                decode_multicast(&whole.slice(..cut)),
+                decode_multicast(&whole.slice(0..cut)),
                 Err(WireError::Truncated),
                 "cut at {cut}"
             );
@@ -1171,7 +1201,7 @@ mod tests {
         // No message is a message: the empty one.
         assert_eq!(
             decode_multicast(&whole).expect("decode"),
-            (vec![1, 2], Bytes::new())
+            (vec![1, 2], Frame::from(Vec::new()))
         );
     }
 
@@ -1314,7 +1344,7 @@ mod tests {
         let a = SocketTransport::connect_tcp(&addr, 5, &[0, 2, 4]).expect("shard a");
         let b = SocketTransport::connect_tcp(&addr, 5, &[1, 3]).expect("shard b");
         let server = listener.accept_federation(5, 2).expect("accept");
-        let message = Bytes::from(vec![0xC3u8; 1000]);
+        let message = Frame::from(vec![0xC3u8; 1000]);
         // Unsorted on purpose: the frame's id list is the server's job.
         let wrote = server
             .broadcast_to_clients(&[4, 3, 0, 2], &message)
@@ -1323,8 +1353,8 @@ mod tests {
         let frame = |ids: u64| FRAME_HEADER_LEN as u64 + 4 + 4 * ids + 1000;
         assert_eq!(wrote, frame(3) + frame(1));
         for (shard, k) in [(&a, 0usize), (&a, 2), (&a, 4), (&b, 3)] {
-            let got = shard.recv_at_client(k, WAIT).expect("recv").expect("frame");
-            assert_eq!(got, message);
+            let got = shard.recv_frame_at_client(k, WAIT).expect("recv");
+            assert_eq!(got.expect("frame"), message);
         }
         // Client 1 was not addressed.
         assert_eq!(
@@ -1391,14 +1421,19 @@ mod tests {
         };
         assert!(malformed(server.recv_at_client(0, WAIT).map(drop)));
         assert!(malformed(server.send_to_server_with(0, 1, fill).map(drop)));
-        let frame = Bytes::from_static(b"down");
+        let frame = Frame::from(&b"down"[..]);
         assert!(malformed(
             shard.broadcast_to_clients(&[0], &frame).map(drop)
         ));
         assert!(malformed(shard.recv_at_server(WAIT).map(drop)));
         // Each end still does its own half.
-        server.send_to_client(1, frame.clone()).expect("downlink");
-        assert_eq!(shard.recv_at_client(1, WAIT).expect("recv"), Some(frame));
+        server
+            .send_to_client(1, frame.to_bytes())
+            .expect("downlink");
+        assert_eq!(
+            shard.recv_frame_at_client(1, WAIT).expect("recv"),
+            Some(frame)
+        );
     }
 
     #[test]

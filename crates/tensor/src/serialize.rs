@@ -422,6 +422,28 @@ impl<'a> Reader<'a> {
         skip_tensor_like(&mut self.0, like)
     }
 
+    /// [`Reader::skip_tensor_like`], returning what it stepped over: the
+    /// tensor's values as little-endian `f32` bytes.
+    pub fn payload_like(&mut self, like: &Tensor) -> Result<&'a [u8], WireError> {
+        let numel = take_header_like(&mut self.0, like)?;
+        self.bytes(4 * numel)
+    }
+
+    /// Step over one encoded tensor of any shape — `f32` values, or
+    /// binary16 ones when `half` — making every check [`decode_tensor`]
+    /// (or [`decode_tensor_f16`]) makes and copying nothing.
+    pub fn skip_tensor(&mut self, half: bool) -> Result<(), WireError> {
+        let (_, numel) = take_header(&mut self.0)?;
+        let width = if half { 2 } else { 4 };
+        let len = numel.checked_mul(width).ok_or(WireError::Truncated)?;
+        self.bytes(len).map(drop)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
     /// The end of the decode: bytes left over are
     /// [`WireError::TrailingBytes`].
     pub fn finish(self) -> Result<(), WireError> {
@@ -513,6 +535,29 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn skip_tensor_fails_exactly_where_decode_fails() {
+        let mut wire = Vec::new();
+        encode_tensor(&Tensor::ones([2, 3]), &mut wire).unwrap();
+        encode_tensor_f16(&Tensor::ones([5]), &mut wire).unwrap();
+        wire.push(0xEE);
+        for cut in 0..=wire.len() {
+            let bytes = &wire[..cut];
+            let (mut skip, mut dec) = (Reader::new(bytes), Reader::new(bytes));
+            let skipped = skip
+                .skip_tensor(false)
+                .and_then(|()| skip.skip_tensor(true));
+            let decoded = dec.tensor().and_then(|_| dec.tensor_f16()).map(drop);
+            assert_eq!(skipped, decoded, "cut at {cut}");
+            if skipped.is_ok() {
+                assert_eq!(skip.remaining(), dec.remaining(), "cut at {cut}");
+            }
+        }
+        let like = Tensor::zeros([2, 3]);
+        let payload = Reader::new(&wire).payload_like(&like).unwrap();
+        assert_eq!(payload, &wire[1 + 2 * 4..1 + 2 * 4 + 6 * 4]);
     }
 
     #[test]
