@@ -12,8 +12,11 @@
 //!   input gradient is one product over all `k²` taps (per phase class of
 //!   pixels at stride > 1: `Phase`), read from the output gradient's own
 //!   zero-bordered planes, its sum over each tap's output channels a chain
-//!   of its own ([`Store::chain`]); the weight gradient reads the cached
-//!   planes with the pixels as its k axis;
+//!   of its own ([`Store::chain`]) — except below `MR` input channels per
+//!   group, where that product's lanes would run mostly empty, and for a
+//!   strided 1×1 kernel, where the input gradient stays `dcol = Wᵀ·dY` then
+//!   col2im; the weight gradient reads the cached planes with the pixels as
+//!   its k axis;
 //! * **pointwise** (1×1, stride 1, unpadded) — the input is its own im2col
 //!   matrix: the forward and the input gradient are packed products with
 //!   nothing lowered, the weight gradient is the rows path's;
@@ -29,7 +32,7 @@ use crate::init::kaiming_normal;
 use crate::module::{Module, Param};
 use fca_tensor::gemm::{
     fmadd, gemm_packed, gemm_packed_arm, pack_a, pack_b, pack_b_at, packed_a_len, packed_b_len,
-    Lhs, Store, KC, NR,
+    Lhs, Store, KC, MR, NR,
 };
 use fca_tensor::rng::SnapRng;
 use fca_tensor::simd::{self, Kernel};
@@ -157,6 +160,12 @@ pub struct Conv2d {
 /// contents survive from one to the other.
 struct Plan {
     path: Path,
+    /// The rows path's input gradient as `dcol = W_gᵀ·dY_g` and col2im:
+    /// below `MR` input channels per group, where the one product over the
+    /// taps would fill fewer than half of its 16 lanes, and for a 1×1
+    /// kernel (a strided one: stride 1 unpadded is pointwise), whose one
+    /// tap makes `dcol` a plain scatter.
+    dcol: bool,
     oh: usize,
     ow: usize,
     icg: usize,
@@ -289,6 +298,9 @@ impl Conv2d {
         // At stride > 1, one phase class of one group's `dX`, pixel-major,
         // before it is scattered into place.
         let phase_tmp = usize::from(s > 1) * icg * h.div_ceil(s) * w.div_ceil(s);
+        let dcol = path == Path::Rows && (icg < MR || k == 1);
+        // The `dcol` input gradient: one group's packed `dY_g` and `dcol`.
+        let dcol_tmp = usize::from(dcol) * (packed_b_len(ocg, row_len) + kdim * row_len);
         let threads = rayon::current_num_threads().max(1);
         let run = n.div_ceil(threads).max(1);
         let dw_imgs = (KC / row_len).clamp(1, n.max(1));
@@ -313,12 +325,15 @@ impl Conv2d {
             // output gradient and a phase class's `dX`.
             Path::Rows => (
                 (row_len + kdim).max(h * w + taps * ocg),
-                (c * plane).max(oc * gplane + phase_tmp),
-                packed_b_len(kdim, ocg).max(packed_b_len(taps * ocg, icg)),
+                (c * plane).max(oc * gplane + phase_tmp).max(dcol_tmp),
+                packed_b_len(kdim, ocg)
+                    .max(packed_b_len(taps * ocg, icg))
+                    .max(usize::from(dcol) * packed_a_len(kdim, ocg)),
             ),
         };
         Plan {
             path,
+            dcol,
             oh,
             ow,
             icg,
@@ -479,15 +494,16 @@ impl Conv2d {
         let img_sz = c * h * w;
         let out_img_sz = g.out_channels * row_len;
         match plan.path {
-            // `dcol = Wᵀ·dY` is dX itself.
+            // `dcol = Wᵀ·dY` (which is dX itself for a pointwise layer).
             Path::Pointwise => self.pack_weights(wpack, plan, (kdim, ocg), true),
+            Path::Rows if plan.dcol => self.pack_weights(wpack, plan, (kdim, ocg), true),
             Path::Rows => self.pack_rows_weights(wpack, plan, Some((h, w))),
             Path::Stencil => {}
         }
         // Phase class by phase class: its input pixels, then its taps of
         // every output channel.
         let (pixels, taps, runs) = split_tables(scratch, plan, (h * w, k * k * ocg));
-        if plan.path == Path::Rows {
+        if plan.path == Path::Rows && !plan.dcol {
             assert!(
                 g.out_channels * plan.gplane <= u32::MAX as usize,
                 "conv offsets overflow u32"
@@ -551,11 +567,50 @@ impl Conv2d {
                             let flops = 2 * (g.out_channels * kdim * row_len) as u64;
                             fca_trace::op_flops(OpId::GemmKernel, span, flops);
                         }
+                        Path::Rows if plan.dcol => {
+                            self.dcol_input_grad(plan, wpack, gy, tmp, dx_img)
+                        }
                         Path::Rows => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
                     }
                 }
             },
         );
+    }
+
+    /// The `dcol` input gradient of one image (`Plan::dcol`): per group,
+    /// `dcol_g = W_gᵀ·dY_g` on the engine, then [`col2im`] into the group's
+    /// `dX` planes — the im2col lowering's input gradient itself.
+    fn dcol_input_grad(
+        &self,
+        plan: &Plan,
+        wpack: &[f32],
+        gy: &[f32],
+        tmp: &mut [f32],
+        dx_img: &mut [f32],
+    ) {
+        let g = self.geom;
+        let [_, _, h, w] = self.in_dims;
+        let (icg, ocg, kdim, row_len) = (plan.icg, plan.ocg, plan.kdim, plan.row_len);
+        let (pb, dcol) = tmp.split_at_mut(packed_b_len(ocg, row_len));
+        let dcol = &mut dcol[..kdim * row_len];
+        let groups = gy
+            .chunks_exact(ocg * row_len)
+            .zip(dx_img.chunks_exact_mut(icg * h * w))
+            .zip(wpack.chunks_exact(plan.w_panels));
+        for ((gy_g, dx_g), pa) in groups {
+            let span = fca_trace::clock();
+            pack_b(gy_g, ocg, row_len, false, pb);
+            fca_trace::op(OpId::GemmPack, span);
+            dcol.fill(0.0);
+            let span = fca_trace::clock();
+            let dims = (kdim, ocg, row_len);
+            gemm_packed(Lhs::Packed(pa), pb, dcol, Store::rows(row_len), dims);
+            let flops = 2 * (kdim * ocg * row_len) as u64;
+            fca_trace::op_flops(OpId::GemmKernel, span, flops);
+            let span = fca_trace::clock();
+            col2im(dcol, &g, (h, w), (plan.oh, plan.ow), dx_g);
+            fca_trace::op(OpId::Col2im, span);
+        }
     }
 
     /// The rows path's `dX` of one image: its output gradient `gy` copied
@@ -626,6 +681,73 @@ impl Conv2d {
             }
         }
         fca_trace::op_flops(OpId::GemmKernel, span, flops);
+    }
+}
+
+/// Add `dcol` — one group's `icg·k² × oh·ow` input-gradient columns, rows
+/// in `(ci, kh, kw)` order — into that group's `dx` planes (`icg × h × w`),
+/// zeroed first: every input pixel gets the values of the taps that reach
+/// it in `(kh, kw)` order, from +0.0, as the im2col lowering's col2im adds
+/// them. `dcol` is scratch: at stride 1 on a plane as wide as its output, a
+/// tap's rows land at one shift of the plane, so its valid span is added in
+/// one pass with the columns that would wrap round a row edge zeroed first
+/// — adding those +0.0s changes no bit, as `dx` started from +0.0 and a sum
+/// from there never rounds to −0.0.
+fn col2im(
+    dcol: &mut [f32],
+    g: &ConvGeometry,
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
+    dx: &mut [f32],
+) {
+    let (k, s, p) = (g.kernel, g.stride, g.padding);
+    // The outputs `o` whose input `o·s + t − p` lies in `0..extent`.
+    let valid = |t: usize, extent: usize, outs: usize| {
+        let lo = p.saturating_sub(t).div_ceil(s);
+        let hi = (extent + p)
+            .checked_sub(t)
+            .map_or(0, |room| room.div_ceil(s));
+        (lo.min(outs), hi.min(outs))
+    };
+    dx.fill(0.0);
+    let add = |dst: &mut [f32], src: &[f32]| {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d += v;
+        }
+    };
+    for (plane, rows) in dx
+        .chunks_exact_mut(h * w)
+        .zip(dcol.chunks_exact_mut(k * k * oh * ow))
+    {
+        for (t, src) in rows.chunks_exact_mut(oh * ow).enumerate() {
+            let (kh, kw) = (t / k, t % k);
+            let ((y_lo, y_hi), (x_lo, x_hi)) = (valid(kh, h, oh), valid(kw, w, ow));
+            if x_lo >= x_hi || y_lo >= y_hi {
+                continue;
+            }
+            let at = |oy: usize, ox: usize| (oy * s + kh - p) * w + ox * s + kw - p;
+            if s == 1 && ow == w {
+                for row in src[y_lo * ow..y_hi * ow].chunks_exact_mut(ow) {
+                    row[..x_lo].fill(0.0);
+                    row[x_hi..].fill(0.0);
+                }
+                let span = &src[y_lo * ow + x_lo..(y_hi - 1) * ow + x_hi];
+                let start = at(y_lo, x_lo);
+                add(&mut plane[start..start + span.len()], span);
+                continue;
+            }
+            for oy in y_lo..y_hi {
+                let src = &src[oy * ow..][x_lo..x_hi];
+                if s == 1 {
+                    add(&mut plane[at(oy, x_lo)..], src);
+                } else {
+                    let dst = plane[at(oy, x_lo)..].iter_mut().step_by(s);
+                    for (d, &v) in dst.zip(src) {
+                        *d += v;
+                    }
+                }
+            }
+        }
     }
 }
 
