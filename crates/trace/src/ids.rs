@@ -59,9 +59,10 @@ registry! {
         /// that the products read in place (the name is the lowering it
         /// replaced).
         Im2col = "im2col",
-        /// Convolution input-gradient operand: the zero-bordered copy of
-        /// an image's output gradient that the product reads in place (the
-        /// name is the fold it replaced).
+        /// Convolution input-gradient operand and fold: the zero-bordered
+        /// copy of an image's output gradient that the product reads in
+        /// place, or, on the `dcol` path (below `MR` input channels per
+        /// group, strided 1×1 kernels), col2im's scatter-add.
         Col2im = "col2im",
         /// Whole `Conv2d::forward` call.
         ConvForward = "conv_forward",
