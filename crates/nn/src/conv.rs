@@ -160,11 +160,12 @@ pub struct Conv2d {
 /// contents survive from one to the other.
 struct Plan {
     path: Path,
-    /// The rows path's input gradient as `dcol = W_gᵀ·dY_g` and col2im:
-    /// below `MR` input channels per group, where the one product over the
-    /// taps would fill fewer than half of its 16 lanes, and for a 1×1
-    /// kernel (a strided one: stride 1 unpadded is pointwise), whose one
-    /// tap makes `dcol` a plain scatter.
+    /// The input gradient as `dcol_g = W_gᵀ·dY_g` on the engine: a
+    /// pointwise layer's, whose `dcol` is `dX` itself, and on the rows path,
+    /// folded by col2im, below `MR` input channels per group, where the one
+    /// product over the taps would fill fewer than half of its 16 lanes,
+    /// and for a (strided) 1×1 kernel, whose one tap makes col2im a plain
+    /// scatter.
     dcol: bool,
     oh: usize,
     ow: usize,
@@ -298,8 +299,13 @@ impl Conv2d {
         // At stride > 1, one phase class of one group's `dX`, pixel-major,
         // before it is scattered into place.
         let phase_tmp = usize::from(s > 1) * icg * h.div_ceil(s) * w.div_ceil(s);
-        let dcol = path == Path::Rows && (icg < MR || k == 1);
-        // The `dcol` input gradient: one group's packed `dY_g` and `dcol`.
+        let dcol = match path {
+            Path::Pointwise => true,
+            Path::Rows => icg < MR || k == 1,
+            Path::Stencil => false,
+        };
+        // The rows path's `dcol` input gradient: one group's packed `dY_g`
+        // and `dcol`.
         let dcol_tmp = usize::from(dcol) * (packed_b_len(ocg, row_len) + kdim * row_len);
         let threads = rayon::current_num_threads().max(1);
         let run = n.div_ceil(threads).max(1);
@@ -494,11 +500,9 @@ impl Conv2d {
         let img_sz = c * h * w;
         let out_img_sz = g.out_channels * row_len;
         match plan.path {
-            // `dcol = Wᵀ·dY` (which is dX itself for a pointwise layer).
-            Path::Pointwise => self.pack_weights(wpack, plan, (kdim, ocg), true),
-            Path::Rows if plan.dcol => self.pack_weights(wpack, plan, (kdim, ocg), true),
-            Path::Rows => self.pack_rows_weights(wpack, plan, Some((h, w))),
             Path::Stencil => {}
+            _ if plan.dcol => self.pack_weights(wpack, plan, (kdim, ocg), true),
+            _ => self.pack_rows_weights(wpack, plan, Some((h, w))),
         }
         // Phase class by phase class: its input pixels, then its taps of
         // every output channel.
@@ -546,31 +550,8 @@ impl Conv2d {
                             let dxp = &mut dxp[..plan.plane];
                             stencil_input_grad(gy, weight, &g, plan, (dyf, dxp), dx_img, (h, w));
                         }
-                        Path::Pointwise => {
-                            let span = fca_trace::clock();
-                            let gys = gy.chunks_exact(ocg * row_len);
-                            let panels = packed_b_len(ocg, row_len);
-                            for (gy_g, pb) in gys.zip(tmp.chunks_exact_mut(panels)) {
-                                pack_b(gy_g, ocg, row_len, false, pb);
-                            }
-                            fca_trace::op(OpId::GemmPack, span);
-                            dx_img.fill(0.0);
-                            let span = fca_trace::clock();
-                            let (store, dims) = (Store::rows(row_len), (kdim, ocg, row_len));
-                            for ((dx_g, pb), pa) in dx_img
-                                .chunks_exact_mut(kdim * row_len)
-                                .zip(tmp.chunks_exact(panels))
-                                .zip(wpack.chunks_exact(plan.w_panels))
-                            {
-                                gemm_packed(Lhs::Packed(pa), pb, dx_g, store, dims);
-                            }
-                            let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-                            fca_trace::op_flops(OpId::GemmKernel, span, flops);
-                        }
-                        Path::Rows if plan.dcol => {
-                            self.dcol_input_grad(plan, wpack, gy, tmp, dx_img)
-                        }
-                        Path::Rows => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
+                        _ if plan.dcol => self.dcol_input_grad(plan, wpack, gy, tmp, dx_img),
+                        _ => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
                     }
                 }
             },
@@ -578,8 +559,9 @@ impl Conv2d {
     }
 
     /// The `dcol` input gradient of one image (`Plan::dcol`): per group,
-    /// `dcol_g = W_gᵀ·dY_g` on the engine, then [`col2im`] into the group's
-    /// `dX` planes — the im2col lowering's input gradient itself.
+    /// `dcol_g = W_gᵀ·dY_g` on the engine — a pointwise layer's straight
+    /// into the group's `dX` planes, a rows-path layer's into scratch that
+    /// [`col2im`] folds into them: the im2col lowering's input gradient.
     fn dcol_input_grad(
         &self,
         plan: &Plan,
@@ -592,7 +574,6 @@ impl Conv2d {
         let [_, _, h, w] = self.in_dims;
         let (icg, ocg, kdim, row_len) = (plan.icg, plan.ocg, plan.kdim, plan.row_len);
         let (pb, dcol) = tmp.split_at_mut(packed_b_len(ocg, row_len));
-        let dcol = &mut dcol[..kdim * row_len];
         let groups = gy
             .chunks_exact(ocg * row_len)
             .zip(dx_img.chunks_exact_mut(icg * h * w))
@@ -601,12 +582,20 @@ impl Conv2d {
             let span = fca_trace::clock();
             pack_b(gy_g, ocg, row_len, false, pb);
             fca_trace::op(OpId::GemmPack, span);
-            dcol.fill(0.0);
-            let span = fca_trace::clock();
-            let dims = (kdim, ocg, row_len);
-            gemm_packed(Lhs::Packed(pa), pb, dcol, Store::rows(row_len), dims);
-            let flops = 2 * (kdim * ocg * row_len) as u64;
-            fca_trace::op_flops(OpId::GemmKernel, span, flops);
+            let product = |c: &mut [f32]| {
+                c.fill(0.0);
+                let span = fca_trace::clock();
+                let dims = (kdim, ocg, row_len);
+                gemm_packed(Lhs::Packed(pa), pb, c, Store::rows(row_len), dims);
+                let flops = 2 * (kdim * ocg * row_len) as u64;
+                fca_trace::op_flops(OpId::GemmKernel, span, flops);
+            };
+            if plan.path == Path::Pointwise {
+                product(dx_g);
+                continue;
+            }
+            let dcol = &mut dcol[..kdim * row_len];
+            product(dcol);
             let span = fca_trace::clock();
             col2im(dcol, &g, (h, w), (plan.oh, plan.ow), dx_g);
             fca_trace::op(OpId::Col2im, span);
