@@ -58,10 +58,13 @@
 //!   client ids the shard hosts; the server refuses another version and
 //!   overlapping or out-of-range claims.
 //!
-//! The message in a data frame is decoded by `WireMessage::decode` (or
-//! read straight into a model by `Network::client_recv_full_model_into`),
-//! which rejects trailing bytes — frame boundaries and message boundaries
-//! must agree exactly.
+//! The message in a data frame is checked by `WireMessage::check`,
+//! decoded by `WireMessage::decode`, or read in place — into a model by
+//! `Network::client_recv_full_model_into`, into a fold by
+//! `WireMessage::full_model_payloads` — each of which rejects trailing
+//! bytes: frame boundaries and message boundaries must agree exactly.
+//! Every payload a backend receives or sends sits in a [`Frame`], whose
+//! buffer is recycled ([`crate::frame`]).
 //!
 //! # Fault injection
 //!
