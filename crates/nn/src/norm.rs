@@ -3,48 +3,29 @@
 //! A statistic here is a long chain of dependent adds — a plane's `f64` sum
 //! for the mean and variance, a channel's `f32` sum for `dβ`/`dγ` — and one
 //! chain at a time runs at the adder's latency. The passes below advance
-//! sixteen planes' (or channels') chains together, each chain one lane of
-//! a vector: a block of sixteen planes is first interleaved element-major
-//! into a small buffer (`buf[i][lane]`, [`simd::interleave16`]), so one
-//! load feeds them all. Each chain adds the same terms in the same order as
-//! on its own, so every statistic is unchanged to the bit, and the sixteen
-//! overlap.
+//! eight planes' (or channels') chains together: each chain adds the same
+//! terms in the same order as on its own, so every statistic is unchanged to
+//! the bit, and the eight overlap.
 
 use crate::module::{Module, Param};
-use fca_tensor::simd;
 use fca_tensor::{SlotId, Tensor, Workspace};
 
 /// Chains advanced together by [`plane_sums`] and [`affine_grad_sums`].
-const LANES: usize = 16;
-
-/// Pixels interleaved per pass: two buffers of this many `[f32; LANES]`
-/// stay in L1.
-const CHUNK: usize = 64;
-
-/// The (up to [`LANES`]) consecutive planes of `planes`, each `plane` long;
-/// a short last group fills its spare lanes with the first plane again,
-/// whose sums are computed and dropped.
-fn lane_rows(planes: &[f32], plane: usize) -> [&[f32]; LANES] {
-    std::array::from_fn(|lane| {
-        let row = planes.get(lane * plane..(lane + 1) * plane);
-        row.unwrap_or(&planes[..plane])
-    })
-}
+const LANES: usize = 8;
 
 /// `Iterator::sum` of `term(lane, v)` over each of the (up to [`LANES`])
 /// consecutive planes in `planes`: every sum starts from −0.0 and adds its
-/// plane's terms in order.
+/// plane's terms in order. A short last group fills its spare lanes with
+/// the first plane again; their sums are computed and dropped.
 fn plane_sums(planes: &[f32], plane: usize, term: impl Fn(usize, f32) -> f64) -> [f64; LANES] {
-    let rows = lane_rows(planes, plane);
+    let rows: [&[f32]; LANES] = std::array::from_fn(|lane| {
+        let row = planes.get(lane * plane..(lane + 1) * plane);
+        row.unwrap_or(&planes[..plane])
+    });
     let mut sums = [-0.0f64; LANES];
-    let mut buf = [[0.0f32; LANES]; CHUNK];
-    for at in (0..plane).step_by(CHUNK) {
-        let buf = &mut buf[..CHUNK.min(plane - at)];
-        simd::interleave16(&rows, at, buf);
-        for b in &*buf {
-            for (lane, (s, &v)) in sums.iter_mut().zip(b).enumerate() {
-                *s += term(lane, v);
-            }
+    for i in 0..plane {
+        for (lane, (s, row)) in sums.iter_mut().zip(&rows).enumerate() {
+            *s += term(lane, row[i]);
         }
     }
     sums
@@ -60,26 +41,20 @@ fn affine_grad_sums(
     c0: usize,
 ) -> ([f32; LANES], [f32; LANES]) {
     let (mut dbeta, mut dgamma) = ([0.0f32; LANES], [0.0f32; LANES]);
-    let lanes = LANES.min(c - c0);
     let samples = grad_out
         .chunks_exact(c * plane)
         .zip(xhat.chunks_exact(c * plane));
-    let (mut gbuf, mut xbuf) = ([[0.0f32; LANES]; CHUNK], [[0.0f32; LANES]; CHUNK]);
     for (g_img, xh_img) in samples {
-        let block = c0 * plane..(c0 + lanes) * plane;
-        let (g_rows, xh_rows) = (
-            lane_rows(&g_img[block.clone()], plane),
-            lane_rows(&xh_img[block], plane),
-        );
-        for at in (0..plane).step_by(CHUNK) {
-            let len = CHUNK.min(plane - at);
-            simd::interleave16(&g_rows, at, &mut gbuf[..len]);
-            simd::interleave16(&xh_rows, at, &mut xbuf[..len]);
-            for (g, xh) in gbuf[..len].iter().zip(&xbuf[..len]) {
-                for lane in 0..LANES {
-                    dbeta[lane] += g[lane];
-                    dgamma[lane] += g[lane] * xh[lane];
-                }
+        // Spare lanes of a short last group walk its first channel again.
+        let rows: [(&[f32], &[f32]); LANES] = std::array::from_fn(|lane| {
+            let ci = if c0 + lane < c { c0 + lane } else { c0 };
+            let at = ci * plane..(ci + 1) * plane;
+            (&g_img[at.clone()], &xh_img[at])
+        });
+        for i in 0..plane {
+            for ((db, dg), (g, xh)) in dbeta.iter_mut().zip(&mut dgamma).zip(&rows) {
+                *db += g[i];
+                *dg += g[i] * xh[i];
             }
         }
     }
@@ -437,92 +412,6 @@ mod tests {
         v.iter().map(|e| e.to_bits()).collect()
     }
 
-    /// The chains as they ran before the interleave, one strided scalar
-    /// step per lane: the oracle of [`plane_sums`] …
-    fn plane_sums_oracle(
-        planes: &[f32],
-        plane: usize,
-        term: impl Fn(usize, f32) -> f64,
-    ) -> [f64; LANES] {
-        let rows = lane_rows(planes, plane);
-        let mut sums = [-0.0f64; LANES];
-        for i in 0..plane {
-            for (lane, (s, row)) in sums.iter_mut().zip(&rows).enumerate() {
-                *s += term(lane, row[i]);
-            }
-        }
-        sums
-    }
-
-    /// … and of [`affine_grad_sums`].
-    fn affine_grad_sums_oracle(
-        grad_out: &[f32],
-        xhat: &[f32],
-        (c, plane): (usize, usize),
-        c0: usize,
-    ) -> ([f32; LANES], [f32; LANES]) {
-        let (mut dbeta, mut dgamma) = ([0.0f32; LANES], [0.0f32; LANES]);
-        let samples = grad_out
-            .chunks_exact(c * plane)
-            .zip(xhat.chunks_exact(c * plane));
-        for (g_img, xh_img) in samples {
-            let rows: [(&[f32], &[f32]); LANES] = std::array::from_fn(|lane| {
-                let ci = if c0 + lane < c { c0 + lane } else { c0 };
-                let at = ci * plane..(ci + 1) * plane;
-                (&g_img[at.clone()], &xh_img[at])
-            });
-            for i in 0..plane {
-                for ((db, dg), (g, xh)) in dbeta.iter_mut().zip(&mut dgamma).zip(&rows) {
-                    *db += g[i];
-                    *dg += g[i] * xh[i];
-                }
-            }
-        }
-        (dbeta, dgamma)
-    }
-
-    /// The interleaved chains against the strided ones, lane for lane and
-    /// bit for bit: channel counts and planes short of, at and past a
-    /// multiple of the lane count, of a 16-element block and of a whole
-    /// interleave chunk, one sample and several.
-    #[test]
-    fn interleaved_chains_equal_the_strided_ones() {
-        let mut rng = seeded_rng(99);
-        let shapes = [
-            (1, 3, 5),
-            (2, 8, 64),
-            (3, 13, 130),
-            (1, 17, 256),
-            (2, 9, 1),
-            (2, 33, 65),
-        ];
-        for (n, c, plane) in shapes {
-            let x = Tensor::randn([n * c * plane], 2.0, &mut rng);
-            let g = Tensor::randn([n * c * plane], 1.0, &mut rng);
-            let shift: [f32; LANES] = std::array::from_fn(|lane| lane as f32 * 0.25 - 1.0);
-            for c0 in (0..c).step_by(LANES) {
-                let lanes = LANES.min(c - c0);
-                for ni in 0..n {
-                    let block = &x.data()[(ni * c + c0) * plane..][..lanes * plane];
-                    let term = |lane: usize, v: f32| ((v - shift[lane]) as f64).powi(2);
-                    let got = plane_sums(block, plane, term).map(f64::to_bits);
-                    let want = plane_sums_oracle(block, plane, term).map(f64::to_bits);
-                    assert_eq!(got, want, "plane sums n{n} c{c} plane {plane} c0 {c0}");
-                }
-                let got = affine_grad_sums(g.data(), x.data(), (c, plane), c0);
-                let want = affine_grad_sums_oracle(g.data(), x.data(), (c, plane), c0);
-                let both = |(a, b): ([f32; LANES], [f32; LANES])| {
-                    (a.map(f32::to_bits), b.map(f32::to_bits))
-                };
-                assert_eq!(
-                    both(got),
-                    both(want),
-                    "affine sums n{n} c{c} plane {plane} c0 {c0}"
-                );
-            }
-        }
-    }
-
     /// The one-chain-at-a-time passes the layer ran before the chains were
     /// overlapped, kept verbatim as the oracle: training-mode
     /// `(out, x̂, running mean, running var)` …
@@ -620,16 +509,8 @@ mod tests {
     fn overlapped_chains_change_no_bit_of_batchnorm() {
         let mut rng = seeded_rng(98);
         let mut ws = Workspace::new();
-        // Channel counts below, at and past a whole group of lanes; planes
-        // short of and past a whole interleave chunk; one sample.
-        for (n, c, h, w) in [
-            (4, 3, 5, 6),
-            (2, 8, 3, 3),
-            (3, 13, 4, 5),
-            (1, 1, 1, 1),
-            (1, 11, 13, 11),
-            (2, 16, 12, 12),
-        ] {
+        // Channel counts below, at and past a whole group of lanes.
+        for (n, c, h, w) in [(4, 3, 5, 6), (2, 8, 3, 3), (3, 13, 4, 5), (1, 1, 1, 1)] {
             let x = Tensor::randn([n, c, h, w], 2.0, &mut rng).map(|v| v + 1.5);
             let gy = Tensor::randn([n, c, h, w], 1.0, &mut rng);
             let mut bn = BatchNorm2d::new(c);

@@ -146,8 +146,10 @@ fn detect(arm: Kernel) -> bool {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
-        // AVX2 too: the arm shares the AVX2 interleave.
-        Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && detect(Kernel::Avx2Fma),
+        Kernel::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
     }
 }
 
@@ -270,37 +272,6 @@ pub(crate) fn skinny_nt_arm(
             x86::skinny_nt_avx512(at, b, c, m, k, n)
         },
         _ => skinny_nt_scalar(at, b, c, m, k, n),
-    }
-}
-
-/// Sixteen rows interleaved element-major, `dst[i][l] = rows[l][at + i]`
-/// for `i < dst.len()` — a copy, the same bits on every arm: the x86 arms
-/// turn pairs of 8 × 8 blocks in registers, the scalar arm and the tail
-/// copy element by element.
-///
-/// # Panics
-///
-/// When a row is shorter than `at + dst.len()`.
-pub fn interleave16(rows: &[&[f32]; NR], at: usize, dst: &mut [[f32; NR]]) {
-    interleave16_arm(active(), rows, at, dst);
-}
-
-/// [`interleave16`] on the given arm.
-fn interleave16_arm(arm: Kernel, rows: &[&[f32]; NR], at: usize, dst: &mut [[f32; NR]]) {
-    let end = at + dst.len();
-    assert!(
-        rows.iter().all(|r| r.len() >= end),
-        "interleave16: a row is short"
-    );
-    let done = match arm {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: detection established AVX2 for both arms before handing
-        // them out; the rows are long enough (checked above).
-        Kernel::Avx2Fma | Kernel::Avx512 => unsafe { x86::interleave16_avx2(rows, at, dst) },
-        _ => 0,
-    };
-    for (i, d) in dst.iter_mut().enumerate().skip(done) {
-        *d = std::array::from_fn(|l| rows[l][at + i]);
     }
 }
 
@@ -432,33 +403,6 @@ mod x86 {
         }
     }
 
-    /// The whole 8-element blocks of [`super::interleave16`]; returns how
-    /// many elements of `dst` it wrote.
-    ///
-    /// # Safety
-    ///
-    /// AVX2, and every row holds `at + dst.len()` floats.
-    // SAFETY: block `b` loads elements `at + 8b .. at + 8b + 8` of each
-    // row, below `at + dst.len()`, and stores into `dst`'s own elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn interleave16_avx2(
-        rows: &[&[f32]; NR],
-        at: usize,
-        dst: &mut [[f32; NR]],
-    ) -> usize {
-        for (b, out) in dst.chunks_exact_mut(8).enumerate() {
-            for (half, rows) in rows.chunks_exact(8).enumerate() {
-                let mut t: [__m256; 8] =
-                    std::array::from_fn(|l| _mm256_loadu_ps(rows[l].as_ptr().add(at + b * 8)));
-                transpose8(&mut t);
-                for (o, t) in out.iter_mut().zip(t) {
-                    _mm256_storeu_ps(o.as_mut_ptr().add(8 * half), t);
-                }
-            }
-        }
-        dst.len() / 8 * 8
-    }
-
     /// In-register transpose of an 8 × 8 f32 block: `t[q]` lane `l` becomes
     /// the old `t[l]` lane `q`. Interleave 32-bit pairs, then 64-bit pairs
     /// within 128-bit lanes, then swap 128-bit halves (24 shuffles).
@@ -467,7 +411,7 @@ mod x86 {
     ///
     /// The CPU must support AVX. The body shuffles registers and indexes
     /// `t` only with in-bounds constants; it is reached only from the AVX2
-    /// arms, which dispatch gates on avx2 support.
+    /// row-view kernel, which dispatch gates on avx2 support.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn transpose8(t: &mut [__m256; 8]) {
@@ -872,29 +816,6 @@ mod x86 {
             t[4 + c] = _mm512_shuffle_f32x4::<0x88>(ab_odd, cd_odd);
             t[8 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_even, cd_even);
             t[12 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_odd, cd_odd);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every arm interleaves what the element-by-element copy does: whole
-    /// blocks, a tail, none at all, from an offset.
-    #[test]
-    fn interleave16_copies_the_same_on_every_arm() {
-        let planes: Vec<f32> = (0..NR * 50).map(|e| e as f32 * 0.5 - 7.0).collect();
-        let rows: [&[f32]; NR] = std::array::from_fn(|l| &planes[l * 50..(l + 1) * 50]);
-        for (at, len) in [(0, 0), (0, 7), (0, 8), (3, 16), (1, 33), (5, 45)] {
-            let want: Vec<[f32; NR]> = (0..len)
-                .map(|i| std::array::from_fn(|l| rows[l][at + i]))
-                .collect();
-            for arm in available() {
-                let mut dst = vec![[f32::NAN; NR]; len];
-                interleave16_arm(arm, &rows, at, &mut dst);
-                assert_eq!(dst, want, "{} at {at}, {len} long", arm.as_str());
-            }
         }
     }
 }
