@@ -592,10 +592,13 @@ impl Network {
     }
 
     /// Open a round: fix every sampled client's fate for `round` and
-    /// precompute how many uplinks will actually be delivered. Called by
+    /// precompute how many uplinks will actually be delivered, and let the
+    /// frame pool shed what earlier rounds needed and this run does not
+    /// ([`crate::frame::round_begins`]). Called by
     /// the round engine before the algorithm runs; algorithms driven
     /// without it see a fault-free network.
     pub fn begin_round(&mut self, round: usize, sampled: &[usize]) {
+        crate::frame::round_begins();
         self.fates.iter_mut().for_each(|f| *f = Fate::Healthy);
         let mut deliveries = 0usize;
         for &k in sampled {

@@ -19,13 +19,17 @@
 //!   folds an uplink from it.
 //! * When the last view drops, the buffer returns to the pool, unless it
 //!   is small ([`POOLED_MIN`]) or the pool already holds as many buffers
-//!   as were ever out at once.
+//!   as were out at once in the current round or the one before it.
 //!
 //! The pool is the process's, not a transport's: every federation run
 //! builds its own transport, and a pool that died with it would hand each
-//! run's first round fresh pages again. Its lock is a leaf: it is taken
-//! only inside [`buffer_for`] and a buffer's drop, with nothing else held
-//! by this module and nothing taken under it.
+//! run's first round fresh pages again. Its bound follows the rounds
+//! instead: [`round_begins`] (called as [`crate::comm::Network::begin_round`]
+//! opens each round) frees the idle buffers past what the last two rounds
+//! had in flight, so after a wide run the next, narrower one keeps only
+//! what it needs from its second round on. Its lock is a leaf: it is taken
+//! only inside [`buffer_for`], [`round_begins`] and a buffer's drop, with
+//! nothing else held by this module and nothing taken under it.
 
 use bytes::Bytes;
 use fca_tensor::serialize::WireError;
@@ -42,16 +46,70 @@ struct Pool {
     idle: Vec<Vec<u8>>,
     /// Pooled-size buffers held by live frames.
     live: usize,
-    /// The most `live` has ever been: the pool keeps no more buffers than
-    /// that, idle and live together.
-    high_water: usize,
+    /// The most `live` has been since the current round began, and in the
+    /// round before: the pool keeps no more buffers, idle and live
+    /// together, than the larger of the two.
+    peak: usize,
+    last_peak: usize,
 }
 
-static POOL: Mutex<Pool> = Mutex::new(Pool {
-    idle: Vec::new(),
-    live: 0,
-    high_water: 0,
-});
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            idle: Vec::new(),
+            live: 0,
+            peak: 0,
+            last_peak: 0,
+        }
+    }
+
+    /// How many buffers the pool may hold, idle and live together.
+    fn bound(&self) -> usize {
+        self.peak.max(self.last_peak)
+    }
+
+    /// The idle buffer that fits `len` best: the smallest that holds it,
+    /// else the largest.
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        let fits = |v: &&Vec<u8>| v.capacity() >= len;
+        let idle = self.idle.iter().enumerate();
+        let best = idle
+            .clone()
+            .filter(|(_, v)| fits(v))
+            .min_by_key(|(_, v)| v.capacity())
+            .or_else(|| idle.max_by_key(|(_, v)| v.capacity()))
+            .map(|(i, _)| i)?;
+        Some(self.idle.swap_remove(best))
+    }
+
+    /// A pooled-size buffer is now held by a frame.
+    fn lend(&mut self) {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+    }
+
+    /// A frame let go of `buf`: kept if the bound has room, else handed
+    /// back to be freed.
+    fn give_back(&mut self, buf: Vec<u8>) -> Option<Vec<u8>> {
+        self.live -= 1;
+        if self.idle.len() + self.live < self.bound() {
+            self.idle.push(buf);
+            return None;
+        }
+        Some(buf)
+    }
+
+    /// A round begins: the one that ended becomes the last, and the idle
+    /// buffers past the new bound are handed back to be freed.
+    fn round_begins(&mut self) -> Vec<Vec<u8>> {
+        self.last_peak = self.peak;
+        self.peak = self.live;
+        let keep = self.bound().saturating_sub(self.live);
+        self.idle.split_off(keep.min(self.idle.len()))
+    }
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool::new());
 
 fn pool() -> std::sync::MutexGuard<'static, Pool> {
     // The pool's state stays consistent across a panic: each critical
@@ -68,24 +126,18 @@ pub fn buffer_for(len: usize) -> Vec<u8> {
     if len < POOLED_MIN {
         return Vec::new();
     }
-    let mut pool = pool();
-    let fits = |v: &&Vec<u8>| v.capacity() >= len;
-    let best = pool
-        .idle
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| fits(v))
-        .min_by_key(|(_, v)| v.capacity())
-        .or_else(|| {
-            pool.idle
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, v)| v.capacity())
-        })
-        .map(|(i, _)| i);
-    let mut buf = best.map_or_else(Vec::new, |i| pool.idle.swap_remove(i));
+    let mut buf = pool().take(len).unwrap_or_default();
     buf.clear();
     buf
+}
+
+/// Mark the start of a round: the pool keeps from now on no more buffers
+/// than the round that just ended or the one before it had in flight, and
+/// frees its idle ones past that.
+pub fn round_begins() {
+    let freed = pool().round_begins();
+    // Freed after the lock is released.
+    drop(freed);
 }
 
 /// The owner of a frame's bytes; gives them back to the pool on drop.
@@ -96,12 +148,10 @@ impl Drop for Buffer {
         if self.0.capacity() < POOLED_MIN {
             return;
         }
-        let mut pool = pool();
-        pool.live -= 1;
-        if pool.idle.len() + pool.live < pool.high_water {
-            let buf = std::mem::take(&mut self.0);
-            pool.idle.push(buf);
-        }
+        let buf = std::mem::take(&mut self.0);
+        // A buffer past the bound is freed after the lock is released.
+        let freed = pool().give_back(buf);
+        drop(freed);
     }
 }
 
@@ -151,9 +201,7 @@ impl Frame {
 impl From<Vec<u8>> for Frame {
     fn from(bytes: Vec<u8>) -> Frame {
         if bytes.capacity() >= POOLED_MIN {
-            let mut pool = pool();
-            pool.live += 1;
-            pool.high_water = pool.high_water.max(pool.live);
+            pool().lend();
         }
         Frame {
             range: 0..bytes.len(),
@@ -218,6 +266,32 @@ mod tests {
         let small = Frame::from(&b"hello"[..]);
         assert_eq!(&*small, b"hello");
         assert_eq!(small.slice(1..3).to_bytes(), Bytes::from_static(b"el"));
+    }
+
+    /// A wide round's buffers outlive it by one round at most: the pool
+    /// then holds what the narrower rounds after it had in flight.
+    #[test]
+    fn the_bound_follows_the_last_two_rounds() {
+        let mut pool = Pool::new();
+        let round = |pool: &mut Pool, frames: usize| {
+            drop(pool.round_begins());
+            let bufs: Vec<Vec<u8>> = (0..frames)
+                .map(|_| {
+                    let buf = pool.take(POOLED_MIN).unwrap_or_default();
+                    pool.lend();
+                    buf
+                })
+                .collect();
+            for buf in bufs {
+                drop(pool.give_back(buf));
+            }
+            pool.idle.len()
+        };
+        assert_eq!(round(&mut pool, 6), 6);
+        assert_eq!(round(&mut pool, 2), 6, "the wide round is the last one");
+        assert_eq!(round(&mut pool, 2), 2, "the wide round is two back");
+        assert_eq!(round(&mut pool, 3), 3);
+        assert_eq!(pool.live, 0);
     }
 
     #[test]
