@@ -175,6 +175,14 @@ struct Plan {
     kdim: usize,
     /// Output pixels of an image: `oh · ow`.
     row_len: usize,
+    /// Images one forward product of the rows path reads: 1, or on a small
+    /// output plane whose pixels would leave the last of an image's
+    /// `MR`-row tiles mostly empty (and a kernel of more than one tap), the
+    /// fewest whose pixels fill whole
+    /// tiles (up to a run's): their product goes into scratch, each output
+    /// channel one line of all their pixels, then each image's stretch of
+    /// a line into its plane.
+    fwd_imgs: usize,
     /// Width of a zero-bordered input plane, `w + 2p`, and the distance
     /// between an image's planes, `(h + 2p) · wp`.
     wp: usize,
@@ -309,6 +317,20 @@ impl Conv2d {
         let dcol_tmp = usize::from(dcol) * (packed_b_len(ocg, row_len) + kdim * row_len);
         let threads = rayon::current_num_threads().max(1);
         let run = n.div_ceil(threads).max(1);
+        // An image's tiles waste more than an eighth of their rows, on a
+        // product long enough to pay for the copy out of scratch: a 1×1
+        // kernel's `C_in/G` steps are not (its strided forward read 1.1×
+        // the parent's batched, 0.9× image by image).
+        let ragged = row_len.div_ceil(MR) * MR * 8 > row_len * 9;
+        let fwd_imgs = if path == Path::Rows && ragged && k > 1 {
+            // MR is a power of two: this many images' pixels are a multiple.
+            (MR >> row_len.trailing_zeros().min(MR.trailing_zeros())).min(run)
+        } else {
+            1
+        };
+        // The batched forward's padded planes (inference) and product, one
+        // group's.
+        let fwd_tmp = fwd_imgs * c * plane + usize::from(fwd_imgs > 1) * fwd_imgs * row_len * ocg;
         let dw_imgs = (KC / row_len).clamp(1, n.max(1));
         let dw_k = dw_imgs * row_len;
         // The weight gradient: packed `dY_gᵀ` and its operand's two tables.
@@ -326,12 +348,13 @@ impl Conv2d {
                 g.groups * packed_b_len(kdim, row_len).max(packed_b_len(ocg, row_len)),
                 packed_a_len(ocg, kdim).max(packed_a_len(kdim, ocg)),
             ),
-            // Forward: pixel and tap tables, an inference image's padded
-            // planes. Backward: the same for the input gradient, the padded
-            // output gradient and a phase class's `dX`.
+            // Forward: pixel and tap tables, the padded planes of an
+            // inference product's images, a batched product. Backward: the
+            // same for the input gradient, the padded output gradient and a
+            // phase class's `dX`.
             Path::Rows => (
-                (row_len + kdim).max(h * w + taps * ocg),
-                (c * plane).max(oc * gplane + phase_tmp).max(dcol_tmp),
+                (fwd_imgs * row_len + kdim).max(h * w + taps * ocg),
+                fwd_tmp.max(oc * gplane + phase_tmp).max(dcol_tmp),
                 packed_b_len(kdim, ocg)
                     .max(packed_b_len(taps * ocg, icg))
                     .max(usize::from(dcol) * packed_a_len(kdim, ocg)),
@@ -346,6 +369,7 @@ impl Conv2d {
             ocg,
             kdim,
             row_len,
+            fwd_imgs,
             wp,
             plane,
             flat,
@@ -1065,12 +1089,19 @@ impl Module for Conv2d {
             Path::Stencil => {}
         }
         // Output pixel (oy, ox) and tap (ci, kh, kw) of the padded planes.
-        let (pixels, taps, runs) = split_tables(&mut scratch, &plan, (row_len, kdim));
+        let (pixels, taps, runs) =
+            split_tables(&mut scratch, &plan, (plan.fwd_imgs * row_len, kdim));
         if plan.path == Path::Rows {
-            assert!(cache_img <= u32::MAX as usize, "conv offsets overflow u32");
-            for (oy, row) in pixels.chunks_exact_mut(ow).enumerate() {
-                for (ox, o) in row.iter_mut().enumerate() {
-                    *o = ((oy * plan.wp + ox) * s) as u32;
+            let imgs = plan.fwd_imgs;
+            assert!(
+                imgs * cache_img <= u32::MAX as usize,
+                "conv offsets overflow u32"
+            );
+            for (i, img) in pixels.chunks_exact_mut(row_len).enumerate() {
+                for (oy, row) in img.chunks_exact_mut(ow).enumerate() {
+                    for (ox, o) in row.iter_mut().enumerate() {
+                        *o = (i * cache_img + (oy * plan.wp + ox) * s) as u32;
+                    }
                 }
             }
             for (r, o) in taps.iter_mut().enumerate() {
@@ -1095,6 +1126,67 @@ impl Module for Conv2d {
             ),
             (runs, plan.run_len),
             |r, out_run, cache_run, tmp| {
+                if plan.path == Path::Rows {
+                    let batches = out_run.chunks_mut(plan.fwd_imgs * out_img_sz);
+                    for (b, out_b) in batches.enumerate() {
+                        let (first, imgs) = (b * plan.fwd_imgs, out_b.len() / out_img_sz);
+                        let x_b = &x_data[(r * plan.run + first) * img_sz..][..imgs * img_sz];
+                        // The padded planes: written into the cache by a
+                        // training forward, into scratch otherwise.
+                        let pad_len = if train { 0 } else { plan.fwd_imgs * cache_img };
+                        let (pad_tmp, acc) = tmp.split_at_mut(pad_len);
+                        let padded = if train {
+                            &mut cache_run[first * cache_img..][..imgs * cache_img]
+                        } else {
+                            &mut pad_tmp[..imgs * cache_img]
+                        };
+                        let span = fca_trace::clock();
+                        for (img, dst) in x_b
+                            .chunks_exact(img_sz)
+                            .zip(padded.chunks_exact_mut(cache_img))
+                        {
+                            pad_planes(img, (h, w), (g.padding, plan.wp), dst);
+                        }
+                        fca_trace::op(OpId::Im2col, span);
+                        let span = fca_trace::clock();
+                        let rows = &pixels[..imgs * row_len];
+                        let m = rows.len();
+                        // One image's product goes straight into its
+                        // planes; several images' into scratch, each
+                        // output channel one line of all their pixels,
+                        // from which each image's stretch is its plane.
+                        let direct = plan.fwd_imgs == 1;
+                        for (grp, pb) in wpack.chunks_exact(plan.w_panels).enumerate() {
+                            let a = Lhs::Rows {
+                                src: &padded[grp * icg * plan.plane..],
+                                rows,
+                                ks: taps,
+                            };
+                            let y = if direct {
+                                &mut out_b[grp * ocg * row_len..][..ocg * row_len]
+                            } else {
+                                &mut acc[..ocg * m]
+                            };
+                            for (line, &b) in y.chunks_exact_mut(m).zip(&bias[grp * ocg..]) {
+                                line.fill(b);
+                            }
+                            gemm_packed(a, pb, y, Store::cols(m, None), (m, kdim, ocg));
+                            if direct {
+                                continue;
+                            }
+                            for (i, out_img) in out_b.chunks_exact_mut(out_img_sz).enumerate() {
+                                let y_g = &mut out_img[grp * ocg * row_len..][..ocg * row_len];
+                                let lines = y_g.chunks_exact_mut(row_len).zip(acc.chunks_exact(m));
+                                for (plane, line) in lines {
+                                    plane.copy_from_slice(&line[i * row_len..][..row_len]);
+                                }
+                            }
+                        }
+                        let flops = 2 * (g.out_channels * kdim * m) as u64;
+                        fca_trace::op_flops(OpId::GemmKernel, span, flops);
+                    }
+                    return;
+                }
                 for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
                     let ni = r * plan.run + i;
                     let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
@@ -1137,44 +1229,22 @@ impl Module for Conv2d {
                         continue;
                     }
 
-                    // The padded planes: written into the cache by a
-                    // training forward, into scratch otherwise.
+                    // The depthwise stencil: padded planes into the cache
+                    // (training) or scratch.
                     let (pad_tmp, acc) = tmp.split_at_mut(if train { 0 } else { c * plan.plane });
                     let padded = if train { cached } else { pad_tmp };
                     let span = fca_trace::clock();
                     pad_planes(img, (h, w), (g.padding, plan.wp), padded);
                     fca_trace::op(OpId::Im2col, span);
-                    let padded = &*padded;
-
-                    if plan.path == Path::Stencil {
-                        stencil_forward(
-                            padded,
-                            weight,
-                            bias,
-                            &g,
-                            &plan,
-                            &mut acc[..plan.flat],
-                            out_img,
-                        );
-                        continue;
-                    }
-                    fill_bias(out_img);
-                    let span = fca_trace::clock();
-                    let store = Store::cols(row_len, None);
-                    let groups = padded
-                        .chunks_exact(icg * plan.plane)
-                        .zip(out_img.chunks_exact_mut(ocg * row_len))
-                        .zip(wpack.chunks_exact(plan.w_panels));
-                    for ((src, y_g), pb) in groups {
-                        let a = Lhs::Rows {
-                            src,
-                            rows: pixels,
-                            ks: taps,
-                        };
-                        gemm_packed(a, pb, y_g, store, (row_len, kdim, ocg));
-                    }
-                    let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
+                    stencil_forward(
+                        padded,
+                        weight,
+                        bias,
+                        &g,
+                        &plan,
+                        &mut acc[..plan.flat],
+                        out_img,
+                    );
                 }
             },
         );
@@ -1870,9 +1940,12 @@ mod tests {
     /// The sweep: every zoo geometry, then every kernel 1/3/5 × stride 1/2
     /// × padding 0/1/2 × groups 1/2/depthwise on a ragged plane and on one
     /// smaller than the largest kernel (`C_in/G` below `MR`, `C_out/G` not
-    /// a multiple of `MR` or `NR`), and wide
+    /// a multiple of `MR` or `NR`); the rows path's own input gradient at
+    /// `C_in/G` 12 and 16 (a ragged and a full 8-row tile of input
+    /// channels) × groups 1/2 × kernel 3/5 × padding "same"/0 × stride 1/2
+    /// on the ragged plane; and wide
     /// layers: `C_in/G` past one 16-lane panel, `C_out/G` past one KC
-    /// block (two slabs in every tap's chain). Batches of 1, 2 and 32, a
+    /// block (two slabs in every tap's chain). Batches of 1, 2, 13 and 32, a
     /// pre-filled `dW`, random and all −0.0 output gradients; each case to
     /// the bit against the im2col lowering (see [`lowering_case`]), and
     /// within rounding of the naive references.
@@ -1888,6 +1961,25 @@ mod tests {
                 }
             });
         }
+        for icg in [12, 16] {
+            for groups in [1, 2] {
+                for kernel in [3, 5] {
+                    for padding in [kernel / 2, 0] {
+                        for stride in [1, 2] {
+                            let geom = ConvGeometry {
+                                in_channels: icg * groups,
+                                out_channels: (icg + 2) * groups,
+                                kernel,
+                                stride,
+                                padding,
+                                groups,
+                            };
+                            cases.push((geom, 7, 10));
+                        }
+                    }
+                }
+            }
+        }
         for (c, k, s) in [([20, 18], 3, 1), ([20, 18], 5, 2), ([2, 2 * KC + 4], 3, 1)] {
             let groups = if c[1] > KC { 2 } else { 1 };
             let geom = ConvGeometry {
@@ -1902,8 +1994,17 @@ mod tests {
         }
         let (mut paths, mut wide) = (Vec::new(), (false, false));
         let (mut odd_panels, mut odd_rows) = (false, false);
+        // The rows path's input-gradient product (not `Plan::dcol`), grouped
+        // and unpadded, at each stride.
+        let mut grouped_rows = [false; 2];
         for (geom, h, w) in cases {
             paths.push(geom.path());
+            let rows_dx = geom.path() == Path::Rows
+                && geom.in_channels / geom.groups >= fca_tensor::gemm::MR
+                && geom.kernel > 1;
+            if rows_dx && geom.groups > 1 && geom.padding == 0 {
+                grouped_rows[geom.stride - 1] = true;
+            }
             wide.0 |= geom.in_channels / geom.groups > NR && geom.path() == Path::Rows;
             wide.1 |= geom.out_channels / geom.groups > KC;
             let (oh, ow) = geom.out_hw(h, w);
@@ -1912,7 +2013,9 @@ mod tests {
             let mut proto = Conv2d::new(geom, &mut rng);
             proto.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
             let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
-            for n in [1, 2, 32] {
+            // 13 images: a run's last forward product on a small plane
+            // takes fewer images than the others.
+            for n in [1, 2, 13, 32] {
                 let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
                 let random = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
                 let negative_zeros = Tensor::full(random.shape().clone(), -0.0);
@@ -1931,6 +2034,10 @@ mod tests {
         }
         assert!(wide.0 && wide.1, "sweep lost its wide layers");
         assert!(odd_panels && odd_rows, "sweep lost its ragged panels");
+        assert!(
+            grouped_rows == [true; 2],
+            "sweep lost the rows input gradient's grouped, unpadded layers"
+        );
         for path in [Path::Stencil, Path::Pointwise, Path::Rows] {
             assert!(paths.contains(&path), "sweep never took {path:?}");
         }
