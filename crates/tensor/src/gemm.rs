@@ -263,8 +263,8 @@ pub(crate) struct RowTile<'a> {
 impl<'a> RowTile<'a> {
     /// A [`pack_a`] panel slab (k steps of `MR` floats, at most one KC
     /// slab) as a row view: row `i` at offset `i`, step `t` at `t·MR`, one
-    /// chain. Every arm but AVX-512's runs packed products through its
-    /// row-view kernel this way.
+    /// chain. The AVX2 arm runs packed products through its row-view
+    /// kernel this way.
     pub(crate) fn panel(pa: &'a [f32]) -> RowTile<'a> {
         const ROWS: [u32; MR] = [0, 1, 2, 3, 4, 5, 6, 7];
         static KS: [u32; KC] = {
@@ -284,6 +284,52 @@ impl<'a> RowTile<'a> {
             chain: k,
         }
     }
+}
+
+/// `C_tile += panelA · panelB` for one MR×NR register tile: the portable
+/// packed kernel. `pa`/`pb` are the k-major panel slabs of the tile's
+/// rows and columns (equal k length); `c` points at the tile's first
+/// element of C, rows `ldc` apart. The accumulators run the full MR×NR
+/// shape (panel padding is zero); only the `mr × nr` corner is stored.
+/// The same sums as [`microkernel_rows`] over the panel as a row view
+/// ([`RowTile::panel`]), without its offset table: on the scalar arm the
+/// table's indexed loads left `hetero_train` 0.97× the parent's speed.
+///
+/// # Safety
+///
+/// `c` must be valid for reads/writes of `mr` rows × `nr` columns at row
+/// stride `ldc`, and no other thread may access that region concurrently.
+#[inline(always)]
+// SAFETY: the contract above is `add_tile`'s for an untransposed store.
+pub(crate) unsafe fn microkernel(
+    pa: &[f32],
+    pb: &[f32],
+    c: *mut f32,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    let mut r0 = [0.0f32; NR];
+    let mut r1 = [0.0f32; NR];
+    let mut r2 = [0.0f32; NR];
+    let mut r3 = [0.0f32; NR];
+    let mut r4 = [0.0f32; NR];
+    let mut r5 = [0.0f32; NR];
+    let mut r6 = [0.0f32; NR];
+    let mut r7 = [0.0f32; NR];
+    for (af, bf) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
+        let bf: &[f32; NR] = bf.try_into().expect("NR-sized chunk");
+        axpy_row(&mut r0, af[0], bf);
+        axpy_row(&mut r1, af[1], bf);
+        axpy_row(&mut r2, af[2], bf);
+        axpy_row(&mut r3, af[3], bf);
+        axpy_row(&mut r4, af[4], bf);
+        axpy_row(&mut r5, af[5], bf);
+        axpy_row(&mut r6, af[6], bf);
+        axpy_row(&mut r7, af[7], bf);
+    }
+    let rows = [r0, r1, r2, r3, r4, r5, r6, r7];
+    add_tile(&rows, c, (ldc, false), mr, nr);
 }
 
 /// One register-tile row update: `acc += a · b`, elementwise over NR lanes.

@@ -9,12 +9,15 @@
 //! # Kernel arms
 //!
 //! * [`Kernel::Scalar`] — the safe autovectorized engine from
-//!   [`crate::gemm`]. Portable fallback **and** bit-exactness oracle.
+//!   [`crate::gemm`]: the portable packed kernel and the portable row-view
+//!   one. Portable fallback **and** bit-exactness oracle.
 //! * [`Kernel::Avx2Fma`] — one AVX2+FMA row-view kernel: the 8×16 tile as
 //!   two 4×16 register passes (8 YMM accumulators + 2 B vectors + 1
 //!   broadcast stay inside the 16-register file), for a row-view A and a
 //!   packed panel read as one (`gemm::RowTile::panel`), the transposed
-//!   store turned in 8 × 8 blocks. Skinny-m products run the portable
+//!   store turned in 8 × 8 blocks (with it `hetero_train` ran 1.44× as
+//!   fast as on the portable row kernel, EXPERIMENTS.md *Read in place,
+//!   after review*). Skinny-m products run the portable
 //!   kernels: an AVX2 one measured level with them end to end
 //!   (EXPERIMENTS.md, *Paid for, or gone*).
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
@@ -46,7 +49,7 @@
 //! another way.
 
 use crate::gemm::{
-    add_tile, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
+    add_tile, microkernel, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
 };
 use std::sync::OnceLock;
 
@@ -165,8 +168,8 @@ fn detect(arm: Kernel) -> bool {
 // ---------------------------------------------------------------------------
 
 /// f32 microkernel for one MR×NR tile of a packed A on the given arm:
-/// AVX-512 has one of its own, every other arm runs its row-view kernel
-/// over the panel ([`RowTile::panel`]).
+/// AVX-512 has one of its own, AVX2 runs its row-view kernel over the
+/// panel ([`RowTile::panel`]), the scalar arm the portable packed kernel.
 ///
 /// # Safety
 ///
@@ -189,7 +192,11 @@ pub(crate) unsafe fn microkernel_arm(
     match arm {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => x86::microkernel_avx512(pa, pb, c, ldc, mr, nr),
-        _ => microkernel_rows_arm(arm, RowTile::panel(pa), pb, (c, ldc, false), mr, nr),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2Fma => {
+            microkernel_rows_arm(arm, RowTile::panel(pa), pb, (c, ldc, false), mr, nr)
+        }
+        _ => microkernel(pa, pb, c, ldc, mr, nr),
     }
 }
 
@@ -320,9 +327,10 @@ mod x86 {
     /// (8 YMM accumulators + 2 B vectors + 1 broadcast stay inside the
     /// 16-register file), each row's `a` broadcast from its view; chains
     /// and store as in [`crate::gemm::microkernel_rows`], bit for bit. Also
-    /// the arm's packed kernel ([`RowTile::panel`]): its broadcasts are
-    /// separate loads here, so a table offset costs what a packed kernel's
-    /// pointer bump does. Transposed, the
+    /// the arm's packed kernel ([`RowTile::panel`]): with the portable row
+    /// kernel in its place, `hetero_train` under `FCA_GEMM_KERNEL=avx2_fma`
+    /// ran 0.70× as fast (EXPERIMENTS.md *Read in place, after review*).
+    /// Transposed, the
     /// tile is turned as two 8 × 8 blocks and lane `j`'s `mr` pixels land
     /// as one (masked when `mr < MR`) add at `c + j·ldc`.
     ///
