@@ -8,7 +8,8 @@
 //!   three products read their activation operand in place through offset
 //!   tables ([`Lhs::Rows`], the stride folded into the tables), so only the
 //!   weight is packed, once per call. The forward is pixel-major,
-//!   `Yᵀ = colᵀ·Wᵀ`, stored transposed straight into the output planes; the
+//!   `Yᵀ = colᵀ·Wᵀ`, stored transposed straight into the output planes (on
+//!   a small plane, several images in one product, through scratch); the
 //!   input gradient is one product over all `k²` taps (per phase class of
 //!   pixels at stride > 1: `Phase`), read from the output gradient's own
 //!   zero-bordered planes, its sum over each tap's output channels a chain
@@ -1126,81 +1127,15 @@ impl Module for Conv2d {
             ),
             (runs, plan.run_len),
             |r, out_run, cache_run, tmp| {
-                if plan.path == Path::Rows {
-                    let batches = out_run.chunks_mut(plan.fwd_imgs * out_img_sz);
-                    for (b, out_b) in batches.enumerate() {
-                        let (first, imgs) = (b * plan.fwd_imgs, out_b.len() / out_img_sz);
-                        let x_b = &x_data[(r * plan.run + first) * img_sz..][..imgs * img_sz];
-                        // The padded planes: written into the cache by a
-                        // training forward, into scratch otherwise.
-                        let pad_len = if train { 0 } else { plan.fwd_imgs * cache_img };
-                        let (pad_tmp, acc) = tmp.split_at_mut(pad_len);
-                        let padded = if train {
-                            &mut cache_run[first * cache_img..][..imgs * cache_img]
-                        } else {
-                            &mut pad_tmp[..imgs * cache_img]
-                        };
-                        let span = fca_trace::clock();
-                        for (img, dst) in x_b
-                            .chunks_exact(img_sz)
-                            .zip(padded.chunks_exact_mut(cache_img))
-                        {
-                            pad_planes(img, (h, w), (g.padding, plan.wp), dst);
-                        }
-                        fca_trace::op(OpId::Im2col, span);
-                        let span = fca_trace::clock();
-                        let rows = &pixels[..imgs * row_len];
-                        let m = rows.len();
-                        // One image's product goes straight into its
-                        // planes; several images' into scratch, each
-                        // output channel one line of all their pixels,
-                        // from which each image's stretch is its plane.
-                        let direct = plan.fwd_imgs == 1;
-                        for (grp, pb) in wpack.chunks_exact(plan.w_panels).enumerate() {
-                            let a = Lhs::Rows {
-                                src: &padded[grp * icg * plan.plane..],
-                                rows,
-                                ks: taps,
-                            };
-                            let y = if direct {
-                                &mut out_b[grp * ocg * row_len..][..ocg * row_len]
-                            } else {
-                                &mut acc[..ocg * m]
-                            };
-                            for (line, &b) in y.chunks_exact_mut(m).zip(&bias[grp * ocg..]) {
-                                line.fill(b);
-                            }
-                            gemm_packed(a, pb, y, Store::cols(m, None), (m, kdim, ocg));
-                            if direct {
-                                continue;
-                            }
-                            for (i, out_img) in out_b.chunks_exact_mut(out_img_sz).enumerate() {
-                                let y_g = &mut out_img[grp * ocg * row_len..][..ocg * row_len];
-                                let lines = y_g.chunks_exact_mut(row_len).zip(acc.chunks_exact(m));
-                                for (plane, line) in lines {
-                                    plane.copy_from_slice(&line[i * row_len..][..row_len]);
-                                }
-                            }
-                        }
-                        let flops = 2 * (g.out_channels * kdim * m) as u64;
-                        fca_trace::op_flops(OpId::GemmKernel, span, flops);
-                    }
-                    return;
-                }
-                for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
-                    let ni = r * plan.run + i;
-                    let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
-                    let cached = if train {
-                        &mut cache_run[i * cache_img..(i + 1) * cache_img]
-                    } else {
-                        &mut []
-                    };
-                    if plan.path == Path::Pointwise {
+                if plan.path == Path::Pointwise {
+                    for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
+                        let ni = r * plan.run + i;
+                        let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
                         // The input is its own im2col matrix; only a
                         // training forward copies it, for the weight
                         // gradient.
                         if train {
-                            cached.copy_from_slice(img);
+                            cache_run[i * cache_img..(i + 1) * cache_img].copy_from_slice(img);
                         }
                         let span = fca_trace::clock();
                         let panels = packed_b_len(kdim, row_len);
@@ -1226,25 +1161,72 @@ impl Module for Conv2d {
                         }
                         let flops = 2 * (g.out_channels * kdim * row_len) as u64;
                         fca_trace::op_flops(OpId::GemmKernel, span, flops);
+                    }
+                    return;
+                }
+                // `fwd_imgs` images at a time (one off the rows path).
+                let batches = out_run.chunks_mut(plan.fwd_imgs * out_img_sz);
+                for (b, out_b) in batches.enumerate() {
+                    let (first, imgs) = (b * plan.fwd_imgs, out_b.len() / out_img_sz);
+                    let x_b = &x_data[(r * plan.run + first) * img_sz..][..imgs * img_sz];
+                    // The padded planes: written into the cache by a
+                    // training forward, into scratch otherwise.
+                    let pad_len = if train { 0 } else { plan.fwd_imgs * cache_img };
+                    let (pad_tmp, acc) = tmp.split_at_mut(pad_len);
+                    let padded = if train {
+                        &mut cache_run[first * cache_img..][..imgs * cache_img]
+                    } else {
+                        &mut pad_tmp[..imgs * cache_img]
+                    };
+                    let span = fca_trace::clock();
+                    for (img, dst) in x_b
+                        .chunks_exact(img_sz)
+                        .zip(padded.chunks_exact_mut(cache_img))
+                    {
+                        pad_planes(img, (h, w), (g.padding, plan.wp), dst);
+                    }
+                    fca_trace::op(OpId::Im2col, span);
+                    if plan.path == Path::Stencil {
+                        let acc = &mut acc[..plan.flat];
+                        stencil_forward(padded, weight, bias, &g, &plan, acc, out_b);
                         continue;
                     }
-
-                    // The depthwise stencil: padded planes into the cache
-                    // (training) or scratch.
-                    let (pad_tmp, acc) = tmp.split_at_mut(if train { 0 } else { c * plan.plane });
-                    let padded = if train { cached } else { pad_tmp };
                     let span = fca_trace::clock();
-                    pad_planes(img, (h, w), (g.padding, plan.wp), padded);
-                    fca_trace::op(OpId::Im2col, span);
-                    stencil_forward(
-                        padded,
-                        weight,
-                        bias,
-                        &g,
-                        &plan,
-                        &mut acc[..plan.flat],
-                        out_img,
-                    );
+                    let rows = &pixels[..imgs * row_len];
+                    let m = rows.len();
+                    // One image's product goes straight into its planes;
+                    // several images' into scratch, each output channel
+                    // one line of all their pixels, from which each
+                    // image's stretch is its plane.
+                    let direct = plan.fwd_imgs == 1;
+                    for (grp, pb) in wpack.chunks_exact(plan.w_panels).enumerate() {
+                        let a = Lhs::Rows {
+                            src: &padded[grp * icg * plan.plane..],
+                            rows,
+                            ks: taps,
+                        };
+                        let y = if direct {
+                            &mut out_b[grp * ocg * row_len..][..ocg * row_len]
+                        } else {
+                            &mut acc[..ocg * m]
+                        };
+                        for (line, &b) in y.chunks_exact_mut(m).zip(&bias[grp * ocg..]) {
+                            line.fill(b);
+                        }
+                        gemm_packed(a, pb, y, Store::cols(m, None), (m, kdim, ocg));
+                        if direct {
+                            continue;
+                        }
+                        for (i, out_img) in out_b.chunks_exact_mut(out_img_sz).enumerate() {
+                            let y_g = &mut out_img[grp * ocg * row_len..][..ocg * row_len];
+                            let lines = y_g.chunks_exact_mut(row_len).zip(acc.chunks_exact(m));
+                            for (plane, line) in lines {
+                                plane.copy_from_slice(&line[i * row_len..][..row_len]);
+                            }
+                        }
+                    }
+                    let flops = 2 * (g.out_channels * kdim * m) as u64;
+                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
                 }
             },
         );
