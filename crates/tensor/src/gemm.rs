@@ -292,8 +292,8 @@ impl<'a> RowTile<'a> {
 /// element of C, rows `ldc` apart. The accumulators run the full MR×NR
 /// shape (panel padding is zero); only the `mr × nr` corner is stored.
 /// The same sums as [`microkernel_rows`] over the panel as a row view
-/// ([`RowTile::panel`]), without its offset table: on the scalar arm the
-/// table's indexed loads left `hetero_train` 0.97× the parent's speed.
+/// ([`RowTile::panel`]), without its offset table: on the scalar arm
+/// that route read 0.97× the parent's `hetero_train`, this one 1.03×.
 ///
 /// # Safety
 ///

@@ -17,7 +17,7 @@
 //!   packed panel read as one (`gemm::RowTile::panel`), the transposed
 //!   store turned in 8 × 8 blocks (with it `hetero_train` ran 1.44× as
 //!   fast as on the portable row kernel, EXPERIMENTS.md *Read in place,
-//!   after review*). Skinny-m products run the portable
+//!   second pass*). Skinny-m products run the portable
 //!   kernels: an AVX2 one measured level with them end to end
 //!   (EXPERIMENTS.md, *Paid for, or gone*).
 //! * [`Kernel::Avx512`] — AVX-512F variant: one ZMM covers the full
@@ -329,7 +329,7 @@ mod x86 {
     /// and store as in [`crate::gemm::microkernel_rows`], bit for bit. Also
     /// the arm's packed kernel ([`RowTile::panel`]): with the portable row
     /// kernel in its place, `hetero_train` under `FCA_GEMM_KERNEL=avx2_fma`
-    /// ran 0.70× as fast (EXPERIMENTS.md *Read in place, after review*).
+    /// ran 0.70× as fast (EXPERIMENTS.md *Read in place, second pass*).
     /// Transposed, the
     /// tile is turned as two 8 × 8 blocks and lane `j`'s `mr` pixels land
     /// as one (masked when `mr < MR`) add at `c + j·ldc`.
