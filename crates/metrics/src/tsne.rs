@@ -7,7 +7,6 @@
 
 use fca_tensor::rng::seeded_rng;
 use fca_tensor::Tensor;
-use rayon::prelude::*;
 
 /// t-SNE hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +48,9 @@ pub fn tsne(x: &Tensor, cfg: &TsneConfig) -> Tensor {
     let d2 = pairwise_sq_dists(x);
 
     // Conditional affinities with per-point bandwidth (binary search on
-    // log-perplexity), computed per row in parallel.
+    // log-perplexity), row by row.
     let target_entropy = perplexity.ln();
     let rows: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
         .map(|i| calibrate_row(&d2, i, n, target_entropy))
         .collect();
 
@@ -153,13 +151,13 @@ pub fn tsne(x: &Tensor, cfg: &TsneConfig) -> Tensor {
 fn pairwise_sq_dists(x: &Tensor) -> Vec<f32> {
     let (n, d) = x.shape().as_matrix();
     let mut out = vec![0.0f32; n * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
+    for (i, row) in out.chunks_mut(n).enumerate() {
         let xi = &x.data()[i * d..(i + 1) * d];
         for (j, rj) in row.iter_mut().enumerate() {
             let xj = &x.data()[j * d..(j + 1) * d];
             *rj = xi.iter().zip(xj).map(|(a, b)| (a - b) * (a - b)).sum();
         }
-    });
+    }
     out
 }
 

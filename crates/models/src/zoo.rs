@@ -407,28 +407,21 @@ mod tests {
         // workspace, recycling nothing: the peak is the keyed slots plus
         // every tensor handed out. The constant is what the same step
         // peaked at while every conv cached its batch's im2col matrix
-        // (commit 91e1696, this test run there). The scratch slot holds one
-        // chunk per thread, so the step runs on a pool of two: 9 369 744 B
-        // since the input gradient stopped writing `dcol` and the weight
-        // gradient its pixel-major planes, 10 351 632 B before.
+        // (commit 91e1696, this test run there). Every conv works through
+        // the batch image by image with one scratch chunk, on the calling
+        // thread: 8 470 228 B (40.8 %).
         const IM2COL_CACHE_PEAK: u64 = 20_780_448;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("pool");
-        let peak = pool.install(|| {
-            let mut rng = seeded_rng(425);
-            let mut ws = Workspace::new();
-            let x = Tensor::randn([32, 1, 14, 14], 1.0, &mut rng);
-            let mut m = build_model(ModelArch::MicroResNet, (1, 14, 14), 32, 10, 5);
-            let (f, l) = m.forward(&x, true, &mut ws);
-            m.backward(
-                Some(&Tensor::ones(f.dims())),
-                &Tensor::ones(l.dims()),
-                &mut ws,
-            );
-            ws.stats().peak_bytes
-        });
+        let mut rng = seeded_rng(425);
+        let mut ws = Workspace::new();
+        let x = Tensor::randn([32, 1, 14, 14], 1.0, &mut rng);
+        let mut m = build_model(ModelArch::MicroResNet, (1, 14, 14), 32, 10, 5);
+        let (f, l) = m.forward(&x, true, &mut ws);
+        m.backward(
+            Some(&Tensor::ones(f.dims())),
+            &Tensor::ones(l.dims()),
+            &mut ws,
+        );
+        let peak = ws.stats().peak_bytes;
         assert!(
             peak * 100 <= IM2COL_CACHE_PEAK * 46,
             "workspace peak {peak} B against {IM2COL_CACHE_PEAK} B"

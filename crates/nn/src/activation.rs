@@ -55,7 +55,7 @@ impl Module for Relu {
 /// `p` and scales survivors by `1/(1-p)`; identity at eval time.
 ///
 /// The layer owns a seeded generator so training stays deterministic even
-/// when clients run on rayon worker threads; its position is exposed via
+/// when clients train on worker threads; its position is exposed via
 /// [`Module::rng_slots`] and survives a page-out → page-in cycle of the
 /// owning client.
 pub struct Dropout {

@@ -40,7 +40,6 @@ use fca_tensor::simd::{self, Kernel};
 use fca_tensor::workspace::as_u32s_mut;
 use fca_tensor::{SlotId, Tensor, Workspace};
 use fca_trace::OpId;
-use rayon::prelude::*;
 
 /// Convolution geometry, shared by forward and backward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,9 +146,9 @@ pub struct Conv2d {
     /// Packed per-group weight panels, repacked by every call: what the
     /// pass's products take as their packed operand.
     wpack_slot: SlotId,
-    /// The pass's offset tables, then one chunk per rayon run for the
-    /// image in flight (`Plan::run_len`). Backward's weight gradient lays
-    /// its operand and tables here once the per-image work is done.
+    /// The pass's offset tables, then the transients of the image in flight
+    /// (`Plan::scratch_len`). Backward's weight gradient lays its operand
+    /// and tables here once the per-image work is done.
     scratch_slot: SlotId,
     /// `[n, c, h, w]` of the last training forward (`n == 0` when there is
     /// none to backpropagate through).
@@ -180,7 +179,7 @@ struct Plan {
     /// output plane whose pixels would leave the last of an image's
     /// `MR`-row tiles mostly empty (and a kernel of more than one tap), the
     /// fewest whose pixels fill whole
-    /// tiles (up to a run's): their product goes into scratch, each output
+    /// tiles (up to the batch's): their product goes into scratch, each output
     /// channel one line of all their pixels, then each image's stretch of
     /// a line into its plane.
     fwd_imgs: usize,
@@ -202,21 +201,17 @@ struct Plan {
     cache_img: usize,
     /// One group's packed weight, the largest either pass packs.
     w_panels: usize,
-    /// Consecutive images one rayon task works through with one scratch
-    /// chunk: the batch is cut into a run per thread, so scratch stays
-    /// cache-sized however large the batch is.
-    run: usize,
     /// The `u32` offset tables at the head of scratch, for the pass that
     /// needs the most.
     tables_len: usize,
-    /// One run's chunk of scratch after the tables: one image's
-    /// transients, whichever pass needs the most.
-    run_len: usize,
     /// Images per weight-gradient product: about one `KC` block of pixels
     /// (or the whole batch, if that is less), so the operands of a product
     /// stay cache-sized too.
     dw_imgs: usize,
-    /// The whole scratch slot.
+    /// The whole scratch slot: the tables, then the transients of the image
+    /// in flight (or of one batched forward product), whichever pass needs
+    /// the most, so scratch stays cache-sized however large the batch is —
+    /// or the weight gradient's operands, if those are longer.
     scratch_len: usize,
 }
 
@@ -316,8 +311,6 @@ impl Conv2d {
         // The rows path's `dcol` input gradient: one group's packed `dY_g`
         // and `dcol`.
         let dcol_tmp = usize::from(dcol) * (packed_b_len(ocg, row_len) + kdim * row_len);
-        let threads = rayon::current_num_threads().max(1);
-        let run = n.div_ceil(threads).max(1);
         // An image's tiles waste more than an eighth of their rows, on a
         // product long enough to pay for the copy out of scratch: a 1×1
         // kernel's `C_in/G` steps are not (its strided forward read 1.1×
@@ -325,7 +318,7 @@ impl Conv2d {
         let ragged = row_len.div_ceil(MR) * MR * 8 > row_len * 9;
         let fwd_imgs = if path == Path::Rows && ragged && k > 1 {
             // MR is a power of two: this many images' pixels are a multiple.
-            (MR >> row_len.trailing_zeros().min(MR.trailing_zeros())).min(run)
+            (MR >> row_len.trailing_zeros().min(MR.trailing_zeros())).min(n.max(1))
         } else {
             1
         };
@@ -339,7 +332,7 @@ impl Conv2d {
             Path::Stencil => 0,
             _ => packed_b_len(dw_k, ocg) + kdim + dw_k,
         };
-        let (tables_len, run_len, w_panels) = match path {
+        let (tables_len, img_len, w_panels) = match path {
             // Forward: an inference image's padded planes, the accumulator.
             // Backward: the spread-out output gradient, a padded `dX` plane.
             Path::Stencil => (0, (c * plane + flat).max(flat + plane), 0),
@@ -379,11 +372,9 @@ impl Conv2d {
             gplane,
             cache_img: c * plane,
             w_panels,
-            run,
             tables_len,
-            run_len,
             dw_imgs,
-            scratch_len: (tables_len + n.div_ceil(run) * run_len).max(dw_scratch),
+            scratch_len: (tables_len + img_len).max(dw_scratch),
         }
     }
 
@@ -507,8 +498,7 @@ impl Conv2d {
     }
 
     /// `dX` of the last training forward's batch for the output gradient
-    /// `gout`, every image of `dx` overwritten; parallel over runs of
-    /// images.
+    /// `gout`, every image of `dx` overwritten, image by image.
     fn input_grad(
         &self,
         gout: &[f32],
@@ -531,7 +521,7 @@ impl Conv2d {
         }
         // Phase class by phase class: its input pixels, then its taps of
         // every output channel.
-        let (pixels, taps, runs) = split_tables(scratch, plan, (h * w, k * k * ocg));
+        let (pixels, taps, tmp) = split_tables(scratch, plan, (h * w, k * k * ocg));
         if plan.path == Path::Rows && !plan.dcol {
             assert!(
                 g.out_channels * plan.gplane <= u32::MAX as usize,
@@ -561,26 +551,18 @@ impl Conv2d {
         }
         let tables = (&*pixels, &*taps);
         let weight = self.weight.value.data();
-        for_each_run(
-            (dx.data_mut(), plan.run * img_sz),
-            (&mut [], 0),
-            (runs, plan.run_len),
-            |r, dx_run, _, tmp| {
-                for (i, dx_img) in dx_run.chunks_exact_mut(img_sz).enumerate() {
-                    let ni = r * plan.run + i;
-                    let gy = &gout[ni * out_img_sz..(ni + 1) * out_img_sz];
-                    match plan.path {
-                        Path::Stencil => {
-                            let (dyf, dxp) = tmp.split_at_mut(plan.flat);
-                            let dxp = &mut dxp[..plan.plane];
-                            stencil_input_grad(gy, weight, &g, plan, (dyf, dxp), dx_img, (h, w));
-                        }
-                        _ if plan.dcol => self.dcol_input_grad(plan, wpack, gy, tmp, dx_img),
-                        _ => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
-                    }
+        for (i, dx_img) in dx.data_mut().chunks_exact_mut(img_sz).enumerate() {
+            let gy = &gout[i * out_img_sz..(i + 1) * out_img_sz];
+            match plan.path {
+                Path::Stencil => {
+                    let (dyf, dxp) = tmp.split_at_mut(plan.flat);
+                    let dxp = &mut dxp[..plan.plane];
+                    stencil_input_grad(gy, weight, &g, plan, (dyf, dxp), dx_img, (h, w));
                 }
-            },
-        );
+                _ if plan.dcol => self.dcol_input_grad(plan, wpack, gy, tmp, dx_img),
+                _ => self.rows_input_grad(plan, tables, wpack, gy, tmp, dx_img),
+            }
+        }
     }
 
     /// The `dcol` input gradient of one image (`Plan::dcol`): per group,
@@ -767,7 +749,7 @@ fn col2im(
 
 /// Cut the head of `scratch` into a pass's two `u32` offset tables of
 /// `lens` (both empty off the rows path, which alone reads any) and hand
-/// back the rest, the runs' chunks.
+/// back the rest, the image in flight's chunk.
 fn split_tables<'a>(
     scratch: &'a mut [f32],
     plan: &Plan,
@@ -778,32 +760,9 @@ fn split_tables<'a>(
     } else {
         (0, 0)
     };
-    let (tables, runs) = scratch.split_at_mut(plan.tables_len);
+    let (tables, tmp) = scratch.split_at_mut(plan.tables_len);
     let (first, second) = as_u32s_mut(tables).split_at_mut(a);
-    (first, &mut second[..b], runs)
-}
-
-/// Hand every run of consecutive images to `body`, runs in parallel: the
-/// run's index, its slice of `a`, its slice of `col` (an empty slice when
-/// `col` is empty) and a scratch chunk of its own. Sizes are per run.
-fn for_each_run<F>(
-    (a, a_run): (&mut [f32], usize),
-    (col, col_run): (&mut [f32], usize),
-    (scratch, scratch_run): (&mut [f32], usize),
-    body: F,
-) where
-    F: Fn(usize, &mut [f32], &mut [f32], &mut [f32]) + Sync + Send,
-{
-    let runs = a
-        .par_chunks_mut(a_run)
-        .zip(scratch.par_chunks_mut(scratch_run))
-        .enumerate();
-    if col.is_empty() {
-        runs.for_each(|(r, (a, s))| body(r, a, &mut [], s));
-    } else {
-        runs.zip(col.par_chunks_mut(col_run))
-            .for_each(|((r, (a, s)), c)| body(r, a, c, s));
-    }
+    (first, &mut second[..b], tmp)
 }
 
 /// Copy the planes of `img` (`h × w` each) into the zero-bordered planes of
@@ -983,8 +942,7 @@ fn stencil_chains(
 /// im2col's order, and only `dY_gᵀ` is packed, image by image into its
 /// k-segment of `scratch`. An exact product is symmetric, so a `dw` element
 /// sees the partial sums of `dY_g · col_gᵀ` on the engine, fixed by the
-/// shapes alone, and comes out bit-identical whatever the thread count or
-/// kernel `arm`.
+/// shapes alone, and comes out bit-identical whatever the kernel `arm`.
 fn accumulate_weight_grad(
     arm: Kernel,
     dw: &mut [f32],
@@ -1077,12 +1035,11 @@ impl Module for Conv2d {
         // contents are fine.
         let mut out = ws.tensor([n, g.out_channels, oh, ow]);
         // Only a training forward keeps its padded planes; an inference
-        // forward pads each image into its run's scratch and leaves the
-        // slot alone.
+        // forward pads each image into scratch and leaves the slot alone.
         let mut cache = train.then(|| ws.take_slot(self.col_slot, n * cache_img));
         let mut scratch = ws.take_slot(self.scratch_slot, plan.scratch_len);
-        // Each group's weight is packed once per call and shared read-only
-        // by every image in the rayon region.
+        // Each group's weight is packed once per call and read by every
+        // image.
         let mut wpack = ws.take_slot(self.wpack_slot, g.groups * plan.w_panels);
         match plan.path {
             Path::Pointwise => self.pack_weights(&mut wpack, &plan, (ocg, kdim), false),
@@ -1090,7 +1047,7 @@ impl Module for Conv2d {
             Path::Stencil => {}
         }
         // Output pixel (oy, ox) and tap (ci, kh, kw) of the padded planes.
-        let (pixels, taps, runs) =
+        let (pixels, taps, tmp) =
             split_tables(&mut scratch, &plan, (plan.fwd_imgs * row_len, kdim));
         if plan.path == Path::Rows {
             let imgs = plan.fwd_imgs;
@@ -1119,117 +1076,106 @@ impl Module for Conv2d {
             }
         };
 
-        for_each_run(
-            (out.data_mut(), plan.run * out_img_sz),
-            (
-                cache.as_deref_mut().unwrap_or_default(),
-                plan.run * cache_img,
-            ),
-            (runs, plan.run_len),
-            |r, out_run, cache_run, tmp| {
-                if plan.path == Path::Pointwise {
-                    for (i, out_img) in out_run.chunks_exact_mut(out_img_sz).enumerate() {
-                        let ni = r * plan.run + i;
-                        let img = &x_data[ni * img_sz..(ni + 1) * img_sz];
-                        // The input is its own im2col matrix; only a
-                        // training forward copies it, for the weight
-                        // gradient.
-                        if train {
-                            cache_run[i * cache_img..(i + 1) * cache_img].copy_from_slice(img);
-                        }
-                        let span = fca_trace::clock();
-                        let panels = packed_b_len(kdim, row_len);
-                        let groups = img.chunks_exact(kdim * row_len);
-                        for (x_g, pb) in groups.zip(tmp.chunks_exact_mut(panels)) {
-                            pack_b(x_g, kdim, row_len, false, pb);
-                        }
-                        fca_trace::op(OpId::GemmPack, span);
-                        fill_bias(out_img);
-                        let span = fca_trace::clock();
-                        for ((y_g, pb), pa) in out_img
-                            .chunks_exact_mut(ocg * row_len)
-                            .zip(tmp.chunks_exact(panels))
-                            .zip(wpack.chunks_exact(plan.w_panels))
-                        {
-                            gemm_packed(
-                                Lhs::Packed(pa),
-                                pb,
-                                y_g,
-                                Store::rows(row_len),
-                                (ocg, kdim, row_len),
-                            );
-                        }
-                        let flops = 2 * (g.out_channels * kdim * row_len) as u64;
-                        fca_trace::op_flops(OpId::GemmKernel, span, flops);
-                    }
-                    return;
+        let out_all = out.data_mut();
+        let cache_all = cache.as_deref_mut().unwrap_or_default();
+        if plan.path == Path::Pointwise {
+            for (i, out_img) in out_all.chunks_exact_mut(out_img_sz).enumerate() {
+                let img = &x_data[i * img_sz..(i + 1) * img_sz];
+                // The input is its own im2col matrix; only a training
+                // forward copies it, for the weight gradient.
+                if train {
+                    cache_all[i * cache_img..(i + 1) * cache_img].copy_from_slice(img);
                 }
-                // `fwd_imgs` images at a time (one off the rows path).
-                let batches = out_run.chunks_mut(plan.fwd_imgs * out_img_sz);
-                for (b, out_b) in batches.enumerate() {
-                    let (first, imgs) = (b * plan.fwd_imgs, out_b.len() / out_img_sz);
-                    let x_b = &x_data[(r * plan.run + first) * img_sz..][..imgs * img_sz];
-                    // The padded planes: written into the cache by a
-                    // training forward, into scratch otherwise.
-                    let pad_len = if train { 0 } else { plan.fwd_imgs * cache_img };
-                    let (pad_tmp, acc) = tmp.split_at_mut(pad_len);
-                    let padded = if train {
-                        &mut cache_run[first * cache_img..][..imgs * cache_img]
-                    } else {
-                        &mut pad_tmp[..imgs * cache_img]
+                let span = fca_trace::clock();
+                let panels = packed_b_len(kdim, row_len);
+                let groups = img.chunks_exact(kdim * row_len);
+                for (x_g, pb) in groups.zip(tmp.chunks_exact_mut(panels)) {
+                    pack_b(x_g, kdim, row_len, false, pb);
+                }
+                fca_trace::op(OpId::GemmPack, span);
+                fill_bias(out_img);
+                let span = fca_trace::clock();
+                for ((y_g, pb), pa) in out_img
+                    .chunks_exact_mut(ocg * row_len)
+                    .zip(tmp.chunks_exact(panels))
+                    .zip(wpack.chunks_exact(plan.w_panels))
+                {
+                    gemm_packed(
+                        Lhs::Packed(pa),
+                        pb,
+                        y_g,
+                        Store::rows(row_len),
+                        (ocg, kdim, row_len),
+                    );
+                }
+                let flops = 2 * (g.out_channels * kdim * row_len) as u64;
+                fca_trace::op_flops(OpId::GemmKernel, span, flops);
+            }
+        } else {
+            // `fwd_imgs` images at a time (one off the rows path).
+            let batches = out_all.chunks_mut(plan.fwd_imgs * out_img_sz);
+            for (b, out_b) in batches.enumerate() {
+                let (first, imgs) = (b * plan.fwd_imgs, out_b.len() / out_img_sz);
+                let x_b = &x_data[first * img_sz..][..imgs * img_sz];
+                // The padded planes: written into the cache by a training
+                // forward, into scratch otherwise.
+                let pad_len = if train { 0 } else { plan.fwd_imgs * cache_img };
+                let (pad_tmp, acc) = tmp.split_at_mut(pad_len);
+                let padded = if train {
+                    &mut cache_all[first * cache_img..][..imgs * cache_img]
+                } else {
+                    &mut pad_tmp[..imgs * cache_img]
+                };
+                let span = fca_trace::clock();
+                for (img, dst) in x_b
+                    .chunks_exact(img_sz)
+                    .zip(padded.chunks_exact_mut(cache_img))
+                {
+                    pad_planes(img, (h, w), (g.padding, plan.wp), dst);
+                }
+                fca_trace::op(OpId::Im2col, span);
+                if plan.path == Path::Stencil {
+                    let acc = &mut acc[..plan.flat];
+                    stencil_forward(padded, weight, bias, &g, &plan, acc, out_b);
+                    continue;
+                }
+                let span = fca_trace::clock();
+                let rows = &pixels[..imgs * row_len];
+                let m = rows.len();
+                // One image's product goes straight into its planes; several
+                // images' into scratch, each output channel one line of all
+                // their pixels, from which each image's stretch is its plane.
+                let direct = plan.fwd_imgs == 1;
+                for (grp, pb) in wpack.chunks_exact(plan.w_panels).enumerate() {
+                    let a = Lhs::Rows {
+                        src: &padded[grp * icg * plan.plane..],
+                        rows,
+                        ks: taps,
                     };
-                    let span = fca_trace::clock();
-                    for (img, dst) in x_b
-                        .chunks_exact(img_sz)
-                        .zip(padded.chunks_exact_mut(cache_img))
-                    {
-                        pad_planes(img, (h, w), (g.padding, plan.wp), dst);
+                    let y = if direct {
+                        &mut out_b[grp * ocg * row_len..][..ocg * row_len]
+                    } else {
+                        &mut acc[..ocg * m]
+                    };
+                    for (line, &b) in y.chunks_exact_mut(m).zip(&bias[grp * ocg..]) {
+                        line.fill(b);
                     }
-                    fca_trace::op(OpId::Im2col, span);
-                    if plan.path == Path::Stencil {
-                        let acc = &mut acc[..plan.flat];
-                        stencil_forward(padded, weight, bias, &g, &plan, acc, out_b);
+                    gemm_packed(a, pb, y, Store::cols(m, None), (m, kdim, ocg));
+                    if direct {
                         continue;
                     }
-                    let span = fca_trace::clock();
-                    let rows = &pixels[..imgs * row_len];
-                    let m = rows.len();
-                    // One image's product goes straight into its planes;
-                    // several images' into scratch, each output channel
-                    // one line of all their pixels, from which each
-                    // image's stretch is its plane.
-                    let direct = plan.fwd_imgs == 1;
-                    for (grp, pb) in wpack.chunks_exact(plan.w_panels).enumerate() {
-                        let a = Lhs::Rows {
-                            src: &padded[grp * icg * plan.plane..],
-                            rows,
-                            ks: taps,
-                        };
-                        let y = if direct {
-                            &mut out_b[grp * ocg * row_len..][..ocg * row_len]
-                        } else {
-                            &mut acc[..ocg * m]
-                        };
-                        for (line, &b) in y.chunks_exact_mut(m).zip(&bias[grp * ocg..]) {
-                            line.fill(b);
-                        }
-                        gemm_packed(a, pb, y, Store::cols(m, None), (m, kdim, ocg));
-                        if direct {
-                            continue;
-                        }
-                        for (i, out_img) in out_b.chunks_exact_mut(out_img_sz).enumerate() {
-                            let y_g = &mut out_img[grp * ocg * row_len..][..ocg * row_len];
-                            let lines = y_g.chunks_exact_mut(row_len).zip(acc.chunks_exact(m));
-                            for (plane, line) in lines {
-                                plane.copy_from_slice(&line[i * row_len..][..row_len]);
-                            }
+                    for (i, out_img) in out_b.chunks_exact_mut(out_img_sz).enumerate() {
+                        let y_g = &mut out_img[grp * ocg * row_len..][..ocg * row_len];
+                        let lines = y_g.chunks_exact_mut(row_len).zip(acc.chunks_exact(m));
+                        for (plane, line) in lines {
+                            plane.copy_from_slice(&line[i * row_len..][..row_len]);
                         }
                     }
-                    let flops = 2 * (g.out_channels * kdim * m) as u64;
-                    fca_trace::op_flops(OpId::GemmKernel, span, flops);
                 }
-            },
-        );
+                let flops = 2 * (g.out_channels * kdim * m) as u64;
+                fca_trace::op_flops(OpId::GemmKernel, span, flops);
+            }
+        }
 
         if let Some(cache) = cache {
             ws.put_slot(self.col_slot, cache);
@@ -1862,10 +1808,9 @@ mod tests {
 
     /// One case of the sweeps below: `proto`'s weights and bias, `dw0` in
     /// `weight.grad`, a training forward on `x` and backward on `gy`, run on
-    /// 1 and 4 threads on slots adopted NaN-filled from a retired tenant,
-    /// and held to the im2col lowering under every arm the machine has —
-    /// output, input gradient and weight gradient to the bit. Returns
-    /// `(y, dX, dW, db)` of the single-threaded run.
+    /// slots adopted NaN-filled from a retired tenant, and held to the
+    /// im2col lowering under every arm the machine has — output, input
+    /// gradient and weight gradient to the bit. Returns `(y, dX, dW, db)`.
     fn lowering_case(
         proto: &Conv2d,
         x: &Tensor,
@@ -1875,40 +1820,27 @@ mod tests {
     ) -> [Tensor; 4] {
         let geom = proto.geom;
         let (n, _, h, w) = x.shape().as_nchw();
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                // A retired tenant's slots, NaN-filled, for this layer to adopt.
-                let mut ws = Workspace::new();
-                let tenant = Conv2d::new(geom, &mut seeded_rng(1));
-                let plan = tenant.plan(n, h, w);
-                for (slot, len) in [
-                    (tenant.col_slot, n * plan.cache_img),
-                    (tenant.scratch_slot, plan.scratch_len),
-                    (tenant.wpack_slot, geom.groups * plan.w_panels),
-                ] {
-                    let mut buf = ws.take_slot(slot, len);
-                    buf.fill(f32::NAN);
-                    ws.put_slot(slot, buf);
-                }
-                ws.retire_slots();
-                let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
-                conv.weight.value = proto.weight.value.clone();
-                conv.bias.value = proto.bias.value.clone();
-                conv.weight.grad = dw0.clone();
-                let y = conv.forward(x, true, &mut ws);
-                let dx = conv.backward(gy, &mut ws);
-                [y, dx, conv.weight.grad, conv.bias.grad]
-            })
-        };
-        let one = run(1);
-        let four = run(4);
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(bits(a.data()), bits(b.data()), "threads changed bits: {on}");
+        // A retired tenant's slots, NaN-filled, for this layer to adopt.
+        let mut ws = Workspace::new();
+        let tenant = Conv2d::new(geom, &mut seeded_rng(1));
+        let plan = tenant.plan(n, h, w);
+        for (slot, len) in [
+            (tenant.col_slot, n * plan.cache_img),
+            (tenant.scratch_slot, plan.scratch_len),
+            (tenant.wpack_slot, geom.groups * plan.w_panels),
+        ] {
+            let mut buf = ws.take_slot(slot, len);
+            buf.fill(f32::NAN);
+            ws.put_slot(slot, buf);
         }
+        ws.retire_slots();
+        let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
+        conv.weight.value = proto.weight.value.clone();
+        conv.bias.value = proto.bias.value.clone();
+        conv.weight.grad = dw0.clone();
+        let y = conv.forward(x, true, &mut ws);
+        let dx = conv.backward(gy, &mut ws);
+        let one = [y, dx, conv.weight.grad, conv.bias.grad];
         for arm in simd::available() {
             let (y, dx, dw) = gemm_lowering(arm, proto, x, gy, dw0.data().to_vec());
             let arm = arm.as_str();
@@ -1995,7 +1927,7 @@ mod tests {
             let mut proto = Conv2d::new(geom, &mut rng);
             proto.bias.value = Tensor::randn([geom.out_channels], 1.0, &mut rng);
             let dw0 = Tensor::randn(proto.weight.grad.shape().clone(), 1.0, &mut rng);
-            // 13 images: a run's last forward product on a small plane
+            // 13 images: the batch's last forward product on a small plane
             // takes fewer images than the others.
             for n in [1, 2, 13, 32] {
                 let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
@@ -2104,57 +2036,6 @@ mod tests {
             let (_, _, twice) = gemm_lowering(simd::active(), &conv, &x, &gy, once);
             assert_eq!(bits(conv.weight.grad.data()), bits(&twice), "{geom:?}");
         });
-    }
-
-    #[test]
-    fn products_are_bit_identical_across_thread_counts() {
-        let mut rng = seeded_rng(73);
-        let geom = |c: [usize; 2], kernel, stride, padding, groups| ConvGeometry {
-            in_channels: c[0],
-            out_channels: c[1],
-            kernel,
-            stride,
-            padding,
-            groups,
-        };
-        for (geom, n, h, w) in [
-            // Dense 3×3 with ragged panels; more images than one dW product.
-            (geom([5, 11], 3, 1, 1, 1), 9, 7, 10),
-            // The same, strided.
-            (geom([5, 11], 3, 2, 1, 1), 9, 7, 10),
-            // Grouped 5×5.
-            (geom([6, 4], 5, 1, 2, 2), 5, 6, 9),
-            // Depthwise, strided and not.
-            (geom([6, 6], 3, 2, 1, 6), 5, 9, 8),
-            (geom([6, 6], 3, 1, 1, 6), 5, 9, 8),
-            // Pointwise, grouped.
-            (geom([8, 12], 1, 1, 0, 2), 7, 6, 5),
-        ] {
-            let (oh, ow) = geom.out_hw(h, w);
-            let proto = Conv2d::new(geom, &mut rng);
-            let x = Tensor::randn([n, geom.in_channels, h, w], 1.0, &mut rng);
-            let gy = Tensor::randn([n, geom.out_channels, oh, ow], 1.0, &mut rng);
-            let run = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                pool.install(|| {
-                    let mut ws = Workspace::new();
-                    let mut conv = Conv2d::new(geom, &mut seeded_rng(0));
-                    conv.weight.value = proto.weight.value.clone();
-                    let y = conv.forward(&x, true, &mut ws);
-                    let dx = conv.backward(&gy, &mut ws);
-                    (
-                        bits(y.data()),
-                        bits(dx.data()),
-                        bits(conv.weight.grad.data()),
-                        bits(conv.bias.grad.data()),
-                    )
-                })
-            };
-            assert_eq!(run(1), run(4), "thread count changed bits for {geom:?}");
-        }
     }
 
     #[test]

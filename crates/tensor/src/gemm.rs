@@ -18,10 +18,10 @@
 //! 3. **Blocking**: the k loop is chopped into [`KC`]-length slabs so the
 //!    active B panel (`NR·KC` floats) stays L1-resident and the active A
 //!    macro-block (`MC·KC` floats) stays L2-resident.
-//! 4. **2D tile parallelism**: rayon parallelizes over [`MC`]×[`NC`]
-//!    macro-tiles of C rather than output rows, so a skinny product (small
-//!    `m`, large `n·k` — exactly the `dW = Xᵀ·dY` weight-gradient shape)
-//!    still fans out across the n dimension.
+//! 4. **Macro-tiles**: C is walked in [`MC`]×[`NC`] macro-tiles, one
+//!    after another on the caller's thread. A client is the unit of
+//!    parallelism (`fca-core`'s fleet runs clients in waves); a product runs
+//!    where it is called.
 //!
 //! A need not be packed: an [`Lhs::Rows`] operand is read where it lies,
 //! each row a view of one buffer through an offset table (a convolution's
@@ -33,15 +33,14 @@
 //!
 //! # Determinism contract
 //!
-//! Every C element is owned by exactly one macro-tile task; within a task
-//! the KC slabs are visited in ascending order and each slab's partial sum
-//! is accumulated in registers over sequential k. The tile decomposition
-//! depends only on `(m, n)`, never on the thread count, so results are
-//! **bit-identical for any `RAYON_NUM_THREADS`** (asserted by tests here
-//! and relied on by the reproduction's seeded-run guarantees).
+//! Every C element belongs to one macro-tile; within it the KC slabs are
+//! visited in ascending order and each slab's partial sum is accumulated in
+//! registers over sequential k. Nothing here runs on another thread, so a
+//! result's bits depend only on the shapes — not on the thread count, nor
+//! (see [`crate::simd`]) on the kernel arm — which the reproduction's
+//! seeded-run guarantees rely on.
 
 use crate::simd::Kernel;
-use rayon::prelude::*;
 
 /// Microkernel rows: A panels are this many rows wide.
 pub const MR: usize = 8;
@@ -52,11 +51,8 @@ pub const NR: usize = 16;
 pub const KC: usize = 256;
 /// Macro-tile rows; one A block slab is `MC·KC·4 B = 64 KiB` (L2-resident).
 pub const MC: usize = 64;
-/// Macro-tile columns; with `MC` defines the unit of 2D parallelism.
+/// Macro-tile columns; with `MC` the block C is walked in.
 pub const NC: usize = 128;
-
-/// Below this many multiply-adds the tile loop stays single-threaded.
-const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Fused multiply-add when the target has hardware FMA (single rounding),
 /// plain mul+add otherwise — `mul_add` without hardware support would fall
@@ -521,30 +517,6 @@ unsafe fn compute_tile(
     }
 }
 
-/// Raw mutable base pointer of C, shared across tile tasks.
-///
-/// Safety rests on the tile decomposition: every task writes a disjoint
-/// row×column region of C (see [`compute_tile`]).
-#[derive(Clone, Copy)]
-struct TilePtr(*mut f32);
-// SAFETY: Send is sound because the pointer is only dereferenced inside
-// `compute_tile`, and the macro-tile grid hands every task a disjoint
-// row×column region of C — concurrent tasks never alias.
-unsafe impl Send for TilePtr {}
-// SAFETY: a shared `&TilePtr` gives a thread nothing but a copy of the
-// address (`base` takes `self` by value, and there is no interior
-// mutability); every write through that copy is the Send case above.
-unsafe impl Sync for TilePtr {}
-
-impl TilePtr {
-    /// The base pointer. A method, not a field read, so that a closure
-    /// using it captures the `Send + Sync` wrapper: edition-2021 closures
-    /// capture disjoint fields, and `cp.0` would capture the bare `*mut f32`.
-    fn base(self) -> *mut f32 {
-        self.0
-    }
-}
-
 /// `C += A · PB` for a logical `m × k` · `k × n` product (`dims`), where
 /// `PB` was produced by [`pack_b`] and A is either [`pack_a`]'s panels or
 /// rows read in place ([`Lhs`]). C lies in `c` as `st` says — for
@@ -552,8 +524,7 @@ impl TilePtr {
 /// accumulated into (zero it first for a plain product); nothing else in
 /// `c` is touched.
 ///
-/// Parallelizes over the 2D macro-tile grid once the work is large enough;
-/// results are bit-identical across thread counts **and** across kernel
+/// Runs on the caller's thread; results are bit-identical across kernel
 /// arms, and a row view adds the bits its packed copy would (see module
 /// docs and [`crate::simd`]).
 pub fn gemm_packed(a: Lhs<'_>, pb: &[f32], c: &mut [f32], st: Store, dims: (usize, usize, usize)) {
@@ -612,31 +583,23 @@ pub fn gemm_packed_arm(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let ntiles = n.div_ceil(NC);
-    let tiles = m.div_ceil(MC) * ntiles;
-    let cp = TilePtr(c.as_mut_ptr());
-    let tile = |t: usize| {
-        let i0 = (t / ntiles) * MC;
-        let j0 = (t % ntiles) * NC;
-        // SAFETY: tile t exclusively owns rows [i0, i0+MC) × cols
-        // [j0, j0+NC) of C (`ld` is at least a stored line, so distinct
-        // (row, column) pairs are distinct elements); regions of distinct t
-        // are disjoint.
-        unsafe {
-            compute_tile(
-                arm,
-                (a, pb),
-                (cp.base(), st),
-                k,
-                (i0, (i0 + MC).min(m)),
-                (j0, (j0 + NC).min(n)),
-            );
+    for i0 in (0..m).step_by(MC) {
+        for j0 in (0..n).step_by(NC) {
+            // SAFETY: the asserts above keep every element of the tile's
+            // rows [i0, i0+MC) × cols [j0, j0+NC) of C inside `c` (`ld` is at
+            // least a stored line, so distinct (row, column) pairs are
+            // distinct elements), and `c` is borrowed mutably for the call.
+            unsafe {
+                compute_tile(
+                    arm,
+                    (a, pb),
+                    (c.as_mut_ptr(), st),
+                    k,
+                    (i0, (i0 + MC).min(m)),
+                    (j0, (j0 + NC).min(n)),
+                );
+            }
         }
-    };
-    if tiles > 1 && 2 * m * k * n >= PAR_THRESHOLD {
-        (0..tiles).into_par_iter().for_each(tile);
-    } else {
-        (0..tiles).for_each(tile);
     }
 }
 
@@ -1005,32 +968,6 @@ mod tests {
         }
     }
 
-    /// The determinism contract: identical bits for 1, 2, and 8 threads,
-    /// on a shape large enough to take the parallel multi-tile path.
-    #[test]
-    fn bit_exact_across_thread_counts() {
-        let (m, k, n) = (MC * 2 + 2, 65, NC * 2 + 4);
-        let mut seed = 0xDEAD;
-        let mut a = vec![0.0f32; m * k];
-        let mut b = vec![0.0f32; k * n];
-        fill(&mut a, &mut seed);
-        fill(&mut b, &mut seed);
-        let run = || packed_product(&a, &b, m, k, n);
-        let baseline = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("pool")
-            .install(run);
-        for threads in [2, 8] {
-            let got = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool")
-                .install(run);
-            assert_eq!(baseline, got, "thread count {threads} changed bits");
-        }
-    }
-
     /// Degenerate dimensions must be no-ops, not panics.
     #[test]
     fn zero_sized_dims_are_noops() {
@@ -1121,8 +1058,8 @@ mod tests {
         }
     }
 
-    /// Larger multi-macro-tile shapes: arms must agree where the parallel
-    /// tile grid and tile-edge clipping both engage.
+    /// Larger multi-macro-tile shapes: arms must agree where the tile grid
+    /// and tile-edge clipping both engage.
     #[test]
     fn explicit_arms_match_scalar_on_macro_tiles() {
         let mut seed = 0x5CA1E;
@@ -1139,34 +1076,6 @@ mod tests {
             for arm in crate::simd::available() {
                 let got = packed_product_arm(arm, &a, &b, m, k, n);
                 assert_eq!(got, oracle, "arm {} at {m}x{k}x{n}", arm.as_str());
-            }
-        }
-    }
-
-    /// Thread-count invariance must hold per arm (each arm's kernel is
-    /// deterministic under the macro-tile decomposition).
-    #[test]
-    fn explicit_arms_bit_exact_across_thread_counts() {
-        let (m, k, n) = (MC + 9, 65, NC + 21);
-        let mut seed = 0xF00D;
-        let mut a = vec![0.0f32; m * k];
-        let mut b = vec![0.0f32; k * n];
-        fill(&mut a, &mut seed);
-        fill(&mut b, &mut seed);
-        for arm in crate::simd::available() {
-            let run = || packed_product_arm(arm, &a, &b, m, k, n);
-            let baseline = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("pool")
-                .install(run);
-            for threads in [2, 8] {
-                let got = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool")
-                    .install(run);
-                assert_eq!(baseline, got, "{} x {threads} threads", arm.as_str());
             }
         }
     }
@@ -1204,7 +1113,7 @@ mod tests {
     /// with a transposed B), must add exactly what the packed engine adds
     /// to a C that already holds values — for every arm, every m it
     /// accepts, ragged and full 8-row tiles of B, every KC slab boundary
-    /// and the FedAvg head's k, on one thread and on four.
+    /// and the FedAvg head's k.
     #[test]
     fn skinny_nt_path_is_bit_identical_to_packed_engine() {
         let mut seed = 0x57A7;
@@ -1233,23 +1142,11 @@ mod tests {
                             Store::rows(n),
                             (m, k, n),
                         );
-                        for threads in [1, 4] {
-                            let mut c = c0.clone();
-                            rayon::ThreadPoolBuilder::new()
-                                .num_threads(threads)
-                                .build()
-                                .expect("pool")
-                                .install(|| {
-                                    let nt = crate::linalg::Layout::Nt;
-                                    crate::linalg::gemm_arm(arm, nt, &a, &b, &mut c, (m, k, n));
-                                });
-                            assert_eq!(
-                                bits(&c),
-                                bits(&oracle),
-                                "skinny nt {} at {m}x{k}x{n}, {threads} threads",
-                                arm.as_str()
-                            );
-                        }
+                        let mut c = c0.clone();
+                        let nt = crate::linalg::Layout::Nt;
+                        crate::linalg::gemm_arm(arm, nt, &a, &b, &mut c, (m, k, n));
+                        let on = format!("skinny nt {} at {m}x{k}x{n}", arm.as_str());
+                        assert_eq!(bits(&c), bits(&oracle), "{on}");
                     }
                 }
             }
@@ -1301,7 +1198,7 @@ mod tests {
     }
 
     /// A row-view A must add exactly what `pack_a` of the same matrix adds,
-    /// on every arm and thread count, into C rows `ldc > n` apart whose gaps
+    /// on every arm, into C rows `ldc > n` apart whose gaps
     /// stay untouched: ragged and full 8-row tiles, 16-lane panels and
     /// their edges, every KC boundary. The views overlap and skip, as a
     /// convolution's taps over padded planes do.
@@ -1346,25 +1243,10 @@ mod tests {
                         ks: &ks,
                     };
                     for arm in crate::simd::available() {
-                        for threads in [1, 4] {
-                            let mut c = c0.clone();
-                            rayon::ThreadPoolBuilder::new()
-                                .num_threads(threads)
-                                .build()
-                                .expect("pool")
-                                .install(|| {
-                                    gemm_packed_arm(
-                                        arm,
-                                        view,
-                                        &pb,
-                                        &mut c,
-                                        Store::rows(ldc),
-                                        (m, k, n),
-                                    )
-                                });
-                            let on = format!("{} at {m}x{k}x{n}, {threads} threads", arm.as_str());
-                            assert_eq!(bits(&c), bits(&oracle), "{on}");
-                        }
+                        let mut c = c0.clone();
+                        gemm_packed_arm(arm, view, &pb, &mut c, Store::rows(ldc), (m, k, n));
+                        let on = format!("{} at {m}x{k}x{n}", arm.as_str());
+                        assert_eq!(bits(&c), bits(&oracle), "{on}");
                     }
                     for (row, row0) in oracle.chunks_exact(ldc).zip(c0.chunks_exact(ldc)) {
                         assert_eq!(bits(&row[n..]), bits(&row0[n..]), "a gap was written");
@@ -1377,7 +1259,7 @@ mod tests {
     /// A row view into a transposed store, chained or not, must add exactly what
     /// the packed engine adds chain by chain onto zeroed buffers, summed
     /// from 0.0 in k order, then added into C — transposed where asked — on
-    /// every arm and thread count: ragged and full tiles, lanes past `n`,
+    /// every arm: ragged and full tiles, lanes past `n`,
     /// chains of one step, of a whole KC slab, past one (two slabs each),
     /// and a short last chain. Without a chain, a transposed store adds what
     /// the packed product adds into the transpose of C. Gaps stay untouched.
@@ -1472,21 +1354,10 @@ mod tests {
                             Store::rows(ld)
                         };
                         for arm in crate::simd::available() {
-                            for threads in [1, 4] {
-                                let mut c = c0.clone();
-                                rayon::ThreadPoolBuilder::new()
-                                    .num_threads(threads)
-                                    .build()
-                                    .expect("pool")
-                                    .install(|| {
-                                        gemm_packed_arm(arm, view, &pb, &mut c, store, (m, k, n))
-                                    });
-                                let on = format!(
-                                    "{} at {m}x{k}x{n}, {store:?}, {threads} threads",
-                                    arm.as_str()
-                                );
-                                assert_eq!(bits(&c), bits(&oracle), "{on}");
-                            }
+                            let mut c = c0.clone();
+                            gemm_packed_arm(arm, view, &pb, &mut c, store, (m, k, n));
+                            let on = format!("{} at {m}x{k}x{n}, {store:?}", arm.as_str());
+                            assert_eq!(bits(&c), bits(&oracle), "{on}");
                         }
                         for (l, l0) in oracle.chunks_exact(ld).zip(c0.chunks_exact(ld)) {
                             assert_eq!(bits(&l[line..]), bits(&l0[line..]), "a gap was written");

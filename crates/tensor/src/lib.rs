@@ -7,8 +7,9 @@
 //!    implementation it is property-tested against.
 //! 2. **Throughput on CPU** — convolutions run on the packed,
 //!    register-blocked GEMM engine in [`gemm`] (MR×NR microkernel, KC/MC/NC
-//!    cache blocking, 2D macro-tile rayon parallelism); elementwise kernels
-//!    operate on contiguous slices so LLVM can autovectorize them.
+//!    cache blocking); elementwise kernels operate on contiguous slices so
+//!    LLVM can autovectorize them. Every kernel runs on its caller's thread:
+//!    the one parallel layer is `fca-core`'s client waves.
 //! 3. **Determinism** — all randomness flows through explicitly seeded
 //!    generators from [`rng`]; no global RNG state.
 //!

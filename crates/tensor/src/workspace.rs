@@ -65,8 +65,9 @@ pub struct WorkspaceStats {
 
 /// Grow-only arena of reusable `f32` buffers. See the module docs.
 ///
-/// A workspace is single-threaded by design (`&mut` threading); for
-/// data-parallel regions, take one large buffer and `par_chunks_mut` it.
+/// A workspace is single-threaded by design (`&mut` threading): each
+/// client trains on its own thread with its own workspace, and every
+/// kernel runs on the thread that owns the workspace it was handed.
 ///
 /// # Examples
 ///

@@ -99,6 +99,12 @@ diff /tmp/fca-ci-quickstart-channel.txt /tmp/fca-ci-quickstart-tcp.txt
 cargo run --release --example quickstart -- --quick --backend unix > /tmp/fca-ci-quickstart-unix.txt
 diff /tmp/fca-ci-quickstart-channel.txt /tmp/fca-ci-quickstart-unix.txt
 
+echo "=== thread-count byte-identity: quickstart metrics on one thread must match the default pool's ==="
+# Clients in a wave are the one parallel layer (every kernel runs on its
+# caller's thread), so a run's bits may not depend on the pool's size.
+RAYON_NUM_THREADS=1 cargo run --release --example quickstart -- --quick > /tmp/fca-ci-quickstart-1t.txt
+diff /tmp/fca-ci-quickstart-channel.txt /tmp/fca-ci-quickstart-1t.txt
+
 echo "=== multi-process federation: socket rendezvous + checkpoint/resume ==="
 cargo run --release --example socket_federation
 
