@@ -150,7 +150,7 @@ impl Fleet {
     pub(crate) fn from_splits(
         train: &Dataset,
         test: &Dataset,
-        splits: &[ClientSplit],
+        splits: Vec<ClientSplit>,
         feature_dim: usize,
         hp: HyperParams,
         seed: u64,
@@ -160,13 +160,13 @@ impl Fleet {
         let (c, h, w) = train.image_shape();
         let total: usize = splits.iter().map(|s| s.train_indices.len()).sum();
         let metas: Vec<ClientMeta> = splits
-            .iter()
+            .into_iter()
             .map(|split| ClientMeta {
                 id: split.client_id,
                 arch: arch_of(split.client_id),
                 weight: split.train_indices.len() as f32 / total.max(1) as f32,
-                train_indices: split.train_indices.clone(),
-                test_indices: split.test_indices.clone(),
+                train_indices: split.train_indices,
+                test_indices: split.test_indices,
             })
             .collect();
         let hydrator = Hydrator {
@@ -420,7 +420,7 @@ impl Fleet {
     /// state, never data, so existing blobs stay valid). Models,
     /// optimizers, and RNG streams are untouched: drift moves the data
     /// under the clients, it does not reset them.
-    pub fn apply_splits(&mut self, splits: &[ClientSplit]) {
+    pub fn apply_splits(&mut self, splits: Vec<ClientSplit>) {
         assert_eq!(
             splits.len(),
             self.metas.len(),
@@ -440,15 +440,15 @@ impl Fleet {
                 "drift split left client {k} with no training data"
             );
             let weight = split.train_indices.len() as f32 / total.max(1) as f32;
-            let meta = &mut metas[k];
-            meta.train_indices = split.train_indices.clone();
-            meta.test_indices = split.test_indices.clone();
-            meta.weight = weight;
             if let Slot::Live(c) = &mut slots[k] {
                 c.train_data = h.train.subset(&split.train_indices);
                 c.test_data = h.test.subset(&split.test_indices);
                 c.weight = weight;
             }
+            let meta = &mut metas[k];
+            meta.train_indices = split.train_indices;
+            meta.test_indices = split.test_indices;
+            meta.weight = weight;
         }
     }
 
@@ -466,7 +466,7 @@ impl Fleet {
             alpha,
             lambda_permille,
         );
-        self.apply_splits(&splits);
+        self.apply_splits(splits);
     }
 
     /// Workspace-pool counters (checkouts, created, resident, high-water).
@@ -578,7 +578,7 @@ mod tests {
         Fleet::from_splits(
             &data.train,
             &data.test,
-            &splits,
+            splits,
             8,
             cfg.hp,
             seed,
@@ -819,8 +819,8 @@ mod tests {
             });
         }
         let splits = fca_data::drift::drifted_splits(&data.train, &data.test, 4, 959, 0.5, 700);
-        resident.apply_splits(&splits);
-        paged.apply_splits(&splits);
+        resident.apply_splits(splits.clone());
+        paged.apply_splits(splits);
         let total: f32 = resident.metas().iter().map(|m| m.weight).sum();
         assert!(
             (total - 1.0).abs() < 1e-5,
@@ -851,7 +851,7 @@ mod tests {
         let resident = Fleet::from_splits(
             &data.train,
             &data.test,
-            &splits,
+            splits,
             8,
             cfg.hp,
             956,

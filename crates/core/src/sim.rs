@@ -169,7 +169,7 @@ pub fn build_fleet(
     Fleet::from_splits(
         &data.train,
         &data.test,
-        &splits,
+        splits,
         cfg.feature_dim,
         cfg.hp,
         cfg.seed,
@@ -193,7 +193,7 @@ pub fn build_fleet_paged(
     Fleet::from_splits(
         &data.train,
         &data.test,
-        &splits,
+        splits,
         cfg.feature_dim,
         cfg.hp,
         cfg.seed,

@@ -196,18 +196,15 @@ impl SynthConfig {
             labels.push(label);
             self.render_instance(&prototypes[label], &mut rng, &mut data);
         }
-        // Shuffle example order (labels were round-robin).
+        // Shuffle example order (labels were round-robin): example `j`
+        // becomes the rendered example `order[j]`.
         let mut order: Vec<usize> = (0..count).collect();
         rng.shuffle(&mut order);
-        let mut sh_data = Vec::with_capacity(data.len());
-        let mut sh_labels = Vec::with_capacity(count);
-        for &i in &order {
-            sh_data.extend_from_slice(&data[i * img_sz..(i + 1) * img_sz]);
-            sh_labels.push(labels[i]);
-        }
+        let labels = order.iter().map(|&i| labels[i]).collect();
+        permute_images(&mut data, img_sz, &mut order);
         Dataset::new(
-            Tensor::from_vec([count, c, h, w], sh_data),
-            sh_labels,
+            Tensor::from_vec([count, c, h, w], data),
+            labels,
             self.num_classes,
         )
     }
@@ -226,17 +223,43 @@ impl SynthConfig {
         out.resize(start + c * h * w, 0.0);
         let img = &mut out[start..];
         rng.fill_normal(img);
-        for ci in 0..c {
-            let plane = &proto[ci * h * w..(ci + 1) * h * w];
-            for y in 0..h {
+        // Pixel `x` of a row reads the prototype at `(x + dx) mod w`: the
+        // row's first `w − off` pixels from `off` on, the rest from 0.
+        let off = dx.rem_euclid(w as isize) as usize;
+        for (plane, out) in proto.chunks_exact(h * w).zip(img.chunks_exact_mut(h * w)) {
+            for (y, row) in out.chunks_exact_mut(w).enumerate() {
                 let sy = (y as isize + dy).rem_euclid(h as isize) as usize;
-                for x in 0..w {
-                    let sx = (x as isize + dx).rem_euclid(w as isize) as usize;
-                    let v = &mut img[ci * h * w + y * w + x];
-                    *v = plane[sy * w + sx] * brightness + *v * self.noise_std;
+                let src = &plane[sy * w..(sy + 1) * w];
+                let (head, tail) = row.split_at_mut(w - off);
+                for (out, src) in [(head, &src[off..]), (tail, &src[..off])] {
+                    for (v, &p) in out.iter_mut().zip(src) {
+                        *v = p * brightness + *v * self.noise_std;
+                    }
                 }
             }
         }
+    }
+}
+
+/// Reorder `data`'s images of `img_sz` floats in place so that image `j`
+/// becomes the old image `order[j]`, one cycle of `order` at a time with one
+/// image held aside; `order` is left as the identity.
+fn permute_images(data: &mut [f32], img_sz: usize, order: &mut [usize]) {
+    let mut held = vec![0.0f32; img_sz];
+    for start in 0..order.len() {
+        if order[start] == start {
+            continue;
+        }
+        held.copy_from_slice(&data[start * img_sz..(start + 1) * img_sz]);
+        let mut j = start;
+        while order[j] != start {
+            let from = order[j];
+            data.copy_within(from * img_sz..(from + 1) * img_sz, j * img_sz);
+            order[j] = j;
+            j = from;
+        }
+        data[j * img_sz..(j + 1) * img_sz].copy_from_slice(&held);
+        order[j] = j;
     }
 }
 

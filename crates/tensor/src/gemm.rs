@@ -351,9 +351,11 @@ fn axpy_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
 ///
 /// `c` valid for reads/writes of the `mr × nr` corner at row stride `ldc`
 /// (transposed under `trans`), no other thread touching it. `a.rows` holds
-/// `mr` offsets, `pb` `a.ks.len()` panel steps; `src[row + kk]` is checked.
+/// `mr` offsets, `pb` `a.ks.len()` panel steps, and every `src[row + kk]`
+/// is in bounds (`gemm_packed_arm` asserts it for the whole operand).
 #[inline(always)]
-// SAFETY: the only unsafe ops are the tile stores, under the contract above.
+// SAFETY: the tile stores are the contract's C; the unchecked reads of
+// `tile_chain` are its `src[row + kk]`, each view starting at its row.
 pub(crate) unsafe fn microkernel_rows(
     a: RowTile<'_>,
     pb: &[f32],
@@ -393,8 +395,20 @@ fn add_rows(total: &mut [[f32; NR]; MR], rows: &[[f32; NR]; MR]) {
 
 /// One chain of a register tile: its eight rows, from 0.0, over the k
 /// steps `ks` — offsets into the row views `v` — and their panel rows `pb`.
+///
+/// # Safety
+///
+/// Every offset `ks` yields must be in bounds for every view in `v`.
 #[inline(always)]
-fn tile_chain(v: &[&[f32]; MR], ks: impl Iterator<Item = usize>, pb: &[f32]) -> [[f32; NR]; MR] {
+// SAFETY: the reads `v[i][kk]` are the contract above; `gemm_packed_arm`
+// asserts that no row offset plus step offset of the operand reaches past
+// its `src` before any tile runs, and `microkernel_rows` cuts each view
+// at its row's offset, so they hold for every view and step of a tile.
+unsafe fn tile_chain(
+    v: &[&[f32]; MR],
+    ks: impl Iterator<Item = usize>,
+    pb: &[f32],
+) -> [[f32; NR]; MR] {
     let mut r0 = [0.0f32; NR];
     let mut r1 = [0.0f32; NR];
     let mut r2 = [0.0f32; NR];
@@ -405,14 +419,14 @@ fn tile_chain(v: &[&[f32]; MR], ks: impl Iterator<Item = usize>, pb: &[f32]) -> 
     let mut r7 = [0.0f32; NR];
     for (kk, bf) in ks.zip(pb.chunks_exact(NR)) {
         let bf: &[f32; NR] = bf.try_into().expect("NR-sized chunk");
-        axpy_row(&mut r0, v[0][kk], bf);
-        axpy_row(&mut r1, v[1][kk], bf);
-        axpy_row(&mut r2, v[2][kk], bf);
-        axpy_row(&mut r3, v[3][kk], bf);
-        axpy_row(&mut r4, v[4][kk], bf);
-        axpy_row(&mut r5, v[5][kk], bf);
-        axpy_row(&mut r6, v[6][kk], bf);
-        axpy_row(&mut r7, v[7][kk], bf);
+        axpy_row(&mut r0, *v[0].get_unchecked(kk), bf);
+        axpy_row(&mut r1, *v[1].get_unchecked(kk), bf);
+        axpy_row(&mut r2, *v[2].get_unchecked(kk), bf);
+        axpy_row(&mut r3, *v[3].get_unchecked(kk), bf);
+        axpy_row(&mut r4, *v[4].get_unchecked(kk), bf);
+        axpy_row(&mut r5, *v[5].get_unchecked(kk), bf);
+        axpy_row(&mut r6, *v[6].get_unchecked(kk), bf);
+        axpy_row(&mut r7, *v[7].get_unchecked(kk), bf);
     }
     [r0, r1, r2, r3, r4, r5, r6, r7]
 }

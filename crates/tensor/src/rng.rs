@@ -14,9 +14,34 @@
 //! port of Arm optimized-routines' single-precision `sinf`, `cosf` and
 //! `logf` (the code glibc ships since 2.28, whose bits every committed
 //! number ran on), not on the host's libm, so a seed draws the same normals
-//! on every platform. The fills draw a chunk of uniforms in stream order
-//! and then evaluate the port over it without a branch, which LLVM
-//! vectorises.
+//! on every platform. The fills draw a chunk of raw words in stream order
+//! — the generator's one serial step — and then convert and evaluate the
+//! port over whole groups of `LANES` (8) pairs on the kernel arm
+//! [`simd::active`] picks: an explicit AVX-512 evaluator
+//! (`simd::box_muller_arm`), or on every other arm a branch-free loop that
+//! LLVM vectorises; every arm gives the same bits.
+
+use crate::simd::{self, box_muller_arm, Kernel};
+
+/// [`SnapRng::unit_f32`] of a word.
+#[inline(always)]
+fn unit_of(word: u64) -> f32 {
+    (word >> 40) as f32 * UNIT_F32
+}
+
+/// `2⁻²⁴`: one step of [`SnapRng::unit_f32`].
+pub(crate) const UNIT_F32: f32 = 1.0 / (1u32 << 24) as f32;
+
+/// [`SnapRng::range_f32`] of a word.
+#[inline(always)]
+fn range_of(word: u64, lo: f32, hi: f32) -> f32 {
+    let v = lo + (hi - lo) * unit_of(word);
+    if v < hi {
+        v
+    } else {
+        lo
+    }
+}
 
 /// A seeded deterministic generator.
 pub fn seeded_rng(seed: u64) -> SnapRng {
@@ -108,7 +133,7 @@ impl SnapRng {
 
     /// Uniform in `[0, 1)`: the top 24 bits of one word, times 2⁻²⁴.
     pub fn unit_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
+        unit_of(self.next_u64())
     }
 
     /// Uniform in `[0, 1)`: the top 53 bits of one word, times 2⁻⁵³.
@@ -151,12 +176,7 @@ impl SnapRng {
     /// `lo` when rounding lands on `hi`. Panics when `lo >= hi`.
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "empty range");
-        let v = lo + (hi - lo) * self.unit_f32();
-        if v < hi {
-            v
-        } else {
-            lo
-        }
+        range_of(self.next_u64(), lo, hi)
     }
 
     /// Uniform in `[lo, hi)`, the `f64` twin of [`SnapRng::range_f32`].
@@ -187,49 +207,136 @@ impl SnapRng {
     /// Standard normals, one per slot: the cosine branch of a Box–Muller
     /// pair, two words each.
     pub fn fill_normal(&mut self, out: &mut [f32]) {
-        let (mut cos, mut sin) = ([0.0; CHUNK], [0.0; CHUNK]);
+        self.fill_normal_on(simd::active(), out);
+    }
+
+    /// [`SnapRng::fill_normal`] on the given arm's evaluator.
+    fn fill_normal_on(&mut self, arm: Kernel, out: &mut [f32]) {
+        let mut bm = BoxMuller::new();
         for part in out.chunks_mut(CHUNK) {
-            self.box_muller_chunk(part.len(), &mut cos, &mut sin);
-            part.copy_from_slice(&cos[..part.len()]);
+            let lanes = bm.draw(self, part.len());
+            box_muller_arm::<false>(arm, &bm.words[..lanes], &mut bm.cos[..lanes], &mut []);
+            part.copy_from_slice(&bm.cos[..part.len()]);
         }
     }
 
     /// Standard normals, both Box–Muller branches of each pair of words,
     /// cosine first; an odd tail still draws a whole pair and drops its sine.
     pub fn fill_normal_pairs(&mut self, out: &mut [f32]) {
-        let (mut cos, mut sin) = ([0.0; CHUNK], [0.0; CHUNK]);
-        for part in out.chunks_mut(2 * CHUNK) {
-            self.box_muller_chunk(part.len().div_ceil(2), &mut cos, &mut sin);
-            for (o, (&c, &s)) in part.chunks_mut(2).zip(cos.iter().zip(&sin)) {
-                o[0] = c;
-                if let Some(o) = o.get_mut(1) {
-                    *o = s;
-                }
-            }
-        }
+        self.fill_normal_pairs_scaled(out, 1.0);
     }
 
-    /// Box–Muller over `pairs` fresh pairs of words: first every pair's
-    /// uniforms in stream order (the first kept off zero so the logarithm is
-    /// finite, the second scaled to an angle), then a branch-free pass that
-    /// writes `r·cos θ` and `r·sin θ` with `r = √(−2 ln u₁)`.
-    fn box_muller_chunk(&mut self, pairs: usize, cos: &mut [f32; CHUNK], sin: &mut [f32; CHUNK]) {
-        let (mut u1, mut theta) = ([0.0; CHUNK], [0.0; CHUNK]);
-        for (u, t) in u1.iter_mut().zip(&mut theta).take(pairs) {
-            *u = self.range_f32(f32::EPSILON, 1.0);
-            *t = 2.0 * std::f32::consts::PI * self.range_f32(0.0, 1.0);
-        }
-        let words = u1.iter().zip(&theta).take(pairs);
-        for ((c, s), (&u, &t)) in cos.iter_mut().zip(sin.iter_mut()).zip(words) {
-            let r = (-2.0 * ln(u)).sqrt();
-            let (sin_t, cos_t) = sin_cos(t);
-            (*c, *s) = (r * cos_t, r * sin_t);
+    /// [`SnapRng::fill_normal_pairs`] times `std`, each output `(r·cos θ)·std`
+    /// or `(r·sin θ)·std`: one pass where a fill and a scaling loop would
+    /// take two, and the same bits (`x·1` is `x`).
+    pub(crate) fn fill_normal_pairs_scaled(&mut self, out: &mut [f32], std: f32) {
+        self.fill_normal_pairs_on(simd::active(), out, std);
+    }
+
+    /// [`SnapRng::fill_normal_pairs_scaled`] on the given arm's evaluator.
+    fn fill_normal_pairs_on(&mut self, arm: Kernel, out: &mut [f32], std: f32) {
+        let mut bm = BoxMuller::new();
+        for part in out.chunks_mut(2 * CHUNK) {
+            let lanes = bm.draw(self, part.len().div_ceil(2));
+            let (cos, sin) = (&mut bm.cos[..lanes], &mut bm.sin[..lanes]);
+            box_muller_arm::<true>(arm, &bm.words[..lanes], cos, sin);
+            for (o, (&c, &s)) in part.chunks_mut(2).zip(bm.cos.iter().zip(&bm.sin)) {
+                o[0] = c * std;
+                if let Some(o) = o.get_mut(1) {
+                    *o = s * std;
+                }
+            }
         }
     }
 }
 
 /// How many pairs of words a normal fill draws before it computes them.
 const CHUNK: usize = 64;
+/// Pairs an evaluator computes side by side: the `f64` lanes of a ZMM.
+pub(crate) const LANES: usize = 8;
+
+/// One chunk of a normal fill: its pairs of words, and the cosine and sine
+/// branches computed from them.
+struct BoxMuller {
+    words: [[u64; 2]; CHUNK],
+    cos: [f32; CHUNK],
+    sin: [f32; CHUNK],
+}
+
+impl BoxMuller {
+    fn new() -> Self {
+        BoxMuller {
+            words: [[0; 2]; CHUNK],
+            cos: [0.0; CHUNK],
+            sin: [0.0; CHUNK],
+        }
+    }
+
+    /// Draw `pairs` fresh pairs of words in stream order, the generator's
+    /// one serial step; the evaluator converts them to uniforms. Returns
+    /// the lanes to evaluate: `pairs` rounded up to whole [`LANES`] groups,
+    /// whose spare lanes hold earlier (or zero) words, any of which is a
+    /// valid input, and are never read back.
+    fn draw(&mut self, rng: &mut SnapRng, pairs: usize) -> usize {
+        for w in &mut self.words[..pairs] {
+            *w = [rng.next_u64(), rng.next_u64()];
+        }
+        pairs.next_multiple_of(LANES)
+    }
+}
+
+/// The uniforms a Box–Muller pair of words stands for, as the one-pair
+/// draws made them: `u₁ = range_f32(ε, 1)` of the first word (off zero so
+/// the logarithm is finite), `θ = 2π·range_f32(0, 1)` of the second.
+#[inline(always)]
+fn pair_uniforms([w1, w2]: [u64; 2]) -> (f32, f32) {
+    let u1 = range_of(w1, f32::EPSILON, 1.0);
+    let theta = 2.0 * std::f32::consts::PI * range_of(w2, 0.0, 1.0);
+    (u1, theta)
+}
+
+/// One pair's `(r, sin θ, cos θ)`, `r = √(−2 ln u₁)`: the scalar
+/// Box–Muller, and the oracle of every evaluator.
+#[inline(always)]
+pub(crate) fn box_muller_pair(words: [u64; 2]) -> (f32, f32, f32) {
+    let (u1, theta) = pair_uniforms(words);
+    let r = (-2.0 * ln(u1)).sqrt();
+    let (sin_t, cos_t) = sin_cos(theta);
+    (r, sin_t, cos_t)
+}
+
+/// The portable evaluator: `r·cos θ` of each pair of `words` into `cos`
+/// and, under `SIN`, `r·sin θ` into `sin`, without a branch, which LLVM
+/// vectorises. Every arm but AVX-512's runs it.
+pub(crate) fn box_muller_portable<const SIN: bool>(
+    words: &[[u64; 2]],
+    cos: &mut [f32],
+    sin: &mut [f32],
+) {
+    let (mut u1, mut theta) = ([0.0; CHUNK], [0.0; CHUNK]);
+    for (i, words) in words.chunks(CHUNK).enumerate() {
+        // Every pair's uniforms first, then the port over them: two loops,
+        // where one over the words vectorised worse.
+        for ((u, t), &w) in u1.iter_mut().zip(&mut theta).zip(words) {
+            (*u, *t) = pair_uniforms(w);
+        }
+        let lanes = i * CHUNK..i * CHUNK + words.len();
+        let uniforms = u1.iter().zip(&theta).take(words.len());
+        if SIN {
+            let out = cos[lanes.clone()].iter_mut().zip(&mut sin[lanes]);
+            for ((c, s), (&u, &t)) in out.zip(uniforms) {
+                let r = (-2.0 * ln(u)).sqrt();
+                let (sin_t, cos_t) = sin_cos(t);
+                (*c, *s) = (r * cos_t, r * sin_t);
+            }
+        } else {
+            for (c, (&u, &t)) in cos[lanes].iter_mut().zip(uniforms) {
+                let r = (-2.0 * ln(u)).sqrt();
+                *c = r * sin_cos(t).1;
+            }
+        }
+    }
+}
 
 // Single-precision sine, cosine and logarithm for the normal draws: a port of
 // Arm optimized-routines' `sinf`/`cosf`/`logf` (sincosf.h, sincosf_data.c,
@@ -239,11 +346,11 @@ const CHUNK: usize = 64;
 // glibc's build does; the constants are the sources' `f64` values.
 
 /// `2/π·2²⁴`: the quadrant lands in bits 24–31 of the scaled argument.
-const HPI_INV: f64 = f64::from_bits(0x4164_5f30_6dc9_c883);
+pub(crate) const HPI_INV: f64 = f64::from_bits(0x4164_5f30_6dc9_c883);
 /// `π/2`.
-const HPI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
+pub(crate) const HPI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
 /// Cosine polynomial `c0 + c1·x² + … + c4·x⁸` on `[−π/4, π/4]`.
-const COS_POLY: [f64; 5] = [
+pub(crate) const COS_POLY: [f64; 5] = [
     1.0,
     f64::from_bits(0xbfdf_ffff_fd0c_621c),
     f64::from_bits(0x3fa5_5553_e106_8f19),
@@ -251,7 +358,7 @@ const COS_POLY: [f64; 5] = [
     f64::from_bits(0x3ef9_9343_027b_f8c3),
 ];
 /// Sine polynomial `x + s1·x³ + s2·x⁵ + s3·x⁷` on `[−π/4, π/4]`.
-const SIN_POLY: [f64; 3] = [
+pub(crate) const SIN_POLY: [f64; 3] = [
     f64::from_bits(0xbfc5_5554_5995_a603),
     f64::from_bits(0x3f81_1076_0523_0bc4),
     f64::from_bits(0xbf29_94eb_3774_cf24),
@@ -294,9 +401,9 @@ fn sin_cos(theta: f32) -> (f32, f32) {
 
 /// `logf`'s table offset: subtracting its bits splits `x = 2ᵏ·z` with `z` in
 /// `[0.6992, 1.3984)` (this float and twice it), a range of 16 cells.
-const LOG_OFF: u32 = 0x3f33_0000;
+pub(crate) const LOG_OFF: u32 = 0x3f33_0000;
 /// Per cell the bits of `(1/c, ln c)` for `c` near the cell's centre.
-const LOG_TABLE: [[u64; 2]; 16] = [
+pub(crate) const LOG_TABLE: [[u64; 2]; 16] = [
     [0x3ff6_61ec_79f8_f3be, 0xbfd5_7bf7_808c_aade],
     [0x3ff5_71ed_4aaf_883d, 0xbfd2_bef0_a7c0_6ddb],
     [0x3ff4_9539_f0f0_10b0, 0xbfd0_1eae_7f51_3a67],
@@ -315,9 +422,9 @@ const LOG_TABLE: [[u64; 2]; 16] = [
     [0x3fe7_67dc_f553_4862, 0x3fd4_0430_57b6_ee09],
 ];
 /// `ln 2`.
-const LN2: f64 = f64::from_bits(0x3fe6_2e42_fefa_39ef);
+pub(crate) const LN2: f64 = f64::from_bits(0x3fe6_2e42_fefa_39ef);
 /// `ln(1 + r) − r ≈ a0·r⁴ + a1·r³ + a2·r²` on a cell.
-const LOG_POLY: [f64; 3] = [
+pub(crate) const LOG_POLY: [f64; 3] = [
     f64::from_bits(0xbfd0_0ea3_48b8_8334),
     f64::from_bits(0x3fd5_575b_0be0_0b6a),
     f64::from_bits(0xbfdf_fffe_f20a_4123),
@@ -408,6 +515,36 @@ mod tests {
         assert!((var - 1.0).abs() < 0.1, "suspicious variance {var}");
     }
 
+    /// Every arm's evaluator fills the scalar arm's bits and stops at its
+    /// position, whatever the length's remainder against a chunk and a
+    /// group of lanes — 38 435 is MicroResNet's parameter count, 144 one
+    /// 12×12 image — and the scaled pairs are the pairs times `std`.
+    #[test]
+    fn fills_match_across_arms() {
+        let lengths = [0, 1, 2, 3, 63, 64, 65, 129, 144, 38_435];
+        for arm in simd::available() {
+            for (seed, n) in lengths.into_iter().enumerate() {
+                let fresh = || SnapRng::seed_from(100 + seed as u64);
+                let (mut got, mut want) = (vec![0.0f32; n], vec![0.0f32; n]);
+                let (mut a, mut b) = (fresh(), fresh());
+                a.fill_normal_on(arm, &mut got);
+                b.fill_normal_on(Kernel::Scalar, &mut want);
+                assert_eq!(bits(&got), bits(&want), "{arm:?} fill_normal, length {n}");
+                assert_eq!(a, b, "{arm:?} fill_normal position, length {n}");
+
+                for std in [1.0, 0.37] {
+                    let (mut a, mut b) = (fresh(), fresh());
+                    a.fill_normal_pairs_on(arm, &mut got, std);
+                    b.fill_normal_pairs_on(Kernel::Scalar, &mut want, 1.0);
+                    want.iter_mut().for_each(|v| *v *= std);
+                    let what = format!("{arm:?} fill_normal_pairs × {std}, length {n}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    assert_eq!(a, b, "{what}: position");
+                }
+            }
+        }
+    }
+
     /// What the fills ran as before the port: Box–Muller on the host's
     /// `f32::ln`/`cos`/`sin`, one pair at a time, cosine first.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -457,7 +594,6 @@ mod tests {
         }
     }
 
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
     }

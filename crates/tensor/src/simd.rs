@@ -28,6 +28,13 @@
 //!   for the skinny shapes: row-major B in 16-column strips, a B stored
 //!   `n × k` as sixteen rows transposed in registers.
 //!
+//! The arm also picks the Box–Muller evaluator of [`crate::rng`]'s normal
+//! fills (`box_muller_arm`): AVX-512 has one of its own, eight pairs of
+//! words to a ZMM of `f64` lanes with `logf`'s table held in registers;
+//! every other arm runs the portable loop. Like the GEMM arms, it performs
+//! the portable code's operations one for one (separate multiplies and
+//! adds, no contraction), so it gives the same bits.
+//!
 //! # Determinism contract
 //!
 //! Every arm performs the *identical* per-element arithmetic: KC slabs in
@@ -51,6 +58,7 @@
 use crate::gemm::{
     add_tile, microkernel, microkernel_rows, skinny_nt_scalar, skinny_scalar, RowTile, KC, MR, NR,
 };
+use crate::rng::{box_muller_portable, LANES};
 use std::sync::OnceLock;
 
 /// True when the crate itself is compiled with FMA codegen (e.g.
@@ -282,9 +290,39 @@ pub(crate) fn skinny_nt_arm(
     }
 }
 
+/// Box–Muller evaluator of [`crate::rng`]'s normal fills on the given arm:
+/// `r·cos θ` of each pair of `words` into `cos` and, under `SIN`, `r·sin θ`
+/// into `sin` — the arithmetic of [`crate::rng::box_muller_pair`], bit for
+/// bit. AVX-512 has one of its own, a ZMM of `f64` lanes per eight pairs;
+/// every other arm runs the portable loop. Safe: `words` is whole groups of
+/// [`LANES`] and `cos` (under `SIN`, `sin` too) is as long, asserted here.
+pub(crate) fn box_muller_arm<const SIN: bool>(
+    arm: Kernel,
+    words: &[[u64; 2]],
+    cos: &mut [f32],
+    sin: &mut [f32],
+) {
+    assert!(
+        words.len().is_multiple_of(LANES)
+            && cos.len() == words.len()
+            && (!SIN || sin.len() == words.len()),
+        "box_muller: lanes are not whole groups of {LANES}"
+    );
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: runtime detection established AVX-512F before handing
+        // out this `Kernel` value; the lengths are asserted above.
+        Kernel::Avx512 => unsafe { x86::box_muller_avx512::<SIN>(words, cos, sin) },
+        _ => box_muller_portable::<SIN>(words, cos, sin),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{add_tile, RowTile, BASE_FMA, KC, MR, NR};
+    use super::{add_tile, RowTile, BASE_FMA, KC, LANES, MR, NR};
+    use crate::rng::{
+        COS_POLY, HPI, HPI_INV, LN2, LOG_OFF, LOG_POLY, LOG_TABLE, SIN_POLY, UNIT_F32,
+    };
     use core::arch::x86_64::*;
 
     /// Multiply-add matching the scalar [`crate::gemm::fmadd`] contraction choice: the
@@ -825,5 +863,219 @@ mod x86 {
             t[8 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_even, cd_even);
             t[12 + c] = _mm512_shuffle_f32x4::<0xDD>(ab_odd, cd_odd);
         }
+    }
+
+    /// `logf`'s table, one column: entry `i` is `LOG_TABLE[i][col]`.
+    const fn log_column(col: usize) -> [f64; 16] {
+        let mut out = [0.0; 16];
+        let mut i = 0;
+        while i < 16 {
+            out[i] = f64::from_bits(LOG_TABLE[i][col]);
+            i += 1;
+        }
+        out
+    }
+    const INV_C: [f64; 16] = log_column(0);
+    const LN_C: [f64; 16] = log_column(1);
+
+    /// The two columns in four registers, as [`box_muller_lanes`] reads them.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available.
+    // SAFETY: each load reads eight of a column's sixteen entries.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn log_table() -> [__m512d; 4] {
+        [&INV_C[..8], &INV_C[8..], &LN_C[..8], &LN_C[8..]].map(|h| _mm512_loadu_pd(h.as_ptr()))
+    }
+
+    /// [`crate::rng::box_muller_pair`] over eight pairs of words, `lo`
+    /// holding pairs 0–3 and `hi` pairs 4–7 as they lie in memory:
+    /// `(r, sin θ, cos θ)` per lane. The uniforms in `f32` lanes, the
+    /// port's `f64` steps in ZMM lanes with separate multiplies and adds,
+    /// `logf`'s 16-entry table read from registers (`tab`: its `1/c` and
+    /// `ln c` columns, eight entries a register) by `vpermt2pd`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available. Registers only, no memory access.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    unsafe fn box_muller_lanes(
+        lo: __m512i,
+        hi: __m512i,
+        tab: &[__m512d; 4],
+    ) -> (__m256, __m256, __m256) {
+        let pd = _mm512_set1_pd;
+        let (add, mul, sub) = (_mm512_add_pd, _mm512_mul_pd, _mm512_sub_pd);
+        // Round towards −∞ without raising the inexact flag.
+        let floor = |x| _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(x);
+
+        // The uniforms: each word's top 24 bits, exact in an `f32`.
+        let first = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let second = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        let unit = |idx| {
+            let top = _mm512_srli_epi64::<40>(_mm512_permutex2var_epi64(lo, idx, hi));
+            let top = _mm256_cvtepi32_ps(_mm512_cvtepi64_epi32(top));
+            _mm256_mul_ps(top, _mm256_set1_ps(UNIT_F32))
+        };
+        let (eps, one) = (_mm256_set1_ps(f32::EPSILON), _mm256_set1_ps(1.0));
+        let u1 = _mm256_add_ps(eps, _mm256_mul_ps(_mm256_sub_ps(one, eps), unit(first)));
+        // `range_f32` steps back to `lo` when rounding lands on `hi`.
+        let u1 = _mm256_blendv_ps(eps, u1, _mm256_cmp_ps::<_CMP_LT_OQ>(u1, one));
+        let theta = _mm256_mul_ps(_mm256_set1_ps(2.0 * std::f32::consts::PI), unit(second));
+
+        // `ln u₁` as `rng::ln`: `k·ln 2 + ln c + ln(z/c)`.
+        let i32s = _mm256_set1_epi32;
+        let ix = _mm256_castps_si256(u1);
+        let tmp = _mm256_sub_epi32(ix, i32s(LOG_OFF as i32));
+        let cell = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), i32s(15));
+        let cell = _mm512_cvtepu32_epi64(cell);
+        let inv_c = _mm512_permutex2var_pd(tab[0], cell, tab[1]);
+        let ln_c = _mm512_permutex2var_pd(tab[2], cell, tab[3]);
+        let k = _mm512_cvtepi32_pd(_mm256_srai_epi32::<23>(tmp));
+        let z = _mm256_sub_epi32(ix, _mm256_and_si256(tmp, i32s(0xff80_0000_u32 as i32)));
+        let z = _mm512_cvtps_pd(_mm256_castsi256_ps(z));
+        let r = sub(mul(z, inv_c), pd(1.0));
+        let r2 = mul(r, r);
+        let y = add(
+            mul(pd(LOG_POLY[0]), r2),
+            add(mul(pd(LOG_POLY[1]), r), pd(LOG_POLY[2])),
+        );
+        let ln_u1 = add(mul(y, r2), add(add(ln_c, mul(k, pd(LN2))), r));
+        let ln_u1 = _mm512_cvtpd_ps(ln_u1);
+        let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln_u1));
+
+        // `(sin θ, cos θ)` as `rng::sin_cos`.
+        let x = _mm512_cvtps_pd(theta);
+        let n = floor(add(floor(mul(x, pd(HPI_INV))), pd(f64::from(0x80_0000))));
+        let n = floor(mul(n, pd(f64::from(1u32 << 24).recip())));
+        let x = sub(x, mul(n, pd(HPI)));
+        let x2 = mul(x, x);
+        let x3 = mul(x, x2);
+        let s = add(x, mul(x3, pd(SIN_POLY[0])));
+        let s = add(
+            s,
+            mul(mul(x3, x2), add(pd(SIN_POLY[1]), mul(x2, pd(SIN_POLY[2])))),
+        );
+        let x4 = mul(x2, x2);
+        let c = add(
+            add(pd(COS_POLY[0]), mul(x2, pd(COS_POLY[1]))),
+            mul(x4, pd(COS_POLY[2])),
+        );
+        let c = add(
+            c,
+            mul(mul(x4, x2), add(pd(COS_POLY[3]), mul(x2, pd(COS_POLY[4])))),
+        );
+        let q = add(n, pd(f64::from_bits(0x4330_0000_0000_0000)));
+        let q = _mm512_and_si512(_mm512_castpd_si512(q), _mm512_set1_epi64(3));
+        let odd = _mm512_test_epi64_mask(q, _mm512_set1_epi64(1));
+        let (s, c) = (
+            _mm512_mask_blend_pd(odd, s, c),
+            _mm512_mask_blend_pd(odd, c, s),
+        );
+        // Bit 1 of `q` (sine) and of `q + 1` (cosine) becomes the sign bit.
+        let q = _mm512_cvtepi64_epi32(q);
+        let signed = |v, q| {
+            let sign = _mm256_slli_epi32::<30>(_mm256_and_si256(q, i32s(2)));
+            _mm256_castsi256_ps(_mm256_xor_si256(
+                _mm256_castps_si256(_mm512_cvtpd_ps(v)),
+                sign,
+            ))
+        };
+        let sin_t = signed(s, q);
+        let cos_t = signed(c, _mm256_add_epi32(q, i32s(1)));
+        (radius, sin_t, cos_t)
+    }
+
+    /// The AVX-512 Box–Muller evaluator: [`box_muller_lanes`] over each
+    /// group of eight pairs, `r·cos θ` (and under `SIN` `r·sin θ`) stored.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available; `words.len()` is a multiple of
+    /// [`LANES`] and `cos` (under `SIN`, `sin` too) at least as long.
+    // SAFETY: group `g` loads the 16 words of pairs `8g..8g + 8` and stores
+    // lanes `8g..8g + 8`, all below `words.len()`.
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    pub(super) unsafe fn box_muller_avx512<const SIN: bool>(
+        words: &[[u64; 2]],
+        cos: &mut [f32],
+        sin: &mut [f32],
+    ) {
+        debug_assert!(words.len().is_multiple_of(LANES) && cos.len() >= words.len());
+        debug_assert!(!SIN || sin.len() >= words.len());
+        let tab = log_table();
+        for (g, pairs) in words.chunks_exact(LANES).enumerate() {
+            let w = pairs.as_ptr().cast::<u64>();
+            let (lo, hi) = (
+                _mm512_loadu_epi64(w.cast()),
+                _mm512_loadu_epi64(w.add(8).cast()),
+            );
+            let (r, sin_t, cos_t) = box_muller_lanes(lo, hi, &tab);
+            _mm256_storeu_ps(cos.as_mut_ptr().add(g * LANES), _mm256_mul_ps(r, cos_t));
+            if SIN {
+                _mm256_storeu_ps(sin.as_mut_ptr().add(g * LANES), _mm256_mul_ps(r, sin_t));
+            }
+        }
+    }
+
+    /// [`box_muller_lanes`] over one group of eight pairs, as arrays:
+    /// `[r, sin θ, cos θ]`, for the tests' sweep against the scalar path.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available.
+    // SAFETY: the loads read the group's 16 words, the stores write the
+    // three 8-lane arrays.
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    pub(super) unsafe fn box_muller_parts_avx512(words: &[[u64; 2]; LANES]) -> [[f32; LANES]; 3] {
+        let tab = log_table();
+        let w = words.as_ptr().cast::<u64>();
+        let (lo, hi) = (
+            _mm512_loadu_epi64(w.cast()),
+            _mm512_loadu_epi64(w.add(8).cast()),
+        );
+        let (r, sin_t, cos_t) = box_muller_lanes(lo, hi, &tab);
+        let mut out = [[0.0; LANES]; 3];
+        for (o, v) in out.iter_mut().zip([r, sin_t, cos_t]) {
+            _mm256_storeu_ps(o.as_mut_ptr(), v);
+        }
+        out
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+    use crate::rng::box_muller_pair;
+
+    /// The AVX-512 Box–Muller lanes are the scalar path bit for bit — radius,
+    /// sine and cosine apart — on every input a draw can hand them: the 2²⁴
+    /// values of a word's top 24 bits, each as both words of a pair, as in
+    /// `rng`'s `the_port_is_glibc_on_every_drawable_input`.
+    #[test]
+    fn the_avx512_box_muller_is_the_port_on_every_drawable_input() {
+        if !available().contains(&Kernel::Avx512) {
+            return;
+        }
+        let mut bad = [0u32; 3];
+        for k0 in (0..1u64 << 24).step_by(LANES) {
+            let words: [[u64; 2]; LANES] = std::array::from_fn(|j| {
+                let w = (k0 + j as u64) << 40;
+                [w, w]
+            });
+            // SAFETY: AVX-512F was detected above.
+            let got = unsafe { x86::box_muller_parts_avx512(&words) };
+            for (j, &w) in words.iter().enumerate() {
+                let (r, s, c) = box_muller_pair(w);
+                for (b, (g, want)) in bad.iter_mut().zip(got.iter().zip([r, s, c])) {
+                    *b += u32::from(g[j].to_bits() != want.to_bits());
+                }
+            }
+        }
+        assert_eq!(bad, [0; 3], "mismatches (radius, sin, cos)");
     }
 }

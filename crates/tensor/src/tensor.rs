@@ -72,10 +72,7 @@ impl Tensor {
         // and ran their convolutions ≈ 10 % slower.
         let mut data = Vec::with_capacity(shape.numel());
         data.resize(shape.numel(), 0.0);
-        rng.fill_normal_pairs(&mut data);
-        for v in &mut data {
-            *v *= std;
-        }
+        rng.fill_normal_pairs_scaled(&mut data, std);
         Tensor { shape, data }
     }
 

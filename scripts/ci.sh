@@ -22,8 +22,9 @@ for c in $(grep -rhoE 'const [A-Z0-9_]*(VERSION|MAGIC)\b' crates/{core,trace}/sr
 done
 
 # The normal draws run on rng.rs's own sine, cosine and logarithm, so a
-# seed's stream does not depend on the host's libm.
-awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/tensor/src/rng.rs | grep -E '\.(sin|cos|ln|exp)\(' && { echo "R1: a libm call in crates/tensor/src/rng.rs outside its tests" >&2; exit 1; }
+# seed's stream does not depend on the host's libm; simd.rs holds the
+# AVX-512 arm of the same evaluator.
+awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }' crates/tensor/src/{rng,simd}.rs | grep -E '\.(sin|cos|ln|exp)\(' && { echo "R1: a libm call in crates/tensor/src/rng.rs or simd.rs outside their tests" >&2; exit 1; }
 
 echo "=== codec size (informational): lines above the first #[cfg(test)] of the twelve codec files ==="
 scripts/loc.sh crates/core/src/{checkpoint,client,comm,transport}.rs crates/core/src/algo/*.rs crates/tensor/src/serialize.rs | tail -1
@@ -51,14 +52,16 @@ echo "=== sanitizers: miri (when installed) + checked release ==="
 # Graceful inside: skips Miri when the nightly component is absent.
 scripts/sanitizers.sh
 
-echo "=== kernel override: fca-tensor and fca-nn again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
+echo "=== kernel override: fca-tensor, fca-nn and fca-data again with dispatch pinned to scalar, and to avx2_fma where the CPU has it ==="
 # Exercises the FCA_GEMM_KERNEL escape hatch and proves the portable
 # fallback passes the same suite the explicit-SIMD arms do (the conv oracle
 # sweep included: every conv product runs on the dispatched engine), so the
 # paths that bypass the packed engine are held to its bits under every arm.
-FCA_GEMM_KERNEL=scalar cargo test -q --release -p fca-tensor -p fca-nn
+# The arm also picks the normal fills' Box–Muller evaluator, so the data
+# goldens (crates/data/tests/data_goldens.rs) run under each pin too.
+FCA_GEMM_KERNEL=scalar cargo test -q --release -p fca-tensor -p fca-nn -p fca-data
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
-    FCA_GEMM_KERNEL=avx2_fma cargo test -q --release -p fca-tensor -p fca-nn
+    FCA_GEMM_KERNEL=avx2_fma cargo test -q --release -p fca-tensor -p fca-nn -p fca-data
 fi
 
 echo "=== fault tolerance: wire fuzz + fault injection in release ==="
