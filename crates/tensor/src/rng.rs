@@ -289,20 +289,10 @@ impl BoxMuller {
 /// draws made them: `u₁ = range_f32(ε, 1)` of the first word (off zero so
 /// the logarithm is finite), `θ = 2π·range_f32(0, 1)` of the second.
 #[inline(always)]
-fn pair_uniforms([w1, w2]: [u64; 2]) -> (f32, f32) {
+pub(crate) fn pair_uniforms([w1, w2]: [u64; 2]) -> (f32, f32) {
     let u1 = range_of(w1, f32::EPSILON, 1.0);
     let theta = 2.0 * std::f32::consts::PI * range_of(w2, 0.0, 1.0);
     (u1, theta)
-}
-
-/// One pair's `(r, sin θ, cos θ)`, `r = √(−2 ln u₁)`: the scalar
-/// Box–Muller, and the oracle of every evaluator.
-#[inline(always)]
-pub(crate) fn box_muller_pair(words: [u64; 2]) -> (f32, f32, f32) {
-    let (u1, theta) = pair_uniforms(words);
-    let r = (-2.0 * ln(u1)).sqrt();
-    let (sin_t, cos_t) = sin_cos(theta);
-    (r, sin_t, cos_t)
 }
 
 /// The portable evaluator: `r·cos θ` of each pair of `words` into `cos`
@@ -371,7 +361,7 @@ pub(crate) const SIN_POLY: [f64; 3] = [
 /// `C, −S, −C, S`. Below `0.75` (glibc's unreduced path) `n` is 0 and the
 /// same polynomials apply, and below `2⁻¹²` they round to `θ` and 1, as
 /// glibc returns there.
-fn sin_cos(theta: f32) -> (f32, f32) {
+pub(crate) fn sin_cos(theta: f32) -> (f32, f32) {
     debug_assert!(
         (0.0..120.0).contains(&theta),
         "{theta} outside the fast range"
@@ -431,7 +421,7 @@ pub(crate) const LOG_POLY: [f64; 3] = [
 ];
 
 /// `ln x` for a positive normal finite `x`: `k·ln 2 + ln c + ln(z/c)`.
-fn ln(x: f32) -> f32 {
+pub(crate) fn ln(x: f32) -> f32 {
     debug_assert!(x.is_normal() && x > 0.0, "{x} outside the normal range");
     let ix = x.to_bits();
     let tmp = ix.wrapping_sub(LOG_OFF);

@@ -292,8 +292,8 @@ pub(crate) fn skinny_nt_arm(
 
 /// Box–Muller evaluator of [`crate::rng`]'s normal fills on the given arm:
 /// `r·cos θ` of each pair of `words` into `cos` and, under `SIN`, `r·sin θ`
-/// into `sin` — the arithmetic of [`crate::rng::box_muller_pair`], bit for
-/// bit. AVX-512 has one of its own, a ZMM of `f64` lanes per eight pairs;
+/// into `sin` — `r = √(−2 ln u₁)` on `rng`'s port of `logf`, `sinf` and
+/// `cosf`, bit for bit. AVX-512 has one of its own, a ZMM of `f64` lanes per eight pairs;
 /// every other arm runs the portable loop. Safe: `words` is whole groups of
 /// [`LANES`] and `cos` (under `SIN`, `sin` too) is as long, asserted here.
 pub(crate) fn box_muller_arm<const SIN: bool>(
@@ -890,7 +890,7 @@ mod x86 {
         [&INV_C[..8], &INV_C[8..], &LN_C[..8], &LN_C[8..]].map(|h| _mm512_loadu_pd(h.as_ptr()))
     }
 
-    /// [`crate::rng::box_muller_pair`] over eight pairs of words, `lo`
+    /// The portable evaluator's arithmetic over eight pairs of words, `lo`
     /// holding pairs 0–3 and `hi` pairs 4–7 as they lie in memory:
     /// `(r, sin θ, cos θ)` per lane. The uniforms in `f32` lanes, the
     /// port's `f64` steps in ZMM lanes with separate multiplies and adds,
@@ -1050,7 +1050,7 @@ mod x86 {
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
-    use crate::rng::box_muller_pair;
+    use crate::rng::{ln, pair_uniforms, sin_cos};
 
     /// The AVX-512 Box–Muller lanes are the scalar path bit for bit — radius,
     /// sine and cosine apart — on every input a draw can hand them: the 2²⁴
@@ -1070,7 +1070,9 @@ mod tests {
             // SAFETY: AVX-512F was detected above.
             let got = unsafe { x86::box_muller_parts_avx512(&words) };
             for (j, &w) in words.iter().enumerate() {
-                let (r, s, c) = box_muller_pair(w);
+                let (u1, theta) = pair_uniforms(w);
+                let (s, c) = sin_cos(theta);
+                let r = (-2.0 * ln(u1)).sqrt();
                 for (b, (g, want)) in bad.iter_mut().zip(got.iter().zip([r, s, c])) {
                     *b += u32::from(g[j].to_bits() != want.to_bits());
                 }
