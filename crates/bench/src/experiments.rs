@@ -13,7 +13,6 @@ use fca_tensor::rng::derive_seed;
 use fedclassavg::algo::{
     Algorithm, FedAvg, FedClassAvg, FedProto, FedProx, KtPfl, KtPflWeight, LocalOnly,
 };
-use fedclassavg::comm::FaultPlan;
 use fedclassavg::config::{FedConfig, HyperParams};
 use fedclassavg::fleet::Fleet;
 use fedclassavg::sim::{build_fleet, run_federation, RunResult};
@@ -269,19 +268,10 @@ impl ExperimentContext {
     /// Federation config for `clients` clients at sampling rate `q`.
     pub fn fed_config(&self, d: DatasetKind, clients: usize, q: f32, rounds: usize) -> FedConfig {
         FedConfig {
-            num_clients: clients,
             sample_rate: q,
-            rounds,
             feature_dim: self.feature_dim(),
             eval_every: (rounds / 10).max(1),
-            seed: self.seed,
-            hp: d.hyperparams(),
-            faults: FaultPlan::none(),
-            eval_sample: 0,
-            eval_precision: fca_tensor::quant::Precision::F32,
-            transport: Default::default(),
-            aggregation: Default::default(),
-            drift: Default::default(),
+            ..FedConfig::new(clients, d.hyperparams(), rounds, self.seed)
         }
     }
 }

@@ -267,32 +267,18 @@ pub struct FedConfig {
 }
 
 impl FedConfig {
-    /// Paper-shaped default: 20 clients, full participation.
-    pub fn paper_20_clients(hp: HyperParams, rounds: usize, seed: u64) -> Self {
+    /// The run configuration every caller starts from: `num_clients`
+    /// clients at full participation, feature dimension 64, an accuracy
+    /// point every round, and the optional fields at their defaults (no
+    /// faults, full evaluation, f32, in-process transport, synchronous
+    /// aggregation, no drift). With 20 clients this is the paper's
+    /// full-participation setting; its 100-client setting sets
+    /// `sample_rate: 0.1` on top. Override other fields with struct-update
+    /// syntax or the `with_*` builders.
+    pub fn new(num_clients: usize, hp: HyperParams, rounds: usize, seed: u64) -> Self {
         let cfg = FedConfig {
-            num_clients: 20,
+            num_clients,
             sample_rate: 1.0,
-            rounds,
-            feature_dim: 64,
-            eval_every: 1,
-            seed,
-            hp,
-            faults: FaultPlan::none(),
-            eval_sample: 0,
-            eval_precision: Precision::F32,
-            transport: TransportKind::InProcess,
-            aggregation: Aggregation::Sync,
-            drift: DriftSchedule::off(),
-        };
-        cfg.validate();
-        cfg
-    }
-
-    /// Paper large-scale setting: 100 clients, 10% sampling.
-    pub fn paper_100_clients(hp: HyperParams, rounds: usize, seed: u64) -> Self {
-        let cfg = FedConfig {
-            num_clients: 100,
-            sample_rate: 0.1,
             rounds,
             feature_dim: 64,
             eval_every: 1,
@@ -395,15 +381,18 @@ mod tests {
 
     #[test]
     fn clients_per_round_rounding() {
-        let cfg = FedConfig::paper_100_clients(HyperParams::micro_default(), 10, 0);
+        let cfg = FedConfig {
+            sample_rate: 0.1,
+            ..FedConfig::new(100, HyperParams::micro_default(), 10, 0)
+        };
         assert_eq!(cfg.clients_per_round(), 10);
-        let all = FedConfig::paper_20_clients(HyperParams::micro_default(), 10, 0);
+        let all = FedConfig::new(20, HyperParams::micro_default(), 10, 0);
         assert_eq!(all.clients_per_round(), 20);
     }
 
     #[test]
     fn clients_per_round_never_zero() {
-        let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 0);
+        let mut cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 0);
         cfg.num_clients = 3;
         cfg.sample_rate = 0.01;
         assert_eq!(cfg.clients_per_round(), 1);
@@ -435,7 +424,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "goal_k >= 1")]
     fn zero_goal_k_fails_loudly() {
-        let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 0);
+        let mut cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 0);
         cfg.aggregation = Aggregation::Buffered {
             goal_k: 0,
             max_staleness: 2,
@@ -446,7 +435,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sample_rate must be in (0, 1]")]
     fn zero_sample_rate_fails_loudly() {
-        let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 0);
+        let mut cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 0);
         cfg.sample_rate = 0.0;
         cfg.validate();
     }
@@ -454,7 +443,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn invalid_fault_rate_fails_loudly() {
-        let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 0);
+        let mut cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 0);
         cfg.faults = FaultPlan {
             seed: 1,
             dropout: -0.5,
@@ -466,7 +455,7 @@ mod tests {
 
     #[test]
     fn with_faults_builder_attaches_plan() {
-        let cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 0)
+        let cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 0)
             .with_faults(FaultPlan::with_dropout(9, 0.3));
         assert_eq!(cfg.faults.dropout, 0.3);
         assert_eq!(cfg.faults.seed, 9);

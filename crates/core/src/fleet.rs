@@ -572,7 +572,7 @@ mod tests {
     /// `clients` clients on the four-way architecture rotation.
     fn fleet_of(clients: usize, max_resident: Option<usize>, seed: u64) -> Fleet {
         let data = tiny_dataset(3, 24 * clients, 12 * clients, seed);
-        let cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, seed);
+        let cfg = FedConfig::new(20, HyperParams::micro_default(), 1, seed);
         let splits =
             Partitioner::Dirichlet { alpha: 0.5 }.split(&data.train, &data.test, clients, seed);
         Fleet::from_splits(
@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn resident_fleet_never_pages() {
         let data = tiny_dataset(3, 48, 24, 956);
-        let cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 956);
+        let cfg = FedConfig::new(20, HyperParams::micro_default(), 1, 956);
         let splits = Partitioner::Dirichlet { alpha: 0.5 }.split(&data.train, &data.test, 2, 956);
         let resident = Fleet::from_splits(
             &data.train,

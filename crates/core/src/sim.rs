@@ -493,9 +493,10 @@ pub mod test_support {
     /// from them at client construction, so lr overrides must go here).
     pub fn tiny_fleet_hp(n: usize, seed: u64, hp: HyperParams) -> (Fleet, Network) {
         let data = tiny_dataset(3, 24 * n.max(2), 12 * n.max(2), seed);
-        let mut cfg = FedConfig::paper_20_clients(hp, 1, seed);
-        cfg.num_clients = n;
-        cfg.feature_dim = 8;
+        let cfg = FedConfig {
+            feature_dim: 8,
+            ..FedConfig::new(n, hp, 1, seed)
+        };
         let fleet = build_fleet(
             &data,
             Partitioner::Dirichlet { alpha: 0.5 },
@@ -513,9 +514,10 @@ pub mod test_support {
     /// [`tiny_fleet_homogeneous`] with explicit hyperparameters.
     pub fn tiny_fleet_homogeneous_hp(n: usize, seed: u64, hp: HyperParams) -> (Fleet, Network) {
         let data = tiny_dataset(3, 24 * n.max(2), 12 * n.max(2), seed);
-        let mut cfg = FedConfig::paper_20_clients(hp, 1, seed);
-        cfg.num_clients = n;
-        cfg.feature_dim = 8;
+        let cfg = FedConfig {
+            feature_dim: 8,
+            ..FedConfig::new(n, hp, 1, seed)
+        };
         let fleet = build_fleet(&data, Partitioner::Dirichlet { alpha: 0.5 }, &cfg, &|_| {
             ModelArch::CnnFedAvg
         });
@@ -537,11 +539,10 @@ mod tests {
     use fca_data::synth::tiny_dataset;
 
     fn small_cfg(seed: u64, rounds: usize) -> FedConfig {
-        let mut cfg =
-            FedConfig::paper_20_clients(HyperParams::micro_default().with_lr(5e-3), rounds, seed);
-        cfg.num_clients = 4;
-        cfg.feature_dim = 8;
-        cfg
+        FedConfig {
+            feature_dim: 8,
+            ..FedConfig::new(4, HyperParams::micro_default().with_lr(5e-3), rounds, seed)
+        }
     }
 
     #[test]

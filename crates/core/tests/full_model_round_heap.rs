@@ -59,9 +59,10 @@ fn largest_in_warm_rounds(transport: Box<dyn Transport>) -> usize {
     let hp = HyperParams::micro_default();
     // CnnFedAvg on 12×12 images, with 128 features: a 576 × 128 weight.
     let data = tiny_dataset(3, 24 * CLIENTS, 12 * CLIENTS, 751);
-    let mut cfg = FedConfig::paper_20_clients(hp, 1, 751);
-    cfg.num_clients = CLIENTS;
-    cfg.feature_dim = 128;
+    let cfg = FedConfig {
+        feature_dim: 128,
+        ..FedConfig::new(CLIENTS, hp, 1, 751)
+    };
     let arch = |_| ModelArch::CnnFedAvg;
     let mut fleet = build_fleet(&data, Partitioner::Dirichlet { alpha: 0.5 }, &cfg, &arch);
     let all: Vec<usize> = (0..CLIENTS).collect();

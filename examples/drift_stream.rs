@@ -22,7 +22,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::FedClassAvg;
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{DriftSchedule, FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation_from, RunState};
 use fedclassavg_suite::metrics::drift::{
@@ -43,19 +42,9 @@ fn main() {
         .generate();
 
     let cfg = FedConfig {
-        num_clients: 8,
-        sample_rate: 1.0,
-        rounds,
         feature_dim: 32,
-        eval_every: 1,
-        seed: 77,
-        hp: HyperParams::micro_default(),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
         drift: DriftSchedule::over(drift_start, drift_end),
+        ..FedConfig::new(8, HyperParams::micro_default(), rounds, 77)
     };
     println!(
         "streaming drift: {} rounds, label mix interpolates over rounds {}..{} (Dir(0.5) → Dir(0.5) target)",

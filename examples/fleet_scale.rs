@@ -16,7 +16,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::tiny_dataset;
 use fedclassavg_suite::fed::algo::FedClassAvg;
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet_paged, run_federation_from, RunState};
 use fedclassavg_suite::models::ModelArch;
@@ -63,19 +62,10 @@ fn main() {
         (100_000, 0.001, 32, 32)
     };
     let cfg = FedConfig {
-        num_clients,
         sample_rate,
-        rounds: 2,
         feature_dim: 8,
-        eval_every: 1,
-        seed: 1000,
-        hp: HyperParams::micro_default(),
-        faults: FaultPlan::none(),
         eval_sample,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(num_clients, HyperParams::micro_default(), 2, 1000)
     };
     println!(
         "fleet: {num_clients} clients, {} sampled/round, residency cap {max_resident}",

@@ -10,7 +10,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::{Algorithm, FedClassAvg, LocalOnly};
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
 use fedclassavg_suite::metrics::eval::extract_fleet_features;
@@ -23,19 +22,9 @@ fn main() {
         .with_sizes(1600, 400)
         .generate();
     let cfg = FedConfig {
-        num_clients: 20,
-        sample_rate: 1.0,
-        rounds: 10,
         feature_dim: 32,
         eval_every: 5,
-        seed: 11,
-        hp: HyperParams::micro_default(),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(20, HyperParams::micro_default(), 10, 11)
     };
 
     let mut summaries = Vec::new();

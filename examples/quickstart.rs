@@ -25,7 +25,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::FedClassAvg;
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{Aggregation, FedConfig, HyperParams, TransportKind};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
 use fedclassavg_suite::models::ModelArch;
@@ -78,17 +77,10 @@ fn main() {
 
     // 2. Federation setup: 8 clients, non-iid Dir(0.5) label split, and the
     //    paper's hyperparameter shape adapted to micro scale.
+    let rounds = if quick { 4 } else { 12 };
     let cfg = FedConfig {
-        num_clients: 8,
-        sample_rate: 1.0,
-        rounds: if quick { 4 } else { 12 },
         feature_dim: 32,
         eval_every: if quick { 2 } else { 3 },
-        seed: 42,
-        hp: HyperParams::micro_default(),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
         transport,
         aggregation: if buffered {
             Aggregation::Buffered {
@@ -98,7 +90,7 @@ fn main() {
         } else {
             Aggregation::Sync
         },
-        drift: Default::default(),
+        ..FedConfig::new(8, HyperParams::micro_default(), rounds, 42)
     };
     let mut fleet = build_fleet(
         &data,

@@ -30,7 +30,7 @@ use fedclassavg_suite::data::synth::{SynthConfig, SynthDataset};
 use fedclassavg_suite::fed::algo::{Algorithm, FedClassAvg};
 use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::client::LocalObjective;
-use fedclassavg_suite::fed::comm::{FaultPlan, Network, WireMessage};
+use fedclassavg_suite::fed::comm::{Network, WireMessage};
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation, run_federation_from, RunState};
@@ -51,19 +51,8 @@ const BUDGET: Duration = Duration::from_secs(120);
 
 fn config() -> FedConfig {
     FedConfig {
-        num_clients: CLIENTS,
-        sample_rate: 1.0,
-        rounds: ROUNDS,
         feature_dim: 32,
-        eval_every: 1,
-        seed: SEED,
-        hp: HyperParams::micro_default(),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(CLIENTS, HyperParams::micro_default(), ROUNDS, SEED)
     }
 }
 

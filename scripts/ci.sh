@@ -77,12 +77,22 @@ echo "=== benchmark smoke: what benchmark/ compiles against still builds, and ev
 # signature it uses could drift here unnoticed.
 benchmark/smoke.sh
 
-echo "=== paper binaries: fca-bench builds, the cheapest figure runs, and Table 4's declaration runs end to end on one setting ==="
+echo "=== paper binaries: fca-bench builds, the cheap producers rewrite their committed files unchanged, and Table 4 on one setting matches its golden ==="
 cargo build --release -p fca-bench --bins
-cargo run --release -p fca-bench --bin fig2_3_partitions >/dev/null
+# Deterministic and cheap (≈ 15 s): a committed result that HEAD no longer
+# writes fails here.
+cargo run -q --release -p fca-bench --bin fig2_3_partitions >/dev/null
+cargo run -q --release -p fca-bench --bin table1_hparams >/dev/null
+cargo run -q --release -p fca-bench --bin table5_comm_cost >/dev/null
+git diff --exit-code -- results/fig2_3_partitions.json results/table5_comm_cost.json
 # A filtered run prints its verdicts and writes nothing under results/; a
-# filter matching no setting fails before anything trains.
-cargo run --release -p fca-bench --bin table4_ablation -- --quick --setting Fashion-MNIST
+# filter matching no setting fails before anything trains. A run's bits
+# depend on neither the kernel arm nor the thread count, so with the
+# per-cell seconds stripped the output is a golden: any change to training
+# numerics shows in this diff.
+cargo run -q --release -p fca-bench --bin table4_ablation -- --quick --setting Fashion-MNIST 2>&1 |
+    sed -E 's/ +\([0-9.]+s\)$//' > /tmp/fca-ci-table4.txt
+diff results/table4_quick_golden.txt /tmp/fca-ci-table4.txt
 if cargo run --release -p fca-bench --bin table4_ablation -- --quick --setting no-such-setting; then
     echo "a filter matching no setting was accepted" >&2; exit 1
 fi

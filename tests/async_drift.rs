@@ -9,40 +9,14 @@ use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::FedClassAvg;
 use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::comm::FaultPlan;
-use fedclassavg_suite::fed::config::{Aggregation, DriftSchedule, FedConfig, HyperParams};
+use fedclassavg_suite::fed::config::{Aggregation, DriftSchedule, FedConfig};
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation, run_federation_from, RunState};
 use fedclassavg_suite::fed::{RoundMetrics, RunResult};
 use fedclassavg_suite::models::ModelArch;
 
-const CLASSES: usize = 4;
-const FEAT: usize = 12;
-
-fn small_data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
-    let mut cfg = SynthConfig::synth_fashion(seed).with_sizes(320, 160);
-    cfg.num_classes = CLASSES;
-    cfg.height = 14;
-    cfg.width = 14;
-    cfg.generate()
-}
-
-fn small_cfg(seed: u64, rounds: usize) -> FedConfig {
-    FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds,
-        feature_dim: FEAT,
-        eval_every: 1,
-        seed,
-        hp: HyperParams::micro_default().with_lr(3e-3),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
-    }
-}
+mod common;
+use common::{assert_bit_identical, small_cfg, small_data, CLASSES};
 
 fn fresh_run(cfg: &FedConfig) -> RunResult {
     let data = small_data(cfg.seed);
@@ -54,28 +28,6 @@ fn fresh_run(cfg: &FedConfig) -> RunResult {
     );
     let mut algo = FedClassAvg::new(cfg.feature_dim, data.train.num_classes, cfg.seed);
     run_federation(&mut fleet, &mut algo, cfg)
-}
-
-fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
-    assert_eq!(a.final_mean.to_bits(), b.final_mean.to_bits(), "{label}");
-    assert_eq!(a.final_std.to_bits(), b.final_std.to_bits(), "{label}");
-    assert_eq!(a.per_client_acc.len(), b.per_client_acc.len(), "{label}");
-    for (x, y) in a.per_client_acc.iter().zip(&b.per_client_acc) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{label}: per-client diverged");
-    }
-    assert_eq!(a.curve.len(), b.curve.len(), "{label}: curve length");
-    for (x, y) in a.curve.iter().zip(&b.curve) {
-        assert_eq!(x.round, y.round, "{label}");
-        assert_eq!(x.mean_acc.to_bits(), y.mean_acc.to_bits(), "{label}");
-        assert_eq!(x.std_acc.to_bits(), y.std_acc.to_bits(), "{label}");
-        assert_eq!(x.dropped, y.dropped, "{label}");
-        assert_eq!(x.stale, y.stale, "{label}: stale counter diverged");
-        assert_eq!(x.expired, y.expired, "{label}: expired counter diverged");
-    }
-    assert_eq!(a.stale, b.stale, "{label}: total stale");
-    assert_eq!(a.expired, b.expired, "{label}: total expired");
-    assert_eq!(a.downlink_bytes, b.downlink_bytes, "{label}");
-    assert_eq!(a.uplink_bytes, b.uplink_bytes, "{label}");
 }
 
 /// ISSUE acceptance: a buffered run at 30% stragglers is deterministic —

@@ -4,80 +4,20 @@
 //! completion must land on the exact bits of the uninterrupted run.
 
 use fedclassavg_suite::data::partition::Partitioner;
-use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::{
     Algorithm, FedAvg, FedClassAvg, FedProto, KtPfl, KtPflWeight, LocalOnly,
 };
 use fedclassavg_suite::fed::checkpoint::Checkpoint;
 use fedclassavg_suite::fed::comm::FaultPlan;
-use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
+use fedclassavg_suite::fed::config::FedConfig;
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{
     build_fleet, build_fleet_paged, run_federation, run_federation_from, RunState,
 };
-use fedclassavg_suite::fed::RunResult;
 use fedclassavg_suite::models::ModelArch;
 
-const CLASSES: usize = 4;
-const FEAT: usize = 12;
-
-fn small_data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
-    let mut cfg = SynthConfig::synth_fashion(seed).with_sizes(320, 160);
-    cfg.num_classes = CLASSES;
-    cfg.height = 14;
-    cfg.width = 14;
-    cfg.generate()
-}
-
-fn small_cfg(seed: u64, rounds: usize) -> FedConfig {
-    FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds,
-        feature_dim: FEAT,
-        // Every round is an eval (= checkpoint) boundary, like the paper
-        // configurations.
-        eval_every: 1,
-        seed,
-        hp: HyperParams::micro_default().with_lr(3e-3),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
-    }
-}
-
-fn assert_bit_identical(resumed: &RunResult, full: &RunResult, label: &str) {
-    assert_eq!(
-        resumed.final_mean.to_bits(),
-        full.final_mean.to_bits(),
-        "{label}: final mean diverged"
-    );
-    assert_eq!(
-        resumed.final_std.to_bits(),
-        full.final_std.to_bits(),
-        "{label}: final std diverged"
-    );
-    assert_eq!(resumed.per_client_acc.len(), full.per_client_acc.len());
-    for (a, b) in resumed.per_client_acc.iter().zip(&full.per_client_acc) {
-        assert_eq!(a.to_bits(), b.to_bits(), "{label}: per-client diverged");
-    }
-    assert_eq!(resumed.curve.len(), full.curve.len(), "{label}: curve len");
-    for (a, b) in resumed.curve.iter().zip(&full.curve) {
-        assert_eq!(a.round, b.round, "{label}");
-        assert_eq!(a.epochs, b.epochs, "{label}");
-        assert_eq!(a.mean_acc.to_bits(), b.mean_acc.to_bits(), "{label}");
-        assert_eq!(a.std_acc.to_bits(), b.std_acc.to_bits(), "{label}");
-        assert_eq!(a.dropped, b.dropped, "{label}");
-        assert_eq!(a.corrupt, b.corrupt, "{label}");
-    }
-    assert_eq!(resumed.downlink_bytes, full.downlink_bytes, "{label}");
-    assert_eq!(resumed.uplink_bytes, full.uplink_bytes, "{label}");
-    assert_eq!(resumed.dropped, full.dropped, "{label}");
-    assert_eq!(resumed.corrupt, full.corrupt, "{label}");
-}
+mod common;
+use common::{assert_bit_identical, small_cfg, small_data, CLASSES};
 
 /// Run `rounds` rounds uninterrupted; then the same federation split at
 /// `stop_after` with a full encode→decode checkpoint cycle in between,

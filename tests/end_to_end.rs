@@ -7,38 +7,21 @@ use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::{
     Algorithm, FedAvg, FedClassAvg, FedProto, FedProx, KtPfl, KtPflWeight, LocalOnly,
 };
-use fedclassavg_suite::fed::comm::{FaultPlan, WireMessage};
-use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
+use fedclassavg_suite::fed::comm::WireMessage;
+use fedclassavg_suite::fed::config::FedConfig;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation, RunResult};
 use fedclassavg_suite::models::classifier::ClassifierWeights;
 use fedclassavg_suite::models::ModelArch;
 
-const CLASSES: usize = 4;
-const FEAT: usize = 12;
+#[expect(dead_code, reason = "this file compares no two runs")]
+mod common;
+use common::{small_data, CLASSES, FEAT};
 
-fn small_data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
-    let mut cfg = SynthConfig::synth_fashion(seed).with_sizes(320, 160);
-    cfg.num_classes = CLASSES;
-    cfg.height = 14;
-    cfg.width = 14;
-    cfg.generate()
-}
-
+/// The shared config with one accuracy point, at the end of the run.
 fn small_cfg(seed: u64, rounds: usize) -> FedConfig {
     FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds,
-        feature_dim: FEAT,
         eval_every: rounds.max(1),
-        seed,
-        hp: HyperParams::micro_default().with_lr(3e-3),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..common::small_cfg(seed, rounds)
     }
 }
 

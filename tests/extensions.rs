@@ -4,7 +4,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::{FedClassAvg, FedMd};
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
 use fedclassavg_suite::models::ModelArch;
@@ -22,19 +21,9 @@ fn data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
 
 fn cfg(seed: u64, rounds: usize) -> FedConfig {
     FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds,
         feature_dim: FEAT,
         eval_every: rounds,
-        seed,
-        hp: HyperParams::micro_default().with_lr(3e-3),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(4, HyperParams::micro_default().with_lr(3e-3), rounds, seed)
     }
 }
 

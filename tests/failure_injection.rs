@@ -7,7 +7,7 @@ use fedclassavg_suite::data::Dataset;
 use fedclassavg_suite::fed::algo::Algorithm;
 use fedclassavg_suite::fed::algo::{FedClassAvg, FedProto};
 use fedclassavg_suite::fed::client::Client;
-use fedclassavg_suite::fed::comm::{FaultPlan, Network, WireMessage};
+use fedclassavg_suite::fed::comm::{Network, WireMessage};
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
 use fedclassavg_suite::models::classifier::ClassifierWeights;
@@ -24,19 +24,8 @@ fn small_data(seed: u64) -> fedclassavg_suite::data::synth::SynthDataset {
 
 fn small_cfg(seed: u64) -> FedConfig {
     FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds: 2,
         feature_dim: 8,
-        eval_every: 1,
-        seed,
-        faults: FaultPlan::none(),
-        hp: HyperParams::micro_default(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(4, HyperParams::micro_default(), 2, seed)
     }
 }
 

@@ -115,19 +115,9 @@ fn faulty_run(seed: u64, rounds: usize, plan: FaultPlan) -> RunResult {
     data_cfg.width = 12;
     let data = data_cfg.generate();
     let cfg = FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds,
         feature_dim: FEAT,
-        eval_every: 1,
-        seed,
-        hp: HyperParams::micro_default(),
         faults: plan,
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(4, HyperParams::micro_default(), rounds, seed)
     };
     let mut fleet = build_fleet(
         &data,

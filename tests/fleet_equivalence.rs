@@ -12,15 +12,18 @@ use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::sim::{build_fleet, build_fleet_paged, run_federation, RunResult};
 use fedclassavg_suite::models::ModelArch;
 
+#[expect(dead_code, reason = "this file uses only the run comparator")]
+mod common;
+use common::assert_bit_identical;
+
 const CLIENTS: usize = 6;
 
 fn cfg(seed: u64, rounds: usize) -> FedConfig {
-    let mut cfg =
-        FedConfig::paper_20_clients(HyperParams::micro_default().with_lr(5e-3), rounds, seed);
-    cfg.num_clients = CLIENTS;
-    cfg.feature_dim = 8;
-    cfg.eval_every = 1;
-    cfg
+    let hp = HyperParams::micro_default().with_lr(5e-3);
+    FedConfig {
+        feature_dim: 8,
+        ..FedConfig::new(CLIENTS, hp, rounds, seed)
+    }
 }
 
 fn run(
@@ -38,52 +41,6 @@ fn run(
     run_federation(&mut fleet, algo.as_mut(), cfg)
 }
 
-/// Bit-level equality of everything a run reports.
-fn assert_identical(resident: &RunResult, paged: &RunResult, label: &str) {
-    let a: Vec<u32> = resident
-        .per_client_acc
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    let b: Vec<u32> = paged.per_client_acc.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(a, b, "{label}: per-client accuracies diverged");
-    assert_eq!(
-        resident.curve.len(),
-        paged.curve.len(),
-        "{label}: curve length"
-    );
-    for (p, q) in resident.curve.iter().zip(&paged.curve) {
-        assert_eq!(p.round, q.round, "{label}: curve rounds");
-        assert_eq!(
-            p.mean_acc.to_bits(),
-            q.mean_acc.to_bits(),
-            "{label}: curve mean at round {}",
-            p.round
-        );
-        assert_eq!(
-            p.std_acc.to_bits(),
-            q.std_acc.to_bits(),
-            "{label}: curve std at round {}",
-            p.round
-        );
-        assert_eq!(
-            (p.dropped, p.corrupt),
-            (q.dropped, q.corrupt),
-            "{label}: curve faults"
-        );
-    }
-    assert_eq!(
-        (resident.downlink_bytes, resident.uplink_bytes),
-        (paged.downlink_bytes, paged.uplink_bytes),
-        "{label}: wire bytes"
-    );
-    assert_eq!(
-        (resident.dropped, resident.corrupt),
-        (paged.dropped, paged.corrupt),
-        "{label}: fault totals"
-    );
-}
-
 #[test]
 fn paged_fedclassavg_is_bit_identical_to_resident() {
     let c = cfg(1201, 3);
@@ -95,7 +52,7 @@ fn paged_fedclassavg_is_bit_identical_to_resident() {
     let paged = run(&c, Some(2), || {
         Box::new(FedClassAvg::new(c.feature_dim, 3, c.seed))
     });
-    assert_identical(&resident, &paged, "fedclassavg");
+    assert_bit_identical(&resident, &paged, "fedclassavg");
 }
 
 #[test]
@@ -103,7 +60,7 @@ fn paged_local_only_is_bit_identical_to_resident() {
     let c = cfg(1202, 2);
     let resident = run(&c, None, || Box::new(LocalOnly::new()));
     let paged = run(&c, Some(1), || Box::new(LocalOnly::new()));
-    assert_identical(&resident, &paged, "local-only");
+    assert_bit_identical(&resident, &paged, "local-only");
     assert_eq!(paged.downlink_bytes + paged.uplink_bytes, 0);
 }
 
@@ -127,7 +84,7 @@ fn paged_fedproto_is_bit_identical_to_resident() {
     };
     let resident = run_with(None);
     let paged = run_with(Some(2));
-    assert_identical(&resident, &paged, "fedproto");
+    assert_bit_identical(&resident, &paged, "fedproto");
 }
 
 #[test]
@@ -148,7 +105,7 @@ fn paged_run_under_thirty_percent_faults_is_bit_identical() {
         resident.dropped + resident.corrupt > 0,
         "fault plan fired nothing; the test is vacuous"
     );
-    assert_identical(&resident, &paged, "faulty");
+    assert_bit_identical(&resident, &paged, "faulty");
 }
 
 #[test]
@@ -163,7 +120,7 @@ fn paged_run_with_eval_subsample_is_bit_identical() {
         Box::new(FedClassAvg::new(c.feature_dim, 3, c.seed))
     });
     assert_eq!(resident.per_client_acc.len(), 3);
-    assert_identical(&resident, &paged, "eval-subsampled");
+    assert_bit_identical(&resident, &paged, "eval-subsampled");
 }
 
 #[test]
@@ -178,5 +135,5 @@ fn partial_participation_pages_only_the_sampled() {
     let paged = run(&c, Some(2), || {
         Box::new(FedClassAvg::new(c.feature_dim, 3, c.seed))
     });
-    assert_identical(&resident, &paged, "partial participation");
+    assert_bit_identical(&resident, &paged, "partial participation");
 }

@@ -6,7 +6,6 @@
 use fedclassavg_suite::data::partition::Partitioner;
 use fedclassavg_suite::data::synth::SynthConfig;
 use fedclassavg_suite::fed::algo::{FedClassAvg, LocalOnly};
-use fedclassavg_suite::fed::comm::FaultPlan;
 use fedclassavg_suite::fed::config::{FedConfig, HyperParams};
 use fedclassavg_suite::fed::fleet::Fleet;
 use fedclassavg_suite::fed::sim::{build_fleet, run_federation};
@@ -27,19 +26,9 @@ fn trained_fleet(seed: u64, federated: bool) -> (Fleet, fedclassavg_suite::fed::
     dcfg.width = 12;
     let data = dcfg.generate();
     let cfg = FedConfig {
-        num_clients: 4,
-        sample_rate: 1.0,
-        rounds: 6,
         feature_dim: 12,
         eval_every: 6,
-        seed,
-        hp: HyperParams::micro_default().with_lr(3e-3),
-        faults: FaultPlan::none(),
-        eval_sample: 0,
-        eval_precision: fedclassavg_suite::tensor::quant::Precision::F32,
-        transport: Default::default(),
-        aggregation: Default::default(),
-        drift: Default::default(),
+        ..FedConfig::new(4, HyperParams::micro_default().with_lr(3e-3), 6, seed)
     };
     let mut fleet = build_fleet(
         &data,

@@ -15,16 +15,20 @@ use fedclassavg_suite::fed::sim::{build_fleet, build_fleet_paged, run_federation
 use fedclassavg_suite::models::ModelArch;
 use fedclassavg_suite::trace::{self, Event, SCHEMA_VERSION};
 
+#[expect(dead_code, reason = "this file uses only the run comparator")]
+mod common;
+use common::assert_bit_identical;
+
 const SEED: u64 = 907;
 const ROUNDS: usize = 3;
 
 fn run_once(max_resident: Option<usize>) -> RunResult {
-    let mut cfg =
-        FedConfig::paper_20_clients(HyperParams::micro_default().with_lr(5e-3), ROUNDS, SEED);
-    cfg.num_clients = 4;
-    cfg.feature_dim = 8;
-    // Faults on, so the drop/corrupt counters cross the journal too.
-    cfg.faults = FaultPlan::new(55, 0.3, 0.1, 0.1);
+    let cfg = FedConfig {
+        feature_dim: 8,
+        // Faults on, so the drop/corrupt counters cross the journal too.
+        faults: FaultPlan::new(55, 0.3, 0.1, 0.1),
+        ..FedConfig::new(4, HyperParams::micro_default().with_lr(5e-3), ROUNDS, SEED)
+    };
     let data = tiny_dataset(3, 96, 48, cfg.seed);
     let dist = Partitioner::Dirichlet { alpha: 0.5 };
     let mut fleet = match max_resident {
@@ -46,18 +50,7 @@ fn traced_run_is_bit_identical_and_journal_is_schema_valid() {
     drop(guard);
 
     // Determinism: tracing observed the run without perturbing one bit.
-    let a: Vec<u32> = untraced
-        .per_client_acc
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    let b: Vec<u32> = traced.per_client_acc.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(a, b, "tracing changed per-client accuracies");
-    assert_eq!(untraced.curve, traced.curve, "tracing changed the curve");
-    assert_eq!(untraced.downlink_bytes, traced.downlink_bytes);
-    assert_eq!(untraced.uplink_bytes, traced.uplink_bytes);
-    assert_eq!(untraced.dropped, traced.dropped);
-    assert_eq!(untraced.corrupt, traced.corrupt);
+    assert_bit_identical(&untraced, &traced, "traced vs untraced");
 
     // The journal parses line by line under the strict schema.
     let text = std::fs::read_to_string(&journal).expect("journal written");

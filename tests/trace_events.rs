@@ -26,12 +26,13 @@ const CUT: usize = 3;
 
 #[test]
 fn drift_and_checkpoint_events_carry_what_the_engine_did() {
-    let mut cfg =
-        FedConfig::paper_20_clients(HyperParams::micro_default().with_lr(5e-3), ROUNDS, SEED);
-    cfg.num_clients = CLIENTS as usize;
-    cfg.feature_dim = 8;
-    cfg.eval_every = ROUNDS;
-    cfg.drift = DriftSchedule::over(2, 5);
+    let hp = HyperParams::micro_default().with_lr(5e-3);
+    let cfg = FedConfig {
+        feature_dim: 8,
+        eval_every: ROUNDS,
+        drift: DriftSchedule::over(2, 5),
+        ..FedConfig::new(CLIENTS as usize, hp, ROUNDS, SEED)
+    };
     let data = tiny_dataset(3, 96, 48, SEED);
     let fresh = || {
         let fleet = build_fleet(

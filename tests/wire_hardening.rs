@@ -432,10 +432,10 @@ fn paged_checkpoint() -> (
     fedclassavg_suite::data::synth::SynthDataset,
 ) {
     let data = tiny_dataset(3, 96, 48, 74);
-    let mut cfg = FedConfig::paper_20_clients(HyperParams::micro_default(), 1, 74);
-    cfg.num_clients = 4;
-    cfg.sample_rate = 1.0;
-    cfg.feature_dim = 8;
+    let cfg = FedConfig {
+        feature_dim: 8,
+        ..FedConfig::new(4, HyperParams::micro_default(), 1, 74)
+    };
     let mut fleet = fresh_fleet(&data, &cfg);
     let mut algo = FedClassAvg::new(cfg.feature_dim, 3, cfg.seed);
     let (_, state) = run_federation_from(&mut fleet, &mut algo, &cfg, RunState::fresh());
